@@ -42,46 +42,6 @@ def test_bench_generation_with_shuffle(benchmark, bench_er_pair, storage):
     assert c == kron_product(a, b)
 
 
-@pytest.mark.parametrize("routing", ["legacy", "fused"])
-@pytest.mark.parametrize("storage", ["source_block", "edge_hash"])
-def test_bench_generation_routed_vs_legacy(
-    benchmark, bench_er_pair, routing, storage
-):
-    """A/B of the fused generate->route hot path against expand-sort-split.
-
-    The acceptance bar: ``fused`` must be no slower than ``legacy`` for the
-    same storage scheme (compare parametrizations in the benchmark JSON).
-    """
-    a, b = bench_er_pair
-    c, _ = benchmark.pedantic(
-        generate_distributed,
-        args=(a, b, 4),
-        kwargs={"scheme": "1d", "storage": storage, "routing": routing},
-        rounds=3,
-        iterations=1,
-    )
-    assert c == kron_product(a, b)
-
-
-@pytest.mark.parametrize("routing", ["legacy", "fused"])
-def test_bench_pipelined_routed_vs_legacy(benchmark, bench_er_pair, routing):
-    """Pipelined (send-as-you-generate) path, fused vs legacy bucketing."""
-    a, b = bench_er_pair
-    c, _ = benchmark.pedantic(
-        generate_distributed,
-        args=(a, b, 4),
-        kwargs={
-            "scheme": "1d-pipelined",
-            "storage": "source_block",
-            "routing": routing,
-            "chunk_size": 1 << 14,
-        },
-        rounds=3,
-        iterations=1,
-    )
-    assert c == kron_product(a, b)
-
-
 def test_bench_remark1_experiment(benchmark, capsys):
     """Whole E5 driver: measured anchors + modeled curves."""
     result = benchmark.pedantic(

@@ -1,21 +1,10 @@
-"""CI perf gate: rerun a benchmark suite against its committed baseline.
+"""CI perf gate: rerun the serving benchmark against its committed baseline.
 
-Two suites share the same policy -- re-measure (median of ``--repeat``
-runs, the stat least sensitive to a noisy CI neighbor), compare the
-headline number against the committed JSON, fail past ``--threshold``
-(default 10%):
+Re-measure (median of ``--repeat`` runs, the stat least sensitive to a
+noisy CI neighbor), compare the headline number against the committed
+JSON, fail past ``--threshold`` (default 10%).
 
-``--suite generation`` (default)
-    the distributed-generation trajectory vs ``BENCH_generation.json``;
-    headline is the fused case's ``edges_per_s``.  Runs under the
-    emulated interconnect (:mod:`repro.distributed.netsim`), so most of
-    the kernel wall is deterministic wire time -- the committed number
-    transfers across machines with only the compute share exposed to
-    hardware variance.  The async-pipeline ratios are printed (and
-    checked against a loose floor) but only the fused regression fails
-    the job.
-
-``--suite service``
+``--suite service`` (the only suite)
     the query-server saturation sweep vs ``BENCH_service.json``;
     headline is the worst-cell ``edge_queries_per_s`` (every
     concurrency x batch cell must stay within threshold of the
@@ -23,22 +12,12 @@ headline number against the committed JSON, fail past ``--threshold``
     >= 10k edge-queries/s, > 90% warm cache hit rate, zero errors --
     which fail the gate regardless of the committed baseline.
 
-``--suite skg``
-    the stochastic tier's acceptance snapshot vs ``BENCH_skg.json``;
-    headline is ``acceptance_overhead`` -- the accept-all SKG kernel
-    over the exact kernel on the identical candidate stream and stored
-    volume.  Two gates: a *hard* 25% cap (``--skg-overhead-cap``, the
-    acceptance criterion the tier shipped under, independent of any
-    baseline) and an absolute drift check against the committed number
-    (ratios of two same-machine walls transfer across runners, so
-    drift means the acceptance path itself got slower).  The fitted
-    polblogs case must also keep beating exact outright
-    (``speedup_skg_vs_exact > 1``): if hashing ever costs more than
-    the wire it saves, the stochastic tier lost its point.
+Generation performance (exact and stochastic) is measured, and its output
+verified, by the ledger: ``python3 benchmarks/ledger/run.py``.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/check_regression.py [--suite service]
+    PYTHONPATH=src python benchmarks/check_regression.py --suite service
 """
 
 from __future__ import annotations
@@ -83,117 +62,20 @@ def check_service(args: argparse.Namespace) -> int:
     return 0
 
 
-def check_skg(args: argparse.Namespace) -> int:
-    import bench_skg
-
-    baseline_path = args.baseline or str(REPO_ROOT / "BENCH_skg.json")
-    with open(baseline_path, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-
-    out = Path(tempfile.mkdtemp()) / "bench_skg_current.json"
-    rc = bench_skg.main(
-        ["--out", str(out), "--repeat", str(args.repeat), "--stat", "median"]
-    )
-    if rc:
-        return rc  # accept-all/exact volume mismatch already failed
-    with open(out, encoding="utf-8") as fh:
-        current = json.load(fh)
-
-    base_ovh = baseline["acceptance_overhead"]
-    cur_ovh = current["acceptance_overhead"]
-    speedup = current["speedup_skg_vs_exact"]
-    print()
-    print(f"acceptance overhead: baseline {base_ovh:+.1%}, "
-          f"current {cur_ovh:+.1%} (cap {args.skg_overhead_cap:.0%})")
-    print(f"fitted-spec speedup vs exact: {speedup:.2f}x")
-
-    failed = False
-    if cur_ovh > args.skg_overhead_cap:
-        print(f"FAIL: acceptance overhead {cur_ovh:.1%} exceeds the "
-              f"{args.skg_overhead_cap:.0%} hard cap")
-        failed = True
-    if cur_ovh > base_ovh + args.threshold:
-        print(f"FAIL: acceptance overhead drifted "
-              f"{cur_ovh - base_ovh:+.1%} past the committed baseline "
-              f"(> {args.threshold:.0%} allowed)")
-        failed = True
-    if speedup <= 1.0:
-        print(f"FAIL: fitted-spec kernel no longer beats exact "
-              f"({speedup:.2f}x <= 1.0x)")
-        failed = True
-    if not failed:
-        print("perf gate OK")
-    return 1 if failed else 0
-
-
-def check_generation(args: argparse.Namespace) -> int:
-    import trajectory
-
-    baseline_path = args.baseline or str(REPO_ROOT / "BENCH_generation.json")
-    with open(baseline_path, encoding="utf-8") as fh:
-        baseline = json.load(fh)
-
-    out = Path(tempfile.mkdtemp()) / "bench_current.json"
-    rc = trajectory.main(
-        ["--out", str(out), "--repeat", str(args.repeat), "--stat", "median"]
-    )
-    if rc:
-        return rc
-    with open(out, encoding="utf-8") as fh:
-        current = json.load(fh)
-
-    base_fused = baseline["cases"]["fused"]["edges_per_s"]
-    cur_fused = current["cases"]["fused"]["edges_per_s"]
-    change = cur_fused / base_fused - 1.0
-    async_speedup = current["speedup_async_vs_fused"]
-    bytes_reduction = current["bytes_reduction_async_vs_fused"]
-
-    print()
-    print(f"fused edges_per_s: baseline {base_fused / 1e6:.2f}M, "
-          f"current {cur_fused / 1e6:.2f}M ({change:+.1%})")
-    print(f"async vs fused:    {async_speedup:.2f}x "
-          f"(bytes reduced {bytes_reduction:.2f}x)")
-
-    failed = False
-    if change < -args.threshold:
-        print(f"FAIL: fused edges_per_s regressed {-change:.1%} "
-              f"(> {args.threshold:.0%} threshold)")
-        failed = True
-    if async_speedup < args.async_floor:
-        print(f"FAIL: async-vs-fused speedup {async_speedup:.2f}x below "
-              f"{args.async_floor:.2f}x floor")
-        failed = True
-    if not failed:
-        print("perf gate OK")
-    return 1 if failed else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--suite", default="generation",
-                        choices=("generation", "service", "skg"),
+    parser.add_argument("--suite", default="service", choices=("service",),
                         help="which benchmark/baseline pair to gate")
     parser.add_argument(
         "--baseline",
         default=None,
-        help="committed baseline JSON (default: the suite's BENCH_*.json)",
+        help="committed baseline JSON (default: BENCH_service.json)",
     )
     parser.add_argument("--repeat", type=int, default=5,
                         help="repetitions; the median run is compared")
     parser.add_argument("--threshold", type=float, default=0.10,
                         help="max headline regression (fraction)")
-    parser.add_argument("--async-floor", type=float, default=1.2,
-                        help="min async-vs-fused speedup to accept "
-                             "(generation suite only)")
-    parser.add_argument("--skg-overhead-cap", type=float, default=0.25,
-                        help="hard ceiling on SKG acceptance overhead "
-                             "(skg suite only)")
-    args = parser.parse_args(argv)
-    if args.suite == "service":
-        return check_service(args)
-    if args.suite == "skg":
-        return check_skg(args)
-    return check_generation(args)
+    return check_service(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

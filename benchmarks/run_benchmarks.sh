@@ -11,6 +11,8 @@
 #   - test_bench_routed_expansion[routed] must beat [legacy];
 #   - test_bench_hop_matrix[batched] must beat [loop].
 # Compare against the committed baseline in benchmarks/baselines/.
+# End-to-end generation and serving performance is the ledger's job:
+# see benchmarks/ledger/README.md.
 
 set -euo pipefail
 
@@ -27,10 +29,3 @@ PYTHONPATH=src python -m pytest benchmarks/bench_kernels.py \
     "${@:2}"
 
 echo "benchmark baseline written to ${OUT}"
-
-# End-to-end generation trajectory (edges/sec, bytes shuffled, per-stage
-# wall time, fused vs legacy) via the telemetry layer; the committed
-# BENCH_generation.json at the repo root is the seed baseline to diff
-# against.
-PYTHONPATH=src python benchmarks/trajectory.py \
-    --out "${REPO_ROOT}/BENCH_generation.json"

@@ -4,6 +4,7 @@ from repro.distributed.comm import (
     AlltoallRequest,
     CompletedRequest,
     Communicator,
+    DelegatingCommunicator,
     InlineCommunicator,
     RecvRequest,
     Request,
@@ -53,15 +54,13 @@ from repro.distributed.shuffle import (
     exchange_edges,
     exchange_edges_finish,
     exchange_edges_start,
-    shuffle_to_owners,
 )
 from repro.distributed.wire import decode_edges, encode_edges, is_wire_block
 from repro.distributed.netsim import NetworkModel, ThrottledCommunicator
 from repro.distributed.generator import (
+    GenerationPlan,
     RankOutput,
-    generate_rank_1d,
-    generate_rank_1d_pipelined,
-    generate_rank_2d,
+    generate_rank,
     generate_distributed,
 )
 from repro.distributed.aggregate import (
@@ -87,6 +86,7 @@ from repro.distributed.costmodel import (
 
 __all__ = [
     "Communicator",
+    "DelegatingCommunicator",
     "Request",
     "CompletedRequest",
     "RecvRequest",
@@ -127,17 +127,15 @@ __all__ = [
     "exchange_edges",
     "exchange_edges_start",
     "exchange_edges_finish",
-    "shuffle_to_owners",
     "WIRE_FORMATS",
     "encode_edges",
     "decode_edges",
     "is_wire_block",
     "NetworkModel",
     "ThrottledCommunicator",
+    "GenerationPlan",
     "RankOutput",
-    "generate_rank_1d",
-    "generate_rank_1d_pipelined",
-    "generate_rank_2d",
+    "generate_rank",
     "generate_distributed",
     "ShardManifest",
     "generate_to_directory",

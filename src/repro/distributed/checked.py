@@ -42,7 +42,11 @@ import sys
 import threading
 from typing import Any, Callable
 
-from repro.distributed.comm import Communicator, Request
+from repro.distributed.comm import (
+    Communicator,
+    DelegatingCommunicator,
+    Request,
+)
 from repro.errors import CollectiveOrderError
 
 __all__ = [
@@ -146,7 +150,7 @@ def _call_site() -> str:
     return f"{os.path.basename(frame.f_code.co_filename)}:{frame.f_lineno}"
 
 
-class CheckedCommunicator(Communicator):
+class CheckedCommunicator(DelegatingCommunicator):
     """Sentinel wrapper: verify collective symmetry, then delegate.
 
     Wraps by containment, not inheritance: the inner communicator's own
@@ -162,39 +166,12 @@ class CheckedCommunicator(Communicator):
         *,
         timeout: float | None = None,
     ) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._ledger = ledger
         self._timeout = timeout
         self._seq = 0
 
-    @property
-    def rank(self) -> int:
-        return self._inner.rank
-
-    @property
-    def size(self) -> int:
-        return self._inner.size
-
-    @property
-    def inner(self) -> Communicator:
-        """The wrapped communicator."""
-        return self._inner
-
-    def __getattr__(self, name: str):
-        # Delegate backend-specific extras (free_received_buffers, fault
-        # counters, ...) so wrapper stacks -- Checked over Faulty over a
-        # backend -- expose the whole surface of what they wrap.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-    # ---- point-to-point: not fingerprinted ------------------------------
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._inner.send(obj, dest, tag)
-
-    def recv(self, source: int, tag: int = 0) -> Any:
-        return self._inner.recv(source, tag)
-
+    # ---- point-to-point: not fingerprinted (base pass-through) ----------
     def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
         return self._inner.isend(obj, dest, tag)
 

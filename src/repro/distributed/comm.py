@@ -37,6 +37,7 @@ __all__ = [
     "CompletedRequest",
     "RecvRequest",
     "AlltoallRequest",
+    "DelegatingCommunicator",
     "InlineCommunicator",
     "ThreadCommunicator",
     "make_thread_world",
@@ -365,6 +366,59 @@ class Communicator(ABC):
     def alltoall_finish(self, request: Request) -> list[Any]:
         """Complete a split-phase exchange started by :meth:`alltoall_start`."""
         return request.wait()
+
+
+class DelegatingCommunicator(Communicator):
+    """Base of the wrapper communicators: hold ``inner``, forward the rest.
+
+    Supplies identity (``rank``/``size``/``inner``), pass-through
+    ``send``/``recv``/``barrier``, and attribute delegation for backend
+    extras (``probe``, ``free_received_buffers``, fault ``counters``,
+    ``finish``, ...), so a wrapper stack exposes the whole surface of what
+    it wraps and each subclass states only what it intercepts.
+
+    The collectives and the nonblocking surface are deliberately *not*
+    forwarded here: a wrapper that intercepts the p2p primitives (fault
+    injection, emulated wire) inherits the :class:`Communicator`
+    decompositions so collective traffic flows through its ``send``/
+    ``recv``, while one that intercepts whole collectives (sentinel,
+    instrumentation) forwards each to ``inner`` itself so a user-level
+    collective is seen exactly once.
+    """
+
+    def __init__(self, inner: Communicator) -> None:
+        self._inner = inner
+
+    @property
+    def rank(self) -> int:
+        return self._inner.rank
+
+    @property
+    def size(self) -> int:
+        return self._inner.size
+
+    @property
+    def inner(self) -> Communicator:
+        """The wrapped communicator."""
+        return self._inner
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached for names not found normally.  Private names never
+        # delegate: copy/pickle probe ``__deepcopy__``/``__getstate__`` on
+        # instances whose ``_inner`` is not set yet, and forwarding those
+        # would recurse through this very method.
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self._inner, name)
+
+    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
+        self._inner.send(obj, dest, tag)
+
+    def recv(self, source: int, tag: int = 0) -> Any:
+        return self._inner.recv(source, tag)
+
+    def barrier(self) -> None:
+        self._inner.barrier()
 
 
 class InlineCommunicator(Communicator):

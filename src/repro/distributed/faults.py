@@ -50,7 +50,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.distributed.comm import Communicator
+from repro.distributed.comm import Communicator, DelegatingCommunicator
 from repro.errors import RankCrashError
 from repro.util.hashing import edge_uniform
 
@@ -176,7 +176,7 @@ class FaultCounters:
     partitions: int = 0
 
 
-class FaultyCommunicator(Communicator):
+class FaultyCommunicator(DelegatingCommunicator):
     """Inject a :class:`FaultPlan` into any communicator's message stream.
 
     Point-to-point ``send``/``recv`` and ``barrier`` are wrapped; the
@@ -200,7 +200,7 @@ class FaultyCommunicator(Communicator):
         *,
         attempt: int = 0,
     ) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._plan = plan
         self._attempt = int(attempt)
         self._armed = self._attempt < plan.fault_attempts
@@ -217,24 +217,6 @@ class FaultyCommunicator(Communicator):
             setter = getattr(inner, "set_send_delay", None)
             if setter is not None:
                 setter(plan.slow_s)
-
-    @property
-    def rank(self) -> int:
-        return self._inner.rank
-
-    @property
-    def size(self) -> int:
-        return self._inner.size
-
-    @property
-    def inner(self) -> Communicator:
-        """The wrapped communicator."""
-        return self._inner
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._inner, name)
 
     # ---- deterministic decisions ----------------------------------------
     def _uniform(self, kind: int, op: int) -> float:

@@ -1,62 +1,54 @@
 """Distributed nonstochastic Kronecker generation (Section III).
 
-Rank programs implementing the paper's generator under both partitioning
-schemes.  Each rank:
+One :class:`GenerationPlan` describes a run; one rank program,
+:func:`generate_rank`, executes it.  Each rank:
 
-1. takes its slice of the factor edge space (1-D: a shard of A with B
-   replicated; 2-D: an (A-part, B-part) grid cell per Remark 1);
-2. streams its product edges in bounded chunks, mirroring the asynchronous
-   chunked sends of the HavoqGT implementation;
-3. optionally routes each edge to its storage owner
+1. takes its cells of the factor edge space (1-D: a shard of A with B
+   replicated; 2-D: the (A-part, B-part) grid cells of Remark 1);
+2. expands them round by round -- one round holding everything for the
+   batch schemes, one bounded chunk per round for ``"1d-pipelined"``,
+   mirroring the asynchronous chunked sends of the HavoqGT implementation;
+3. optionally routes each round to its storage owners
    (:mod:`repro.distributed.shuffle`), so generation and storage placement
    stay decoupled.
 
-Routing modes (``routing=``)
-----------------------------
-``"fused"`` (default):
-    the generate->route hot path.  Under ``source_block`` storage the
-    routed kernels of :mod:`repro.kronecker.product` emit every chunk
-    *pre-bucketed by owner* -- owner assignment is computed analytically
-    from the product index structure, so the expand-then-argsort step of
-    the legacy path disappears entirely.  Under ``edge_hash`` the chunk is
-    expanded densely but bucketed with the sort-free counting scatter.
-``"legacy"``:
-    expand -> stable-argsort bucket -> exchange, kept selectable for A/B
-    benchmarking (``benchmarks/bench_generation_remark1.py``) and as the
-    reference the equivalence property tests compare against.
+The loop is the same for every plan::
 
-Both modes produce identical edge multisets; see
-``tests/property/test_routed_equivalence.py``.
+    round source -> [SKG acceptor] -> per-owner buckets -> exchange -> store
 
-Generation models (``model=``)
-------------------------------
-``"exact"`` (default):
-    every enumerated product edge is emitted -- the paper's
-    nonstochastic generator.
-``"skg"``:
-    the stochastic Kronecker tier (:mod:`repro.skg`).  The factors
-    enumerate the *candidate* space (all ordered vertex pairs, via
-    :func:`repro.graph.generators.complete_with_loops`) and a
-    deterministic hash-thresholded acceptance filter
-    (:class:`repro.skg.sample.SKGAcceptor`) runs inside the generate
-    span on every scheme x routing x pipeline path.  Because acceptance
-    is a pure function of ``(skg_seed, u, v)``, the filtered output is
-    bit-identical across backends, chunk sizes, retries, and elastic
-    re-sharding -- the same invariants the exact model enjoys.
-    ``edges.generated`` counts *accepted* edges (what enters routing and
-    storage, keeping trace reconciliation intact); the filter's own
-    volume lands on the ``skg.accepted`` / ``skg.rejected`` counters.
+*Round source.*  Under ``source_block`` storage the routed kernels of
+:mod:`repro.kronecker.product` emit every round *pre-bucketed by owner*:
+owner assignment is computed analytically from the product index
+structure, so no product-sized sort or scatter happens at all.  Under
+``edge_hash`` the round is expanded densely and bucketed with the
+sort-free counting scatter.  With nothing to exchange (``storage=None``
+or a single rank) the rank is the sole owner and the round is kept whole.
 
-The rank functions are plain module-level callables taking their
+*Acceptor.*  The stochastic Kronecker tier (:mod:`repro.skg`) is the same
+program with ``plan.skg`` set: the factors enumerate the *candidate* space
+(all ordered vertex pairs, via
+:func:`repro.graph.generators.complete_with_loops`) and a deterministic
+hash-thresholded filter (:class:`repro.skg.sample.SKGAcceptor`) drops
+candidates inside the generate span.  Acceptance is a pure function of
+``(skg_seed, u, v)``, so the filtered output is bit-identical across
+backends, chunk sizes, retries, and elastic re-sharding -- the same
+invariants the exact model enjoys.  ``edges.generated`` counts *accepted*
+edges (what enters routing and storage, keeping trace reconciliation
+intact); the filter's own volume lands on ``skg.accepted`` /
+``skg.rejected``.
+
+:func:`generate_rank` is a plain module-level callable taking its
 :class:`Communicator` first, runnable under any backend via
-:func:`repro.distributed.launcher.spmd_run`.  Convenience drivers
-(:func:`generate_distributed`) wire partitioning + launch + reassembly and
-are what the examples, tests, and benches call.
+:func:`repro.distributed.launcher.spmd_run`.  The convenience driver
+(:func:`generate_distributed`) wires partitioning + launch + reassembly
+and is what the examples, tests, and benches call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -66,33 +58,179 @@ from repro.distributed.partition import partition_edges_1d, partition_edges_2d
 from repro.distributed.shuffle import (
     WIRE_FORMATS,
     bucket_edges,
-    exchange_edges,
     exchange_edges_finish,
     exchange_edges_start,
-    shuffle_to_owners,
 )
 from repro.errors import PartitionError
 from repro.graph.edgelist import EdgeList
 from repro.kronecker.product import (
     DEFAULT_CHUNK,
+    dense_chunk_count,
     iter_kron_product,
     iter_kron_product_routed,
     kron_routed_full,
     routed_chunk_count,
 )
-from repro.telemetry.session import NULL_TELEMETRY, telemetry_of
+from repro.telemetry.session import telemetry_of
 
 __all__ = [
+    "GenerationPlan",
     "RankOutput",
-    "generate_rank_1d",
-    "generate_rank_1d_pipelined",
-    "generate_rank_2d",
+    "generate_rank",
+    "execute_plan",
     "generate_distributed",
 ]
 
-_ROUTINGS = ("fused", "legacy")
+_SCHEMES = ("1d", "1d-pipelined", "2d")
+_STORAGES = (None, "source_block", "edge_hash")
 _PIPELINES = ("sync", "async")
 _EMPTY = np.empty((0, 2), dtype=np.int64)
+
+Cells = list[tuple[EdgeList, EdgeList]]
+
+
+@dataclass(frozen=True)
+class GenerationPlan:
+    """Everything that decides *what a rank program does*, validated once.
+
+    The fields are exactly the axes that affect shard contents or row
+    order, so :meth:`token` -- built by iterating the fields, never by
+    listing them -- is what checkpoint run keys are made of: an axis added
+    here is in the key by construction.  ``backend``, the launcher and the
+    telemetry session are deliberately not part of the plan; they change
+    how ranks are run, not what they compute.
+
+    Attributes
+    ----------
+    scheme:
+        ``"1d"`` (paper Section III), ``"2d"`` (Remark 1), or
+        ``"1d-pipelined"`` (1-D, exchanging chunk by chunk).
+    storage:
+        ``None`` (keep where generated), ``"source_block"``, or
+        ``"edge_hash"``.
+    chunk_size:
+        Max product edges materialized at once per rank.
+    pipeline:
+        ``"sync"`` or ``"async"`` (see module docstring).  ``"async"``
+        requires ``scheme="1d-pipelined"`` -- the batch schemes have a
+        single exchange with nothing to overlap.
+    wire:
+        ``"raw"`` or ``"varint"`` (:mod:`repro.distributed.wire`).
+    skg:
+        ``None`` for the exact generator, or the
+        :class:`repro.skg.model.SKGSpec` to sample.
+    """
+
+    scheme: str = "1d"
+    storage: str | None = None
+    chunk_size: int = DEFAULT_CHUNK
+    pipeline: str = "sync"
+    wire: str = "raw"
+    skg: object | None = None
+
+    def __post_init__(self) -> None:
+        if self.scheme not in _SCHEMES:
+            raise PartitionError(
+                f"unknown scheme {self.scheme!r}; use '1d', '1d-pipelined', "
+                f"or '2d'"
+            )
+        if self.storage not in _STORAGES:
+            raise PartitionError(
+                f"unknown storage {self.storage!r}; use None, "
+                f"'source_block', or 'edge_hash'"
+            )
+        if self.pipeline not in _PIPELINES:
+            raise PartitionError(
+                f"unknown pipeline {self.pipeline!r}; use 'sync' or 'async'"
+            )
+        if self.wire not in WIRE_FORMATS:
+            raise PartitionError(
+                f"unknown wire format {self.wire!r}; use one of {WIRE_FORMATS}"
+            )
+        if self.pipeline == "async" and not self.streams:
+            raise PartitionError(
+                f"pipeline='async' requires scheme='1d-pipelined' (scheme "
+                f"{self.scheme!r} performs a single batch exchange with "
+                f"nothing to overlap)"
+            )
+        if self.skg is not None:
+            # Imported lazily: repro.skg depends on this module for its
+            # distributed drivers, so a top-level import would be circular.
+            from repro.skg.model import SKGSpec
+
+            if not isinstance(self.skg, SKGSpec):
+                raise PartitionError(
+                    f"skg must be an SKGSpec, got {type(self.skg).__name__}"
+                )
+
+    @property
+    def streams(self) -> bool:
+        """Does the program exchange chunk by chunk (vs. one batch round)?"""
+        return self.scheme == "1d-pipelined"
+
+    @property
+    def effective_storage(self) -> str | None:
+        """The storage map the program runs with.
+
+        Streaming exists to route chunks as they are produced, so
+        ``"1d-pipelined"`` with no storage named means ``source_block``.
+        """
+        if self.storage is None and self.streams:
+            return "source_block"
+        return self.storage
+
+    @property
+    def exchanges(self) -> bool:
+        """Does the rank program communicate (on a world of size > 1)?
+
+        ``False`` promises *no* collective at all: the supervisor resumes
+        such shards independently of each other.  ``True`` also means the
+        shards have an ownership map, which elastic resume needs to
+        re-partition them onto a different world size.
+        """
+        return self.effective_storage is not None
+
+    @property
+    def shard_mode(self) -> str:
+        """Checkpoint mode of this program's shards (see the supervisor)."""
+        return "collective" if self.exchanges else "independent"
+
+    def token(self) -> str:
+        """Canonical ``field=value`` token of every field, in field order.
+
+        Two plans share a token iff they are equal.  The SKG spec appears
+        as its digest (seed matrix, ``skg_seed``, noise parameters); an
+        exact plan carries no SKG token at all.
+        """
+        parts = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "skg":
+                if value is None:
+                    continue
+                value = f"{value.digest():016x}"
+            parts.append(f"{f.name}={value}")
+        return "-".join(parts)
+
+    def partition(
+        self, el_a: EdgeList, el_b: EdgeList, nranks: int
+    ) -> list[Cells]:
+        """Per-rank ``(A part, B part)`` cells under this plan's scheme.
+
+        With an SKG spec the factors must enumerate exactly its candidate
+        space; anything else is rejected here, before any rank runs.
+        """
+        n_c = el_a.n * el_b.n
+        if self.skg is not None and self.skg.n != n_c:
+            raise PartitionError(
+                f"SKG spec covers 2**{self.skg.k} = {self.skg.n} vertices "
+                f"but the factor product has {n_c}; the factors must "
+                f"enumerate exactly the spec's candidate space (see "
+                f"repro.skg.distributed.skg_candidate_factors)"
+            )
+        if self.scheme == "2d":
+            return partition_edges_2d(el_a, el_b, nranks)
+        return [[(part, el_b)] for part in partition_edges_1d(el_a, nranks)]
 
 
 @dataclass(frozen=True)
@@ -115,227 +253,205 @@ class RankOutput:
     generated: int
 
 
-def _check_routing(routing: str) -> None:
-    if routing not in _ROUTINGS:
-        raise PartitionError(
-            f"unknown routing {routing!r}; use 'fused' or 'legacy'"
-        )
+def _stack(blocks: list[np.ndarray]) -> np.ndarray:
+    """Vertical stack that skips empties and never copies a lone block."""
+    blocks = [b for b in blocks if len(b)]
+    if len(blocks) > 1:
+        return np.vstack(blocks)
+    return blocks[0] if blocks else _EMPTY
 
 
-def _check_pipeline(pipeline: str) -> None:
-    if pipeline not in _PIPELINES:
-        raise PartitionError(
-            f"unknown pipeline {pipeline!r}; use 'sync' or 'async'"
-        )
+def _pieces(
+    plan: GenerationPlan, cells: Cells, routed: bool, nparts: int, n_c: int
+) -> Iterator[list[np.ndarray]]:
+    """Candidate pieces of this rank's cells, in generation order.
 
-
-def _check_wire(wire: str) -> None:
-    if wire not in WIRE_FORMATS:
-        raise PartitionError(
-            f"unknown wire format {wire!r}; use one of {WIRE_FORMATS}"
-        )
-
-
-def _check_model(model: str, skg, n_c: int) -> None:
-    if model not in ("exact", "skg"):
-        raise PartitionError(
-            f"unknown model {model!r}; use 'exact' or 'skg'"
-        )
-    if model == "exact":
-        if skg is not None:
-            raise PartitionError(
-                "model='exact' does not take an SKG spec; pass model='skg'"
-            )
-        return
-    from repro.skg.model import SKGSpec
-
-    if not isinstance(skg, SKGSpec):
-        raise PartitionError(
-            f"model='skg' requires an SKGSpec, got {type(skg).__name__}"
-        )
-    if skg.n != n_c:
-        raise PartitionError(
-            f"SKG spec covers 2**{skg.k} = {skg.n} vertices but the factor "
-            f"product has {n_c}; the factors must enumerate exactly the "
-            f"spec's candidate space (see repro.skg.distributed."
-            f"skg_candidate_factors)"
-        )
-
-
-def _make_acceptor(skg):
-    """Build the per-rank SKG acceptance filter (None for exact runs).
-
-    Imported lazily: :mod:`repro.skg` depends on this module for its
-    distributed drivers, so a top-level import would be circular.
+    A piece is a list of blocks, one per bucket column: ``nparts``
+    analytically routed blocks under ``routed``, else one dense block.
+    Streaming plans make a round of every piece, batch plans of all of
+    them -- which is why the routed batch kernel emits a whole cell as one
+    exactly-sized piece while the dense one streams bounded chunks.
     """
-    if skg is None:
-        return None
-    from repro.skg.sample import SKGAcceptor
+    chunk = plan.chunk_size
+    for part_a, part_b in cells:
+        if not routed:
+            for block in iter_kron_product(part_a, part_b, chunk):
+                yield [block]
+        elif plan.streams:
+            yield from iter_kron_product_routed(
+                part_a, part_b, nparts, n_c, chunk
+            )
+        else:
+            yield kron_routed_full(part_a, part_b, nparts, n_c, chunk)
 
-    return SKGAcceptor(skg)
+
+def _collect(
+    pieces: Iterator[list[np.ndarray]], width: int, total: int | None
+) -> list[np.ndarray]:
+    """Column-wise concatenation of ``pieces`` into ``width`` blocks.
+
+    ``total`` is the exact row count of a single-column round when it is
+    known up front (exact model, dense batch expansion): the output is then
+    allocated once and every piece written into its slice, so peak memory
+    is the output plus one chunk rather than twice the output.
+    """
+    if total is not None:
+        out = np.empty((total, 2), dtype=np.int64)
+        fill = 0
+        for (block,) in pieces:
+            out[fill : fill + len(block)] = block
+            fill += len(block)
+        assert fill == total
+        return [out]
+    columns: list[list[np.ndarray]] = [[] for _ in range(width)]
+    for piece in pieces:
+        for column, block in zip(columns, piece):
+            column.append(block)
+    return [_stack(column) for column in columns]
 
 
-def _emit_skg_counters(tel, acceptor) -> None:
-    """Report the acceptance filter's volume on the rank's telemetry."""
+def generate_rank(
+    comm: Communicator, plan: GenerationPlan, cells: list[Cells]
+) -> RankOutput:
+    """The rank program: generate ``cells[comm.rank]`` and store per ``plan``.
+
+    ``cells`` is the full per-rank assignment (replicated, tiny -- it holds
+    views of the factor edge arrays) and each rank picks its own, matching
+    the paper's file-per-rank read without I/O in the hot path.
+
+    A batch plan is one round; a streaming plan is one round per chunk,
+    with the round count fixed up front by an allreduce over per-rank chunk
+    counts (ranks that exhaust their chunks early join the remaining
+    exchanges with empty buckets).  Resident memory of a streaming rank is
+    therefore one or two chunks plus its stored share, against the batch
+    schemes' full generated volume.
+
+    Every round's exchange is issued split-phase
+    (:func:`exchange_edges_start`).  Under ``pipeline="sync"`` it is
+    finished at once; under ``"async"`` only after the *next* round has
+    been produced, so generation overlaps the in-flight exchange -- the
+    paper's overlap of generation with asynchronous edge sends -- and the
+    time so hidden accumulates into ``exchange.overlap_s``.  Either way at
+    most one request is in flight, which keeps the per-channel FIFO
+    contract trivially satisfied, and the in-flight buckets are owned by
+    the runtime until finished (Request contract), which holds because
+    every round builds fresh arrays.  The same blocks arrive in the same
+    order, so the stored output is bit-identical between the two.  A plan
+    that does not exchange, or a single rank, performs **no** collective.
+    """
+    tel = telemetry_of(comm)
+    my_cells = cells[comm.rank]
+    storage = plan.effective_storage
+    exchanging = plan.exchanges and comm.size > 1
+    nparts = comm.size if exchanging else 1
+    routed = exchanging and storage == "source_block"
+    n_c = my_cells[0][0].n * my_cells[0][1].n if my_cells else 0
+
+    pieces = _pieces(plan, my_cells, routed, nparts, n_c)
+    acceptor = None
+    if plan.skg is not None:
+        from repro.skg.sample import SKGAcceptor  # lazy: see GenerationPlan
+
+        acceptor = SKGAcceptor(plan.skg)
+        pieces = (
+            [acceptor.filter_edges(block) for block in piece]
+            for piece in pieces
+        )
+
+    per_round = None
+    rounds = 1
+    dense_total = None
+    if plan.streams:
+        per_round = 1
+        count = routed_chunk_count if routed else dense_chunk_count
+        rounds = sum(
+            count(a.m_directed, b.m_directed, plan.chunk_size)
+            for a, b in my_cells
+        )
+        if exchanging:
+            rounds = comm.allreduce(rounds, max)
+    elif not routed and acceptor is None:
+        dense_total = sum(a.m_directed * b.m_directed for a, b in my_cells)
+
+    def produce(rnd: int) -> list[np.ndarray]:
+        """One round's per-owner buckets: generate, accept, bucket."""
+        with tel.span("generate", cat="phase", round=rnd):
+            blocks = _collect(islice(pieces, per_round), nparts, dense_total)
+        if exchanging:
+            # Routed blocks left the kernel already split by owner; the
+            # trace shows that degenerate route phase on purpose.
+            with tel.span(
+                "route", cat="phase", method="fused" if routed else "scatter"
+            ):
+                if not routed:
+                    blocks = bucket_edges(
+                        blocks[0], nparts, scheme=storage, n=n_c,
+                        method="scatter",
+                    )
+        return blocks
+
+    stored: list[np.ndarray] = []
+    generated = 0
+    pending = None
+    issued_at = overlap_s = 0.0
+    for rnd in range(rounds):
+        outgoing = produce(rnd)
+        generated += sum(len(b) for b in outgoing)
+        if not exchanging:
+            stored.append(outgoing[0])
+            continue
+        if pending is not None:
+            # Everything since the issue was generation that hid the
+            # in-flight exchange.
+            overlap_s += tel.clock() - issued_at
+            stored.append(exchange_edges_finish(comm, pending))
+        pending = exchange_edges_start(comm, outgoing, wire=plan.wire)
+        issued_at = tel.clock()
+        if plan.pipeline == "sync":
+            stored.append(exchange_edges_finish(comm, pending))
+            pending = None
+    if pending is not None:
+        # Tail flush: no generation left to hide this wait, so it does
+        # not count toward the overlap.
+        stored.append(exchange_edges_finish(comm, pending))
+    if next(pieces, None) is not None:
+        raise PartitionError(
+            f"rank {comm.rank}: generation rounds underestimated -- "
+            f"{rounds} round(s) left product chunks unsent"
+        )
+    edges = _stack(stored)
+    if plan.pipeline == "async":
+        tel.add("exchange.overlap_s", overlap_s)
     if acceptor is not None:
         tel.add("skg.accepted", acceptor.accepted)
         tel.add("skg.rejected", acceptor.rejected)
-
-
-def _generate_cells(
-    cells: list[tuple[EdgeList, EdgeList]], chunk_size: int, acceptor=None
-) -> tuple[np.ndarray, int]:
-    """Stream this rank's cell products into one exactly-sized array.
-
-    The product size of every cell is known up front
-    (``|E_A_part| * |E_B_part|``), so the output is allocated once and each
-    streamed chunk is written into its slice -- peak memory is the output
-    plus one chunk, half the chunk-list-then-vstack peak of the previous
-    implementation.
-
-    With an SKG ``acceptor`` the surviving count is not known up front, so
-    accepted chunk slices are collected and stacked instead; the returned
-    count is the *accepted* volume.
-    """
-    if acceptor is not None:
-        kept: list[np.ndarray] = []
-        for part_a, part_b in cells:
-            for chunk in iter_kron_product(part_a, part_b, chunk_size):
-                accepted = acceptor.filter_edges(chunk)
-                if len(accepted):
-                    kept.append(accepted)
-        edges = np.vstack(kept) if kept else _EMPTY
-        return edges, len(edges)
-    total = sum(a.m_directed * b.m_directed for a, b in cells)
-    if total == 0:
-        return _EMPTY, 0
-    edges = np.empty((total, 2), dtype=np.int64)
-    fill = 0
-    for part_a, part_b in cells:
-        for chunk in iter_kron_product(part_a, part_b, chunk_size):
-            edges[fill : fill + len(chunk)] = chunk
-            fill += len(chunk)
-    assert fill == total
-    return edges, total
-
-
-def _generate_cells_routed(
-    cells: list[tuple[EdgeList, EdgeList]],
-    nparts: int,
-    n_c: int,
-    chunk_size: int,
-    tel=NULL_TELEMETRY,
-    acceptor=None,
-) -> tuple[list[np.ndarray], int]:
-    """Generate this rank's cells directly into per-owner buckets.
-
-    Each cell's per-owner slices are exactly preallocated by
-    :func:`kron_routed_full`; multi-cell ranks (folded 2-D grids) stack the
-    per-cell buckets owner-wise.  On the fused path owner assignment is
-    analytic, so the "route" phase degenerates to the owner-wise stack --
-    the trace shows it that way on purpose.  The SKG ``acceptor`` (when
-    present) filters each owner bucket inside the generate span.
-    """
-    per_owner: list[list[np.ndarray]] = [[] for _ in range(nparts)]
-    generated = 0
-    with tel.span("generate", cat="phase", routing="fused"):
-        for part_a, part_b in cells:
-            buckets = kron_routed_full(part_a, part_b, nparts, n_c, chunk_size)
-            for d, blk in enumerate(buckets):
-                if acceptor is not None:
-                    blk = acceptor.filter_edges(blk)
-                if len(blk):
-                    per_owner[d].append(blk)
-                    generated += len(blk)
-    with tel.span("route", cat="phase", method="fused"):
-        outgoing = [
-            np.vstack(blks) if len(blks) > 1 else (blks[0] if blks else _EMPTY)
-            for blks in per_owner
-        ]
-    return outgoing, generated
-
-
-def _route_and_store(
-    comm: Communicator,
-    cells: list[tuple[EdgeList, EdgeList]],
-    n_c: int,
-    storage: str | None,
-    chunk_size: int,
-    routing: str,
-    wire: str = "raw",
-    skg=None,
-) -> RankOutput:
-    """Shared body of the batch (non-pipelined) rank programs."""
-    _check_routing(routing)
-    _check_wire(wire)
-    tel = telemetry_of(comm)
-    acceptor = _make_acceptor(skg)
-    if storage is None or comm.size == 1:
-        with tel.span("generate", cat="phase", routing=routing):
-            edges, generated = _generate_cells(cells, chunk_size, acceptor)
-        _emit_skg_counters(tel, acceptor)
-        tel.add("edges.generated", generated)
-        tel.add("edges.stored", len(edges))
-        return RankOutput(comm.rank, edges, generated)
-    if routing == "fused" and storage == "source_block":
-        outgoing, generated = _generate_cells_routed(
-            cells, comm.size, n_c, chunk_size, tel, acceptor
-        )
-        edges = exchange_edges(comm, outgoing, wire=wire)
-    else:
-        with tel.span("generate", cat="phase", routing=routing):
-            edges, generated = _generate_cells(cells, chunk_size, acceptor)
-        method = "scatter" if routing == "fused" else "argsort"
-        edges = shuffle_to_owners(
-            comm, edges, scheme=storage, n=n_c, method=method, wire=wire
-        )
-    _emit_skg_counters(tel, acceptor)
     tel.add("edges.generated", generated)
     tel.add("edges.stored", len(edges))
     return RankOutput(comm.rank, edges, generated)
 
 
-def generate_rank_1d(
-    comm: Communicator,
-    parts_a: list[EdgeList],
+def execute_plan(
+    plan: GenerationPlan,
+    el_a: EdgeList,
     el_b: EdgeList,
-    n_c: int,
-    storage: str | None,
-    chunk_size: int = DEFAULT_CHUNK,
-    routing: str = "fused",
-    wire: str = "raw",
-    skg=None,
-) -> RankOutput:
-    """Rank program for the 1-D scheme: ``C_r = A_r (x) B``.
+    nranks: int,
+    *,
+    backend: str = "thread",
+    runner=spmd_run,
+    telemetry=None,
+) -> tuple[EdgeList, list[RankOutput]]:
+    """Partition, launch :func:`generate_rank` under ``plan``, reassemble.
 
-    ``parts_a`` is the full shard list (replicated, tiny) and each rank
-    picks ``parts_a[comm.rank]`` -- matching the paper's file-per-rank read
-    without I/O in the hot path.  ``storage=None`` keeps generated edges
-    local; ``"source_block"``/``"edge_hash"`` route them to owners, fused
-    with generation by default (see module docstring).  ``skg`` (an
-    :class:`repro.skg.model.SKGSpec`) switches on stochastic acceptance.
+    ``runner`` is called as ``runner(generate_rank, nranks, plan, cells,
+    backend=..., [telemetry=...])``; see :func:`generate_distributed`.
     """
-    part = parts_a[comm.rank]
-    return _route_and_store(
-        comm, [(part, el_b)], n_c, storage, chunk_size, routing, wire, skg
-    )
-
-
-def generate_rank_2d(
-    comm: Communicator,
-    assignments: list[list[tuple[EdgeList, EdgeList]]],
-    n_c: int,
-    storage: str | None,
-    chunk_size: int = DEFAULT_CHUNK,
-    routing: str = "fused",
-    wire: str = "raw",
-    skg=None,
-) -> RankOutput:
-    """Rank program for Remark 1's 2-D scheme: ``A_{r % Rh} (x) B_{r // Rh}``."""
-    return _route_and_store(
-        comm, assignments[comm.rank], n_c, storage, chunk_size, routing,
-        wire, skg,
-    )
+    cells = plan.partition(el_a, el_b, nranks)
+    run_kwargs = {"backend": backend}
+    if telemetry is not None:
+        run_kwargs["telemetry"] = telemetry
+    outputs = runner(generate_rank, nranks, plan, cells, **run_kwargs)
+    edges = _stack([o.edges for o in outputs if o is not None])
+    return EdgeList(edges, el_a.n * el_b.n), outputs
 
 
 def generate_distributed(
@@ -347,10 +463,8 @@ def generate_distributed(
     storage: str | None = None,
     backend: str = "thread",
     chunk_size: int = DEFAULT_CHUNK,
-    routing: str = "fused",
     pipeline: str = "sync",
     wire: str = "raw",
-    model: str = "exact",
     skg=None,
     runner=spmd_run,
     telemetry=None,
@@ -363,38 +477,13 @@ def generate_distributed(
         Factor edge lists.
     nranks:
         World size.
-    scheme:
-        ``"1d"`` (paper Section III) or ``"2d"`` (Remark 1).
-    storage:
-        ``None`` (keep where generated), ``"source_block"``, or
-        ``"edge_hash"``.
+    scheme, storage, chunk_size, pipeline, wire, skg:
+        The :class:`GenerationPlan` fields; inconsistent or unknown values
+        raise :class:`~repro.errors.PartitionError`.  With ``skg`` the
+        factors must enumerate the spec's candidate space.
     backend:
-        Launcher backend (``"thread"``, ``"process"``, or ``"inline"`` for
-        ``nranks == 1``).
-    chunk_size:
-        Max product edges materialized at once per rank.
-    routing:
-        ``"fused"`` (generate pre-bucketed, sort-free -- the default) or
-        ``"legacy"`` (expand, argsort-bucket, exchange) for A/B comparison.
-    pipeline:
-        ``"sync"`` (each round's exchange completes before the next chunk
-        is generated -- the default) or ``"async"`` (double-buffered: the
-        exchange of chunk ``k`` is in flight while chunk ``k+1`` is
-        generated).  ``"async"`` requires ``scheme="1d-pipelined"`` -- the
-        batch schemes have a single exchange with nothing to overlap.
-    wire:
-        ``"raw"`` (int64 blocks as-is) or ``"varint"`` (delta-sorted
-        varint compression of every exchanged block -- see
-        :mod:`repro.distributed.wire`).
-    model / skg:
-        ``model="exact"`` (default) emits every product edge.
-        ``model="skg"`` requires ``skg`` (an
-        :class:`repro.skg.model.SKGSpec` whose vertex count matches the
-        product's) and filters candidates with the deterministic
-        hash-thresholded acceptance described in the module docstring.
-        The two parameters must be consistent -- passing a spec with
-        ``model="exact"`` (or vice versa) raises
-        :class:`~repro.errors.PartitionError`.
+        Launcher backend (``"thread"``, ``"process"``, ``"socket"``, or
+        ``"inline"`` for ``nranks == 1``).
     runner:
         The launch function, ``spmd_run``-compatible.  The supervised
         launcher (:func:`repro.distributed.supervisor.spmd_run_supervised`)
@@ -412,223 +501,8 @@ def generate_distributed(
         The reassembled product (row order may differ from the serial
         product; contents are identical as multisets) and per-rank outputs.
     """
-    _check_routing(routing)
-    _check_pipeline(pipeline)
-    _check_wire(wire)
-    _check_model(model, skg, el_a.n * el_b.n)
-    if pipeline == "async" and scheme != "1d-pipelined":
-        raise PartitionError(
-            f"pipeline='async' requires scheme='1d-pipelined' (scheme "
-            f"{scheme!r} performs a single batch exchange with nothing to "
-            f"overlap)"
-        )
-    n_c = el_a.n * el_b.n
-    run_kwargs = {"backend": backend}
-    if telemetry is not None:
-        run_kwargs["telemetry"] = telemetry
-    if scheme == "1d-pipelined":
-        if storage is None:
-            storage = "source_block"
-        parts_a = partition_edges_1d(el_a, nranks)
-        outputs = runner(
-            generate_rank_1d_pipelined,
-            nranks,
-            parts_a,
-            el_b,
-            n_c,
-            storage,
-            chunk_size,
-            routing,
-            pipeline,
-            wire,
-            skg,
-            **run_kwargs,
-        )
-    elif scheme == "1d":
-        parts_a = partition_edges_1d(el_a, nranks)
-        outputs = runner(
-            generate_rank_1d,
-            nranks,
-            parts_a,
-            el_b,
-            n_c,
-            storage,
-            chunk_size,
-            routing,
-            wire,
-            skg,
-            **run_kwargs,
-        )
-    elif scheme == "2d":
-        assignments = partition_edges_2d(el_a, el_b, nranks)
-        outputs = runner(
-            generate_rank_2d,
-            nranks,
-            assignments,
-            n_c,
-            storage,
-            chunk_size,
-            routing,
-            wire,
-            skg,
-            **run_kwargs,
-        )
-    else:
-        raise PartitionError(
-            f"unknown scheme {scheme!r}; use '1d', '1d-pipelined', or '2d'"
-        )
-    blocks = [o.edges for o in outputs if o is not None and len(o.edges)]
-    edges = (
-        np.vstack(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
+    plan = GenerationPlan(scheme, storage, chunk_size, pipeline, wire, skg)
+    return execute_plan(
+        plan, el_a, el_b, nranks,
+        backend=backend, runner=runner, telemetry=telemetry,
     )
-    return EdgeList(edges, n_c), outputs
-
-
-def _legacy_chunk_count(ma: int, mb: int, chunk_size: int) -> int:
-    """Chunks :func:`iter_kron_product` emits for an ``ma x mb`` product."""
-    if ma == 0 or mb == 0:
-        return 0
-    if chunk_size >= mb:
-        a_per_chunk = max(1, chunk_size // mb)
-        return -(-ma // a_per_chunk)
-    return ma * (-(-mb // chunk_size))
-
-
-def generate_rank_1d_pipelined(
-    comm: Communicator,
-    parts_a: list[EdgeList],
-    el_b: EdgeList,
-    n_c: int,
-    storage: str,
-    chunk_size: int = DEFAULT_CHUNK,
-    routing: str = "fused",
-    pipeline: str = "sync",
-    wire: str = "raw",
-    skg=None,
-) -> RankOutput:
-    """1-D rank program with per-chunk routing (pipelined sends).
-
-    The batch variant (:func:`generate_rank_1d`) generates everything and
-    exchanges once, peaking at the rank's full generated volume.  The
-    HavoqGT implementation instead sends edges *as they are produced*;
-    this variant reproduces that shape: each generated chunk is routed to
-    its storage owners immediately, so resident memory is bounded by
-    roughly one chunk plus the rank's stored share.
-
-    On the fused ``source_block`` path each chunk leaves the generation
-    kernel already split by owner (one routed-kernel call per exchange
-    round); other combinations expand then bucket per chunk, sort-free
-    under ``"fused"`` and via stable argsort under ``"legacy"``.
-
-    All ranks must agree on the number of exchange rounds; the round count
-    is fixed up front by an allreduce over per-rank chunk counts, with
-    ranks that exhaust their chunks early participating with empty blocks.
-
-    ``pipeline="async"`` turns the loop into a double-buffered
-    producer/consumer: round ``k``'s exchange is issued split-phase
-    (:func:`exchange_edges_start`) and completed only *after* round
-    ``k+1``'s chunk has been generated and bucketed, so generation
-    overlaps the in-flight exchange -- the paper's overlap of generation
-    with asynchronous edge sends.  At most one exchange is in flight and
-    at most two chunks are resident (the in-flight buckets plus the chunk
-    being generated), preserving the bounded-memory guarantee.  The
-    stored output is bit-identical to ``pipeline="sync"`` with the same
-    ``wire``: the same per-round blocks arrive in the same order.
-    ``wire="varint"`` additionally compresses every exchanged bucket
-    (:mod:`repro.distributed.wire`).  Time spent generating while an
-    exchange was in flight accumulates into the ``exchange.overlap_s``
-    counter.
-    """
-    _check_routing(routing)
-    _check_pipeline(pipeline)
-    _check_wire(wire)
-    tel = telemetry_of(comm)
-    acceptor = _make_acceptor(skg)
-    part = parts_a[comm.rank]
-    mb = el_b.m_directed
-    fused_routed = routing == "fused" and storage == "source_block"
-    # The chunk count must match the generator's emission exactly.  The
-    # routed iterator never splits one A-edge's expansion (routing needs
-    # whole-B runs); the legacy iterator sub-chunks it when mb > chunk_size.
-    if fused_routed:
-        my_rounds = routed_chunk_count(part.m_directed, mb, chunk_size)
-        chunks = iter_kron_product_routed(part, el_b, comm.size, n_c, chunk_size)
-    else:
-        my_rounds = _legacy_chunk_count(part.m_directed, mb, chunk_size)
-        chunks = iter_kron_product(part, el_b, chunk_size)
-    all_rounds = comm.allreduce(my_rounds, max)
-
-    empty_buckets = [_EMPTY] * comm.size
-    method = "scatter" if routing == "fused" else "argsort"
-    stored: list[np.ndarray] = []
-    generated = 0
-
-    def next_outgoing(_round: int) -> list[np.ndarray]:
-        """Generate and bucket one round's chunk (the producer step)."""
-        nonlocal generated
-        with tel.span("generate", cat="phase", round=_round):
-            block = next(chunks, None)
-            if block is not None and acceptor is not None:
-                if fused_routed:
-                    block = [acceptor.filter_edges(b) for b in block]
-                else:
-                    block = acceptor.filter_edges(block)
-        if fused_routed:
-            outgoing = empty_buckets if block is None else block
-            generated += sum(len(b) for b in outgoing)
-            return outgoing
-        if block is None:
-            block = _EMPTY
-        generated += len(block)
-        with tel.span("route", cat="phase", method=method):
-            return bucket_edges(
-                block, comm.size, scheme=storage, n=n_c, method=method
-            )
-
-    if comm.size == 1:
-        for _round in range(all_rounds):
-            received = next_outgoing(_round)[0]
-            if len(received):
-                stored.append(np.asarray(received))
-    elif pipeline == "sync":
-        for _round in range(all_rounds):
-            outgoing = next_outgoing(_round)
-            received = exchange_edges(comm, outgoing, wire=wire)
-            if len(received):
-                stored.append(received)
-    else:
-        # Double-buffered: finish round k's exchange only after round
-        # k+1's chunk exists.  One request in flight keeps the per-channel
-        # FIFO contract trivially satisfied; the in-flight buckets are
-        # owned by the runtime until finished (Request contract), which
-        # holds here because next_outgoing builds fresh arrays each round.
-        pending = None
-        issued_at = 0.0
-        overlap_s = 0.0
-        for _round in range(all_rounds):
-            outgoing = next_outgoing(_round)
-            if pending is not None:
-                # Everything since the issue was generation that hid the
-                # in-flight exchange.
-                overlap_s += tel.clock() - issued_at
-                received = exchange_edges_finish(comm, pending)
-                if len(received):
-                    stored.append(received)
-            pending = exchange_edges_start(comm, outgoing, wire=wire)
-            issued_at = tel.clock()
-        if pending is not None:
-            # Tail flush: no generation left to hide this wait, so it
-            # does not count toward the overlap.
-            received = exchange_edges_finish(comm, pending)
-            if len(received):
-                stored.append(received)
-        tel.add("exchange.overlap_s", overlap_s)
-    # a rank may still hold residual chunks if per-rank chunk counts were
-    # underestimated (cannot happen with the shared formula, but guard):
-    for _block in chunks:  # pragma: no cover - defensive
-        raise PartitionError("pipelined round count underestimated")
-    edges = np.vstack(stored) if stored else _EMPTY
-    _emit_skg_counters(tel, acceptor)
-    tel.add("edges.generated", generated)
-    tel.add("edges.stored", len(edges))
-    return RankOutput(comm.rank, edges, generated)

@@ -21,10 +21,10 @@ Only the p2p primitives are overridden.  Every collective -- including
 the split-phase ``alltoall_start``/``alltoall_finish`` -- is inherited
 from the :class:`~repro.distributed.comm.Communicator` base class and
 therefore routes through the throttled ``send``/``recv`` automatically,
-on any backend.  The benchmark harness (``benchmarks/trajectory.py``)
-uses this to measure the async pipeline in the communication-bound
-regime it was built for; tests use it to assert overlap semantics with
-deterministic wire times.
+on any backend.  The performance ledger (``benchmarks/ledger``, workload
+``gen_stream_wan``) uses this to measure the async pipeline in the
+communication-bound regime it was built for; tests use it to assert
+overlap semantics with deterministic wire times.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.distributed.comm import Communicator
+from repro.distributed.comm import Communicator, DelegatingCommunicator
 from repro.telemetry.clock import monotonic
 from repro.telemetry.instrument import payload_nbytes
 
@@ -54,7 +54,7 @@ class NetworkModel:
         return self.latency + nbytes / self.bandwidth
 
 
-class ThrottledCommunicator(Communicator):
+class ThrottledCommunicator(DelegatingCommunicator):
     """Wrap ``inner`` so every message pays ``model``'s wire time.
 
     Messages are sent immediately (annotated with the send timestamp);
@@ -65,16 +65,8 @@ class ThrottledCommunicator(Communicator):
     """
 
     def __init__(self, inner: Communicator, model: NetworkModel) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self._model = model
-
-    @property
-    def rank(self) -> int:
-        return self._inner.rank
-
-    @property
-    def size(self) -> int:
-        return self._inner.size
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._inner.send((monotonic(), obj), dest, tag)
@@ -88,11 +80,3 @@ class ThrottledCommunicator(Communicator):
         if remaining > 0:
             time.sleep(remaining)
         return obj
-
-    def barrier(self) -> None:
-        self._inner.barrier()
-
-    def __getattr__(self, name: str) -> Any:
-        # Backend extras (probe, close, ...) pass through; inherited
-        # collectives are found on the class first and stay throttled.
-        return getattr(self._inner, name)

@@ -1,14 +1,17 @@
-"""Out-of-core distributed generation: stream product shards to disk.
+"""Out-of-core distributed generation: write product shards to disk.
 
-At paper scale the product never fits in memory; each rank streams its
-``C_r`` chunks straight to its own shard file.  This module wires the
-chunked generator to the partitioned file layout of :mod:`repro.graph.io`,
-so the full pipeline is::
+At paper scale the product never fits in one memory; each rank writes its
+``C_r`` to its own shard file.  This module runs the shared rank program
+(:func:`repro.distributed.generator.generate_rank`, no storage exchange)
+and wires its output to the partitioned file layout of
+:mod:`repro.graph.io`, so the full pipeline is::
 
-    factors on disk -> per-rank generation -> per-rank shard files,
+    factors on disk -> per-rank generation -> per-rank shard files.
 
-with peak memory bounded by ``chunk_size`` product edges per rank
-regardless of ``|E_C|``.
+The expansion itself is chunked (``chunk_size`` bounds the kernel's
+temporaries), but a rank's shard is held whole before it is written --
+numpy's ``.npz`` container is not appendable -- so peak memory per rank is
+its shard, ``|E_C| / R`` edges.
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.distributed.comm import Communicator
+from repro.distributed.generator import Cells, GenerationPlan, generate_rank
 from repro.distributed.launcher import spmd_run
-from repro.distributed.partition import partition_edges_1d, partition_edges_2d
-from repro.errors import PartitionError
 from repro.graph.edgelist import EdgeList
-from repro.kronecker.product import DEFAULT_CHUNK, iter_kron_product
+from repro.kronecker.product import DEFAULT_CHUNK
 
 __all__ = ["ShardManifest", "generate_to_directory"]
 
@@ -52,41 +54,19 @@ class ShardManifest:
         return EdgeList(edges, self.n)
 
 
-def _rank_stream_to_file(
-    comm: Communicator,
-    cells,
-    directory: str,
-    chunk_size: int,
-    skg=None,
+def _rank_to_shard(
+    comm: Communicator, plan: GenerationPlan, cells: list[Cells], directory: str
 ) -> tuple[str, int]:
-    """Rank program: stream this rank's cells into one ``.npz`` shard.
+    """Rank program: run the shared generator, write one ``.npz`` shard.
 
-    Chunks are buffered per rank and written once at the end of the rank's
-    generation (numpy's npz container is not appendable); the buffered list
-    holds views of at most ``chunk_size`` edges each, so peak *extra*
-    memory beyond the final shard is one chunk.  With an SKG spec the
-    chunks are filtered through the deterministic acceptance hash before
-    buffering, so the shard holds (and the count reports) accepted edges
-    only.
+    Module-level (not a closure) so the multiprocess backends can ship it.
+    With an SKG spec in the plan the shard holds (and the count reports)
+    accepted edges only.
     """
-    acceptor = None
-    if skg is not None:
-        from repro.skg.sample import SKGAcceptor
-
-        acceptor = SKGAcceptor(skg)
+    out = generate_rank(comm, plan, cells)
     out_path = Path(directory) / f"shard_{comm.rank:05d}.npz"
-    blocks: list[np.ndarray] = []
-    count = 0
-    for part_a, part_b in cells:
-        for blk in iter_kron_product(part_a, part_b, chunk_size):
-            if acceptor is not None:
-                blk = acceptor.filter_edges(blk)
-            if len(blk):
-                blocks.append(blk)
-                count += len(blk)
-    edges = np.vstack(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
-    np.savez_compressed(out_path, edges=edges)
-    return str(out_path), count
+    np.savez_compressed(out_path, edges=out.edges)
+    return str(out_path), out.generated
 
 
 def generate_to_directory(
@@ -111,40 +91,23 @@ def generate_to_directory(
     this invocation to its share of a multi-host world, in which case the
     manifest covers only the shards written on this host (the remote
     shards live on the other hosts' filesystems).  ``skg`` (an
-    :class:`repro.skg.model.SKGSpec`) filters the streamed product with
-    the stochastic tier's acceptance hash -- the factors must then
-    enumerate the spec's candidate space
+    :class:`repro.skg.model.SKGSpec`) filters the product with the
+    stochastic tier's acceptance hash -- the factors must then enumerate
+    the spec's candidate space
     (:func:`repro.skg.distributed.skg_candidate_factors`).
     """
+    plan = GenerationPlan(scheme=scheme, chunk_size=chunk_size, skg=skg)
+    cells = plan.partition(el_a, el_b, nranks)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    if scheme == "1d":
-        assignments = [
-            [(part, el_b)] for part in partition_edges_1d(el_a, nranks)
-        ]
-    elif scheme == "2d":
-        assignments = partition_edges_2d(el_a, el_b, nranks)
-    else:
-        raise PartitionError(f"unknown scheme {scheme!r}")
-
-    def rank_fn(comm: Communicator):
-        return _rank_stream_to_file(
-            comm, assignments[comm.rank], str(directory), chunk_size, skg
-        )
-
-    if backend in ("process", "socket"):
-        # multiprocess backends need a picklable module-level callable
-        run_kwargs = {"backend": backend}
-        if rendezvous is not None:
-            run_kwargs["rendezvous"] = rendezvous
-        if local_ranks is not None:
-            run_kwargs["local_ranks"] = local_ranks
-        results = spmd_run(
-            _rank_entry, nranks, assignments, str(directory), chunk_size,
-            skg, **run_kwargs,
-        )
-    else:
-        results = spmd_run(rank_fn, nranks, backend=backend)
+    run_kwargs = {"backend": backend}
+    if rendezvous is not None:
+        run_kwargs["rendezvous"] = rendezvous
+    if local_ranks is not None:
+        run_kwargs["local_ranks"] = local_ranks
+    results = spmd_run(
+        _rank_to_shard, nranks, plan, cells, str(directory), **run_kwargs
+    )
     # Ranks launched on other hosts report None slots; their shards are
     # on those hosts, so this manifest covers the local share only.
     local = [r for r in results if r is not None]
@@ -156,11 +119,4 @@ def generate_to_directory(
         nranks=nranks,
         edges_total=total,
         shard_paths=paths,
-    )
-
-
-def _rank_entry(comm, assignments, directory, chunk_size, skg=None):
-    """Module-level entry for the process backend (picklable)."""
-    return _rank_stream_to_file(
-        comm, assignments[comm.rank], directory, chunk_size, skg
     )

@@ -13,10 +13,16 @@ Two bucketing kernels are provided:
     they fit a narrow integer dtype and numpy's stable small-integer sort is
     a radix/counting sort -- O(m + nparts) instead of the O(m log m)
     comparison argsort.  On a 1M-edge block with 8 owners this is ~3x the
-    legacy path (see ``benchmarks/bench_kernels.py``).
+    argsort (see ``benchmarks/bench_kernels.py``).  The generator only
+    ever uses this one.
 ``method="argsort"``:
-    the legacy stable comparison sort, kept selectable for A/B testing and
-    as the reference the property tests compare against.
+    the stable comparison sort, kept as the kernel-level reference the
+    property tests and ``bench_kernels.py`` compare the scatter against.
+
+The exchange itself comes blocking (:func:`exchange_edges`) and split-phase
+(:func:`exchange_edges_start` / :func:`exchange_edges_finish`); the
+generator drives the split-phase pair, whose ``wire`` check guards these
+public entry points independently of the plan's.
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ __all__ = [
     "exchange_edges",
     "exchange_edges_start",
     "exchange_edges_finish",
-    "shuffle_to_owners",
     "WIRE_FORMATS",
 ]
 
@@ -275,21 +280,3 @@ def exchange_edges_finish(comm: Communicator, request: Request) -> np.ndarray:
         received = _stack_received(incoming)
     tel.add("edges.received", len(received))
     return received
-
-
-def shuffle_to_owners(
-    comm: Communicator,
-    edges: np.ndarray,
-    *,
-    scheme: str = "source_block",
-    n: int | None = None,
-    seed: int = 0,
-    method: str = "scatter",
-    wire: str = "raw",
-) -> np.ndarray:
-    """Bucket locally generated edges and exchange them in one collective."""
-    with telemetry_of(comm).span("route", cat="phase", method=method):
-        outgoing = bucket_edges(
-            edges, comm.size, scheme=scheme, n=n, seed=seed, method=method
-        )
-    return exchange_edges(comm, outgoing, wire=wire)

@@ -31,7 +31,7 @@ import os
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,12 @@ from repro.distributed.checkpoint import (
 )
 from repro.distributed.comm import RECV_TIMEOUT_ENV
 from repro.distributed.faults import FaultPlan, default_fault_matrix
-from repro.distributed.generator import RankOutput, generate_distributed
+from repro.distributed.generator import (
+    GenerationPlan,
+    RankOutput,
+    execute_plan,
+    generate_distributed,
+)
 from repro.distributed.launcher import spmd_run
 from repro.errors import (
     CheckpointCorruptionError,
@@ -162,47 +167,34 @@ class _CheckpointedRankFn:
             # supervised retry regenerates it instead of silently running
             # from a half-trusted store.
             cached = store.get(key, discard=True)
+        resume = cached is not None
         if self.shard_mode == "collective" and comm.size > 1:
-            all_cached = comm.allreduce(
-                cached is not None, lambda a, b: a and b
-            )
-            if all_cached:
-                tel.add("checkpoint.hits")
-                tel.add("edges.restored", len(cached.edges))
-                tel.add("edges.stored", len(cached.edges))
-                return RankOutput(comm.rank, cached.edges, cached.generated)
-            tel.add("checkpoint.misses")
-            out = self.fn(comm, *args)
-            if cached is not None:
-                with tel.span("checkpoint", cat="phase", op="verify"):
-                    fresh = edges_digest(out.edges)
-                if fresh != cached.digest:
-                    if cached.resharded:
-                        # Elastic shards hold the right edges in canonical
-                        # union order, not generation order; once the world
-                        # re-generated anyway, the fresh layout is the
-                        # ground truth -- replace, don't diagnose.
-                        with tel.span("checkpoint", cat="phase", op="store"):
-                            store.put(key, out.edges,
-                                      generated=out.generated)
-                    else:
-                        raise CheckpointError(
-                            f"rank {comm.rank}: re-executed shard digest "
-                            f"{fresh:#018x} does not match checkpoint "
-                            f"{cached.digest:#018x} for key {key!r} -- "
-                            f"generation is expected to be deterministic"
-                        )
-            else:
-                with tel.span("checkpoint", cat="phase", op="store"):
-                    store.put(key, out.edges, generated=out.generated)
-            return out
-        if cached is not None:
+            resume = comm.allreduce(resume, lambda a, b: a and b)
+        if resume:
             tel.add("checkpoint.hits")
             tel.add("edges.restored", len(cached.edges))
             tel.add("edges.stored", len(cached.edges))
             return RankOutput(comm.rank, cached.edges, cached.generated)
         tel.add("checkpoint.misses")
         out = self.fn(comm, *args)
+        if cached is not None:
+            # Collective mode only: a peer lacked its shard, so this rank
+            # re-ran to keep the exchange symmetric.
+            with tel.span("checkpoint", cat="phase", op="verify"):
+                fresh = edges_digest(out.edges)
+            if fresh == cached.digest:
+                return out
+            if not cached.resharded:
+                raise CheckpointError(
+                    f"rank {comm.rank}: re-executed shard digest "
+                    f"{fresh:#018x} does not match checkpoint "
+                    f"{cached.digest:#018x} for key {key!r} -- "
+                    f"generation is expected to be deterministic"
+                )
+            # Elastic shards hold the right edges in canonical union
+            # order, not generation order; once the world re-generated
+            # anyway, the fresh layout is the ground truth -- replace,
+            # don't diagnose.
         with tel.span("checkpoint", cat="phase", op="store"):
             store.put(key, out.edges, generated=out.generated)
         return out
@@ -347,63 +339,26 @@ def spmd_run_supervised(
 
 
 def generation_run_key(
-    el_a: EdgeList,
-    el_b: EdgeList,
-    nranks: int,
-    scheme: str,
-    storage: str | None,
-    routing: str,
-    chunk_size: int,
-    *,
-    pipeline: str = "sync",
-    wire: str = "raw",
-    model: str = "exact",
-    skg=None,
+    el_a: EdgeList, el_b: EdgeList, nranks: int | str, plan: GenerationPlan
 ) -> str:
     """Content-addressed signature of one generation configuration.
 
-    Folds the factor edge digests and every parameter that affects shard
-    contents or row order, so a resumed run can never consume checkpoints
+    Folds the factor edge digests, the world size and
+    :meth:`GenerationPlan.token` -- every field of the plan, the SKG spec
+    as its digest -- so a resumed run can never consume checkpoints
     written under a different configuration.  ``wire`` matters because the
     varint codec re-sorts each exchanged block (shard row order changes);
-    ``pipeline`` is included for symmetry even though sync and async are
-    bit-identical -- run keys identify configurations, not equivalence
-    classes.  ``model="skg"`` appends the spec digest
-    (:meth:`repro.skg.model.SKGSpec.digest`, covering the seed matrix,
-    ``skg_seed``, and noise parameters), so stochastic runs with
-    different specs can never share checkpoints; exact keys are
-    unchanged.
+    ``pipeline`` is in there even though sync and async are bit-identical:
+    run keys identify configurations, not equivalence classes.
     """
     return (
         f"gen-{edges_digest(el_a.edges):016x}-{edges_digest(el_b.edges):016x}"
-        f"-r{nranks}-{scheme}-{storage}-{routing}-c{chunk_size}"
-        f"-{pipeline}-{wire}{_model_token(model, skg)}"
+        f"-r{nranks}-{plan.token()}"
     )
 
 
-def _model_token(model: str, skg) -> str:
-    """Run-key suffix identifying the generation model (empty for exact)."""
-    if model == "exact" and skg is None:
-        return ""
-    if skg is None:
-        raise CheckpointError(
-            f"model {model!r} requires an SKG spec for run-key derivation"
-        )
-    return f"-skg{skg.digest():016x}"
-
-
 def generation_family_key(
-    el_a: EdgeList,
-    el_b: EdgeList,
-    scheme: str,
-    storage: str | None,
-    routing: str,
-    chunk_size: int,
-    *,
-    pipeline: str = "sync",
-    wire: str = "raw",
-    model: str = "exact",
-    skg=None,
+    el_a: EdgeList, el_b: EdgeList, plan: GenerationPlan
 ) -> str:
     """The rank-count-independent part of :func:`generation_run_key`.
 
@@ -411,35 +366,26 @@ def generation_family_key(
     at different world sizes -- the elastic-resume compatibility class.
     Everything that changes *contents* stays in -- including the SKG spec
     digest, since a stochastic run's edge set is a function of the spec;
-    only ``r{nranks}`` (which changes *placement*) is wildcarded.
+    only the rank count (which changes *placement*) is wildcarded.
     """
-    return (
-        f"gen-{edges_digest(el_a.edges):016x}-{edges_digest(el_b.edges):016x}"
-        f"-r*-{scheme}-{storage}-{routing}-c{chunk_size}"
-        f"-{pipeline}-{wire}{_model_token(model, skg)}"
-    )
+    return generation_run_key(el_a, el_b, "*", plan)
 
 
-def _maybe_elastic_reshard(
-    directory: str | os.PathLike,
-    run_key: str,
-    family: str,
-    nranks: int,
-    scheme: str,
-    n: int,
-) -> bool:
-    """Reshard a same-family manifest onto ``nranks`` if one exists.
+def _elastic_pre_attempt(
+    directory, run_key, family, nranks, scheme, n, telemetry, attempt
+) -> None:
+    """Per-attempt hook: reshard a same-family manifest onto ``nranks``.
 
-    The supervisor's per-attempt hook: when the target run key has no
-    complete shard set but a manifest of the same family (checkpointed at
-    a different rank count) does, re-partition it through
-    :func:`reshard_run`.  Returns whether a reshard happened; raises the
-    transient :class:`CheckpointCorruptionError` when the source artifacts
-    turn out damaged (the retry then generates from scratch).
+    When the target run key has no complete shard set but a manifest of
+    the same family (checkpointed at a different rank count) does,
+    re-partition it through :func:`reshard_run`.  Raises the transient
+    :class:`CheckpointCorruptionError` when the source artifacts turn out
+    damaged (the retry then generates from scratch).  Module-level so the
+    bound partial stays picklable.
     """
     store = CheckpointStore(directory)
     if all(store.has(f"{run_key}.rank{r:05d}") for r in range(nranks)):
-        return False
+        return
     for manifest in store.manifests():
         if manifest.family != family or manifest.nranks == nranks:
             continue
@@ -447,8 +393,11 @@ def _maybe_elastic_reshard(
             store, manifest, new_key=run_key, new_ranks=nranks,
             scheme=scheme, n=n,
         )
-        return True
-    return False
+        if telemetry is not None and telemetry.enabled:
+            telemetry.record(
+                "supervisor.elastic_reshard", attempt=attempt, nranks=nranks
+            )
+        return
 
 
 def generate_distributed_supervised(
@@ -460,10 +409,8 @@ def generate_distributed_supervised(
     storage: str | None = None,
     backend: str = "thread",
     chunk_size: int = DEFAULT_CHUNK,
-    routing: str = "fused",
     pipeline: str = "sync",
     wire: str = "raw",
-    model: str = "exact",
     skg=None,
     fault_plan: FaultPlan | None = None,
     max_attempts: int = 3,
@@ -479,10 +426,13 @@ def generate_distributed_supervised(
     Same contract and parameters as the unsupervised driver, plus the
     supervision knobs of :func:`spmd_run_supervised`.  With a
     ``checkpoint_dir``, completed shards persist under a run key derived
-    from the factor digests and generation parameters; a retry (or a fresh
-    call with the same configuration) re-executes only missing shards.
+    from the factor digests and the :class:`GenerationPlan`; a retry (or a
+    fresh call with the same configuration) re-executes only missing
+    shards.  Plans that never exchange resume each shard independently;
+    exchanging plans must keep the exchange symmetric across ranks
+    (``plan.shard_mode``).
 
-    **Elastic re-sharded resume**: after a storage-routed run succeeds, a
+    **Elastic re-sharded resume**: after an exchanging run succeeds, a
     :class:`~repro.distributed.checkpoint.RunManifest` records the shard
     digests and the consensus union digest.  A later call with the same
     configuration but a *different* ``nranks`` finds the manifest through
@@ -490,39 +440,20 @@ def generate_distributed_supervised(
     through the target world's ownership map before the first attempt
     (:func:`reshard_run`) -- the resumed run loads every shard, generates
     nothing, and reassembles a bit-identical edge set whether the world
-    shrank or grew.
+    shrank or grew.  Shards of a non-exchanging plan have no ownership
+    map (they live where the *partition* put them, a function of the old
+    rank count), so they are not eligible.
     """
+    plan = GenerationPlan(scheme, storage, chunk_size, pipeline, wire, skg)
     if run_key is None and checkpoint_dir is not None:
-        run_key = generation_run_key(
-            el_a, el_b, nranks, scheme, storage, routing, chunk_size,
-            pipeline=pipeline, wire=wire, model=model, skg=skg,
-        )
-    # Rank programs without a storage exchange never touch the
-    # communicator, so their shards resume independently; routed programs
-    # must keep the exchange symmetric across ranks.
-    shard_mode = (
-        "independent"
-        if storage is None and scheme in ("1d", "2d")
-        else "collective"
-    )
-    # Elastic resume needs an ownership map, which only storage-routed
-    # shards have (storage=None shards live where the *partition* put
-    # them, a function of the old rank count).  1d-pipelined defaults its
-    # storage to source_block inside the generator; mirror that here.
-    effective_storage = storage
-    if scheme == "1d-pipelined" and storage is None:
-        effective_storage = "source_block"
+        run_key = generation_run_key(el_a, el_b, nranks, plan)
     family = None
     pre_attempt = None
-    if checkpoint_dir is not None and effective_storage is not None:
-        family = generation_family_key(
-            el_a, el_b, scheme, storage, routing, chunk_size,
-            pipeline=pipeline, wire=wire, model=model, skg=skg,
-        )
-        n_c = el_a.n * el_b.n
+    if checkpoint_dir is not None and plan.exchanges:
+        family = generation_family_key(el_a, el_b, plan)
         pre_attempt = functools.partial(
             _elastic_pre_attempt, checkpoint_dir, run_key, family, nranks,
-            effective_storage, n_c, telemetry,
+            plan.effective_storage, el_a.n * el_b.n, telemetry,
         )
     runner = functools.partial(
         spmd_run_supervised,
@@ -530,27 +461,15 @@ def generate_distributed_supervised(
         max_attempts=max_attempts,
         checkpoint=checkpoint_dir,
         run_key=run_key,
-        shard_mode=shard_mode,
+        shard_mode=plan.shard_mode,
         report=report,
         rendezvous=rendezvous,
         backoff_seed=backoff_seed,
         pre_attempt=pre_attempt,
     )
-    el, outputs = generate_distributed(
-        el_a,
-        el_b,
-        nranks,
-        scheme=scheme,
-        storage=storage,
-        backend=backend,
-        chunk_size=chunk_size,
-        routing=routing,
-        pipeline=pipeline,
-        wire=wire,
-        model=model,
-        skg=skg,
-        runner=runner,
-        telemetry=telemetry,
+    el, outputs = execute_plan(
+        plan, el_a, el_b, nranks,
+        backend=backend, runner=runner, telemetry=telemetry,
     )
     if family is not None:
         # Success: record the consensus manifest elastic resume feeds on.
@@ -569,19 +488,6 @@ def generate_distributed_supervised(
             )
         )
     return el, outputs
-
-
-def _elastic_pre_attempt(
-    directory, run_key, family, nranks, scheme, n, telemetry, attempt
-):
-    """Per-attempt elastic hook (module-level for picklability/clarity)."""
-    resharded = _maybe_elastic_reshard(
-        directory, run_key, family, nranks, scheme, n
-    )
-    if resharded and telemetry is not None and telemetry.enabled:
-        telemetry.record(
-            "supervisor.elastic_reshard", attempt=attempt, nranks=nranks
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -617,11 +523,10 @@ def canonical_edges(edges: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChaosOutcome:
-    """One (plan, backend, routing) cell of the chaos matrix."""
+    """One (plan, backend) cell of the chaos matrix."""
 
     plan: str
     backend: str
-    routing: str
     recovered: bool
     identical: bool
     attempts: int
@@ -652,7 +557,7 @@ class ChaosReport:
 
     def to_text(self) -> str:
         lines = [
-            f"{'plan':<16}{'backend':<9}{'routing':<9}"
+            f"{'plan':<16}{'backend':<9}"
             f"{'attempts':>9}{'elapsed':>9}  status"
         ]
         for o in self.outcomes:
@@ -663,7 +568,7 @@ class ChaosReport:
             else:
                 status = f"FAILED: {o.error}"
             lines.append(
-                f"{o.plan:<16}{o.backend:<9}{o.routing:<9}"
+                f"{o.plan:<16}{o.backend:<9}"
                 f"{o.attempts:>9}{o.elapsed_s:>8.2f}s  {status}"
             )
         good = sum(o.ok for o in self.outcomes)
@@ -673,22 +578,7 @@ class ChaosReport:
     def to_json(self) -> dict:
         """Machine-readable report (``repro-kron chaos --json``)."""
         return {
-            "cells": [
-                {
-                    "plan": o.plan,
-                    "backend": o.backend,
-                    "routing": o.routing,
-                    "recovered": o.recovered,
-                    "identical": o.identical,
-                    "ok": o.ok,
-                    "attempts": o.attempts,
-                    "elapsed_s": o.elapsed_s,
-                    "reconnects": o.reconnects,
-                    "replays": o.replays,
-                    "error": o.error,
-                }
-                for o in self.outcomes
-            ],
+            "cells": [{**asdict(o), "ok": o.ok} for o in self.outcomes],
             "cells_ok": sum(o.ok for o in self.outcomes),
             "cells_total": len(self.outcomes),
             "all_recovered": self.all_recovered,
@@ -718,13 +608,11 @@ def run_chaos_matrix(
     plans: list[FaultPlan] | None = None,
     seed: int = 0,
     backends: tuple[str, ...] = ("thread", "process"),
-    routings: tuple[str, ...] = ("fused", "legacy"),
     scheme: str = "1d",
     storage: str | None = "source_block",
     chunk_size: int = DEFAULT_CHUNK,
     pipeline: str = "sync",
     wire: str = "raw",
-    model: str = "exact",
     skg=None,
     recv_timeout_s: float | None = 2.0,
     max_attempts: int = 4,
@@ -733,8 +621,7 @@ def run_chaos_matrix(
 ) -> ChaosReport:
     """Drive every fault plan against supervised generation.
 
-    For each plan x backend cell (routing rotates across cells so both
-    hot paths face every fault kind), run
+    For each plan x backend cell, run
     :func:`generate_distributed_supervised` under the plan and compare the
     recovered product -- in canonical edge order -- bit-for-bit against
     the fault-free reference.  ``recv_timeout_s`` pins
@@ -742,7 +629,7 @@ def run_chaos_matrix(
     resolve in seconds, not minutes.  ``pipeline``/``wire`` select the
     async double-buffered loop and the varint wire format
     (``scheme="1d-pipelined"`` required for ``pipeline="async"``), so the
-    matrix can prove fault recovery for the split-phase exchange too.
+    matrix can prove fault recovery with a round in flight too.
 
     A ``"socket"`` entry in ``backends`` runs those cells over the TCP
     backend with a per-cell telemetry session, and the outcome carries the
@@ -750,27 +637,26 @@ def run_chaos_matrix(
     so the JSON report shows not just that a cell recovered but how much
     wire-level repair the recovery took.
 
-    ``model="skg"`` (with an :class:`repro.skg.model.SKGSpec`) runs every
-    cell through the stochastic acceptance filter: the fault-free
-    references and all recovered cells then prove that seeded Bernoulli
-    acceptance -- not just exact enumeration -- survives crashes, drops,
-    and checkpointed retry bit-identically.
+    ``skg`` (an :class:`repro.skg.model.SKGSpec`) runs every cell through
+    the stochastic acceptance filter: the fault-free reference and all
+    recovered cells then prove that seeded Bernoulli acceptance -- not
+    just exact enumeration -- survives crashes, drops, and checkpointed
+    retry bit-identically.
     """
     if plans is None:
         plans = default_fault_matrix(seed=seed, nranks=nranks)
-    references: dict[str, np.ndarray] = {}
-    for routing in routings:
-        el, _ = generate_distributed(
-            el_a, el_b, nranks, scheme=scheme, storage=storage,
-            backend="thread", chunk_size=chunk_size, routing=routing,
-            pipeline=pipeline, wire=wire, model=model, skg=skg,
-        )
-        references[routing] = canonical_edges(el.edges)
+    generation = dict(
+        scheme=scheme, storage=storage, chunk_size=chunk_size,
+        pipeline=pipeline, wire=wire, skg=skg,
+    )
+    el, _ = generate_distributed(
+        el_a, el_b, nranks, backend="thread", **generation
+    )
+    reference = canonical_edges(el.edges)
     report = ChaosReport()
     with _recv_timeout_env(recv_timeout_s):
         for i, plan in enumerate(plans):
-            for j, backend in enumerate(backends):
-                routing = routings[(i + j) % len(routings)]
+            for backend in backends:
                 sup = SupervisorReport()
                 checkpoint_dir = (
                     Path(checkpoint_root) / f"{i:02d}-{plan.label()}-{backend}"
@@ -782,40 +668,32 @@ def run_chaos_matrix(
                 # un-instrumented so their comm-op indices (and therefore
                 # the targeted fault schedules) are unchanged.
                 tel = TelemetrySession() if backend == "socket" else None
+                recovered = identical = False
+                error = ""
                 t0 = monotonic()
                 try:
                     el, _ = generate_distributed_supervised(
-                        el_a, el_b, nranks, scheme=scheme, storage=storage,
-                        backend=backend, chunk_size=chunk_size,
-                        routing=routing, pipeline=pipeline, wire=wire,
-                        model=model, skg=skg,
+                        el_a, el_b, nranks, backend=backend,
                         fault_plan=plan, max_attempts=max_attempts,
                         checkpoint_dir=checkpoint_dir, report=sup,
                         telemetry=tel,
                         rendezvous=(
                             rendezvous if backend == "socket" else None
                         ),
+                        **generation,
                     )
                 except ReproError as exc:
-                    report.outcomes.append(
-                        ChaosOutcome(
-                            plan=plan.label(), backend=backend,
-                            routing=routing, recovered=False,
-                            identical=False, attempts=sup.attempts,
-                            error=str(exc).splitlines()[0],
-                            elapsed_s=monotonic() - t0,
-                            **_sock_repair_counts(tel),
-                        )
+                    error = str(exc).splitlines()[0]
+                else:
+                    recovered = True
+                    identical = np.array_equal(
+                        canonical_edges(el.edges), reference
                     )
-                    continue
-                identical = np.array_equal(
-                    canonical_edges(el.edges), references[routing]
-                )
                 report.outcomes.append(
                     ChaosOutcome(
-                        plan=plan.label(), backend=backend, routing=routing,
-                        recovered=True, identical=identical,
-                        attempts=sup.attempts,
+                        plan=plan.label(), backend=backend,
+                        recovered=recovered, identical=identical,
+                        attempts=sup.attempts, error=error,
                         elapsed_s=monotonic() - t0,
                         **_sock_repair_counts(tel),
                     )

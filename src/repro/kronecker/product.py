@@ -31,6 +31,7 @@ __all__ = [
     "kron_edge_block",
     "kron_product",
     "iter_kron_product",
+    "dense_chunk_count",
     "kron_power",
     "product_size",
     "RoutePlanB",
@@ -116,6 +117,20 @@ def iter_kron_product(
         else:
             for s, t in chunk_bounds(len(block), chunk_size):
                 yield block[s:t]
+
+
+def dense_chunk_count(ma: int, mb: int, chunk_size: int) -> int:
+    """Number of chunks :func:`iter_kron_product` emits for ``ma x mb``.
+
+    Mirrors the iterator's chunking decision (whole A-edges per chunk when
+    they fit, sub-chunks of one A-edge's expansion when ``mb > chunk_size``)
+    so the streaming generator can agree on a round count up front.
+    """
+    if ma == 0 or mb == 0:
+        return 0
+    if chunk_size >= mb:
+        return -(-ma // (chunk_size // mb))
+    return ma * -(-mb // chunk_size)
 
 
 # --------------------------------------------------------------------- #

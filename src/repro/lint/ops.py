@@ -1,10 +1,10 @@
 """Shared comm-op tables and AST helpers for every lint layer.
 
-This is a *leaf* module: the file rules import it through their
-historical :mod:`repro.lint.rules.common` path, and the whole-program
-layers (:mod:`repro.lint.ir`, :mod:`repro.lint.callgraph`) import it
-directly -- importing the rule package from the IR extractor would be
-circular (rules -> protocol -> callgraph -> ir -> rules).
+This is a *leaf* module with no package side effects: the file rules and
+the whole-program layers (:mod:`repro.lint.ir`,
+:mod:`repro.lint.callgraph`) all import it directly -- the IR extractor
+importing the rule package instead would be circular
+(rules -> protocol -> callgraph -> ir -> rules).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ bit-identical across backends, retries, chunk sizes, and elastic resume.
 The distributed generator reuses the whole SPMD hot path: candidates are
 enumerated by the existing fused/pipelined product kernels and the
 acceptance filter runs inside the generate span
-(``generate_distributed(..., model="skg")``).
+(``generate_distributed(..., skg=spec)``).
 
 Modules
 -------

@@ -28,7 +28,11 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.distributed.comm import Communicator, Request
+from repro.distributed.comm import (
+    Communicator,
+    DelegatingCommunicator,
+    Request,
+)
 
 __all__ = ["InstrumentedCommunicator", "payload_nbytes"]
 
@@ -116,7 +120,7 @@ class _InstrumentedRequest(Request):
         return done
 
 
-class InstrumentedCommunicator(Communicator):
+class InstrumentedCommunicator(DelegatingCommunicator):
     """Measure every operation of the wrapped communicator.
 
     ``telemetry`` is the rank's
@@ -126,28 +130,8 @@ class InstrumentedCommunicator(Communicator):
     """
 
     def __init__(self, inner: Communicator, telemetry) -> None:
-        self._inner = inner
+        super().__init__(inner)
         self.telemetry = telemetry
-
-    @property
-    def rank(self) -> int:
-        return self._inner.rank
-
-    @property
-    def size(self) -> int:
-        return self._inner.size
-
-    @property
-    def inner(self) -> Communicator:
-        """The wrapped communicator."""
-        return self._inner
-
-    def __getattr__(self, name: str):
-        # Delegate backend/wrapper extras (free_received_buffers, fault
-        # counters, finish, ...) so instrumentation never hides surface.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._inner, name)
 
     # ---- point-to-point: counters only ----------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:

@@ -2,8 +2,7 @@
 
 This is the `repro-kron chaos` CI job run in-process: every plan of the
 default matrix (crash / drop / delay / duplicate, targeted and
-probabilistic) against both launcher backends with the routing rotated
-per cell, under a ~2s recv timeout.  Every cell must recover to output
+probabilistic) against both launcher backends, under a ~2s recv timeout.  Every cell must recover to output
 bit-identical to the fault-free reference.
 """
 
@@ -33,9 +32,7 @@ class TestChaosMatrix:
         text = report.to_text()
         assert report.all_recovered, f"chaos matrix failed:\n{text}"
         assert len(report.outcomes) == 2 * len(plans)
-        # Both backends and both routings were exercised.
         assert {o.backend for o in report.outcomes} == {"thread", "process"}
-        assert {o.routing for o in report.outcomes} == {"fused", "legacy"}
         # Crash and drop plans genuinely fired (needed a retry).
         fired = {
             o.plan for o in report.outcomes if o.attempts >= 2
@@ -68,7 +65,6 @@ class TestSkgChaos:
                 a, b, 4,
                 plans=plans,
                 backends=("thread",),
-                model="skg",
                 skg=spec,
                 recv_timeout_s=2.0,
                 checkpoint_root=tmp_path,
@@ -87,7 +83,6 @@ class TestChaosCli:
                     "--ranks", "4",
                     "--seed", "0",
                     "--backends", "thread",
-                    "--routings", "fused",
                     "--timeout", "1.5",
                 ]
             )

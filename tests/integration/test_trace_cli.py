@@ -51,7 +51,9 @@ class TestTraceCommand:
         counters = summary["aggregate"]["counters"]
         assert counters["edges.generated"] == 120
         assert counters["edges.stored"] == 120
-        assert counters["comm.alltoall.calls"] == 4
+        # One split-phase exchange per rank: issued once, waited once.
+        assert counters["comm.alltoall_start.calls"] == 4
+        assert counters["comm.wait.calls"] == 4
         assert summary["nranks"] == 4
         # Per-rank edge counts sum to the aggregate exactly.
         per_rank = sum(
@@ -92,8 +94,7 @@ class TestTraceCommand:
 class TestChaosJson:
     def test_json_report_shape(self, tmp_path, capsys):
         rc = main([
-            "chaos", "--ranks", "2", "--backends", "thread",
-            "--routings", "fused", "--json",
+            "chaos", "--ranks", "2", "--backends", "thread", "--json",
             "--checkpoint-root", str(tmp_path / "chk"),
         ])
         report = json.loads(capsys.readouterr().out)
@@ -101,9 +102,10 @@ class TestChaosJson:
         assert report["cells_total"] == len(report["cells"]) > 0
         cell = report["cells"][0]
         assert {
-            "plan", "backend", "routing", "recovered", "identical",
+            "plan", "backend", "recovered", "identical",
             "ok", "attempts", "elapsed_s", "error",
         } <= set(cell)
+        assert "routing" not in cell
         assert cell["elapsed_s"] >= 0.0
 
 

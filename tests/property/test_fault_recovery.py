@@ -2,8 +2,8 @@
 
 For any seeded fault plan drawn from the chaos family, a supervised
 generation run on random small factors must converge to output
-bit-identical (canonical edge order) to the fault-free run -- across both
-routings on the thread backend, with explicit seeded process-backend
+bit-identical (canonical edge order) to the fault-free run -- on the
+thread backend, with explicit seeded process-backend
 cases (fork startup dominates, so hypothesis drives only the in-process
 backend).  This is the recovery analogue of the routed-equivalence
 property: fault injection plus retry is a no-op on the result.
@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.distributed import generate_distributed
 from repro.distributed.faults import FaultPlan, default_fault_matrix
+from repro.distributed.shuffle import bucket_edges
 from repro.distributed.supervisor import (
     SupervisorReport,
     canonical_edges,
@@ -23,6 +24,7 @@ from repro.distributed.supervisor import (
 )
 from repro.graph import erdos_renyi
 from repro.graph.generators import clique, cycle
+from repro.kronecker import kron_product
 
 NRANKS = 4
 
@@ -63,16 +65,13 @@ def fast_timeouts(monkeypatch):
 
 
 class TestRecoveryIsBitExact:
-    @given(factors=factor_pair(), plan=fault_plan(), routing_bit=st.booleans())
+    @given(factors=factor_pair(), plan=fault_plan())
     @settings(max_examples=20, deadline=None)
-    def test_thread_backend(self, factors, plan, routing_bit):
+    def test_thread_backend(self, factors, plan):
         a, b = factors
-        routing = "fused" if routing_bit else "legacy"
-        ref, _ = generate_distributed(
-            a, b, NRANKS, storage="source_block", routing=routing
-        )
+        ref, _ = generate_distributed(a, b, NRANKS, storage="source_block")
         el, _ = generate_distributed_supervised(
-            a, b, NRANKS, storage="source_block", routing=routing,
+            a, b, NRANKS, storage="source_block",
             fault_plan=plan, max_attempts=4,
         )
         np.testing.assert_array_equal(
@@ -93,24 +92,34 @@ class TestRecoveryIsBitExact:
             canonical_edges(el.edges), canonical_edges(ref.edges)
         )
 
-    @pytest.mark.parametrize("routing", ["fused", "legacy"])
+    @pytest.mark.parametrize("reference", ["fused", "legacy"])
     @pytest.mark.parametrize(
         "plan_index", [0, 3, 11]  # crash-r0-op0, drop-r0-op1, dup+crash
     )
-    def test_process_backend_seeded(self, routing, plan_index):
+    def test_process_backend_seeded(self, reference, plan_index):
+        """Recovered shards match two independent references, rank by rank:
+        the fault-free run of the fused hot path, and the legacy serial
+        pipeline (expand the product, argsort-bucket it by owner)."""
         a, b = clique(4), cycle(5)
         plan = default_fault_matrix(seed=0, nranks=NRANKS)[plan_index]
-        ref, _ = generate_distributed(
-            a, b, NRANKS, storage="source_block", routing=routing
-        )
+        if reference == "fused":
+            _, clean = generate_distributed(a, b, NRANKS, storage="source_block")
+            shards = [o.edges for o in clean]
+        else:
+            product = kron_product(a, b)
+            shards = bucket_edges(
+                product.edges, NRANKS, scheme="source_block", n=product.n,
+                method="argsort",
+            )
         rep = SupervisorReport()
-        el, _ = generate_distributed_supervised(
-            a, b, NRANKS, storage="source_block", routing=routing,
+        _, outputs = generate_distributed_supervised(
+            a, b, NRANKS, storage="source_block",
             backend="process", fault_plan=plan, max_attempts=4, report=rep,
         )
-        np.testing.assert_array_equal(
-            canonical_edges(el.edges), canonical_edges(ref.edges)
-        )
+        for out, want in zip(outputs, shards):
+            np.testing.assert_array_equal(
+                canonical_edges(out.edges), canonical_edges(want)
+            )
         assert rep.attempts >= 2  # the fault really fired
 
     def test_replay_is_deterministic(self):

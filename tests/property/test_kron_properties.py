@@ -141,3 +141,33 @@ class TestProductAlgebra:
         assert np.allclose(
             np.diag(np.kron(ka, kb)), np.kron(np.diag(ka), np.diag(kb))
         )
+
+
+# ---- chunk counts ----------------------------------------------------- #
+class TestChunkCounts:
+    """The count formulas sit beside the iterators they must match."""
+
+    @given(
+        a=edge_lists(max_n=5, max_m=9),
+        b=edge_lists(max_n=5, max_m=9),
+        delta=st.sampled_from([-3, -1, 0, 1, 4, 1000]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_counts_match_iterators(self, a, b, delta):
+        from repro.kronecker.product import (
+            dense_chunk_count,
+            iter_kron_product,
+            iter_kron_product_routed,
+            routed_chunk_count,
+        )
+
+        # chunk_size below, at and above m_B (and empty factors).
+        chunk = max(1, b.m_directed + delta)
+        ma, mb = a.m_directed, b.m_directed
+        dense = list(iter_kron_product(a, b, chunk))
+        assert len(dense) == dense_chunk_count(ma, mb, chunk)
+        assert all(0 < len(block) <= chunk for block in dense)
+        routed = list(iter_kron_product_routed(a, b, 3, a.n * b.n, chunk))
+        assert len(routed) == routed_chunk_count(ma, mb, chunk)
+        assert sum(len(block) for block in dense) == ma * mb
+        assert sum(len(blk) for piece in routed for blk in piece) == ma * mb

@@ -1,13 +1,16 @@
-"""Equivalence of the fused generate->route hot path with the legacy path.
+"""Equivalence of the fused generate->route hot path with its reference.
 
 The routed kernels, the sort-free counting scatter, and the zero-copy
-shared-memory exchange are pure optimizations: for every scheme x storage x
-backend combination they must produce exactly the edge multiset of the
-legacy expand -> argsort-bucket -> pickle pipeline.  These tests pin that
-contract with hypothesis-driven factors plus a seeded sweep over the full
-combination grid (process-backend cases run once per combination -- fork
-startup dominates -- with the shared-memory threshold forced down so the
-zero-copy path is actually exercised).
+shared-memory exchange are pure optimizations of the textbook pipeline:
+expand the serial product, bucket it by owner with a stable argsort.  That
+reference survives only at kernel level (``bucket_edges(method="argsort")``);
+these tests pin the kernels against it with hypothesis-driven factors, and
+pin *placement* -- every rank stores exactly the bucket the reference
+assigns it -- over the scheme x storage grid (process-backend cases run
+once per combination -- fork startup dominates -- with the shared-memory
+threshold forced down so the zero-copy path is actually exercised).
+Multiset equality of every plan with the serial product is
+``test_plan_oracle.py``'s job.
 """
 
 import numpy as np
@@ -84,8 +87,23 @@ class TestBucketingEquivalence:
             )
 
 
+def legacy_shards(expect: EdgeList, nranks: int, storage: str) -> list:
+    """Per-owner fingerprints of the expand -> argsort-bucket reference."""
+    buckets = bucket_edges(
+        expect.edges, nranks, scheme=storage, n=expect.n, method="argsort"
+    )
+    return [edge_key_sorted(b, expect.n) for b in buckets]
+
+
+def assert_stored_like_legacy(outputs, expect, storage):
+    assert sum(len(o.edges) for o in outputs) == expect.m_directed
+    reference = legacy_shards(expect, len(outputs), storage)
+    for out, want in zip(outputs, reference):
+        assert np.array_equal(edge_key_sorted(out.edges, expect.n), want)
+
+
 class TestGenerationEquivalence:
-    """Fused vs legacy routing across scheme x storage (thread backend)."""
+    """Generated shards vs the legacy reference across scheme x storage."""
 
     @pytest.fixture(scope="class")
     def factors(self):
@@ -97,19 +115,11 @@ class TestGenerationEquivalence:
     def test_fused_equals_legacy_thread(self, factors, scheme, storage, nranks):
         a, b = factors
         expect = kron_product(a, b)
-        results = {}
-        for routing in ("fused", "legacy"):
-            got, outputs = generate_distributed(
-                a, b, nranks, scheme=scheme, storage=storage, routing=routing
-            )
-            assert got == expect
-            # per-rank stored sets must also agree (same storage map)
-            results[routing] = [
-                edge_key_sorted(o.edges, expect.n) for o in outputs
-            ]
-            assert sum(len(o.edges) for o in outputs) == expect.m_directed
-        for fused_rank, legacy_rank in zip(results["fused"], results["legacy"]):
-            assert np.array_equal(fused_rank, legacy_rank)
+        got, outputs = generate_distributed(
+            a, b, nranks, scheme=scheme, storage=storage
+        )
+        assert got == expect
+        assert_stored_like_legacy(outputs, expect, storage)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     @pytest.mark.parametrize("storage", STORAGES)
@@ -117,8 +127,7 @@ class TestGenerationEquivalence:
         """Chunked routed emission covers every edge exactly once."""
         a, b = factors
         got, _ = generate_distributed(
-            a, b, 3, scheme=scheme, storage=storage, chunk_size=11,
-            routing="fused",
+            a, b, 3, scheme=scheme, storage=storage, chunk_size=11
         )
         assert got == kron_product(a, b)
 
@@ -135,20 +144,21 @@ def test_fused_process_backend_zero_copy(monkeypatch, scheme, storage):
     a, b = erdos_renyi(8, 0.5, seed=99), erdos_renyi(6, 0.5, seed=100)
     expect = kron_product(a, b)
     got, _ = generate_distributed(
-        a, b, 3, scheme=scheme, storage=storage, backend="process",
-        routing="fused",
+        a, b, 3, scheme=scheme, storage=storage, backend="process"
     )
     assert got == expect
 
 
 def test_legacy_process_backend_matches(monkeypatch):
+    """Shards that crossed real process boundaries match the reference."""
     monkeypatch.setattr(mpcomm, "SHM_MIN_BYTES", 1)
     a, b = erdos_renyi(8, 0.5, seed=99), erdos_renyi(6, 0.5, seed=100)
-    got, _ = generate_distributed(
-        a, b, 2, scheme="1d", storage="source_block", backend="process",
-        routing="legacy",
+    expect = kron_product(a, b)
+    got, outputs = generate_distributed(
+        a, b, 2, scheme="1d", storage="source_block", backend="process"
     )
-    assert got == kron_product(a, b)
+    assert got == expect
+    assert_stored_like_legacy(outputs, expect, "source_block")
 
 
 def test_routed_kernel_empty_blocks():

@@ -200,3 +200,81 @@ class TestScatterValidation:
             return True
 
         assert all(spmd_run(fn, 2))
+
+
+class TestWrapperBase:
+    """The four wrapper communicators share one delegating base."""
+
+    @staticmethod
+    def wrappers(inner):
+        from repro.distributed import (
+            CheckedCommunicator,
+            FaultPlan,
+            FaultyCommunicator,
+            NetworkModel,
+            SentinelLedger,
+            ThrottledCommunicator,
+        )
+        from repro.telemetry.instrument import InstrumentedCommunicator
+        from repro.telemetry.session import NULL_TELEMETRY
+
+        return [
+            CheckedCommunicator(inner, SentinelLedger(inner.size)),
+            FaultyCommunicator(inner, FaultPlan()),
+            InstrumentedCommunicator(inner, NULL_TELEMETRY),
+            ThrottledCommunicator(inner, NetworkModel(bandwidth=1e9)),
+        ]
+
+    def test_identity_and_inner(self):
+        from repro.distributed import DelegatingCommunicator
+
+        inner = make_thread_world(3)[1]
+        for wrapper in self.wrappers(inner):
+            assert isinstance(wrapper, DelegatingCommunicator)
+            assert wrapper.inner is inner
+            assert (wrapper.rank, wrapper.size) == (1, 3)
+            # Backend extras resolve through the wrapper.
+            assert wrapper.probe(0) is False
+
+    def test_copy_and_pickle_probe_without_recursion(self):
+        import copy
+        import pickle
+
+        for wrapper in self.wrappers(InlineCommunicator()):
+            assert copy.copy(wrapper).inner is wrapper.inner
+            # copy/pickle probe private and dunder names on an instance
+            # whose ``_inner`` is not set yet; delegating those recursed.
+            blank = type(wrapper).__new__(type(wrapper))
+            for name in ("_inner", "__deepcopy__"):
+                with pytest.raises(AttributeError):
+                    getattr(blank, name)
+            try:
+                clone = pickle.loads(pickle.dumps(wrapper))
+            except TypeError:
+                continue  # holds a lock (the sentinel's ledger): fine
+            assert (clone.rank, clone.size) == (0, 1)
+
+    def test_telemetry_resolves_through_full_stack(self):
+        from repro.distributed import (
+            CheckedCommunicator,
+            FaultPlan,
+            FaultyCommunicator,
+            NetworkModel,
+            SentinelLedger,
+            ThrottledCommunicator,
+        )
+        from repro.telemetry.instrument import InstrumentedCommunicator
+        from repro.telemetry.session import telemetry_of
+
+        sink = object()
+        stack = ThrottledCommunicator(
+            FaultyCommunicator(
+                CheckedCommunicator(
+                    InstrumentedCommunicator(InlineCommunicator(), sink),
+                    SentinelLedger(1),
+                ),
+                FaultPlan(),
+            ),
+            NetworkModel(bandwidth=1e9),
+        )
+        assert telemetry_of(stack) is sink

@@ -20,7 +20,7 @@ from repro.distributed.checkpoint import (
     edges_digest,
     reshard_run,
 )
-from repro.distributed.generator import generate_distributed
+from repro.distributed.generator import GenerationPlan, generate_distributed
 from repro.distributed.supervisor import (
     SupervisorReport,
     canonical_edges,
@@ -30,8 +30,10 @@ from repro.distributed.supervisor import (
 )
 from repro.errors import CheckpointCorruptionError, CheckpointError
 from repro.graph.generators import clique, cycle
-from repro.kronecker.product import DEFAULT_CHUNK
 from repro.telemetry import TelemetrySession
+
+#: The plan ``_supervised`` runs under (everything else at its default).
+PLAN = GenerationPlan(storage="source_block")
 
 
 @pytest.fixture
@@ -67,14 +69,10 @@ class TestElasticResume:
         a, b = factors
         _supervised(factors, 4, tmp_path)
         store = CheckpointStore(tmp_path)
-        family = generation_family_key(
-            a, b, "1d", "source_block", "fused", DEFAULT_CHUNK
-        )
+        family = generation_family_key(a, b, PLAN)
         manifests = [m for m in store.manifests() if m.family == family]
         assert len(manifests) == 1 and manifests[0].nranks == 4
-        new_key = generation_run_key(
-            a, b, 2, "1d", "source_block", "fused", DEFAULT_CHUNK
-        )
+        new_key = generation_run_key(a, b, 2, PLAN)
         resharded = reshard_run(
             store,
             manifests[0],
@@ -140,9 +138,7 @@ class TestCheckpointCorruption:
         a, b = factors
         el_ref, _ = _supervised(factors, 3, tmp_path)
         store = CheckpointStore(tmp_path)
-        run_key = generation_run_key(
-            a, b, 3, "1d", "source_block", "fused", DEFAULT_CHUNK
-        )
+        run_key = generation_run_key(a, b, 3, PLAN)
         path = store._path(f"{run_key}.rank00001")
         assert path.exists()
         path.write_bytes(path.read_bytes()[:-32])
@@ -160,9 +156,7 @@ class TestCheckpointCorruption:
         a, b = factors
         _supervised(factors, 3, tmp_path)
         store = CheckpointStore(tmp_path)
-        run_key = generation_run_key(
-            a, b, 3, "1d", "source_block", "fused", DEFAULT_CHUNK
-        )
+        run_key = generation_run_key(a, b, 3, PLAN)
         manifest = store.get_manifest(run_key)
         assert manifest is not None
         # Rewrite one shard after the manifest: digests no longer agree.
@@ -185,9 +179,7 @@ class TestCheckpointCorruption:
         el_ref, _ = generate_distributed(a, b, 2, storage="source_block")
         _supervised(factors, 3, tmp_path)
         store = CheckpointStore(tmp_path)
-        run_key = generation_run_key(
-            a, b, 3, "1d", "source_block", "fused", DEFAULT_CHUNK
-        )
+        run_key = generation_run_key(a, b, 3, PLAN)
         store.put(
             f"{run_key}.rank00002", np.array([[9, 9]], dtype=np.int64)
         )
@@ -203,9 +195,7 @@ class TestCheckpointCorruption:
         a, b = factors
         _supervised(factors, 3, tmp_path)
         store = CheckpointStore(tmp_path)
-        run_key = generation_run_key(
-            a, b, 3, "1d", "source_block", "fused", DEFAULT_CHUNK
-        )
+        run_key = generation_run_key(a, b, 3, PLAN)
         manifest = store.get_manifest(run_key)
         forged = RunManifest(
             run_key=manifest.run_key,

@@ -1,0 +1,254 @@
+"""GenerationPlan: one validation, derived answers, keys by construction.
+
+Also pins the driver surface the performance ledger
+(``benchmarks/ledger/gen.py``) is written against, so a later
+simplification cannot silently break the benchmark.
+"""
+
+import dataclasses
+import inspect
+
+import numpy as np
+import pytest
+
+import repro.distributed.generator as generator
+from repro.distributed import (
+    GenerationPlan,
+    RankOutput,
+    bucket_edges,
+    exchange_edges,
+    generate_distributed,
+    generate_rank,
+    spmd_run,
+)
+from repro.distributed.comm import InlineCommunicator
+from repro.distributed.supervisor import (
+    generation_family_key,
+    generation_run_key,
+)
+from repro.errors import PartitionError, RankFailedError
+from repro.graph import EdgeList
+from repro.graph.generators import clique, cycle
+from repro.kronecker import kron_product
+from repro.skg.distributed import generate_skg_distributed
+from repro.skg.model import SKGSpec
+
+SPEC = SKGSpec.from_library("polblogs", k=6, skg_seed=3)
+
+#: One alternative value per plan field, valid next to BASE's others.
+BASE = GenerationPlan(scheme="1d-pipelined", storage="source_block")
+ALTERNATIVES = {
+    "scheme": "1d",
+    "storage": "edge_hash",
+    "chunk_size": 12345,
+    "pipeline": "async",
+    "wire": "varint",
+    "skg": SPEC,
+}
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"scheme": "3d"}, "unknown scheme '3d'; use '1d'"),
+            ({"storage": "vertex_hash"}, "unknown storage"),
+            ({"pipeline": "overlapped"},
+             "unknown pipeline 'overlapped'; use 'sync' or 'async'"),
+            ({"wire": "zstd"}, "unknown wire format 'zstd'; use one of"),
+            ({"pipeline": "async"}, "requires scheme='1d-pipelined'"),
+            ({"scheme": "2d", "pipeline": "async"}, "nothing to overlap"),
+            ({"skg": "polblogs"}, "must be an SKGSpec, got str"),
+        ],
+    )
+    def test_rejected_once_with_partition_error(self, kwargs, match):
+        with pytest.raises(PartitionError, match=match):
+            GenerationPlan(**kwargs)
+
+    def test_drivers_validate_through_the_plan(self):
+        a, b = clique(3), cycle(4)
+        with pytest.raises(PartitionError, match="unknown scheme"):
+            generate_distributed(a, b, 2, scheme="3d")
+        with pytest.raises(PartitionError, match="candidate space"):
+            generate_distributed(a, b, 2, skg=SPEC)
+
+    def test_removed_axes_are_gone(self):
+        a, b = clique(3), cycle(4)
+        for removed in ("routing", "model"):
+            with pytest.raises(TypeError):
+                generate_distributed(a, b, 2, **{removed: "x"})
+
+
+class TestDerivedAnswers:
+    @pytest.mark.parametrize(
+        "scheme,storage,effective,mode",
+        [
+            ("1d", None, None, "independent"),
+            ("2d", None, None, "independent"),
+            ("1d", "edge_hash", "edge_hash", "collective"),
+            ("2d", "source_block", "source_block", "collective"),
+            ("1d-pipelined", None, "source_block", "collective"),
+            ("1d-pipelined", "edge_hash", "edge_hash", "collective"),
+        ],
+    )
+    def test_storage_exchange_and_shard_mode(
+        self, scheme, storage, effective, mode
+    ):
+        plan = GenerationPlan(scheme, storage)
+        assert plan.effective_storage == effective
+        assert plan.exchanges == (effective is not None)
+        assert plan.shard_mode == mode
+        assert plan.streams == (scheme == "1d-pipelined")
+
+
+class _NoComm(InlineCommunicator):
+    """A rank of a 3-rank world on which any communication is an error."""
+
+    def __init__(self, rank):
+        self._rank = rank
+
+    rank = property(lambda self: self._rank)
+    size = property(lambda self: 3)
+
+    def barrier(self):
+        raise AssertionError("collective in a non-exchanging program")
+
+
+class TestRankProgram:
+    @pytest.mark.parametrize("scheme", ["1d", "2d"])
+    def test_no_storage_means_no_collective(self, scheme):
+        a, b = clique(4), cycle(5)
+        plan = GenerationPlan(scheme)
+        cells = plan.partition(a, b, 3)
+        blocks = [
+            generate_rank(_NoComm(rank), plan, cells).edges
+            for rank in range(3)
+        ]
+        got = np.vstack([blk for blk in blocks if len(blk)])
+        assert EdgeList(got, a.n * b.n) == kron_product(a, b)
+
+    @pytest.mark.parametrize(
+        "storage,count",
+        [("source_block", "routed_chunk_count"),
+         ("edge_hash", "dense_chunk_count")],
+    )
+    def test_round_count_mismatch_is_partition_error(
+        self, monkeypatch, storage, count
+    ):
+        real = getattr(generator, count)
+        monkeypatch.setattr(
+            generator, count, lambda ma, mb, c: real(ma, mb, c) - 1
+        )
+        with pytest.raises(RankFailedError) as info:
+            generate_distributed(
+                clique(4), cycle(5), 2, scheme="1d-pipelined",
+                storage=storage, chunk_size=7,
+            )
+        assert isinstance(info.value.__cause__, PartitionError)
+        assert "rounds underestimated" in str(info.value)
+
+
+class TestRunKeysByConstruction:
+    def test_alternatives_cover_every_field(self):
+        names = {f.name for f in dataclasses.fields(GenerationPlan)}
+        assert names == set(ALTERNATIVES)
+
+    @pytest.mark.parametrize("field", sorted(ALTERNATIVES))
+    def test_every_field_changes_run_and_family_key(self, field):
+        a, b = clique(3), cycle(4)
+        other = dataclasses.replace(BASE, **{field: ALTERNATIVES[field]})
+        assert other != BASE
+        assert generation_run_key(a, b, 4, other) != generation_run_key(
+            a, b, 4, BASE
+        )
+        assert generation_family_key(a, b, other) != generation_family_key(
+            a, b, BASE
+        )
+
+    def test_nranks_changes_run_key_but_not_family(self):
+        a, b = clique(3), cycle(4)
+        assert generation_run_key(a, b, 4, BASE) != generation_run_key(
+            a, b, 2, BASE
+        )
+        family = generation_family_key(a, b, BASE)
+        for nranks in (2, 4):
+            key = generation_run_key(a, b, nranks, BASE)
+            assert key.replace(f"-r{nranks}-", "-r*-") == family
+
+    def test_factors_change_the_key(self):
+        assert generation_run_key(
+            clique(3), cycle(4), 4, BASE
+        ) != generation_run_key(clique(3), cycle(5), 4, BASE)
+
+    def test_skg_seed_separates_keys_and_exact_has_no_skg_token(self):
+        a, b = clique(3), cycle(4)
+        specs = [
+            SKGSpec.from_library("polblogs", k=6, skg_seed=seed)
+            for seed in range(4)
+        ]
+        keys = {
+            generation_run_key(a, b, 4, dataclasses.replace(BASE, skg=s))
+            for s in specs
+        }
+        assert len(keys) == len(specs)
+        assert "skg" not in BASE.token()
+        assert "skg" not in generation_run_key(a, b, 4, BASE)
+        assert "skg" not in generation_family_key(a, b, BASE)
+
+
+class TestLedgerDriverSurface:
+    """What ``benchmarks/ledger/gen.py`` relies on."""
+
+    AXES = {
+        "scheme": "1d", "storage": None, "backend": "thread",
+        "pipeline": "sync", "wire": "raw",
+    }
+
+    @pytest.mark.parametrize(
+        "driver", [generate_distributed, generate_skg_distributed]
+    )
+    def test_axes_are_defaulted_keywords(self, driver):
+        params = inspect.signature(driver).parameters
+        for name, default in self.AXES.items():
+            assert params[name].kind is inspect.Parameter.KEYWORD_ONLY
+            assert params[name].default == default
+        assert isinstance(params["chunk_size"].default, int)
+        assert params["runner"].default is spmd_run
+        assert params["telemetry"].default is None
+
+    @pytest.mark.parametrize("telemetry", [None, object()])
+    def test_runner_contract(self, telemetry):
+        calls = []
+
+        def runner(rank_fn, nranks, *args, **kwargs):
+            calls.append(kwargs)
+            outs = spmd_run(rank_fn, nranks, *args, backend=kwargs["backend"])
+            assert all(hasattr(o, "edges") and hasattr(o, "generated")
+                       for o in outs)
+            return outs
+
+        a, b = clique(3), cycle(4)
+        got, _ = generate_distributed(
+            a, b, 2, storage="edge_hash", runner=runner, telemetry=telemetry
+        )
+        assert got == kron_product(a, b)
+        el, _ = generate_skg_distributed(
+            SPEC, 2, runner=runner, telemetry=telemetry
+        )
+        assert len(calls) == 2
+        expected = {"backend"} | ({"telemetry"} if telemetry else set())
+        assert all(set(kwargs) == expected for kwargs in calls)
+
+    def test_rank_output_is_positional(self):
+        edges = np.zeros((1, 2), dtype=np.int64)
+        out = RankOutput(3, edges, 7)
+        assert (out.rank, out.edges, out.generated) == (3, edges, 7)
+
+    def test_shuffle_entry_points_keep_their_signatures(self):
+        bucket = inspect.signature(bucket_edges).parameters
+        assert list(bucket)[:2] == ["edges", "nparts"]
+        assert bucket["method"].default == "scatter"
+        assert {"scheme", "n", "method"} <= set(bucket)
+        exchange = inspect.signature(exchange_edges).parameters
+        assert list(exchange) == ["comm", "outgoing", "wire"]
+        assert exchange["wire"].kind is inspect.Parameter.KEYWORD_ONLY

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distributed import generate_distributed
+from repro.distributed import GenerationPlan, generate_distributed
 from repro.distributed.supervisor import generation_run_key
 from repro.errors import PartitionError
 from repro.graph import cycle, erdos_renyi
@@ -74,12 +74,10 @@ class TestPipelined1D:
 
 class TestAsyncPipeline:
     @pytest.mark.parametrize("wire", ["raw", "varint"])
-    @pytest.mark.parametrize("routing", ["fused", "legacy"])
-    def test_matches_serial(self, factors, wire, routing):
+    def test_matches_serial(self, factors, wire):
         a, b = factors
         got, _ = generate_distributed(
-            a, b, 4, scheme="1d-pipelined", routing=routing,
-            pipeline="async", wire=wire,
+            a, b, 4, scheme="1d-pipelined", pipeline="async", wire=wire
         )
         assert got == kron_product(a, b)
 
@@ -158,8 +156,8 @@ class TestAsyncPipeline:
         a, b = factors
         keys = {
             generation_run_key(
-                a, b, 4, "1d-pipelined", "source_block", "fused", 1 << 14,
-                pipeline=p, wire=w,
+                a, b, 4,
+                GenerationPlan("1d-pipelined", pipeline=p, wire=w),
             )
             for p in ("sync", "async")
             for w in ("raw", "varint")

@@ -2,7 +2,7 @@
 
 The stochastic tier's one promise is that a fixed ``(seed_matrix,
 skg_seed)`` names *one* graph, no matter how the candidate space is
-enumerated: every scheme x storage x routing x pipeline x wire x
+enumerated: every scheme x storage x pipeline x wire x
 backend combination, supervised retry under faults, and checkpointed
 elastic re-sharding must reproduce the serial oracle bit-for-bit.
 Also covers the run-key digest folding, telemetry counters, the
@@ -16,6 +16,8 @@ import pytest
 
 from repro.cli import main
 from repro.distributed.faults import FaultPlan
+from repro.distributed.generator import GenerationPlan
+from repro.distributed.shuffle import bucket_edges
 from repro.distributed.supervisor import (
     SupervisorReport,
     canonical_edges,
@@ -23,7 +25,6 @@ from repro.distributed.supervisor import (
     generation_run_key,
 )
 from repro.errors import ReproError
-from repro.kronecker.product import DEFAULT_CHUNK
 from repro.skg.distributed import (
     generate_skg_distributed,
     generate_skg_supervised,
@@ -86,8 +87,13 @@ class TestDistributedBitIdentity:
         check(el, oracle)
 
     def test_legacy_routing(self, oracle):
-        el, _ = generate_skg_distributed(SPEC, 4, routing="legacy")
-        check(el, oracle)
+        """Accepted edges land where the argsort reference routes them."""
+        _, outputs = generate_skg_distributed(SPEC, 4, storage="edge_hash")
+        reference = bucket_edges(
+            oracle, 4, scheme="edge_hash", n=SPEC.n, method="argsort"
+        )
+        for out, want in zip(outputs, reference):
+            check(out, canonical_edges(want))
 
     def test_process_backend(self, oracle):
         el, _ = generate_skg_distributed(SPEC, 2, backend="process")
@@ -117,28 +123,27 @@ class TestDistributedBitIdentity:
 class TestRunKeys:
     def test_digest_folds_into_run_and_family_keys(self):
         a, b = skg_candidate_factors(SPEC.k)
-        args = (a, b, 4, "1d", "source_block", "fused", DEFAULT_CHUNK)
-        exact = generation_run_key(*args)
-        skg = generation_run_key(*args, model="skg", skg=SPEC)
-        other = generation_run_key(
-            *args, model="skg",
-            skg=SKGSpec.from_library("polblogs", k=6, skg_seed=4),
-        )
-        assert len({exact, skg, other}) == 3
-        assert f"{SPEC.digest():016x}" in skg
-        fam = generation_family_key(
-            a, b, "1d", "source_block", "fused", DEFAULT_CHUNK,
-            model="skg", skg=SPEC,
-        )
-        assert f"{SPEC.digest():016x}" in fam
+        exact = GenerationPlan(storage="source_block")
+        keys = {
+            generation_run_key(a, b, 4, plan)
+            for plan in (
+                exact,
+                GenerationPlan(storage="source_block", skg=SPEC),
+                GenerationPlan(
+                    storage="source_block",
+                    skg=SKGSpec.from_library("polblogs", k=6, skg_seed=4),
+                ),
+            )
+        }
+        assert len(keys) == 3
+        skg = GenerationPlan(storage="source_block", skg=SPEC)
+        assert f"{SPEC.digest():016x}" in generation_run_key(a, b, 4, skg)
+        assert f"{SPEC.digest():016x}" in generation_family_key(a, b, skg)
+        assert "skg" not in generation_run_key(a, b, 4, exact)
 
     def test_skg_model_requires_spec(self):
-        a, b = skg_candidate_factors(SPEC.k)
-        with pytest.raises(ReproError, match="requires an SKG spec"):
-            generation_run_key(
-                a, b, 4, "1d", "source_block", "fused", DEFAULT_CHUNK,
-                model="skg",
-            )
+        with pytest.raises(ReproError, match="must be an SKGSpec"):
+            GenerationPlan(skg="polblogs")
 
 
 class TestSupervisedAndElastic:

@@ -3,6 +3,7 @@
 import os
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ import repro.distributed.mpcomm as mpcomm
 from repro.distributed import spmd_run
 from repro.distributed.checkpoint import CheckpointStore, edges_digest
 from repro.distributed.faults import FaultPlan
-from repro.distributed.generator import RankOutput, generate_distributed
+from repro.distributed.generator import (
+    GenerationPlan,
+    RankOutput,
+    generate_distributed,
+)
 from repro.distributed.supervisor import (
     SupervisorReport,
     canonical_edges,
@@ -186,9 +191,10 @@ class TestCheckpointing:
 
     def test_run_key_separates_configurations(self):
         a, b = clique(3), cycle(4)
-        k1 = generation_run_key(a, b, 4, "1d", "source_block", "fused", 100)
-        k2 = generation_run_key(a, b, 4, "1d", "source_block", "legacy", 100)
-        k3 = generation_run_key(a, b, 2, "1d", "source_block", "fused", 100)
+        plan = GenerationPlan(storage="source_block", chunk_size=100)
+        k1 = generation_run_key(a, b, 4, plan)
+        k2 = generation_run_key(a, b, 4, replace(plan, storage="edge_hash"))
+        k3 = generation_run_key(a, b, 2, plan)
         assert len({k1, k2, k3}) == 3
 
 
