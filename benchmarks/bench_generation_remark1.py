@@ -17,11 +17,10 @@ from repro.kronecker import kron_product
 def test_bench_generation(benchmark, bench_er_pair, scheme, nranks):
     """Wall-clock of distributed generation per scheme and rank count."""
     a, b = bench_er_pair
-    backend = "inline" if nranks == 1 else "thread"
     c, _ = benchmark.pedantic(
         generate_distributed,
         args=(a, b, nranks),
-        kwargs={"scheme": scheme, "backend": backend},
+        kwargs={"scheme": scheme},
         rounds=3,
         iterations=1,
     )

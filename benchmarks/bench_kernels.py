@@ -131,16 +131,11 @@ def test_bench_bfs_multi(benchmark, big_factor):
     assert levels.shape == (256, csr.n)
 
 
-@pytest.mark.parametrize("method", ["loop", "batched"])
-def test_bench_hop_matrix(benchmark, big_factor, method):
-    """All-pairs hops on the n=400 scale-free factor: per-vertex loop vs
-    batched multi-source BFS (the Fig. 1 / validation workload)."""
+def test_bench_hop_matrix(benchmark, big_factor):
+    """All-pairs hops on the n=400 scale-free factor through the batched
+    multi-source BFS (the Fig. 1 / validation workload)."""
     out = benchmark.pedantic(
-        hop_matrix,
-        args=(big_factor,),
-        kwargs={"method": method},
-        rounds=3,
-        iterations=1,
+        hop_matrix, args=(big_factor,), rounds=3, iterations=1
     )
     assert out.shape == (big_factor.n, big_factor.n)
 

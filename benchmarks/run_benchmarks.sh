@@ -8,9 +8,11 @@
 # acceptance bars are read from:
 #   - test_bench_bucketing[source_block-scatter] must be >= 2x faster than
 #     test_bench_bucketing[source_block-argsort] on the 1M-edge block;
-#   - test_bench_routed_expansion[routed] must beat [legacy];
-#   - test_bench_hop_matrix[batched] must beat [loop].
-# Compare against the committed baseline in benchmarks/baselines/.
+#   - test_bench_routed_expansion[routed] must beat [legacy], the
+#     kernel-level expand-then-argsort-bucket reference (no generator
+#     path of that name exists any more).
+# test_bench_hop_matrix has one variant (batched multi-source BFS); compare
+# it, like the rest, against the committed baseline in benchmarks/baselines/.
 # End-to-end generation and serving performance is the ledger's job:
 # see benchmarks/ledger/README.md.
 

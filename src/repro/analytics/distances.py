@@ -5,18 +5,17 @@ story: expensive direct computations on a materialized graph, against which
 the sublinear Kronecker formulas of :mod:`repro.groundtruth` are checked.
 All-pairs routines cost the O(|V||E|) BFS volume the paper cites, but run
 through the batched multi-source kernel
-(:func:`repro.analytics.bfs.bfs_levels_multi`) by default: K sources
-advance per vectorized sweep, removing the one-Python-BFS-per-vertex loop
-that used to dominate every validation experiment.  ``method="loop"``
-selects the legacy per-vertex path; both produce bit-identical hop counts
-(BFS levels are canonical), which ``tests/unit/test_distances.py`` pins.
+(:func:`repro.analytics.bfs.bfs_levels_multi`): K sources advance per
+vectorized sweep instead of one Python BFS per vertex.  BFS levels are
+canonical, so the hop counts are bit-identical to the single-source
+kernel's, which ``tests/unit/test_bfs_multi.py`` pins vertex by vertex.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.analytics.bfs import UNREACHABLE, bfs_hops, bfs_hops_multi
+from repro.analytics.bfs import UNREACHABLE, bfs_hops_multi
 from repro.errors import AssumptionError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
@@ -40,34 +39,19 @@ def _as_csr(g: EdgeList | CSRGraph) -> CSRGraph:
     return g if isinstance(g, CSRGraph) else CSRGraph.from_edgelist(g)
 
 
-def _check_method(method: str) -> None:
-    if method not in ("batched", "loop"):
-        raise ValueError(f"unknown method {method!r}; use 'batched' or 'loop'")
-
-
 def hop_matrix(
     g: EdgeList | CSRGraph,
     *,
     selfloop_convention: bool = True,
-    method: str = "batched",
 ) -> np.ndarray:
     """All-pairs hop counts (Def. 9 convention by default).
 
     Returns an ``(n, n)`` int64 matrix with ``-1`` marking unreachable
     pairs.  Memory is O(n^2); use only on factor-scale graphs.
-    ``method="loop"`` runs the legacy one-BFS-per-vertex path (bit-identical
-    output, kept for A/B validation).
     """
-    _check_method(method)
-    csr = _as_csr(g)
-    if method == "batched":
-        return bfs_hops_multi(
-            csr, selfloop_convention=selfloop_convention, batch=_BATCH
-        )
-    out = np.empty((csr.n, csr.n), dtype=np.int64)
-    for v in range(csr.n):
-        out[v] = bfs_hops(csr, v, selfloop_convention=selfloop_convention)
-    return out
+    return bfs_hops_multi(
+        _as_csr(g), selfloop_convention=selfloop_convention, batch=_BATCH
+    )
 
 
 def hop_matrix_def9(g: EdgeList | CSRGraph) -> np.ndarray:
@@ -93,7 +77,6 @@ def eccentricities(
     g: EdgeList | CSRGraph,
     *,
     selfloop_convention: bool = True,
-    method: str = "batched",
 ) -> np.ndarray:
     """Exact vertex eccentricities (Def. 11).
 
@@ -102,18 +85,8 @@ def eccentricities(
     :class:`AssumptionError` if the graph is disconnected, where
     eccentricity is undefined (infinite).
     """
-    _check_method(method)
     csr = _as_csr(g)
     out = np.empty(csr.n, dtype=np.int64)
-    if method == "loop":
-        for v in range(csr.n):
-            hops = bfs_hops(csr, v, selfloop_convention=selfloop_convention)
-            if np.any(hops == UNREACHABLE):
-                raise AssumptionError(
-                    "eccentricity undefined on a disconnected graph"
-                )
-            out[v] = hops.max()
-        return out
     for start in range(0, csr.n, _BATCH):
         cols = np.arange(start, min(start + _BATCH, csr.n), dtype=np.int64)
         hops = bfs_hops_multi(
@@ -156,21 +129,14 @@ def closeness_centralities(
     g: EdgeList | CSRGraph,
     *,
     selfloop_convention: bool = True,
-    method: str = "batched",
 ) -> np.ndarray:
     """Exact closeness centrality of every vertex.
 
     Like :func:`eccentricities`, sweeps batches of sources through the
     multi-source BFS kernel and reduces each row immediately.
     """
-    _check_method(method)
     csr = _as_csr(g)
     out = np.empty(csr.n, dtype=np.float64)
-    if method == "loop":
-        for v in range(csr.n):
-            hops = bfs_hops(csr, v, selfloop_convention=selfloop_convention)
-            out[v] = closeness_from_hops(hops)
-        return out
     for start in range(0, csr.n, _BATCH):
         cols = np.arange(start, min(start + _BATCH, csr.n), dtype=np.int64)
         hops = bfs_hops_multi(

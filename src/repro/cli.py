@@ -624,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--list-seed-matrices", action="store_true",
                    help="print the fitted seed-matrix library and exit")
     g.add_argument("--backend",
-                   choices=("inline", "thread", "process", "socket"),
+                   choices=("thread", "process", "socket"),
                    default="thread")
     g.add_argument("--chunk-size", type=int, default=1 << 20)
     g.add_argument("--rendezvous", default=None,
@@ -745,7 +745,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--wire", choices=("raw", "varint"), default="raw",
                     help="edge wire format for every exchange")
     tr.add_argument("--backend",
-                    choices=("inline", "thread", "process", "socket"),
+                    choices=("thread", "process", "socket"),
                     default="thread")
     tr.add_argument("--rendezvous", default=None,
                     help="host:port of a running serve-rendezvous (socket "

@@ -2,11 +2,8 @@
 
 from repro.distributed.comm import (
     AlltoallRequest,
-    CompletedRequest,
     Communicator,
     DelegatingCommunicator,
-    InlineCommunicator,
-    RecvRequest,
     Request,
     ThreadCommunicator,
     make_thread_world,
@@ -88,10 +85,7 @@ __all__ = [
     "Communicator",
     "DelegatingCommunicator",
     "Request",
-    "CompletedRequest",
-    "RecvRequest",
     "AlltoallRequest",
-    "InlineCommunicator",
     "ThreadCommunicator",
     "make_thread_world",
     "poll_interval",

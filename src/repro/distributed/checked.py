@@ -30,8 +30,8 @@ a production path.  Point-to-point ``send``/``recv`` are deliberately not
 fingerprinted -- rank-asymmetric p2p is the normal SPMD idiom.
 
 The side channel is in-process shared state, so checked mode covers the
-``inline`` and ``thread`` backends; the fork-based process backend would
-need a shared-memory ledger and is rejected explicitly rather than
+``thread`` backend; the fork-based process and socket backends would
+need a shared-memory ledger and are rejected explicitly rather than
 silently unchecked.
 """
 
@@ -171,13 +171,6 @@ class CheckedCommunicator(DelegatingCommunicator):
         self._timeout = timeout
         self._seq = 0
 
-    # ---- point-to-point: not fingerprinted (base pass-through) ----------
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        return self._inner.isend(obj, dest, tag)
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        return self._inner.irecv(source, tag)
-
     # ---- sentinel core ---------------------------------------------------
     def finish(self) -> None:
         """Announce this rank's program completed (launcher calls this)."""
@@ -244,10 +237,6 @@ class CheckedCommunicator(DelegatingCommunicator):
         self._enter("allreduce")
         return self._inner.allreduce(obj, op)
 
-    def scatter(self, objs: list[Any] | None, root: int = 0) -> Any:
-        self._enter("scatter")
-        return self._inner.scatter(objs, root)
-
     def alltoall(self, objs: list[Any]) -> list[Any]:
         self._enter("alltoall")
         return self._inner.alltoall(objs)
@@ -256,11 +245,7 @@ class CheckedCommunicator(DelegatingCommunicator):
         # The *start* is the symmetric event every rank must reach in the
         # same order -- fingerprint it.  The wait is rank-local (ranks may
         # overlap different amounts of compute before finishing), so
-        # ``alltoall_finish`` is deliberately unfingerprinted; without
-        # explicit methods here ``__getattr__`` would route both past the
-        # sentinel entirely.
+        # ``alltoall_finish`` is deliberately left to the base: it waits
+        # the inner request, unfingerprinted.
         self._enter("alltoall_start")
         return self._inner.alltoall_start(objs)
-
-    def alltoall_finish(self, request: Request) -> list[Any]:
-        return self._inner.alltoall_finish(request)

@@ -4,17 +4,19 @@ The paper's generator is built on an asynchronous message-passing runtime
 (HavoqGT over MPI).  We reproduce the programming model with a
 :class:`Communicator` interface exposing the point-to-point and collective
 operations the generator needs (``send``/``recv``, ``barrier``, ``bcast``,
-``gather``, ``allgather``, ``allreduce``, ``alltoall``) and two in-process
-implementations:
-
-* :class:`InlineCommunicator` -- the trivial single-rank world;
-* :class:`ThreadCommunicator` -- ranks are threads with queue mailboxes,
-  giving real interleaved execution (numpy releases the GIL in the kernels
-  that matter) with zero serialization cost.
+``gather``, ``allgather``, ``allreduce``, ``alltoall`` and its split-phase
+``alltoall_start``/``alltoall_finish``) and one in-process implementation,
+:class:`ThreadCommunicator`: ranks are threads with queue mailboxes, giving
+real interleaved execution (numpy releases the GIL in the kernels that
+matter) with zero serialization cost.  A world of size 1 is the trivial
+single-rank case: every collective returns locally.
 
 A ``multiprocessing`` implementation lives in
-:mod:`repro.distributed.mpcomm`; all three satisfy the same contract, and
-the test suite runs the generator against each.
+:mod:`repro.distributed.mpcomm` and a TCP one in
+:mod:`repro.distributed.sockcomm`; all three satisfy the same contract, and
+the test suite runs the generator against each.  The contract is exactly as
+wide as the rank programs of this repository need -- a transport supplies
+``rank``/``size``/``send``/``recv`` and inherits the rest.
 
 The collectives follow mpi4py's lowercase-object semantics: Python objects
 in, Python objects out, with numpy arrays passed by reference inside one
@@ -34,11 +36,8 @@ from repro.errors import CommunicatorError
 __all__ = [
     "Communicator",
     "Request",
-    "CompletedRequest",
-    "RecvRequest",
     "AlltoallRequest",
     "DelegatingCommunicator",
-    "InlineCommunicator",
     "ThreadCommunicator",
     "make_thread_world",
     "recv_timeout",
@@ -90,25 +89,18 @@ def poll_interval() -> float:
 
 
 class Request(ABC):
-    """Handle for an in-flight nonblocking operation (MPI ``Request``).
+    """Handle for an in-flight split-phase exchange (MPI ``Request``).
 
     ``wait()`` blocks until the operation completes and returns its
-    result (``None`` for sends, the received object for ``irecv``, the
-    received list for ``alltoall_start``).  Waiting a completed request
-    again returns the cached result -- MPI semantics, and what makes the
-    split-phase API forgiving to drive from wrappers.
-
-    ``test()`` is a non-blocking completion poll: it returns ``True``
-    once the operation has completed, *completing it* if every pending
-    message is already deliverable (so a ``True`` means a subsequent
-    ``wait()`` will not block).  Backends without a ``probe`` method
-    make ``test()`` conservatively return ``False`` until ``wait()``.
+    result (the received list for ``alltoall_start``).  Waiting a
+    completed request again returns the cached result -- MPI semantics,
+    and what makes the split-phase API forgiving to drive from wrappers.
 
     Completion contract
     -------------------
-    The buffer passed to ``isend``/``alltoall_start`` is **owned by the
-    runtime until the request completes**: mutating it before ``wait()``
-    races the (possibly zero-copy) delivery.  ``repro.lint``'s
+    The buffer passed to ``alltoall_start`` is **owned by the runtime
+    until the request completes**: mutating it before ``wait()`` races
+    the (possibly zero-copy) delivery.  ``repro.lint``'s
     ``inflight-buffer`` rule flags such mutations statically.  Requests
     on the same ``(peer, tag)`` channel must be waited in issue order;
     the generator keeps at most one exchange in flight, which trivially
@@ -118,49 +110,6 @@ class Request(ABC):
     @abstractmethod
     def wait(self) -> Any:
         """Block until complete; return the operation's result."""
-
-    @abstractmethod
-    def test(self) -> bool:
-        """Non-blockingly poll for completion (may complete the op)."""
-
-
-class CompletedRequest(Request):
-    """An already-complete request (e.g. a locally-buffered send)."""
-
-    def __init__(self, value: Any = None) -> None:
-        self._value = value
-
-    def wait(self) -> Any:
-        return self._value
-
-    def test(self) -> bool:
-        return True
-
-
-class RecvRequest(Request):
-    """Deferred receive: completes on ``wait()`` (or ``test()`` when the
-    backend can probe and the message has already arrived)."""
-
-    def __init__(self, comm: "Communicator", source: int, tag: int) -> None:
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._done = False
-        self._value: Any = None
-
-    def wait(self) -> Any:
-        if not self._done:
-            self._value = self._comm.recv(self._source, self._tag)
-            self._done = True
-        return self._value
-
-    def test(self) -> bool:
-        if self._done:
-            return True
-        probe = getattr(self._comm, "probe", None)
-        if probe is not None and probe(self._source, self._tag):
-            self.wait()
-        return self._done
 
 
 class AlltoallRequest(Request):
@@ -180,27 +129,14 @@ class AlltoallRequest(Request):
     ) -> None:
         self._comm = comm
         self._out = out
-        self._pending = list(pending)
+        self._pending = pending
         self._tag = tag
-        self._done = not self._pending
 
     def wait(self) -> list[Any]:
-        if not self._done:
-            for r in self._pending:
-                self._out[r] = self._comm.recv(r, self._tag)
-            self._pending = []
-            self._done = True
+        for r in self._pending:
+            self._out[r] = self._comm.recv(r, self._tag)
+        self._pending = []
         return self._out
-
-    def test(self) -> bool:
-        if self._done:
-            return True
-        probe = getattr(self._comm, "probe", None)
-        if probe is not None and all(
-            probe(r, self._tag) for r in self._pending
-        ):
-            self.wait()
-        return self._done
 
 
 class Communicator(ABC):
@@ -225,33 +161,39 @@ class Communicator(ABC):
     def recv(self, source: int, tag: int = 0) -> Any:
         """Blocking receive of the next message from ``source`` with ``tag``."""
 
-    # ---- nonblocking point-to-point --------------------------------------
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Nonblocking send; the returned request completes on delivery.
-
-        The in-process backends buffer sends, so the default issues the
-        send immediately and returns a :class:`CompletedRequest` -- but
-        callers must still honor the ownership contract (no mutation of
-        ``obj`` before ``wait()``) so the same code is correct on a
-        backend with genuinely deferred sends.
-        """
-        self.send(obj, dest, tag)
-        return CompletedRequest(None)
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Nonblocking receive; ``wait()`` returns the message."""
-        return RecvRequest(self, source, tag)
-
-    # ---- collectives -----------------------------------------------------
-    @abstractmethod
-    def barrier(self) -> None:
-        """Block until all ranks arrive."""
-
     def _check_dest(self, dest: int) -> None:
         if not (0 <= dest < self.size):
             raise CommunicatorError(
                 f"destination rank {dest} out of range for size {self.size}"
             )
+
+    def _check_peer(self, peer: int, op: str) -> None:
+        """Guard a transport's ``send``/``recv``: in range and not self.
+
+        A rank's own collective contribution never travels (the base
+        collectives place it locally), and a self-addressed message would
+        sit behind the very ``recv`` that is meant to drain it.
+        """
+        self._check_dest(peer)
+        if peer == self.rank:
+            raise CommunicatorError(
+                f"{op} on rank {peer} addressed to itself is not supported"
+            )
+
+    # ---- collectives -----------------------------------------------------
+    def barrier(self) -> None:
+        """Block until all ranks arrive.
+
+        Dissemination barrier over point-to-point messages, log2(size)
+        rounds: in round ``k`` each rank signals ``(rank + 2**k) % size``
+        and waits for ``(rank - 2**k) % size``.  Transports with a native
+        primitive (the thread world) override it.
+        """
+        k = 1
+        while k < self.size:
+            self.send(None, (self.rank + k) % self.size, tag=-100 - k)
+            self.recv((self.rank - k) % self.size, tag=-100 - k)
+            k *= 2
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         """Broadcast ``obj`` from ``root``; every rank returns the value."""
@@ -289,19 +231,18 @@ class Communicator(ABC):
             acc = op(acc, v)
         return acc
 
-    def scatter(self, objs: list[Any] | None, root: int = 0) -> Any:
-        """Distribute ``objs[r]`` to rank ``r`` from ``root``."""
-        self._check_dest(root)
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise CommunicatorError(
-                    f"scatter at root needs exactly {self.size} objects"
-                )
-            for r in range(self.size):
-                if r != root:
-                    self.send(objs[r], r, tag=-3)
-            return objs[root]
-        return self.recv(root, tag=-3)
+    def _alltoall_issue(self, objs: list[Any], tag: int, op: str) -> Request:
+        """Send every peer its entry now; receives wait on the request."""
+        if len(objs) != self.size:
+            raise CommunicatorError(
+                f"{op} needs exactly {self.size} objects, got {len(objs)}"
+            )
+        out: list[Any] = [None] * self.size
+        out[self.rank] = objs[self.rank]
+        peers = [r for r in range(self.size) if r != self.rank]
+        for r in peers:
+            self.send(objs[r], r, tag)
+        return AlltoallRequest(self, out, peers, tag)
 
     def alltoall(self, objs: list[Any]) -> list[Any]:
         """Personalized exchange: rank r sends ``objs[s]`` to rank s.
@@ -322,19 +263,7 @@ class Communicator(ABC):
         :func:`repro.distributed.shuffle.exchange_edges` is the reference
         consumer.
         """
-        if len(objs) != self.size:
-            raise CommunicatorError(
-                f"alltoall needs exactly {self.size} objects, got {len(objs)}"
-            )
-        out: list[Any] = [None] * self.size
-        out[self.rank] = objs[self.rank]
-        for r in range(self.size):
-            if r != self.rank:
-                self.send(objs[r], r, tag=-4)
-        for r in range(self.size):
-            if r != self.rank:
-                out[r] = self.recv(r, tag=-4)
-        return out
+        return self._alltoall_issue(objs, -4, "alltoall").wait()
 
     def alltoall_start(self, objs: list[Any]) -> Request:
         """Split-phase alltoall: issue all sends now, defer the receives.
@@ -350,18 +279,7 @@ class Communicator(ABC):
         Uses its own tag (``-5``) so a split-phase exchange can never
         cross wires with a blocking :meth:`alltoall`.
         """
-        if len(objs) != self.size:
-            raise CommunicatorError(
-                f"alltoall_start needs exactly {self.size} objects, "
-                f"got {len(objs)}"
-            )
-        out: list[Any] = [None] * self.size
-        out[self.rank] = objs[self.rank]
-        for r in range(self.size):
-            if r != self.rank:
-                self.send(objs[r], r, tag=-5)
-        pending = [r for r in range(self.size) if r != self.rank]
-        return AlltoallRequest(self, out, pending, tag=-5)
+        return self._alltoall_issue(objs, -5, "alltoall_start")
 
     def alltoall_finish(self, request: Request) -> list[Any]:
         """Complete a split-phase exchange started by :meth:`alltoall_start`."""
@@ -373,17 +291,17 @@ class DelegatingCommunicator(Communicator):
 
     Supplies identity (``rank``/``size``/``inner``), pass-through
     ``send``/``recv``/``barrier``, and attribute delegation for backend
-    extras (``probe``, ``free_received_buffers``, fault ``counters``,
-    ``finish``, ...), so a wrapper stack exposes the whole surface of what
+    extras (``free_received_buffers``, fault ``counters``, ``finish``,
+    ``close``, ...), so a wrapper stack exposes the whole surface of what
     it wraps and each subclass states only what it intercepts.
 
-    The collectives and the nonblocking surface are deliberately *not*
-    forwarded here: a wrapper that intercepts the p2p primitives (fault
-    injection, emulated wire) inherits the :class:`Communicator`
-    decompositions so collective traffic flows through its ``send``/
-    ``recv``, while one that intercepts whole collectives (sentinel,
-    instrumentation) forwards each to ``inner`` itself so a user-level
-    collective is seen exactly once.
+    The collectives are deliberately *not* forwarded here: a wrapper that
+    intercepts the p2p primitives (fault injection, emulated wire)
+    inherits the :class:`Communicator` decompositions so collective
+    traffic flows through its ``send``/``recv``, while one that
+    intercepts whole collectives (sentinel, instrumentation) forwards
+    each to ``inner`` itself so a user-level collective is seen exactly
+    once.
     """
 
     def __init__(self, inner: Communicator) -> None:
@@ -421,27 +339,6 @@ class DelegatingCommunicator(Communicator):
         self._inner.barrier()
 
 
-class InlineCommunicator(Communicator):
-    """The single-rank world: all operations are local no-ops."""
-
-    @property
-    def rank(self) -> int:
-        return 0
-
-    @property
-    def size(self) -> int:
-        return 1
-
-    def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        raise CommunicatorError("send to self is not supported (size-1 world)")
-
-    def recv(self, source: int, tag: int = 0) -> Any:
-        raise CommunicatorError("recv in a size-1 world can never complete")
-
-    def barrier(self) -> None:
-        return None
-
-
 class _ThreadWorld:
     """Shared state for one thread-backed world: mailboxes + barrier."""
 
@@ -475,15 +372,11 @@ class ThreadCommunicator(Communicator):
         return self._world.size
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._check_dest(dest)
-        if dest == self._rank:
-            raise CommunicatorError("send to self would deadlock recv ordering")
+        self._check_peer(dest, "send")
         self._world.box(dest, self._rank, tag).put(obj)
 
     def recv(self, source: int, tag: int = 0) -> Any:
-        self._check_dest(source)
-        if source == self._rank:
-            raise CommunicatorError("recv from self is not supported")
+        self._check_peer(source, "recv")
         timeout = recv_timeout()
         try:
             return self._world.box(self._rank, source, tag).get(
@@ -496,19 +389,6 @@ class ThreadCommunicator(Communicator):
                 f"sent or died -- run under REPRO_CHECK_COLLECTIVES=1 to "
                 f"diagnose collective-order divergence"
             ) from exc
-
-    def probe(self, source: int, tag: int = 0) -> bool:
-        """True if a message from ``source`` with ``tag`` is deliverable.
-
-        Optional backend surface (deliberately *not* on the ABC, so the
-        wrapper stack's ``__getattr__`` delegation reaches the backend's
-        implementation): :meth:`Request.test` uses it to complete a
-        deferred receive without blocking.
-        """
-        self._check_dest(source)
-        if source == self._rank:
-            raise CommunicatorError("probe from self is not supported")
-        return not self._world.box(self._rank, source, tag).empty()
 
     def barrier(self) -> None:
         timeout = recv_timeout()

@@ -185,12 +185,12 @@ class FaultyCommunicator(DelegatingCommunicator):
     collective traffic on every backend.  ``barrier`` delegates to the
     inner backend's (possibly native) implementation and counts as one op.
 
-    The nonblocking surface (``isend``/``irecv``/``alltoall_start``/
-    ``alltoall_finish``) is likewise inherited: the base defaults issue
-    sends through :meth:`send` (so drops/dups/delays/crashes fire while
-    the phase is in flight) and defer receives into the returned request,
-    whose ``wait()`` runs through :meth:`recv` -- injected faults hit the
-    split-phase exchange with no extra plumbing here.
+    The split-phase ``alltoall_start``/``alltoall_finish`` is likewise
+    inherited: the base issues sends through :meth:`send` (so
+    drops/dups/delays/crashes fire while the phase is in flight) and
+    defers receives into the returned request, whose ``wait()`` runs
+    through :meth:`recv` -- injected faults hit the split-phase exchange
+    with no extra plumbing here.
     """
 
     def __init__(

@@ -482,8 +482,7 @@ def generate_distributed(
         raise :class:`~repro.errors.PartitionError`.  With ``skg`` the
         factors must enumerate the spec's candidate space.
     backend:
-        Launcher backend (``"thread"``, ``"process"``, ``"socket"``, or
-        ``"inline"`` for ``nranks == 1``).
+        Launcher backend (``"thread"``, ``"process"`` or ``"socket"``).
     runner:
         The launch function, ``spmd_run``-compatible.  The supervised
         launcher (:func:`repro.distributed.supervisor.spmd_run_supervised`)

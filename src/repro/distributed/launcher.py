@@ -6,10 +6,9 @@ returns the per-rank results in rank order -- the moral equivalent of
 
 Backends
 --------
-``"inline"``:
-    only valid for ``nranks == 1``; runs in the caller's thread.
 ``"thread"`` (default):
-    one Python thread per rank over queue mailboxes.
+    one Python thread per rank over queue mailboxes; a single rank runs
+    in the caller's thread.
 ``"process"``:
     one forked OS process per rank (``fn`` and its arguments must be
     picklable).  When the platform has no ``fork`` start method the
@@ -23,12 +22,18 @@ Backends
     rendezvous degrades to the process backend with a
     :class:`~repro.errors.DegradationWarning`.
 
+Every backend runs the same rank entry (:func:`_run_rank`: build the
+communicator, wrap it, run, ship the result) under the same collection
+loop (:func:`_run_world`); they differ only in what builds a rank's
+communicator and whether a thread or a forked process carries it.
+
 A rank raising an exception cancels the run and re-raises in the caller as
 :class:`~repro.errors.RankFailedError` (naming the failing rank), rather
-than deadlocking peers.  The process backend additionally polls child
-liveness: a rank killed without reporting (segfault, OOM, ``kill -9``)
-surfaces as :class:`~repro.errors.RankDiedError` within a few poll
-intervals instead of blocking until the result-queue timeout.
+than deadlocking peers.  The collection loop polls child liveness: a rank
+killed without reporting (segfault, OOM, ``kill -9``) surfaces as
+:class:`~repro.errors.RankDiedError` within a few poll intervals instead
+of blocking until the result-queue timeout, and no child process outlives
+the call -- one still alive past the reap window is killed.
 
 Every wait in this module derives from
 :func:`repro.distributed.comm.recv_timeout`, so one environment variable
@@ -45,11 +50,10 @@ import socket
 import threading
 import traceback
 import warnings
+from functools import partial
 from typing import Any, Callable
 
-from repro.distributed.checked import CheckedCommunicator
 from repro.distributed.comm import (
-    InlineCommunicator,
     make_thread_world,
     poll_interval,
     recv_timeout,
@@ -89,73 +93,56 @@ _REAP_FACTOR = 0.5
 _DEAD_GRACE_POLLS = 3
 
 
-def _run_threads(
+def _run_rank(
+    rank: int,
+    build_comm: Callable[[int], Any],
+    wrap_comm: CommWrapper | None,
     fn: RankFn,
-    nranks: int,
     args: tuple,
-    checked: bool | None,
-    wrap_comm: CommWrapper | None = None,
-) -> list[Any]:
-    comms = make_thread_world(nranks, checked=checked, wrap=wrap_comm)
-    results: list[Any] = [None] * nranks
-    errors: list[tuple[int, BaseException, str]] = []
-    lock = threading.Lock()
+    result_q,
+    keep_cause: bool,
+) -> None:
+    """The one rank entry, whatever carries the rank (thread or child).
 
-    def worker(r: int) -> None:
-        try:
-            results[r] = fn(comms[r], *args)
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            with lock:
-                errors.append((r, exc, traceback.format_exc()))
-        finally:
-            if isinstance(comms[r], CheckedCommunicator):
-                # Tell the sentinel this rank's program is over, so peers
-                # still waiting on a collective fail fast with a
-                # divergence diagnostic instead of a timeout.
-                comms[r].finish()
-
-    threads = [
-        threading.Thread(target=worker, args=(r,), name=f"rank-{r}", daemon=True)
-        for r in range(nranks)
-    ]
-    for t in threads:
-        t.start()
-    deadline = monotonic() + _RUN_TIMEOUT_FACTOR * recv_timeout()
-    while True:
-        alive = [t for t in threads if t.is_alive()]
-        if not alive:
-            break
-        with lock:
-            failed = bool(errors)
-        if failed:
-            # Fail fast: surviving rank threads are daemonic and unwind on
-            # their own recv/barrier timeouts; their world is discarded.
-            break
-        if monotonic() > deadline:
-            raise CommunicatorError(
-                "SPMD run deadlocked (thread join timed out after "
-                f"{_RUN_TIMEOUT_FACTOR:g} x recv_timeout)"
-            )
-        alive[0].join(timeout=poll_interval())
-    with lock:
-        if errors:
-            rank, exc, tb = errors[0]
-            raise RankFailedError(rank, type(exc).__name__, tb) from exc
-    return results
-
-
-def _process_entry(
-    fn, pipes, rank, size, args, result_q, wrap_comm=None
-):  # pragma: no cover - runs in the child process
-    # Exceptions are shipped back as (type name, traceback) strings; the
-    # type name lets the supervisor judge retryability across the hop.
+    Build the communicator, wrap it, run the program, and ship
+    ``(rank, True, result, None)`` or ``(rank, False, (type name,
+    traceback, extra), cause)``.  The type name lets the supervisor judge
+    retryability across a process hop, where exception objects do not
+    reliably survive pickling; inside one process (``keep_cause``) the
+    live exception rides along and becomes the ``__cause__`` of the
+    :class:`RankFailedError`.  ``extra`` carries peer liveness when the
+    failure has it (``RankDiedError`` from the socket heartbeat detector:
+    last-heartbeat age and peer address).
+    """
+    comm = None
     try:
-        comm = ProcessCommunicator(pipes, rank, size)
+        comm = build_comm(rank)
         if wrap_comm is not None:
             comm = wrap_comm(comm)
-        result_q.put((rank, True, fn(comm, *args)))
-    except BaseException as exc:  # noqa: BLE001
-        result_q.put((rank, False, (type(exc).__name__, traceback.format_exc())))
+        result_q.put((rank, True, fn(comm, *args), None))
+    except BaseException as exc:  # noqa: BLE001 - reported to the caller
+        extra = {}
+        if getattr(exc, "address", None) is not None:
+            extra = {
+                "heartbeat_age_s": getattr(exc, "heartbeat_age_s", None),
+                "address": exc.address,
+            }
+        result_q.put(
+            (rank, False, (type(exc).__name__, traceback.format_exc(), extra),
+             exc if keep_cause else None)
+        )
+        if not isinstance(exc, Exception):
+            raise  # interrupt/exit: reported for the peers, never swallowed
+    finally:
+        # Both resolve through the wrapper stack.  The sentinel's
+        # ``finish`` says this rank's program is over, so peers still
+        # waiting on a collective fail fast with a divergence diagnostic
+        # instead of a timeout; the socket transport's ``close`` tears
+        # down its mesh.
+        for hook in ("finish", "close"):
+            release = getattr(comm, hook, None)
+            if release is not None:
+                release()
 
 
 def _fork_context() -> mp.context.BaseContext | None:
@@ -168,7 +155,7 @@ def _fork_context() -> mp.context.BaseContext | None:
 
 def _describe_exit(exitcode: int | None) -> str:
     if exitcode is None:
-        return "still starting"
+        return "ended without an exit code"
     if exitcode < 0:
         try:
             name = signal.Signals(-exitcode).name
@@ -186,35 +173,59 @@ def _rank_roster(reported: set[int], nranks: int) -> str:
     )
 
 
-def _collect_results(
-    procs: dict[int, "mp.process.BaseProcess"],
-    result_q,
+def _run_world(
+    ctx: mp.context.BaseContext | None,
+    ranks: tuple[int, ...],
     nranks: int,
+    build_comm: Callable[[int], Any],
+    wrap_comm: CommWrapper | None,
+    fn: RankFn,
+    args: tuple,
 ) -> list[Any]:
-    """Drain child results, watching liveness; reap; raise on failure.
+    """Start one child per rank, drain results watching liveness, reap.
 
-    ``procs`` maps rank -> child process for the ranks this launch owns
-    (all of them for the process backend; possibly a subset for a
-    multi-host socket launch).  The returned list always has ``nranks``
-    slots; ranks not launched here stay ``None``.
+    ``ctx`` is the fork context whose processes carry the ranks, or
+    ``None`` for threads of this process -- where a lone rank needs no
+    thread at all and runs on the caller's.  ``ranks`` are the ranks this
+    launch owns (a subset for a multi-host socket launch); the returned
+    list always has ``nranks`` slots and ranks launched elsewhere stay
+    ``None``.  No child outlives this function: whatever is still alive
+    past the reap window is killed.
     """
+    threads = ctx is None
+    result_q = queue.Queue() if threads else ctx.Queue()
+
+    def entry(rank: int) -> tuple:
+        return (rank, build_comm, wrap_comm, fn, args, result_q, threads)
+
+    children: dict[int, Any] = {}
+    if threads and nranks == 1:
+        _run_rank(*entry(0))
+    else:
+        spawn = threading.Thread if threads else ctx.Process
+        for r in ranks:
+            children[r] = spawn(
+                target=_run_rank, args=entry(r), name=f"rank-{r}", daemon=True
+            )
+            children[r].start()
+
     results: list[Any] = [None] * nranks
     reported: set[int] = set()
     failure: CommunicatorError | None = None
     timeout = _RUN_TIMEOUT_FACTOR * recv_timeout()
     deadline = monotonic() + timeout
     dead_since: dict[int, float] = {}
-    while len(reported) < len(procs):
+    while len(reported) < len(ranks):
         poll = poll_interval()
         try:
-            rank, ok, payload = result_q.get(timeout=poll)
+            rank, ok, payload, cause = result_q.get(timeout=poll)
         except queue.Empty:
             now = monotonic()
             # Liveness: a child that died without reporting will never put
             # a result; give its (possibly already queued) result a few
             # polls to drain through the feeder thread, then declare it.
-            for r, p in procs.items():
-                if r in reported or p.is_alive():
+            for r, child in children.items():
+                if r in reported or child.is_alive():
                     dead_since.pop(r, None)
                 else:
                     dead_since.setdefault(r, now)
@@ -225,7 +236,8 @@ def _collect_results(
             )
             if confirmed:
                 detail = ", ".join(
-                    f"rank {r} {_describe_exit(procs[r].exitcode)}"
+                    f"rank {r} "
+                    f"{_describe_exit(getattr(children[r], 'exitcode', None))}"
                     for r in confirmed
                 )
                 failure = RankDiedError(
@@ -247,134 +259,34 @@ def _collect_results(
             results[rank] = payload
             reported.add(rank)
         else:
-            # 2-tuple from the process backend; the socket entry appends a
-            # dict of peer-liveness enrichment (heartbeat age, address).
-            original_type, tb = payload[0], payload[1]
-            extra = payload[2] if len(payload) > 2 else {}
+            original_type, tb, extra = payload
             failure = RankFailedError(rank, original_type, tb, **extra)
+            failure.__cause__ = cause
             break
-    reap = _REAP_FACTOR * recv_timeout()
-    for p in procs.values():
+
+    reap_by = monotonic() + _REAP_FACTOR * recv_timeout()
+    if threads:
+        # Threads cannot be stopped.  After a failure the survivors are
+        # daemonic and unwind on their own recv/barrier timeouts (their
+        # world is discarded), so fail fast; after success every rank has
+        # reported and only its cleanup is left to wait for.
+        if failure is None:
+            for child in children.values():
+                child.join(timeout=max(0.0, reap_by - monotonic()))
+    else:
         if failure is not None:
-            p.terminate()
-        p.join(timeout=reap)
+            for child in children.values():
+                child.terminate()
+        for child in children.values():
+            child.join(timeout=max(0.0, reap_by - monotonic()))
+            if child.is_alive():
+                # Ignored SIGTERM, or a clean result followed by a hung
+                # exit: past the reap window nothing is left to wait for.
+                child.kill()
+                child.join()
     if failure is not None:
         raise failure
     return results
-
-
-def _run_processes(
-    fn: RankFn,
-    nranks: int,
-    args: tuple,
-    ctx: mp.context.BaseContext,
-    wrap_comm: CommWrapper | None = None,
-) -> list[Any]:
-    pipes = make_process_pipes(nranks, ctx)
-    result_q = ctx.Queue()
-    procs = {
-        r: ctx.Process(
-            target=_process_entry,
-            args=(fn, pipes, r, nranks, args, result_q, wrap_comm),
-            daemon=True,
-        )
-        for r in range(nranks)
-    }
-    for p in procs.values():
-        p.start()
-    return _collect_results(procs, result_q, nranks)
-
-
-def _socket_entry(
-    fn, rendezvous_addr, rank, size, args, result_q, wrap_comm=None
-):  # pragma: no cover - runs in the child process
-    # Same shipping contract as _process_entry, plus socket-specific
-    # enrichment: when the failure carries peer liveness (RankDiedError
-    # from the heartbeat detector), the last-heartbeat age and peer
-    # address survive the pickle hop as a kwargs dict.
-    from repro.distributed.sockcomm import SocketCommunicator
-
-    comm = None
-    try:
-        comm = SocketCommunicator.connect(rendezvous_addr, rank, size)
-        wrapped = wrap_comm(comm) if wrap_comm is not None else comm
-        result_q.put((rank, True, fn(wrapped, *args)))
-    except BaseException as exc:  # noqa: BLE001
-        extra = {}
-        if getattr(exc, "address", None) is not None:
-            extra = {
-                "heartbeat_age_s": getattr(exc, "heartbeat_age_s", None),
-                "address": exc.address,
-            }
-        result_q.put(
-            (rank, False,
-             (type(exc).__name__, traceback.format_exc(), extra))
-        )
-    finally:
-        if comm is not None:
-            comm.close()
-
-
-def _run_socket_processes(
-    fn: RankFn,
-    nranks: int,
-    args: tuple,
-    ctx: mp.context.BaseContext,
-    wrap_comm: CommWrapper | None,
-    rendezvous: str | None,
-    local_ranks: tuple[int, ...] | None,
-) -> list[Any]:
-    from repro.distributed.sockcomm import (
-        RendezvousServer,
-        parse_hostport,
-    )
-
-    server: RendezvousServer | None = None
-    if rendezvous is None:
-        # Single-host launch: bring up a private rendezvous for this run.
-        server = RendezvousServer().start()
-        addr = server.address
-    else:
-        addr = parse_hostport(rendezvous)
-        try:
-            probe = socket.create_connection(addr, timeout=recv_timeout())
-            probe.close()
-        except OSError as exc:
-            if local_ranks is not None:
-                # A partial world cannot fall back to a single-host
-                # backend: the other hosts would wait forever.
-                raise CommunicatorError(
-                    f"rendezvous at {rendezvous} unreachable ({exc}) and "
-                    f"local_ranks={local_ranks!r} rules out a single-host "
-                    f"fallback"
-                ) from exc
-            reason = f"rendezvous at {rendezvous} unreachable: {exc}"
-            record_degradation("socket backend", "process backend", reason)
-            warnings.warn(
-                DegradationWarning("socket backend", "process backend",
-                                   reason),
-                stacklevel=2,
-            )
-            return _run_processes(fn, nranks, args, ctx, wrap_comm)
-    ranks = tuple(local_ranks) if local_ranks is not None else tuple(
-        range(nranks)
-    )
-    try:
-        result_q = ctx.Queue()
-        procs = {
-            r: ctx.Process(
-                target=_socket_entry,
-                args=(fn, addr, r, nranks, args, result_q, wrap_comm),
-                daemon=True,
-            )
-            for r in ranks
-        }
-        for p in procs.values():
-            p.start()
-        return _collect_results(procs, result_q, nranks)
-    finally:
-        if server is not None:
-            server.stop()
 
 
 def spmd_run(
@@ -400,15 +312,16 @@ def spmd_run(
         Extra positional arguments passed to every rank (replicated inputs,
         like the paper's replicated factor ``B``).
     backend:
-        ``"inline"``, ``"thread"``, or ``"process"``.
+        ``"thread"``, ``"process"`` or ``"socket"`` (see the module
+        docstring).
     checked:
         Run under the collective-order sentinel
         (:mod:`repro.distributed.checked`): divergent collective sequences
         raise a diagnostic naming both call sites instead of deadlocking.
         ``None`` defers to the ``REPRO_CHECK_COLLECTIVES`` environment
-        variable (thread backend only; the single-rank inline world is
-        trivially symmetric, and the fork-based process backend rejects an
-        explicit ``checked=True`` rather than silently skipping the check).
+        variable (thread backend only; the fork-based process and socket
+        backends reject an explicit ``checked=True`` rather than silently
+        skipping the check).
     wrap_comm:
         Optional per-rank communicator wrapper applied beneath the sentinel
         -- the fault-injection hook (:mod:`repro.distributed.faults`).
@@ -462,40 +375,10 @@ def _dispatch(
     rendezvous: str | None = None,
     local_ranks: tuple[int, ...] | None = None,
 ) -> list[Any]:
-    if backend == "inline":
-        if nranks != 1:
-            raise CommunicatorError("inline backend supports only nranks == 1")
-        comm = InlineCommunicator()
-        if wrap_comm is not None:
-            comm = wrap_comm(comm)
-        return [fn(comm, *args)]
-    if backend == "thread":
-        return _run_threads(fn, nranks, args, checked, wrap_comm)
-    if backend == "process":
-        if checked:
-            raise CommunicatorError(
-                "checked collective mode needs in-process shared state; "
-                "it supports the thread backend only"
-            )
-        ctx = _fork_context()
-        if ctx is None:  # pragma: no cover - non-posix
-            record_degradation(
-                "process backend",
-                "thread backend",
-                "fork start method unavailable on this platform",
-            )
-            warnings.warn(
-                DegradationWarning(
-                    "process backend",
-                    "thread backend",
-                    "fork start method unavailable on this platform",
-                ),
-                stacklevel=2,
-            )
-            return _run_threads(fn, nranks, args, checked=False,
-                                wrap_comm=wrap_comm)
-        return _run_processes(fn, nranks, args, ctx, wrap_comm)
-    if backend == "socket":
+    if backend not in ("thread", "process", "socket"):
+        raise CommunicatorError(f"unknown backend {backend!r}")
+    ctx = None
+    if backend != "thread":
         if checked:
             raise CommunicatorError(
                 "checked collective mode needs in-process shared state; "
@@ -504,14 +387,63 @@ def _dispatch(
         ctx = _fork_context()
         if ctx is None:  # pragma: no cover - non-posix
             reason = "fork start method unavailable on this platform"
-            record_degradation("socket backend", "thread backend", reason)
+            record_degradation(f"{backend} backend", "thread backend", reason)
             warnings.warn(
-                DegradationWarning("socket backend", "thread backend",
+                DegradationWarning(f"{backend} backend", "thread backend",
                                    reason),
                 stacklevel=2,
             )
-            return _run_threads(fn, nranks, args, checked=False,
-                                wrap_comm=wrap_comm)
-        return _run_socket_processes(fn, nranks, args, ctx, wrap_comm,
-                                     rendezvous, local_ranks)
-    raise CommunicatorError(f"unknown backend {backend!r}")
+            backend, checked = "thread", False
+    server = None
+    if backend == "socket":
+        from repro.distributed.sockcomm import (
+            RendezvousServer,
+            SocketCommunicator,
+            parse_hostport,
+        )
+
+        if rendezvous is None:
+            # Single-host launch: a private rendezvous for this run.
+            server = RendezvousServer().start()
+            addr = server.address
+        else:
+            addr = parse_hostport(rendezvous)
+            try:
+                socket.create_connection(addr, timeout=recv_timeout()).close()
+            except OSError as exc:
+                if local_ranks is not None:
+                    # A partial world cannot fall back to a single-host
+                    # backend: the other hosts would wait forever.
+                    raise CommunicatorError(
+                        f"rendezvous at {rendezvous} unreachable ({exc}) and "
+                        f"local_ranks={local_ranks!r} rules out a single-host "
+                        f"fallback"
+                    ) from exc
+                reason = f"rendezvous at {rendezvous} unreachable: {exc}"
+                record_degradation("socket backend", "process backend", reason)
+                warnings.warn(
+                    DegradationWarning("socket backend", "process backend",
+                                       reason),
+                    stacklevel=2,
+                )
+                backend = "process"
+    ranks = tuple(range(nranks)) if local_ranks is None else tuple(local_ranks)
+    if backend == "thread":
+        # The world is built whole: its ranks share mailboxes, and the
+        # sentinel has to sit above ``wrap_comm``.  The rank entry is
+        # handed each finished stack and has nothing left to wrap.
+        build_comm = make_thread_world(
+            nranks, checked=checked, wrap=wrap_comm
+        ).__getitem__
+        wrap_comm = None
+    elif backend == "process":
+        build_comm = partial(
+            ProcessCommunicator, make_process_pipes(nranks, ctx), size=nranks
+        )
+    else:
+        build_comm = partial(SocketCommunicator.connect, addr, size=nranks)
+    try:
+        return _run_world(ctx, ranks, nranks, build_comm, wrap_comm, fn, args)
+    finally:
+        if server is not None:
+            server.stop()

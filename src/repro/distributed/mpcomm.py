@@ -169,9 +169,7 @@ class ProcessCommunicator(Communicator):
 
     # ---- point-to-point ------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._check_dest(dest)
-        if dest == self._rank:
-            raise CommunicatorError("send to self is not supported")
+        self._check_peer(dest, "send")
         if self._shm_eligible(obj):
             try:
                 obj = _shm_wrap(obj)
@@ -196,9 +194,7 @@ class ProcessCommunicator(Communicator):
         self._pipes[self._rank][dest].put((tag, obj))
 
     def recv(self, source: int, tag: int = 0) -> Any:
-        self._check_dest(source)
-        if source == self._rank:
-            raise CommunicatorError("recv from self is not supported")
+        self._check_peer(source, "recv")
         key = (source, tag)
         stash = self._stash.get(key)
         if stash:
@@ -218,40 +214,3 @@ class ProcessCommunicator(Communicator):
             if got_tag == tag:
                 return obj
             self._stash.setdefault((source, got_tag), []).append(obj)
-
-    def probe(self, source: int, tag: int = 0) -> bool:
-        """True if a message from ``source`` with ``tag`` is deliverable.
-
-        Drains whatever is already sitting on the incoming queue into the
-        tag stash (unwrapping zero-copy descriptors as ``recv`` would) so
-        the answer accounts for messages queued under other tags; never
-        blocks.  Optional backend surface -- see
-        :meth:`ThreadCommunicator.probe`.
-        """
-        self._check_dest(source)
-        if source == self._rank:
-            raise CommunicatorError("probe from self is not supported")
-        if self._stash.get((source, tag)):
-            return True
-        q = self._pipes[source][self._rank]
-        while True:
-            try:
-                got_tag, obj = q.get_nowait()
-            except Exception:  # queue.Empty re-exported differently
-                return False
-            obj = self._shm_unwrap(obj)
-            self._stash.setdefault((source, got_tag), []).append(obj)
-            if got_tag == tag:
-                return True
-
-    def barrier(self) -> None:
-        """Dissemination barrier over point-to-point messages.
-
-        log2(size) rounds: in round ``k`` each rank signals
-        ``(rank + 2**k) % size`` and waits for ``(rank - 2**k) % size``.
-        """
-        k = 1
-        while k < self._size:
-            self.send(None, (self._rank + k) % self._size, tag=-100 - k)
-            self.recv((self._rank - k) % self._size, tag=-100 - k)
-            k *= 2

@@ -19,10 +19,10 @@ Two bucketing kernels are provided:
     the stable comparison sort, kept as the kernel-level reference the
     property tests and ``bench_kernels.py`` compare the scatter against.
 
-The exchange itself comes blocking (:func:`exchange_edges`) and split-phase
-(:func:`exchange_edges_start` / :func:`exchange_edges_finish`); the
-generator drives the split-phase pair, whose ``wire`` check guards these
-public entry points independently of the plan's.
+The exchange itself is split-phase (:func:`exchange_edges_start` /
+:func:`exchange_edges_finish`, what the generator drives);
+:func:`exchange_edges` is the pair finished at once.  The ``wire`` check
+guards these public entry points independently of the plan's.
 """
 
 from __future__ import annotations
@@ -234,16 +234,12 @@ def exchange_edges(
     ``wire="varint"`` compresses each bucket before the collective and
     decodes on receipt (:mod:`repro.distributed.wire`); the received
     *multiset* of edges is identical, but rows arrive sorted per block.
+
+    The blocking form is the split-phase pair finished at once.
     """
-    _check_wire(wire)
-    tel = telemetry_of(comm)
-    with tel.span("exchange", cat="phase"):
-        tel.add("edges.routed", sum(len(b) for b in outgoing if b is not None))
-        payload = _encode_outgoing(outgoing, wire, tel)
-        incoming = comm.alltoall(payload)
-        received = _stack_received(incoming)
-    tel.add("edges.received", len(received))
-    return received
+    return exchange_edges_finish(
+        comm, exchange_edges_start(comm, outgoing, wire=wire)
+    )
 
 
 def exchange_edges_start(
@@ -269,10 +265,9 @@ def exchange_edges_start(
 def exchange_edges_finish(comm: Communicator, request: Request) -> np.ndarray:
     """Complete a split-phase exchange; returns the stacked received edges.
 
-    Emits the same ``exchange`` span and ``edges.received`` counter as the
-    blocking :func:`exchange_edges`, so phase-level trace consumers see a
-    single exchange regardless of pipeline mode (the span now covers only
-    the wait + decode, with issue time under ``exchange.issue``).
+    Emits one ``exchange`` span and the ``edges.received`` counter per
+    exchange regardless of pipeline mode (the span covers the wait +
+    decode, with issue time under ``exchange.issue``).
     """
     tel = telemetry_of(comm)
     with tel.span("exchange", cat="phase"):

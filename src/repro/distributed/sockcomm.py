@@ -2,7 +2,7 @@
 
 The paper's deployment shape is genuinely multi-machine (HavoqGT/MPI at
 up to 1.57M cores); this module gives the SPMD runtime a backend that
-spans hosts: :class:`SocketCommunicator` implements the full
+spans hosts: :class:`SocketCommunicator` implements the
 :class:`~repro.distributed.comm.Communicator` contract over a TCP full
 mesh, bootstrapped through a tiny rendezvous service
 (:class:`RendezvousServer`, also ``repro-kron serve-rendezvous``).
@@ -18,7 +18,10 @@ per-peer monotonic sequence number.  ``HEARTBEAT`` frames double as
 cumulative acknowledgements: the ``seq`` field carries the highest DATA
 sequence the sender has delivered from this peer, which prunes the
 sender-side replay buffer.  ``HELLO`` identifies the dialing rank when a
-connection (or reconnection) is established.
+connection (or reconnection) is established.  Only DATA frames have a
+body: a ``HELLO`` or ``HEARTBEAT`` announcing one is rejected from its
+header alone, so a connection that has not yet presented a valid HELLO
+can never make this rank read (or allocate) a length of its choosing.
 
 Self-healing
 ------------
@@ -94,6 +97,11 @@ _REFUSED_LIMIT = 3
 #: Listen backlog: every higher rank may dial before our accept loop runs.
 _BACKLOG = 128
 
+#: Largest registration the rendezvous reads from a not-yet-trusted
+#: connection.  A pickled ``("register", size, rank, host, port)`` tuple is
+#: tens of bytes; the rest is headroom for long host names.
+_MAX_REGISTRATION_BYTES = 4096
+
 
 def parse_hostport(spec: str) -> tuple[str, int]:
     """Parse ``"host:port"`` (the ``--rendezvous`` flag format)."""
@@ -147,14 +155,30 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def _read_frame(sock: socket.socket) -> tuple[int, int, int, int, bytes]:
-    """Read one frame; returns ``(kind, src, tag, seq, payload)``."""
+def _read_header(sock: socket.socket) -> tuple[int, int, int, int, int]:
+    """Read one frame header; returns ``(kind, src, tag, seq, length)``.
+
+    Only DATA frames carry a payload, so any other kind announcing one is
+    malformed (or hostile) and is refused before a single body byte is
+    read.
+    """
     header = _read_exact(sock, _HEADER.size)
     magic, kind, src, tag, seq, length = _HEADER.unpack(header)
     if magic != FRAME_MAGIC:
         raise CommunicatorError(
             f"bad frame magic {magic!r} (not a repro socket peer?)"
         )
+    if length and kind != _K_DATA:
+        raise CommunicatorError(
+            f"frame of kind {kind} announces a {length}-byte payload; only "
+            f"DATA frames carry one"
+        )
+    return kind, src, tag, seq, length
+
+
+def _read_frame(sock: socket.socket) -> tuple[int, int, int, int, bytes]:
+    """Read one frame; returns ``(kind, src, tag, seq, payload)``."""
+    kind, src, tag, seq, length = _read_header(sock)
     payload = _read_exact(sock, length) if length else b""
     return kind, src, tag, seq, payload
 
@@ -164,8 +188,13 @@ def _send_blob(sock: socket.socket, obj: Any) -> None:
     sock.sendall(struct.pack("<Q", len(payload)) + payload)
 
 
-def _recv_blob(sock: socket.socket) -> Any:
+def _recv_blob(sock: socket.socket, max_bytes: int | None = None) -> Any:
+    """Read one length-prefixed pickle; refuse a prefix over ``max_bytes``."""
     (length,) = struct.unpack("<Q", _read_exact(sock, 8))
+    if max_bytes is not None and length > max_bytes:
+        raise CommunicatorError(
+            f"blob announces {length} bytes, over the {max_bytes}-byte cap"
+        )
     return pickle.loads(_read_exact(sock, length))
 
 
@@ -228,12 +257,11 @@ class _Peer:
 class SocketCommunicator(Communicator):
     """One rank of a TCP-mesh world (see module docstring).
 
-    Collectives, ``isend``/``irecv``, and the split-phase
-    ``alltoall_start``/``alltoall_finish`` are inherited from the
-    :class:`Communicator` base and therefore route through the framed,
-    sequence-numbered point-to-point primitives -- replay/dedup protects
-    collective traffic with no extra plumbing.  ``probe`` exposes the
-    optional non-blocking surface the split-phase requests use.
+    Collectives (the dissemination barrier and the split-phase
+    ``alltoall_start``/``alltoall_finish`` included) are inherited from
+    the :class:`Communicator` base and therefore route through the
+    framed, sequence-numbered point-to-point primitives -- replay/dedup
+    protects collective traffic with no extra plumbing.
     """
 
     def __init__(
@@ -371,9 +399,7 @@ class SocketCommunicator(Communicator):
         self._heartbeat_tick()
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        self._check_dest(dest)
-        if dest == self._rank:
-            raise CommunicatorError("send to self would deadlock recv ordering")
+        self._check_peer(dest, "send")
         peer = self._peers[dest]
         self._raise_if_dead(peer)
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
@@ -401,9 +427,7 @@ class SocketCommunicator(Communicator):
                 self._conn_broken(peer, sock)
 
     def recv(self, source: int, tag: int = 0) -> Any:
-        self._check_dest(source)
-        if source == self._rank:
-            raise CommunicatorError("recv from self is not supported")
+        self._check_peer(source, "recv")
         peer = self._peers[source]
         box = self._box(source, tag)
         timeout = recv_timeout()
@@ -422,21 +446,6 @@ class SocketCommunicator(Communicator):
                     f"({self._age_desc(peer)}) -- the sender never sent or "
                     f"is stalled"
                 )
-
-    def probe(self, source: int, tag: int = 0) -> bool:
-        """True if a message from ``source`` with ``tag`` is deliverable."""
-        self._check_dest(source)
-        if source == self._rank:
-            raise CommunicatorError("probe from self is not supported")
-        return not self._box(source, tag).empty()
-
-    def barrier(self) -> None:
-        """Dissemination barrier: log2(size) point-to-point rounds."""
-        k = 1
-        while k < self._size:
-            self.send(None, (self._rank + k) % self._size, tag=-100 - k)
-            self.recv((self._rank - k) % self._size, tag=-100 - k)
-            k *= 2
 
     def close(self) -> None:
         """Tear down sockets and background threads (idempotent)."""
@@ -624,7 +633,9 @@ class SocketCommunicator(Communicator):
                 return  # listener closed
             try:
                 conn.settimeout(recv_timeout())
-                kind, src, _tag, token, _payload = _read_frame(conn)
+                # Header only: nothing on an unauthenticated connection
+                # is worth a body read (a HELLO has none by construction).
+                kind, src, _tag, token, _length = _read_header(conn)
             except (OSError, ConnectionError, CommunicatorError):
                 conn.close()
                 continue
@@ -809,11 +820,19 @@ class RendezvousServer:
     def stop(self) -> None:
         self._closed = True
         try:
+            # close() alone leaves the accept thread blocked in accept()
+            # for good; shutdown() wakes it so it can see the flag.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already closed
+            pass
+        try:
             self._listener.close()
         except OSError:  # pragma: no cover
             pass
         with self._cond:
             self._cond.notify_all()
+        if self._thread is not None:
+            self._thread.join(timeout=recv_timeout())
 
     def __enter__(self) -> "RendezvousServer":
         return self.start()
@@ -828,17 +847,20 @@ class RendezvousServer:
             except OSError:
                 return
             threading.Thread(
-                target=self._serve, args=(conn,), daemon=True
+                target=self._serve, args=(conn,), name="rendezvous-serve",
+                daemon=True,
             ).start()
 
     def _serve(self, conn: socket.socket) -> None:
         try:
             conn.settimeout(recv_timeout())
             try:
-                msg = _recv_blob(conn)
+                msg = _recv_blob(conn, _MAX_REGISTRATION_BYTES)
             except (OSError, ConnectionError, EOFError,
-                    pickle.UnpicklingError):
-                return  # probe connections close without registering
+                    pickle.UnpicklingError, CommunicatorError):
+                # Probe connections close without registering; an
+                # oversized prefix is dropped before anything is allocated.
+                return
             if (
                 not isinstance(msg, tuple)
                 or len(msg) != 5

@@ -94,8 +94,7 @@ def run_fig1(
     """
     a = factor if factor is not None else gnutella_like(n=factor_n, seed=seed)
     # --- distributed generation of C = A (x) A (paper Section III) -------
-    c, _outputs = generate_distributed(a, a, nranks, scheme="2d",
-                                       backend="thread" if nranks > 1 else "inline")
+    c, _outputs = generate_distributed(a, a, nranks, scheme="2d")
     # --- direct (expensive) eccentricities on C --------------------------
     direct = exact_eccentricities(c)
     # --- ground truth from the factor alone ------------------------------

@@ -101,9 +101,8 @@ def run_remark1(
     result = Remark1Result()
     for scheme in ("1d", "2d"):
         for ranks in measured_ranks:
-            backend = "inline" if ranks == 1 else "thread"
             t0 = time.perf_counter()
-            c, _ = generate_distributed(a, b, ranks, scheme=scheme, backend=backend)
+            c, _ = generate_distributed(a, b, ranks, scheme=scheme)
             dt = time.perf_counter() - t0
             result.measured.append(
                 MeasuredPoint(scheme, ranks, dt, c.m_directed)

@@ -41,8 +41,8 @@ from pathlib import Path
 from repro.lint.ops import (
     COLLECTIVE_OPS,
     FINISH_OPS,
+    INFLIGHT_OPS,
     MUTATOR_METHODS,
-    REQUEST_OPS,
     attr_chain,
     base_name,
     call_method,
@@ -672,7 +672,7 @@ class _Extractor:
         if not isinstance(expr, ast.Call):
             return False
         method = call_method(expr)
-        if method in COLLECTIVE_OPS | REQUEST_OPS | FINISH_OPS:
+        if method in COLLECTIVE_OPS | INFLIGHT_OPS | FINISH_OPS:
             return True
         return self._callee_chain(expr) is not None
 
@@ -681,7 +681,7 @@ class _Extractor:
         chain = attr_chain(call.func)
         if chain is None:
             return None
-        if chain[-1] in COLLECTIVE_OPS | REQUEST_OPS | FINISH_OPS | MUTATOR_METHODS:
+        if chain[-1] in COLLECTIVE_OPS | INFLIGHT_OPS | FINISH_OPS | MUTATOR_METHODS:
             return None
         return chain
 
@@ -706,12 +706,8 @@ class _Extractor:
                 )
             )
             return
-        if method in REQUEST_OPS:
-            buffers = (
-                _roots(call.args[0])
-                if method != "irecv" and call.args
-                else ()
-            )
+        if method in INFLIGHT_OPS:
+            buffers = _roots(call.args[0]) if call.args else ()
             out.append(
                 self._place(
                     OpNode(
@@ -774,12 +770,8 @@ class _Extractor:
                         OpNode(kind="collective", op=method), sub, guard
                     )
                 )
-            elif method in REQUEST_OPS:
-                buffers = (
-                    _roots(sub.args[0])
-                    if method != "irecv" and sub.args
-                    else ()
-                )
+            elif method in INFLIGHT_OPS:
+                buffers = _roots(sub.args[0]) if sub.args else ()
                 out.append(
                     self._place(
                         OpNode(

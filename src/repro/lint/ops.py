@@ -15,7 +15,6 @@ __all__ = [
     "COLLECTIVE_OPS",
     "RECEIVING_OPS",
     "INFLIGHT_OPS",
-    "REQUEST_OPS",
     "FINISH_OPS",
     "MUTATOR_METHODS",
     "attr_chain",
@@ -28,22 +27,18 @@ __all__ = [
 
 #: The collective operations of :class:`repro.distributed.comm.Communicator`.
 COLLECTIVE_OPS = frozenset(
-    {"barrier", "bcast", "gather", "allgather", "allreduce", "alltoall", "scatter"}
+    {"barrier", "bcast", "gather", "allgather", "allreduce", "alltoall"}
 )
 
 #: Operations whose return value is a received (possibly shared) buffer.
 RECEIVING_OPS = frozenset(
-    {"recv", "alltoall", "allgather", "gather", "bcast", "scatter",
-     "alltoall_finish"}
+    {"recv", "alltoall", "allgather", "gather", "bcast", "alltoall_finish"}
 )
 
-#: Nonblocking operations whose buffer argument stays owned by the
-#: runtime until the returned request is waited on.
-INFLIGHT_OPS = frozenset({"isend", "alltoall_start"})
-
-#: Nonblocking operations returning a :class:`Request` that must be
-#: completed (``INFLIGHT_OPS`` plus the buffer-less ``irecv``).
-REQUEST_OPS = INFLIGHT_OPS | {"irecv"}
+#: Split-phase operations: they return a :class:`Request` that must be
+#: completed, and their buffer argument stays owned by the runtime until
+#: it is.
+INFLIGHT_OPS = frozenset({"alltoall_start"})
 
 #: Operations that complete an in-flight request.
 FINISH_OPS = frozenset({"wait", "alltoall_finish"})

@@ -10,7 +10,7 @@ one backend that happens to flag it (process backend) -- a latent,
 backend-dependent bug.
 
 This rule taints names bound to ``recv``/``alltoall``/``allgather``/
-``gather``/``bcast``/``scatter`` results (including names bound by
+``gather``/``bcast``/``alltoall_finish`` results (including names bound by
 unpacking, subscripting the result, or iterating over it) and flags:
 
 * augmented assignment (``buf += x``, ``buf[0] *= 2``);
@@ -244,7 +244,7 @@ def _buffer_names(expr: ast.expr) -> list[str]:
 class InflightBufferRule(Rule):
     """inflight-buffer: never mutate a buffer whose send is in flight.
 
-    ``isend``/``alltoall_start`` hand the passed buffer to the runtime
+    ``alltoall_start`` hands the passed buffers to the runtime
     until the returned :class:`~repro.distributed.comm.Request` is waited
     on (the contract documented on that class): the thread backend passes
     it by reference to the receiver and a deferred-send backend may not
@@ -261,7 +261,7 @@ class InflightBufferRule(Rule):
     name = "inflight-buffer"
     severity = "error"
     description = (
-        "buffers passed to isend/alltoall_start stay owned by the runtime "
+        "buffers passed to alltoall_start stay owned by the runtime "
         "until the request is waited on; mutate only after wait()/"
         "alltoall_finish()"
     )
@@ -342,7 +342,7 @@ class InflightBufferRule(Rule):
                 inflight.pop(name, None)
                 guards.pop(name, None)
                 if sent is not None:
-                    # request = comm.isend(buf)/comm.alltoall_start(objs)
+                    # request = comm.alltoall_start(objs)
                     guards[name] = sent
 
     # ---- call processing -------------------------------------------------

@@ -5,7 +5,7 @@ rank program's communication is measured without touching a single call
 site:
 
 * each **collective** (``barrier``/``bcast``/``gather``/``allgather``/
-  ``allreduce``/``scatter``/``alltoall``) becomes a ``comm``-category
+  ``allreduce``/``alltoall``/``alltoall_start``) becomes a ``comm``-category
   span plus ``comm.<op>.calls`` / ``comm.<op>.seconds`` counters and
   byte counters for the payloads in and out;
 * **point-to-point** ``send``/``recv`` update byte/call counters only
@@ -62,62 +62,38 @@ def payload_nbytes(obj: Any) -> int:
 
 
 class _InstrumentedRequest(Request):
-    """Times the *wait* phase of a nonblocking operation.
+    """Times the *wait* phase of a split-phase exchange.
 
-    Split-phase ops are issued under a ``comm.<op>_start`` span; the time
+    The exchange is issued under a ``comm.alltoall_start`` span; the time
     the caller later blocks in ``wait()`` is recorded separately as a
     ``comm.wait`` span plus ``comm.wait.seconds`` counters, so a trace
     distinguishes "issuing the exchange" from "stalled on the network".
     Metrics are recorded once (first completion), matching the request's
-    cached-result semantics; ``spanned=False`` counts without a span
-    (p2p irecv -- per-message spans would flood pipelined traces).
+    cached-result semantics.
     """
 
-    def __init__(
-        self,
-        inner: Request,
-        telemetry,
-        bytes_counter: str,
-        *,
-        spanned: bool = True,
-    ) -> None:
+    def __init__(self, inner: Request, telemetry) -> None:
         self._inner = inner
         self._telemetry = telemetry
-        self._bytes_counter = bytes_counter
-        self._spanned = spanned
         self._counted = False
-
-    def _record(self, result: Any, elapsed: float) -> None:
-        if self._counted:
-            return
-        self._counted = True
-        tel = self._telemetry
-        tel.add("comm.wait.calls")
-        tel.observe("comm.wait.seconds", elapsed)
-        tel.add("comm.wait.seconds.total", elapsed)
-        bytes_in = payload_nbytes(result)
-        if bytes_in:
-            tel.add(self._bytes_counter, bytes_in)
 
     def wait(self) -> Any:
         if self._counted:
             return self._inner.wait()
         tel = self._telemetry
         t0 = tel.clock()
-        if self._spanned:
-            with tel.span("comm.wait", cat="comm"):
-                result = self._inner.wait()
-        else:
+        with tel.span("comm.wait", cat="comm"):
             result = self._inner.wait()
-        self._record(result, tel.clock() - t0)
+        elapsed = tel.clock() - t0
+        self._counted = True
+        tel.add("comm.wait.calls")
+        tel.observe("comm.wait.seconds", elapsed)
+        tel.add("comm.wait.seconds.total", elapsed)
+        bytes_in = payload_nbytes(result)
+        if bytes_in:
+            # The same counter as blocking alltoall (see alltoall_start).
+            tel.add("comm.alltoall.bytes_in", bytes_in)
         return result
-
-    def test(self) -> bool:
-        done = self._inner.test()
-        if done and not self._counted:
-            # Completed without blocking: zero wait time, bytes still count.
-            self._record(self._inner.wait(), 0.0)
-        return done
 
 
 class InstrumentedCommunicator(DelegatingCommunicator):
@@ -146,22 +122,6 @@ class InstrumentedCommunicator(DelegatingCommunicator):
         tel.add("comm.recv.calls")
         tel.add("comm.recv.bytes", payload_nbytes(obj))
         return obj
-
-    # ---- nonblocking p2p: counters at issue, wait timed on the request --
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        tel = self.telemetry
-        tel.add("comm.send.calls")
-        tel.add("comm.send.bytes", payload_nbytes(obj))
-        return self._inner.isend(obj, dest, tag)
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        self.telemetry.add("comm.recv.calls")
-        return _InstrumentedRequest(
-            self._inner.irecv(source, tag),
-            self.telemetry,
-            "comm.recv.bytes",
-            spanned=False,
-        )
 
     # ---- collectives: span + counters, delegated to inner ---------------
     def _timed(
@@ -224,15 +184,6 @@ class InstrumentedCommunicator(DelegatingCommunicator):
             size_in=payload_nbytes,
         )
 
-    def scatter(self, objs: list[Any] | None, root: int = 0) -> Any:
-        out = payload_nbytes(objs) if self.rank == root else 0
-        return self._timed(
-            "scatter",
-            lambda: self._inner.scatter(objs, root),
-            bytes_out=out,
-            size_in=payload_nbytes if self.rank != root else None,
-        )
-
     def alltoall(self, objs: list[Any]) -> list[Any]:
         return self._timed(
             "alltoall",
@@ -246,14 +197,7 @@ class InstrumentedCommunicator(DelegatingCommunicator):
         request = self._timed(
             "alltoall_start", lambda: self._inner.alltoall_start(objs)
         )
-        # Outgoing volume lands on the same counter as blocking alltoall
-        # so ``bytes_shuffled`` aggregations see both paths uniformly.
+        # Volume lands on the same counters as blocking alltoall so
+        # ``bytes_shuffled`` aggregations see both paths uniformly.
         self.telemetry.add("comm.alltoall.bytes_out", payload_nbytes(objs))
-        return _InstrumentedRequest(
-            request, self.telemetry, "comm.alltoall.bytes_in"
-        )
-
-    def alltoall_finish(self, request: Request) -> list[Any]:
-        if isinstance(request, _InstrumentedRequest):
-            return request.wait()
-        return self._inner.alltoall_finish(request)
+        return _InstrumentedRequest(request, self.telemetry)

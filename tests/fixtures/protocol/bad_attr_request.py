@@ -1,6 +1,6 @@
 """BAD: a request stored on an attribute that nothing ever completes.
 
-No method in the whole program waits on ``_orphan``, so the send can
+No method in the whole program waits on ``_orphan``, so the exchange can
 never finish.  Expected: protocol-leak at the start.
 """
 
@@ -10,8 +10,8 @@ class Sender:
         self.comm = comm
         self._orphan = None
 
-    def post(self, payload, dest):
-        self._orphan = self.comm.isend(payload, dest)
+    def post(self, payload):
+        self._orphan = self.comm.alltoall_start(payload)
 
     def status(self):
         return self._orphan is not None

@@ -5,7 +5,7 @@ ever being waited on.  Expected: protocol-leak at the rebinding start.
 """
 
 
-def double_start(comm, first, second, dest):
-    req = comm.isend(first, dest)
-    req = comm.isend(second, dest)
+def double_start(comm, first, second):
+    req = comm.alltoall_start(first)
+    req = comm.alltoall_start(second)
     req.wait()

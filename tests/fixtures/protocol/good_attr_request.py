@@ -10,8 +10,8 @@ class Sender:
         self.comm = comm
         self._pending = None
 
-    def post(self, payload, dest):
-        self._pending = self.comm.isend(payload, dest)
+    def post(self, payload):
+        self._pending = self.comm.alltoall_start(payload)
 
     def drain(self):
         if self._pending is not None:

@@ -6,10 +6,10 @@ half.  Expected: no findings.
 """
 
 
-def run(comm, payload, dest, eager):
+def run(comm, payload, eager):
     req = None
     if eager:
-        req = comm.isend(payload, dest)
+        req = comm.alltoall_start(payload)
     if req is not None:
         req.wait()
     return payload

@@ -5,15 +5,15 @@ its caller; the outermost caller waits.  Expected: no findings.
 """
 
 
-def begin(comm, payload, dest):
-    return comm.isend(payload, dest)
+def begin(comm, payload):
+    return comm.alltoall_start(payload)
 
 
-def begin_logged(comm, payload, dest):
-    req = begin(comm, payload, dest)
+def begin_logged(comm, payload):
+    req = begin(comm, payload)
     return req
 
 
-def run(comm, payload, dest):
-    req = begin_logged(comm, payload, dest)
+def run(comm, payload):
+    req = begin_logged(comm, payload)
     req.wait()

@@ -68,8 +68,6 @@ def run(plan: GenerationPlan, factors, nranks: int, backend: str = "thread"):
         a, b = factors
         reference = kron_product(a, b)
     options = {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)}
-    if nranks == 1 and backend == "thread":
-        backend = "inline"
     got, outputs = generate_distributed(
         a, b, nranks, backend=backend, **options
     )

@@ -80,8 +80,7 @@ class TestPurity:
     @settings(max_examples=12, deadline=None)
     def test_distributed_matches_serial_oracle(self, spec, ranks):
         oracle = canonical_edges(skg_sample_edges(spec).edges)
-        backend = "inline" if ranks == 1 else "thread"
-        el, _ = generate_skg_distributed(spec, ranks, backend=backend)
+        el, _ = generate_skg_distributed(spec, ranks)
         np.testing.assert_array_equal(canonical_edges(el.edges), oracle)
 
 

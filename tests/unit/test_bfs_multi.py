@@ -12,6 +12,7 @@ from repro.analytics.bfs import (
 )
 from repro.analytics.distances import (
     closeness_centralities,
+    closeness_from_hops,
     eccentricities,
     hop_matrix,
 )
@@ -81,42 +82,48 @@ class TestBfsHopsMulti:
             ), v
 
 
+def _hops_per_vertex(g, convention=True):
+    """Reference hop matrix: one single-source ``bfs_hops`` per vertex."""
+    csr = g if isinstance(g, CSRGraph) else CSRGraph.from_edgelist(g)
+    out = np.empty((csr.n, csr.n), dtype=np.int64)
+    for v in range(csr.n):
+        out[v] = bfs_hops(csr, v, selfloop_convention=convention)
+    return out
+
+
 class TestAllPairsDriversBatchedVsLoop:
+    """The batched all-pairs drivers against a per-vertex reference loop
+    built here from the single-source kernel."""
+
     @pytest.mark.parametrize("convention", [True, False])
     def test_hop_matrix_bit_identical(self, factor, convention):
         batched = hop_matrix(factor, selfloop_convention=convention)
-        loop = hop_matrix(
-            factor, selfloop_convention=convention, method="loop"
-        )
+        loop = _hops_per_vertex(factor, convention)
         assert batched.dtype == loop.dtype
         assert np.array_equal(batched, loop)
 
     def test_eccentricities_bit_identical(self, factor):
         assert np.array_equal(
-            eccentricities(factor), eccentricities(factor, method="loop")
+            eccentricities(factor), _hops_per_vertex(factor).max(axis=1)
         )
 
     def test_eccentricities_disconnected_raises(self):
         el = EdgeList(
             np.array([[0, 1], [1, 0], [2, 3], [3, 2]], dtype=np.int64), 4
         )
-        for method in ("batched", "loop"):
-            with pytest.raises(AssumptionError):
-                eccentricities(el, method=method)
+        assert np.any(_hops_per_vertex(el) == UNREACHABLE)
+        with pytest.raises(AssumptionError):
+            eccentricities(el)
 
     def test_closeness_matches(self, factor):
         batched = closeness_centralities(factor)
-        loop = closeness_centralities(factor, method="loop")
+        loop = [closeness_from_hops(row) for row in _hops_per_vertex(factor)]
         np.testing.assert_allclose(batched, loop, rtol=1e-12)
-
-    def test_unknown_method(self, factor):
-        with pytest.raises(ValueError):
-            hop_matrix(factor, method="warp")
 
     def test_small_cycle_all_methods(self):
         c = cycle(6)
-        assert np.array_equal(hop_matrix(c), hop_matrix(c, method="loop"))
+        assert np.array_equal(hop_matrix(c), _hops_per_vertex(c))
 
     def test_random_graph_with_loops(self):
         el = erdos_renyi(30, 0.15, seed=42).with_full_self_loops()
-        assert np.array_equal(hop_matrix(el), hop_matrix(el, method="loop"))
+        assert np.array_equal(hop_matrix(el), _hops_per_vertex(el))

@@ -28,9 +28,7 @@ class TestSymmetricPrograms:
             comm.barrier()
             vals = comm.allgather(comm.rank)
             total = comm.allreduce(comm.rank, lambda a, b: a + b)
-            objs = [comm.rank] * comm.size if comm.rank == 0 else None
-            got = comm.scatter(objs, root=0)
-            root_view = comm.gather(got, root=0)
+            root_view = comm.gather(0, root=0)
             exchanged = comm.alltoall(list(range(comm.size)))
             seen = comm.bcast(root_view, root=0)
             return (vals, total, exchanged, seen)

@@ -111,7 +111,7 @@ class TestCli:
         a, b, pa, pb = factor_files
         out_dir = tmp_path / "out"
         main(["generate", pa, pb, "--out", str(out_dir), "--ranks", "1",
-              "--backend", "inline", "--self-loops"])
+              "--backend", "thread", "--self-loops"])
         from repro.distributed.outofcore import ShardManifest
         from pathlib import Path
 

@@ -1,33 +1,40 @@
 """Unit tests for repro.distributed.comm and launcher."""
 
+import multiprocessing
+import os
+import signal
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.distributed import (
-    InlineCommunicator,
     make_thread_world,
     spmd_run,
 )
-from repro.errors import CommunicatorError
+from repro.errors import CommunicatorError, RankFailedError
 
 
 class TestInline:
+    """The single-rank world: a thread world of size 1."""
+
     def test_identity(self):
-        c = InlineCommunicator()
+        (c,) = make_thread_world(1)
         assert c.rank == 0 and c.size == 1
 
     def test_collectives_trivial(self):
-        c = InlineCommunicator()
+        (c,) = make_thread_world(1)
         assert c.bcast(42) == 42
         assert c.gather("x") == ["x"]
         assert c.allgather(7) == [7]
         assert c.allreduce(3, lambda a, b: a + b) == 3
-        assert c.scatter([9]) == 9
         assert c.alltoall(["only"]) == ["only"]
+        assert c.alltoall_finish(c.alltoall_start(["only"])) == ["only"]
         c.barrier()
 
     def test_p2p_rejected(self):
-        c = InlineCommunicator()
+        (c,) = make_thread_world(1)
         with pytest.raises(CommunicatorError):
             c.send(1, 0)
         with pytest.raises(CommunicatorError):
@@ -133,14 +140,6 @@ class TestCollectives:
         for r in spmd_run(fn, nranks):
             assert np.array_equal(r, expected)
 
-    def test_scatter(self, nranks):
-        def fn(comm):
-            objs = [f"item{r}" for r in range(nranks)] if comm.rank == 0 else None
-            return comm.scatter(objs, root=0)
-
-        results = spmd_run(fn, nranks)
-        assert results == [f"item{r}" for r in range(nranks)]
-
     def test_alltoall(self, nranks):
         def fn(comm):
             outgoing = [(comm.rank, dest) for dest in range(nranks)]
@@ -159,14 +158,52 @@ class TestCollectives:
         assert all(spmd_run(fn, nranks))
 
 
-class TestLauncher:
-    def test_inline_requires_one_rank(self):
-        with pytest.raises(CommunicatorError):
-            spmd_run(lambda c: None, 2, backend="inline")
+def _outcome_rank(comm, outcome):
+    comm.barrier()
+    if outcome == "success":
+        return comm.rank
+    if comm.rank == 1:
+        if outcome == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise ValueError("boom on rank 1")
+    # A survivor that shrugs off the launcher's terminate(): only the
+    # escalation to kill() can keep it from outliving the run.
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    time.sleep(120)
 
+
+class TestLauncher:
     def test_unknown_backend(self):
-        with pytest.raises(CommunicatorError):
-            spmd_run(lambda c: None, 1, backend="smoke-signals")
+        # "inline" was a backend once; a lone rank is backend="thread" now.
+        for backend in ("smoke-signals", "inline"):
+            with pytest.raises(CommunicatorError, match="unknown backend"):
+                spmd_run(lambda c: None, 1, backend=backend)
+
+    def test_single_rank_runs_on_the_calling_thread(self):
+        assert spmd_run(lambda c: threading.current_thread(), 1) == [
+            threading.current_thread()
+        ]
+        with pytest.raises(RankFailedError) as err:
+            spmd_run(lambda c: 1 // 0, 1)
+        assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+    @pytest.mark.parametrize("outcome", ["success", "raises", "killed"])
+    @pytest.mark.parametrize("backend", ["process", "socket"])
+    def test_no_process_outlives_the_run(self, monkeypatch, backend, outcome):
+        monkeypatch.setenv("REPRO_RECV_TIMEOUT", "2")
+        if outcome == "success":
+            assert spmd_run(_outcome_rank, 3, outcome, backend=backend) == [
+                0, 1, 2,
+            ]
+        else:
+            with pytest.raises(CommunicatorError):
+                spmd_run(_outcome_rank, 3, outcome, backend=backend)
+        assert multiprocessing.active_children() == []
+        assert [
+            t.name
+            for t in threading.enumerate()
+            if t.name.startswith(("sock-", "rendezvous-"))
+        ] == []
 
     def test_bad_nranks(self):
         with pytest.raises(CommunicatorError):
@@ -186,20 +223,6 @@ class TestLauncher:
 
         with pytest.raises(CommunicatorError, match="rank 1"):
             spmd_run(fn, 2)
-
-
-class TestScatterValidation:
-    def test_wrong_length_rejected(self):
-        def fn(comm):
-            if comm.rank == 0:
-                with pytest.raises(CommunicatorError):
-                    comm.scatter([1], root=0)
-            else:
-                # avoid deadlock: other ranks don't participate
-                pass
-            return True
-
-        assert all(spmd_run(fn, 2))
 
 
 class TestWrapperBase:
@@ -233,14 +256,16 @@ class TestWrapperBase:
             assert isinstance(wrapper, DelegatingCommunicator)
             assert wrapper.inner is inner
             assert (wrapper.rank, wrapper.size) == (1, 3)
-            # Backend extras resolve through the wrapper.
-            assert wrapper.probe(0) is False
+        # Backend extras resolve through the wrapper.
+        inner.backend_extra = object()
+        for wrapper in self.wrappers(inner):
+            assert wrapper.backend_extra is inner.backend_extra
 
     def test_copy_and_pickle_probe_without_recursion(self):
         import copy
         import pickle
 
-        for wrapper in self.wrappers(InlineCommunicator()):
+        for wrapper in self.wrappers(make_thread_world(1)[0]):
             assert copy.copy(wrapper).inner is wrapper.inner
             # copy/pickle probe private and dunder names on an instance
             # whose ``_inner`` is not set yet; delegating those recursed.
@@ -270,7 +295,7 @@ class TestWrapperBase:
         stack = ThrottledCommunicator(
             FaultyCommunicator(
                 CheckedCommunicator(
-                    InstrumentedCommunicator(InlineCommunicator(), sink),
+                    InstrumentedCommunicator(make_thread_world(1)[0], sink),
                     SentinelLedger(1),
                 ),
                 FaultPlan(),

@@ -27,10 +27,7 @@ class TestGenerateDistributed:
     @pytest.mark.parametrize("nranks", [1, 2, 5])
     def test_matches_serial(self, factors, scheme, nranks):
         a, b = factors
-        backend = "inline" if nranks == 1 else "thread"
-        got, outputs = generate_distributed(
-            a, b, nranks, scheme=scheme, backend=backend
-        )
+        got, outputs = generate_distributed(a, b, nranks, scheme=scheme)
         assert got == kron_product(a, b)
         assert len(outputs) == nranks
 

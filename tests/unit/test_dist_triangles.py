@@ -58,8 +58,7 @@ class TestDistributedEdgeTriangles:
         def fn(comm):
             return distributed_edge_triangles(comm, shards[comm.rank], graph.n)
 
-        backend = "inline" if nranks == 1 else "thread"
-        results = spmd_run(fn, nranks, backend=backend)
+        results = spmd_run(fn, nranks)
         for edges, counts in results:
             if len(edges) == 0:
                 continue

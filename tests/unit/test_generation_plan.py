@@ -21,7 +21,7 @@ from repro.distributed import (
     generate_rank,
     spmd_run,
 )
-from repro.distributed.comm import InlineCommunicator
+from repro.distributed.comm import Communicator
 from repro.distributed.supervisor import (
     generation_family_key,
     generation_run_key,
@@ -101,7 +101,7 @@ class TestDerivedAnswers:
         assert plan.streams == (scheme == "1d-pipelined")
 
 
-class _NoComm(InlineCommunicator):
+class _NoComm(Communicator):
     """A rank of a 3-rank world on which any communication is an error."""
 
     def __init__(self, rank):
@@ -110,8 +110,11 @@ class _NoComm(InlineCommunicator):
     rank = property(lambda self: self._rank)
     size = property(lambda self: 3)
 
-    def barrier(self):
-        raise AssertionError("collective in a non-exchanging program")
+    def send(self, obj, dest, tag=0):
+        raise AssertionError("message in a non-exchanging program")
+
+    def recv(self, source, tag=0):
+        raise AssertionError("message in a non-exchanging program")
 
 
 class TestRankProgram:

@@ -9,7 +9,6 @@ import pytest
 
 from repro.distributed import make_thread_world, spmd_run
 from repro.distributed.checked import CheckedCommunicator, SentinelLedger
-from repro.distributed.comm import InlineCommunicator
 from repro.distributed.faults import FaultPlan, FaultyCommunicator
 from repro.telemetry import (
     NULL_TELEMETRY,
@@ -48,7 +47,7 @@ class TestSingleRank:
     def test_collective_span_and_counters(self):
         tel = _sink()
         try:
-            comm = InstrumentedCommunicator(InlineCommunicator(), tel)
+            comm = InstrumentedCommunicator(make_thread_world(1)[0], tel)
             out = comm.allgather(np.zeros(4, dtype=np.int64))
             assert len(out) == 1
             snap = tel.metrics.snapshot()
@@ -82,7 +81,7 @@ class TestComposition:
     def test_telemetry_of_resolves_through_wrapper_stack(self):
         tel = _sink()
         try:
-            base = InlineCommunicator()
+            base = make_thread_world(1)[0]
             stack = InstrumentedCommunicator(
                 CheckedCommunicator(
                     FaultyCommunicator(base, FaultPlan()),
@@ -128,7 +127,7 @@ class TestComposition:
     def test_harvest_without_fault_layer_is_noop(self):
         tel = _sink()
         try:
-            tel.harvest_fault_counters(InlineCommunicator())
+            tel.harvest_fault_counters(make_thread_world(1)[0])
             assert tel.metrics.snapshot()["counters"] == {}
         finally:
             tel.close()

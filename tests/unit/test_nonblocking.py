@@ -1,23 +1,25 @@
-"""Nonblocking point-to-point and split-phase alltoall: Request
-semantics, wrapper threading (checked / faulty / instrumented), and the
-emulated interconnect (repro.distributed.netsim).
+"""The communicator contract and its split-phase alltoall: conformance of
+every transport and wrapper, Request semantics, wrapper threading
+(checked / faulty / instrumented), and the emulated interconnect
+(repro.distributed.netsim).
 
 Rank functions are module-level so the process backend can pickle them.
 """
 
-import time
+import threading
 from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.distributed import (
+    Communicator,
     NetworkModel,
+    Request,
     ThrottledCommunicator,
     make_thread_world,
     spmd_run,
 )
-from repro.distributed.comm import CompletedRequest
 from repro.distributed.faults import FaultPlan
 from repro.errors import CommunicatorError
 from repro.telemetry import TelemetrySession
@@ -35,59 +37,17 @@ def fast_sentinel(monkeypatch):
 
 # ---- rank programs (module-level for process-backend pickling) -----------
 
-def _ring_isend(comm):
-    right = (comm.rank + 1) % comm.size
-    left = (comm.rank - 1) % comm.size
-    req_out = comm.isend(("hello", comm.rank), dest=right)
-    req_in = comm.irecv(source=left)
-    got = req_in.wait()
-    req_out.wait()
-    # MPI semantics: re-waiting a completed request returns the cache.
-    assert req_in.wait() is got
-    assert req_in.test()
-    return got
-
-
-def _probe_completes_test(comm):
-    if comm.rank == 0:
-        comm.send(np.arange(5), dest=1)
-        comm.barrier()
-        return True
-    comm.barrier()  # after this, rank 0's message is (nearly) queued
-    req = comm.irecv(source=0)
-    # test() must flip to True via probe alone -- without this rank ever
-    # calling the blocking wait() first.  The loop only absorbs queue
-    # propagation delay on the process backend.
-    deadline = time.monotonic() + 5.0
-    while not req.test():
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.001)
-    return bool(np.array_equal(req.wait(), np.arange(5)))
-
-
 def _split_phase_matches_blocking(comm):
+    assert isinstance(comm, Communicator)
     payload = [f"{comm.rank}->{dest}" for dest in range(comm.size)]
     blocking = comm.alltoall(list(payload))
     req = comm.alltoall_start(list(payload))
     acc = sum(range(1000))  # overlapped compute stands in here
     split = comm.alltoall_finish(req)
     assert acc == 499500
-    # Re-finishing returns the cached list, and test() is now True.
+    # MPI semantics: re-waiting a completed request returns the cache.
     assert req.wait() is split
-    assert req.test()
     return split == blocking
-
-
-def _split_phase_test_after_barrier(comm):
-    req = comm.alltoall_start([comm.rank] * comm.size)
-    comm.barrier()  # every rank's sends are now (nearly) queued
-    deadline = time.monotonic() + 5.0
-    while not req.test():  # completes via probe, never a blocking wait
-        if time.monotonic() > deadline:
-            return False
-        time.sleep(0.001)
-    return req.wait() == list(range(comm.size))
 
 
 def _start_wrong_length(comm):
@@ -124,6 +84,11 @@ def _split_phase_sum(comm):
     return sum(comm.alltoall_finish(req))
 
 
+def _blocking_alltoall_arrays(comm):
+    out = comm.alltoall([np.full(4, comm.rank, dtype=np.int64)] * comm.size)
+    return [int(block[0]) for block in out]
+
+
 def _timed_throttled_exchange(comm):
     payload = [np.zeros(1 << 12, dtype=np.int64)] * comm.size  # 32 KB each
     comm.barrier()
@@ -136,44 +101,70 @@ def _timed_throttled_exchange(comm):
 
 # ---- tests ---------------------------------------------------------------
 
-class TestNonblockingP2P:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_isend_irecv_ring(self, backend):
-        results = spmd_run(_ring_isend, 3, backend=backend)
-        assert results == [("hello", 2), ("hello", 0), ("hello", 1)]
+#: ``spmd_run`` keywords of every world the contract is checked on: the
+#: three transports, and each wrapper over a thread world.
+WORLDS = {
+    "thread": dict,
+    "process": lambda: {"backend": "process"},
+    "socket": lambda: {"backend": "socket"},
+    "checked": lambda: {"checked": True},
+    "faulty": lambda: {
+        "wrap_comm": FaultPlan(
+            seed=7, dup_prob=1.0, fault_attempts=9
+        ).binder(0)
+    },
+    "instrumented": lambda: {"telemetry": TelemetrySession()},
+    "throttled": lambda: {
+        "wrap_comm": partial(
+            ThrottledCommunicator, model=NetworkModel(bandwidth=1e12)
+        )
+    },
+}
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_probe_lets_test_complete_without_blocking(self, backend):
-        assert all(spmd_run(_probe_completes_test, 2, backend=backend))
+#: Exactly what rank programs in this repository call.
+CONTRACT = {
+    "rank", "size", "send", "recv", "barrier", "bcast", "gather",
+    "allgather", "allreduce", "alltoall", "alltoall_start",
+    "alltoall_finish",
+}
 
-    def test_isend_returns_completed_request(self):
-        comms = make_thread_world(2)
-        req = comms[0].isend("x", dest=1)
-        assert isinstance(req, CompletedRequest)
-        assert req.test()
-        assert req.wait() is None
-        assert comms[1].recv(0) == "x"
 
-    def test_irecv_test_is_false_before_arrival(self):
-        comms = make_thread_world(2)
-        req = comms[1].irecv(source=0)
-        assert not req.test()
-        comms[0].send(42, dest=1)
-        deadline = time.monotonic() + 2.0
-        while not req.test():
-            assert time.monotonic() < deadline
-        assert req.wait() == 42
+def _public(cls):
+    return {name for name in vars(cls) if not name.startswith("_")}
+
+
+def _run_on(comms, fn):
+    """Run ``fn`` on each prebuilt communicator, one thread per rank."""
+    results = [None] * len(comms)
+
+    def worker(r):
+        results[r] = fn(comms[r])
+
+    threads = [
+        threading.Thread(target=worker, args=(r,)) for r in range(len(comms))
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    return results
 
 
 class TestSplitPhaseAlltoall:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_matches_blocking_alltoall(self, backend):
-        assert all(spmd_run(_split_phase_matches_blocking, 4, backend=backend))
+    """Conformance to the communicator contract: every transport, and
+    every wrapper over a thread world, against the same rank programs."""
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_request_test_completes_after_barrier(self, backend):
+    def test_contract_is_exactly_what_rank_programs_call(self):
+        # The surface cannot silently re-widen: a new public name on the
+        # ABC has to be added here, next to the caller that needs it.
+        assert _public(Communicator) == CONTRACT
+        assert _public(Request) == {"wait"}
+
+    @pytest.mark.parametrize("backend", list(WORLDS))
+    def test_matches_blocking_alltoall(self, backend):
         assert all(
-            spmd_run(_split_phase_test_after_barrier, 3, backend=backend)
+            spmd_run(_split_phase_matches_blocking, 4, **WORLDS[backend]())
         )
 
     def test_wrong_object_count_raises(self):
@@ -182,6 +173,30 @@ class TestSplitPhaseAlltoall:
 
     def test_distinct_tag_from_blocking_alltoall(self):
         assert all(spmd_run(_mixed_collectives, 3))
+
+    def test_checked_fingerprints_blocking_alltoall_once(self):
+        comms = make_thread_world(3, checked=True)
+        assert _run_on(comms, _blocking_alltoall_arrays) == [[0, 1, 2]] * 3
+        # One fingerprint per rank, for the user-level op: the sends and
+        # receives it decomposes into run on the inner communicator.
+        fingerprints = comms[0]._ledger._fps
+        assert sorted(fingerprints) == [(0, 0), (1, 0), (2, 0)]
+        assert {op for op, _site in fingerprints.values()} == {"alltoall"}
+
+    def test_instrumented_counts_blocking_alltoall_once(self):
+        session = TelemetrySession()
+        results = spmd_run(_blocking_alltoall_arrays, 3, telemetry=session)
+        assert results == [[0, 1, 2]] * 3
+        counters = session.aggregated_metrics()["counters"]
+        assert counters["comm.alltoall.calls"] == 3
+        # 3 ranks x 3 blocks x 4 int64, counted once in each direction.
+        assert counters["comm.alltoall.bytes_out"] == 3 * 3 * 32
+        assert counters["comm.alltoall.bytes_in"] == 3 * 3 * 32
+        # ...and not again as the p2p traffic or the split-phase pair the
+        # base decomposes it into.
+        for name in ("comm.send.calls", "comm.recv.calls",
+                     "comm.alltoall_start.calls", "comm.wait.calls"):
+            assert name not in counters
 
 
 class TestWrapperThreading:

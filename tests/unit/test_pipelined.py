@@ -19,10 +19,7 @@ class TestPipelined1D:
     @pytest.mark.parametrize("nranks", [1, 2, 4])
     def test_matches_serial(self, factors, nranks):
         a, b = factors
-        backend = "inline" if nranks == 1 else "thread"
-        got, _ = generate_distributed(
-            a, b, nranks, scheme="1d-pipelined", backend=backend
-        )
+        got, _ = generate_distributed(a, b, nranks, scheme="1d-pipelined")
         assert got == kron_product(a, b)
 
     @pytest.mark.parametrize("chunk", [3, 13, 14, 15, 50, 10**6])

@@ -88,7 +88,7 @@ class TestVertexBlockBounds:
 
 
 class _FakeComm(Communicator):
-    """Inline communicator whose alltoall returns a canned list."""
+    """Single-rank communicator whose exchange returns a canned list."""
 
     def __init__(self, canned):
         self._canned = canned
@@ -110,7 +110,10 @@ class _FakeComm(Communicator):
     def barrier(self):  # pragma: no cover - unused
         return None
 
-    def alltoall(self, objs):
+    def alltoall_start(self, objs):
+        return None
+
+    def alltoall_finish(self, request):
         return list(self._canned)
 
 

@@ -70,8 +70,7 @@ class TestDistributedBitIdentity:
 
     @pytest.mark.parametrize("ranks", [1, 2, 5])
     def test_rank_count_invariance(self, oracle, ranks):
-        backend = "inline" if ranks == 1 else "thread"
-        el, _ = generate_skg_distributed(SPEC, ranks, backend=backend)
+        el, _ = generate_skg_distributed(SPEC, ranks)
         check(el, oracle)
 
     def test_chunk_size_invariance(self, oracle):

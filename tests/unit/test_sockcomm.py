@@ -7,7 +7,11 @@ directly observable).  A handful of tests spawn real OS processes via
 for picklability, mirroring the process-backend test conventions.
 """
 
+import socket
+import struct
+import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +20,12 @@ from repro.distributed import spmd_run
 from repro.distributed.comm import RECV_TIMEOUT_ENV
 from repro.distributed.faults import FaultPlan, FaultyCommunicator
 from repro.distributed.sockcomm import (
+    _HEADER,
+    _K_HELLO,
+    FRAME_MAGIC,
     RendezvousServer,
     SocketCommunicator,
+    _make_listener,
     make_socket_world,
     parse_hostport,
 )
@@ -91,15 +99,6 @@ class TestSocketWorldConformance:
     def test_send_to_self_rejected(self, world3):
         with pytest.raises(CommunicatorError):
             world3[0].send("x", 0)
-
-    def test_probe(self, world3):
-        assert not world3[1].probe(0, tag=9)
-        world3[0].send("here", 1, tag=9)
-        deadline = time.monotonic() + 5
-        while not world3[1].probe(0, tag=9):
-            assert time.monotonic() < deadline
-            time.sleep(0.01)
-        assert world3[1].recv(0, tag=9) == "here"
 
 
 class TestSelfHealing:
@@ -223,6 +222,94 @@ class TestRendezvous:
             for t in threads:
                 t.join(timeout=10)
             assert errors, "conflicting world sizes must be rejected"
+
+
+class TestHostileLengthPrefix:
+    """Bytes from a connection nobody has authenticated never make a
+    listener read, or allocate, a length of the sender's choosing."""
+
+    #: Sent after the hostile header; a listener that believed the header
+    #: would buffer it.
+    JUNK = bytes(8 << 20)
+
+    @pytest.fixture(autouse=True)
+    def _long_timeout(self, monkeypatch):
+        # A listener stalled on the hostile connection would hold the
+        # bootstrapping world for this long -- far past the assertions.
+        monkeypatch.setenv(RECV_TIMEOUT_ENV, "30")
+
+    def _attack(self, addr, header):
+        hostile = socket.create_connection(addr, timeout=10)
+        hostile.sendall(header)
+        return hostile
+
+    def _assert_dropped(self, hostile):
+        try:
+            hostile.sendall(self.JUNK)
+        except OSError:
+            pass  # already closed under us: the point
+        try:
+            assert hostile.recv(1) == b""
+        except (ConnectionResetError, BrokenPipeError):
+            pass  # closed with our junk unread: reset instead of EOF
+        finally:
+            hostile.close()
+
+    def test_hello_claiming_a_payload(self):
+        listeners = [_make_listener("127.0.0.1") for _ in range(2)]
+        roster = [sock.getsockname()[:2] for sock in listeners]
+        # Queued on rank 0's listener before its accept loop exists, so
+        # it is served ahead of the real peer.
+        hostile = self._attack(
+            roster[0],
+            _HEADER.pack(FRAME_MAGIC, _K_HELLO, 1, 0, 0, 1 << 40),
+        )
+        tracemalloc.start()
+        t0 = time.monotonic()
+        comms = [
+            SocketCommunicator(r, 2, roster, listeners[r]) for r in range(2)
+        ]
+        try:
+            self._assert_dropped(hostile)
+            for c in comms:
+                c._await_mesh()
+            comms[1].send("unaffected", 0)
+            assert comms[0].recv(1) == "unaffected"
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _close_world(comms)
+        assert time.monotonic() - t0 < 10
+        assert peak < len(self.JUNK) // 4
+
+    def test_oversized_rendezvous_registration(self):
+        with RendezvousServer() as server:
+            addr = "%s:%d" % server.address
+            hostile = self._attack(server.address, struct.pack("<Q", 1 << 40))
+            tracemalloc.start()
+            t0 = time.monotonic()
+            comms = [None, None]
+
+            def boot(rank):
+                comms[rank] = SocketCommunicator.connect(addr, rank, 2)
+
+            threads = [
+                threading.Thread(target=boot, args=(r,)) for r in range(2)
+            ]
+            try:
+                for t in threads:
+                    t.start()
+                self._assert_dropped(hostile)
+                for t in threads:
+                    t.join(timeout=10)
+                comms[0].send("unaffected", 1)
+                assert comms[1].recv(0) == "unaffected"
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                _close_world([c for c in comms if c is not None])
+        assert time.monotonic() - t0 < 10
+        assert peak < len(self.JUNK) // 4
 
 
 # ---- real multiprocess launches (module-level fns: picklability) ------ #
