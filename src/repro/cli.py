@@ -30,6 +30,7 @@ from pathlib import Path
 
 from repro.errors import GraphFormatError, ReproError
 from repro.graph.edgelist import EdgeList
+from repro.kronecker.product import DEFAULT_CHUNK
 
 __all__ = ["main", "build_parser", "load_factor"]
 
@@ -565,17 +566,81 @@ def cmd_trace(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- #
 # parser
 # --------------------------------------------------------------------- #
-def _add_factor_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("factor_a", help="factor A file (.txt/.npz/.mtx)")
-    p.add_argument("factor_b", help="factor B file (.txt/.npz/.mtx)")
+def _add_factor_args(
+    p: argparse.ArgumentParser,
+    optional: str | None = None,
+    loops_note: str = " (the paper's A + I)",
+) -> None:
+    """The two factor positionals plus ``--symmetrize``/``--self-loops``.
+
+    ``optional`` makes the positionals ``nargs="?"``; it is their help
+    text, formatted with ``{f}`` (A or B) and ``{builtin}`` (the factor a
+    subcommand falls back to).
+    """
+    for f, builtin in (("A", "K4"), ("B", "C5")):
+        if optional is None:
+            p.add_argument(f"factor_{f.lower()}",
+                           help=f"factor {f} file (.txt/.npz/.mtx)")
+        else:
+            p.add_argument(f"factor_{f.lower()}", nargs="?", default=None,
+                           help=optional.format(f=f, builtin=builtin))
     p.add_argument(
         "--symmetrize", action="store_true",
         help="symmetrize factors after reading (directed inputs)",
     )
     p.add_argument(
         "--self-loops", action="store_true",
-        help="add a self loop on every factor vertex (the paper's A + I)",
+        help="add a self loop on every factor vertex" + loops_note,
     )
+
+
+def _add_skg_args(
+    p: argparse.ArgumentParser, default_k: int | None, **help: str
+) -> None:
+    """``--model`` and the five SKG flags; ``help`` is keyed by dest."""
+    p.add_argument("--model", choices=("exact", "skg"), default="exact",
+                   help=help["model"])
+    p.add_argument("--seed-matrix", default="facebook",
+                   help=help["seed_matrix"])
+    p.add_argument("--skg-seed", type=int, default=0, help=help["skg_seed"])
+    p.add_argument("--skg-k", type=int, default=default_k,
+                   help=help["skg_k"])
+    p.add_argument("--noise-b", type=float, default=0.0,
+                   help=help["noise_b"])
+    p.add_argument("--noise-seed", type=int, default=0,
+                   help=help["noise_seed"])
+
+
+#: The generation-plan and launcher flags, declared once.
+_PLAN_FLAGS: dict[str, dict] = {
+    "--scheme": dict(choices=("1d", "1d-pipelined", "2d"), default="1d"),
+    "--pipeline": dict(
+        choices=("sync", "async"), default="sync",
+        help="exchange pipeline (async needs --scheme 1d-pipelined)",
+    ),
+    "--wire": dict(
+        choices=("raw", "varint"), default="raw",
+        help="edge wire format for every exchange",
+    ),
+    "--backend": dict(
+        choices=("thread", "process", "socket"), default="thread"
+    ),
+    "--rendezvous": dict(
+        default=None,
+        help="host:port of a running serve-rendezvous (socket backend; "
+             "default: a private in-process server)",
+    ),
+    "--chunk-size": dict(type=int, default=DEFAULT_CHUNK),
+}
+
+
+def _add_plan_args(
+    p: argparse.ArgumentParser, *flags: str, **override
+) -> None:
+    """Add the named :data:`_PLAN_FLAGS` in the order given; ``override``
+    replaces entries of the one flag a subcommand spells differently."""
+    for flag in flags:
+        p.add_argument(flag, **{**_PLAN_FLAGS[flag], **override})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -591,45 +656,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate A (x) B (or a stochastic Kronecker graph) to "
              "shard files",
     )
-    g.add_argument("factor_a", nargs="?", default=None,
-                   help="factor A file (.txt/.npz/.mtx); omit with "
-                        "--model skg")
-    g.add_argument("factor_b", nargs="?", default=None,
-                   help="factor B file (.txt/.npz/.mtx); omit with "
-                        "--model skg")
-    g.add_argument("--symmetrize", action="store_true",
-                   help="symmetrize factors after reading (directed inputs)")
-    g.add_argument("--self-loops", action="store_true",
-                   help="add a self loop on every factor vertex "
-                        "(the paper's A + I)")
+    _add_factor_args(
+        g, optional="factor {f} file (.txt/.npz/.mtx); omit with --model skg"
+    )
     g.add_argument("--out", default=None, help="output shard directory")
     g.add_argument("--ranks", type=int, default=4, help="world size")
-    g.add_argument("--scheme", choices=("1d", "2d"), default="2d")
-    g.add_argument("--model", choices=("exact", "skg"), default="exact",
-                   help="'exact' emits every product edge; 'skg' samples "
-                        "a stochastic Kronecker graph from a fitted seed "
-                        "matrix via deterministic hash-thresholded "
-                        "acceptance")
-    g.add_argument("--seed-matrix", default="facebook",
-                   help="SKG seed-matrix name (see --list-seed-matrices)")
-    g.add_argument("--skg-seed", type=int, default=0,
-                   help="acceptance-hash seed (same seed -> same graph)")
-    g.add_argument("--skg-k", type=int, default=None,
-                   help="Kronecker exponent override (default: the seed "
-                        "matrix's fitted k)")
-    g.add_argument("--noise-b", type=float, default=0.0,
-                   help="noisy-SKG amplitude (0 disables the correction)")
-    g.add_argument("--noise-seed", type=int, default=0,
-                   help="per-level noise seed for noisy SKG")
+    _add_plan_args(g, "--scheme", choices=("1d", "2d"), default="2d")
+    _add_skg_args(
+        g, default_k=None,
+        model="'exact' emits every product edge; 'skg' samples a "
+              "stochastic Kronecker graph from a fitted seed matrix via "
+              "deterministic hash-thresholded acceptance",
+        seed_matrix="SKG seed-matrix name (see --list-seed-matrices)",
+        skg_seed="acceptance-hash seed (same seed -> same graph)",
+        skg_k="Kronecker exponent override (default: the seed matrix's "
+              "fitted k)",
+        noise_b="noisy-SKG amplitude (0 disables the correction)",
+        noise_seed="per-level noise seed for noisy SKG",
+    )
     g.add_argument("--list-seed-matrices", action="store_true",
                    help="print the fitted seed-matrix library and exit")
-    g.add_argument("--backend",
-                   choices=("thread", "process", "socket"),
-                   default="thread")
-    g.add_argument("--chunk-size", type=int, default=1 << 20)
-    g.add_argument("--rendezvous", default=None,
-                   help="host:port of a running serve-rendezvous (socket "
-                        "backend; default: a private in-process server)")
+    _add_plan_args(g, "--backend", "--chunk-size", "--rendezvous")
     g.add_argument("--local-ranks", default=None,
                    help="ranks this host launches, e.g. '0-3' or '0,2,5' "
                         "(socket backend multi-host worlds; default: all)")
@@ -666,39 +713,27 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="seeded fault-injection matrix over the supervised launcher",
     )
-    c.add_argument("factor_a", nargs="?", default=None,
-                   help="factor A file (default: built-in K4)")
-    c.add_argument("factor_b", nargs="?", default=None,
-                   help="factor B file (default: built-in C5)")
-    c.add_argument("--symmetrize", action="store_true",
-                   help="symmetrize factors after reading (directed inputs)")
-    c.add_argument("--self-loops", action="store_true",
-                   help="add a self loop on every factor vertex")
+    _add_factor_args(
+        c, optional="factor {f} file (default: built-in {builtin})",
+        loops_note="",
+    )
     c.add_argument("--ranks", type=int, default=4, help="world size")
     c.add_argument("--seed", type=int, default=0, help="fault-matrix seed")
     c.add_argument("--backends", default="thread,process",
                    help="comma-separated launcher backends to exercise")
-    c.add_argument("--scheme", choices=("1d", "1d-pipelined", "2d"),
-                   default="1d", help="generation scheme under test")
-    c.add_argument("--pipeline", choices=("sync", "async"), default="sync",
-                   help="exchange pipeline (async needs --scheme "
-                        "1d-pipelined)")
-    c.add_argument("--wire", choices=("raw", "varint"), default="raw",
-                   help="edge wire format for every exchange")
-    c.add_argument("--model", choices=("exact", "skg"), default="exact",
-                   help="run the matrix over exact enumeration or the "
-                        "stochastic (SKG) acceptance path")
-    c.add_argument("--seed-matrix", default="facebook",
-                   help="SKG seed-matrix name (with --model skg)")
-    c.add_argument("--skg-seed", type=int, default=0,
-                   help="SKG acceptance-hash seed")
-    c.add_argument("--skg-k", type=int, default=5,
-                   help="SKG Kronecker exponent for chaos cells (small "
-                        "keeps the matrix fast)")
-    c.add_argument("--noise-b", type=float, default=0.0,
-                   help="noisy-SKG amplitude")
-    c.add_argument("--noise-seed", type=int, default=0,
-                   help="noisy-SKG per-level noise seed")
+    _add_plan_args(c, "--scheme", help="generation scheme under test")
+    _add_plan_args(c, "--pipeline", "--wire")
+    _add_skg_args(
+        c, default_k=5,
+        model="run the matrix over exact enumeration or the stochastic "
+              "(SKG) acceptance path",
+        seed_matrix="SKG seed-matrix name (with --model skg)",
+        skg_seed="SKG acceptance-hash seed",
+        skg_k="SKG Kronecker exponent for chaos cells (small keeps the "
+              "matrix fast)",
+        noise_b="noisy-SKG amplitude",
+        noise_seed="noisy-SKG per-level noise seed",
+    )
     c.add_argument("--timeout", type=float, default=2.0,
                    help="recv timeout (s) pinned for the run; bounds how "
                         "long a dropped message stalls before retry")
@@ -711,9 +746,11 @@ def build_parser() -> argparse.ArgumentParser:
                    default="default",
                    help="fault-plan family: the generic matrix, the TCP "
                         "disconnect/partition/slow-peer plans, or both")
-    c.add_argument("--rendezvous", default=None,
-                   help="host:port of a running serve-rendezvous for "
-                        "socket cells (default: private per-run server)")
+    _add_plan_args(
+        c, "--rendezvous",
+        help="host:port of a running serve-rendezvous for socket cells "
+             "(default: private per-run server)",
+    )
     c.add_argument("--json", action="store_true",
                    help="emit the machine-readable report (per-cell "
                         "outcome, attempts, recovery time, and socket "
@@ -726,31 +763,18 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one traced generation; write Chrome/Perfetto trace "
              "JSON and a per-rank metrics summary",
     )
-    tr.add_argument("factor_a", nargs="?", default=None,
-                    help="factor A file (default: built-in K4)")
-    tr.add_argument("factor_b", nargs="?", default=None,
-                    help="factor B file (default: built-in C5)")
-    tr.add_argument("--symmetrize", action="store_true",
-                    help="symmetrize factors after reading (directed inputs)")
-    tr.add_argument("--self-loops", action="store_true",
-                    help="add a self loop on every factor vertex")
+    _add_factor_args(
+        tr, optional="factor {f} file (default: built-in {builtin})",
+        loops_note="",
+    )
     tr.add_argument("--ranks", type=int, default=8, help="world size")
-    tr.add_argument("--scheme", choices=("1d", "1d-pipelined", "2d"),
-                    default="1d")
+    _add_plan_args(tr, "--scheme")
     tr.add_argument("--storage", choices=("source_block", "edge_hash"),
                     default="source_block")
-    tr.add_argument("--pipeline", choices=("sync", "async"), default="sync",
-                    help="exchange pipeline (async needs --scheme "
-                         "1d-pipelined)")
-    tr.add_argument("--wire", choices=("raw", "varint"), default="raw",
-                    help="edge wire format for every exchange")
-    tr.add_argument("--backend",
-                    choices=("thread", "process", "socket"),
-                    default="thread")
-    tr.add_argument("--rendezvous", default=None,
-                    help="host:port of a running serve-rendezvous (socket "
-                         "backend; default: a private in-process server)")
-    tr.add_argument("--chunk-size", type=int, default=1 << 20)
+    _add_plan_args(
+        tr, "--pipeline", "--wire", "--backend", "--rendezvous",
+        "--chunk-size",
+    )
     tr.add_argument("--out", default="trace.json",
                     help="trace-event JSON output path")
     tr.add_argument("--metrics-out", default=None,
@@ -796,14 +820,11 @@ def build_parser() -> argparse.ArgumentParser:
         "loadgen",
         help="seeded load generator against a running serve",
     )
-    lg.add_argument("factor_a", nargs="?", default=None,
-                    help="factor A file to register (default: built-in K4)")
-    lg.add_argument("factor_b", nargs="?", default=None,
-                    help="factor B file to register (default: built-in C5)")
-    lg.add_argument("--symmetrize", action="store_true",
-                    help="symmetrize factors after reading (directed inputs)")
-    lg.add_argument("--self-loops", action="store_true",
-                    help="add a self loop on every factor vertex")
+    _add_factor_args(
+        lg,
+        optional="factor {f} file to register (default: built-in {builtin})",
+        loops_note="",
+    )
     lg.add_argument("--target", default="auto",
                     help="host:port of the server, or 'auto' to read the "
                          "REPRO_SERVE line from --serve-output or stdin")

@@ -17,14 +17,14 @@ invariants the Python runtime cannot enforce:
 
 This package makes those invariants machine-checked: an AST-based rule
 framework (:mod:`repro.lint.core`) with per-file rule families
-(:mod:`repro.lint.rules`), a *whole-program* analysis layer -- a
+(:mod:`repro.lint.rules`), one communication analysis -- a
 communication IR per module (:mod:`repro.lint.ir`), a call graph with
-per-function comm summaries (:mod:`repro.lint.callgraph`), and
-interprocedural protocol rules (:mod:`repro.lint.rules.protocol`) --
-per-line ``# repro-lint: disable=RULE`` suppressions, a checked-in
-findings baseline (:mod:`repro.lint.baseline`) so CI fails only on
-*new* findings, an incremental content-addressed cache
-(:mod:`repro.lint.cache` driven by :mod:`repro.lint.engine`), and
+per-function comm summaries (:mod:`repro.lint.callgraph`), and the
+protocol rules that interpret it, same-function and interprocedural
+alike (:mod:`repro.lint.rules.protocol`) -- one driver
+(:mod:`repro.lint.engine`), per-line ``# repro-lint: disable=RULE``
+suppressions, a checked-in findings baseline
+(:mod:`repro.lint.baseline`) so CI fails only on *new* findings, and
 human/JSON/SARIF reporters behind ``python -m repro.lint``
 (:mod:`repro.lint.cli`).
 
@@ -46,14 +46,11 @@ from repro.lint.core import (
     all_program_rules,
     all_rules,
     known_rule_names,
-    lint_file,
-    lint_paths,
-    lint_source,
     register,
     register_program,
     resolve_selection,
 )
-from repro.lint.engine import analyze_paths
+from repro.lint.engine import analyze_paths, lint_source
 from repro.lint.rules import (
     BufferOwnershipRule,
     CollectiveSymmetryRule,
@@ -73,8 +70,6 @@ __all__ = [
     "register",
     "register_program",
     "lint_source",
-    "lint_file",
-    "lint_paths",
     "analyze_paths",
     "load_baseline",
     "write_baseline",

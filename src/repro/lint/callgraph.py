@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.lint.ir import (
+    AliasNode,
     CallNode,
     FuncIR,
     ModuleIR,
@@ -85,9 +86,9 @@ class Program:
         #: request through (``self._inner.wait()`` releases ``_inner``).
         self.attr_releases: set[str] = set()
         self.summaries: dict[tuple[str, str], Summary] = {}
-        #: scratch space for analyses that want to share work between
-        #: rules (e.g. the request-state interpretation).
-        self.scratch: dict = {}
+        #: the request-state interpretation's findings, computed once by
+        #: :mod:`repro.lint.rules.protocol` and shared by its rules.
+        self.interp_findings: list | None = None
         self._collect_attr_releases()
         self._fixpoint()
 
@@ -265,7 +266,7 @@ class Program:
                 if root in request_names:
                     returns_request = True
                     starts_on |= started.get(root, frozenset())
-            elif node.t == "alias":
+            elif isinstance(node, AliasNode):
                 alias[node.target] = alias.get(
                     node.target, frozenset()
                 ) | alias.get(node.source, frozenset())

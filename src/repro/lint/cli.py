@@ -5,11 +5,10 @@ reported, ``2`` usage or internal error -- the semantics CI keys off.
 The same arguments are mounted as the ``repro-kron lint`` subcommand by
 :mod:`repro.cli`.
 
-Runs the full incremental engine: file rules plus the whole-program
-protocol rules, with per-file results cached content-addressed under
-``--cache-dir`` (default ``.repro-lint-cache``; disable with
-``--no-cache``).  ``--sarif FILE`` additionally writes a SARIF 2.1.0
-report of the post-baseline findings for CI code-scanning upload.
+Runs :func:`repro.lint.engine.analyze_paths`: the file rules plus the
+program rules over the communication IR of every file given.
+``--sarif FILE`` additionally writes a SARIF 2.1.0 report of the
+post-baseline findings for CI code-scanning upload.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import json
 import sys
 
 from repro.lint.baseline import filter_baseline, load_baseline, write_baseline
-from repro.lint.cache import DEFAULT_CACHE_DIR
 from repro.lint.core import Finding, all_program_rules, all_rules
 from repro.lint.engine import analyze_paths
 
@@ -51,18 +49,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--sarif", default=None, metavar="FILE",
         help="also write findings (after baseline filtering) as SARIF 2.1.0",
-    )
-    parser.add_argument(
-        "--cache-dir", default=DEFAULT_CACHE_DIR, metavar="DIR",
-        help=f"incremental analysis cache location (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the incremental cache (analyze every file fresh)",
-    )
-    parser.add_argument(
-        "--stats", action="store_true",
-        help="print cache reuse statistics to stderr",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -108,25 +94,11 @@ def run_lint(args: argparse.Namespace) -> int:
         if args.select
         else None
     )
-    cache_dir = None if getattr(args, "no_cache", False) else getattr(
-        args, "cache_dir", DEFAULT_CACHE_DIR
-    )
     try:
-        findings, stats = analyze_paths(
-            args.paths, select=select, cache_dir=cache_dir
-        )
-    except ValueError as exc:
+        findings = analyze_paths(args.paths, select=select)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if getattr(args, "stats", False):
-        print(
-            f"lint: {stats['files']} file(s), {stats['reused']} reused, "
-            f"{stats['analyzed']} analyzed",
-            file=sys.stderr,
-        )
     if args.write_baseline:
         count = write_baseline(args.write_baseline, findings)
         print(f"wrote {count} fingerprint(s) to {args.write_baseline}")

@@ -17,8 +17,8 @@ and file-wide (anywhere in the file, conventionally near the top)::
     # repro-lint: disable-file=dtype-overflow
 
 Multiple rule names are comma-separated.  Suppression is applied centrally
-by :func:`lint_source` after the rules run, so rules never need to know
-about it.
+by :mod:`repro.lint.engine` after the rules run, so rules never need to
+know about it.
 
 Scoping
 -------
@@ -34,7 +34,7 @@ import ast
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "Finding",
@@ -47,9 +47,6 @@ __all__ = [
     "all_program_rules",
     "known_rule_names",
     "resolve_selection",
-    "lint_source",
-    "lint_file",
-    "lint_paths",
 ]
 
 #: Marker prefix for suppression comments.
@@ -95,21 +92,6 @@ class Finding:
             "snippet": self.snippet,
             "context": self.context,
         }
-
-    def with_path(self, path: str) -> "Finding":
-        """Copy of this finding re-anchored to ``path`` (cache remapping)."""
-        if path == self.path:
-            return self
-        return Finding(
-            rule=self.rule,
-            severity=self.severity,
-            path=path,
-            line=self.line,
-            col=self.col,
-            message=self.message,
-            snippet=self.snippet,
-            context=self.context,
-        )
 
 
 @dataclass
@@ -205,22 +187,12 @@ def register(cls: type[Rule]) -> type[Rule]:
     return cls
 
 
-def all_rules(select: Iterable[str] | None = None) -> list[Rule]:
-    """Instantiate registered file rules, optionally restricted to ``select``."""
+def all_rules() -> list[Rule]:
+    """Instantiate every registered file rule."""
     # Import for side effect: rule modules self-register on first use.
     import repro.lint.rules  # noqa: F401
 
-    if select is None:
-        names = sorted(_REGISTRY)
-    else:
-        names = list(select)
-        unknown = [n for n in names if n not in _REGISTRY]
-        if unknown:
-            raise ValueError(
-                f"unknown rule(s) {', '.join(unknown)}; "
-                f"known: {', '.join(sorted(_REGISTRY))}"
-            )
-    return [_REGISTRY[n]() for n in names]
+    return [_REGISTRY[n]() for n in sorted(_REGISTRY)]
 
 
 class ProgramRule(ABC):
@@ -238,6 +210,19 @@ class ProgramRule(ABC):
     name: str = ""
     severity: str = "warning"
     description: str = ""
+
+    def finding(self, path: str, node, message: str) -> Finding:
+        """A finding of this rule anchored at one IR node of ``path``."""
+        return Finding(
+            rule=self.name,
+            severity=self.severity,
+            path=path,
+            line=node.line,
+            col=node.col,
+            message=message,
+            snippet=node.snippet,
+            context=node.context,
+        )
 
     @abstractmethod
     def check(self, program) -> Iterable[Finding]:
@@ -259,12 +244,11 @@ def register_program(cls: type[ProgramRule]) -> type[ProgramRule]:
     return cls
 
 
-def all_program_rules(select: Iterable[str] | None = None) -> list[ProgramRule]:
-    """Instantiate registered program rules, optionally restricted."""
+def all_program_rules() -> list[ProgramRule]:
+    """Instantiate every registered program rule."""
     import repro.lint.rules  # noqa: F401
 
-    names = sorted(_PROGRAM_REGISTRY) if select is None else list(select)
-    return [_PROGRAM_REGISTRY[n]() for n in names if n in _PROGRAM_REGISTRY]
+    return [_PROGRAM_REGISTRY[n]() for n in sorted(_PROGRAM_REGISTRY)]
 
 
 def known_rule_names() -> list[str]:
@@ -343,14 +327,14 @@ def _stmt_spans(tree: ast.Module) -> list[tuple[int, int]]:
 
 def _collect_suppressions(
     lines: list[str],
-    tree: ast.Module | None = None,
+    tree: ast.Module,
 ) -> tuple[dict[int, set[str]], set[str]]:
     """Per-line and file-wide suppressed rule names from pragma comments.
 
-    When ``tree`` is given, a pragma on *any* physical line of a
-    multi-line statement suppresses findings reported anywhere in that
-    statement (rules anchor findings to the statement's first line, so a
-    trailing pragma on the closing paren must still apply).
+    A pragma on *any* physical line of a multi-line statement suppresses
+    findings reported anywhere in that statement (rules anchor findings
+    to the statement's first line, so a trailing pragma on the closing
+    paren must still apply).
     """
     by_line: dict[int, set[str]] = {}
     whole_file: set[str] = set()
@@ -368,7 +352,7 @@ def _collect_suppressions(
             whole_file |= names
         else:
             by_line.setdefault(lineno, set()).update(names)
-    if tree is not None and by_line:
+    if by_line:
         for start, end in _stmt_spans(tree):
             collected: set[str] = set()
             for lineno in range(start, end + 1):
@@ -388,97 +372,3 @@ def _suppressed(
         if finding.rule in names or "all" in names:
             return True
     return False
-
-
-# --------------------------------------------------------------------- #
-# drivers
-# --------------------------------------------------------------------- #
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    rules: Iterable[Rule] | None = None,
-) -> list[Finding]:
-    """Lint one source string; returns findings sorted by position."""
-    rules = list(rules) if rules is not None else all_rules()
-    ctx = LintContext(path=path, source=source)
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule="parse-error",
-                severity="error",
-                path=path,
-                line=exc.lineno or 1,
-                col=exc.offset or 0,
-                message=f"could not parse file: {exc.msg}",
-                snippet=ctx.snippet(exc.lineno or 1),
-            )
-        ]
-    by_line, whole_file = _collect_suppressions(ctx.lines, tree)
-    findings: list[Finding] = []
-    for rule in rules:
-        if not rule.applies_to(path):
-            continue
-        for f in rule.check(tree, ctx):
-            if not _suppressed(f, by_line, whole_file):
-                findings.append(f)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
-def lint_file(path: Path, rules: Iterable[Rule] | None = None) -> list[Finding]:
-    """Lint one file (path recorded relative to the current directory)."""
-    text = path.read_text(encoding="utf-8")
-    try:
-        rel = path.resolve().relative_to(Path.cwd())
-    except ValueError:
-        rel = path
-    return lint_source(text, path=rel.as_posix(), rules=rules)
-
-
-def _iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
-    """Yield each ``.py`` file exactly once, even under overlapping paths.
-
-    ``repro-kron lint src src/repro`` must not double-report findings,
-    so files are deduplicated on their resolved absolute path (the first
-    spelling encountered wins).
-    """
-    seen: set[Path] = set()
-    for p in paths:
-        if p.is_dir():
-            candidates: Iterable[Path] = sorted(p.rglob("*.py"))
-        elif p.suffix == ".py":
-            candidates = [p]
-        else:
-            continue
-        for candidate in candidates:
-            key = candidate.resolve()
-            if key in seen:
-                continue
-            seen.add(key)
-            yield candidate
-
-
-def lint_paths(
-    paths: Iterable[str | Path],
-    rules: Iterable[Rule] | None = None,
-) -> list[Finding]:
-    """Lint every ``.py`` file under the given files/directories.
-
-    With ``rules=None`` this runs the full analysis -- all file rules
-    plus the whole-program protocol rules over the communication IR of
-    every file in ``paths`` (uncached; the CLI adds the incremental
-    cache on top via :mod:`repro.lint.engine`).  Passing an explicit
-    ``rules`` list restricts the run to those file rules only.
-    """
-    if rules is not None:
-        rules = list(rules)
-        findings: list[Finding] = []
-        for path in _iter_python_files(Path(p) for p in paths):
-            findings.extend(lint_file(path, rules=rules))
-        return findings
-    from repro.lint.engine import analyze_paths
-
-    findings, _stats = analyze_paths(paths)
-    return findings

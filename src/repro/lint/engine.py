@@ -1,166 +1,160 @@
-"""Incremental analysis engine: file rules + whole-program rules + cache.
+"""The lint driver: file rules + whole-program rules over one module set.
 
-``analyze_paths`` is the full pipeline behind ``repro-kron lint``:
+``analyze_paths`` is the pipeline behind ``repro-kron lint``;
+``lint_source`` is its single-module form.  Both run the same three
+steps:
 
-1. Every ``.py`` file is read and content-hashed.  On a cache hit the
-   file's rule findings, communication IR, and suppression maps are
-   loaded from :mod:`repro.lint.cache`; on a miss the file is parsed and
-   analyzed, then stored.  Repeated runs over an unchanged tree
-   therefore re-analyze nothing -- they only re-hash.
+1. Every source is parsed once by :func:`_analyze_file`, which applies
+   the selected file rules, expands the suppression pragmas, and
+   extracts the communication IR (:mod:`repro.lint.ir`).  A file that
+   is not UTF-8 or does not parse becomes one ``parse-error`` finding
+   and the run carries on with the rest.
 2. The per-file IRs are assembled into a
-   :class:`repro.lint.callgraph.Program` and the whole-program protocol
-   rules run over it.  Program analysis always runs fresh (it is cheap
-   relative to parsing, and its input is exactly the cached IRs), so
-   cross-file findings stay correct even when only *one* side of a
-   caller/callee pair changed.
-3. Program findings are filtered through each file's suppression
+   :class:`repro.lint.callgraph.Program` and the selected program rules
+   run over it.
+3. Program findings are filtered through their file's suppression
    pragmas, merged with the file findings, and sorted.
-
-The cache is keyed on content, not path: findings and IR are re-anchored
-to the path the file was found at on this run, which pairs with the
-path-free baseline fingerprints (moved file == same findings).
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from repro.lint.cache import LintCache, content_key, schema_tag
+from repro.lint.callgraph import Program
 from repro.lint.core import (
     Finding,
     LintContext,
+    Rule,
     _collect_suppressions,
-    _iter_python_files,
     _suppressed,
     resolve_selection,
 )
-from repro.lint.ir import IR_VERSION, ModuleIR, extract_module
+from repro.lint.ir import ModuleIR, extract_module
 
-__all__ = ["LINT_SCHEMA_VERSION", "analyze_paths"]
+__all__ = ["analyze_paths", "lint_source"]
 
-#: Bump when Finding shape, suppression expansion, or entry layout change.
-LINT_SCHEMA_VERSION = 1
+_Suppressions = tuple[dict[int, set[str]], set[str]]
 
 
-def _analyze_file(text: str, path: str, file_rules) -> dict:
-    """Analyze one file from scratch; returns a cache-shaped entry."""
-    import ast
+def _unparsable(
+    path: str, message: str, line: int = 1, col: int = 0, snippet: str = ""
+) -> tuple[list[Finding], None, _Suppressions]:
+    """The result of :func:`_analyze_file` for a file with no AST."""
+    finding = Finding(
+        rule="parse-error", severity="error", path=path, line=line, col=col,
+        message=f"could not parse file: {message}", snippet=snippet,
+    )
+    return [finding], None, ({}, set())
 
-    ctx = LintContext(path=path, source=text)
+
+def _analyze_file(
+    source: str | bytes, path: str, file_rules: list[Rule]
+) -> tuple[list[Finding], ModuleIR | None, _Suppressions]:
+    """Parse one file; returns its unsuppressed file-rule findings, its
+    communication IR (``None`` when unparsable), and its suppression maps."""
+    if isinstance(source, bytes):
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return _unparsable(path, f"not valid UTF-8 ({exc})")
+    ctx = LintContext(path=path, source=source)
     try:
-        tree = ast.parse(text, filename=path)
+        tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        finding = Finding(
-            rule="parse-error", severity="error", path=path,
-            line=exc.lineno or 1, col=exc.offset or 0,
-            message=f"could not parse file: {exc.msg}",
-            snippet=ctx.snippet(exc.lineno or 1),
+        line = exc.lineno or 1
+        return _unparsable(
+            path, exc.msg, line, exc.offset or 0, ctx.snippet(line)
         )
-        return {
-            "findings": [finding.to_json()],
-            "ir": None,
-            "suppress_lines": {},
-            "suppress_file": [],
-        }
-    by_line, whole_file = _collect_suppressions(ctx.lines, tree)
+    suppressions = _collect_suppressions(ctx.lines, tree)
+    findings = [
+        f
+        for rule in file_rules
+        if rule.applies_to(path)
+        for f in rule.check(tree, ctx)
+        if not _suppressed(f, *suppressions)
+    ]
+    return findings, extract_module(tree, ctx), suppressions
+
+
+def _analyze(
+    sources: Iterable[tuple[str, str | bytes]],
+    select: Iterable[str] | None,
+) -> list[Finding]:
+    """Run the selected rules over ``(path, source)`` pairs as one program."""
+    file_rules, program_rules = resolve_selection(select)
     findings: list[Finding] = []
-    for rule in file_rules:
-        if not rule.applies_to(path):
+    modules: list[ModuleIR] = []
+    suppressions: dict[str, _Suppressions] = {}
+    for path, source in sources:
+        found, module, suppressions[path] = _analyze_file(
+            source, path, file_rules
+        )
+        findings.extend(found)
+        if module is not None:
+            modules.append(module)
+    if program_rules and modules:
+        program = Program(modules)
+        for rule in program_rules:
+            findings.extend(
+                f
+                for f in rule.check(program)
+                if not _suppressed(f, *suppressions[f.path])
+            )
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return findings
+
+
+def _iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
+    """Yield each ``.py`` file exactly once, even under overlapping paths.
+
+    ``repro-kron lint src src/repro`` must not double-report findings,
+    so files are deduplicated on their resolved absolute path (the first
+    spelling encountered wins).
+    """
+    seen: set[Path] = set()
+    for p in paths:
+        if p.is_dir():
+            candidates: Iterable[Path] = sorted(p.rglob("*.py"))
+        elif p.suffix == ".py":
+            candidates = [p]
+        else:
             continue
-        for f in rule.check(tree, ctx):
-            if not _suppressed(f, by_line, whole_file):
-                findings.append(f)
-    findings.sort(key=lambda f: (f.line, f.col, f.rule))
-    ir = extract_module(tree, ctx.lines, path)
-    return {
-        "findings": [f.to_json() for f in findings],
-        "ir": ir.to_json(),
-        "suppress_lines": {
-            str(line): sorted(names) for line, names in by_line.items()
-        },
-        "suppress_file": sorted(whole_file),
-    }
+        for candidate in candidates:
+            key = candidate.resolve()
+            if key in seen:
+                continue
+            seen.add(key)
+            yield candidate
 
 
-def _rel_path(path: Path) -> str:
-    try:
-        return path.resolve().relative_to(Path.cwd()).as_posix()
-    except ValueError:
-        return path.as_posix()
+def _read_sources(paths: Iterable[str | Path]) -> Iterator[tuple[str, bytes]]:
+    """``(path, bytes)`` per file, paths relative to the working directory."""
+    for file_path in _iter_python_files(Path(p) for p in paths):
+        try:
+            rel = file_path.resolve().relative_to(Path.cwd()).as_posix()
+        except ValueError:
+            rel = file_path.as_posix()
+        yield rel, file_path.read_bytes()
 
 
 def analyze_paths(
     paths: Iterable[str | Path],
     select: Iterable[str] | None = None,
-    cache_dir: str | Path | None = None,
-) -> tuple[list[Finding], dict]:
-    """Run the full (file + program) analysis over ``paths``.
+) -> list[Finding]:
+    """Run the file and program rules over every ``.py`` file under
+    ``paths``; returns findings sorted by position.
 
-    Returns ``(findings, stats)``; ``stats`` records how much work the
-    cache saved (``files``, ``analyzed``, ``reused``).  Passing
-    ``cache_dir=None`` disables the cache entirely.  Raises
-    ``ValueError`` for unknown names in ``select``.
+    Raises ``ValueError`` for unknown names in ``select``.
     """
-    file_rules, program_rules = resolve_selection(select)
-    cache: LintCache | None = None
-    if cache_dir is not None:
-        tag = schema_tag(
-            LINT_SCHEMA_VERSION, IR_VERSION, [r.name for r in file_rules]
-        )
-        cache = LintCache(cache_dir, tag)
+    return _analyze(_read_sources(paths), select)
 
-    findings: list[Finding] = []
-    modules: list[ModuleIR] = []
-    suppressions: dict[str, tuple[dict, set]] = {}
-    files = 0
-    reused = 0
 
-    for file_path in _iter_python_files(Path(p) for p in paths):
-        files += 1
-        data = file_path.read_bytes()
-        rel = _rel_path(file_path)
-        entry = None
-        key = ""
-        if cache is not None:
-            key = content_key(data)
-            entry = cache.get(key)
-            if entry is not None:
-                reused += 1
-        if entry is None:
-            text = data.decode("utf-8")
-            entry = _analyze_file(text, rel, file_rules)
-            if cache is not None:
-                cache.put(key, entry)
-        for item in entry["findings"]:
-            findings.append(Finding(**item).with_path(rel))
-        if entry["ir"] is not None:
-            mod = ModuleIR.from_json(entry["ir"])
-            mod.path = rel
-            modules.append(mod)
-        suppressions[rel] = (
-            {
-                int(line): set(names)
-                for line, names in entry["suppress_lines"].items()
-            },
-            set(entry["suppress_file"]),
-        )
-
-    if program_rules and modules:
-        from repro.lint.callgraph import Program
-
-        program = Program(modules)
-        for rule in program_rules:
-            for f in rule.check(program):
-                by_line, whole_file = suppressions.get(f.path, ({}, set()))
-                if not _suppressed(f, by_line, whole_file):
-                    findings.append(f)
-
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    stats = {
-        "files": files,
-        "reused": reused,
-        "analyzed": files - reused,
-        "cache": cache_dir is not None,
-    }
-    return findings, stats
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    select: Iterable[str] | None = None,
+) -> list[Finding]:
+    """Lint one source string as a single-module program."""
+    return _analyze([(path, source)], select)

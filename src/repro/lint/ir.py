@@ -1,12 +1,9 @@
-"""Communication IR: per-module comm-op extraction for whole-program analysis.
+"""Communication IR: per-module comm-op extraction for the comm rules.
 
-The file-local rules of :mod:`repro.lint.rules` see one function body at
-a time, so the invariants that span functions -- a collective three
-frames down a call chain, a request returned through a helper, a buffer
-started in one function and mutated in its caller -- are invisible to
-them.  This module extracts, per file, a small *communication IR*: for
-every function, an abstract statement tree recording only the events the
-protocol checker cares about:
+Every communication rule -- same-function or spanning a call chain --
+reads one representation.  This module extracts, per file, a small
+*communication IR*: for every function, an abstract statement tree
+recording only the events the protocol checker cares about:
 
 * comm-op call sites (collectives, nonblocking starts, waits/finishes)
   with the buffer expressions they capture and where their result goes
@@ -21,10 +18,6 @@ protocol checker cares about:
   ``"guarded"`` (under a rank-dependent test), or ``"divergent"``
   (after a rank-guarded asymmetric early exit).
 
-Extraction is a pure function of file content, so the IR is serialized
-into the content-addressed cache (:mod:`repro.lint.cache`) and only
-re-extracted for changed files.
-
 Known abstractions (see DESIGN.md "Whole-program protocol analysis" for
 the soundness discussion): starts nested in lambdas/comprehensions are
 recorded as escaping rather than tracked, keyword arguments do not
@@ -35,9 +28,10 @@ attribute name program-wide.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.lint.core import LintContext
 from repro.lint.ops import (
     COLLECTIVE_OPS,
     FINISH_OPS,
@@ -47,10 +41,10 @@ from repro.lint.ops import (
     base_name,
     call_method,
     contains_rank_ref,
+    target_names,
 )
 
 __all__ = [
-    "IR_VERSION",
     "OpNode",
     "CallNode",
     "AliasNode",
@@ -66,17 +60,7 @@ __all__ = [
     "ModuleIR",
     "extract_module",
     "module_name_for",
-    "node_to_json",
-    "node_from_json",
 ]
-
-#: Bump whenever node shapes or extraction semantics change: the version
-#: is folded into the cache key, so stale cached IR can never be loaded.
-IR_VERSION = 1
-
-#: Rank-guard contexts, in increasing order of divergence.
-GUARDS = ("all", "guarded", "divergent")
-
 
 # --------------------------------------------------------------------- #
 # nodes
@@ -89,7 +73,7 @@ class _Node:
     col: int = 0
     snippet: str = ""
     context: str = ""
-    guard: str = "all"
+    guard: str = "all"  # or "guarded" / "divergent", see module docstring
     guard_line: int = 0
 
 
@@ -106,7 +90,6 @@ class OpNode(_Node):
     completed request (dotted for attributes).
     """
 
-    t = "op"
     kind: str = ""
     op: str = ""
     buffers: tuple = ()
@@ -119,7 +102,6 @@ class OpNode(_Node):
 class CallNode(_Node):
     """A call to a (potentially program-local) plain function or method."""
 
-    t = "call"
     callee: tuple = ()
     argroots: tuple = ()  # per positional argument: tuple of root names
     binds: tuple = ()
@@ -128,33 +110,28 @@ class CallNode(_Node):
 
 @dataclass
 class AliasNode(_Node):
-    t = "alias"
     target: str = ""
     source: str = ""
 
 
 @dataclass
 class BindNoneNode(_Node):
-    t = "none"
     targets: tuple = ()
 
 
 @dataclass
 class RebindNode(_Node):
-    t = "rebind"
     targets: tuple = ()
 
 
 @dataclass
 class MutateNode(_Node):
-    t = "mutate"
     name: str = ""
     how: str = ""
 
 
 @dataclass
 class ReturnNode(_Node):
-    t = "return"
     value_root: str | None = None
 
 
@@ -162,12 +139,9 @@ class ReturnNode(_Node):
 class ExitNode(_Node):
     """raise/break/continue: the path ends without a leak obligation."""
 
-    t = "exit"
-
 
 @dataclass
 class IfNode(_Node):
-    t = "if"
     rank_test: bool = False
     #: (name, sense) when the test refines a single name against None /
     #: truthiness: sense True means the *then* branch sees a non-None
@@ -179,62 +153,16 @@ class IfNode(_Node):
 
 @dataclass
 class LoopNode(_Node):
-    t = "loop"
     body: list = field(default_factory=list)
     orelse: list = field(default_factory=list)
 
 
 @dataclass
 class TryNode(_Node):
-    t = "try"
     body: list = field(default_factory=list)
     handlers: list = field(default_factory=list)  # list of node lists
     orelse: list = field(default_factory=list)
     final: list = field(default_factory=list)
-
-
-_NODE_TYPES = {
-    cls.t: cls
-    for cls in (
-        OpNode, CallNode, AliasNode, BindNoneNode, RebindNode,
-        MutateNode, ReturnNode, ExitNode, IfNode, LoopNode, TryNode,
-    )
-}
-
-_CHILD_LISTS = ("then", "orelse", "body", "final")
-
-
-def node_to_json(node: _Node) -> dict:
-    d: dict = {"t": type(node).t}
-    for f in fields(node):
-        value = getattr(node, f.name)
-        if f.name in _CHILD_LISTS:
-            value = [node_to_json(c) for c in value]
-        elif f.name == "handlers":
-            value = [[node_to_json(c) for c in handler] for handler in value]
-        elif isinstance(value, tuple):
-            value = list(value)
-        d[f.name] = value
-    return d
-
-
-def node_from_json(d: dict) -> _Node:
-    cls = _NODE_TYPES[d["t"]]
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in d:
-            continue
-        value = d[f.name]
-        if f.name in _CHILD_LISTS:
-            value = [node_from_json(c) for c in value]
-        elif f.name == "handlers":
-            value = [[node_from_json(c) for c in h] for h in value]
-        elif isinstance(value, list):
-            value = tuple(
-                tuple(v) if isinstance(v, list) else v for v in value
-            )
-        kwargs[f.name] = value
-    return cls(**kwargs)
 
 
 # --------------------------------------------------------------------- #
@@ -251,27 +179,6 @@ class FuncIR:
     local_defs: dict = field(default_factory=dict)  # bare name -> qualname
     line: int = 0
 
-    def to_json(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "params": list(self.params),
-            "body": [node_to_json(n) for n in self.body],
-            "cls": self.cls,
-            "local_defs": dict(self.local_defs),
-            "line": self.line,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "FuncIR":
-        return cls(
-            qualname=d["qualname"],
-            params=tuple(d["params"]),
-            body=[node_from_json(n) for n in d["body"]],
-            cls=d.get("cls"),
-            local_defs=dict(d.get("local_defs", {})),
-            line=d.get("line", 0),
-        )
-
 
 @dataclass
 class ModuleIR:
@@ -283,36 +190,6 @@ class ModuleIR:
     from_imports: dict = field(default_factory=dict)  # local -> (module, name)
     alias_imports: dict = field(default_factory=dict)  # alias -> module
     plain_imports: tuple = ()  # dotted names bound by plain `import a.b.c`
-    version: int = IR_VERSION
-
-    def to_json(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "functions": {q: f.to_json() for q, f in self.functions.items()},
-            "from_imports": {
-                k: list(v) for k, v in self.from_imports.items()
-            },
-            "alias_imports": dict(self.alias_imports),
-            "plain_imports": list(self.plain_imports),
-            "version": self.version,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ModuleIR":
-        return cls(
-            path=d["path"],
-            module=d["module"],
-            functions={
-                q: FuncIR.from_json(f) for q, f in d["functions"].items()
-            },
-            from_imports={
-                k: tuple(v) for k, v in d.get("from_imports", {}).items()
-            },
-            alias_imports=dict(d.get("alias_imports", {})),
-            plain_imports=tuple(d.get("plain_imports", ())),
-            version=d.get("version", 0),
-        )
 
 
 def module_name_for(path: str | Path) -> str:
@@ -349,19 +226,6 @@ def _roots(expr: ast.expr) -> tuple:
         return tuple(names)
     name = base_name(expr)
     return (name,) if name is not None else ()
-
-
-def _target_names(target: ast.expr) -> list[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        out: list[str] = []
-        for elt in target.elts:
-            out.extend(_target_names(elt))
-        return out
-    if isinstance(target, ast.Starred):
-        return _target_names(target.value)
-    return []
 
 
 def _dotted(expr: ast.expr) -> str | None:
@@ -405,34 +269,16 @@ def _block_exits(stmts: list[ast.stmt]) -> bool:
 class _Extractor:
     """Walks one module's AST into a :class:`ModuleIR`."""
 
-    def __init__(self, tree: ast.Module, lines: list[str], path: str) -> None:
+    def __init__(self, tree: ast.Module, ctx: LintContext) -> None:
         self.tree = tree
-        self.lines = lines
-        self.mod = ModuleIR(path=path, module=module_name_for(path))
-
-    # -- source helpers ---------------------------------------------------
-    def _snippet(self, line: int) -> str:
-        if 1 <= line <= len(self.lines):
-            return self.lines[line - 1].strip()
-        return ""
-
-    def _context(self, line: int) -> str:
-        def nearest(start: int, step: int) -> str:
-            i = start
-            while 1 <= i <= len(self.lines):
-                text = self.lines[i - 1].strip()
-                if text:
-                    return text
-                i += step
-            return ""
-
-        return nearest(line - 1, -1) + "␞" + nearest(line + 1, 1)
+        self.ctx = ctx
+        self.mod = ModuleIR(path=ctx.path, module=module_name_for(ctx.path))
 
     def _place(self, node: _Node, at: ast.AST, guard) -> _Node:
         node.line = getattr(at, "lineno", 0)
         node.col = getattr(at, "col_offset", 0)
-        node.snippet = self._snippet(node.line)
-        node.context = self._context(node.line)
+        node.snippet = self.ctx.snippet(node.line)
+        node.context = self.ctx.context_of(node.line)
         if guard is not None:
             node.guard, node.guard_line = guard
         return node
@@ -565,7 +411,7 @@ class _Extractor:
             elif isinstance(st, (ast.For, ast.AsyncFor)):
                 self._expr(out, st.iter, guard)
                 body: list = []
-                targets = tuple(_target_names(st.target))
+                targets = tuple(target_names(st.target))
                 if targets:
                     rebind = self._place(RebindNode(targets=targets), st, guard)
                     body.append(rebind)
@@ -576,7 +422,7 @@ class _Extractor:
                 for item in st.items:
                     self._expr(out, item.context_expr, guard)
                     if item.optional_vars is not None:
-                        names = tuple(_target_names(item.optional_vars))
+                        names = tuple(target_names(item.optional_vars))
                         if names:
                             out.append(
                                 self._place(
@@ -646,7 +492,7 @@ class _Extractor:
                 if dotted:
                     attrs.append(dotted)
             else:
-                plain.extend(_target_names(target))
+                plain.extend(target_names(target))
         binds = tuple(plain) + tuple(attrs)
         if self._is_tracked_call(value):
             self._emit_call(out, value, guard, binds=binds, escape=None)
@@ -823,8 +669,6 @@ class _Extractor:
                     )
 
 
-def extract_module(
-    tree: ast.Module, lines: list[str], path: str
-) -> ModuleIR:
+def extract_module(tree: ast.Module, ctx: LintContext) -> ModuleIR:
     """Extract the communication IR of one parsed module."""
-    return _Extractor(tree, lines, path).run()
+    return _Extractor(tree, ctx).run()

@@ -21,7 +21,7 @@ __all__ = [
     "base_name",
     "call_method",
     "contains_rank_ref",
-    "walk_calls",
+    "target_names",
     "walk_scope",
 ]
 
@@ -99,11 +99,18 @@ def contains_rank_ref(node: ast.AST) -> bool:
     return False
 
 
-def walk_calls(node: ast.AST):
-    """Yield every Call node in an expression/statement subtree."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            yield sub
+def target_names(target: ast.expr) -> list[str]:
+    """Plain names bound by an assignment/loop target (incl. unpacking)."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, (ast.Tuple, ast.List)):
+        names: list[str] = []
+        for elt in target.elts:
+            names.extend(target_names(elt))
+        return names
+    if isinstance(target, ast.Starred):
+        return target_names(target.value)
+    return []
 
 
 def walk_scope(body: list[ast.stmt]):

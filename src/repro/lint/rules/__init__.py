@@ -2,11 +2,10 @@
 
 Importing this package registers every rule with the framework
 registries (:func:`repro.lint.core.register` for file rules,
-:func:`repro.lint.core.register_program` for whole-program rules):
+:func:`repro.lint.core.register_program` for program rules).
 
-``collective-symmetry`` (error)
-    collectives reachable only under rank-dependent control flow deadlock
-    the world.
+File rules (one AST pass per file):
+
 ``buffer-ownership`` (error)
     buffers received from collectives/``recv`` may be shared read-only
     views and must not be mutated in place.
@@ -26,17 +25,22 @@ registries (:func:`repro.lint.core.register` for file rules,
     ``time.perf_counter()`` directly, so traces stay deterministic
     under a fake clock.
 
-Whole-program rules (run over the communication IR of every analyzed
-file at once; see :mod:`repro.lint.ir` and :mod:`repro.lint.callgraph`):
+Program rules (run over the communication IR of every analyzed file at
+once; see :mod:`repro.lint.ir` and :mod:`repro.lint.callgraph`):
 
+``collective-symmetry`` (error)
+    collectives reachable only under rank-dependent control flow deadlock
+    the world.
 ``protocol-divergence`` (error)
     a rank-guarded call reaches a collective down its call chain.
 ``protocol-leak`` (error)
     a nonblocking request is discarded, rebound, or left in flight on
     some path.
+``inflight-buffer`` (error)
+    a buffer passed to ``alltoall_start`` is mutated before the request
+    completes.
 ``protocol-inflight`` (error)
-    a buffer put in flight through a helper is mutated before the
-    request completes.
+    the same, with the start inside a helper that returned the request.
 """
 
 from repro.lint.rules.buffers import BufferOwnershipRule
@@ -44,6 +48,7 @@ from repro.lint.rules.collectives import CollectiveSymmetryRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.dtypes import DtypeOverflowRule
 from repro.lint.rules.protocol import (
+    InflightBufferRule,
     ProtocolDivergenceRule,
     ProtocolInflightRule,
     ProtocolLeakRule,
@@ -60,5 +65,6 @@ __all__ = [
     "WallClockRule",
     "ProtocolDivergenceRule",
     "ProtocolLeakRule",
+    "InflightBufferRule",
     "ProtocolInflightRule",
 ]

@@ -1,14 +1,15 @@
-"""Whole-program SPMD protocol rules.
+"""SPMD protocol rules over the communication IR.
 
-Three interprocedural rules over the :class:`repro.lint.callgraph.Program`
-built from the communication IR:
+Four rules over the :class:`repro.lint.callgraph.Program` built from the
+communication IR:
 
 ``protocol-divergence``
     A rank-guarded (or rank-divergent) *call* reaches a collective
-    somewhere down the call chain.  The file-local
-    ``collective-symmetry`` rule already flags guarded collectives in
-    the same function body; this rule covers the cases it cannot see --
-    ``if rank == 0: checkpoint(comm)`` where ``checkpoint`` gathers.
+    somewhere down the call chain -- ``if rank == 0: checkpoint(comm)``
+    where ``checkpoint`` gathers.  The guarded collective in the same
+    function body is ``collective-symmetry``
+    (:mod:`repro.lint.rules.collectives`), read off the same guard
+    context.
 
 ``protocol-leak``
     A nonblocking start whose request is never completed on some path:
@@ -17,14 +18,19 @@ built from the communication IR:
     Requests that escape to the caller (returned) are the caller's
     obligation and tracked there via function summaries.
 
-``protocol-inflight``
-    A buffer put in flight *through a helper* (the helper starts a
-    nonblocking op on its parameter and returns the request) is mutated
-    in the caller before the request completes.  The file-local
-    ``inflight-buffer`` rule covers the same-function case; this rule
-    generalizes it across function boundaries.
+``inflight-buffer`` / ``protocol-inflight``
+    A buffer is mutated while the request that put it in flight may
+    still be incomplete.  ``alltoall_start`` hands the passed buffers to
+    the runtime until the returned request is waited on (the contract
+    documented on :class:`repro.distributed.comm.Request`): the thread
+    backend passes them by reference to the receiver and a deferred-send
+    backend may not have serialized them yet, so an in-place edit races
+    the delivery.  It is one check with two names:
+    ``inflight-buffer`` when the start is in the mutating function,
+    ``protocol-inflight`` when a helper started it on its parameter and
+    returned the request.
 
-All three run off a shared abstract interpretation of request states.
+The last three run off a shared abstract interpretation of request states.
 Each tracked request name holds a *possibility set* drawn from
 ``{NONE, INFLIGHT, DONE}``; branches fork the environment, ``x is not
 None`` tests refine it, joins union it, and loop bodies iterate to a
@@ -43,7 +49,7 @@ attribute name program-wide, not per object.
 from __future__ import annotations
 
 from repro.lint.callgraph import Program, Summary, flatten
-from repro.lint.core import Finding, ProgramRule, register_program
+from repro.lint.core import ProgramRule, register_program
 from repro.lint.ir import (
     AliasNode,
     BindNoneNode,
@@ -63,6 +69,7 @@ from repro.lint.ir import (
 __all__ = [
     "ProtocolDivergenceRule",
     "ProtocolLeakRule",
+    "InflightBufferRule",
     "ProtocolInflightRule",
 ]
 
@@ -140,14 +147,13 @@ class _Interp:
         self.program = program
         self.mod = mod
         self.fn = fn
-        self.findings: dict[tuple, tuple] = {}  # dedupe across loop rounds
+        #: (rule, node, message) keyed for dedupe across loop rounds
+        self.findings: dict[tuple, tuple] = {}
 
     # -- findings ---------------------------------------------------------
     def _flag(self, rule: str, node, message: str) -> None:
         key = (rule, node.line, node.col, message)
-        self.findings.setdefault(
-            key, (rule, node.line, node.col, node.snippet, node.context, message)
-        )
+        self.findings.setdefault(key, (rule, node, message))
 
     def _leak(self, node, origin, why: str) -> None:
         op = origin.op if isinstance(origin, OpNode) else "call"
@@ -201,10 +207,8 @@ class _Interp:
     # -- node dispatch ----------------------------------------------------
     def run(self) -> None:
         env = self._block(self.fn.body, {})
-        if env is not None:
-            terminal = self.fn.body[-1] if self.fn.body else None
-            if terminal is not None:
-                self._end_of_path(env, _last_node(self.fn.body))
+        if env is not None and self.fn.body:
+            self._end_of_path(env, self.fn.body[-1])
 
     def _block(self, nodes: list, env: dict | None) -> dict | None:
         for node in nodes:
@@ -272,7 +276,7 @@ class _Interp:
                         )
                 else:
                     self._kill(env, node, (bind,))
-                    env[bind] = _Cell({INFLIGHT}, node)
+                    env[bind] = _Cell({INFLIGHT}, node, node.buffers)
         elif node.kind == "finish":
             request = node.request
             if request and "." not in request:
@@ -315,17 +319,23 @@ class _Interp:
 
     def _mutate(self, node: MutateNode, env: dict) -> None:
         seen: set[int] = set()
-        for name, cell in env.items():
+        for cell in env.values():
             if id(cell) in seen:
                 continue
             seen.add(id(cell))
             if INFLIGHT in cell.statuses and node.name in cell.buffers:
                 origin = cell.origin
+                if isinstance(origin, OpNode):
+                    rule, via = "inflight-buffer", origin.op
+                else:
+                    rule, via = "protocol-inflight", ".".join(origin.callee)
                 self._flag(
-                    "protocol-inflight", node,
+                    rule, node,
                     f"{node.how} '{node.name}' while it is in flight: the "
-                    f"request started at line {origin.line} has not been "
-                    f"completed",
+                    f"request started at line {origin.line} by '{via}' has "
+                    f"not been completed -- the runtime owns the buffer "
+                    f"until then; wait()/alltoall_finish() first or send "
+                    f"a copy (Request contract)",
                 )
 
     def _if(self, node: IfNode, env: dict) -> dict | None:
@@ -392,33 +402,26 @@ class _Interp:
         return joined
 
 
-def _last_node(nodes: list):
-    return nodes[-1]
-
-
 def _interp_findings(program: Program) -> list[tuple]:
-    """Run the request-state interpretation once per program; results
-    are shared between the leak and inflight rules via scratch space."""
-    cached = program.scratch.get("protocol-interp")
-    if cached is not None:
-        return cached
-    results: list[tuple] = []  # (rule, path, line, col, snippet, ctx, msg)
-    for mod, fn in program.iter_functions():
-        interp = _Interp(program, mod, fn)
-        interp.run()
-        for rule, line, col, snippet, context, message in interp.findings.values():
-            results.append((rule, mod.path, line, col, snippet, context, message))
-    results.sort(key=lambda r: (r[1], r[2], r[3], r[0]))
-    program.scratch["protocol-interp"] = results
-    return results
+    """``(rule, path, node, message)`` from the request-state
+    interpretation, run once per program and shared by the rules below."""
+    if program.interp_findings is None:
+        program.interp_findings = results = []
+        for mod, fn in program.iter_functions():
+            interp = _Interp(program, mod, fn)
+            interp.run()
+            for rule, node, message in interp.findings.values():
+                results.append((rule, mod.path, node, message))
+    return program.interp_findings
 
 
-def _finding(rule, severity, item) -> Finding:
-    _, path, line, col, snippet, context, message = item
-    return Finding(
-        rule=rule, severity=severity, path=path, line=line, col=col,
-        message=message, snippet=snippet, context=context,
-    )
+class _InterpRule(ProgramRule):
+    """A rule whose findings are one name's share of the interpretation."""
+
+    def check(self, program: Program):
+        for rule, path, node, message in _interp_findings(program):
+            if rule == self.name:
+                yield self.finding(path, node, message)
 
 
 # --------------------------------------------------------------------- #
@@ -458,21 +461,17 @@ class ProtocolDivergenceRule(ProgramRule):
                         f"runs after a rank-dependent early exit "
                         f"(line {node.guard_line})"
                     )
-                yield Finding(
-                    rule=self.name, severity=self.severity, path=mod.path,
-                    line=node.line, col=node.col,
-                    message=(
-                        f"call to '{'.'.join(node.callee)}' {how} but "
-                        f"executes collective '{op}' "
-                        f"({site_path}:{site_line}); ranks outside the "
-                        f"guard never reach it -- possible deadlock"
-                    ),
-                    snippet=node.snippet, context=node.context,
+                yield self.finding(
+                    mod.path, node,
+                    f"call to '{'.'.join(node.callee)}' {how} but "
+                    f"executes collective '{op}' "
+                    f"({site_path}:{site_line}); ranks outside the "
+                    f"guard never reach it -- possible deadlock",
                 )
 
 
 @register_program
-class ProtocolLeakRule(ProgramRule):
+class ProtocolLeakRule(_InterpRule):
     """Every nonblocking start must be completed on every path."""
 
     name = "protocol-leak"
@@ -483,14 +482,23 @@ class ProtocolLeakRule(ProgramRule):
         "never completed"
     )
 
-    def check(self, program: Program):
-        for item in _interp_findings(program):
-            if item[0] == self.name:
-                yield _finding(self.name, self.severity, item)
+
+@register_program
+class InflightBufferRule(_InterpRule):
+    """Buffers handed to ``alltoall_start`` stay frozen until the
+    request completes."""
+
+    name = "inflight-buffer"
+    severity = "error"
+    description = (
+        "buffers passed to alltoall_start stay owned by the runtime "
+        "until the request is waited on; mutate only after wait()/"
+        "alltoall_finish()"
+    )
 
 
 @register_program
-class ProtocolInflightRule(ProgramRule):
+class ProtocolInflightRule(_InterpRule):
     """Buffers handed to a helper-started request stay frozen until
     the request completes."""
 
@@ -500,8 +508,3 @@ class ProtocolInflightRule(ProgramRule):
         "a buffer put in flight through a helper's nonblocking start "
         "is mutated before the returned request is completed"
     )
-
-    def check(self, program: Program):
-        for item in _interp_findings(program):
-            if item[0] == self.name:
-                yield _finding(self.name, self.severity, item)

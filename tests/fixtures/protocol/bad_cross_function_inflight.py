@@ -2,9 +2,9 @@
 
 ``begin_exchange`` starts an alltoall on its parameter and returns the
 request, so the caller's ``outgoing`` is owned by the runtime until the
-finish -- but the caller appends to it first.  The file-local
-inflight-buffer rule cannot see this: the start is in another function
-(and another module).  Expected: protocol-inflight at the ``append``.
+finish -- but the caller appends to it first.  The start is in another
+function (and another module), so this is not inflight-buffer but its
+cross-function name.  Expected: protocol-inflight at the ``append``.
 """
 
 from proto_helpers import begin_exchange, end_exchange

@@ -1,7 +1,7 @@
 """BAD: a rank-guarded call reaches a collective one frame down.
 
-The guard is invisible to the file-local collective-symmetry rule
-because ``checkpoint`` itself is symmetric -- only the *call* diverges.
+The collective-symmetry rule stays quiet here because ``checkpoint``
+itself is symmetric -- only the *call* diverges.
 Expected: protocol-divergence at the ``checkpoint(...)`` call.
 """
 

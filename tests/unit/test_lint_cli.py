@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import filter_baseline, lint_paths, load_baseline, write_baseline
+from repro.lint import analyze_paths, filter_baseline, load_baseline, write_baseline
 from repro.lint.cli import main as lint_main
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -56,7 +56,7 @@ class TestExitCodes:
         # the guarded barrier is intra-function, so no program finding
         # either -> clean.
         assert lint_main(
-            [str(bad_tree), "--select", "protocol-divergence", "--no-cache"]
+            [str(bad_tree), "--select", "protocol-divergence"]
         ) == 0
 
     def test_list_rules(self, capsys):
@@ -72,6 +72,18 @@ class TestExitCodes:
             "protocol-inflight",
         ):
             assert rule in out
+
+
+class TestUndecodableFile:
+    def test_non_utf8_file_is_a_finding_not_an_abort(self, bad_tree, capsys):
+        (bad_tree / "distributed" / "latin.py").write_bytes(b"x = '\xe9'\n")
+        assert lint_main([str(bad_tree)]) == 1
+        out = capsys.readouterr().out
+        assert "latin.py:1:0: error[parse-error]" in out
+        assert "UTF-8" in out
+        # the sibling file's findings are still reported
+        assert "collective-symmetry" in out
+        assert "buffer-ownership" in out
 
 
 class TestJsonOutput:
@@ -97,18 +109,18 @@ class TestBaseline:
         capsys.readouterr()
         extra = bad_tree / "distributed" / "new.py"
         extra.write_text("def g(comm):\n    comm.recv(0).sort()\n")
-        findings = lint_paths([bad_tree])
+        findings = analyze_paths([bad_tree])
         fresh = filter_baseline(findings, load_baseline(baseline))
         assert {f.rule for f in fresh} == {"buffer-ownership"}
         assert all("new.py" in f.path for f in fresh)
 
     def test_line_drift_stays_baselined(self, bad_tree, tmp_path):
         baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, lint_paths([bad_tree]))
+        write_baseline(baseline, analyze_paths([bad_tree]))
         bad = bad_tree / "distributed" / "bad.py"
         bad.write_text("# a new leading comment\n\n" + bad.read_text())
         fresh = filter_baseline(
-            lint_paths([bad_tree]), load_baseline(baseline)
+            analyze_paths([bad_tree]), load_baseline(baseline)
         )
         assert fresh == []
 
@@ -118,12 +130,12 @@ class TestBaseline:
         one = "def f(comm):\n    if comm.rank == 0:\n        comm.barrier()\n"
         (pkg / "dup.py").write_text(one)
         baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, lint_paths([tmp_path]))
+        write_baseline(baseline, analyze_paths([tmp_path]))
         # a second identical violation in the same file is NOT baselined
         (pkg / "dup.py").write_text(
             one + "def g(comm):\n    if comm.rank == 0:\n        comm.barrier()\n"
         )
-        fresh = filter_baseline(lint_paths([tmp_path]), load_baseline(baseline))
+        fresh = filter_baseline(analyze_paths([tmp_path]), load_baseline(baseline))
         assert len(fresh) == 1
 
     def test_bad_baseline_exit_2(self, bad_tree, tmp_path):
@@ -144,7 +156,7 @@ class TestSuppressionSpans:
             "            root=0,\n"
             "        )  # repro-lint: disable=collective-symmetry\n"
         )
-        assert lint_paths([tmp_path]) == []
+        assert analyze_paths([tmp_path]) == []
 
     def test_pragma_in_body_does_not_cover_header(self, tmp_path):
         # A pragma on a statement *inside* the if must not silence the
@@ -155,37 +167,37 @@ class TestSuppressionSpans:
             "        comm.barrier()\n"
             "        x = 1  # repro-lint: disable=collective-symmetry\n"
         )
-        assert [f.rule for f in lint_paths([tmp_path])] == [
+        assert [f.rule for f in analyze_paths([tmp_path])] == [
             "collective-symmetry"
         ]
 
 
 class TestOverlappingPaths:
     def test_nested_paths_do_not_duplicate(self, bad_tree):
-        once = lint_paths([bad_tree])
-        twice = lint_paths([bad_tree, bad_tree / "distributed"])
+        once = analyze_paths([bad_tree])
+        twice = analyze_paths([bad_tree, bad_tree / "distributed"])
         assert [f.to_json() for f in twice] == [f.to_json() for f in once]
 
 
 class TestBaselineMoveStability:
     def test_moved_file_stays_baselined(self, bad_tree, tmp_path):
         baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, lint_paths([bad_tree]))
+        write_baseline(baseline, analyze_paths([bad_tree]))
         pkg = bad_tree / "distributed"
         (pkg / "nested").mkdir()
         (pkg / "bad.py").rename(pkg / "nested" / "bad.py")
         fresh = filter_baseline(
-            lint_paths([bad_tree]), load_baseline(baseline)
+            analyze_paths([bad_tree]), load_baseline(baseline)
         )
         assert fresh == []
 
     def test_editing_the_line_surfaces_it(self, bad_tree, tmp_path):
         baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, lint_paths([bad_tree]))
+        write_baseline(baseline, analyze_paths([bad_tree]))
         bad = bad_tree / "distributed" / "bad.py"
         bad.write_text(bad.read_text().replace("comm.barrier()", "comm.barrier()  ; pass"))
         fresh = filter_baseline(
-            lint_paths([bad_tree]), load_baseline(baseline)
+            analyze_paths([bad_tree]), load_baseline(baseline)
         )
         assert any(f.rule == "collective-symmetry" for f in fresh)
 
@@ -199,7 +211,7 @@ class TestBaselineMoveStability:
 class TestRepoIsClean:
     def test_src_lints_clean_with_checked_in_baseline(self):
         """The acceptance gate: `python -m repro.lint src` exits 0."""
-        findings = lint_paths([REPO_ROOT / "src"])
+        findings = analyze_paths([REPO_ROOT / "src"])
         baseline = load_baseline(REPO_ROOT / "lint-baseline.json")
         fresh = filter_baseline(findings, baseline)
         assert fresh == [], "\n".join(f.format_human() for f in fresh)

@@ -5,12 +5,11 @@ import textwrap
 
 import pytest
 
-from repro.lint import all_rules, lint_source
+from repro.lint import analyze_paths, lint_source, resolve_selection
 
 
 def findings_for(source, path="distributed/mod.py", select=None):
-    rules = all_rules(select) if select else all_rules()
-    return lint_source(textwrap.dedent(source), path=path, rules=rules)
+    return lint_source(textwrap.dedent(source), path=path, select=select)
 
 
 def rules_hit(source, path="distributed/mod.py"):
@@ -411,7 +410,7 @@ class TestFramework:
 
     def test_unknown_rule_selection_rejected(self):
         with pytest.raises(ValueError, match="unknown rule"):
-            all_rules(["no-such-rule"])
+            resolve_selection(["no-such-rule"])
 
     def test_rule_selection(self):
         src = """
@@ -595,14 +594,8 @@ class TestWallClock:
         # The runtime itself must satisfy its own rule.
         from pathlib import Path
 
-        from repro.lint import lint_paths
-
         src = Path(__file__).resolve().parents[2] / "src" / "repro"
-        found = [
-            f
-            for f in lint_paths([src / "distributed"], rules=all_rules(["wall-clock"]))
-        ]
-        assert found == []
+        assert analyze_paths([src / "distributed"], select=["wall-clock"]) == []
 
 
 class TestInflightBuffer:
@@ -690,3 +683,28 @@ class TestInflightBuffer:
             """
         )
         assert fs == []
+
+    def test_mutation_through_alias_flagged(self):
+        fs = findings_for(
+            """
+            def f(comm, buf):
+                req = comm.alltoall_start(buf)
+                alias = buf
+                alias.fill(0)
+                req.wait()
+            """
+        )
+        assert [(f.rule, f.line) for f in fs] == [("inflight-buffer", 5)]
+
+    def test_wait_on_one_branch_only_still_in_flight(self):
+        fs = findings_for(
+            """
+            def f(comm, buf, eager):
+                req = comm.alltoall_start(buf)
+                if eager:
+                    req.wait()
+                buf.fill(0)
+                req.wait()
+            """
+        )
+        assert [(f.rule, f.line) for f in fs] == [("inflight-buffer", 6)]

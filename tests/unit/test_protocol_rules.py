@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint.callgraph import Program
-from repro.lint.core import resolve_selection
+from repro.lint.core import LintContext, resolve_selection
 from repro.lint.engine import analyze_paths
 from repro.lint.ir import ModuleIR, extract_module, module_name_for
 
@@ -23,11 +23,10 @@ FIXTURES = REPO_ROOT / "tests" / "fixtures" / "protocol"
 
 @pytest.fixture(scope="module")
 def fixture_findings():
-    findings, _stats = analyze_paths(
+    return analyze_paths(
         [FIXTURES],
         select=["protocol-divergence", "protocol-leak", "protocol-inflight"],
     )
-    return findings
 
 
 def _rules_for(findings, name: str) -> list[str]:
@@ -103,7 +102,7 @@ class TestSuppression:
             "    if comm.rank == 0:\n"
             "        sync(comm)  # repro-lint: disable=protocol-divergence\n"
         )
-        findings, _ = analyze_paths([tmp_path], select=["protocol-divergence"])
+        findings = analyze_paths([tmp_path], select=["protocol-divergence"])
         assert findings == []
 
     def test_without_pragma_it_fires(self, tmp_path):
@@ -116,7 +115,7 @@ class TestSuppression:
             "    if comm.rank == 0:\n"
             "        sync(comm)\n"
         )
-        findings, _ = analyze_paths([tmp_path], select=["protocol-divergence"])
+        findings = analyze_paths([tmp_path], select=["protocol-divergence"])
         assert [f.rule for f in findings] == ["protocol-divergence"]
 
 
@@ -124,7 +123,7 @@ class TestSelection:
     """--select covers program rules: restrictable, and typo-fatal."""
 
     def test_select_single_program_rule(self, fixture_findings):
-        findings, _ = analyze_paths([FIXTURES], select=["protocol-leak"])
+        findings = analyze_paths([FIXTURES], select=["protocol-leak"])
         assert {f.rule for f in findings} == {"protocol-leak"}
         expected = [f for f in fixture_findings if f.rule == "protocol-leak"]
         assert len(findings) == len(expected)
@@ -144,9 +143,7 @@ class TestIrAndSummaries:
     @staticmethod
     def _module(path: Path) -> ModuleIR:
         text = path.read_text(encoding="utf-8")
-        return extract_module(
-            ast.parse(text), text.splitlines(), str(path)
-        )
+        return extract_module(ast.parse(text), LintContext(str(path), text))
 
     def test_module_name_for(self):
         assert (
@@ -172,15 +169,8 @@ class TestIrAndSummaries:
         assert 1 in finish.finishes_params
         assert not finish.returns_request
 
-    def test_ir_json_roundtrip(self):
-        mod = self._module(FIXTURES / "bad_cross_function_inflight.py")
-        clone = ModuleIR.from_json(mod.to_json())
-        assert clone.to_json() == mod.to_json()
-        assert clone.module == mod.module
-        assert sorted(clone.functions) == sorted(mod.functions)
-
     def test_pipelined_generator_is_clean(self):
-        findings, _ = analyze_paths(
+        findings = analyze_paths(
             [REPO_ROOT / "src" / "repro" / "distributed"],
             select=[
                 "protocol-divergence", "protocol-leak", "protocol-inflight",
