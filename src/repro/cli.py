@@ -152,10 +152,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         local_ranks=_parse_rank_set(args.local_ranks, args.ranks),
         skg=spec,
     )
+    shards = sum(d is not None for d in manifest.shard_digests)
     print(
         f"generated {manifest.edges_total} directed edges "
-        f"({manifest.n} vertices) into {len(manifest.shard_paths)} shards "
-        f"under {manifest.directory}"
+        f"({manifest.n} vertices) into {shards} shards "
+        f"under {args.out}"
     )
     if spec is not None:
         print(
@@ -163,7 +164,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"skg_seed={spec.skg_seed} noise_b={spec.noise_b} "
             f"vertices={spec.n} edges={manifest.edges_total} "
             f"expected_edges={expected_edge_rows(spec):.1f} "
-            f"shards={len(manifest.shard_paths)} "
+            f"shards={shards} "
             f"digest={spec.digest():016x}",
             flush=True,
         )

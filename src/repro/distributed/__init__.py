@@ -66,7 +66,7 @@ from repro.distributed.aggregate import (
     distributed_degree_histogram,
     distributed_max_vertex,
 )
-from repro.distributed.outofcore import ShardManifest, generate_to_directory
+from repro.distributed.outofcore import generate_to_directory
 from repro.distributed.triangles import (
     distributed_edge_triangles,
     distributed_global_triangles,
@@ -131,7 +131,6 @@ __all__ = [
     "RankOutput",
     "generate_rank",
     "generate_distributed",
-    "ShardManifest",
     "generate_to_directory",
     "distributed_edge_triangles",
     "distributed_global_triangles",

@@ -1,4 +1,4 @@
-"""Content-addressed shard checkpoints for supervised generation.
+"""The shard store: every generated shard file is written and read here.
 
 Nonstochastic Kronecker generation is deterministic per shard (Section
 III): rank ``r``'s stored edges are a pure function of the factors, the
@@ -6,73 +6,95 @@ partition, and the routing configuration.  That makes failed work ideal
 for checkpoint/retry -- a shard computed once never needs recomputing, and
 a recomputed shard can be *verified* bit-for-bit against the recorded
 digest (cf. Sanders et al., arXiv:1803.09021 on validating generated
-output at scale).
+output at scale).  A checkpoint of a shard *is* the stored shard, so the
+supervised launcher and ``repro-kron generate`` write the same files.
 
-Each checkpoint is one ``.npz`` file holding the shard's edge array, its
-``generated`` count, and a 64-bit content digest computed with the
-project's splitmix64 hashing (:mod:`repro.util.hashing`).  The digest is
-order-sensitive (row permutations change it) and shape-sensitive, so a
-digest match means the recovered array is byte-for-byte the original.
-Reads re-derive the digest from the data and compare against the recorded
-one; a mismatch (disk corruption, partial write) is treated as *absent* by
-default -- the shard regenerates -- with a structured
-:class:`~repro.errors.DegradationWarning`, or raises
-:class:`~repro.errors.CheckpointError` under ``strict=True``.
+Each is one *uncompressed* ``.npz`` holding the edge array, its
+``generated`` count, and an order- and shape-sensitive 64-bit digest
+(:func:`repro.util.hashing.edges_digest`).  Reads re-derive the digest
+under one policy: a file that does not parse, lies about its sizes or
+fails its digest is *deleted* and the transient
+:class:`~repro.errors.CheckpointCorruptionError` raised, so a retry
+regenerates exactly that shard.  A completed run is described by a
+:class:`RunManifest` persisted beside its shards, which is how anything
+later finds them -- never by file-name pattern.  See DESIGN.md section 8.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import tempfile
-import warnings
 import zipfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.errors import (
-    CheckpointCorruptionError,
-    CheckpointError,
-    DegradationWarning,
+from repro.distributed.generator import GenerationPlan, RankOutput
+from repro.errors import CheckpointCorruptionError, CheckpointError
+from repro.graph.edgelist import EdgeList
+from repro.telemetry.session import telemetry_of
+from repro.util.hashing import (
+    edge_fingerprint,
+    edges_digest,
+    merge_fingerprints,
 )
-from repro.telemetry.session import record_degradation
-from repro.util.hashing import hash_pair, splitmix64
 
 __all__ = [
     "edges_digest",
+    "shard_key",
+    "generation_run_key",
+    "generation_family_key",
     "CheckpointStore",
     "Shard",
     "RunManifest",
     "reshard_run",
+    "CheckpointedRankFn",
+    "elastic_pre_attempt",
 ]
 
 _KEY_RE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
-def edges_digest(edges: np.ndarray) -> int:
-    """Order- and shape-sensitive 64-bit digest of an edge array.
+def shard_key(run_key: str, rank: int) -> str:
+    """Store key of rank ``rank``'s shard of the run ``run_key``."""
+    return f"{run_key}.rank{rank:05d}"
 
-    Rows are hashed pairwise (splitmix64 via :func:`hash_pair`), mixed with
-    their positions so permutations change the digest, folded with uint64
-    wraparound addition (associative, vectorized), and finalized together
-    with the row count.
+
+def generation_run_key(
+    el_a: EdgeList, el_b: EdgeList, nranks: int | str, plan: GenerationPlan
+) -> str:
+    """Content-addressed signature of one generation configuration.
+
+    Folds the factor edge digests, the world size and
+    :meth:`GenerationPlan.token` -- every field of the plan, the SKG spec
+    as its digest -- so a resumed run can never consume checkpoints
+    written under a different configuration.  ``wire`` matters because the
+    varint codec re-sorts each exchanged block (shard row order changes);
+    ``pipeline`` is in there even though sync and async are bit-identical:
+    run keys identify configurations, not equivalence classes.
     """
-    edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
-    m = len(edges)
-    with np.errstate(over="ignore"):
-        rows = hash_pair(
-            edges[:, 0].astype(np.uint64),
-            edges[:, 1].astype(np.uint64),
-            seed=m,
-            directed=True,
-        )
-        positioned = splitmix64(rows ^ splitmix64(np.arange(m, dtype=np.uint64)))
-        acc = np.uint64(0) if m == 0 else positioned.sum(dtype=np.uint64)
-        final = splitmix64(acc + np.uint64(m))
-    return int(final)
+    return (
+        f"gen-{edges_digest(el_a.edges):016x}-{edges_digest(el_b.edges):016x}"
+        f"-r{nranks}-{plan.token()}"
+    )
+
+
+def generation_family_key(
+    el_a: EdgeList, el_b: EdgeList, plan: GenerationPlan
+) -> str:
+    """The rank-count-independent part of :func:`generation_run_key`.
+
+    Two run keys with the same family describe the same edge set sharded
+    at different world sizes -- the elastic-resume compatibility class.
+    Everything that changes *contents* stays in -- including the SKG spec
+    digest, since a stochastic run's edge set is a function of the spec;
+    only the rank count (which changes *placement*) is wildcarded.
+    """
+    return generation_run_key(el_a, el_b, "*", plan)
 
 
 @dataclass(frozen=True)
@@ -80,8 +102,8 @@ class Shard:
     """One recovered checkpoint entry.
 
     ``resharded`` marks shards written by :func:`reshard_run` rather than
-    by generation: their contents are ownership-exact but their row order
-    is the canonical union order, so a digest mismatch against a
+    by generation: their contents are ownership-exact but their rows come
+    in the order of the source shards, so a digest mismatch against a
     re-*generated* shard means "stale layout", not "nondeterminism".
     """
 
@@ -93,32 +115,107 @@ class Shard:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Consensus summary of one completed checkpointed run.
+    """Self-describing summary of one completed run's shards.
 
-    Written after a run succeeds; consumed by elastic resume.  ``family``
-    is the rank-count-independent configuration signature (factor digests
-    plus every parameter except the world size), so manifests of the same
-    family describe the *same* edge set partitioned at different rank
-    counts.  ``union_digest`` is the digest of all shards stacked in rank
-    order and canonically (lexicographically) sorted -- the invariant any
-    re-partition must preserve bit-for-bit.
+    ``family`` is the rank-count-independent configuration signature, so
+    manifests of one family describe the *same* edge set partitioned at
+    different rank counts; ``n`` is the product's vertex count and
+    ``storage`` the ownership map the shards were placed by (``None``:
+    they stay where the partition generated them).  ``shard_digests[r]``
+    is the order-sensitive digest of rank ``r``'s shard (``None``: it is
+    on another host of a split world).  ``union_digest`` is the
+    :func:`~repro.util.hashing.edge_fingerprint` of the listed shards'
+    union and ``edges_total`` its row count -- per-shard values add up to
+    both, so nobody holds, let alone sorts, the union to write or check
+    the invariants any re-partition must preserve.
     """
 
     run_key: str
     family: str
     nranks: int
-    shard_digests: tuple[int, ...]
+    n: int
+    storage: str | None
+    shard_digests: tuple[int | None, ...]
     union_digest: int
     edges_total: int
 
+    @classmethod
+    def from_shards(
+        cls, run_key: str, family: str, n: int, storage: str | None,
+        shards: list[tuple[int, int, int] | None],
+    ) -> RunManifest:
+        """From per-rank ``(edges_digest, edge_fingerprint, rows)``, each
+        computed where that shard is; ``None`` is a shard on another host.
+        """
+        held = [s for s in shards if s is not None]
+        return cls(
+            run_key, family, len(shards), n, storage,
+            shard_digests=tuple(None if s is None else s[0] for s in shards),
+            union_digest=merge_fingerprints(s[1] for s in held),
+            edges_total=sum(s[2] for s in held),
+        )
+
+
+def _atomic_write(path: Path, mode: str, write) -> None:
+    """``write(fh)`` to a temp file, then rename: never a torn ``path``."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+#: What parsing a damaged or hostile shard file can raise.
+_UNREADABLE = (OSError, ValueError, KeyError, EOFError, RuntimeError,
+               zipfile.BadZipFile)
+
+
+def _read_member(
+    zf: zipfile.ZipFile, name: str, limit: int, *, scalar: bool
+) -> np.ndarray:
+    """One ``.npy`` member of a shard file, read with bounded memory.
+
+    Refuses what the one writer never produces: a member that is deflated
+    or declares more bytes than the file has (``limit``), a header whose
+    shape and dtype do not account for exactly the member's bytes (so the
+    allocation is bounded by bytes on disk, whatever the header claims),
+    and a scalar that is not a 0-d integer.
+    """
+    info = zf.getinfo(f"{name}.npy")
+    if info.compress_type != zipfile.ZIP_STORED or info.file_size > limit:
+        raise ValueError(
+            f"member {name!r} is compressed or declares {info.file_size} "
+            f"bytes in a {limit}-byte file"
+        )
+    with zf.open(info) as fh:
+        if np.lib.format.read_magic(fh) != (1, 0):
+            raise ValueError(f"member {name!r} is not a version-1.0 .npy")
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if (
+            fortran
+            or dtype.kind not in ("iu" if scalar else "iuf")
+            or (scalar and shape != ())
+            or fh.tell() + nbytes != info.file_size
+        ):
+            raise ValueError(
+                f"member {name!r}: header (shape {shape}, dtype {dtype}) "
+                f"does not describe its {info.file_size} bytes"
+            )
+        return np.frombuffer(fh.read(nbytes), dtype=dtype).reshape(shape)
+
 
 class CheckpointStore:
-    """Directory of digest-verified shard checkpoints.
+    """Directory of digest-verified shard files and their run manifests.
 
-    Keys are arbitrary strings (sanitized into filenames); the supervised
-    launcher keys shards by a run signature that folds in the factor
-    digests and every generation parameter, so a resumed run can never
-    consume shards from a differently-configured one.
+    Keys are arbitrary strings (sanitized into filenames); generation keys
+    shards by a run signature that folds in the factor digests and every
+    generation parameter, so a resumed run can never consume shards from a
+    differently-configured one.
     """
 
     def __init__(self, directory: str | os.PathLike) -> None:
@@ -140,110 +237,65 @@ class CheckpointStore:
         *,
         resharded: bool = False,
     ) -> int:
-        """Persist a shard; returns its content digest.
-
-        The write goes through a temp file + atomic rename so a crash
-        mid-write leaves either the old checkpoint or none -- never a
-        torn file that parses.
-        """
+        """Persist a shard (atomically); returns its content digest."""
         edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
         digest = edges_digest(edges)
-        path = self._path(key)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=path.stem, suffix=".tmp"
+        _atomic_write(
+            self._path(key),
+            "wb",
+            lambda fh: np.savez(
+                fh,
+                edges=edges,
+                generated=np.int64(generated),
+                digest=np.uint64(digest),
+                resharded=np.int64(resharded),
+            ),
         )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez(
-                    fh,
-                    edges=edges,
-                    generated=np.int64(generated),
-                    digest=np.uint64(digest),
-                    resharded=np.int64(resharded),
-                )
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
         return digest
 
-    def get(
-        self, key: str, *, strict: bool = False, discard: bool = False
-    ) -> Shard | None:
-        """Load and verify a shard; ``None`` when absent or unusable.
+    def get(self, key: str) -> Shard | None:
+        """Load and verify a shard; ``None`` when absent.
 
-        The digest is recomputed from the loaded data and compared to the
-        recorded one.  On mismatch (or an unreadable file) the checkpoint
-        is discarded: a :class:`DegradationWarning` is emitted and the
-        shard regenerates -- unless ``strict=True``, which raises
-        :class:`CheckpointError` instead, or ``discard=True``, which
-        *deletes* the damaged file and raises the transient
-        :class:`CheckpointCorruptionError` (the supervised path: the retry
-        finds no checkpoint and regenerates bit-identically).
+        The file must parse under :func:`_read_member` and its edges must
+        re-derive the recorded digest (an ``edges`` member of another real
+        dtype is cast to int64, not rejected: the digest then decides).
+        Torn write, bit rot or hostile file, the outcome is one: the file
+        is *deleted* and the transient :class:`CheckpointCorruptionError`
+        raised, so the retry finds no checkpoint and regenerates the shard.
         """
         path = self._path(key)
-        if not path.exists():
+        try:
+            limit = path.stat().st_size
+        except FileNotFoundError:
             return None
         try:
-            with np.load(path) as npz:
-                edges = np.asarray(npz["edges"], dtype=np.int64).reshape(-1, 2)
-                generated = int(npz["generated"])
-                recorded = int(npz["digest"])
-                resharded = (
-                    bool(npz["resharded"]) if "resharded" in npz else False
+            with zipfile.ZipFile(path) as zf:
+                edges = np.asarray(
+                    _read_member(zf, "edges", limit, scalar=False),
+                    dtype=np.int64,
+                ).reshape(-1, 2)
+                generated = int(_read_member(zf, "generated", limit, scalar=True))
+                recorded = int(_read_member(zf, "digest", limit, scalar=True))
+                resharded = "resharded.npy" in zf.namelist() and bool(
+                    _read_member(zf, "resharded", limit, scalar=True)
                 )
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-            return self._reject(
-                key, path, f"unreadable checkpoint: {exc}", strict, discard
-            )
-        actual = edges_digest(edges)
-        if actual != recorded:
-            return self._reject(
-                key,
-                path,
-                f"content digest {actual:#018x} does not match recorded "
-                f"{recorded:#018x} (corrupt or torn write)",
-                strict,
-                discard,
-            )
-        return Shard(
-            edges=edges, generated=generated, digest=recorded,
-            resharded=resharded,
-        )
-
-    def _reject(
-        self,
-        key: str,
-        path: Path,
-        reason: str,
-        strict: bool,
-        discard: bool = False,
-    ) -> None:
-        if discard:
+            actual = edges_digest(edges)
+            if actual != recorded:
+                raise ValueError(
+                    f"content digest {actual:#018x} does not match recorded "
+                    f"{recorded:#018x} (corrupt or torn write)"
+                )
+        except _UNREADABLE as exc:
             path.unlink(missing_ok=True)
             raise CheckpointCorruptionError(
-                f"checkpoint {key!r} at {path}: {reason} -- damaged "
-                f"artifact discarded; a retry regenerates the shard"
-            )
-        if strict:
-            raise CheckpointError(f"checkpoint {key!r} at {path}: {reason}")
-        record_degradation(
-            f"checkpoint {key!r}", "regenerating the shard", reason
-        )
-        warnings.warn(
-            DegradationWarning(
-                f"checkpoint {key!r}", "regenerating the shard", reason
-            ),
-            stacklevel=3,
-        )
-        return None
+                f"checkpoint {key!r} at {path}: {exc} -- damaged artifact "
+                f"discarded; a retry regenerates the shard"
+            ) from exc
+        return Shard(edges, generated, recorded, resharded)
 
     def discard(self, key: str) -> None:
         """Remove one checkpoint (missing is fine)."""
-        path = self._path(key)
-        if path.exists():
-            path.unlink()
+        self._path(key).unlink(missing_ok=True)
 
     def keys(self) -> list[str]:
         """Stored keys (filename-sanitized form), sorted."""
@@ -254,41 +306,24 @@ class CheckpointStore:
         return self.directory / f"{_KEY_RE.sub('_', run_key)}.manifest.json"
 
     def put_manifest(self, manifest: RunManifest) -> None:
-        """Persist a run manifest (atomic tmp + rename, like shards)."""
-        path = self._manifest_path(manifest.run_key)
-        payload = json.dumps(
-            {
-                "run_key": manifest.run_key,
-                "family": manifest.family,
-                "nranks": manifest.nranks,
-                "shard_digests": [f"{d:016x}" for d in manifest.shard_digests],
-                "union_digest": f"{manifest.union_digest:016x}",
-                "edges_total": manifest.edges_total,
-            },
-            indent=2,
-            sort_keys=True,
+        """Persist a manifest of a whole run (atomically, like shards)."""
+        payload = json.dumps(asdict(manifest), indent=2, sort_keys=True)
+        _atomic_write(
+            self._manifest_path(manifest.run_key), "w",
+            lambda fh: fh.write(payload),
         )
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=path.stem, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
 
     def get_manifest(self, run_key: str) -> RunManifest | None:
         """Load one manifest; damaged files are deleted and yield ``None``.
 
         A manifest is pure derived metadata (the shards are the truth), so
-        an unreadable one is silently dropped -- elastic resume simply will
-        not see that run.  Digest *verification* against the shards happens
-        in :func:`reshard_run`, where a mismatch is a transient error.
+        an unreadable one -- or one older than the ``n``/``storage``
+        fields -- is silently dropped: that run is simply not seen.
+        *Verification* against the shards is :meth:`load_run`'s.
         """
-        path = self._manifest_path(run_key)
+        return self._load_manifest(self._manifest_path(run_key))
+
+    def _load_manifest(self, path: Path) -> RunManifest | None:
         if not path.exists():
             return None
         try:
@@ -298,35 +333,63 @@ class CheckpointStore:
                 run_key=str(doc["run_key"]),
                 family=str(doc["family"]),
                 nranks=int(doc["nranks"]),
-                shard_digests=tuple(
-                    int(d, 16) for d in doc["shard_digests"]
-                ),
-                union_digest=int(doc["union_digest"], 16),
+                n=int(doc["n"]),
+                storage=None if doc["storage"] is None else str(doc["storage"]),
+                shard_digests=tuple(int(d) for d in doc["shard_digests"]),
+                union_digest=int(doc["union_digest"]),
                 edges_total=int(doc["edges_total"]),
             )
         except (OSError, ValueError, KeyError, TypeError):
             path.unlink(missing_ok=True)
             return None
 
-    def discard_manifest(self, run_key: str) -> None:
-        """Remove one manifest (missing is fine)."""
-        self._manifest_path(run_key).unlink(missing_ok=True)
-
     def manifests(self) -> list[RunManifest]:
         """Every readable manifest in the store, sorted by run key."""
-        out = []
-        for path in sorted(self.directory.glob("*.manifest.json")):
-            run_key = path.name[: -len(".manifest.json")]
-            manifest = self.get_manifest(run_key)
-            if manifest is not None:
-                out.append(manifest)
-        return out
+        paths = sorted(self.directory.glob("*.manifest.json"))
+        return [m for m in map(self._load_manifest, paths) if m is not None]
 
+    def load_run(self, manifest: RunManifest) -> EdgeList:
+        """Reassemble the shards a manifest lists, every one verified.
 
-def _canonical_order(edges: np.ndarray) -> np.ndarray:
-    """Lexicographic row order (the manifest's union invariant)."""
-    edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
-    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        Each shard goes through :meth:`get` (a damaged file is deleted and
+        raises) and must carry the digest the manifest recorded; their
+        union must add up to its fingerprint and row count.  A manifest
+        its shards contradict is discarded with the same transient
+        :class:`CheckpointCorruptionError`.  Holds the whole union: for
+        verification and re-partitioning, not for paper-scale runs.
+        """
+        blocks = [np.empty((0, 2), dtype=np.int64)]
+        for rank, digest in enumerate(manifest.shard_digests):
+            if digest is None:
+                continue
+            key = shard_key(manifest.run_key, rank)
+            shard = self.get(key)
+            if shard is None or shard.digest != digest:
+                raise self._stale(
+                    manifest,
+                    f"shard {key!r} is missing or does not match the "
+                    f"manifest's digest {digest:#018x} (rewritten after it)",
+                )
+            blocks.append(shard.edges)
+        edges = np.vstack(blocks)
+        if (edge_fingerprint(edges), len(edges)) != (
+            manifest.union_digest, manifest.edges_total
+        ):
+            raise self._stale(
+                manifest,
+                f"the shard union digest does not match the manifest's "
+                f"consensus {manifest.union_digest:#018x} over "
+                f"{manifest.edges_total} rows",
+            )
+        return EdgeList(edges, manifest.n)
+
+    def _stale(
+        self, manifest: RunManifest, why: str
+    ) -> CheckpointCorruptionError:
+        self._manifest_path(manifest.run_key).unlink(missing_ok=True)
+        return CheckpointCorruptionError(
+            f"manifest {manifest.run_key!r}: {why}; manifest discarded"
+        )
 
 
 def reshard_run(
@@ -335,20 +398,16 @@ def reshard_run(
     *,
     new_key: str,
     new_ranks: int,
-    scheme: str,
-    n: int,
-    seed: int = 0,
 ) -> RunManifest:
     """Re-partition a completed run's shards onto a new rank count.
 
-    The elastic-resume kernel: load every source shard (digest-verified,
-    damaged ones deleted), rebuild the canonical edge union, verify it
-    against the manifest's consensus ``union_digest``, then re-partition
-    through the *same* ownership map a fresh ``new_ranks``-rank run would
-    use (:func:`repro.distributed.shuffle.edge_owners`) and persist the
-    new shards plus their manifest.  Ownership-exact re-partitioning plus
-    the union-digest check make the resumed run's edge set bit-identical
-    to the original regardless of R -> R'.
+    The elastic-resume kernel: load the source run verified against its
+    manifest (:meth:`CheckpointStore.load_run`), re-partition it through
+    the *same* ownership map a fresh ``new_ranks``-rank run would use
+    (:func:`repro.distributed.shuffle.edge_owners` under the manifest's
+    ``storage`` and ``n``), persist the new shards and their manifest, and
+    check that what was *written* still adds up to the source union -- so
+    the resumed run's edge set is the original's regardless of R -> R'.
 
     Any damage found along the way raises the *transient*
     :class:`CheckpointCorruptionError` after discarding the damaged
@@ -356,53 +415,143 @@ def reshard_run(
     """
     from repro.distributed.shuffle import edge_owners
 
-    blocks = []
-    for rank in range(manifest.nranks):
-        key = f"{manifest.run_key}.rank{rank:05d}"
-        shard = store.get(key, discard=True)
-        if shard is None:
-            store.discard_manifest(manifest.run_key)
-            raise CheckpointCorruptionError(
-                f"elastic resume: source shard {key!r} of manifest "
-                f"{manifest.run_key!r} is missing; manifest discarded"
-            )
-        if shard.digest != manifest.shard_digests[rank]:
-            store.discard_manifest(manifest.run_key)
-            raise CheckpointCorruptionError(
-                f"elastic resume: shard {key!r} digest "
-                f"{shard.digest:#018x} does not match manifest "
-                f"{manifest.shard_digests[rank]:#018x} (shards were "
-                f"rewritten after the manifest); manifest discarded"
-            )
-        blocks.append(shard.edges)
-    union = _canonical_order(
-        np.vstack(blocks) if blocks else np.empty((0, 2), dtype=np.int64)
-    )
-    union_digest = edges_digest(union)
-    if union_digest != manifest.union_digest:
-        store.discard_manifest(manifest.run_key)
-        raise CheckpointCorruptionError(
-            f"elastic resume: shard union digest {union_digest:#018x} "
-            f"does not match manifest consensus "
-            f"{manifest.union_digest:#018x}; manifest discarded"
+    if manifest.storage is None:
+        raise CheckpointError(
+            f"run {manifest.run_key!r} was stored where it was generated "
+            f"(no ownership map); it cannot be re-partitioned"
         )
-    owners = edge_owners(union, new_ranks, scheme=scheme, n=n, seed=seed)
-    shard_digests = []
+    try:
+        union = store.load_run(manifest).edges
+    except CheckpointCorruptionError as exc:
+        raise CheckpointCorruptionError(f"elastic resume: {exc}") from exc
+    owners = edge_owners(union, new_ranks, scheme=manifest.storage, n=manifest.n)
+    shards = []
     for rank in range(new_ranks):
-        shard_edges = union[owners == rank]
-        shard_digests.append(
-            store.put(
-                f"{new_key}.rank{rank:05d}", shard_edges, generated=0,
-                resharded=True,
-            )
-        )
-    new_manifest = RunManifest(
-        run_key=new_key,
-        family=manifest.family,
-        nranks=new_ranks,
-        shard_digests=tuple(shard_digests),
-        union_digest=union_digest,
-        edges_total=int(len(union)),
+        block = union[owners == rank]
+        digest = store.put(shard_key(new_key, rank), block, resharded=True)
+        shards.append((digest, edge_fingerprint(block), len(block)))
+    new_manifest = RunManifest.from_shards(
+        new_key, manifest.family, manifest.n, manifest.storage, shards
     )
+    if (new_manifest.union_digest, new_manifest.edges_total) != (
+        manifest.union_digest, manifest.edges_total
+    ):
+        raise CheckpointError(
+            f"elastic resume: the {new_ranks} shards written for {new_key!r} "
+            f"do not add up to the union of {manifest.run_key!r}"
+        )
     store.put_manifest(new_manifest)
     return new_manifest
+
+
+def elastic_pre_attempt(
+    directory, run_key, family, nranks, telemetry, attempt
+) -> None:
+    """Per-attempt hook: reshard a same-family manifest onto ``nranks``.
+
+    When the target run key has no complete shard set but a manifest of
+    the same family (checkpointed at a different rank count) does,
+    re-partition it through :func:`reshard_run`.  Raises the transient
+    :class:`CheckpointCorruptionError` when the source artifacts turn out
+    damaged (the retry then generates from scratch).
+    """
+    store = CheckpointStore(directory)
+    if all(store.has(shard_key(run_key, r)) for r in range(nranks)):
+        return
+    for manifest in store.manifests():
+        if manifest.family != family or manifest.nranks == nranks:
+            continue
+        reshard_run(store, manifest, new_key=run_key, new_ranks=nranks)
+        if telemetry is not None and telemetry.enabled:
+            telemetry.record(
+                "supervisor.elastic_reshard", attempt=attempt, nranks=nranks
+            )
+        return
+
+
+class CheckpointedRankFn:
+    """Wrap a ``RankOutput``-returning rank program with shard checkpoints.
+
+    The one persist step: :meth:`shard` is what the rank ends up storing,
+    ``__call__`` hands it on as the wrapped program's :class:`RankOutput`
+    and :meth:`summary` as the scalars a manifest keeps.
+
+    ``shard_mode="independent"`` (comm-free rank programs): each rank
+    skips straight to its persisted shard when one verifies, so a retry
+    re-executes only the failed shards.
+
+    ``shard_mode="collective"`` (rank programs that exchange edges): ranks
+    agree via one allreduce whether *every* shard is already persisted --
+    if so, all load and no generation happens; otherwise all ranks re-run
+    so the exchange stays symmetric, and any rank holding a checkpoint
+    verifies its re-executed output digest against the recorded one
+    (deterministic generation makes a mismatch a hard
+    :class:`CheckpointError`, never a retry).
+
+    Module-level class (not a closure) so the process backend can ship it
+    to forked children; it reopens the store per call because file handles
+    do not survive the fork.
+    """
+
+    def __init__(
+        self, fn, directory: str | os.PathLike, run_key: str, shard_mode: str
+    ) -> None:
+        if shard_mode not in ("independent", "collective"):
+            raise CheckpointError(
+                f"unknown shard_mode {shard_mode!r}; "
+                f"use 'independent' or 'collective'"
+            )
+        self.fn = fn
+        self.directory = str(directory)
+        self.run_key = run_key
+        self.shard_mode = shard_mode
+
+    def __call__(self, comm, *args) -> RankOutput:
+        shard = self.shard(comm, *args)
+        return RankOutput(comm.rank, shard.edges, shard.generated)
+
+    def summary(self, comm, *args) -> tuple[int, int, int]:
+        """``(edges_digest, edge_fingerprint, rows)`` -- never the edges."""
+        shard = self.shard(comm, *args)
+        return shard.digest, edge_fingerprint(shard.edges), len(shard.edges)
+
+    def shard(self, comm, *args) -> Shard:
+        tel = telemetry_of(comm)
+        with tel.span("checkpoint", cat="phase", op="load"):
+            store = CheckpointStore(self.directory)
+            key = shard_key(self.run_key, comm.rank)
+            # A damaged shard is deleted and raises the transient
+            # CheckpointCorruptionError here, so the supervised retry
+            # regenerates it instead of running from a half-trusted store.
+            cached = store.get(key)
+        resume = cached is not None
+        if self.shard_mode == "collective" and comm.size > 1:
+            resume = comm.allreduce(resume, lambda a, b: a and b)
+        if resume:
+            tel.add("checkpoint.hits")
+            tel.add("edges.restored", len(cached.edges))
+            tel.add("edges.stored", len(cached.edges))
+            return cached
+        tel.add("checkpoint.misses")
+        out = self.fn(comm, *args)
+        if cached is not None:
+            # Collective mode only: a peer lacked its shard, so this rank
+            # re-ran to keep the exchange symmetric.
+            with tel.span("checkpoint", cat="phase", op="verify"):
+                fresh = edges_digest(out.edges)
+            if fresh == cached.digest:
+                return Shard(out.edges, out.generated, fresh)
+            if not cached.resharded:
+                raise CheckpointError(
+                    f"rank {comm.rank}: re-executed shard digest "
+                    f"{fresh:#018x} does not match checkpoint "
+                    f"{cached.digest:#018x} for key {key!r} -- "
+                    f"generation is expected to be deterministic"
+                )
+            # Elastic shards hold the right edges in the source shards'
+            # order, not generation order; once the world re-generated
+            # anyway, the fresh layout is the ground truth -- replace,
+            # don't diagnose.
+        with tel.span("checkpoint", cat="phase", op="store"):
+            digest = store.put(key, out.edges, generated=out.generated)
+        return Shard(out.edges, out.generated, digest)

@@ -64,6 +64,7 @@ from repro.errors import (
     DegradationWarning,
     RankDiedError,
     RankFailedError,
+    is_transient,
 )
 from repro.telemetry.clock import monotonic
 from repro.telemetry.session import (
@@ -106,13 +107,15 @@ def _run_rank(
 
     Build the communicator, wrap it, run the program, and ship
     ``(rank, True, result, None)`` or ``(rank, False, (type name,
-    traceback, extra), cause)``.  The type name lets the supervisor judge
-    retryability across a process hop, where exception objects do not
-    reliably survive pickling; inside one process (``keep_cause``) the
-    live exception rides along and becomes the ``__cause__`` of the
-    :class:`RankFailedError`.  ``extra`` carries peer liveness when the
-    failure has it (``RankDiedError`` from the socket heartbeat detector:
-    last-heartbeat age and peer address).
+    traceback, extra), cause)``.  Exception objects do not reliably
+    survive pickling across a process hop, so whether the failure is
+    worth a retry is judged here, on the live exception
+    (:func:`~repro.errors.is_transient`), and the verdict ships in
+    ``extra`` -- the same answer on every backend.  Inside one process
+    (``keep_cause``) the exception itself rides along too and becomes the
+    ``__cause__`` of the :class:`RankFailedError`.  ``extra`` also carries
+    peer liveness when the failure has it (``RankDiedError`` from the
+    socket heartbeat detector: last-heartbeat age and peer address).
     """
     comm = None
     try:
@@ -121,12 +124,12 @@ def _run_rank(
             comm = wrap_comm(comm)
         result_q.put((rank, True, fn(comm, *args), None))
     except BaseException as exc:  # noqa: BLE001 - reported to the caller
-        extra = {}
+        extra = {"transient": is_transient(exc)}
         if getattr(exc, "address", None) is not None:
-            extra = {
-                "heartbeat_age_s": getattr(exc, "heartbeat_age_s", None),
-                "address": exc.address,
-            }
+            extra.update(
+                heartbeat_age_s=getattr(exc, "heartbeat_age_s", None),
+                address=exc.address,
+            )
         result_q.put(
             (rank, False, (type(exc).__name__, traceback.format_exc(), extra),
              exc if keep_cause else None)

@@ -37,10 +37,12 @@ from pathlib import Path
 import numpy as np
 
 from repro.distributed.checkpoint import (
+    CheckpointedRankFn,
     CheckpointStore,
     RunManifest,
-    edges_digest,
-    reshard_run,
+    elastic_pre_attempt,
+    generation_family_key,
+    generation_run_key,
 )
 from repro.distributed.comm import RECV_TIMEOUT_ENV
 from repro.distributed.faults import FaultPlan, default_fault_matrix
@@ -51,62 +53,28 @@ from repro.distributed.generator import (
     generate_distributed,
 )
 from repro.distributed.launcher import spmd_run
-from repro.errors import (
-    CheckpointCorruptionError,
-    CheckpointError,
-    CommunicatorError,
-    RankFailedError,
-    ReproError,
-)
-from repro.graph.edgelist import EdgeList
+from repro.errors import CommunicatorError, ReproError, is_transient
+from repro.graph.edgelist import EdgeList, canonical_order
 from repro.kronecker.product import DEFAULT_CHUNK
 from repro.telemetry.clock import monotonic
-from repro.telemetry.session import TelemetrySession, telemetry_of
+from repro.telemetry.session import TelemetrySession
+from repro.util.hashing import edge_fingerprint, edges_digest
 
 __all__ = [
     "SupervisorReport",
     "spmd_run_supervised",
     "decorrelated_jitter",
-    "generation_run_key",
-    "generation_family_key",
     "generate_distributed_supervised",
     "ChaosOutcome",
     "ChaosReport",
     "run_chaos_matrix",
 ]
 
-#: Exception type *names* considered transient when a child process ships
-#: its failure back as a string (the type object does not survive the hop).
-_RETRYABLE_TYPE_NAMES = frozenset(
-    {
-        "CommunicatorError",
-        "CollectiveOrderError",
-        "RankCrashError",
-        "RankDiedError",
-        "TimeoutError",
-        "BrokenBarrierError",
-        "Empty",
-        "EOFError",
-        "BrokenPipeError",
-        "ConnectionResetError",
-        # Corruption *at rest*: the loader deleted the damaged artifact, so
-        # a retry regenerates the shard (unlike its parent CheckpointError,
-        # which signals nondeterminism and stays fatal).
-        "CheckpointCorruptionError",
-    }
-)
-
-
-def _is_retryable(exc: BaseException) -> bool:
-    """Transient infrastructure failure vs. deterministic program bug."""
-    if isinstance(exc, RankFailedError):
-        cause = exc.__cause__
-        if cause is not None:
-            return isinstance(
-                cause, (CommunicatorError, CheckpointCorruptionError)
-            )
-        return exc.original_type in _RETRYABLE_TYPE_NAMES
-    return isinstance(exc, (CommunicatorError, CheckpointCorruptionError))
+#: The backoff envelope between attempts: each retry may wait up to
+#: ``_BACKOFF_FACTOR`` times the previous delay, never more than
+#: ``_BACKOFF_MAX`` seconds.
+_BACKOFF_FACTOR = 2.0
+_BACKOFF_MAX = 2.0
 
 
 @dataclass
@@ -119,85 +87,6 @@ class SupervisorReport:
     def record_failure(self, attempt: int, exc: BaseException) -> None:
         first_line = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
         self.failures.append(f"attempt {attempt}: {first_line}")
-
-
-class _CheckpointedRankFn:
-    """Wrap a ``RankOutput``-returning rank program with shard checkpoints.
-
-    ``shard_mode="independent"`` (comm-free rank programs): each rank
-    skips straight to its persisted shard when one verifies, so a retry
-    re-executes only the failed shards.
-
-    ``shard_mode="collective"`` (rank programs that exchange edges): ranks
-    agree via one allreduce whether *every* shard is already persisted --
-    if so, all load and no generation happens; otherwise all ranks re-run
-    so the exchange stays symmetric, and any rank holding a checkpoint
-    verifies its re-executed output digest against the recorded one
-    (deterministic generation makes a mismatch a hard
-    :class:`CheckpointError`, never a retry).
-
-    Module-level class (not a closure) so the process backend can ship it
-    to forked children; it reopens the store per call because file handles
-    do not survive the fork.
-    """
-
-    def __init__(
-        self, fn, directory: str | os.PathLike, run_key: str, shard_mode: str
-    ) -> None:
-        if shard_mode not in ("independent", "collective"):
-            raise CheckpointError(
-                f"unknown shard_mode {shard_mode!r}; "
-                f"use 'independent' or 'collective'"
-            )
-        self.fn = fn
-        self.directory = str(directory)
-        self.run_key = run_key
-        self.shard_mode = shard_mode
-
-    def _key(self, rank: int) -> str:
-        return f"{self.run_key}.rank{rank:05d}"
-
-    def __call__(self, comm, *args):
-        tel = telemetry_of(comm)
-        with tel.span("checkpoint", cat="phase", op="load"):
-            store = CheckpointStore(self.directory)
-            key = self._key(comm.rank)
-            # discard=True: a truncated/corrupted shard is deleted and
-            # raises the *transient* CheckpointCorruptionError, so the
-            # supervised retry regenerates it instead of silently running
-            # from a half-trusted store.
-            cached = store.get(key, discard=True)
-        resume = cached is not None
-        if self.shard_mode == "collective" and comm.size > 1:
-            resume = comm.allreduce(resume, lambda a, b: a and b)
-        if resume:
-            tel.add("checkpoint.hits")
-            tel.add("edges.restored", len(cached.edges))
-            tel.add("edges.stored", len(cached.edges))
-            return RankOutput(comm.rank, cached.edges, cached.generated)
-        tel.add("checkpoint.misses")
-        out = self.fn(comm, *args)
-        if cached is not None:
-            # Collective mode only: a peer lacked its shard, so this rank
-            # re-ran to keep the exchange symmetric.
-            with tel.span("checkpoint", cat="phase", op="verify"):
-                fresh = edges_digest(out.edges)
-            if fresh == cached.digest:
-                return out
-            if not cached.resharded:
-                raise CheckpointError(
-                    f"rank {comm.rank}: re-executed shard digest "
-                    f"{fresh:#018x} does not match checkpoint "
-                    f"{cached.digest:#018x} for key {key!r} -- "
-                    f"generation is expected to be deterministic"
-                )
-            # Elastic shards hold the right edges in canonical union
-            # order, not generation order; once the world re-generated
-            # anyway, the fresh layout is the ground truth -- replace,
-            # don't diagnose.
-        with tel.span("checkpoint", cat="phase", op="store"):
-            store.put(key, out.edges, generated=out.generated)
-        return out
 
 
 def decorrelated_jitter(
@@ -229,9 +118,6 @@ def spmd_run_supervised(
     fault_plan: FaultPlan | None = None,
     max_attempts: int = 3,
     backoff_base: float = 0.05,
-    backoff_factor: float = 2.0,
-    backoff_max: float = 2.0,
-    backoff_seed: int | None = None,
     checkpoint: str | os.PathLike | CheckpointStore | None = None,
     run_key: str | None = None,
     shard_mode: str = "collective",
@@ -249,21 +135,20 @@ def spmd_run_supervised(
         Inject this :class:`FaultPlan` (re-bound to each attempt number)
         beneath the collective-order sentinel.
     max_attempts:
-        Total attempts before the last failure re-raises.  Only failures
-        classified as transient communicator faults are retried.
-    backoff_base / backoff_factor / backoff_max:
-        Backoff envelope (seconds) slept between attempts.  The first
-        retry sleeps exactly ``backoff_base``; later retries draw
+        Total attempts before the last failure re-raises.  Only transient
+        failures (:func:`repro.errors.is_transient`, judged on the live
+        exception inside the failing rank, whatever the backend) are
+        retried.
+    backoff_base:
+        Seconds slept before the first retry; later retries draw
         decorrelated jitter within the exponential envelope
         (:func:`decorrelated_jitter`) so simultaneous multi-rank failures
         do not retry in lockstep.
-    backoff_seed:
-        Seed for the jitter RNG (``None`` = nondeterministic).  Chaos and
-        unit tests pin it for reproducible retry timing.
     checkpoint / run_key / shard_mode:
         When ``checkpoint`` names a directory (or store), wrap ``fn`` --
         which must return :class:`RankOutput` -- in shard-level
-        checkpoint/resume (see :class:`_CheckpointedRankFn`).
+        checkpoint/resume (see
+        :class:`~repro.distributed.checkpoint.CheckpointedRankFn`).
     report:
         Optional :class:`SupervisorReport` filled with attempt counts and
         per-attempt failure summaries.
@@ -293,8 +178,8 @@ def spmd_run_supervised(
             else checkpoint
         )
         key = run_key or getattr(fn, "__name__", "spmd-run")
-        run_fn = _CheckpointedRankFn(fn, directory, key, shard_mode)
-    rng = random.Random(backoff_seed)
+        run_fn = CheckpointedRankFn(fn, directory, key, shard_mode)
+    rng = random.Random()
     delay = backoff_base
     for attempt in range(max_attempts):
         wrap = fault_plan.binder(attempt) if fault_plan is not None else None
@@ -315,19 +200,19 @@ def spmd_run_supervised(
             if report is not None:
                 report.attempts = attempt + 1
                 report.record_failure(attempt, exc)
-            retrying = _is_retryable(exc) and attempt + 1 < max_attempts
+            retrying = is_transient(exc) and attempt + 1 < max_attempts
             if telemetry is not None and telemetry.enabled:
                 telemetry.record(
                     "supervisor.retry" if retrying else "supervisor.giveup",
                     attempt=attempt + 1,
                     error=type(exc).__name__,
-                    backoff_s=min(delay, backoff_max) if retrying else 0.0,
+                    backoff_s=min(delay, _BACKOFF_MAX) if retrying else 0.0,
                 )
             if not retrying:
                 raise
-            time.sleep(min(delay, backoff_max))
+            time.sleep(min(delay, _BACKOFF_MAX))
             delay = decorrelated_jitter(
-                delay, backoff_base, backoff_factor, backoff_max, rng
+                delay, backoff_base, _BACKOFF_FACTOR, _BACKOFF_MAX, rng
             )
             continue
         if report is not None:
@@ -336,68 +221,6 @@ def spmd_run_supervised(
             telemetry.record("supervisor.recovered", attempts=attempt + 1)
         return results
     raise AssertionError("unreachable")  # pragma: no cover
-
-
-def generation_run_key(
-    el_a: EdgeList, el_b: EdgeList, nranks: int | str, plan: GenerationPlan
-) -> str:
-    """Content-addressed signature of one generation configuration.
-
-    Folds the factor edge digests, the world size and
-    :meth:`GenerationPlan.token` -- every field of the plan, the SKG spec
-    as its digest -- so a resumed run can never consume checkpoints
-    written under a different configuration.  ``wire`` matters because the
-    varint codec re-sorts each exchanged block (shard row order changes);
-    ``pipeline`` is in there even though sync and async are bit-identical:
-    run keys identify configurations, not equivalence classes.
-    """
-    return (
-        f"gen-{edges_digest(el_a.edges):016x}-{edges_digest(el_b.edges):016x}"
-        f"-r{nranks}-{plan.token()}"
-    )
-
-
-def generation_family_key(
-    el_a: EdgeList, el_b: EdgeList, plan: GenerationPlan
-) -> str:
-    """The rank-count-independent part of :func:`generation_run_key`.
-
-    Two run keys with the same family describe the same edge set sharded
-    at different world sizes -- the elastic-resume compatibility class.
-    Everything that changes *contents* stays in -- including the SKG spec
-    digest, since a stochastic run's edge set is a function of the spec;
-    only the rank count (which changes *placement*) is wildcarded.
-    """
-    return generation_run_key(el_a, el_b, "*", plan)
-
-
-def _elastic_pre_attempt(
-    directory, run_key, family, nranks, scheme, n, telemetry, attempt
-) -> None:
-    """Per-attempt hook: reshard a same-family manifest onto ``nranks``.
-
-    When the target run key has no complete shard set but a manifest of
-    the same family (checkpointed at a different rank count) does,
-    re-partition it through :func:`reshard_run`.  Raises the transient
-    :class:`CheckpointCorruptionError` when the source artifacts turn out
-    damaged (the retry then generates from scratch).  Module-level so the
-    bound partial stays picklable.
-    """
-    store = CheckpointStore(directory)
-    if all(store.has(f"{run_key}.rank{r:05d}") for r in range(nranks)):
-        return
-    for manifest in store.manifests():
-        if manifest.family != family or manifest.nranks == nranks:
-            continue
-        reshard_run(
-            store, manifest, new_key=run_key, new_ranks=nranks,
-            scheme=scheme, n=n,
-        )
-        if telemetry is not None and telemetry.enabled:
-            telemetry.record(
-                "supervisor.elastic_reshard", attempt=attempt, nranks=nranks
-            )
-        return
 
 
 def generate_distributed_supervised(
@@ -419,7 +242,6 @@ def generate_distributed_supervised(
     report: SupervisorReport | None = None,
     telemetry=None,
     rendezvous: str | None = None,
-    backoff_seed: int | None = None,
 ) -> tuple[EdgeList, list[RankOutput]]:
     """:func:`generate_distributed` under the supervised launcher.
 
@@ -434,11 +256,12 @@ def generate_distributed_supervised(
 
     **Elastic re-sharded resume**: after an exchanging run succeeds, a
     :class:`~repro.distributed.checkpoint.RunManifest` records the shard
-    digests and the consensus union digest.  A later call with the same
+    digests and the union's fingerprint -- folded shard by shard, so the
+    product is never sorted (or even copied) to write it.  A later call with the same
     configuration but a *different* ``nranks`` finds the manifest through
     the rank-count-independent family key and re-partitions the shards
     through the target world's ownership map before the first attempt
-    (:func:`reshard_run`) -- the resumed run loads every shard, generates
+    (:func:`~repro.distributed.checkpoint.reshard_run`) -- the resumed run loads every shard, generates
     nothing, and reassembles a bit-identical edge set whether the world
     shrank or grew.  Shards of a non-exchanging plan have no ownership
     map (they live where the *partition* put them, a function of the old
@@ -452,8 +275,8 @@ def generate_distributed_supervised(
     if checkpoint_dir is not None and plan.exchanges:
         family = generation_family_key(el_a, el_b, plan)
         pre_attempt = functools.partial(
-            _elastic_pre_attempt, checkpoint_dir, run_key, family, nranks,
-            plan.effective_storage, el_a.n * el_b.n, telemetry,
+            elastic_pre_attempt, checkpoint_dir, run_key, family, nranks,
+            telemetry,
         )
     runner = functools.partial(
         spmd_run_supervised,
@@ -464,7 +287,6 @@ def generate_distributed_supervised(
         shard_mode=plan.shard_mode,
         report=report,
         rendezvous=rendezvous,
-        backoff_seed=backoff_seed,
         pre_attempt=pre_attempt,
     )
     el, outputs = execute_plan(
@@ -473,18 +295,14 @@ def generate_distributed_supervised(
     )
     if family is not None:
         # Success: record the consensus manifest elastic resume feeds on.
-        store = CheckpointStore(checkpoint_dir)
-        union = canonical_edges(el.edges)
-        store.put_manifest(
-            RunManifest(
-                run_key=run_key,
-                family=family,
-                nranks=nranks,
-                shard_digests=tuple(
-                    edges_digest(o.edges) for o in outputs
-                ),
-                union_digest=edges_digest(union),
-                edges_total=int(len(union)),
+        CheckpointStore(checkpoint_dir).put_manifest(
+            RunManifest.from_shards(
+                run_key, family, el.n, plan.effective_storage,
+                [
+                    (edges_digest(o.edges), edge_fingerprint(o.edges),
+                     len(o.edges))
+                    for o in outputs
+                ],
             )
         )
     return el, outputs
@@ -517,8 +335,7 @@ def canonical_edges(edges: np.ndarray) -> np.ndarray:
     canonical sort makes "same multiset" checkable as array equality.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    return edges[order]
+    return canonical_order(edges, int(edges.max()) + 1 if edges.size else 0)
 
 
 @dataclass(frozen=True)

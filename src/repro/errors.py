@@ -29,6 +29,7 @@ __all__ = [
     "ExperimentError",
     "ReproWarning",
     "DegradationWarning",
+    "is_transient",
 ]
 
 
@@ -102,8 +103,10 @@ class RankFailedError(CommunicatorError):
 
     ``rank`` is the failing rank and ``original_type`` the exception class
     name raised inside the rank program (the process backend ships
-    tracebacks as strings, so only the name survives the hop).  The
-    supervisor uses ``original_type`` to decide retryability.
+    tracebacks as strings, so only the name survives the hop).
+    ``transient`` is :func:`is_transient` of that exception, judged inside
+    the failing rank while it was still alive -- the one verdict the
+    supervisor retries on, whichever backend carried the rank.
 
     ``heartbeat_age_s``/``address`` are populated only when the failure
     crossed the socket backend (they enrich the message with the peer's
@@ -117,6 +120,7 @@ class RankFailedError(CommunicatorError):
         original_type: str,
         detail: str,
         *,
+        transient: bool = False,
         heartbeat_age_s: float | None = None,
         address: str | None = None,
     ) -> None:
@@ -131,6 +135,7 @@ class RankFailedError(CommunicatorError):
         super().__init__(message)
         self.rank = rank
         self.original_type = original_type
+        self.transient = transient
         self.heartbeat_age_s = heartbeat_age_s
         self.address = address
 
@@ -182,6 +187,21 @@ class CheckpointCorruptionError(CheckpointError):
     artifact before raising, so a supervised retry regenerates the shard
     from scratch and recovers bit-identically.
     """
+
+
+def is_transient(exc: BaseException) -> bool:
+    """Transient infrastructure failure (retry) vs. deterministic bug (raise).
+
+    Communicator failures -- timeouts, crashed or dead ranks, collective
+    divergence, corrupted wire blocks -- and corruption *at rest* (the
+    loader already deleted the damaged artifact) are cured by running
+    again; anything else a rank program raises would fail the same way
+    every time.  A :class:`RankFailedError` answers for the exception it
+    wraps.
+    """
+    if isinstance(exc, RankFailedError):
+        return exc.transient
+    return isinstance(exc, (CommunicatorError, CheckpointCorruptionError))
 
 
 class ServiceError(ReproError):

@@ -25,7 +25,7 @@ import numpy as np
 from repro.errors import GraphFormatError
 from repro.util.validation import check_edge_array, check_square_ids
 
-__all__ = ["EdgeList"]
+__all__ = ["EdgeList", "canonical_order"]
 
 
 # Largest n for which the scalar row key src * n + dst fits in int64.
@@ -44,8 +44,12 @@ def _row_keys(edges: np.ndarray, n: int) -> np.ndarray | None:
     return None
 
 
-def _canonical_order(edges: np.ndarray, n: int = 0) -> np.ndarray:
-    """Return ``edges`` sorted lexicographically by (src, dst)."""
+def canonical_order(edges: np.ndarray, n: int = 0) -> np.ndarray:
+    """Return ``edges`` sorted lexicographically by (src, dst).
+
+    ``n`` is any bound above every vertex id; when given (and keyable) the
+    rows sort by one scalar key instead of a two-column ``lexsort``.
+    """
     if len(edges) == 0:
         return edges
     keys = _row_keys(edges, n)
@@ -149,8 +153,8 @@ class EdgeList:
             return NotImplemented
         if self.n != other.n:
             return False
-        a = _canonical_order(self.edges, self.n)
-        b = _canonical_order(other.edges, other.n)
+        a = canonical_order(self.edges, self.n)
+        b = canonical_order(other.edges, other.n)
         return a.shape == b.shape and bool(np.array_equal(a, b))
 
     def __hash__(self) -> int:  # frozen dataclass with arrays: id-free hash
@@ -192,7 +196,7 @@ class EdgeList:
 
     def canonicalized(self) -> "EdgeList":
         """Sort rows lexicographically by ``(src, dst)``."""
-        return EdgeList(_canonical_order(self.edges, self.n), self.n)
+        return EdgeList(canonical_order(self.edges, self.n), self.n)
 
     def symmetrized(self) -> "EdgeList":
         """Union with all reversed edges, deduplicated.

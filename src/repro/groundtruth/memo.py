@@ -33,7 +33,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.graph.edgelist import EdgeList
-from repro.util.hashing import hash_pair, splitmix64
+from repro.util.hashing import edges_digest, splitmix64
 
 __all__ = [
     "factor_digest",
@@ -56,19 +56,9 @@ def factor_digest(el: EdgeList) -> int:
     if cached is not None:
         return cached
     canon = el.deduplicate()
-    edges = np.ascontiguousarray(canon.edges, dtype=np.int64)
-    m = len(edges)
-    with np.errstate(over="ignore"):
-        rows = hash_pair(
-            edges[:, 0].astype(np.uint64),
-            edges[:, 1].astype(np.uint64),
-            seed=canon.n,
-            directed=True,
-        )
-        positioned = splitmix64(rows ^ splitmix64(np.arange(m, dtype=np.uint64)))
-        acc = np.uint64(0) if m == 0 else positioned.sum(dtype=np.uint64)
-        final = splitmix64(acc + splitmix64(np.uint64(canon.n)) + np.uint64(m))
-    digest = int(final)
+    digest = edges_digest(
+        canon.edges, seed=canon.n, salt=int(splitmix64(np.uint64(canon.n)))
+    )
     # EdgeList is a frozen dataclass; stash via object.__setattr__ like
     # its own __init__ does.  Id-keyed: a distinct equal list recomputes.
     try:

@@ -12,7 +12,7 @@ product.  This package turns that into a server:
     content-addressed multi-tenant factor/graph registry;
 :mod:`repro.service.cache`
     LRU analytics cache keyed by ``(digest_A, digest_B, property,
-    params)`` with integrity digests and single-flight dedup;
+    params)`` with integrity digests;
 :mod:`repro.service.analytics`
     the property table mapping names to memoized ground-truth formulas;
 :mod:`repro.service.server`

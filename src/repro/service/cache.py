@@ -1,4 +1,4 @@
-"""LRU + content-addressed analytics result cache with single-flight dedup.
+"""LRU + content-addressed analytics result cache.
 
 Cache keys are ``(digest_A, digest_B, property, params_key)`` -- the
 content address of the *answer*, since every ground-truth property is a
@@ -9,17 +9,15 @@ re-derives the digest, and a mismatch evicts the damaged entry and
 raises :class:`~repro.errors.CacheCorruptionError` -- a retry of the
 same request recomputes and repairs.
 
-Duplicate in-flight requests are *single-flighted*: the first request
-for a key computes while later arrivals await the same
-``asyncio.Future``, so a thundering herd on a cold expensive property
-costs one computation.  Counters (``service.cache.hit`` / ``.miss`` /
-``.eviction`` / ``.singleflight`` / ``.corruption``) land in whatever
-metrics registry the server attaches.
+Computation is synchronous on the server's single event loop, so two
+requests for the same cold key can never overlap: the second one finds
+the first one's entry.  Counters (``service.cache.hit`` / ``.miss`` /
+``.eviction`` / ``.corruption``) land in whatever metrics registry the
+server attaches.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 from typing import Any, Callable
 
@@ -50,7 +48,7 @@ class _Entry:
 
 
 class AnalyticsCache:
-    """Bounded LRU of serialized analytics results, single-flighted.
+    """Bounded LRU of serialized analytics results.
 
     ``metrics`` is anything with ``add(name, value=1)`` (e.g. a
     :class:`~repro.telemetry.metrics.MetricsRegistry`); ``None`` disables
@@ -64,11 +62,9 @@ class AnalyticsCache:
         self.maxsize = int(maxsize)
         self.metrics = metrics
         self._entries: dict[tuple, _Entry] = {}
-        self._inflight: dict[tuple, asyncio.Future] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.singleflights = 0
         self.corruptions = 0
 
     def __len__(self) -> int:
@@ -83,7 +79,6 @@ class AnalyticsCache:
         if self.metrics is not None:
             self.metrics.add(f"service.cache.{name}")
 
-    # ---- synchronous core ----------------------------------------------
     def lookup(self, key: tuple) -> bytes | None:
         """Integrity-checked hit, or ``None`` on miss.
 
@@ -123,52 +118,21 @@ class AnalyticsCache:
             self.evictions += 1
             self._count("eviction")
 
-    # ---- async single-flight front door --------------------------------
-    async def get_or_compute(
+    def get_or_compute(
         self, key: tuple, compute: Callable[[], Any]
     ) -> tuple[bytes, bool]:
-        """Serve ``key`` from cache, computing once under duplicate load.
+        """Serve ``key`` from cache, computing and caching it on a miss.
 
-        ``compute`` runs synchronously in the event loop (ground-truth
-        formulas on registered factors are sub-millisecond at serving
-        scale); its result is serialized to canonical JSON bytes, cached,
-        and returned.  Returns ``(payload, was_hit)``.
-
-        Concurrent callers with the same key while a computation is in
-        flight await the first caller's future instead of recomputing;
-        they are counted under ``singleflight`` and return ``was_hit=True``
-        (the work was shared, not redone).
+        ``compute`` runs synchronously (ground-truth formulas on
+        registered factors are sub-millisecond at serving scale); its
+        result is serialized to canonical JSON bytes, cached, and
+        returned.  Returns ``(payload, was_hit)``.
         """
         payload = self.lookup(key)
         if payload is not None:
             return payload, True
-
-        pending = self._inflight.get(key)
-        if pending is not None:
-            self.singleflights += 1
-            self._count("singleflight")
-            payload = await asyncio.shield(pending)
-            return payload, True
-
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._inflight[key] = future
-        try:
-            value = compute()
-            payload = (
-                json.dumps(value, sort_keys=True, separators=(",", ":"))
-            ).encode("utf-8")
-            self.insert(key, payload)
-            future.set_result(payload)
-            return payload, False
-        except BaseException as exc:
-            if not future.done():
-                future.set_exception(exc)
-            # Awaiters see the error; nobody retries *within* the flight.
-            raise
-        finally:
-            del self._inflight[key]
-            if future.done() and future.exception() is not None:
-                # Avoid "exception never retrieved" warnings when no
-                # duplicate was waiting.
-                future.exception()
+        payload = json.dumps(
+            compute(), sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        self.insert(key, payload)
+        return payload, False

@@ -308,7 +308,6 @@ class KronService:
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,
                 "evictions": self.cache.evictions,
-                "singleflights": self.cache.singleflights,
                 "corruptions": self.cache.corruptions,
                 "hit_rate": self.cache.hit_rate,
             },
@@ -469,7 +468,7 @@ class KronService:
         key = cache_key(handle.digest_a, handle.digest_b, prop, pkey)
         tel = self.telemetry
         with tel.span("service.analytics", cat="service", property=prop):
-            payload, was_hit = await self.cache.get_or_compute(
+            payload, was_hit = self.cache.get_or_compute(
                 key, lambda: compute_property(prop, handle.graph, params)
             )
         tel.add("service.analytics_queries")
@@ -501,7 +500,7 @@ class KronService:
 
         Mirrors :meth:`_h_analytics`: the result is a pure function of
         the content-addressed spec and the request params, so it shares
-        the analytics cache (integrity digests, single-flight, LRU) with
+        the analytics cache (integrity digests, LRU) with
         the exact ground truth -- the spec digest occupies the
         ``digest_b`` slot of the key with the literal ``"skg"`` marker
         as ``digest_a``, which can never collide with a 16-hex factor
@@ -518,7 +517,7 @@ class KronService:
         key = cache_key("skg", handle.digest, prop, pkey)
         tel = self.telemetry
         with tel.span("service.skg_expected", cat="service", property=prop):
-            payload, was_hit = await self.cache.get_or_compute(
+            payload, was_hit = self.cache.get_or_compute(
                 key,
                 lambda: compute_expected_property(prop, handle.spec, params),
             )

@@ -20,6 +20,9 @@ __all__ = [
     "splitmix64_int",
     "mix_tokens",
     "hash_pair",
+    "edges_digest",
+    "edge_fingerprint",
+    "merge_fingerprints",
     "edge_uniform",
     "EdgeHasher",
 ]
@@ -116,6 +119,52 @@ def hash_pair(
         h = splitmix64(uu ^ np.uint64(seed & 0xFFFFFFFFFFFFFFFF))
         h = splitmix64(h + vv * _GOLDEN)
     return h
+
+
+def edges_digest(
+    edges: np.ndarray, *, seed: int | None = None, salt: int = 0
+) -> int:
+    """Order- and shape-sensitive 64-bit digest of an edge array.
+
+    Rows are hashed pairwise (:func:`hash_pair` under ``seed``, by default
+    the row count), mixed with their positions so permutations change the
+    digest, folded with uint64 wraparound addition (associative,
+    vectorized), and finalized together with ``salt`` and the row count.
+    A digest match therefore means the array is row for row the original.
+    """
+    edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
+    m = len(edges)
+    with np.errstate(over="ignore"):
+        rows = hash_pair(
+            edges[:, 0].astype(np.uint64),
+            edges[:, 1].astype(np.uint64),
+            seed=m if seed is None else seed,
+            directed=True,
+        )
+        positioned = splitmix64(rows ^ splitmix64(np.arange(m, dtype=np.uint64)))
+        acc = positioned.sum(dtype=np.uint64)
+        return int(splitmix64(acc + np.uint64(salt) + np.uint64(m)))
+
+
+def edge_fingerprint(edges: np.ndarray) -> int:
+    """Order-independent 64-bit fingerprint of an edge *multiset*.
+
+    The wraparound sum of ``splitmix64(hash_pair(u, v))`` over the rows,
+    plus the row count.  Any permutation of the same rows matches, and --
+    because the fold is a sum -- the fingerprints of the parts of a
+    partition add up to the fingerprint of the whole
+    (:func:`merge_fingerprints`): ranks fold the shards they hold and
+    nobody needs the union in one memory.  A sum, unlike an XOR fold, also
+    sees a duplicated row (``x ^ h ^ h == x`` but ``x + 2h != x``).
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    rows = splitmix64(hash_pair(edges[:, 0], edges[:, 1], directed=True))
+    return (int(rows.sum(dtype=np.uint64)) + len(edges)) & _MASK64
+
+
+def merge_fingerprints(parts) -> int:
+    """:func:`edge_fingerprint` of a union from those of its disjoint parts."""
+    return sum(parts) & _MASK64
 
 
 def edge_uniform(

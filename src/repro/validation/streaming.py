@@ -9,8 +9,10 @@ or a rank's pipeline) and accumulates:
 * directed edge count,
 * self-loop count,
 * out-degree vector,
-* an edge-hash fingerprint (order-independent XOR, so any permutation of
-  the same multiset matches).
+* an edge-hash fingerprint
+  (:func:`repro.util.hashing.edge_fingerprint`: order-independent, so any
+  permutation of the same multiset matches, and additive, so a duplicated
+  edge does not cancel out).
 
 ``finish()`` compares the accumulated statistics against the Kronecker
 counting laws and returns a standard
@@ -23,7 +25,7 @@ import numpy as np
 
 from repro.errors import AssumptionError
 from repro.graph.edgelist import EdgeList
-from repro.util.hashing import hash_pair
+from repro.util.hashing import edge_fingerprint, merge_fingerprints
 from repro.validation.checks import CheckResult
 
 __all__ = ["StreamingValidator"]
@@ -55,7 +57,7 @@ class StreamingValidator:
         self._seen_edges = 0
         self._seen_loops = 0
         self._outdeg = np.zeros(self._n, dtype=np.int64)
-        self._fingerprint = np.uint64(0)
+        self._fingerprint = 0
         self._finished = False
 
     # ------------------------------------------------------------------ #
@@ -69,13 +71,13 @@ class StreamingValidator:
         self._seen_edges += len(chunk)
         self._seen_loops += int(np.count_nonzero(chunk[:, 0] == chunk[:, 1]))
         self._outdeg += np.bincount(chunk[:, 0], minlength=self._n)
-        if len(chunk):
-            h = hash_pair(chunk[:, 0], chunk[:, 1], seed=0, directed=True)
-            self._fingerprint ^= np.bitwise_xor.reduce(h)
+        self._fingerprint = merge_fingerprints(
+            (self._fingerprint, edge_fingerprint(chunk))
+        )
 
     def fingerprint(self) -> int:
         """Order-independent hash of everything consumed so far."""
-        return int(self._fingerprint)
+        return self._fingerprint
 
     # ------------------------------------------------------------------ #
     def finish(self) -> list[CheckResult]:

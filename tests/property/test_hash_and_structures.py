@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from repro.distributed.partition import partition_edges_1d, partition_edges_2d
 from repro.graph import EdgeList
 from repro.kronecker import RejectionFamily, kron_product
-from repro.util.hashing import edge_uniform, hash_pair
+from repro.util.hashing import (
+    edge_fingerprint,
+    edge_uniform,
+    edges_digest,
+    hash_pair,
+    merge_fingerprints,
+)
 
 from tests.property.test_kron_properties import edge_lists
 
@@ -37,6 +43,54 @@ class TestHashProperties:
         # not guaranteed per-pair, but colliding on 64 bits is measure-zero;
         # we assert inequality which catches seed being ignored entirely
         assert hash_pair(u, v, s1) != hash_pair(u, v, s2)
+
+
+edge_arrays = st.lists(
+    st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), max_size=40
+).map(lambda rows: np.array(rows, dtype=np.int64).reshape(-1, 2))
+
+
+class TestFingerprintProperties:
+    """The union identity run manifests and the streaming validator share."""
+
+    @given(edges=edge_arrays, seed=st.integers(0, 2**31))
+    def test_permutation_invariant(self, edges, seed):
+        shuffled = np.random.default_rng(seed).permutation(edges)
+        assert edge_fingerprint(shuffled) == edge_fingerprint(edges)
+
+    @given(edges=edge_arrays, cuts=st.lists(st.integers(0, 40), max_size=4))
+    def test_parts_merge_to_the_whole(self, edges, cuts):
+        parts = np.split(edges, sorted(c % (len(edges) + 1) for c in cuts))
+        assert merge_fingerprints(
+            edge_fingerprint(p) for p in parts
+        ) == edge_fingerprint(edges)
+
+    @given(edges=edge_arrays.filter(len), pick=st.integers(0, 39))
+    def test_duplicated_row_is_seen(self, edges, pick):
+        # The XOR fold this replaced cannot: x ^ h ^ h == x.
+        row = edges[pick % len(edges)][None, :]
+        twice = np.vstack([edges, row, row])
+        assert edge_fingerprint(twice) != edge_fingerprint(edges)
+        assert edge_fingerprint(np.vstack([edges, row])) != (
+            edge_fingerprint(edges)
+        )
+
+    @given(u=st.integers(0, 2**40), v=st.integers(0, 2**40))
+    def test_direction_sensitive(self, u, v):
+        if u != v:
+            assert edge_fingerprint([[u, v]]) != edge_fingerprint([[v, u]])
+
+    def test_empty_is_the_identity(self):
+        empty = np.empty((0, 2), dtype=np.int64)
+        assert edge_fingerprint(empty) == 0
+        assert merge_fingerprints([]) == 0
+        assert 0 <= edge_fingerprint([[2**40, 1]] * 3) < 2**64
+
+    @given(edges=edge_arrays.filter(lambda e: len(e) > 1))
+    def test_order_sensitive_digest_is_not_the_fingerprint(self, edges):
+        # The per-shard digest keeps telling row orders apart.
+        if not np.array_equal(edges, edges[::-1]):
+            assert edges_digest(edges) != edges_digest(edges[::-1])
 
 
 class TestRejectionProperties:

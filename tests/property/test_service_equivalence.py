@@ -3,8 +3,7 @@
 Satellite guarantee of the serving layer: whatever the HTTP surface
 returns for edge / degree / neighborhood / analytics queries must equal
 what a direct :class:`repro.kronecker.lazy.KroneckerGraph` over the same
-factors computes -- under cache eviction (``cache_size=1``) and under
-duplicate in-flight analytics requests (single-flight dedup) too.
+factors computes -- under cache eviction (``cache_size=1``) too.
 """
 
 import asyncio
@@ -15,10 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph import EdgeList
-from repro.groundtruth.memo import params_key
 from repro.kronecker.lazy import KroneckerGraph
 from repro.service.analytics import compute_property
-from repro.service.cache import cache_key
 from repro.service.loadgen import HTTPClient
 from repro.service.server import KronService, ServiceConfig
 
@@ -170,60 +167,3 @@ class TestAnalyticsUnderEviction:
             assert len(service.cache) == 1
 
         with_server(go, cache_size=1)
-
-
-# ---- single-flight dedup ---------------------------------------------- #
-class TestSingleFlightDedup:
-    @settings(max_examples=10, deadline=None)
-    @given(a=edge_lists(), b=edge_lists(), dupes=st.integers(2, 5))
-    def test_duplicate_inflight_requests_bit_identical(self, a, b, dupes):
-        """Duplicates arriving mid-flight share one computation and still
-        answer exactly what a direct call computes."""
-        direct = KroneckerGraph(a, b)
-        expected = canonical(compute_property("triangles", direct, {}))
-
-        async def go(service, client):
-            doc = await register(client, a, b)
-            handle = service.registry.graph("t", doc["graph"])
-            key = cache_key(
-                handle.digest_a, handle.digest_b, "triangles", params_key({})
-            )
-            # Hold the computation open so the duplicates genuinely
-            # overlap (the server computes synchronously otherwise).
-            loop = asyncio.get_running_loop()
-            future = loop.create_future()
-            service.cache._inflight[key] = future
-
-            async def one_request():
-                c = HTTPClient("127.0.0.1", service.bound_port)
-                await c.connect()
-                try:
-                    return await c.request(
-                        "POST",
-                        f"/v1/tenants/t/graphs/{doc['graph']}"
-                        f"/analytics/triangles",
-                        {},
-                    )
-                finally:
-                    await c.aclose()
-
-            tasks = [asyncio.create_task(one_request()) for _ in range(dupes)]
-            # Let every request reach the cache and park on the future.
-            while service.cache.singleflights < dupes:
-                await asyncio.sleep(0.001)
-            payload = json.dumps(
-                compute_property("triangles", handle.graph, {}),
-                sort_keys=True,
-                separators=(",", ":"),
-            ).encode("utf-8")
-            service.cache.insert(key, payload)
-            future.set_result(payload)
-            del service.cache._inflight[key]
-            results = await asyncio.gather(*tasks)
-            assert service.cache.singleflights == dupes
-            for status, res in results:
-                assert status == 200
-                assert res["cached"] is True
-                assert res["value"] == expected
-
-        with_server(go)

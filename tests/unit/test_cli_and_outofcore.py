@@ -1,15 +1,25 @@
 """Unit tests for the CLI and out-of-core generation."""
 
+import threading
+
 import numpy as np
 import pytest
 
+import repro.distributed.outofcore as outofcore
 from repro.cli import build_parser, load_factor, main
+from repro.distributed.checkpoint import CheckpointStore, shard_key
 from repro.distributed.outofcore import generate_to_directory
-from repro.errors import GraphFormatError, PartitionError
+from repro.distributed.sockcomm import RendezvousServer
+from repro.errors import (
+    CheckpointCorruptionError,
+    GraphFormatError,
+    PartitionError,
+)
 from repro.graph import EdgeList, erdos_renyi
 from repro.graph.io import write_npz, write_text
 from repro.graph.mmio import write_matrix_market
 from repro.kronecker import kron_product
+from repro.util.hashing import merge_fingerprints
 
 
 @pytest.fixture
@@ -22,6 +32,12 @@ def factor_files(tmp_path):
     return a, b, str(pa), str(pb)
 
 
+def _only_manifest(directory):
+    """The one run manifest persisted in ``directory``."""
+    (manifest,) = CheckpointStore(directory).manifests()
+    return manifest
+
+
 class TestOutOfCore:
     @pytest.mark.parametrize("scheme", ["1d", "2d"])
     def test_shards_reassemble_to_product(self, tmp_path, factor_files, scheme):
@@ -29,33 +45,138 @@ class TestOutOfCore:
         manifest = generate_to_directory(
             a, b, tmp_path / "shards", 3, scheme=scheme
         )
-        assert manifest.load() == kron_product(a, b)
+        store = CheckpointStore(tmp_path / "shards")
+        assert store.load_run(manifest) == kron_product(a, b)
         assert manifest.edges_total == a.m_directed * b.m_directed
+        # What was returned is what was persisted.
+        assert store.get_manifest(manifest.run_key) == manifest
 
     def test_one_shard_per_rank(self, tmp_path, factor_files):
         a, b, _, _ = factor_files
         manifest = generate_to_directory(a, b, tmp_path / "s", 5)
-        assert len(manifest.shard_paths) == 5
-        assert all(p.exists() for p in manifest.shard_paths)
+        store = CheckpointStore(tmp_path / "s")
+        assert manifest.nranks == len(manifest.shard_digests) == 5
+        assert all(
+            store.has(shard_key(manifest.run_key, r)) for r in range(5)
+        )
+        assert len(store.keys()) == 5
 
     def test_process_backend(self, tmp_path, factor_files):
         a, b, _, _ = factor_files
         manifest = generate_to_directory(
             a, b, tmp_path / "s", 2, backend="process"
         )
-        assert manifest.load() == kron_product(a, b)
+        assert CheckpointStore(tmp_path / "s").load_run(manifest) == (
+            kron_product(a, b)
+        )
 
     def test_small_chunks(self, tmp_path, factor_files):
         a, b, _, _ = factor_files
         manifest = generate_to_directory(
             a, b, tmp_path / "s", 2, chunk_size=13
         )
-        assert manifest.load() == kron_product(a, b)
+        assert CheckpointStore(tmp_path / "s").load_run(manifest) == (
+            kron_product(a, b)
+        )
 
     def test_bad_scheme(self, tmp_path, factor_files):
         a, b, _, _ = factor_files
         with pytest.raises(PartitionError):
             generate_to_directory(a, b, tmp_path / "s", 2, scheme="np")
+
+    def test_directory_reused_at_another_rank_count(
+        self, tmp_path, factor_files
+    ):
+        # Shards are found through their manifest, never by file-name
+        # pattern: a 4-rank run's leftovers cannot leak into the 2-rank
+        # run that follows it into the same directory.
+        a, b, _, _ = factor_files
+        four = generate_to_directory(a, b, tmp_path, 4)
+        two = generate_to_directory(a, b, tmp_path, 2)
+        store = CheckpointStore(tmp_path)
+        assert len(store.keys()) == 6
+        assert store.load_run(two) == kron_product(a, b)
+        assert store.load_run(four) == kron_product(a, b)
+        assert (two.union_digest, two.edges_total) == (
+            four.union_digest, four.edges_total
+        )
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_identical_second_run_generates_nothing(
+        self, tmp_path, factor_files, monkeypatch, backend
+    ):
+        a, b, _, _ = factor_files
+        first = generate_to_directory(a, b, tmp_path, 3, backend=backend)
+        store = CheckpointStore(tmp_path)
+        paths = [store._path(shard_key(first.run_key, r)) for r in range(3)]
+        written = [p.stat().st_mtime_ns for p in paths]
+
+        def no_generation(*_args):
+            raise AssertionError("generate_rank entered on a resumed run")
+
+        monkeypatch.setattr(outofcore, "generate_rank", no_generation)
+        assert generate_to_directory(a, b, tmp_path, 3, backend=backend) == first
+        assert [p.stat().st_mtime_ns for p in paths] == written
+
+    def test_damaged_shard_regenerates_alone(self, tmp_path, factor_files):
+        a, b, _, _ = factor_files
+        manifest = generate_to_directory(a, b, tmp_path, 3)
+        store = CheckpointStore(tmp_path)
+        paths = [store._path(shard_key(manifest.run_key, r)) for r in range(3)]
+        blob = bytearray(paths[1].read_bytes())
+        blob[len(blob) // 2] ^= 0xFF
+        paths[1].write_bytes(bytes(blob))
+        # The verified reader refuses to hand the edges back ...
+        with pytest.raises(CheckpointCorruptionError):
+            store.load_run(manifest)
+        assert not paths[1].exists(), "damaged shard must be discarded"
+        # ... and running again rewrites that shard only.
+        kept = [paths[r].stat().st_mtime_ns for r in (0, 2)]
+        assert generate_to_directory(a, b, tmp_path, 3) == manifest
+        assert [paths[r].stat().st_mtime_ns for r in (0, 2)] == kept
+        assert store.load_run(manifest) == kron_product(a, b)
+
+    def test_local_ranks_cover_this_hosts_shards_only(
+        self, tmp_path, factor_files
+    ):
+        # The two-host topology on one machine: each invocation owns half
+        # the ranks and its own directory.  Each manifest lists only the
+        # shards written there, nothing is persisted on a partial world's
+        # behalf, and the two fingerprints add up to the whole run's.
+        a, b, _, _ = factor_files
+        whole = generate_to_directory(a, b, tmp_path / "whole", 4, scheme="1d")
+        hosts = {}
+
+        def launch(ranks, addr):
+            hosts[ranks] = generate_to_directory(
+                a, b, tmp_path / f"host{ranks[0]}", 4, scheme="1d",
+                backend="socket", rendezvous=addr, local_ranks=ranks,
+            )
+
+        with RendezvousServer() as server:
+            addr = "%s:%d" % server.address
+            threads = [
+                threading.Thread(target=launch, args=(ranks, addr))
+                for ranks in ((0, 1), (2, 3))
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        lo, hi = hosts[(0, 1)], hosts[(2, 3)]
+        assert lo.shard_digests == whole.shard_digests[:2] + (None, None)
+        assert hi.shard_digests == (None, None) + whole.shard_digests[2:]
+        assert lo.edges_total + hi.edges_total == whole.edges_total
+        assert merge_fingerprints(
+            [lo.union_digest, hi.union_digest]
+        ) == whole.union_digest
+        parts = []
+        for ranks, manifest in hosts.items():
+            store = CheckpointStore(tmp_path / f"host{ranks[0]}")
+            assert store.manifests() == []
+            assert len(store.keys()) == 2
+            parts.append(store.load_run(manifest).edges)
+        assert EdgeList(np.vstack(parts), whole.n) == kron_product(a, b)
 
 
 class TestLoadFactor:
@@ -105,21 +226,21 @@ class TestCli:
             "--scheme", "1d", "--backend", "thread",
         ])
         assert code == 0
-        assert len(list(out_dir.glob("shard_*.npz"))) == 2
+        manifest = _only_manifest(out_dir)
+        assert manifest.nranks == 2
+        assert len(CheckpointStore(out_dir).keys()) == 2
+        assert CheckpointStore(out_dir).load_run(manifest) == kron_product(a, b)
 
     def test_self_loops_flag(self, factor_files, tmp_path, capsys):
         a, b, pa, pb = factor_files
         out_dir = tmp_path / "out"
         main(["generate", pa, pb, "--out", str(out_dir), "--ranks", "1",
               "--backend", "thread", "--self-loops"])
-        from repro.distributed.outofcore import ShardManifest
-        from pathlib import Path
-
-        shard = np.load(out_dir / "shard_00000.npz")["edges"]
         expect = kron_product(
             a.with_full_self_loops(), b.with_full_self_loops()
         )
-        assert EdgeList(shard, expect.n) == expect
+        store = CheckpointStore(out_dir)
+        assert store.load_run(_only_manifest(out_dir)) == expect
 
     def test_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "nope.mtx"

@@ -11,26 +11,32 @@ Covers the recovery invariants the supervised launcher promises:
   generating nothing.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.distributed.checkpoint import (
     CheckpointStore,
-    RunManifest,
-    edges_digest,
+    generation_family_key,
+    generation_run_key,
     reshard_run,
+    shard_key,
 )
 from repro.distributed.generator import GenerationPlan, generate_distributed
 from repro.distributed.supervisor import (
     SupervisorReport,
     canonical_edges,
     generate_distributed_supervised,
-    generation_family_key,
-    generation_run_key,
 )
-from repro.errors import CheckpointCorruptionError, CheckpointError
+from repro.errors import (
+    CheckpointCorruptionError,
+    CheckpointError,
+    is_transient,
+)
 from repro.graph.generators import clique, cycle
 from repro.telemetry import TelemetrySession
+from repro.util.hashing import edge_fingerprint
 
 #: The plan ``_supervised`` runs under (everything else at its default).
 PLAN = GenerationPlan(storage="source_block")
@@ -74,22 +80,21 @@ class TestElasticResume:
         assert len(manifests) == 1 and manifests[0].nranks == 4
         new_key = generation_run_key(a, b, 2, PLAN)
         resharded = reshard_run(
-            store,
-            manifests[0],
-            new_key=new_key,
-            new_ranks=2,
-            scheme="source_block",
-            n=a.n * b.n,
+            store, manifests[0], new_key=new_key, new_ranks=2
         )
         assert resharded.nranks == 2
         assert resharded.union_digest == manifests[0].union_digest
         assert resharded.edges_total == manifests[0].edges_total
-        # Both shard sets reassemble to the same canonical union.
+        assert (resharded.n, resharded.storage) == (a.n * b.n, "source_block")
+        # Both shard sets reassemble to the same union.
         blocks = [
-            store.get(f"{new_key}.rank{r:05d}").edges for r in range(2)
+            store.get(shard_key(new_key, r)).edges for r in range(2)
         ]
-        union = canonical_edges(np.vstack(blocks))
-        assert edges_digest(union) == manifests[0].union_digest
+        assert edge_fingerprint(np.vstack(blocks)) == manifests[0].union_digest
+        np.testing.assert_array_equal(
+            canonical_edges(np.vstack(blocks)),
+            canonical_edges(store.load_run(manifests[0]).edges),
+        )
 
     def test_fresh_rank_count_without_manifest_regenerates(
         self, factors, tmp_path
@@ -102,10 +107,8 @@ class TestElasticResume:
 
 class TestCheckpointCorruption:
     def test_corruption_error_is_transient(self):
-        from repro.distributed.supervisor import _is_retryable
-
         assert issubclass(CheckpointCorruptionError, CheckpointError)
-        assert _is_retryable(CheckpointCorruptionError("x"))
+        assert is_transient(CheckpointCorruptionError("x"))
 
     def test_truncated_shard_discard_raises_transient(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -114,7 +117,7 @@ class TestCheckpointCorruption:
         path = store._path("k.rank00000")
         path.write_bytes(path.read_bytes()[:-20])  # torn write
         with pytest.raises(CheckpointCorruptionError):
-            store.get("k.rank00000", discard=True)
+            store.get("k.rank00000")
         assert not path.exists(), "damaged artifact must be discarded"
         assert store.get("k.rank00000") is None
 
@@ -129,7 +132,7 @@ class TestCheckpointCorruption:
         blob[blob.index((5).to_bytes(8, "little"))] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointCorruptionError):
-            store.get("k.rank00000", discard=True)
+            store.get("k.rank00000")
         assert not path.exists()
 
     def test_supervised_recovers_from_truncated_shard(
@@ -165,10 +168,7 @@ class TestCheckpointCorruption:
             np.array([[7, 7]], dtype=np.int64),
         )
         with pytest.raises(CheckpointCorruptionError, match="manifest"):
-            reshard_run(
-                store, manifest, new_key="elastic", new_ranks=2,
-                scheme="source_block", n=a.n * b.n,
-            )
+            reshard_run(store, manifest, new_key="elastic", new_ranks=2)
         assert store.get_manifest(run_key) is None, "manifest discarded"
 
     def test_supervised_recovers_from_stale_manifest(self, factors, tmp_path):
@@ -197,16 +197,8 @@ class TestCheckpointCorruption:
         store = CheckpointStore(tmp_path)
         run_key = generation_run_key(a, b, 3, PLAN)
         manifest = store.get_manifest(run_key)
-        forged = RunManifest(
-            run_key=manifest.run_key,
-            family=manifest.family,
-            nranks=manifest.nranks,
-            shard_digests=manifest.shard_digests,
-            union_digest=manifest.union_digest ^ 1,
-            edges_total=manifest.edges_total,
+        forged = dataclasses.replace(
+            manifest, union_digest=manifest.union_digest ^ 1
         )
         with pytest.raises(CheckpointCorruptionError, match="union digest"):
-            reshard_run(
-                store, forged, new_key="elastic", new_ranks=2,
-                scheme="source_block", n=a.n * b.n,
-            )
+            reshard_run(store, forged, new_key="elastic", new_ranks=2)

@@ -21,11 +21,11 @@ from repro.distributed import (
     generate_rank,
     spmd_run,
 )
-from repro.distributed.comm import Communicator
-from repro.distributed.supervisor import (
+from repro.distributed.checkpoint import (
     generation_family_key,
     generation_run_key,
 )
+from repro.distributed.comm import Communicator
 from repro.errors import PartitionError, RankFailedError
 from repro.graph import EdgeList
 from repro.graph.generators import clique, cycle

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.distributed import GenerationPlan, generate_distributed
-from repro.distributed.supervisor import generation_run_key
+from repro.distributed.checkpoint import generation_run_key
 from repro.errors import PartitionError
 from repro.graph import cycle, erdos_renyi
 from repro.kronecker import kron_product

@@ -1,6 +1,5 @@
 """Unit tests for the service registry and the analytics cache."""
 
-import asyncio
 import json
 
 import pytest
@@ -84,26 +83,18 @@ class TestRegistry:
         assert digest_hex(-1) == "f" * 16  # wraps to uint64
 
 
-def run(coro):
-    return asyncio.run(coro)
-
-
 class TestAnalyticsCache:
     def test_miss_then_hit(self):
         cache = AnalyticsCache(maxsize=4)
         key = cache_key("a", "b", "triangles", "{}")
         calls = []
 
-        async def go():
-            p1, hit1 = await cache.get_or_compute(
-                key, lambda: calls.append(1) or {"tau": 6}
-            )
-            p2, hit2 = await cache.get_or_compute(
-                key, lambda: calls.append(1) or {"tau": 6}
-            )
-            return p1, hit1, p2, hit2
-
-        p1, hit1, p2, hit2 = run(go())
+        p1, hit1 = cache.get_or_compute(
+            key, lambda: calls.append(1) or {"tau": 6}
+        )
+        p2, hit2 = cache.get_or_compute(
+            key, lambda: calls.append(1) or {"tau": 6}
+        )
         assert calls == [1]
         assert (hit1, hit2) == (False, True)
         assert p1 == p2 and json.loads(p1) == {"tau": 6}
@@ -112,13 +103,10 @@ class TestAnalyticsCache:
     def test_lru_eviction(self):
         cache = AnalyticsCache(maxsize=2)
 
-        async def go():
-            for i in range(4):
-                await cache.get_or_compute(
-                    cache_key("a", "b", f"p{i}", "{}"), lambda i=i: {"i": i}
-                )
-
-        run(go())
+        for i in range(4):
+            cache.get_or_compute(
+                cache_key("a", "b", f"p{i}", "{}"), lambda i=i: {"i": i}
+            )
         assert len(cache) == 2
         assert cache.evictions == 2
 
@@ -126,51 +114,18 @@ class TestAnalyticsCache:
         cache = AnalyticsCache(maxsize=4)
         key = cache_key("aaaa", "bbbb", "triangles", '{"k":1}')
 
-        async def go():
-            await cache.get_or_compute(key, lambda: {"tau": 6})
-            cache._entries[key].payload = b'{"tau": 666}'  # bit-rot
-            with pytest.raises(CacheCorruptionError) as exc_info:
-                cache.lookup(key)
-            assert exc_info.value.property == "triangles"
-            assert exc_info.value.digest == "aaaaxbbbb"
-            assert exc_info.value.params == {"k": 1}
-            assert key not in cache._entries  # damaged entry evicted
-            # The retry recomputes and repairs.
-            payload, was_hit = await cache.get_or_compute(
-                key, lambda: {"tau": 6}
-            )
-            assert not was_hit and json.loads(payload) == {"tau": 6}
-
-        run(go())
+        cache.get_or_compute(key, lambda: {"tau": 6})
+        cache._entries[key].payload = b'{"tau": 666}'  # bit-rot
+        with pytest.raises(CacheCorruptionError) as exc_info:
+            cache.lookup(key)
+        assert exc_info.value.property == "triangles"
+        assert exc_info.value.digest == "aaaaxbbbb"
+        assert exc_info.value.params == {"k": 1}
+        assert key not in cache._entries  # damaged entry evicted
+        # The retry recomputes and repairs.
+        payload, was_hit = cache.get_or_compute(key, lambda: {"tau": 6})
+        assert not was_hit and json.loads(payload) == {"tau": 6}
         assert cache.corruptions == 1
-
-    def test_single_flight_awaiters_share_payload(self):
-        """Duplicates arriving while a computation is in flight await it."""
-        cache = AnalyticsCache(maxsize=4)
-        key = cache_key("a", "b", "prop", "{}")
-        calls = []
-
-        async def go():
-            loop = asyncio.get_running_loop()
-            future = loop.create_future()
-            cache._inflight[key] = future  # a computation is in flight
-
-            async def awaiter():
-                return await cache.get_or_compute(
-                    key, lambda: calls.append(1) or {"v": 2}
-                )
-
-            tasks = [asyncio.create_task(awaiter()) for _ in range(3)]
-            await asyncio.sleep(0)
-            future.set_result(b'{"v":1}')
-            del cache._inflight[key]
-            return await asyncio.gather(*tasks)
-
-        results = run(go())
-        assert calls == []  # nobody recomputed
-        assert all(hit for _, hit in results)
-        assert {payload for payload, _ in results} == {b'{"v":1}'}
-        assert cache.singleflights == 3
 
     def test_payload_digest_sensitivity(self):
         assert payload_digest(b'{"a":1}') != payload_digest(b'{"a":2}')

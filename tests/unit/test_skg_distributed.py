@@ -15,15 +15,15 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.distributed.faults import FaultPlan
-from repro.distributed.generator import GenerationPlan
-from repro.distributed.shuffle import bucket_edges
-from repro.distributed.supervisor import (
-    SupervisorReport,
-    canonical_edges,
+from repro.distributed.checkpoint import (
+    CheckpointStore,
     generation_family_key,
     generation_run_key,
 )
+from repro.distributed.faults import FaultPlan
+from repro.distributed.generator import GenerationPlan
+from repro.distributed.shuffle import bucket_edges
+from repro.distributed.supervisor import SupervisorReport, canonical_edges
 from repro.errors import ReproError
 from repro.skg.distributed import (
     generate_skg_distributed,
@@ -199,11 +199,11 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "generated" in out
-        shards = sorted((tmp_path / "shards").glob("shard_*.npz"))
-        assert len(shards) == 3
-        edges = np.vstack([np.load(p)["edges"] for p in shards])
+        store = CheckpointStore(tmp_path / "shards")
+        (manifest,) = store.manifests()
+        assert manifest.nranks == 3 and len(store.keys()) == 3
         np.testing.assert_array_equal(
-            canonical_edges(edges),
+            canonical_edges(store.load_run(manifest).edges),
             canonical_edges(skg_sample_edges(SPEC).edges),
         )
 

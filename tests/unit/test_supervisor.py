@@ -1,5 +1,6 @@
 """Unit tests for repro.distributed.supervisor and the degradation ladder."""
 
+import multiprocessing
 import os
 import threading
 import time
@@ -11,7 +12,11 @@ import pytest
 import repro.distributed.launcher as launcher
 import repro.distributed.mpcomm as mpcomm
 from repro.distributed import spmd_run
-from repro.distributed.checkpoint import CheckpointStore, edges_digest
+from repro.distributed.checkpoint import (
+    CheckpointStore,
+    edges_digest,
+    generation_run_key,
+)
 from repro.distributed.faults import FaultPlan
 from repro.distributed.generator import (
     GenerationPlan,
@@ -22,7 +27,6 @@ from repro.distributed.supervisor import (
     SupervisorReport,
     canonical_edges,
     generate_distributed_supervised,
-    generation_run_key,
     spmd_run_supervised,
 )
 from repro.errors import (
@@ -33,6 +37,12 @@ from repro.errors import (
     RankFailedError,
 )
 from repro.graph.generators import clique, cycle
+
+
+def _always_raises(comm, exc_type):
+    if comm.rank == 1:
+        raise exc_type("raised by the rank program")
+    return comm.rank
 
 
 def allsum(comm):
@@ -93,6 +103,28 @@ class TestRetry:
 
         out = spmd_run_supervised(flaky, 2, backoff_base=0.0)
         assert out == [0, 1]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "raised,attempts",
+        [(EOFError, 1), (ValueError, 1), (CommunicatorError, 3)],
+    )
+    def test_retry_verdict_does_not_depend_on_backend(
+        self, backend, raised, attempts
+    ):
+        # Judged once, on the live exception inside the failing rank: an
+        # EOFError out of a rank program is a bug on every backend (a
+        # type-name table used to make it retryable only across a
+        # process hop), a CommunicatorError transient on every backend.
+        rep = SupervisorReport()
+        with pytest.raises(RankFailedError, match=raised.__name__) as err:
+            spmd_run_supervised(
+                _always_raises, 2, raised, backend=backend,
+                max_attempts=3, backoff_base=0.0, report=rep,
+            )
+        assert rep.attempts == attempts
+        assert err.value.transient == (attempts > 1)
+        assert multiprocessing.active_children() == []
 
     def test_max_attempts_validated(self):
         with pytest.raises(CommunicatorError):

@@ -129,6 +129,18 @@ class TestStreamingValidator:
             sv2.consume(c)
         assert sv1.fingerprint() == sv2.fingerprint()
 
+    def test_fingerprint_sees_a_duplicated_chunk(self, er_a, er_b):
+        # An XOR fold cancels a chunk consumed twice more; the sum does not.
+        chunks = list(iter_kron_product(er_a, er_b, 32))
+        once = StreamingValidator(er_a, er_b)
+        thrice = StreamingValidator(er_a, er_b)
+        for c in chunks:
+            once.consume(c)
+            thrice.consume(c)
+        thrice.consume(chunks[0])
+        thrice.consume(chunks[0])
+        assert once.fingerprint() != thrice.fingerprint()
+
     def test_validates_distributed_stream(self, er_a, er_b):
         """Shards from a distributed run validate exactly like serial chunks."""
         from repro.distributed import generate_distributed
