@@ -122,7 +122,7 @@ def _skg_spec_from_args(args: argparse.Namespace):
 
 def cmd_generate(args: argparse.Namespace) -> int:
     """Distributed generation to shard files (exact or SKG model)."""
-    from repro.distributed.outofcore import generate_to_directory
+    from repro.distributed.supervisor import generate_to_directory
 
     if args.list_seed_matrices:
         _print_seed_matrices()
@@ -461,11 +461,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """Run one traced supervised generation; write trace + metrics JSON.
 
     With no factor files, the built-in K4 (x) C5 pair keeps the run small
-    while still exercising every rank pair.  The run always goes through
-    the supervised launcher with a checkpoint directory (a temporary one
-    unless ``--checkpoint-dir`` pins it), so the trace contains all four
-    phase span kinds: ``generate``, ``route``, ``exchange``,
-    ``checkpoint``.  Exits non-zero if the cross-rank aggregated edge
+    while still exercising every rank pair.  The run is the persisted one
+    ``generate`` makes (``generate_to_directory``, into a temporary
+    directory unless ``--checkpoint-dir`` pins it) with a telemetry
+    session attached, so the trace contains all four phase span kinds:
+    ``generate``, ``route``, ``exchange``, ``checkpoint``.  Exits
+    non-zero if the run's manifest or the cross-rank aggregated edge
     counters do not sum to the exact product edge count -- the trace
     doubles as an end-to-end consistency check.
     """
@@ -473,7 +474,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     import json
     import tempfile
 
-    from repro.distributed.supervisor import generate_distributed_supervised
+    from repro.distributed.supervisor import generate_to_directory
     from repro.telemetry import TelemetrySession
 
     if args.factor_a and args.factor_b:
@@ -490,9 +491,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
             checkpoint_dir = stack.enter_context(
                 tempfile.TemporaryDirectory(prefix="repro-trace-ckpt-")
             )
-        el, _outputs = generate_distributed_supervised(
+        manifest = generate_to_directory(
             a,
             b,
+            checkpoint_dir,
             args.ranks,
             scheme=args.scheme,
             storage=args.storage,
@@ -500,7 +502,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
             chunk_size=args.chunk_size,
             pipeline=args.pipeline,
             wire=args.wire,
-            checkpoint_dir=checkpoint_dir,
             telemetry=session,
             rendezvous=args.rendezvous,
         )
@@ -515,7 +516,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     # Checkpoint-resumed shards are restored, not regenerated; either way
     # every product edge must be accounted for exactly once.
     exact = (
-        generated + restored == expected == el.m_directed
+        generated + restored == expected == manifest.edges_total
         and stored == expected
     )
     summary = {

@@ -35,6 +35,7 @@ from repro.distributed.supervisor import (
     SupervisorReport,
     decorrelated_jitter,
     generate_distributed_supervised,
+    generate_to_directory,
     run_chaos_matrix,
     spmd_run_supervised,
 )
@@ -66,7 +67,6 @@ from repro.distributed.aggregate import (
     distributed_degree_histogram,
     distributed_max_vertex,
 )
-from repro.distributed.outofcore import generate_to_directory
 from repro.distributed.triangles import (
     distributed_edge_triangles,
     distributed_global_triangles,

@@ -6,8 +6,9 @@ partition, and the routing configuration.  That makes failed work ideal
 for checkpoint/retry -- a shard computed once never needs recomputing, and
 a recomputed shard can be *verified* bit-for-bit against the recorded
 digest (cf. Sanders et al., arXiv:1803.09021 on validating generated
-output at scale).  A checkpoint of a shard *is* the stored shard, so the
-supervised launcher and ``repro-kron generate`` write the same files.
+output at scale).  A checkpoint of a shard *is* the stored shard, and
+every persisted run writes it through the one sink here
+(:class:`CheckpointedRankFn`).
 
 Each is one *uncompressed* ``.npz`` holding the edge array, its
 ``generated`` count, and an order- and shape-sensitive 64-bit digest
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.distributed.generator import GenerationPlan, RankOutput
+from repro.distributed.generator import GenerationPlan
 from repro.errors import CheckpointCorruptionError, CheckpointError
 from repro.graph.edgelist import EdgeList
 from repro.telemetry.session import telemetry_of
@@ -142,10 +143,11 @@ class RunManifest:
     @classmethod
     def from_shards(
         cls, run_key: str, family: str, n: int, storage: str | None,
-        shards: list[tuple[int, int, int] | None],
+        shards: list[tuple[int, ...] | None],
     ) -> RunManifest:
-        """From per-rank ``(edges_digest, edge_fingerprint, rows)``, each
-        computed where that shard is; ``None`` is a shard on another host.
+        """From per-rank ``(edges_digest, edge_fingerprint, rows, ...)``,
+        each computed where that shard is (what :class:`CheckpointedRankFn`
+        returns); ``None`` is a shard on another host.
         """
         held = [s for s in shards if s is not None]
         return cls(
@@ -445,7 +447,7 @@ def reshard_run(
 
 
 def elastic_pre_attempt(
-    directory, run_key, family, nranks, telemetry, attempt
+    store: CheckpointStore, run_key, family, nranks, telemetry, attempt
 ) -> None:
     """Per-attempt hook: reshard a same-family manifest onto ``nranks``.
 
@@ -455,7 +457,6 @@ def elastic_pre_attempt(
     :class:`CheckpointCorruptionError` when the source artifacts turn out
     damaged (the retry then generates from scratch).
     """
-    store = CheckpointStore(directory)
     if all(store.has(shard_key(run_key, r)) for r in range(nranks)):
         return
     for manifest in store.manifests():
@@ -472,9 +473,10 @@ def elastic_pre_attempt(
 class CheckpointedRankFn:
     """Wrap a ``RankOutput``-returning rank program with shard checkpoints.
 
-    The one persist step: :meth:`shard` is what the rank ends up storing,
-    ``__call__`` hands it on as the wrapped program's :class:`RankOutput`
-    and :meth:`summary` as the scalars a manifest keeps.
+    The one persist step.  Calling it leaves the rank's shard in the store
+    and returns ``(edges_digest, edge_fingerprint, rows, generated)`` --
+    the scalars a :class:`RunManifest` is folded from, hashed here where
+    the shard is, never the edges: whoever wants them reads the store.
 
     ``shard_mode="independent"`` (comm-free rank programs): each rank
     skips straight to its persisted shard when one verifies, so a retry
@@ -489,8 +491,7 @@ class CheckpointedRankFn:
     :class:`CheckpointError`, never a retry).
 
     Module-level class (not a closure) so the process backend can ship it
-    to forked children; it reopens the store per call because file handles
-    do not survive the fork.
+    to forked children.
     """
 
     def __init__(
@@ -502,24 +503,19 @@ class CheckpointedRankFn:
                 f"use 'independent' or 'collective'"
             )
         self.fn = fn
-        self.directory = str(directory)
+        self.store = CheckpointStore(directory)
         self.run_key = run_key
         self.shard_mode = shard_mode
 
-    def __call__(self, comm, *args) -> RankOutput:
-        shard = self.shard(comm, *args)
-        return RankOutput(comm.rank, shard.edges, shard.generated)
+    def __call__(self, comm, *args) -> tuple[int, int, int, int]:
+        shard = self._shard(comm, *args)
+        fingerprint = edge_fingerprint(shard.edges)
+        return shard.digest, fingerprint, len(shard.edges), shard.generated
 
-    def summary(self, comm, *args) -> tuple[int, int, int]:
-        """``(edges_digest, edge_fingerprint, rows)`` -- never the edges."""
-        shard = self.shard(comm, *args)
-        return shard.digest, edge_fingerprint(shard.edges), len(shard.edges)
-
-    def shard(self, comm, *args) -> Shard:
+    def _shard(self, comm, *args) -> Shard:
         tel = telemetry_of(comm)
+        store, key = self.store, shard_key(self.run_key, comm.rank)
         with tel.span("checkpoint", cat="phase", op="load"):
-            store = CheckpointStore(self.directory)
-            key = shard_key(self.run_key, comm.rank)
             # A damaged shard is deleted and raises the transient
             # CheckpointCorruptionError here, so the supervised retry
             # regenerates it instead of running from a half-trusted store.

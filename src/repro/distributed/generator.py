@@ -486,8 +486,8 @@ def generate_distributed(
     runner:
         The launch function, ``spmd_run``-compatible.  The supervised
         launcher (:func:`repro.distributed.supervisor.spmd_run_supervised`)
-        is passed here -- pre-bound with its retry/fault/checkpoint
-        configuration -- to add recovery without the generator knowing.
+        is passed here -- pre-bound with its retry/fault configuration
+        -- to add recovery without the generator knowing.
     telemetry:
         Optional :class:`~repro.telemetry.session.TelemetrySession`,
         forwarded to the runner.  ``None`` forwards nothing, so

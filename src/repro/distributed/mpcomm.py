@@ -41,6 +41,7 @@ fatal.
 from __future__ import annotations
 
 import multiprocessing as mp
+import queue
 import warnings
 from multiprocessing import resource_tracker, shared_memory
 from typing import Any
@@ -204,7 +205,7 @@ class ProcessCommunicator(Communicator):
         while True:
             try:
                 got_tag, obj = q.get(timeout=timeout)
-            except Exception as exc:  # queue.Empty re-exported differently
+            except queue.Empty as exc:
                 raise CommunicatorError(
                     f"rank {self._rank} timed out after {timeout:g}s waiting "
                     f"to receive from rank {source} (tag {tag}); the sender "

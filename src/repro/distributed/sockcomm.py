@@ -23,6 +23,14 @@ body: a ``HELLO`` or ``HEARTBEAT`` announcing one is rejected from its
 header alone, so a connection that has not yet presented a valid HELLO
 can never make this rank read (or allocate) a length of its choosing.
 
+The rendezvous speaks length-capped JSON in both directions (a
+registration ``{"size", "rank", "host", "port"}`` in, the roster or
+``{"error"}`` out), every field type-checked before use: a stranger's
+bytes never become anything but JSON there.  DATA payloads are another
+matter (see above) and peers are identified by the world token alone, so
+the mesh must run on a network whose members are trusted; authenticated
+DATA frames are ROADMAP item 4.
+
 Self-healing
 ------------
 Connection direction is deterministic -- for a pair ``(i, j)`` with
@@ -49,6 +57,7 @@ clock.
 from __future__ import annotations
 
 import hashlib
+import json
 import pickle
 import queue
 import random
@@ -98,8 +107,8 @@ _REFUSED_LIMIT = 3
 _BACKLOG = 128
 
 #: Largest registration the rendezvous reads from a not-yet-trusted
-#: connection.  A pickled ``("register", size, rank, host, port)`` tuple is
-#: tens of bytes; the rest is headroom for long host names.
+#: connection (tens of bytes plus headroom for long host names); a roster
+#: is at most ``size`` of them, which caps the reply a rank will read.
 _MAX_REGISTRATION_BYTES = 4096
 
 
@@ -183,19 +192,36 @@ def _read_frame(sock: socket.socket) -> tuple[int, int, int, int, bytes]:
     return kind, src, tag, seq, payload
 
 
-def _send_blob(sock: socket.socket, obj: Any) -> None:
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+def _send_json(sock: socket.socket, doc: Any) -> None:
+    payload = json.dumps(doc).encode()
     sock.sendall(struct.pack("<Q", len(payload)) + payload)
 
 
-def _recv_blob(sock: socket.socket, max_bytes: int | None = None) -> Any:
-    """Read one length-prefixed pickle; refuse a prefix over ``max_bytes``."""
+def _recv_json(sock: socket.socket, max_bytes: int) -> Any:
+    """Read one length-prefixed JSON document of at most ``max_bytes``."""
     (length,) = struct.unpack("<Q", _read_exact(sock, 8))
-    if max_bytes is not None and length > max_bytes:
+    if length > max_bytes:
         raise CommunicatorError(
-            f"blob announces {length} bytes, over the {max_bytes}-byte cap"
+            f"message announces {length} bytes, over the {max_bytes}-byte cap"
         )
-    return pickle.loads(_read_exact(sock, length))
+    try:
+        return json.loads(_read_exact(sock, length))
+    except (ValueError, RecursionError) as exc:
+        raise CommunicatorError(f"message is not JSON: {exc}") from exc
+
+
+def _is_int(value: Any, lo: int, hi: int) -> bool:
+    return type(value) is int and lo <= value < hi
+
+
+def _is_address(entry: Any) -> bool:
+    """Is ``entry`` a ``[host, port]`` pair as JSON carries one?"""
+    return (
+        isinstance(entry, list)
+        and len(entry) == 2
+        and isinstance(entry[0], str)
+        and _is_int(entry[1], 0, 1 << 16)
+    )
 
 
 @dataclass
@@ -328,29 +354,24 @@ class SocketCommunicator(Communicator):
             else tuple(rendezvous)
         )
         listener = _make_listener(host)
-        port = listener.getsockname()[1]
+        registration = {"size": size, "rank": rank, "host": host,
+                        "port": listener.getsockname()[1]}
         try:
-            sock = socket.create_connection(addr, timeout=recv_timeout())
-        except OSError as exc:
-            listener.close()
-            raise CommunicatorError(
-                f"rendezvous at {addr[0]}:{addr[1]} unreachable: {exc}"
-            ) from exc
-        try:
-            sock.settimeout(recv_timeout())
-            _send_blob(sock, ("register", size, rank, host, port))
-            reply = _recv_blob(sock)
-        except (OSError, ConnectionError, EOFError) as exc:
+            with socket.create_connection(addr, timeout=recv_timeout()) as sock:
+                _send_json(sock, registration)
+                reply = _recv_json(sock, _MAX_REGISTRATION_BYTES * size)
+            if not (
+                isinstance(reply, list)
+                and len(reply) == size
+                and all(map(_is_address, reply))
+            ):
+                raise CommunicatorError(f"no roster in the reply {reply!r}")
+        except (OSError, CommunicatorError) as exc:
             listener.close()
             raise CommunicatorError(
                 f"rank {rank}: rendezvous round at {addr[0]}:{addr[1]} "
-                f"failed before the roster arrived: {exc}"
+                f"failed: {exc}"
             ) from exc
-        finally:
-            sock.close()
-        if isinstance(reply, tuple) and reply and reply[0] == "error":
-            listener.close()
-            raise CommunicatorError(f"rendezvous rejected rank {rank}: {reply[1]}")
         roster = [tuple(entry) for entry in reply]
         comm = cls(rank, size, roster, listener)
         # Bootstrap is a mesh barrier: without it a rank whose program
@@ -855,34 +876,30 @@ class RendezvousServer:
         try:
             conn.settimeout(recv_timeout())
             try:
-                msg = _recv_blob(conn, _MAX_REGISTRATION_BYTES)
-            except (OSError, ConnectionError, EOFError,
-                    pickle.UnpicklingError, CommunicatorError):
+                msg = _recv_json(conn, _MAX_REGISTRATION_BYTES)
+            except (OSError, CommunicatorError):
                 # Probe connections close without registering; an
                 # oversized prefix is dropped before anything is allocated.
                 return
-            if (
-                not isinstance(msg, tuple)
-                or len(msg) != 5
-                or msg[0] != "register"
+            fields = msg if isinstance(msg, dict) else {}
+            size, rank = fields.get("size"), fields.get("rank")
+            address = [fields.get("host"), fields.get("port")]
+            if not (
+                _is_int(size, 1, 1 << 32)  # a frame header's src is a u32
+                and _is_int(rank, 0, size)
+                and _is_address(address)
             ):
-                _send_blob(conn, ("error", f"malformed registration: {msg!r}"))
+                _send_json(conn, {"error": "malformed registration"})
                 return
-            _, size, rank, host, port = msg
             with self._cond:
                 if self._round_size is None:
-                    self._round_size = int(size)
-                if int(size) != self._round_size or not (0 <= rank < size):
-                    _send_blob(
-                        conn,
-                        (
-                            "error",
-                            f"rank {rank}/size {size} inconsistent with the "
-                            f"current round (size {self._round_size})",
-                        ),
-                    )
+                    self._round_size = size
+                if size != self._round_size:
+                    why = (f"rank {rank}/size {size} inconsistent with the "
+                           f"current round (size {self._round_size})")
+                    _send_json(conn, {"error": why})
                     return
-                self._round[int(rank)] = (str(host), int(port))
+                self._round[rank] = tuple(address)
                 my_epoch = self._epoch
                 if len(self._round) == self._round_size:
                     self._roster = [
@@ -902,7 +919,7 @@ class RendezvousServer:
                     if self._closed:
                         return
                 roster = self._roster
-            _send_blob(conn, roster)
+            _send_json(conn, roster)
         except OSError:  # pragma: no cover - client vanished mid-reply
             pass
         finally:

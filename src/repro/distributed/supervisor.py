@@ -1,4 +1,4 @@
-"""Supervised SPMD execution: retry, checkpoint/resume, chaos harness.
+"""Supervised SPMD execution: retry, the persisted run, chaos harness.
 
 :func:`spmd_run_supervised` is a drop-in replacement for
 :func:`repro.distributed.launcher.spmd_run` that adds the recovery layer
@@ -11,17 +11,19 @@ the bare launcher deliberately lacks:
 * **deterministic fault injection** via a
   :class:`~repro.distributed.faults.FaultPlan` -- each attempt re-binds the
   plan to its attempt number, so probabilistic faults reroll and scheduled
-  faults disarm once ``fault_attempts`` is exhausted;
-* **shard-level checkpoint/resume** through the content-addressed
-  :class:`~repro.distributed.checkpoint.CheckpointStore`: completed shard
-  outputs persist, a retry re-executes only missing shards, and a shard
-  that *is* re-executed (because peers need its collective traffic) is
-  verified bit-for-bit against the recorded digest.
+  faults disarm once ``fault_attempts`` is exhausted.
 
-:func:`generate_distributed_supervised` wires all of it to the generator,
-and :func:`run_chaos_matrix` drives a seeded fault matrix end-to-end,
-asserting every plan recovers to output bit-identical (canonical edge
-order) to the fault-free run -- the ``repro-kron chaos`` subcommand.
+One driver wires it to the generator (:func:`_supervised_run`):
+:func:`generate_distributed_supervised` is its retry-only in-memory run,
+:func:`generate_to_directory` its *persisted* run -- every rank writes its
+shard through the one sink
+(:class:`~repro.distributed.checkpoint.CheckpointedRankFn`), a retry
+re-executes only missing or damaged shards, and a shard that *is*
+re-executed (because peers need its collective traffic) is verified
+bit-for-bit against the recorded digest.  :func:`run_chaos_matrix` drives
+a seeded fault matrix end-to-end, asserting every plan recovers to output
+bit-identical (canonical edge order) to the fault-free run -- the
+``repro-kron chaos`` subcommand.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import functools
 import os
 import random
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from repro.distributed.checkpoint import (
     elastic_pre_attempt,
     generation_family_key,
     generation_run_key,
+    shard_key,
 )
 from repro.distributed.comm import RECV_TIMEOUT_ENV
 from repro.distributed.faults import FaultPlan, default_fault_matrix
@@ -51,6 +53,7 @@ from repro.distributed.generator import (
     RankOutput,
     execute_plan,
     generate_distributed,
+    generate_rank,
 )
 from repro.distributed.launcher import spmd_run
 from repro.errors import CommunicatorError, ReproError, is_transient
@@ -58,12 +61,12 @@ from repro.graph.edgelist import EdgeList, canonical_order
 from repro.kronecker.product import DEFAULT_CHUNK
 from repro.telemetry.clock import monotonic
 from repro.telemetry.session import TelemetrySession
-from repro.util.hashing import edge_fingerprint, edges_digest
 
 __all__ = [
     "SupervisorReport",
     "spmd_run_supervised",
     "decorrelated_jitter",
+    "generate_to_directory",
     "generate_distributed_supervised",
     "ChaosOutcome",
     "ChaosReport",
@@ -113,23 +116,20 @@ def spmd_run_supervised(
     fn,
     nranks: int,
     *args,
-    backend: str = "thread",
-    checked: bool | None = None,
     fault_plan: FaultPlan | None = None,
     max_attempts: int = 3,
     backoff_base: float = 0.05,
-    checkpoint: str | os.PathLike | CheckpointStore | None = None,
-    run_key: str | None = None,
-    shard_mode: str = "collective",
     report: SupervisorReport | None = None,
     telemetry=None,
-    rendezvous: str | None = None,
+    local_ranks: tuple[int, ...] | None = None,
     pre_attempt=None,
+    **launch,
 ) -> list:
     """Run ``fn`` across ``nranks`` ranks under supervision.
 
     Drop-in for :func:`spmd_run` (same positional contract, returns
-    per-rank results in rank order), plus:
+    per-rank results in rank order; ``launch`` takes its ``backend``,
+    ``checked`` and ``rendezvous``, forwarded to every attempt), plus:
 
     fault_plan:
         Inject this :class:`FaultPlan` (re-bound to each attempt number)
@@ -144,11 +144,6 @@ def spmd_run_supervised(
         decorrelated jitter within the exponential envelope
         (:func:`decorrelated_jitter`) so simultaneous multi-rank failures
         do not retry in lockstep.
-    checkpoint / run_key / shard_mode:
-        When ``checkpoint`` names a directory (or store), wrap ``fn`` --
-        which must return :class:`RankOutput` -- in shard-level
-        checkpoint/resume (see
-        :class:`~repro.distributed.checkpoint.CheckpointedRankFn`).
     report:
         Optional :class:`SupervisorReport` filled with attempt counts and
         per-attempt failure summaries.
@@ -158,9 +153,11 @@ def spmd_run_supervised(
         land on the session's supervisor lane as instant events (attempt
         number, error, backoff), so a recovered run's trace shows *why* it
         took the time it took.
-    rendezvous:
+    local_ranks:
         Socket backend only; forwarded to every :func:`spmd_run` attempt
-        (``"host:port"`` of an external ``repro-kron serve-rendezvous``).
+        (the share of a multi-host world this invocation launches).  A
+        partial world makes one attempt: its peers on the other hosts
+        would not retry with it.
     pre_attempt:
         Optional ``pre_attempt(attempt)`` callable run *inside* each
         attempt's try block, before the launch -- the elastic-resume hook:
@@ -170,35 +167,28 @@ def spmd_run_supervised(
     """
     if max_attempts < 1:
         raise CommunicatorError(f"max_attempts must be >= 1, got {max_attempts}")
-    run_fn = fn
-    if checkpoint is not None:
-        directory = (
-            checkpoint.directory
-            if isinstance(checkpoint, CheckpointStore)
-            else checkpoint
-        )
-        key = run_key or getattr(fn, "__name__", "spmd-run")
-        run_fn = CheckpointedRankFn(fn, directory, key, shard_mode)
+    if local_ranks is not None:
+        max_attempts = 1
     rng = random.Random()
     delay = backoff_base
     for attempt in range(max_attempts):
+        if report is not None:
+            report.attempts = attempt + 1
         wrap = fault_plan.binder(attempt) if fault_plan is not None else None
         try:
             if pre_attempt is not None:
                 pre_attempt(attempt)
             results = spmd_run(
-                run_fn,
+                fn,
                 nranks,
                 *args,
-                backend=backend,
-                checked=checked,
                 wrap_comm=wrap,
                 telemetry=telemetry,
-                rendezvous=rendezvous,
+                local_ranks=local_ranks,
+                **launch,
             )
         except ReproError as exc:
             if report is not None:
-                report.attempts = attempt + 1
                 report.record_failure(attempt, exc)
             retrying = is_transient(exc) and attempt + 1 < max_attempts
             if telemetry is not None and telemetry.enabled:
@@ -215,18 +205,17 @@ def spmd_run_supervised(
                 delay, backoff_base, _BACKOFF_FACTOR, _BACKOFF_MAX, rng
             )
             continue
-        if report is not None:
-            report.attempts = attempt + 1
         if telemetry is not None and telemetry.enabled and attempt:
             telemetry.record("supervisor.recovered", attempts=attempt + 1)
         return results
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def generate_distributed_supervised(
+def _supervised_run(
     el_a: EdgeList,
     el_b: EdgeList,
     nranks: int,
+    directory: str | os.PathLike | None,
     *,
     scheme: str = "1d",
     storage: str | None = None,
@@ -235,99 +224,115 @@ def generate_distributed_supervised(
     pipeline: str = "sync",
     wire: str = "raw",
     skg=None,
-    fault_plan: FaultPlan | None = None,
-    max_attempts: int = 3,
-    checkpoint_dir: str | os.PathLike | None = None,
-    run_key: str | None = None,
-    report: SupervisorReport | None = None,
     telemetry=None,
-    rendezvous: str | None = None,
+    **retry,
+) -> RunManifest | tuple[EdgeList, list[RankOutput]]:
+    """The one supervised generation driver; its keywords, declared once.
+
+    ``scheme`` ... ``skg`` are the :class:`GenerationPlan` fields and
+    ``retry`` takes :func:`spmd_run_supervised`'s ``fault_plan``,
+    ``max_attempts``, ``report``, ``rendezvous`` and ``local_ranks``.
+
+    ``directory=None`` is the retry-only in-memory run: the supervised
+    launcher as :func:`execute_plan`'s runner.  With a ``directory`` the
+    run is *persisted*: each rank leaves its shard in the store through
+    :class:`CheckpointedRankFn`, under a run key folded from the factor
+    digests and the plan, and reports O(1) scalars; the parent folds them
+    into the :class:`RunManifest` it persists and returns -- it hashes
+    nothing and never holds an edge.  A retry, or a later call with the
+    same configuration, re-executes only missing or damaged shards
+    (``plan.shard_mode``).  Before each attempt of an exchanging plan
+    :func:`elastic_pre_attempt` re-partitions a same-family manifest
+    written at another rank count, so the resumed run restores every shard
+    and generates nothing whether the world shrank or grew; shards of a
+    non-exchanging plan have no ownership map (they live where the
+    *partition* put them) and are not eligible.  A partial world's
+    manifest covers the shards written on this host only and is not
+    persisted: no host can vouch for the whole run.
+    """
+    plan = GenerationPlan(scheme, storage, chunk_size, pipeline, wire, skg)
+    launch = functools.partial(spmd_run_supervised, **retry)
+    if directory is None:
+        return execute_plan(
+            plan, el_a, el_b, nranks,
+            backend=backend, runner=launch, telemetry=telemetry,
+        )
+    cells = plan.partition(el_a, el_b, nranks)
+    run_key = generation_run_key(el_a, el_b, nranks, plan)
+    family = generation_family_key(el_a, el_b, plan)
+    sink = CheckpointedRankFn(generate_rank, directory, run_key, plan.shard_mode)
+    pre_attempt = None
+    if plan.exchanges:
+        pre_attempt = functools.partial(
+            elastic_pre_attempt, sink.store, run_key, family, nranks, telemetry
+        )
+    # O(1) scalars per rank; ranks launched on other hosts report None.
+    shards = launch(
+        sink, nranks, plan, cells,
+        backend=backend, telemetry=telemetry, pre_attempt=pre_attempt,
+    )
+    manifest = RunManifest.from_shards(
+        run_key, family, el_a.n * el_b.n, plan.effective_storage, shards
+    )
+    if None not in shards:
+        sink.store.put_manifest(manifest)
+    return manifest
+
+
+def generate_to_directory(
+    el_a: EdgeList,
+    el_b: EdgeList,
+    directory: str | os.PathLike,
+    nranks: int,
+    **supervised,
+) -> RunManifest:
+    """Generate ``A (x) B`` across ranks into one shard file per rank.
+
+    The persisted run of :func:`_supervised_run`, whose keywords
+    ``supervised`` takes -- what ``repro-kron generate`` and ``trace``
+    run.  ``CheckpointStore(directory).load_run(manifest)`` reassembles
+    the product, every shard digest-checked, for verification at test
+    scale.  A rank holds its shard whole before writing it (``.npz`` is
+    not appendable), so peak memory per rank is ``|E_C| / R`` edges while
+    ``chunk_size`` bounds the kernel's temporaries.
+    """
+    return _supervised_run(el_a, el_b, nranks, directory, **supervised)
+
+
+def generate_distributed_supervised(
+    el_a: EdgeList,
+    el_b: EdgeList,
+    nranks: int,
+    *,
+    checkpoint_dir: str | os.PathLike | None = None,
+    **supervised,
 ) -> tuple[EdgeList, list[RankOutput]]:
     """:func:`generate_distributed` under the supervised launcher.
 
-    Same contract and parameters as the unsupervised driver, plus the
-    supervision knobs of :func:`spmd_run_supervised`.  With a
-    ``checkpoint_dir``, completed shards persist under a run key derived
-    from the factor digests and the :class:`GenerationPlan`; a retry (or a
-    fresh call with the same configuration) re-executes only missing
-    shards.  Plans that never exchange resume each shard independently;
-    exchanging plans must keep the exchange symmetric across ranks
-    (``plan.shard_mode``).
-
-    **Elastic re-sharded resume**: after an exchanging run succeeds, a
-    :class:`~repro.distributed.checkpoint.RunManifest` records the shard
-    digests and the union's fingerprint -- folded shard by shard, so the
-    product is never sorted (or even copied) to write it.  A later call with the same
-    configuration but a *different* ``nranks`` finds the manifest through
-    the rank-count-independent family key and re-partitions the shards
-    through the target world's ownership map before the first attempt
-    (:func:`~repro.distributed.checkpoint.reshard_run`) -- the resumed run loads every shard, generates
-    nothing, and reassembles a bit-identical edge set whether the world
-    shrank or grew.  Shards of a non-exchanging plan have no ownership
-    map (they live where the *partition* put them, a function of the old
-    rank count), so they are not eligible.
+    Same contract as the unsupervised driver; ``supervised`` takes the
+    keywords of :func:`_supervised_run`.  With a ``checkpoint_dir`` this
+    is :func:`generate_to_directory` plus a read of what it stored, every
+    shard verified by :meth:`CheckpointStore.get` (ranks launched on
+    other hosts stay ``None``).
     """
-    plan = GenerationPlan(scheme, storage, chunk_size, pipeline, wire, skg)
-    if run_key is None and checkpoint_dir is not None:
-        run_key = generation_run_key(el_a, el_b, nranks, plan)
-    family = None
-    pre_attempt = None
-    if checkpoint_dir is not None and plan.exchanges:
-        family = generation_family_key(el_a, el_b, plan)
-        pre_attempt = functools.partial(
-            elastic_pre_attempt, checkpoint_dir, run_key, family, nranks,
-            telemetry,
-        )
-    runner = functools.partial(
-        spmd_run_supervised,
-        fault_plan=fault_plan,
-        max_attempts=max_attempts,
-        checkpoint=checkpoint_dir,
-        run_key=run_key,
-        shard_mode=plan.shard_mode,
-        report=report,
-        rendezvous=rendezvous,
-        pre_attempt=pre_attempt,
+    if checkpoint_dir is None:
+        return _supervised_run(el_a, el_b, nranks, None, **supervised)
+    manifest = generate_to_directory(
+        el_a, el_b, checkpoint_dir, nranks, **supervised
     )
-    el, outputs = execute_plan(
-        plan, el_a, el_b, nranks,
-        backend=backend, runner=runner, telemetry=telemetry,
-    )
-    if family is not None:
-        # Success: record the consensus manifest elastic resume feeds on.
-        CheckpointStore(checkpoint_dir).put_manifest(
-            RunManifest.from_shards(
-                run_key, family, el.n, plan.effective_storage,
-                [
-                    (edges_digest(o.edges), edge_fingerprint(o.edges),
-                     len(o.edges))
-                    for o in outputs
-                ],
-            )
-        )
-    return el, outputs
+    store = CheckpointStore(checkpoint_dir)
+    outputs: list[RankOutput | None] = [None] * nranks
+    for rank, digest in enumerate(manifest.shard_digests):
+        if digest is not None:
+            shard = store.get(shard_key(manifest.run_key, rank))
+            outputs[rank] = RankOutput(rank, shard.edges, shard.generated)
+    edges = np.concatenate([o.edges for o in outputs if o is not None])
+    return EdgeList(edges, manifest.n), outputs
 
 
 # --------------------------------------------------------------------- #
 # chaos harness
 # --------------------------------------------------------------------- #
-@contextmanager
-def _recv_timeout_env(seconds: float | None):
-    """Temporarily pin ``REPRO_RECV_TIMEOUT`` (None = leave untouched)."""
-    if seconds is None:
-        yield
-        return
-    old = os.environ.get(RECV_TIMEOUT_ENV)
-    os.environ[RECV_TIMEOUT_ENV] = str(seconds)
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(RECV_TIMEOUT_ENV, None)
-        else:
-            os.environ[RECV_TIMEOUT_ENV] = old
-
-
 def canonical_edges(edges: np.ndarray) -> np.ndarray:
     """Edges in canonical (lexicographic) row order for bit-comparison.
 
@@ -425,16 +430,11 @@ def run_chaos_matrix(
     plans: list[FaultPlan] | None = None,
     seed: int = 0,
     backends: tuple[str, ...] = ("thread", "process"),
-    scheme: str = "1d",
-    storage: str | None = "source_block",
-    chunk_size: int = DEFAULT_CHUNK,
-    pipeline: str = "sync",
-    wire: str = "raw",
-    skg=None,
     recv_timeout_s: float | None = 2.0,
     max_attempts: int = 4,
     checkpoint_root: str | os.PathLike | None = None,
     rendezvous: str | None = None,
+    **generation,
 ) -> ChaosReport:
     """Drive every fault plan against supervised generation.
 
@@ -443,8 +443,10 @@ def run_chaos_matrix(
     recovered product -- in canonical edge order -- bit-for-bit against
     the fault-free reference.  ``recv_timeout_s`` pins
     ``REPRO_RECV_TIMEOUT`` for the duration so dropped-message timeouts
-    resolve in seconds, not minutes.  ``pipeline``/``wire`` select the
-    async double-buffered loop and the varint wire format
+    resolve in seconds, not minutes.  ``generation`` takes the
+    :class:`GenerationPlan` fields (``storage`` defaults to
+    ``"source_block"`` here): ``pipeline``/``wire`` select the async
+    double-buffered loop and the varint wire format
     (``scheme="1d-pipelined"`` required for ``pipeline="async"``), so the
     matrix can prove fault recovery with a round in flight too.
 
@@ -460,18 +462,18 @@ def run_chaos_matrix(
     just exact enumeration -- survives crashes, drops, and checkpointed
     retry bit-identically.
     """
+    from unittest import mock  # lazy: only the harness pins the environment
+
     if plans is None:
         plans = default_fault_matrix(seed=seed, nranks=nranks)
-    generation = dict(
-        scheme=scheme, storage=storage, chunk_size=chunk_size,
-        pipeline=pipeline, wire=wire, skg=skg,
-    )
+    generation.setdefault("storage", "source_block")
     el, _ = generate_distributed(
         el_a, el_b, nranks, backend="thread", **generation
     )
     reference = canonical_edges(el.edges)
     report = ChaosReport()
-    with _recv_timeout_env(recv_timeout_s):
+    pinned = {RECV_TIMEOUT_ENV: str(recv_timeout_s)}
+    with mock.patch.dict(os.environ, {} if recv_timeout_s is None else pinned):
         for i, plan in enumerate(plans):
             for backend in backends:
                 sup = SupervisorReport()

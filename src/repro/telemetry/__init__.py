@@ -15,7 +15,7 @@ sentinel (:mod:`repro.distributed.checked`), and the fault harness
 :mod:`~repro.telemetry.trace`
     a low-overhead span/event tracer with a bounded per-rank ring buffer.
 :mod:`~repro.telemetry.metrics`
-    counters / gauges / histograms per rank, merged across ranks at
+    counters / histograms per rank, merged across ranks at
     finalize through the existing communicator collectives.
 :mod:`~repro.telemetry.instrument`
     :class:`InstrumentedCommunicator` -- wraps any communicator so every

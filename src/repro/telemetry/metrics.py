@@ -1,15 +1,15 @@
-"""Per-rank metrics: counters, gauges, histograms, and their merge.
+"""Per-rank metrics: counters, histograms, and their merge.
 
 A :class:`MetricsRegistry` lives on each rank and is dictionary-cheap to
-update: ``add`` (monotonic counter), ``gauge`` (last-write-wins level),
-``observe`` (log2-bucketed histogram).  At finalize the registry is
-snapshotted into plain dicts -- picklable, so snapshots ride the process
-backend's result queue -- and merged across ranks either parent-side
-(:func:`merge_snapshots`) or in-world through one ``allgather``
-(:func:`aggregate_snapshot`), the "existing comm layer" path.
+update: ``add`` (monotonic counter), ``observe`` (log2-bucketed
+histogram).  At finalize the registry is snapshotted into plain dicts --
+picklable, so snapshots ride the process backend's result queue -- and
+merged across ranks either parent-side (:func:`merge_snapshots`) or
+in-world through one ``allgather`` (:func:`aggregate_snapshot`), the
+"existing comm layer" path.
 
-Merge semantics: counters sum, gauges keep min/max/last-across-ranks,
-histograms sum bucket-wise (identical fixed bucket layout everywhere).
+Merge semantics: counters sum, histograms sum bucket-wise (identical
+fixed bucket layout everywhere).
 
 The histogram buckets are powers of two over the float's binary
 exponent, spanning ~1ns to ~100s for durations and 1B to ~8TB for
@@ -32,7 +32,8 @@ __all__ = [
 #: Number of histogram buckets (fixed layout so merges are elementwise).
 HIST_BUCKETS = 64
 
-#: Offset added to the binary exponent: bucket 31 holds values in [1, 2).
+#: Offset added to the binary exponent (``frexp``'s, so ``value`` is in
+#: ``[2**(exp-1), 2**exp)``): bucket 32 holds values in [1, 2).
 _EXP_OFFSET = 31
 
 
@@ -42,17 +43,6 @@ def _bucket(value: float) -> int:
         return 0
     _, exp = math.frexp(value)
     return min(HIST_BUCKETS - 1, max(0, exp + _EXP_OFFSET))
-
-
-def bucket_bounds(index: int) -> tuple[float, float]:
-    """The ``[lo, hi)`` value range of histogram bucket ``index``."""
-    # frexp gives value in [2**(exp-1), 2**exp), so bucket index = exp+offset
-    # spans [2**(index-1-offset), 2**(index-offset)).
-    if index <= 0:
-        return (0.0, 2.0 ** (-_EXP_OFFSET))
-    if index >= HIST_BUCKETS - 1:
-        return (2.0 ** (HIST_BUCKETS - 2 - _EXP_OFFSET), math.inf)
-    return (2.0 ** (index - 1 - _EXP_OFFSET), 2.0 ** (index - _EXP_OFFSET))
 
 
 class _Histogram:
@@ -87,23 +77,18 @@ class _Histogram:
 
 
 class MetricsRegistry:
-    """One rank's named counters, gauges, and histograms."""
+    """One rank's named counters and histograms."""
 
-    __slots__ = ("_counters", "_gauges", "_hists")
+    __slots__ = ("_counters", "_hists")
 
     def __init__(self) -> None:
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
         self._hists: dict[str, _Histogram] = {}
 
     # ---- updates (hot path: one dict op each) ---------------------------
     def add(self, name: str, value: float = 1) -> None:
         """Increment counter ``name`` by ``value``."""
         self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         """Record ``value`` into histogram ``name``."""
@@ -121,7 +106,6 @@ class MetricsRegistry:
         """Picklable plain-dict snapshot of everything recorded."""
         return {
             "counters": dict(self._counters),
-            "gauges": dict(self._gauges),
             "histograms": {k: h.snapshot() for k, h in self._hists.items()},
         }
 
@@ -143,23 +127,13 @@ def _merge_hist(into: dict[str, Any], snap: dict[str, Any]) -> None:
 def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
     """World-aggregate view of per-rank snapshots.
 
-    Counters sum; gauges become ``{"min", "max", "last"}`` summaries
-    (per-rank levels rarely share a meaningful sum); histograms merge
-    bucket-wise.
+    Counters sum; histograms merge bucket-wise.
     """
     counters: dict[str, float] = {}
-    gauges: dict[str, dict[str, float]] = {}
     hists: dict[str, dict[str, Any]] = {}
     for snap in snapshots:
         for name, value in snap.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + value
-        for name, value in snap.get("gauges", {}).items():
-            g = gauges.setdefault(
-                name, {"min": value, "max": value, "last": value}
-            )
-            g["min"] = min(g["min"], value)
-            g["max"] = max(g["max"], value)
-            g["last"] = value
         for name, h in snap.get("histograms", {}).items():
             if name in hists:
                 _merge_hist(hists[name], h)
@@ -171,7 +145,7 @@ def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
                     "min": h["min"],
                     "max": h["max"],
                 }
-    return {"counters": counters, "gauges": gauges, "histograms": hists}
+    return {"counters": counters, "histograms": hists}
 
 
 def aggregate_snapshot(comm, snapshot: dict[str, Any]) -> dict[str, Any]:

@@ -147,9 +147,6 @@ class RankTelemetry:
     def add(self, name: str, value: float = 1) -> None:
         self.metrics.add(name, value)
 
-    def gauge(self, name: str, value: float) -> None:
-        self.metrics.gauge(name, value)
-
     def observe(self, name: str, value: float) -> None:
         self.metrics.observe(name, value)
 
@@ -269,9 +266,6 @@ class _NullTelemetry:
         return None
 
     def add(self, name: str, value: float = 1) -> None:
-        return None
-
-    def gauge(self, name: str, value: float) -> None:
         return None
 
     def observe(self, name: str, value: float) -> None:

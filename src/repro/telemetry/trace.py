@@ -25,7 +25,7 @@ from typing import Any
 
 from repro.telemetry.clock import Clock, perf_clock
 
-__all__ = ["TraceEvent", "Tracer", "NullTracer", "NULL_TRACER", "NULL_SPAN"]
+__all__ = ["TraceEvent", "Tracer", "NULL_SPAN"]
 
 #: Default ring capacity: 64Ki events per rank (~8 MB of event objects),
 #: plenty for a traced generation while bounding a runaway span loop.
@@ -149,32 +149,3 @@ class _NullSpan:
 #: The singleton no-op span every disabled ``span()`` call returns.
 NULL_SPAN = _NullSpan()
 
-
-class NullTracer:
-    """Disabled tracer: every operation is a constant-time no-op.
-
-    ``span`` returns the shared :data:`NULL_SPAN` instance (no per-call
-    allocation), ``instant`` does nothing, and the event list is always
-    empty -- the zero-overhead path tests pin these properties.
-    """
-
-    __slots__ = ()
-
-    rank = -1
-    dropped = 0
-
-    def span(self, name: str, cat: str = "phase", **args: Any) -> _NullSpan:
-        return NULL_SPAN
-
-    def instant(self, name: str, cat: str = "event", **args: Any) -> None:
-        return None
-
-    def events(self) -> list[TraceEvent]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: The singleton disabled tracer.
-NULL_TRACER = NullTracer()

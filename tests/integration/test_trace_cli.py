@@ -4,10 +4,15 @@ entry points.
 """
 
 import json
+import multiprocessing
+import tracemalloc
 
 import pytest
 
 from repro.cli import main
+from repro.distributed.checkpoint import CheckpointStore
+from repro.graph import erdos_renyi
+from repro.graph.io import write_text
 from repro.telemetry.export import validate_chrome_trace
 from repro.telemetry.validate import main as validate_main
 
@@ -79,6 +84,37 @@ class TestTraceCommand:
         resumed = json.loads(metrics.read_text())["aggregate"]["counters"]
         assert resumed["checkpoint.hits"] == 4
         assert resumed["edges.restored"] == 120
+
+    def test_parent_never_holds_the_product(self, tmp_path, capsys):
+        # `trace` is the run `generate` makes plus a session: the shards
+        # stay on disk and only scalars reach the parent, so its peak
+        # allocation is a fraction of the product it just accounted for.
+        a = erdos_renyi(40, 0.3, seed=11)
+        b = erdos_renyi(40, 0.3, seed=12)
+        expected = a.m_directed * b.m_directed
+        assert expected >= 200_000
+        write_text(a, tmp_path / "a.txt")
+        write_text(b, tmp_path / "b.txt")
+        ckpt = tmp_path / "ckpt"
+        tracemalloc.start()
+        try:
+            rc, _, metrics = run_trace(
+                tmp_path, str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
+                "--ranks", "2", "--backend", "process",
+                "--checkpoint-dir", str(ckpt),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert f"expected |E(A(x)B)| {expected} -- exact" in (
+            capsys.readouterr().out
+        )
+        assert peak < expected * 16 // 2, (peak, expected * 16)
+        (manifest,) = CheckpointStore(ckpt).manifests()
+        assert manifest.edges_total == expected
+        assert json.loads(metrics.read_text())["expected_edges"] == expected
+        assert multiprocessing.active_children() == []
 
     def test_metrics_out_override(self, tmp_path, capsys):
         out = tmp_path / "t.json"

@@ -1,15 +1,23 @@
 """Unit tests for the CLI and out-of-core generation."""
 
+import multiprocessing
+import os
 import threading
 
 import numpy as np
 import pytest
 
-import repro.distributed.outofcore as outofcore
+import repro.distributed.checkpoint as checkpoint
+import repro.distributed.supervisor as supervisor
 from repro.cli import build_parser, load_factor, main
 from repro.distributed.checkpoint import CheckpointStore, shard_key
-from repro.distributed.outofcore import generate_to_directory
+from repro.distributed.faults import default_fault_matrix
 from repro.distributed.sockcomm import RendezvousServer
+from repro.distributed.supervisor import (
+    SupervisorReport,
+    generate_distributed_supervised,
+    generate_to_directory,
+)
 from repro.errors import (
     CheckpointCorruptionError,
     GraphFormatError,
@@ -38,13 +46,36 @@ def _only_manifest(directory):
     return manifest
 
 
+def _flip_a_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
 class TestOutOfCore:
-    @pytest.mark.parametrize("scheme", ["1d", "2d"])
-    def test_shards_reassemble_to_product(self, tmp_path, factor_files, scheme):
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            pytest.param(dict(scheme="1d"), id="1d"),
+            pytest.param(dict(scheme="2d"), id="2d"),
+            # The whole plan is reachable from the out-of-core driver: the
+            # exchange the ledger measures, both ownership maps, and the
+            # streamed async/varint program.
+            pytest.param(dict(storage="source_block"), id="source_block"),
+            pytest.param(dict(storage="edge_hash"), id="edge_hash"),
+            pytest.param(
+                dict(scheme="2d", storage="source_block"), id="2d-source_block"
+            ),
+            pytest.param(
+                dict(scheme="1d-pipelined", pipeline="async", wire="varint",
+                     chunk_size=64),
+                id="1d-pipelined-async-varint",
+            ),
+        ],
+    )
+    def test_shards_reassemble_to_product(self, tmp_path, factor_files, plan):
         a, b, _, _ = factor_files
-        manifest = generate_to_directory(
-            a, b, tmp_path / "shards", 3, scheme=scheme
-        )
+        manifest = generate_to_directory(a, b, tmp_path / "shards", 3, **plan)
         store = CheckpointStore(tmp_path / "shards")
         assert store.load_run(manifest) == kron_product(a, b)
         assert manifest.edges_total == a.m_directed * b.m_directed
@@ -114,7 +145,7 @@ class TestOutOfCore:
         def no_generation(*_args):
             raise AssertionError("generate_rank entered on a resumed run")
 
-        monkeypatch.setattr(outofcore, "generate_rank", no_generation)
+        monkeypatch.setattr(supervisor, "generate_rank", no_generation)
         assert generate_to_directory(a, b, tmp_path, 3, backend=backend) == first
         assert [p.stat().st_mtime_ns for p in paths] == written
 
@@ -123,9 +154,7 @@ class TestOutOfCore:
         manifest = generate_to_directory(a, b, tmp_path, 3)
         store = CheckpointStore(tmp_path)
         paths = [store._path(shard_key(manifest.run_key, r)) for r in range(3)]
-        blob = bytearray(paths[1].read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        paths[1].write_bytes(bytes(blob))
+        _flip_a_byte(paths[1])
         # The verified reader refuses to hand the edges back ...
         with pytest.raises(CheckpointCorruptionError):
             store.load_run(manifest)
@@ -135,6 +164,127 @@ class TestOutOfCore:
         assert generate_to_directory(a, b, tmp_path, 3) == manifest
         assert [paths[r].stat().st_mtime_ns for r in (0, 2)] == kept
         assert store.load_run(manifest) == kron_product(a, b)
+
+    def test_damaged_shard_heals_in_one_call(self, tmp_path, factor_files):
+        # The rank that finds the damage raises the transient corruption
+        # error; the driver retries, and the retry regenerates that shard
+        # alone -- no second invocation needed.
+        a, b, _, _ = factor_files
+        manifest = generate_to_directory(a, b, tmp_path, 3)
+        store = CheckpointStore(tmp_path)
+        paths = [store._path(shard_key(manifest.run_key, r)) for r in range(3)]
+        written = [p.stat().st_mtime_ns for p in paths]
+        _flip_a_byte(paths[1])
+        rep = SupervisorReport()
+        assert generate_to_directory(a, b, tmp_path, 3, report=rep) == manifest
+        assert rep.attempts == 2
+        assert any("CheckpointCorruptionError" in f for f in rep.failures)
+        now = [p.stat().st_mtime_ns for p in paths]
+        assert (now[0], now[2]) == (written[0], written[2])
+        assert store.load_run(manifest) == kron_product(a, b)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_crash_on_first_attempt_recovers(
+        self, tmp_path, factor_files, backend
+    ):
+        a, b, _, _ = factor_files
+        plan = default_fault_matrix(seed=0, nranks=3)[1]
+        assert plan.label() == "crash-r1-op3"
+        rep = SupervisorReport()
+        manifest = generate_to_directory(
+            a, b, tmp_path, 3, storage="source_block", backend=backend,
+            fault_plan=plan, report=rep,
+        )
+        assert rep.attempts == 2  # the crash really fired
+        store = CheckpointStore(tmp_path)
+        assert store.load_run(manifest) == kron_product(a, b)
+        assert multiprocessing.active_children() == []
+
+    def test_elastic_round_trip_generates_nothing(
+        self, tmp_path, factor_files, monkeypatch
+    ):
+        a, b, _, _ = factor_files
+        four = generate_to_directory(a, b, tmp_path, 4, storage="source_block")
+
+        def no_generation(*_args):
+            raise AssertionError("generate_rank entered on an elastic resume")
+
+        monkeypatch.setattr(supervisor, "generate_rank", no_generation)
+        two = generate_to_directory(a, b, tmp_path, 2, storage="source_block")
+        assert two.nranks == 2 and two.family == four.family
+        assert (two.union_digest, two.edges_total) == (
+            four.union_digest, four.edges_total
+        )
+        assert CheckpointStore(tmp_path).load_run(two) == kron_product(a, b)
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_parent_holds_no_edges_and_hashes_none(
+        self, tmp_path, factor_files, monkeypatch, backend
+    ):
+        # Ranks hand the parent O(1) scalars, digests included; the only
+        # arrays the parent ever hashes are the two factors (run key).
+        a, b, _, _ = factor_files
+        parent = (os.getpid(), threading.main_thread())
+        factor_rows = max(a.m_directed, b.m_directed)
+        launched = []
+
+        def spy(*args, **kw):
+            launched.append(launcher_spmd_run(*args, **kw))
+            return launched[-1]
+
+        def guarded(fn):
+            def guard(edges, *args, **kw):
+                here = (os.getpid(), threading.current_thread())
+                if here == parent and len(edges) > factor_rows:
+                    raise AssertionError(f"parent called {fn.__name__}")
+                return fn(edges, *args, **kw)
+
+            return guard
+
+        launcher_spmd_run = supervisor.spmd_run
+        monkeypatch.setattr(supervisor, "spmd_run", spy)
+        for name in ("edges_digest", "edge_fingerprint"):
+            monkeypatch.setattr(
+                checkpoint, name, guarded(getattr(checkpoint, name))
+            )
+        manifest = generate_to_directory(
+            a, b, tmp_path, 3, storage="source_block", backend=backend
+        )
+        (results,) = launched
+        assert all(
+            type(value) is int for shard in results for value in shard
+        ), results
+        assert [s[0] for s in results] == list(manifest.shard_digests)
+        assert sum(s[2] for s in results) == manifest.edges_total
+        assert sum(s[3] for s in results) == a.m_directed * b.m_directed
+
+    def test_manifest_digests_are_the_shard_files(
+        self, tmp_path, factor_files
+    ):
+        a, b, _, _ = factor_files
+        manifest = generate_to_directory(
+            a, b, tmp_path, 3, storage="edge_hash"
+        )
+        store = CheckpointStore(tmp_path)
+        recorded = [
+            int(np.load(store._path(shard_key(manifest.run_key, r)))["digest"])
+            for r in range(3)
+        ]
+        assert list(manifest.shard_digests) == recorded
+
+    def test_every_persisted_run_has_a_manifest(self, tmp_path, factor_files):
+        # A supervised run that never exchanges used to leave shards and
+        # no manifest; now it is the run `generate` makes.
+        a, b, _, _ = factor_files
+        el, outputs = generate_distributed_supervised(
+            a, b, 3, checkpoint_dir=tmp_path
+        )
+        manifest = _only_manifest(tmp_path)
+        assert (manifest.storage, manifest.nranks) == (None, 3)
+        assert manifest.edges_total == el.m_directed == sum(
+            len(o.edges) for o in outputs
+        )
+        assert manifest == generate_to_directory(a, b, tmp_path, 3)
 
     def test_local_ranks_cover_this_hosts_shards_only(
         self, tmp_path, factor_files

@@ -7,6 +7,8 @@ directly observable).  A handful of tests spawn real OS processes via
 for picklability, mirroring the process-backend test conventions.
 """
 
+import json
+import pickle
 import socket
 import struct
 import threading
@@ -22,6 +24,7 @@ from repro.distributed.faults import FaultPlan, FaultyCommunicator
 from repro.distributed.sockcomm import (
     _HEADER,
     _K_HELLO,
+    _MAX_REGISTRATION_BYTES,
     FRAME_MAGIC,
     RendezvousServer,
     SocketCommunicator,
@@ -310,6 +313,118 @@ class TestHostileLengthPrefix:
                 _close_world([c for c in comms if c is not None])
         assert time.monotonic() - t0 < 10
         assert peak < len(self.JUNK) // 4
+
+
+class _WritesAFile:
+    """What the pickle-speaking rendezvous could be made to run: unpickling
+    this calls ``open(path, "w")`` in the server's thread."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def _prefixed(payload: bytes) -> bytes:
+    return struct.pack("<Q", len(payload)) + payload
+
+
+def _read_reply(sock):
+    (length,) = struct.unpack("<Q", sock.recv(8, socket.MSG_WAITALL))
+    return json.loads(sock.recv(length, socket.MSG_WAITALL))
+
+
+class TestRendezvousSpeaksJsonOnly:
+    """Nothing a stranger sends the rendezvous is ever unpickled, and a
+    rank reads no more of a reply than a roster of its world can take."""
+
+    def test_pickled_registration_executes_nothing(self, tmp_path):
+        target = tmp_path / "pwned"
+        payload = pickle.dumps(_WritesAFile(str(target)))
+        assert len(payload) < _MAX_REGISTRATION_BYTES
+        with RendezvousServer() as server:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(_prefixed(payload))
+                assert sock.recv(1) == b"", "dropped without a reply"
+            # The server survived it and still bootstraps a world.
+            comm = SocketCommunicator.connect(server.address, 0, 1)
+            comm.close()
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "registration",
+        [
+            {"size": 2, "rank": "0", "host": "127.0.0.1", "port": 1},
+            {"size": 2, "rank": True, "host": "127.0.0.1", "port": 1},
+            {"size": 2, "rank": 2, "host": "127.0.0.1", "port": 1},
+            {"size": 2.0, "rank": 0, "host": "127.0.0.1", "port": 1},
+            {"size": 2, "rank": 0, "host": ["127.0.0.1"], "port": 1},
+            {"size": 2, "rank": 0, "host": "127.0.0.1", "port": 1 << 16},
+            {"size": 2, "rank": 0, "host": "127.0.0.1"},
+            ["register", 2, 0, "127.0.0.1", 1],
+        ],
+    )
+    def test_mistyped_registration_gets_an_error_reply(self, registration):
+        with RendezvousServer() as server:
+            with socket.create_connection(server.address, timeout=10) as sock:
+                sock.sendall(_prefixed(json.dumps(registration).encode()))
+                assert _read_reply(sock) == {"error": "malformed registration"}
+            # It took no slot in the round: a real 1-rank world still forms.
+            SocketCommunicator.connect(server.address, 0, 1).close()
+
+    def test_oversized_roster_reply_is_refused_unread(self):
+        # A server of the attacker's choosing: whatever the registration,
+        # it announces a terabyte of roster.
+        listener = _make_listener("127.0.0.1")
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(struct.pack("<Q", 1 << 40) + bytes(1 << 16))
+                conn.recv(1 << 16)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CommunicatorError, match="over the 8192-byte"):
+                SocketCommunicator.connect(listener.getsockname()[:2], 0, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            [["127.0.0.1", 1]],                      # one entry for size 2
+            [["127.0.0.1", 1], ["127.0.0.1", "2"]],  # port is not an int
+            [["127.0.0.1", 1], "127.0.0.1:2"],
+            "roster",
+        ],
+    )
+    def test_malformed_roster_reply_is_refused(self, reply):
+        listener = _make_listener("127.0.0.1")
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.sendall(_prefixed(json.dumps(reply).encode()))
+                conn.recv(1 << 16)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(CommunicatorError, match="no roster"):
+                SocketCommunicator.connect(listener.getsockname()[:2], 0, 2)
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
 
 
 # ---- real multiprocess launches (module-level fns: picklability) ------ #

@@ -1,5 +1,6 @@
 """Unit tests for repro.distributed.supervisor and the degradation ladder."""
 
+import inspect
 import multiprocessing
 import os
 import threading
@@ -13,9 +14,10 @@ import repro.distributed.launcher as launcher
 import repro.distributed.mpcomm as mpcomm
 from repro.distributed import spmd_run
 from repro.distributed.checkpoint import (
+    CheckpointedRankFn,
     CheckpointStore,
-    edges_digest,
     generation_run_key,
+    shard_key,
 )
 from repro.distributed.faults import FaultPlan
 from repro.distributed.generator import (
@@ -37,6 +39,7 @@ from repro.errors import (
     RankFailedError,
 )
 from repro.graph.generators import clique, cycle
+from repro.util.hashing import edge_fingerprint
 
 
 def _always_raises(comm, exc_type):
@@ -47,6 +50,22 @@ def _always_raises(comm, exc_type):
 
 def allsum(comm):
     return comm.allreduce(comm.rank + 1, lambda a, b: a + b)
+
+
+def _refuse_to_unpickle():
+    raise ValueError("this payload refuses to unpickle")
+
+
+class _PoisonPayload:
+    def __reduce__(self):
+        return (_refuse_to_unpickle, ())
+
+
+def _recv_poison(comm):
+    if comm.rank == 0:
+        comm.send(_PoisonPayload(), 1)
+        return None
+    return comm.recv(0)
 
 
 class TestRetry:
@@ -126,6 +145,24 @@ class TestRetry:
         assert err.value.transient == (attempts > 1)
         assert multiprocessing.active_children() == []
 
+    def test_process_recv_failure_is_not_a_timeout(self, monkeypatch):
+        # ProcessCommunicator.recv used to call *every* failure of its
+        # queue read a timeout -- a CommunicatorError, hence transient,
+        # hence three attempts at a payload that can never unpickle.
+        monkeypatch.setenv("REPRO_RECV_TIMEOUT", "5")
+        rep = SupervisorReport()
+        with pytest.raises(
+            RankFailedError, match="this payload refuses to unpickle"
+        ) as err:
+            spmd_run_supervised(
+                _recv_poison, 2, backend="process",
+                max_attempts=3, backoff_base=0.0, report=rep,
+            )
+        assert (err.value.rank, err.value.original_type) == (1, "ValueError")
+        assert "timed out" not in str(err.value)
+        assert not err.value.transient and rep.attempts == 1
+        assert multiprocessing.active_children() == []
+
     def test_max_attempts_validated(self):
         with pytest.raises(CommunicatorError):
             spmd_run_supervised(allsum, 2, max_attempts=0)
@@ -138,6 +175,12 @@ def make_output(comm):
     return RankOutput(comm.rank, edges, len(edges))
 
 
+def _stored(directory, nranks=4):
+    """Every shard of run ``"t"``, read back verified from the store."""
+    store = CheckpointStore(directory)
+    return [store.get(shard_key("t", r)) for r in range(nranks)]
+
+
 class TestCheckpointing:
     def test_independent_resume_skips_completed(self, tmp_path):
         calls = []
@@ -148,23 +191,25 @@ class TestCheckpointing:
                 calls.append(comm.rank)
             return make_output(comm)
 
-        kw = dict(
-            checkpoint=tmp_path, run_key="t", shard_mode="independent"
-        )
-        first = spmd_run_supervised(tracked, 4, **kw)
+        sink = CheckpointedRankFn(tracked, tmp_path, "t", "independent")
+        first = spmd_run_supervised(sink, 4)
         assert sorted(calls) == [0, 1, 2, 3]
-        second = spmd_run_supervised(tracked, 4, **kw)
+        stored = _stored(tmp_path)
+        second = spmd_run_supervised(sink, 4)
         assert sorted(calls) == [0, 1, 2, 3]  # nothing re-ran
-        for a, b in zip(first, second):
+        # Ranks report scalars only; the edges are in the store.
+        assert first == second == [
+            (s.digest, edge_fingerprint(s.edges), 2, 2) for s in stored
+        ]
+        for a, b in zip(stored, _stored(tmp_path)):
             np.testing.assert_array_equal(a.edges, b.edges)
 
     def test_independent_partial_resume(self, tmp_path):
-        store = CheckpointStore(tmp_path)
         out = spmd_run_supervised(
-            make_output, 4, checkpoint=store, run_key="t",
-            shard_mode="independent",
+            CheckpointedRankFn(make_output, tmp_path, "t", "independent"), 4
         )
-        store.discard("t.rank00002")
+        stored = _stored(tmp_path)
+        CheckpointStore(tmp_path).discard("t.rank00002")
         calls = []
         lock = threading.Lock()
 
@@ -174,11 +219,11 @@ class TestCheckpointing:
             return make_output(comm)
 
         resumed = spmd_run_supervised(
-            tracked, 4, checkpoint=store, run_key="t",
-            shard_mode="independent",
+            CheckpointedRankFn(tracked, tmp_path, "t", "independent"), 4
         )
         assert calls == [2]  # only the discarded shard re-ran
-        for a, b in zip(out, resumed):
+        assert resumed == out
+        for a, b in zip(stored, _stored(tmp_path)):
             np.testing.assert_array_equal(a.edges, b.edges)
 
     def test_collective_all_cached_loads(self, tmp_path):
@@ -186,14 +231,19 @@ class TestCheckpointing:
             comm.barrier()
             return make_output(comm)
 
-        kw = dict(checkpoint=tmp_path, run_key="t", shard_mode="collective")
-        first = spmd_run_supervised(with_comm, 4, **kw)
+        first = spmd_run_supervised(
+            CheckpointedRankFn(with_comm, tmp_path, "t", "collective"), 4
+        )
+        stored = _stored(tmp_path)
 
         def must_not_run(comm):
             raise AssertionError("all shards cached; nothing should re-run")
 
-        second = spmd_run_supervised(must_not_run, 4, **kw)
-        for a, b in zip(first, second):
+        second = spmd_run_supervised(
+            CheckpointedRankFn(must_not_run, tmp_path, "t", "collective"), 4
+        )
+        assert second == first
+        for a, b in zip(stored, _stored(tmp_path)):
             np.testing.assert_array_equal(a.edges, b.edges)
 
     def test_collective_reexecution_verifies_digest(self, tmp_path):
@@ -201,8 +251,9 @@ class TestCheckpointing:
             comm.barrier()
             return make_output(comm)
 
-        kw = dict(checkpoint=tmp_path, run_key="t", shard_mode="collective")
-        spmd_run_supervised(with_comm, 4, **kw)
+        spmd_run_supervised(
+            CheckpointedRankFn(with_comm, tmp_path, "t", "collective"), 4
+        )
         CheckpointStore(tmp_path).discard("t.rank00000")
 
         def nondeterministic(comm):
@@ -213,13 +264,24 @@ class TestCheckpointing:
             return out
 
         with pytest.raises(RankFailedError, match="CheckpointError"):
-            spmd_run_supervised(nondeterministic, 4, **kw)
+            spmd_run_supervised(
+                CheckpointedRankFn(
+                    nondeterministic, tmp_path, "t", "collective"
+                ),
+                4,
+            )
 
     def test_bad_shard_mode_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="shard_mode"):
-            spmd_run_supervised(
-                make_output, 2, checkpoint=tmp_path, shard_mode="bogus"
-            )
+            CheckpointedRankFn(make_output, tmp_path, "t", "bogus")
+
+    def test_launcher_only_retries(self):
+        # The driver builds the persist wrapper; the launcher has no
+        # checkpoint surface left to build one from.
+        params = inspect.signature(spmd_run_supervised).parameters
+        assert not {"checkpoint", "run_key", "shard_mode"} & set(params)
+        with pytest.raises(TypeError, match="shard_mode"):
+            spmd_run_supervised(allsum, 2, shard_mode="independent")
 
     def test_run_key_separates_configurations(self):
         a, b = clique(3), cycle(4)
