@@ -255,8 +255,8 @@ class Communicator(ABC):
         -------------------------
         Received entries may be **shared, read-only buffers** rather than
         private copies: the thread backend passes arrays by reference, and
-        the process backend's zero-copy path returns views into shared
-        memory that stay valid only for the communicator's lifetime (see
+        the process backend's zero-copy path returns read-only views of a
+        mapped arena file, valid as long as they are referenced (see
         :mod:`repro.distributed.mpcomm`).  Callers must treat every received
         entry as immutable, copy anything they keep or mutate, and tolerate
         ``None`` or zero-size entries from ranks with nothing to send --
@@ -291,7 +291,7 @@ class DelegatingCommunicator(Communicator):
 
     Supplies identity (``rank``/``size``/``inner``), pass-through
     ``send``/``recv``/``barrier``, and attribute delegation for backend
-    extras (``free_received_buffers``, fault ``counters``, ``finish``,
+    extras (fault ``counters``, the sentinel's ``finish``, a transport's
     ``close``, ...), so a wrapper stack exposes the whole surface of what
     it wraps and each subclass states only what it intercepts.
 

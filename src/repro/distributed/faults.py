@@ -21,7 +21,7 @@ Fault taxonomy
     injection is armed, every payload travels in a sequence-numbered
     envelope and the receiving side drops already-seen sequence numbers
     (the TCP move).  Enveloping bypasses the process backend's
-    shared-memory fast path, so duplicate plans exercise the pickle path.
+    arena fast path, so duplicate plans exercise the pickle path.
 ``drop``
     a send silently vanishes.  Not recoverable in-run: the receiver times
     out (:func:`repro.distributed.comm.recv_timeout`) and the supervised

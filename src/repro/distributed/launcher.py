@@ -27,6 +27,14 @@ communicator, wrap it, run, ship the result) under the same collection
 loop (:func:`_run_world`); they differ only in what builds a rank's
 communicator and whether a thread or a forked process carries it.
 
+Forked ranks (``process``, ``socket``) share one :class:`Arena` per world, a
+private tmpfs directory made before the fork and removed in ``finally``:
+process ranks exchange blocks through it, and a result's large buffers come
+back as a file the parent maps (a few hundred bytes cross the result queue).
+``multiprocessing.shared_memory`` is not used: its first use in a process
+execs a resource-tracker interpreter -- in every rank of every run, and one
+that outlives the command once the parent touches a segment.
+
 A rank raising an exception cancels the run and re-raises in the caller as
 :class:`~repro.errors.RankFailedError` (naming the failing rank), rather
 than deadlocking peers.  The collection loop polls child liveness: a rank
@@ -58,7 +66,7 @@ from repro.distributed.comm import (
     poll_interval,
     recv_timeout,
 )
-from repro.distributed.mpcomm import ProcessCommunicator, make_process_pipes
+from repro.distributed.mpcomm import Arena, ProcessCommunicator, make_process_pipes
 from repro.errors import (
     CommunicatorError,
     DegradationWarning,
@@ -101,18 +109,19 @@ def _run_rank(
     fn: RankFn,
     args: tuple,
     result_q,
-    keep_cause: bool,
+    arena: Arena | None,
 ) -> None:
     """The one rank entry, whatever carries the rank (thread or child).
 
     Build the communicator, wrap it, run the program, and ship
-    ``(rank, True, result, None)`` or ``(rank, False, (type name,
-    traceback, extra), cause)``.  Exception objects do not reliably
+    ``(rank, True, result, None)`` -- a forked rank's result packed
+    through its world's ``arena`` (:meth:`Arena.pack`) -- or ``(rank, False,
+    (type name, traceback, extra), cause)``.  Exception objects do not reliably
     survive pickling across a process hop, so whether the failure is
     worth a retry is judged here, on the live exception
     (:func:`~repro.errors.is_transient`), and the verdict ships in
     ``extra`` -- the same answer on every backend.  Inside one process
-    (``keep_cause``) the exception itself rides along too and becomes the
+    (no ``arena``) the exception itself rides along too and becomes the
     ``__cause__`` of the :class:`RankFailedError`.  ``extra`` also carries
     peer liveness when the failure has it (``RankDiedError`` from the
     socket heartbeat detector: last-heartbeat age and peer address).
@@ -122,7 +131,10 @@ def _run_rank(
         comm = build_comm(rank)
         if wrap_comm is not None:
             comm = wrap_comm(comm)
-        result_q.put((rank, True, fn(comm, *args), None))
+        result = fn(comm, *args)
+        if arena is not None:
+            result = arena.pack(result, rank)
+        result_q.put((rank, True, result, None))
     except BaseException as exc:  # noqa: BLE001 - reported to the caller
         extra = {"transient": is_transient(exc)}
         if getattr(exc, "address", None) is not None:
@@ -132,7 +144,7 @@ def _run_rank(
             )
         result_q.put(
             (rank, False, (type(exc).__name__, traceback.format_exc(), extra),
-             exc if keep_cause else None)
+             exc if arena is None else None)
         )
         if not isinstance(exc, Exception):
             raise  # interrupt/exit: reported for the peers, never swallowed
@@ -178,6 +190,7 @@ def _rank_roster(reported: set[int], nranks: int) -> str:
 
 def _run_world(
     ctx: mp.context.BaseContext | None,
+    arena: Arena | None,
     ranks: tuple[int, ...],
     nranks: int,
     build_comm: Callable[[int], Any],
@@ -187,19 +200,19 @@ def _run_world(
 ) -> list[Any]:
     """Start one child per rank, drain results watching liveness, reap.
 
-    ``ctx`` is the fork context whose processes carry the ranks, or
-    ``None`` for threads of this process -- where a lone rank needs no
-    thread at all and runs on the caller's.  ``ranks`` are the ranks this
-    launch owns (a subset for a multi-host socket launch); the returned
-    list always has ``nranks`` slots and ranks launched elsewhere stay
-    ``None``.  No child outlives this function: whatever is still alive
-    past the reap window is killed.
+    ``ctx`` and ``arena`` are the fork context whose processes carry the
+    ranks and the arena their results return through, or ``None`` for
+    threads of this process -- where a lone rank needs no thread at all and
+    runs on the caller's.  ``ranks`` are the ranks this launch owns (a
+    subset for a multi-host socket launch); the returned list always has
+    ``nranks`` slots and ranks launched elsewhere stay ``None``.  No child
+    outlives this function: whoever is alive past the reap window is killed.
     """
     threads = ctx is None
     result_q = queue.Queue() if threads else ctx.Queue()
 
     def entry(rank: int) -> tuple:
-        return (rank, build_comm, wrap_comm, fn, args, result_q, threads)
+        return (rank, build_comm, wrap_comm, fn, args, result_q, arena)
 
     children: dict[int, Any] = {}
     if threads and nranks == 1:
@@ -289,6 +302,8 @@ def _run_world(
                 child.join()
     if failure is not None:
         raise failure
+    if not threads:  # after the reap: a bad descriptor leaves no child behind
+        results = [p if p is None else arena.unpack(*p) for p in results]
     return results
 
 
@@ -431,6 +446,7 @@ def _dispatch(
                 )
                 backend = "process"
     ranks = tuple(range(nranks)) if local_ranks is None else tuple(local_ranks)
+    arena = None if ctx is None else Arena()
     if backend == "thread":
         # The world is built whole: its ranks share mailboxes, and the
         # sentinel has to sit above ``wrap_comm``.  The rank entry is
@@ -441,12 +457,14 @@ def _dispatch(
         wrap_comm = None
     elif backend == "process":
         build_comm = partial(
-            ProcessCommunicator, make_process_pipes(nranks, ctx), size=nranks
+            ProcessCommunicator, make_process_pipes(nranks, ctx, arena), size=nranks
         )
     else:
         build_comm = partial(SocketCommunicator.connect, addr, size=nranks)
     try:
-        return _run_world(ctx, ranks, nranks, build_comm, wrap_comm, fn, args)
+        return _run_world(ctx, arena, ranks, nranks, build_comm, wrap_comm, fn, args)
     finally:
+        if arena is not None:
+            arena.remove()
         if server is not None:
             server.stop()

@@ -15,36 +15,38 @@ Zero-copy edge exchange
 -----------------------
 Pickling multi-megabyte edge blocks through a queue costs two full copies
 (serialize + deserialize) plus pipe traffic.  When ``zero_copy`` is enabled
-(the default), large contiguous numeric arrays are instead written once into
-a ``multiprocessing.shared_memory`` segment and only a small descriptor
-(name, shape, dtype) travels through the queue; the receiver maps the
-segment and wraps it **without copying**.  Received arrays are flagged
-read-only and stay valid for the lifetime of the receiving communicator
-(the segment is kept mapped until the rank finishes); callers that need to
-mutate or outlive the rank must copy -- the edge shuffle's ``vstack``
-already does.
+(the default), large contiguous numeric arrays instead cross through the
+world's :class:`Arena` -- one private tmpfs directory per world, made and
+removed by whoever builds it (see :mod:`~repro.distributed.launcher`) -- and
+only a small descriptor (file name, shape, dtype) rides the queue.  Received
+arrays are read-only views of a mapping that lives as long as an array
+references it; callers that need to mutate must copy -- the edge shuffle's
+``vstack`` already does.
 
-Segment lifecycle: the sender creates the segment, hands tracker
-responsibility over with ``resource_tracker.unregister`` (the receiving
-process re-registers on attach), and the receiver unlinks immediately after
-mapping, so the name disappears as soon as the message is consumed while the
-memory survives until the mapping is dropped.  A message that is never
-received (a crashed peer) can therefore leak its segment until reboot; the
-launcher's fail-fast error propagation makes that a pathological case only.
-
-When segment creation fails (no ``/dev/shm``, quota exhausted), the sender
-emits a structured :class:`~repro.errors.DegradationWarning` and falls back
-to the pickled queue path for the rest of the rank's life -- slower, never
-fatal.
+*Put* creates a file exclusively and ``os.write``-s the buffers into it: no
+sender-side mapping means no page fault per 4 KB, and a full tmpfs is a
+catchable ``ENOSPC`` where a store through a mapping dies with ``SIGBUS``.
+On failure the partial file is unlinked and the rank falls back, with a
+:class:`~repro.errors.DegradationWarning`, to the pickled queue path for the
+rest of its life -- slower, never fatal.  *Take* checks the descriptor (a
+bare name inside this arena, the promised size) before it maps, then
+unlinks; a message nobody took (a crashed peer) goes with the directory.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
 import multiprocessing as mp
+import os
+import pickle
 import queue
+import shutil
+import tempfile
 import warnings
-from multiprocessing import resource_tracker, shared_memory
-from typing import Any
+import weakref
+from itertools import accumulate
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -52,35 +54,109 @@ from repro.distributed.comm import Communicator, recv_timeout
 from repro.errors import CommunicatorError, DegradationWarning
 from repro.telemetry.session import record_degradation
 
-__all__ = ["ProcessCommunicator", "make_process_pipes", "SHM_MIN_BYTES"]
+__all__ = ["Arena", "ProcessCommunicator", "make_process_pipes", "SHM_MIN_BYTES"]
 
 #: Default blocked-recv timeout for the process backend (higher than the
 #: thread backend: fork + pickling adds real latency).  Overridable via
 #: the ``REPRO_RECV_TIMEOUT`` environment variable, like the thread world.
 _RECV_TIMEOUT = 120.0
 
-#: Arrays at least this large (bytes) ride shared memory instead of pickle.
+#: Buffers at least this large (bytes) ride the arena instead of pickle.
 SHM_MIN_BYTES = 1 << 16
 
 _SHM_TAG = "__shm_ndarray__"
 
 
-def make_process_pipes(size: int, ctx: mp.context.BaseContext | None = None):
-    """Build the ``size x size`` queue grid shared by all ranks."""
+def _remove_tree(path: str, owner_pid: int) -> None:
+    if os.getpid() == owner_pid:
+        shutil.rmtree(path, ignore_errors=True)
+
+
+class Arena:
+    """One world's private tmpfs directory; see the module docstring."""
+
+    def __init__(self) -> None:
+        root = "/dev/shm" if os.path.isdir("/dev/shm") else None
+        self.path = tempfile.mkdtemp(prefix="repro-world-", dir=root)
+        self._degraded = False
+        # Forked ranks inherit this object; only the creating process may
+        # remove the directory: when told to, or when the object goes.
+        self.remove = weakref.finalize(self, _remove_tree, self.path, os.getpid())
+
+    def put(self, buffers: Iterable, rank: int) -> str | None:
+        """Write ``buffers`` back to back into a new file; return its name,
+        or ``None`` once degraded: the caller ships the payload in-band."""
+        if self._degraded:
+            return None
+        path = None
+        try:
+            fd, path = tempfile.mkstemp(dir=self.path)  # O_CREAT | O_EXCL
+            with open(fd, "wb", buffering=0):  # closes fd
+                for buf in buffers:
+                    view = pickle.PickleBuffer(buf).raw()
+                    while view.nbytes:
+                        view = view[os.write(fd, view):]
+        except OSError as exc:
+            # The tmpfs may be missing, full, or too small (containers).
+            if path is not None:
+                os.unlink(path)
+            self._degraded = True
+            rung = (f"zero-copy exchange (rank {rank})", "pickled queue messages",
+                    f"arena write failed: {exc}")
+            record_degradation(*rung)
+            warnings.warn(DegradationWarning(*rung), stacklevel=3)
+            return None
+        return os.path.basename(path)
+
+    def take(self, name: Any, nbytes: int, access: int) -> mmap.mmap:
+        """Map file ``name`` and unlink it.  A peer's word: all but a bare name
+        in this arena holding ``nbytes`` raises before any mapping is made."""
+        try:
+            if os.path.basename(name) != name or name in ("", ".", ".."):
+                raise ValueError("not a bare file name")
+            path = os.path.join(self.path, name)
+            fd = os.open(path, os.O_RDONLY | os.O_NOFOLLOW)
+        except (OSError, TypeError, ValueError) as exc:
+            raise CommunicatorError(f"arena descriptor {name!r}: {exc}") from exc
+        try:
+            if os.fstat(fd).st_size != nbytes:
+                raise CommunicatorError(f"arena file {name!r} is not {nbytes} bytes")
+            return mmap.mmap(fd, nbytes, access=access)
+        finally:
+            os.close(fd)
+            os.unlink(path)
+
+    def pack(self, result: Any, rank: int) -> tuple:
+        """A rank's result for the queue: ``(pickle, file name, sizes)`` with
+        its buffers in one file if worth it, else ``(pickle, None, buffers)``."""
+        buffers: list[pickle.PickleBuffer] = []
+        head = pickle.dumps(result, protocol=5, buffer_callback=buffers.append)
+        sizes = [buf.raw().nbytes for buf in buffers]
+        name = self.put(buffers, rank) if sum(sizes) >= max(1, SHM_MIN_BYTES) else None
+        return head, name, sizes if name else [bytearray(buf.raw()) for buf in buffers]
+
+    def unpack(self, head: bytes, name: str | None, parts: list) -> Any:
+        """Inverse of :meth:`pack`, in the parent: results stay writable and
+        private (a copy-on-write mapping freed with the last array on it)."""
+        if name is not None:
+            view = memoryview(self.take(name, sum(parts), mmap.ACCESS_COPY))
+            parts = [view[end - n:end] for end, n in zip(accumulate(parts), parts)]
+        return pickle.loads(head, buffers=parts)
+
+
+class _Grid(list):
+    """The ``size x size`` queue grid; ``arena`` is its world's :class:`Arena`."""
+
+
+def make_process_pipes(
+    size: int, ctx: mp.context.BaseContext | None = None, arena: Arena | None = None
+) -> _Grid:
+    """Build the world's shared state: the queue grid and its arena (a
+    hand-built world gets its own, removed with the grid)."""
     ctx = ctx or mp.get_context("fork")
-    return [[ctx.Queue() for _dst in range(size)] for _src in range(size)]
-
-
-def _shm_wrap(arr: np.ndarray) -> tuple:
-    """Copy ``arr`` into a fresh shared segment; return its descriptor."""
-    seg = shared_memory.SharedMemory(create=True, size=arr.nbytes)
-    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=seg.buf)
-    view[...] = arr
-    # Hand cleanup responsibility to the receiver: it re-registers on
-    # attach and unregisters via unlink, keeping every tracker balanced.
-    resource_tracker.unregister(seg._name, "shared_memory")  # noqa: SLF001
-    seg.close()
-    return (_SHM_TAG, seg.name, arr.shape, arr.dtype.str)
+    grid = _Grid([ctx.Queue() for _dst in range(size)] for _src in range(size))
+    grid.arena = arena or Arena()
+    return grid
 
 
 class ProcessCommunicator(Communicator):
@@ -90,16 +166,15 @@ class ProcessCommunicator(Communicator):
     ----------
     pipes:
         Queue grid from :func:`make_process_pipes` (inherited through fork
-        or passed to the child at spawn).
+        or passed to the child at spawn); it carries the world's arena.
     rank, size:
         This process's identity.
     zero_copy:
-        Ship large contiguous numeric arrays through shared memory instead
-        of pickling them (see module docstring).  Received arrays are then
-        read-only views backed by segments this communicator keeps mapped.
+        Ship large contiguous numeric arrays through the arena instead of
+        pickling them (see module docstring); they arrive read-only.
     shm_min_bytes:
-        Minimum array size for the shared-memory path; smaller payloads
-        pickle (segment setup would dominate).
+        Minimum array size for the arena path; smaller payloads pickle
+        (file setup would dominate).
     """
 
     def __init__(
@@ -120,8 +195,6 @@ class ProcessCommunicator(Communicator):
         self._shm_min_bytes = shm_min_bytes
         # messages that arrived while waiting for a different tag
         self._stash: dict[tuple[int, int], list[Any]] = {}
-        # received segments kept mapped so returned views stay valid
-        self._segments: list[shared_memory.SharedMemory] = []
 
     @property
     def rank(self) -> int:
@@ -141,57 +214,29 @@ class ProcessCommunicator(Communicator):
             and isinstance(obj, np.ndarray)
             and obj.dtype.kind in "biuf"
             and obj.flags.c_contiguous
-            and obj.nbytes >= threshold
+            and obj.nbytes >= max(1, threshold)
         )
 
     def _shm_unwrap(self, obj: Any) -> Any:
-        """Rehydrate a shared-memory descriptor into a read-only view."""
+        """Rehydrate an arena descriptor into a read-only view."""
         if not (isinstance(obj, tuple) and len(obj) == 4 and obj[0] == _SHM_TAG):
             return obj
         _, name, shape, dtype = obj
-        seg = shared_memory.SharedMemory(name=name)
-        seg.unlink()  # name gone now; memory lives while mapped
-        self._segments.append(seg)
-        arr = np.ndarray(shape, dtype=np.dtype(dtype), buffer=seg.buf)
-        arr.flags.writeable = False
-        return arr
-
-    def free_received_buffers(self) -> None:
-        """Drop the mappings behind previously received zero-copy arrays.
-
-        After this, arrays returned by earlier ``recv``/``alltoall`` calls
-        on the zero-copy path are invalid.  Called automatically when the
-        process exits; exposed for long-lived ranks that exchange many
-        rounds and copy what they keep.
-        """
-        for seg in self._segments:
-            seg.close()
-        self._segments.clear()
+        try:
+            dtype = np.dtype(dtype)
+            nbytes = math.prod(shape) * dtype.itemsize
+            buf = self._pipes.arena.take(name, nbytes, mmap.ACCESS_READ)
+            return np.frombuffer(buf, dtype=dtype).reshape(shape)
+        except (TypeError, ValueError) as exc:
+            raise CommunicatorError(f"arena descriptor {obj[1:]!r}: {exc}") from exc
 
     # ---- point-to-point ------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._check_peer(dest, "send")
         if self._shm_eligible(obj):
-            try:
-                obj = _shm_wrap(obj)
-            except (OSError, ValueError) as exc:
-                # /dev/shm may be missing, full, or too small (containers).
-                # The pickled queue path is slower but always works, so
-                # degrade for the rest of this rank's life instead of dying.
-                self._zero_copy = False
-                record_degradation(
-                    f"zero-copy exchange (rank {self._rank})",
-                    "pickled queue messages",
-                    f"shared-memory segment creation failed: {exc}",
-                )
-                warnings.warn(
-                    DegradationWarning(
-                        f"zero-copy exchange (rank {self._rank})",
-                        "pickled queue messages",
-                        f"shared-memory segment creation failed: {exc}",
-                    ),
-                    stacklevel=2,
-                )
+            name = self._pipes.arena.put([obj], self._rank)
+            if name is not None:
+                obj = (_SHM_TAG, name, obj.shape, obj.dtype.str)
         self._pipes[self._rank][dest].put((tag, obj))
 
     def recv(self, source: int, tag: int = 0) -> Any:

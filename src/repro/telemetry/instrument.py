@@ -11,7 +11,7 @@ site:
 * **point-to-point** ``send``/``recv`` update byte/call counters only
   (no spans -- p2p is the chatty substrate collectives decompose into,
   and per-message spans would flood the ring on pipelined runs);
-* everything else (``free_received_buffers``, fault ``counters``, ...)
+* everything else (fault ``counters``, ``finish``, ``close``, ...)
   delegates through ``__getattr__`` so the full wrapper stack stays
   visible.
 

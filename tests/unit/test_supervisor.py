@@ -1,10 +1,13 @@
 """Unit tests for repro.distributed.supervisor and the degradation ladder."""
 
+import errno
 import inspect
 import multiprocessing
 import os
+import stat
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -352,20 +355,72 @@ class TestDegradation:
         assert out == [10] * 4
 
     def test_shm_failure_falls_back_to_pickle(self, monkeypatch):
-        def broken(arr):
-            raise OSError("No space left on device: '/dev/shm'")
-
-        monkeypatch.setattr(mpcomm, "_shm_wrap", broken)
+        _fill_tmpfs_after(monkeypatch, 100)
         pipes = mpcomm.make_process_pipes(2)
         sender = mpcomm.ProcessCommunicator(pipes, 0, 2, shm_min_bytes=8)
         receiver = mpcomm.ProcessCommunicator(pipes, 1, 2, shm_min_bytes=8)
         payload = np.arange(64, dtype=np.int64)
-        with pytest.warns(DegradationWarning, match="pickled"):
+        with pytest.warns(DegradationWarning, match="pickled") as caught:
+            sender.send(payload, 1)
+        assert len(caught) == 1 and "No space left" in str(caught[0].message)
+        assert os.listdir(pipes.arena.path) == []  # partial file gone
+        np.testing.assert_array_equal(receiver.recv(0), payload)
+        # Degradation is sticky: later sends skip the arena without re-warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             sender.send(payload, 1)
         np.testing.assert_array_equal(receiver.recv(0), payload)
-        # Degradation is sticky: later sends skip shm without re-warning.
-        sender.send(payload, 1)
-        np.testing.assert_array_equal(receiver.recv(0), payload)
+
+    def test_result_put_failure_falls_back_to_pickle(self, monkeypatch):
+        _fill_tmpfs_after(monkeypatch, 1000)
+        arena = mpcomm.Arena()
+        result = RankOutput(0, np.arange(20_000, dtype=np.int64).reshape(-1, 2), 7)
+        with pytest.warns(DegradationWarning, match="pickled") as caught:
+            head, name, parts = arena.pack(result, 0)
+        assert len(caught) == 1 and name is None
+        assert os.listdir(arena.path) == []  # partial file gone
+        back = arena.unpack(head, name, parts)
+        np.testing.assert_array_equal(back.edges, result.edges)
+        assert back.edges.flags.writeable and back.generated == 7
+        arena.remove()
+
+    @pytest.mark.parametrize("backend", ["process", "socket"])
+    def test_full_tmpfs_run_still_returns(self, monkeypatch, backend):
+        _fill_tmpfs_after(monkeypatch, 1000)  # inherited by the forked ranks
+        out = spmd_run(_exchange_then_return, 2, backend=backend)
+        for rank, (block, degradations) in enumerate(out):
+            np.testing.assert_array_equal(block, np.full(20_000, 1 - rank))
+            assert block.flags.writeable
+            # Sockets never enter the arena before the result does.
+            assert degradations == (1 if backend == "process" else 0)
+        assert multiprocessing.active_children() == []
+
+
+def _exchange_then_return(comm):
+    mine = np.full(20_000, comm.rank, dtype=np.int64)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(2):
+            got = comm.alltoall([mine] * comm.size)[1 - comm.rank]
+    return np.array(got), sum(
+        isinstance(w.message, DegradationWarning) for w in caught
+    )
+
+
+def _fill_tmpfs_after(monkeypatch, capacity):
+    """``os.write`` to a file as a full tmpfs does it: short, then ENOSPC."""
+    real_write, room = os.write, [capacity]
+
+    def write(fd, data):
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
+            return real_write(fd, data)  # the queues' pipes and sockets
+        if room[0] <= 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        done = real_write(fd, bytes(data[:room[0]]))
+        room[0] -= done
+        return done
+
+    monkeypatch.setattr(os, "write", write)
 
 
 class TestDecorrelatedJitter:
