@@ -31,7 +31,12 @@ import numpy as np
 
 from repro.distributed.comm import Communicator, Request
 from repro.distributed.partition import owners_by_edge_hash, owners_by_vertex_block
-from repro.distributed.wire import decode_edges, encode_edges, is_wire_block
+from repro.distributed.wire import (
+    _edge_count,
+    decode_edges,
+    encode_edges,
+    is_wire_block,
+)
 from repro.errors import CommunicatorError
 from repro.telemetry.session import telemetry_of
 
@@ -45,8 +50,8 @@ __all__ = [
 ]
 
 #: Valid values of the ``wire`` knob: ``"raw"`` ships int64 blocks as-is,
-#: ``"varint"`` delta-sorts and varint-encodes them (see
-#: :mod:`repro.distributed.wire`).
+#: ``"varint"`` sorts them and varint-encodes source runs and destination
+#: deltas (see :mod:`repro.distributed.wire`).
 WIRE_FORMATS = ("raw", "varint")
 
 
@@ -160,62 +165,74 @@ def bucket_edges(
     raise ValueError(f"unknown bucketing method {method!r}")
 
 
-def _as_edge_block(blk: np.ndarray | None) -> np.ndarray | None:
-    """Normalize one received bucket; ``None``/empty become ``None``.
-
-    Wire-encoded payloads (:func:`repro.distributed.wire.encode_edges`)
-    are decoded first -- their uint8 streams may have odd length, so the
-    magic check must precede the generic shape validation.  A payload
-    that is neither a wire block nor interpretable as ``(m, 2)`` integer
-    edges (odd element count, non-numeric dtype) means a corrupted or
-    misrouted message; raise a diagnostic naming the problem instead of
-    letting ``reshape`` throw a bare ``ValueError`` deep in the exchange.
-    """
-    if blk is None:
-        return None
-    blk = np.asarray(blk)
-    if blk.size == 0:
-        return None
-    if is_wire_block(blk):
-        decoded = decode_edges(blk)
-        return decoded if decoded.size else None
-    if blk.dtype.kind not in "biu" or blk.size % 2:
-        raise CommunicatorError(
-            f"received edge block with dtype {blk.dtype} and shape "
-            f"{blk.shape}: not interpretable as (m, 2) integer edges -- "
-            f"a corrupted or misrouted exchange message"
-        )
-    return blk.reshape(-1, 2)
-
-
 def _encode_outgoing(
-    outgoing: list[np.ndarray], wire: str, tel
+    outgoing: list[np.ndarray], rank: int, wire: str, tel
 ) -> list[np.ndarray]:
-    """Apply the wire format to per-destination buckets (counting bytes)."""
+    """Apply the wire format to the buckets that travel (counting bytes).
+
+    ``outgoing[rank]`` never leaves this rank -- every transport hands
+    it back by reference -- so it is passed through as the int64 block
+    it is, neither encoded nor counted.
+    """
     if wire == "raw":
         return outgoing
-    raw_bytes = 0
-    encoded: list[np.ndarray | None] = []
-    for blk in outgoing:
-        if blk is None or np.asarray(blk).size == 0:
-            encoded.append(None)
+    raw_bytes = wire_bytes = 0
+    payload: list[np.ndarray | None] = list(outgoing)
+    for dest, blk in enumerate(outgoing):
+        if dest == rank:
             continue
-        blk = np.asarray(blk, dtype=np.int64).reshape(-1, 2)
-        raw_bytes += blk.nbytes
-        encoded.append(encode_edges(blk))
+        if blk is None or np.asarray(blk).size == 0:
+            payload[dest] = None
+            continue
+        encoded = payload[dest] = encode_edges(blk)
+        raw_bytes += 16 * len(blk)
+        wire_bytes += encoded.nbytes
     tel.add("exchange.bytes_raw", raw_bytes)
-    tel.add(
-        "exchange.bytes_wire",
-        sum(e.nbytes for e in encoded if e is not None),
-    )
-    return encoded
+    tel.add("exchange.bytes_wire", wire_bytes)
+    return payload
 
 
 def _stack_received(incoming: list) -> np.ndarray:
-    blocks = [b for b in map(_as_edge_block, incoming) if b is not None]
-    if not blocks:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.vstack(blocks)
+    """One fresh ``(m, 2)`` int64 block holding every received bucket.
+
+    The block is sized once -- from the raw buckets' lengths and the
+    wire blocks' header counts, each bounded by the bytes that carry it
+    -- and every bucket is copied or decoded straight into its slice, in
+    source-rank order.  Received buffers are only read.  ``None`` and
+    zero-size entries are skipped.  A payload that is neither a wire
+    block nor interpretable as ``(m, 2)`` integer edges (odd element
+    count, non-numeric dtype) means a corrupted or misrouted message;
+    raise a diagnostic naming the problem instead of letting ``reshape``
+    throw a bare ``ValueError`` deep in the exchange.
+    """
+    blocks: list[tuple[np.ndarray, int, bool]] = []  # bucket, rows, encoded
+    for blk in incoming:
+        if blk is None:
+            continue
+        blk = np.asarray(blk)
+        if blk.size == 0:
+            continue
+        if is_wire_block(blk):
+            # The magic check precedes the shape validation: an encoded
+            # uint8 stream may well have odd length.
+            blocks.append((blk, _edge_count(blk), True))
+            continue
+        if blk.dtype.kind not in "biu" or blk.size % 2:
+            raise CommunicatorError(
+                f"received edge block with dtype {blk.dtype} and shape "
+                f"{blk.shape}: not interpretable as (m, 2) integer edges -- "
+                f"a corrupted or misrouted exchange message"
+            )
+        blocks.append((blk.reshape(-1, 2), blk.size // 2, False))
+    stacked = np.empty((sum(m for _, m, _ in blocks), 2), dtype=np.int64)
+    at = 0
+    for blk, m, encoded in blocks:
+        if encoded:
+            decode_edges(blk, out=stacked[at : at + m])
+        else:
+            stacked[at : at + m] = blk
+        at += m
+    return stacked
 
 
 def exchange_edges(
@@ -231,9 +248,12 @@ def exchange_edges(
     :meth:`Communicator.alltoall`); the returned stack is a fresh array this
     rank owns.
 
-    ``wire="varint"`` compresses each bucket before the collective and
-    decodes on receipt (:mod:`repro.distributed.wire`); the received
-    *multiset* of edges is identical, but rows arrive sorted per block.
+    ``wire="varint"`` compresses each bucket bound for another rank
+    before the collective and decodes on receipt
+    (:mod:`repro.distributed.wire`); the received *multiset* of edges is
+    identical, but rows from other ranks arrive sorted per block.  The
+    own bucket crosses nothing, is never encoded, and keeps the row
+    order it was produced in.
 
     The blocking form is the split-phase pair finished at once.
     """
@@ -247,18 +267,19 @@ def exchange_edges_start(
 ) -> Request:
     """Issue the split-phase half of :func:`exchange_edges`.
 
-    Buckets are (optionally) wire-encoded and the exchange is started via
-    :meth:`Communicator.alltoall_start`; the returned request is fed to
-    :func:`exchange_edges_finish`.  Between the two calls the caller owns
-    neither the outgoing buckets (in-flight, see
-    :class:`~repro.distributed.comm.Request`) nor any received data yet --
-    it should generate the *next* chunk, which is the entire point.
+    Buckets bound for other ranks are (optionally) wire-encoded and the
+    exchange is started via :meth:`Communicator.alltoall_start`; the
+    returned request is fed to :func:`exchange_edges_finish`.  Between
+    the two calls the caller owns neither the outgoing buckets
+    (in-flight, see :class:`~repro.distributed.comm.Request`) nor any
+    received data yet -- it should generate the *next* chunk, which is
+    the entire point.
     """
     _check_wire(wire)
     tel = telemetry_of(comm)
     with tel.span("exchange.issue", cat="phase"):
         tel.add("edges.routed", sum(len(b) for b in outgoing if b is not None))
-        payload = _encode_outgoing(outgoing, wire, tel)
+        payload = _encode_outgoing(outgoing, comm.rank, wire, tel)
         return comm.alltoall_start(payload)
 
 

@@ -85,7 +85,7 @@ __all__ = [
     "parse_hostport",
 ]
 
-#: Frame magic; versioned independently of the edge wire format ("KWR1").
+#: Frame magic; versioned independently of the edge wire format ("KWR2").
 FRAME_MAGIC = b"KSK1"
 
 _HEADER = struct.Struct("<4sBIqQQ")  # magic, kind, src, tag, seq, length

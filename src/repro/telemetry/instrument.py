@@ -7,7 +7,8 @@ site:
 * each **collective** (``barrier``/``bcast``/``gather``/``allgather``/
   ``allreduce``/``alltoall``/``alltoall_start``) becomes a ``comm``-category
   span plus ``comm.<op>.calls`` / ``comm.<op>.seconds`` counters and
-  byte counters for the payloads in and out;
+  byte counters for the payloads in and out (for the alltoall pair: the
+  entries that cross between ranks, so not a rank's own);
 * **point-to-point** ``send``/``recv`` update byte/call counters only
   (no spans -- p2p is the chatty substrate collectives decompose into,
   and per-message spans would flood the ring on pipelined runs);
@@ -61,6 +62,12 @@ def payload_nbytes(obj: Any) -> int:
     return 0
 
 
+def _crossing_nbytes(objs: list[Any], rank: int) -> int:
+    """Bytes of an alltoall's entries that travel: all but ``objs[rank]``,
+    which every transport hands back to its own rank by reference."""
+    return sum(payload_nbytes(o) for r, o in enumerate(objs) if r != rank)
+
+
 class _InstrumentedRequest(Request):
     """Times the *wait* phase of a split-phase exchange.
 
@@ -72,9 +79,10 @@ class _InstrumentedRequest(Request):
     cached-result semantics.
     """
 
-    def __init__(self, inner: Request, telemetry) -> None:
+    def __init__(self, inner: Request, telemetry, rank: int) -> None:
         self._inner = inner
         self._telemetry = telemetry
+        self._rank = rank
         self._counted = False
 
     def wait(self) -> Any:
@@ -89,7 +97,7 @@ class _InstrumentedRequest(Request):
         tel.add("comm.wait.calls")
         tel.observe("comm.wait.seconds", elapsed)
         tel.add("comm.wait.seconds.total", elapsed)
-        bytes_in = payload_nbytes(result)
+        bytes_in = _crossing_nbytes(result, self._rank)
         if bytes_in:
             # The same counter as blocking alltoall (see alltoall_start).
             tel.add("comm.alltoall.bytes_in", bytes_in)
@@ -188,8 +196,8 @@ class InstrumentedCommunicator(DelegatingCommunicator):
         return self._timed(
             "alltoall",
             lambda: self._inner.alltoall(objs),
-            bytes_out=payload_nbytes(objs),
-            size_in=payload_nbytes,
+            bytes_out=_crossing_nbytes(objs, self.rank),
+            size_in=lambda received: _crossing_nbytes(received, self.rank),
         )
 
     # ---- split-phase alltoall: issue timed here, wait on the request ----
@@ -199,5 +207,7 @@ class InstrumentedCommunicator(DelegatingCommunicator):
         )
         # Volume lands on the same counters as blocking alltoall so
         # ``bytes_shuffled`` aggregations see both paths uniformly.
-        self.telemetry.add("comm.alltoall.bytes_out", payload_nbytes(objs))
-        return _InstrumentedRequest(request, self.telemetry)
+        self.telemetry.add(
+            "comm.alltoall.bytes_out", _crossing_nbytes(objs, self.rank)
+        )
+        return _InstrumentedRequest(request, self.telemetry, self.rank)

@@ -189,9 +189,10 @@ class TestSplitPhaseAlltoall:
         assert results == [[0, 1, 2]] * 3
         counters = session.aggregated_metrics()["counters"]
         assert counters["comm.alltoall.calls"] == 3
-        # 3 ranks x 3 blocks x 4 int64, counted once in each direction.
-        assert counters["comm.alltoall.bytes_out"] == 3 * 3 * 32
-        assert counters["comm.alltoall.bytes_in"] == 3 * 3 * 32
+        # 3 ranks x 2 peers x 4 int64, counted once in each direction;
+        # a rank's own block crosses nothing and is not counted.
+        assert counters["comm.alltoall.bytes_out"] == 3 * 2 * 32
+        assert counters["comm.alltoall.bytes_in"] == 3 * 2 * 32
         # ...and not again as the p2p traffic or the split-phase pair the
         # base decomposes it into.
         for name in ("comm.send.calls", "comm.recv.calls",

@@ -1,9 +1,13 @@
 """Unit tests for the sort-free bucketing path and exchange hardening."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.distributed import shuffle
 from repro.distributed.comm import Communicator
+from repro.distributed.launcher import spmd_run
 from repro.distributed.partition import (
     owners_by_vertex_block,
     vertex_block_bounds,
@@ -13,7 +17,9 @@ from repro.distributed.shuffle import (
     counting_scatter,
     exchange_edges,
 )
-from repro.errors import PartitionError
+from repro.distributed.wire import encode_edges
+from repro.errors import PartitionError, WireFormatError
+from repro.telemetry import TelemetrySession
 
 
 class TestCountingScatter:
@@ -149,3 +155,108 @@ class TestExchangeEdgesDefensive:
         out = exchange_edges(comm, [None, None])
         assert out.flags.writeable
         out[0, 0] = 9  # must not raise
+
+    def test_wire_blocks_decode_into_the_same_stack(self):
+        # Raw, encoded, narrow-dtype and empty buckets in one round: one
+        # stack, source-rank order, received buffers untouched.
+        first = np.array([[9, 1], [2, 7]], dtype=np.int64)
+        second = np.array([[500, 3], [4, 70000], [4, 1]], dtype=np.int64)
+        narrow = np.array([[6, 5]], dtype=np.int32)
+        incoming = [first, encode_edges(second), None, narrow]
+        for blk in incoming:
+            if blk is not None:
+                blk.flags.writeable = False
+        frozen = [None if blk is None else blk.copy() for blk in incoming]
+        out = exchange_edges(_FakeComm(incoming), [None] * 4)
+        assert out.dtype == np.int64 and out.flags.writeable
+        assert np.array_equal(
+            out, [[9, 1], [2, 7], [4, 1], [4, 70000], [500, 3], [6, 5]]
+        )
+        for blk, was in zip(incoming, frozen):
+            assert blk is None or np.array_equal(blk, was)
+
+    def test_corrupt_wire_block_is_a_wire_format_error(self):
+        blk = encode_edges(np.array([[1, 2], [3, 4]], dtype=np.int64))
+        blk[4] = 200  # claims more edges than the block has bytes
+        with pytest.raises(WireFormatError):
+            exchange_edges(_FakeComm([blk]), [None])
+
+
+class _EncodeSpy:
+    """Counts ``encode_edges`` calls per calling thread.
+
+    Installed on ``shuffle`` before the world starts: thread ranks share
+    it and are told apart by thread id, forked ranks each inherit a copy.
+    """
+
+    def __init__(self):
+        self.rows = {}
+
+    def __call__(self, edges):
+        self.rows.setdefault(threading.get_ident(), []).append(len(edges))
+        return encode_edges(edges)
+
+    def here(self):
+        return list(self.rows.get(threading.get_ident(), []))
+
+
+def _bucket(src, n=5):
+    """``n`` rows from ``src`` in *descending* order, so a sort shows."""
+    return np.array([[src, n - i] for i in range(n)], dtype=np.int64)
+
+
+def _exchange_twice(comm, spy):
+    calls, received = [], []
+    for rnd in range(2):
+        outgoing = [
+            _bucket(1000 * rnd + 100 * comm.rank + dest)
+            for dest in range(comm.size)
+        ]
+        before = len(spy.here())
+        received.append(exchange_edges(comm, outgoing, wire="varint"))
+        calls.append(spy.here()[before:])
+    return calls, received
+
+
+class TestOwnBucketBypassesCodec:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_only_travelling_buckets_are_encoded(self, backend, monkeypatch):
+        spy = _EncodeSpy()
+        monkeypatch.setattr(shuffle, "encode_edges", spy)
+        size = 3
+        session = TelemetrySession()
+        results = spmd_run(
+            _exchange_twice, size, spy, backend=backend, telemetry=session
+        )
+        for rank, (calls, received) in enumerate(results):
+            for rnd in range(2):
+                # size - 1 encodes an exchange: one per peer, none for self.
+                assert calls[rnd] == [5] * (size - 1)
+                expect = []
+                for source in range(size):
+                    rows = _bucket(1000 * rnd + 100 * source + rank)
+                    # Peers' rows come back sorted by the codec; the own
+                    # bucket in the order it was produced.
+                    expect.append(rows if source == rank else rows[::-1])
+                assert np.array_equal(received[rnd], np.vstack(expect))
+        counters = session.aggregated_metrics()["counters"]
+        crossing = 2 * size * (size - 1)  # buckets that left their rank
+        assert counters["exchange.bytes_raw"] == crossing * 5 * 16
+        assert counters["exchange.bytes_wire"] == counters["comm.alltoall.bytes_out"]
+        assert counters["comm.alltoall.bytes_out"] == counters["comm.alltoall.bytes_in"]
+        assert 0 < counters["exchange.bytes_wire"] < counters["exchange.bytes_raw"]
+
+    def test_nothing_crossing_counts_nothing(self):
+        def rank_program(comm):
+            outgoing = [None] * comm.size
+            outgoing[comm.rank] = _bucket(comm.rank)
+            return exchange_edges(comm, outgoing, wire="varint")
+
+        session = TelemetrySession()
+        results = spmd_run(rank_program, 3, telemetry=session)
+        for rank, got in enumerate(results):
+            assert np.array_equal(got, _bucket(rank))
+        counters = session.aggregated_metrics()["counters"]
+        for name in ("exchange.bytes_raw", "exchange.bytes_wire",
+                     "comm.alltoall.bytes_out", "comm.alltoall.bytes_in"):
+            assert not counters.get(name)

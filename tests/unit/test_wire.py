@@ -1,4 +1,4 @@
-"""Unit tests for the delta-sorted varint wire format (repro.distributed.wire)."""
+"""Unit tests for the KWR2 wire format (repro.distributed.wire)."""
 
 import numpy as np
 import pytest
@@ -10,6 +10,33 @@ from repro.distributed.wire import (
     is_wire_block,
 )
 from repro.errors import CommunicatorError, WireFormatError
+from repro.graph.edgelist import EdgeList
+from repro.kronecker.product import DEFAULT_CHUNK, iter_kron_product_routed
+
+#: magic + uint64 edge count, run count, source-section bytes.
+HEADER = 28
+
+
+def header_fields(blk):
+    """``(edges, runs, source bytes)`` as the block claims them."""
+    return tuple(int(v) for v in blk[4:HEADER].view("<u8"))
+
+
+def with_header(blk, edges=None, runs=None, source_bytes=None):
+    """Copy of ``blk`` with some header fields rewritten."""
+    old = header_fields(blk)
+    new = [o if n is None else n for o, n in zip(old, (edges, runs, source_bytes))]
+    out = blk.copy()
+    out[4:HEADER] = np.array(new, dtype="<u8").view(np.uint8)
+    return out
+
+
+def uniform_graph(n, m, seed):
+    """Uniform undirected graph with exactly ``m`` edges (the ledger's)."""
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    pick = rng.choice(len(iu), size=m, replace=False)
+    return EdgeList(np.column_stack([iu[pick], ju[pick]]), n).symmetrized()
 
 
 def lexsorted(edges):
@@ -86,6 +113,53 @@ class TestRoundtrip:
         blk = encode_edges(e)
         assert np.array_equal(encode_edges(decode_edges(blk)), blk)
 
+    def test_ledger_shaped_block_is_about_a_byte_an_edge(self):
+        # One routed chunk of the gen_stream_* workloads: hundreds of rows
+        # per source, so the source column all but vanishes and almost
+        # every destination delta is one byte.
+        a, b = uniform_graph(100, 990, 5), uniform_graph(100, 990, 6)
+        # A in arrival order, as the ledger hands it over: both owners
+        # get rows from every chunk.
+        a = EdgeList(np.random.default_rng(5).permutation(a.edges), a.n)
+        buckets = next(
+            iter_kron_product_routed(a, b, 2, a.n * b.n, DEFAULT_CHUNK)
+        )
+        for bucket in buckets:
+            assert len(bucket) > 100_000
+            blk = encode_edges(bucket)
+            assert blk.nbytes <= 1.25 * len(bucket)
+            assert np.array_equal(decode_edges(blk), lexsorted(bucket))
+
+    def test_source_column_is_one_pair_per_distinct_source(self):
+        e = np.array([[7, 1], [7, 1], [7, 3], [9, 0]], dtype=np.int64)
+        blk = encode_edges(e)
+        assert header_fields(blk) == (4, 2, 4)
+        # zigzag(7), run 3, zigzag(9 - 7), run 1 | zigzag(1, 0, 2, -3)
+        assert blk[HEADER:].tolist() == [14, 3, 4, 1, 2, 0, 4, 5]
+
+    def test_decode_into_out_slice(self):
+        rng = np.random.default_rng(13)
+        e = rng.integers(0, 1 << 20, size=(40, 2), dtype=np.int64)
+        store = np.full((50, 2), -1, dtype=np.int64)
+        got = decode_edges(encode_edges(e), out=store[5:45])
+        assert np.shares_memory(got, store)
+        assert np.array_equal(store[5:45], lexsorted(e))
+        assert np.all(store[:5] == -1) and np.all(store[45:] == -1)
+
+    def test_out_of_the_wrong_shape_is_a_caller_error(self):
+        blk = encode_edges(np.array([[1, 2], [3, 4]], dtype=np.int64))
+        with pytest.raises(ValueError, match="out="):
+            decode_edges(blk, out=np.empty((3, 2), dtype=np.int64))
+        with pytest.raises(ValueError, match="out="):
+            decode_edges(blk, out=np.empty((2, 2), dtype=np.uint64))
+
+    def test_received_block_may_be_read_only(self):
+        blk = encode_edges(np.array([[300, 70000], [2, 1]], dtype=np.int64))
+        blk.flags.writeable = False
+        frozen = blk.copy()
+        assert np.array_equal(decode_edges(blk), [[2, 1], [300, 70000]])
+        assert np.array_equal(blk, frozen)
+
 
 class TestIsWireBlock:
     def test_accepts_encoded_block(self):
@@ -101,19 +175,33 @@ class TestIsWireBlock:
         assert not is_wire_block(bad)
 
     def test_rejects_non_arrays(self):
-        assert not is_wire_block(WIRE_MAGIC + b"\x00" * 8)
+        assert not is_wire_block(WIRE_MAGIC + b"\x00" * 24)
         assert not is_wire_block(None)
 
 
 class TestMalformed:
     def test_decode_requires_magic(self):
         with pytest.raises(WireFormatError):
-            decode_edges(np.zeros(16, dtype=np.uint8))
+            decode_edges(np.zeros(32, dtype=np.uint8))
+
+    def test_retired_kwr1_magic_is_rejected_by_name(self):
+        # A KWR1 block: magic, uint64 count, 2 * count varints.
+        old = np.frombuffer(
+            b"KWR1" + (1).to_bytes(8, "little") + bytes([2, 4]), dtype=np.uint8
+        )
+        assert not is_wire_block(old)
+        with pytest.raises(WireFormatError, match="KWR1"):
+            decode_edges(old)
 
     def test_truncated_stream(self):
         blk = encode_edges(np.array([[700, 900]], dtype=np.int64))
         with pytest.raises(WireFormatError):
             decode_edges(blk[:-1])
+
+    def test_truncated_header(self):
+        blk = encode_edges(np.array([[700, 900]], dtype=np.int64))
+        with pytest.raises(WireFormatError):
+            decode_edges(blk[: HEADER - 1])
 
     def test_trailing_bytes(self):
         blk = encode_edges(np.array([[1, 2]], dtype=np.int64))
@@ -134,12 +222,85 @@ class TestMalformed:
         with pytest.raises(WireFormatError):
             decode_edges(blk)
 
+    def test_source_section_ends_mid_value(self):
+        # The terminator count still matches (a spare one is supplied),
+        # but the section's last byte continues into the destinations.
+        blk = encode_edges(np.array([[1, 2]], dtype=np.int64))
+        source = np.array([0, 2, 0x81], dtype=np.uint8)
+        bad = np.concatenate([blk[:HEADER], source, blk[-1:]])
+        with pytest.raises(WireFormatError, match="inside a value"):
+            decode_edges(with_header(bad, source_bytes=3))
+
     def test_overlong_varint(self):
-        header = encode_edges(np.empty((0, 2), dtype=np.int64)).copy()
-        header[4] = 1  # claim one edge
-        stream = np.array([0] + [0x80] * 10 + [0], dtype=np.uint8)
+        # Eleven bytes for one value, every count consistent, in either
+        # section.
+        long = np.array([0x80] * 10 + [0], dtype=np.uint8)
+        blk = encode_edges(np.array([[1, 2]], dtype=np.int64))
+        source, dest = blk[HEADER : HEADER + 2], blk[HEADER + 2 :]
+        for sections in (
+            [np.concatenate([long, source[1:]]), dest],
+            [source, long],
+        ):
+            bad = with_header(
+                np.concatenate([blk[:HEADER], *sections]),
+                source_bytes=len(sections[0]),
+            )
+            with pytest.raises(WireFormatError, match="longer than 10"):
+                decode_edges(bad)
+
+    @pytest.mark.parametrize("claimed", [0, 2, 7, 1 << 60, (1 << 64) - 1])
+    def test_edge_count_must_match_the_destination_section(self, claimed):
+        blk = encode_edges(np.arange(8, dtype=np.int64).reshape(4, 2))
+        assert header_fields(blk)[0] == 4
         with pytest.raises(WireFormatError):
-            decode_edges(np.concatenate([header, stream]))
+            decode_edges(with_header(blk, edges=claimed))
+
+    @pytest.mark.parametrize("claimed", [0, 1, 5, 1 << 60, (1 << 64) - 1])
+    def test_run_count_must_match_the_source_section(self, claimed):
+        blk = encode_edges(np.arange(8, dtype=np.int64).reshape(4, 2))
+        assert header_fields(blk)[1] == 4
+        with pytest.raises(WireFormatError):
+            decode_edges(with_header(blk, runs=claimed))
+
+    @pytest.mark.parametrize("claimed", [0, 7, 9, 12, 13, 1 << 60])
+    def test_source_section_length_must_match(self, claimed):
+        blk = encode_edges(np.arange(8, dtype=np.int64).reshape(4, 2))
+        assert header_fields(blk)[2] == 8
+        with pytest.raises(WireFormatError):
+            decode_edges(with_header(blk, source_bytes=claimed))
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [
+            [0, 4],  # an empty run
+            [1, 2],  # sums short of the edge count
+            [2, 3],  # sums past it
+            [4, 1 << 60],  # far past it
+            [(1 << 64) - 1, 5],  # wraps to the edge count mod 2**64
+        ],
+    )
+    def test_run_lengths_must_partition_the_edges(self, lengths):
+        e = np.array([[1, 5], [1, 6], [2, 5], [2, 7]], dtype=np.int64)
+        blk = encode_edges(e)
+        assert header_fields(blk) == (4, 2, 4)
+        source = []
+        for code, length in zip((2, 2), lengths):
+            source.append(code)
+            while length >= 0x80:
+                source.append((length & 0x7F) | 0x80)
+                length >>= 7
+            source.append(length)
+        bad = np.concatenate(
+            [blk[:HEADER], np.array(source, dtype=np.uint8), blk[HEADER + 4 :]]
+        )
+        with pytest.raises(WireFormatError, match="run lengths"):
+            decode_edges(with_header(bad, source_bytes=len(source)))
+
+    def test_runs_without_edges(self):
+        empty = encode_edges(np.empty((0, 2), dtype=np.int64))
+        bad = np.concatenate([empty, np.array([2, 1], dtype=np.uint8)])
+        with pytest.raises(WireFormatError):
+            decode_edges(with_header(bad, runs=1, source_bytes=2))
 
     def test_encode_rejects_bad_shape(self):
         with pytest.raises(WireFormatError):
