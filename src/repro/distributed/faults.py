@@ -20,8 +20,8 @@ Fault taxonomy
     the same message is delivered twice.  Tolerated in-run: when duplicate
     injection is armed, every payload travels in a sequence-numbered
     envelope and the receiving side drops already-seen sequence numbers
-    (the TCP move).  Enveloping bypasses the process backend's
-    arena fast path, so duplicate plans exercise the pickle path.
+    (the TCP move).  On the process backend an enveloped block crosses
+    through the arena like a bare one, once per delivered copy.
 ``drop``
     a send silently vanishes.  Not recoverable in-run: the receiver times
     out (:func:`repro.distributed.comm.recv_timeout`) and the supervised
@@ -205,7 +205,7 @@ class FaultyCommunicator(DelegatingCommunicator):
         self._attempt = int(attempt)
         self._armed = self._attempt < plan.fault_attempts
         # Duplicates need receiver-side dedup, hence seq-numbered envelopes;
-        # other fault kinds leave payloads untouched (preserving zero-copy).
+        # other fault kinds leave payloads untouched.
         self._envelope = bool(plan.dup_prob > 0 or plan.dup_at)
         self._send_seq: dict[tuple[int, int], int] = {}
         self._seen: dict[tuple[int, int], set[int]] = {}

@@ -28,9 +28,11 @@ loop (:func:`_run_world`); they differ only in what builds a rank's
 communicator and whether a thread or a forked process carries it.
 
 Forked ranks (``process``, ``socket``) share one :class:`Arena` per world, a
-private tmpfs directory made before the fork and removed in ``finally``:
-process ranks exchange blocks through it, and a result's large buffers come
-back as a file the parent maps (a few hundred bytes cross the result queue).
+private tmpfs directory made before the fork and removed in ``finally``.
+:meth:`Arena.pack` / :meth:`Arena.unpack` carry every message between forked
+processes -- process ranks' sends to each other, and each rank's result to
+this parent: large buffers come back as a file the parent maps (a few
+hundred bytes cross the result queue).
 ``multiprocessing.shared_memory`` is not used: its first use in a process
 execs a resource-tracker interpreter -- in every rank of every run, and one
 that outlives the command once the parent touches a segment.

@@ -11,31 +11,35 @@ Design: a full ``size x size`` grid of queues is created up front --
 no central router process.  Tags are carried in-band and demultiplexed on
 the receiving side, since a process pair shares one queue.
 
-Zero-copy edge exchange
------------------------
-Pickling multi-megabyte edge blocks through a queue costs two full copies
-(serialize + deserialize) plus pipe traffic.  When ``zero_copy`` is enabled
-(the default), large contiguous numeric arrays instead cross through the
-world's :class:`Arena` -- one private tmpfs directory per world, made and
-removed by whoever builds it (see :mod:`~repro.distributed.launcher`) -- and
-only a small descriptor (file name, shape, dtype) rides the queue.  Received
-arrays are read-only views of a mapping that lives as long as an array
-references it; callers that need to mutate must copy -- the edge shuffle's
-``vstack`` already does.
+One way across a process boundary
+---------------------------------
+Every message between forked processes -- rank to rank here, a rank's result
+to the parent in :mod:`~repro.distributed.launcher` -- is
+:meth:`Arena.pack` on one side and :meth:`Arena.unpack` on the other: a
+protocol-5 pickle whose out-of-band buffers (the data of contiguous numeric
+arrays, wherever they sit in the object) cross through the world's
+:class:`Arena` -- one private tmpfs directory per world, made and removed by
+whoever builds it -- when together they reach ``SHM_MIN_BYTES``, and ride the
+queue beside the pickle when they do not.  The message's own shape
+``(head, name, sizes | buffers)`` says which; no payload is ever inspected,
+so a block crosses the same way bare or wrapped (in a timestamp tuple, a
+fault envelope, a list), and any picklable object arrives as it was sent.
+Arrays a rank receives through the arena are read-only views of a mapping
+that lives as long as an array references it; callers that need to mutate
+must copy.  In-band arrays arrive writable.
 
 *Put* creates a file exclusively and ``os.write``-s the buffers into it: no
 sender-side mapping means no page fault per 4 KB, and a full tmpfs is a
 catchable ``ENOSPC`` where a store through a mapping dies with ``SIGBUS``.
 On failure the partial file is unlinked and the rank falls back, with a
-:class:`~repro.errors.DegradationWarning`, to the pickled queue path for the
-rest of its life -- slower, never fatal.  *Take* checks the descriptor (a
-bare name inside this arena, the promised size) before it maps, then
-unlinks; a message nobody took (a crashed peer) goes with the directory.
+:class:`~repro.errors.DegradationWarning`, to in-band buffers for the rest
+of its life -- slower, never fatal.  *Take* checks the descriptor (a bare
+name inside this arena, the promised size) before it maps, then unlinks; a
+message nobody took (a crashed peer) goes with the directory.
 """
 
 from __future__ import annotations
 
-import math
 import mmap
 import multiprocessing as mp
 import os
@@ -48,8 +52,6 @@ import weakref
 from itertools import accumulate
 from typing import Any, Iterable
 
-import numpy as np
-
 from repro.distributed.comm import Communicator, recv_timeout
 from repro.errors import CommunicatorError, DegradationWarning
 from repro.telemetry.session import record_degradation
@@ -61,10 +63,9 @@ __all__ = ["Arena", "ProcessCommunicator", "make_process_pipes", "SHM_MIN_BYTES"
 #: the ``REPRO_RECV_TIMEOUT`` environment variable, like the thread world.
 _RECV_TIMEOUT = 120.0
 
-#: Buffers at least this large (bytes) ride the arena instead of pickle.
+#: A message whose out-of-band buffers total at least this many bytes ships
+#: them through the arena instead of the queue.
 SHM_MIN_BYTES = 1 << 16
-
-_SHM_TAG = "__shm_ndarray__"
 
 
 def _remove_tree(path: str, owner_pid: int) -> None:
@@ -126,20 +127,29 @@ class Arena:
             os.close(fd)
             os.unlink(path)
 
-    def pack(self, result: Any, rank: int) -> tuple:
-        """A rank's result for the queue: ``(pickle, file name, sizes)`` with
-        its buffers in one file if worth it, else ``(pickle, None, buffers)``."""
+    def pack(self, obj: Any, rank: int) -> tuple:
+        """``obj`` for a queue: ``(pickle, file name, sizes)`` with its
+        buffers in one file if worth it, else ``(pickle, None, buffers)``."""
         buffers: list[pickle.PickleBuffer] = []
-        head = pickle.dumps(result, protocol=5, buffer_callback=buffers.append)
+        head = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
         sizes = [buf.raw().nbytes for buf in buffers]
         name = self.put(buffers, rank) if sum(sizes) >= max(1, SHM_MIN_BYTES) else None
         return head, name, sizes if name else [bytearray(buf.raw()) for buf in buffers]
 
-    def unpack(self, head: bytes, name: str | None, parts: list) -> Any:
-        """Inverse of :meth:`pack`, in the parent: results stay writable and
-        private (a copy-on-write mapping freed with the last array on it)."""
+    def unpack(self, head: bytes, name: Any, parts: Any,
+               access: int = mmap.ACCESS_COPY) -> Any:
+        """Inverse of :meth:`pack`.  The mapping is freed with the last array
+        on it: copy-on-write (writable, private) for the parent's results,
+        ``ACCESS_READ`` for a rank.  ``parts`` is a peer's word like ``name``:
+        all but a list of non-negative sizes, one of them positive, raises
+        before anything is mapped."""
         if name is not None:
-            view = memoryview(self.take(name, sum(parts), mmap.ACCESS_COPY))
+            if not (isinstance(parts, list)
+                    and all(type(n) is int and n >= 0 for n in parts)
+                    and any(parts)):
+                raise CommunicatorError(
+                    f"arena descriptor {name!r}: bad sizes {parts!r:.200}")
+            view = memoryview(self.take(name, sum(parts), access))
             parts = [view[end - n:end] for end, n in zip(accumulate(parts), parts)]
         return pickle.loads(head, buffers=parts)
 
@@ -169,30 +179,12 @@ class ProcessCommunicator(Communicator):
         or passed to the child at spawn); it carries the world's arena.
     rank, size:
         This process's identity.
-    zero_copy:
-        Ship large contiguous numeric arrays through the arena instead of
-        pickling them (see module docstring); they arrive read-only.
-    shm_min_bytes:
-        Minimum array size for the arena path; smaller payloads pickle
-        (file setup would dominate).
     """
 
-    def __init__(
-        self,
-        pipes,
-        rank: int,
-        size: int,
-        *,
-        zero_copy: bool = True,
-        shm_min_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, pipes, rank: int, size: int) -> None:
         self._pipes = pipes
         self._rank = rank
         self._size = size
-        self._zero_copy = bool(zero_copy)
-        # None defers to the module constant at call time so tests (and
-        # forked children) can lower the threshold via monkeypatching.
-        self._shm_min_bytes = shm_min_bytes
         # messages that arrived while waiting for a different tag
         self._stash: dict[tuple[int, int], list[Any]] = {}
 
@@ -204,40 +196,11 @@ class ProcessCommunicator(Communicator):
     def size(self) -> int:
         return self._size
 
-    # ---- zero-copy payload handling ------------------------------------
-    def _shm_eligible(self, obj: Any) -> bool:
-        threshold = (
-            SHM_MIN_BYTES if self._shm_min_bytes is None else self._shm_min_bytes
-        )
-        return (
-            self._zero_copy
-            and isinstance(obj, np.ndarray)
-            and obj.dtype.kind in "biuf"
-            and obj.flags.c_contiguous
-            and obj.nbytes >= max(1, threshold)
-        )
-
-    def _shm_unwrap(self, obj: Any) -> Any:
-        """Rehydrate an arena descriptor into a read-only view."""
-        if not (isinstance(obj, tuple) and len(obj) == 4 and obj[0] == _SHM_TAG):
-            return obj
-        _, name, shape, dtype = obj
-        try:
-            dtype = np.dtype(dtype)
-            nbytes = math.prod(shape) * dtype.itemsize
-            buf = self._pipes.arena.take(name, nbytes, mmap.ACCESS_READ)
-            return np.frombuffer(buf, dtype=dtype).reshape(shape)
-        except (TypeError, ValueError) as exc:
-            raise CommunicatorError(f"arena descriptor {obj[1:]!r}: {exc}") from exc
-
     # ---- point-to-point ------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         self._check_peer(dest, "send")
-        if self._shm_eligible(obj):
-            name = self._pipes.arena.put([obj], self._rank)
-            if name is not None:
-                obj = (_SHM_TAG, name, obj.shape, obj.dtype.str)
-        self._pipes[self._rank][dest].put((tag, obj))
+        head, name, parts = self._pipes.arena.pack(obj, self._rank)
+        self._pipes[self._rank][dest].put((tag, head, name, parts))
 
     def recv(self, source: int, tag: int = 0) -> Any:
         self._check_peer(source, "recv")
@@ -249,14 +212,14 @@ class ProcessCommunicator(Communicator):
         timeout = recv_timeout(_RECV_TIMEOUT)
         while True:
             try:
-                got_tag, obj = q.get(timeout=timeout)
+                got_tag, head, name, parts = q.get(timeout=timeout)
             except queue.Empty as exc:
                 raise CommunicatorError(
                     f"rank {self._rank} timed out after {timeout:g}s waiting "
                     f"to receive from rank {source} (tag {tag}); the sender "
                     f"never sent or died"
                 ) from exc
-            obj = self._shm_unwrap(obj)
+            obj = self._pipes.arena.unpack(head, name, parts, mmap.ACCESS_READ)
             if got_tag == tag:
                 return obj
             self._stash.setdefault((source, got_tag), []).append(obj)

@@ -59,9 +59,11 @@ class ThrottledCommunicator(DelegatingCommunicator):
 
     Messages are sent immediately (annotated with the send timestamp);
     the receive side sleeps out whatever portion of the wire time has
-    not already elapsed.  Wrap it *under* the instrumented communicator
-    (``spmd_run(..., wrap_comm=...)`` does this) so telemetry counters
-    see the un-annotated payloads.
+    not already elapsed; the stamp changes nothing about how ``inner``
+    carries the payload (on the process backend a stamped block still
+    crosses through the arena).  Wrap it *under* the instrumented
+    communicator (``spmd_run(..., wrap_comm=...)`` does this) so telemetry
+    counters see the un-annotated payloads.
     """
 
     def __init__(self, inner: Communicator, model: NetworkModel) -> None:

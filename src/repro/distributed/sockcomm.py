@@ -500,7 +500,10 @@ class SocketCommunicator(Communicator):
 
         Waits for the link to come up first: an early injection racing
         bootstrap would otherwise close nothing and silently test the
-        happy path instead of the heal.
+        happy path instead of the heal.  The break is recorded before this
+        returns (the reader thread, woken later, finds it done), so a rank
+        that owns the re-dial is ``healing`` from here on -- what
+        :meth:`await_heals` relies on.
         """
         peer = self._fault_peer(peer_rank)
         peer.connected.wait(recv_timeout())
@@ -513,10 +516,18 @@ class SocketCommunicator(Communicator):
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:  # pragma: no cover
                 pass
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
+            self._conn_broken(peer, sock)
+
+    def await_heals(self) -> None:
+        """Wait out the re-dials in flight (no longer than one reconnect
+        budget, which each of them ends inside), so ``sock_counters`` read
+        afterwards include them: a rank whose inbound data beat the break can
+        otherwise finish its program, and report ``reconnects == 0``, while
+        its heal thread still dials."""
+        deadline = monotonic() + _RECONNECT_FRACTION * recv_timeout()
+        for peer in self._peers.values():
+            while peer.healing and not self._closed and monotonic() < deadline:
+                time.sleep(poll_interval() / 4.0)
 
     def inject_partition(self, peer_rank: int | None = None) -> None:
         """Sever one peer link for good: no reconnect is ever accepted."""

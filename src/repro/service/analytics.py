@@ -41,6 +41,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.groundtruth.memo import memoized_groundtruth
 from repro.kronecker.lazy import KroneckerGraph
+from repro.service.protocol import int_ids
 
 __all__ = ["PROPERTIES", "compute_property", "property_names"]
 
@@ -105,7 +106,7 @@ def _vertex_list(params: dict, name: str, n: int) -> np.ndarray:
         raise RequestError(
             f"params.{name} must be a non-empty vertex list", params=params
         )
-    arr = np.asarray(value, dtype=np.int64)
+    arr = int_ids(value, f"params.{name}", params=params)
     if arr.min() < 0 or arr.max() >= n:
         raise RequestError(
             f"params.{name} has vertices outside 0..{n - 1}", params=params

@@ -18,7 +18,10 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
+
+import numpy as np
 
 from repro.errors import AssumptionError, GraphFormatError, ReproError, RequestError, ServiceError
 
@@ -27,6 +30,7 @@ __all__ = [
     "read_request",
     "render_response",
     "error_payload",
+    "int_ids",
     "status_of",
     "MAX_BODY_BYTES",
     "STATUS_REASONS",
@@ -72,8 +76,38 @@ class HTTPRequest:
             return {}
         try:
             return json.loads(self.body)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise RequestError(f"request body is not valid JSON: {exc}") from exc
+
+
+def int_ids(value: Any, what: str, width: int = 1, **context: Any) -> np.ndarray:
+    """Decoded JSON ``value`` as int64 ids: ``[v, ...]`` -> shape ``(k,)`` for
+    ``width`` 1, ``[[u, v], ...]`` -> ``(k, width)`` otherwise.
+
+    The one request boundary for ids.  Anything but JSON integers (``true``
+    is not one) in exactly that shape and inside int64 is a 400 carrying
+    ``context``; nothing is parsed from strings, truncated or reshaped.  The
+    type checks run before numpy sees the list, so a hostile body cannot
+    make it allocate more than the ids it was given.
+    """
+    ok = isinstance(value, list)
+    if ok and width != 1:
+        try:
+            ok = set(map(len, value)) <= {width}
+        except TypeError:  # a row that is a number or null
+            ok = False
+        if ok:
+            # A row that is a string or an object of that length passes its
+            # characters / keys on to the element check below, which fails.
+            value = list(chain.from_iterable(value))
+    if ok and set(map(type, value)) <= {int}:
+        try:
+            arr = np.array(value, dtype=np.int64)
+            return arr if width == 1 else arr.reshape(-1, width)
+        except OverflowError:
+            pass  # an integer past int64: no id is
+    shape = "integers" if width == 1 else f"lists of {width} integers"
+    raise RequestError(f"{what} must be a list of {shape} (int64)", **context)
 
 
 class _ProtocolViolation(RequestError):

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import GraphNotFoundError, RequestError, TenantNotFoundError
 from repro.graph.edgelist import EdgeList
 from repro.groundtruth.memo import factor_digest
 from repro.kronecker.lazy import KroneckerGraph
+from repro.service.protocol import int_ids
 from repro.skg.model import SKGSpec
 
 __all__ = ["digest_hex", "GraphHandle", "SKGHandle", "ServiceRegistry"]
@@ -134,13 +133,7 @@ class ServiceRegistry:
         """
         if not isinstance(doc, dict) or "edges" not in doc:
             raise RequestError("factor payload must be {'edges': [[u,v],...]}")
-        edges = doc["edges"]
-        if not isinstance(edges, list):
-            raise RequestError("'edges' must be a list of [u, v] pairs")
-        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2) if edges else (
-            np.empty((0, 2), dtype=np.int64)
-        )
-        el = EdgeList(arr, doc.get("n"))
+        el = EdgeList(int_ids(doc["edges"], "'edges'", 2), doc.get("n"))
         if doc.get("symmetrize"):
             el = el.symmetrized()
         if doc.get("self_loops"):

@@ -60,6 +60,7 @@ from repro.service.protocol import (
     MAX_BODY_BYTES,
     HTTPRequest,
     error_payload,
+    int_ids,
     read_request,
     render_response,
     status_of,
@@ -387,18 +388,7 @@ class KronService:
             raise RequestError(
                 f"batch of {len(value)} exceeds the {MAX_BATCH} limit"
             )
-        if not value:
-            shape = (0,) if width == 1 else (0, width)
-            return handle, np.empty(shape, dtype=np.int64)
-        try:
-            arr = np.asarray(value, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise RequestError(f"{field!r} must be integer ids: {exc}") from exc
-        expected = (len(value),) if width == 1 else (len(value), width)
-        if arr.shape != expected:
-            raise RequestError(
-                f"{field!r} must have shape {expected}, got {arr.shape}"
-            )
+        arr = int_ids(value, repr(field), width)
         n = handle.graph.n
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise RequestError(f"vertex ids outside 0..{n - 1}")

@@ -202,11 +202,14 @@ class RankTelemetry:
         :class:`~repro.distributed.sockcomm.SocketCounters` on the socket
         backend; other backends have none and this is a no-op.  Only
         non-zero fields are recorded, as ``sock.<field>`` -- which is how
-        reconnect/replay counts reach chaos reports and traces.
+        reconnect/replay counts reach chaos reports and traces.  Heals
+        still in flight are waited for first (``await_heals``), so the
+        counts do not depend on who wins that race.
         """
         sc = getattr(comm, "sock_counters", None)
         if sc is None:
             return
+        comm.await_heals()
         for name in ("frames_sent", "frames_received", "deduplicated",
                      "replayed", "disconnects", "reconnects",
                      "heartbeats_sent", "heartbeats_received"):

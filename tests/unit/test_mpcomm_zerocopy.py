@@ -1,9 +1,12 @@
 """Zero-copy arena exchange on the process backend."""
 
 import gc
-import math
 import mmap
 import os
+import pickle
+import tracemalloc
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ from hypothesis import strategies as st
 
 import repro.distributed.mpcomm as mpcomm
 from repro.distributed import spmd_run
+from repro.distributed.faults import FaultPlan
+from repro.distributed.netsim import NetworkModel, ThrottledCommunicator
 from repro.distributed.shuffle import exchange_edges
 from repro.errors import CommunicatorError
 
@@ -61,23 +66,10 @@ def test_small_and_nonarray_messages_still_pickle(tiny_threshold):
     assert spmd_run(fn, 2, backend="process") == [True, True]
 
 
-def test_zero_copy_disabled_sends_plain_arrays(tiny_threshold):
-    def fn(comm):
-        comm._zero_copy = False
-        if comm.rank == 0:
-            comm.send(_payload(1), dest=1)
-            return True
-        got = comm.recv(0)
-        # pickled copies arrive writeable
-        return np.array_equal(got, _payload(1)) and got.flags.writeable
-
-    assert spmd_run(fn, 2, backend="process") == [True, True]
-
-
-def test_received_array_outlives_communicator_and_arena():
+def test_received_array_outlives_communicator_and_arena(tiny_threshold):
     pipes = mpcomm.make_process_pipes(2)
-    sender = mpcomm.ProcessCommunicator(pipes, 0, 2, shm_min_bytes=1)
-    receiver = mpcomm.ProcessCommunicator(pipes, 1, 2, shm_min_bytes=1)
+    sender = mpcomm.ProcessCommunicator(pipes, 0, 2)
+    receiver = mpcomm.ProcessCommunicator(pipes, 1, 2)
     sender.send(_payload(3), 1)
     got = receiver.recv(0)
     arena_path = pipes.arena.path
@@ -87,6 +79,97 @@ def test_received_array_outlives_communicator_and_arena():
     gc.collect()
     assert not os.path.exists(arena_path)
     assert np.array_equal(got, _payload(3)) and not got.flags.writeable
+
+
+@pytest.fixture()
+def put_spy(monkeypatch):
+    """Bytes of every ``Arena.put``, recorded in the process that made it
+    (forked ranks inherit the patch and each fill their own copy)."""
+    puts = []
+    real_put = mpcomm.Arena.put
+
+    def put(self, buffers, rank):
+        buffers = list(buffers)
+        puts.append(sum(pickle.PickleBuffer(b).raw().nbytes for b in buffers))
+        return real_put(self, buffers, rank)
+
+    monkeypatch.setattr(mpcomm.Arena, "put", put)
+    return puts
+
+
+def _arena_files(comm):
+    """What is left in the world's arena once every rank got here."""
+    comm.barrier()
+    while not hasattr(comm, "_pipes"):
+        comm = comm.inner
+    return os.listdir(comm._pipes.arena.path)
+
+
+def _arrived(got, rank):
+    return np.array_equal(got, _payload(rank)) and not got.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "wrap",
+    [
+        partial(ThrottledCommunicator, model=NetworkModel(bandwidth=1e12)),
+        FaultPlan(dup_prob=1.0, fault_attempts=99).binder(),
+    ],
+    ids=["throttled", "duplicated"],
+)
+def test_wrapped_block_still_rides_the_arena(put_spy, wrap):
+    """A timestamp or a fault envelope around the block is part of the
+    pickle head; the block itself still crosses as an arena file."""
+    def fn(comm):
+        if comm.rank == 0:
+            comm.send(_payload(0), 1, tag=3)
+            comm.send(None, 1, tag=3)
+            return put_spy, _arena_files(comm)
+        got = comm.recv(0, tag=3)
+        # Under the duplicate plan this recv first takes and drops the
+        # block's second copy, so its file is gone too.
+        assert comm.recv(0, tag=3) is None
+        return _arrived(got, 0), _arena_files(comm)
+
+    (puts, left), (ok, left_too) = spmd_run(fn, 2, backend="process", wrap_comm=wrap)
+    assert ok and left == left_too == []
+    assert puts and set(puts) == {_payload(0).nbytes}
+
+
+def test_allgather_list_rides_the_arena(put_spy):
+    def fn(comm):
+        got = comm.allgather(_payload(comm.rank))
+        ok = all(_arrived(got[r], r) for r in range(comm.size) if r != comm.rank)
+        return ok, put_spy, _arena_files(comm)
+
+    results = spmd_run(fn, 3, backend="process")
+    assert [ok for ok, _, _ in results] == [True] * 3
+    assert [left for _, _, left in results] == [[]] * 3
+    one = _payload(0).nbytes
+    # gather leg: one block each; bcast leg: the whole list, to each peer.
+    assert [puts for _, puts, _ in results] == [[3 * one, 3 * one], [one], [one]]
+
+
+def test_no_payload_is_sniffed(put_spy):
+    """What is sent is what arrives -- the retired descriptor tuple included --
+    and nothing below the threshold touches the arena or comes back frozen."""
+    retired = ("__shm_ndarray__", "x", (1,), "<i8")
+    small = np.arange(16, dtype=np.int64)
+    sent = [retired, None, 7, -1, {"k": [1, 2]}, small, [small, (retired,)]]
+
+    def fn(comm):
+        if comm.rank == 0:
+            for obj in sent:
+                comm.send(obj, 1)
+            return put_spy
+        got = [comm.recv(0) for _ in sent]
+        assert got[:5] == sent[:5] and type(got[0]) is tuple
+        for arr in (got[5], got[6][0]):
+            assert np.array_equal(arr, small) and arr.flags.writeable
+        assert got[6][1] == (retired,)
+        return put_spy
+
+    assert spmd_run(fn, 2, backend="process") == [[], []]
 
 
 def test_exchange_edges_over_shared_memory(tiny_threshold):
@@ -112,51 +195,69 @@ def test_default_threshold_keeps_tiny_arrays_off_shm():
     assert spmd_run(fn, 2, backend="process") == [True, True]
 
 
+_BLOCK = np.arange(1 << 13, dtype=np.int64)  # SHM_MIN_BYTES exactly
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.one_of(
         st.sampled_from(["real", "", ".", "..", "../x", "/etc/passwd", "a/b",
-                         "x\0y", "missing", 7, None, b"real"]),
+                         "x\0y", "missing", 7, b"real"]),
         st.text(max_size=12),
     ),
-    shape=st.one_of(
-        st.lists(st.integers(-3, 40), max_size=3).map(tuple),
-        st.sampled_from([(24,), (4, 6), (48,), None, "ab", (2.5,), ((1, 2),)]),
+    parts=st.one_of(
+        st.lists(st.sampled_from([0, 1, 8, 1 << 15, 1 << 16, -1, -(1 << 16),
+                                  1 << 40, 1 << 70, 2.0, True, "8", None]),
+                 max_size=4),
+        st.sampled_from([None, 1 << 16, (1 << 16,), "ab", b"\0" * 8, {1 << 16: 0},
+                         [[1 << 16]], [1 << 16, [0]]]),
     ),
-    dtype=st.sampled_from(["<i8", "<f4", "|u1", "O", "|S3", "<U2", "bogus", 5]),
 )
-@example(name="real", shape=(4, 6), dtype="<i8")
-@example(name="real", shape=(4, 6), dtype="<i4")
-def test_hostile_descriptor_fails_closed(name, shape, dtype):
-    """A descriptor is a peer's word: a name that is not a bare file in this
-    arena, or a file of any size but shape x itemsize, maps nothing."""
+@example(name="real", parts=[1 << 16])
+@example(name="real", parts=[1 << 15, 0, 1 << 15])
+@example(name="real", parts=[(1 << 16) - 1])
+@example(name="real", parts=[1 << 17, -(1 << 16)])
+@example(name="real", parts=[float(1 << 16)])
+def test_hostile_descriptor_fails_closed(name, parts):
+    """``(name, parts)`` is a peer's word: a name that is not a bare file in
+    this arena, sizes that are not a list of non-negative ints, or a file of
+    any size but their sum, maps nothing and allocates next to nothing."""
     pipes = mpcomm.make_process_pipes(2)
     arena = pipes.arena
     try:
-        sender = mpcomm.ProcessCommunicator(pipes, 0, 2, shm_min_bytes=1)
+        sender = mpcomm.ProcessCommunicator(pipes, 0, 2)
         receiver = mpcomm.ProcessCommunicator(pipes, 1, 2)
-        real = np.arange(24, dtype=np.int64)
-        sender.send(real, 1)
+        sender.send(_BLOCK, 1)
         (real_name,) = os.listdir(arena.path)
-        tag, genuine = pipes[0][1].get(timeout=5)
-        assert genuine == (mpcomm._SHM_TAG, real_name, (24,), "<i8")
+        tag, head, genuine_name, genuine_parts = pipes[0][1].get(timeout=5)
+        assert (genuine_name, genuine_parts) == (real_name, [_BLOCK.nbytes])
         if name == "real":
             name = real_name
-        try:
-            fits = (
-                name == real_name
-                and not np.dtype(dtype).hasobject
-                and all(isinstance(n, int) and n >= 0 for n in shape)
-                and math.prod(shape) * np.dtype(dtype).itemsize == real.nbytes
-            )
-        except TypeError:
-            fits = False
-        pipes[0][1].put((tag, (mpcomm._SHM_TAG, name, shape, dtype)))
-        if fits:
-            assert receiver.recv(0).tobytes() == real.tobytes()
-        else:
-            with pytest.raises(CommunicatorError):
-                receiver.recv(0)
+        fits = (
+            name == real_name
+            and isinstance(parts, list)
+            and all(type(n) is int and n >= 0 for n in parts)
+            and sum(parts) == _BLOCK.nbytes
+        )
+        pipes[0][1].put((tag, head, name, parts))
+        with mock.patch.object(mpcomm.mmap, "mmap", wraps=mmap.mmap) as mapped:
+            tracemalloc.start()
+            try:
+                if fits and parts[0] == _BLOCK.nbytes:
+                    assert receiver.recv(0).tobytes() == _BLOCK.tobytes()
+                elif fits:
+                    # The right file cut at the wrong places: mapped, then
+                    # the head's own unpickling fails, as itself.
+                    with pytest.raises(ValueError, match="cannot reshape"):
+                        receiver.recv(0)
+                else:
+                    with pytest.raises(CommunicatorError):
+                        receiver.recv(0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert mapped.call_count == int(fits)
+        assert peak <= 1 << 20
     finally:
         arena.remove()
 

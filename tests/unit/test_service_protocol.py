@@ -2,7 +2,9 @@
 
 import asyncio
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -17,6 +19,7 @@ from repro.errors import (
 from repro.service.protocol import (
     HTTPRequest,
     error_payload,
+    int_ids,
     read_request,
     render_response,
     status_of,
@@ -99,6 +102,11 @@ class TestReadRequest:
         with pytest.raises(RequestError):
             r.json()
 
+    def test_bottomless_json_body(self):
+        r = parse(req(body=b"[" * 100_000))
+        with pytest.raises(RequestError, match="not valid JSON"):
+            r.json()
+
     def test_empty_body_json_is_empty_object(self):
         assert parse(req()).json() == {}
 
@@ -179,3 +187,45 @@ class TestHTTPRequest:
     def test_keep_alive_case_insensitive(self):
         r = HTTPRequest("GET", "/", {"connection": "Close"})
         assert not r.keep_alive
+
+
+class TestIntIds:
+    def test_shapes_and_dtype(self):
+        flat = int_ids([3, 0, 2**63 - 1, -(2**63)], "v")
+        assert flat.dtype == np.int64
+        assert flat.tolist() == [3, 0, 2**63 - 1, -(2**63)]
+        pairs = int_ids([[0, 1], [2, 3]], "p", 2)
+        assert pairs.dtype == np.int64 and pairs.tolist() == [[0, 1], [2, 3]]
+        assert int_ids([], "v").shape == (0,)
+        assert int_ids([], "p", 2).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "value, width",
+        [
+            (None, 1), ({"0": 1}, 1), ("12", 1), (7, 1),
+            ([1.0], 1), ([1.7], 1), (["1"], 1), ([True], 1), ([None], 1),
+            ([[1]], 1), ([1, [2]], 1), ([2**63], 1), ([-(2**63) - 1], 1),
+            ([1, 2, 3, 4], 2), ([[1, 2, 3]], 2), ([[1], [2, 3, 4]], 2),
+            ([[1, 2], 3], 2), ([[1, 2.0]], 2), ([[1, [2]]], 2), (["ab"], 2),
+            ([{"a": 1, "b": 2}], 2), ([[1, 2], None], 2), ([[1, 2**64]], 2),
+        ],
+    )
+    def test_everything_else_is_a_400_with_context(self, value, width):
+        with pytest.raises(RequestError, match="'ids' must be a list of") as err:
+            int_ids(value, "'ids'", width, params={"k": 1})
+        assert err.value.http_status == 400
+        assert err.value.context() == {"params": {"k": 1}}
+
+    def test_strings_are_refused_before_numpy_sizes_an_array_by_them(self):
+        # np.asarray without a dtype would make this k * 4 * len(longest).
+        hostile = ["a"] * 50_000 + ["b" * 1_000_000]
+        tracemalloc.start()
+        try:
+            with pytest.raises(RequestError):
+                int_ids(hostile, "v")
+            with pytest.raises(RequestError):
+                int_ids([[s, 0] for s in hostile], "p", 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20

@@ -173,6 +173,20 @@ class TestRegistration:
 
         serve(go)
 
+    @pytest.mark.parametrize(
+        "edges",
+        # The first used to register two edges; the next two were 500s.
+        [[0, 1, 2, 3], [[0, 1, 2]], ["x"], [[0.5, 1]], [[0, True]], "nope"],
+    )
+    def test_bad_factor_edges_are_400(self, edges):
+        async def go(service, client):
+            status, err = await client.request(
+                "POST", "/v1/tenants/t/factors", {"edges": edges}
+            )
+            assert (status, err["error"]) == (400, "bad_request")
+
+        serve(go)
+
     def test_incomplete_registration_is_400(self):
         async def go(service, client):
             status, err = await client.request(
@@ -267,6 +281,15 @@ class TestQueries:
             {"pairs": [[-1, 0]]},
             {"pairs": [["a", "b"]]},
             {"vertices": [0]},  # wrong field name
+            # Used to be answered as (1, 2), (1, 2), (1, 0) and (1, 2):
+            {"pairs": [[1.7, 2.2]]},
+            {"pairs": [[1.0, 2.0]]},
+            {"pairs": [[True, 0]]},
+            {"pairs": [["1", "2"]]},
+            {"pairs": [0, 1, 2, 3]},
+            {"pairs": [[0, 1], [2]]},
+            {"pairs": [[0, [1]]]},
+            {"pairs": [[2**63, 0]]},
         ],
     )
     def test_bad_edge_batches_are_400(self, body):
@@ -277,6 +300,21 @@ class TestQueries:
             )
             assert status == 400
             assert err["error"] == "bad_request"
+
+        serve(go)
+
+    @pytest.mark.parametrize(
+        "vertices", ["nope", [0.0], [1.5], ["x"], [[0]], [None], [False], [-1], [99]]
+    )
+    def test_bad_vertex_batches_are_400(self, vertices):
+        async def go(service, client):
+            doc = await register_default_graph(client)
+            status, err = await client.request(
+                "POST",
+                f"/v1/tenants/t/graphs/{doc['graph']}/degrees",
+                {"vertices": vertices},
+            )
+            assert (status, err["error"]) == (400, "bad_request")
 
         serve(go)
 
@@ -391,6 +429,19 @@ class TestAnalytics:
             status, err = await client.request("POST", path, {})
             assert status == 422
             assert err["error"] == "assumption_violated"
+
+        serve(go)
+
+    @pytest.mark.parametrize("set_a", [["x"], [0.5], [[0]], [True], [], [99]])
+    def test_bad_community_sets_are_400(self, set_a):
+        async def go(service, client):
+            doc = await register_default_graph(client)
+            status, err = await client.request(
+                "POST",
+                f"/v1/tenants/t/graphs/{doc['graph']}/analytics/community",
+                {"params": {"set_a": set_a, "set_b": [0, 1]}},
+            )
+            assert (status, err["error"]) == (400, "bad_request")
 
         serve(go)
 

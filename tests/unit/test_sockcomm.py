@@ -33,6 +33,7 @@ from repro.distributed.sockcomm import (
     parse_hostport,
 )
 from repro.errors import CommunicatorError, DegradationWarning, RankDiedError
+from repro.telemetry.session import RankTelemetry, TelemetryConfig
 
 
 @pytest.fixture(autouse=True)
@@ -121,6 +122,22 @@ class TestSelfHealing:
             + world3[2].sock_counters.disconnects
             >= 1
         )
+
+    def test_harvest_counts_a_heal_still_in_flight(self, world3):
+        # Rank 2 owns the re-dial to rank 0 and needs nothing more from it
+        # (the chaos cell ``sock-disc-r3-op0``, when rank 0's data won the
+        # race): what it reports must not depend on its heal thread having
+        # run yet.  The wrapper stands for a rank's whole wrapper stack.
+        comm = FaultyCommunicator(world3[2], FaultPlan())
+        comm.inject_disconnect(0)
+        tel = RankTelemetry(TelemetryConfig(), rank=2)
+        try:
+            tel.harvest_sock_counters(comm)
+        finally:
+            tel.close()
+        counters = tel.metrics.snapshot()["counters"]
+        assert counters["sock.reconnects"] == counters["sock.disconnects"] == 1
+        assert not world3[2]._peers[0].healing
 
     def test_heartbeat_acks_prune_replay(self, world3):
         for i in range(4):

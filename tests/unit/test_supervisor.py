@@ -356,9 +356,10 @@ class TestDegradation:
 
     def test_shm_failure_falls_back_to_pickle(self, monkeypatch):
         _fill_tmpfs_after(monkeypatch, 100)
+        monkeypatch.setattr(mpcomm, "SHM_MIN_BYTES", 8)
         pipes = mpcomm.make_process_pipes(2)
-        sender = mpcomm.ProcessCommunicator(pipes, 0, 2, shm_min_bytes=8)
-        receiver = mpcomm.ProcessCommunicator(pipes, 1, 2, shm_min_bytes=8)
+        sender = mpcomm.ProcessCommunicator(pipes, 0, 2)
+        receiver = mpcomm.ProcessCommunicator(pipes, 1, 2)
         payload = np.arange(64, dtype=np.int64)
         with pytest.warns(DegradationWarning, match="pickled") as caught:
             sender.send(payload, 1)
