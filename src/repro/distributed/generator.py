@@ -15,14 +15,22 @@ One :class:`GenerationPlan` describes a run; one rank program,
 The loop is the same for every plan::
 
     round source -> [SKG acceptor] -> per-owner buckets -> exchange -> store
+    `--------- per chunk, inside "generate" ----------'
 
-*Round source.*  Under ``source_block`` storage the routed kernels of
-:mod:`repro.kronecker.product` emit every round *pre-bucketed by owner*:
-owner assignment is computed analytically from the product index
-structure, so no product-sized sort or scatter happens at all.  Under
-``edge_hash`` the round is expanded densely and bucketed with the
-sort-free counting scatter.  With nothing to exchange (``storage=None``
-or a single rank) the rank is the sole owner and the round is kept whole.
+*Round source.*  Both storage maps arrive *pre-bucketed by owner*: a piece
+of a round is always one block per owner.  Under ``source_block`` the
+routed kernels of :mod:`repro.kronecker.product` compute the owner
+analytically from the product index structure, so no product-sized sort
+or scatter happens at all.  Under ``edge_hash`` every dense chunk is
+hashed (:mod:`repro.util.hashing`, one cache-resident tile at a time) and
+counting-scattered where it is produced -- a ``route`` span per chunk,
+nested in the round's ``generate`` span -- so the only product-sized
+arrays a rank ever holds are the scattered chunks and their per-owner
+stack; per-chunk stable scatters concatenated in chunk order are row for
+row the scatter of the whole round, so shard contents and digests do not
+depend on where the bucketing happens.  With nothing to exchange
+(``storage=None`` or a single rank) the rank is the sole owner and the
+round is kept whole, written chunk by chunk into one preallocated block.
 
 *Acceptor.*  The stochastic Kronecker tier (:mod:`repro.skg`) is the same
 program with ``plan.skg`` set: the factors enumerate the *candidate* space
@@ -138,6 +146,14 @@ class GenerationPlan:
             raise PartitionError(
                 f"unknown storage {self.storage!r}; use None, "
                 f"'source_block', or 'edge_hash'"
+            )
+        if (
+            not isinstance(self.chunk_size, int)
+            or isinstance(self.chunk_size, bool)
+            or self.chunk_size < 1
+        ):
+            raise PartitionError(
+                f"chunk_size must be an int >= 1, got {self.chunk_size!r}"
             )
         if self.pipeline not in _PIPELINES:
             raise PartitionError(
@@ -262,27 +278,55 @@ def _stack(blocks: list[np.ndarray]) -> np.ndarray:
 
 
 def _pieces(
-    plan: GenerationPlan, cells: Cells, routed: bool, nparts: int, n_c: int
+    plan: GenerationPlan,
+    cells: Cells,
+    routed: bool,
+    nparts: int,
+    n_c: int,
+    acceptor,
+    tel,
 ) -> Iterator[list[np.ndarray]]:
-    """Candidate pieces of this rank's cells, in generation order.
+    """Accepted pieces of this rank's cells, in generation order.
 
-    A piece is a list of blocks, one per bucket column: ``nparts``
-    analytically routed blocks under ``routed``, else one dense block.
+    A piece is a list of ``nparts`` blocks, one per owner -- the shape the
+    exchange takes.  Under ``routed`` the kernels emit it analytically;
+    otherwise each dense chunk is hashed and counting-scattered where it
+    is produced (the ``route`` span, which therefore nests inside the
+    caller's ``generate`` span), while that chunk is the only
+    product-sized thing alive.  Stable per-chunk scatters concatenated in
+    chunk order are row for row the stable scatter of the whole round.
+    With a single owner the dense chunk is the piece.
+
     Streaming plans make a round of every piece, batch plans of all of
     them -- which is why the routed batch kernel emits a whole cell as one
     exactly-sized piece while the dense one streams bounded chunks.
     """
     chunk = plan.chunk_size
+
+    def accept(block: np.ndarray) -> np.ndarray:
+        return block if acceptor is None else acceptor.filter_edges(block)
+
+    def route(block: np.ndarray) -> list[np.ndarray]:
+        if nparts == 1:
+            return [block]
+        with tel.span("route", cat="phase", method="scatter"):
+            return bucket_edges(
+                block, nparts, scheme=plan.effective_storage, n=n_c,
+                method="scatter",
+            )
+
     for part_a, part_b in cells:
         if not routed:
             for block in iter_kron_product(part_a, part_b, chunk):
-                yield [block]
+                yield route(accept(block))
         elif plan.streams:
-            yield from iter_kron_product_routed(
+            for piece in iter_kron_product_routed(
                 part_a, part_b, nparts, n_c, chunk
-            )
+            ):
+                yield [accept(block) for block in piece]
         else:
-            yield kron_routed_full(part_a, part_b, nparts, n_c, chunk)
+            piece = kron_routed_full(part_a, part_b, nparts, n_c, chunk)
+            yield [accept(block) for block in piece]
 
 
 def _collect(
@@ -291,9 +335,10 @@ def _collect(
     """Column-wise concatenation of ``pieces`` into ``width`` blocks.
 
     ``total`` is the exact row count of a single-column round when it is
-    known up front (exact model, dense batch expansion): the output is then
-    allocated once and every piece written into its slice, so peak memory
-    is the output plus one chunk rather than twice the output.
+    known up front (exact model, dense batch expansion, nothing
+    exchanged): the output is then allocated once and every piece written
+    into its slice, so peak memory is the output plus one chunk rather
+    than twice the output.
     """
     if total is not None:
         out = np.empty((total, 2), dtype=np.int64)
@@ -347,16 +392,12 @@ def generate_rank(
     routed = exchanging and storage == "source_block"
     n_c = my_cells[0][0].n * my_cells[0][1].n if my_cells else 0
 
-    pieces = _pieces(plan, my_cells, routed, nparts, n_c)
     acceptor = None
     if plan.skg is not None:
         from repro.skg.sample import SKGAcceptor  # lazy: see GenerationPlan
 
         acceptor = SKGAcceptor(plan.skg)
-        pieces = (
-            [acceptor.filter_edges(block) for block in piece]
-            for piece in pieces
-        )
+    pieces = _pieces(plan, my_cells, routed, nparts, n_c, acceptor, tel)
 
     per_round = None
     rounds = 1
@@ -370,24 +411,18 @@ def generate_rank(
         )
         if exchanging:
             rounds = comm.allreduce(rounds, max)
-    elif not routed and acceptor is None:
+    elif not exchanging and acceptor is None:
         dense_total = sum(a.m_directed * b.m_directed for a, b in my_cells)
 
     def produce(rnd: int) -> list[np.ndarray]:
         """One round's per-owner buckets: generate, accept, bucket."""
         with tel.span("generate", cat="phase", round=rnd):
             blocks = _collect(islice(pieces, per_round), nparts, dense_total)
-        if exchanging:
+        if routed:
             # Routed blocks left the kernel already split by owner; the
             # trace shows that degenerate route phase on purpose.
-            with tel.span(
-                "route", cat="phase", method="fused" if routed else "scatter"
-            ):
-                if not routed:
-                    blocks = bucket_edges(
-                        blocks[0], nparts, scheme=storage, n=n_c,
-                        method="scatter",
-                    )
+            with tel.span("route", cat="phase", method="fused"):
+                pass
         return blocks
 
     stored: list[np.ndarray] = []

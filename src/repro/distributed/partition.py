@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.edgelist import EdgeList
-from repro.util.hashing import hash_pair
+from repro.util.hashing import EdgeHasher
 
 __all__ = [
     "partition_edges_1d",
@@ -115,15 +115,16 @@ def vertex_block_bounds(n: int, nparts: int) -> np.ndarray:
 
 
 def owners_by_edge_hash(
-    edges: np.ndarray, nparts: int, seed: int = 0
+    edges: np.ndarray, nparts: int, seed: int = 0, dtype=np.int64
 ) -> np.ndarray:
     """Hash map: edge ``(u, v)`` is owned by ``hash(u, v) % nparts``.
 
     Symmetric (direction-independent) so both directions of an undirected
-    edge land on the same owner.
+    edge land on the same owner.  The body is
+    :meth:`repro.util.hashing.EdgeHasher.owner`; callers get ``int64``
+    owners, and only the counting scatter passes its narrow key ``dtype``.
     """
     if nparts < 1:
         raise PartitionError(f"nparts must be >= 1, got {nparts}")
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    h = hash_pair(e[:, 0], e[:, 1], seed)
-    return (h % np.uint64(nparts)).astype(np.int64)
+    return EdgeHasher(seed).owner(e[:, 0], e[:, 1], nparts, dtype)

@@ -14,7 +14,13 @@ Two bucketing kernels are provided:
     a radix/counting sort -- O(m + nparts) instead of the O(m log m)
     comparison argsort.  On a 1M-edge block with 8 owners this is ~3x the
     argsort (see ``benchmarks/bench_kernels.py``).  The generator only
-    ever uses this one.
+    ever uses this one, and under ``edge_hash`` it calls it once per dense
+    chunk, where the chunk is produced: the hash map
+    (:meth:`repro.util.hashing.EdgeHasher.owner`, tile by tile) writes the
+    narrow sort key directly, so neither a product-sized ``int64`` owner
+    array nor a product-sized copy of the round exists on the routing
+    path.  A stable scatter per chunk, concatenated in chunk order, is row
+    for row the stable scatter of the whole round.
 ``method="argsort"``:
     the stable comparison sort, kept as the kernel-level reference the
     property tests and ``bench_kernels.py`` compare the scatter against.
@@ -101,7 +107,8 @@ def counting_scatter(
     Returned buckets are views into one backing array -- treat them as
     read-only, like buffers received from :meth:`Communicator.alltoall`.
     """
-    order = np.argsort(owners.astype(_owner_sort_dtype(nparts)), kind="stable")
+    keys = owners.astype(_owner_sort_dtype(nparts), copy=False)
+    order = np.argsort(keys, kind="stable")
     sorted_rows = _gather_rows(rows, order)
     counts = np.bincount(owners, minlength=nparts)
     bounds = np.concatenate(([0], np.cumsum(counts)))
@@ -128,12 +135,18 @@ def edge_owners(
         owner is ``hash(u, v) % nparts`` -- load-balanced, direction
         independent.
     """
+    return _owners(edges, nparts, scheme, n, seed, np.int64)
+
+
+def _owners(edges, nparts, scheme, n, seed, dtype) -> np.ndarray:
+    """:func:`edge_owners` in ``dtype``: the hash map writes the scatter's
+    narrow key directly instead of an ``int64`` array to narrow later."""
     if scheme == "source_block":
         if n is None:
             raise ValueError("source_block scheme requires the vertex count n")
         return owners_by_vertex_block(edges[:, 0], n, nparts)
     if scheme == "edge_hash":
-        return owners_by_edge_hash(edges, nparts, seed)
+        return owners_by_edge_hash(edges, nparts, seed, dtype)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -153,7 +166,8 @@ def bucket_edges(
     contents in identical row order.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    owners = edge_owners(edges, nparts, scheme=scheme, n=n, seed=seed)
+    key = _owner_sort_dtype(nparts) if method == "scatter" else np.int64
+    owners = _owners(edges, nparts, scheme, n, seed, key)
     if method == "scatter":
         return counting_scatter(edges, owners, nparts)
     if method == "argsort":

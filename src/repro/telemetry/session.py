@@ -417,7 +417,12 @@ class TelemetrySession:
         }
 
     def span_totals(self) -> dict[str, dict[str, float]]:
-        """Total duration and count per span name across all ranks."""
+        """Total duration and count per span name across all ranks.
+
+        Durations are inclusive: a span nested in another (``route`` inside
+        ``generate`` under ``edge_hash`` storage) is counted under both
+        names, so totals of different names must not be added up.
+        """
         totals: dict[str, dict[str, float]] = {}
         for snap in self.ranks:
             for event in snap.events:

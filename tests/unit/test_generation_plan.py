@@ -65,6 +65,41 @@ class TestValidation:
         with pytest.raises(PartitionError, match=match):
             GenerationPlan(**kwargs)
 
+    @pytest.mark.parametrize("chunk_size", [0, -1, 1.5, True, "64", None])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            {},  # default routed plan: used to run to "exact" with 0
+            {"scheme": "2d", "storage": "edge_hash"},
+            {"scheme": "1d-pipelined", "storage": "edge_hash"},
+        ],
+    )
+    def test_chunk_size_must_be_a_positive_int(self, chunk_size, shape):
+        with pytest.raises(
+            PartitionError, match="chunk_size must be an int >= 1, got"
+        ):
+            GenerationPlan(chunk_size=chunk_size, **shape)
+
+    def test_bad_chunk_size_never_reaches_a_rank(self, capsys):
+        """Rejected where the plan is built: no world is spawned (so a
+        supervised runner has nothing to retry) and the CLI exits 2."""
+        from repro.cli import main
+
+        a, b = clique(3), cycle(4)
+
+        def runner(*args, **kwargs):
+            raise AssertionError("a rank world was launched")
+
+        for chunk_size in (0, -1, 1.5, True):
+            with pytest.raises(PartitionError, match="chunk_size"):
+                generate_distributed(
+                    a, b, 2, storage="edge_hash", chunk_size=chunk_size,
+                    runner=runner,
+                )
+        assert GenerationPlan(chunk_size=1).chunk_size == 1
+        assert main(["trace", "--chunk-size", "0", "--out", "unused.json"]) == 2
+        assert "chunk_size must be an int >= 1, got 0" in capsys.readouterr().err
+
     def test_drivers_validate_through_the_plan(self):
         a, b = clique(3), cycle(4)
         with pytest.raises(PartitionError, match="unknown scheme"):

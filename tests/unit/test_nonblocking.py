@@ -91,8 +91,11 @@ def _blocking_alltoall_arrays(comm):
 
 def _timed_throttled_exchange(comm):
     payload = [np.zeros(1 << 12, dtype=np.int64)] * comm.size  # 32 KB each
-    comm.barrier()
+    # Clock first, barrier second: no peer stamps a send before every rank
+    # has entered the barrier, so ``elapsed`` covers a whole wire time even
+    # if this thread is descheduled on its way out of the barrier.
     t0 = perf_clock()
+    comm.barrier()
     out = comm.alltoall(list(payload))
     elapsed = perf_clock() - t0
     ok = all(np.array_equal(x, payload[0]) for x in out)
