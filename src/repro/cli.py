@@ -11,7 +11,7 @@ Kronecker graph", plus ground-truth and validation commands::
     repro-kron validate    A.txt B.txt            # formula-vs-direct checks
     repro-kron scaling-table A.txt B.txt          # the Section-I table
     repro-kron experiments                        # full E1-E8 + ablations
-    repro-kron lint src --baseline lint-baseline.json   # SPMD static analysis
+    repro-kron lint src benchmarks examples       # SPMD static analysis
     repro-kron chaos --ranks 4 --seed 0           # seeded fault-injection matrix
     repro-kron trace --ranks 8 --out trace.json   # traced generation (Perfetto)
     repro-kron serve-rendezvous --port 9310       # roster server for --backend socket

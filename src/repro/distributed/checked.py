@@ -26,8 +26,12 @@ Enabling it
 
 The sentinel serializes ranks at each collective boundary (that is the
 point: it makes the ordering observable), so it is a debugging mode, not
-a production path.  Point-to-point ``send``/``recv`` are deliberately not
-fingerprinted -- rank-asymmetric p2p is the normal SPMD idiom.
+a production path.  A rank waits half of :func:`recv_timeout` for a
+peer's fingerprint -- 30 s at the default -- so ``REPRO_RECV_TIMEOUT``
+rescales the sentinel with every other wait and its divergence
+diagnostic still lands before a peer's plain recv times out.
+Point-to-point ``send``/``recv`` are deliberately not fingerprinted --
+rank-asymmetric p2p is the normal SPMD idiom.
 
 The side channel is in-process shared state, so checked mode covers the
 ``thread`` backend; the fork-based process and socket backends would
@@ -46,6 +50,7 @@ from repro.distributed.comm import (
     Communicator,
     DelegatingCommunicator,
     Request,
+    recv_timeout,
 )
 from repro.errors import CollectiveOrderError
 
@@ -53,17 +58,10 @@ __all__ = [
     "CheckedCommunicator",
     "SentinelLedger",
     "checked_env_enabled",
-    "sentinel_timeout",
 ]
 
 #: Environment variable turning checked mode on for thread worlds.
 CHECK_ENV = "REPRO_CHECK_COLLECTIVES"
-
-#: Environment variable bounding how long a rank waits for peers to
-#: announce their next collective before declaring divergence-by-absence.
-TIMEOUT_ENV = "REPRO_SENTINEL_TIMEOUT"
-
-_DEFAULT_TIMEOUT = 30.0
 
 
 def checked_env_enabled() -> bool:
@@ -71,17 +69,6 @@ def checked_env_enabled() -> bool:
     return os.environ.get(CHECK_ENV, "").strip().lower() in (
         "1", "true", "yes", "on",
     )
-
-
-def sentinel_timeout() -> float:
-    """Seconds to wait for a peer's fingerprint (env-overridable)."""
-    raw = os.environ.get(TIMEOUT_ENV)
-    if raw is None:
-        return _DEFAULT_TIMEOUT
-    try:
-        return float(raw)
-    except ValueError:
-        return _DEFAULT_TIMEOUT
 
 
 class SentinelLedger:
@@ -159,16 +146,9 @@ class CheckedCommunicator(DelegatingCommunicator):
     collective is fingerprinted exactly once.
     """
 
-    def __init__(
-        self,
-        inner: Communicator,
-        ledger: SentinelLedger,
-        *,
-        timeout: float | None = None,
-    ) -> None:
+    def __init__(self, inner: Communicator, ledger: SentinelLedger) -> None:
         super().__init__(inner)
         self._ledger = ledger
-        self._timeout = timeout
         self._seq = 0
 
     # ---- sentinel core ---------------------------------------------------
@@ -182,7 +162,7 @@ class CheckedCommunicator(DelegatingCommunicator):
         site = _call_site()
         mine = (op, site)
         self._ledger.post(self.rank, seq, mine)
-        timeout = self._timeout if self._timeout is not None else sentinel_timeout()
+        timeout = recv_timeout() / 2
         for peer in range(self.size):
             if peer == self.rank:
                 continue

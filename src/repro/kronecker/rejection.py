@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.graph.edgelist import EdgeList
 from repro.kronecker.lazy import KroneckerGraph
-from repro.util.hashing import EdgeHasher
+from repro.util.hashing import edge_uniform
 from repro.util.validation import check_probability
 
 __all__ = ["RejectionFamily", "expected_vertex_triangles", "expected_edge_triangles"]
@@ -64,14 +64,17 @@ class RejectionFamily:
         directed: bool = False,
     ) -> None:
         self._graph = graph
-        self.hasher = EdgeHasher(seed, directed=directed)
+        self.seed = int(seed)
+        self.directed = bool(directed)
 
     # ------------------------------------------------------------------ #
     # per-edge machinery
     # ------------------------------------------------------------------ #
     def edge_hashes(self, edges: np.ndarray) -> np.ndarray:
         """Deterministic uniforms for the given ``(m, 2)`` edge block."""
-        return self.hasher.uniform(edges[:, 0], edges[:, 1])
+        return edge_uniform(
+            edges[:, 0], edges[:, 1], self.seed, directed=self.directed
+        )
 
     def survives(self, edges: np.ndarray, nu: float) -> np.ndarray:
         """Boolean survival mask of an edge block at threshold ``nu``."""
@@ -144,7 +147,8 @@ class RejectionFamily:
         enumeration of ``G_C``'s triangles count triangles of every family
         member simultaneously.
         """
-        h12 = self.hasher.uniform(p1, p2)
-        h13 = self.hasher.uniform(p1, p3)
-        h23 = self.hasher.uniform(p2, p3)
+        h12, h13, h23 = (
+            edge_uniform(u, v, self.seed, directed=self.directed)
+            for u, v in ((p1, p2), (p1, p3), (p2, p3))
+        )
         return np.maximum(np.maximum(h12, h13), h23)

@@ -23,21 +23,14 @@ per-function comm summaries (:mod:`repro.lint.callgraph`), and the
 protocol rules that interpret it, same-function and interprocedural
 alike (:mod:`repro.lint.rules.protocol`) -- one driver
 (:mod:`repro.lint.engine`), per-line ``# repro-lint: disable=RULE``
-suppressions, a checked-in findings baseline
-(:mod:`repro.lint.baseline`) so CI fails only on *new* findings, and
-human/JSON/SARIF reporters behind ``python -m repro.lint``
-(:mod:`repro.lint.cli`).
+suppressions (the one way to accept a finding), and human/JSON/SARIF
+reporters behind ``python -m repro.lint`` (:mod:`repro.lint.cli`).
 
 The dynamic companion -- the runtime collective-order sentinel that turns
 a would-be deadlock into a diagnostic naming both divergent call sites --
 lives in :mod:`repro.distributed.checked`.
 """
 
-from repro.lint.baseline import (
-    filter_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.core import (
     Finding,
     LintContext,
@@ -71,9 +64,6 @@ __all__ = [
     "register_program",
     "lint_source",
     "analyze_paths",
-    "load_baseline",
-    "write_baseline",
-    "filter_baseline",
     "CollectiveSymmetryRule",
     "BufferOwnershipRule",
     "DtypeOverflowRule",

@@ -1,6 +1,6 @@
 """Command-line driver: ``python -m repro.lint [paths...]``.
 
-Exit codes: ``0`` clean (after suppressions and baseline), ``1`` findings
+Exit codes: ``0`` clean (after suppressions), ``1`` findings
 reported, ``2`` usage or internal error -- the semantics CI keys off.
 The same arguments are mounted as the ``repro-kron lint`` subcommand by
 :mod:`repro.cli`.
@@ -8,7 +8,7 @@ The same arguments are mounted as the ``repro-kron lint`` subcommand by
 Runs :func:`repro.lint.engine.analyze_paths`: the file rules plus the
 program rules over the communication IR of every file given.
 ``--sarif FILE`` additionally writes a SARIF 2.1.0 report of the
-post-baseline findings for CI code-scanning upload.
+findings for CI code-scanning upload.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import json
 import sys
 
-from repro.lint.baseline import filter_baseline, load_baseline, write_baseline
 from repro.lint.core import Finding, all_program_rules, all_rules
 from repro.lint.engine import analyze_paths
 
@@ -39,16 +38,8 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         dest="output_format", help="report format",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="suppress findings fingerprinted in this baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline", default=None, metavar="FILE",
-        help="write current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--sarif", default=None, metavar="FILE",
-        help="also write findings (after baseline filtering) as SARIF 2.1.0",
+        help="also write findings as SARIF 2.1.0",
     )
     parser.add_argument(
         "--list-rules", action="store_true",
@@ -99,17 +90,6 @@ def run_lint(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        count = write_baseline(args.write_baseline, findings)
-        print(f"wrote {count} fingerprint(s) to {args.write_baseline}")
-        return 0
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        findings = filter_baseline(findings, baseline)
     if getattr(args, "sarif", None):
         from repro.lint.sarif import write_sarif
 

@@ -61,9 +61,9 @@ class Finding:
     """One diagnostic produced by a rule.
 
     ``snippet`` is the stripped source line the finding anchors to and
-    ``context`` its nearest non-blank neighbour lines; the baseline
-    fingerprints findings by ``(rule, snippet, context, occurrence)`` so
-    they survive unrelated line drift *and* file moves.
+    ``context`` its nearest non-blank neighbour lines; SARIF fingerprints
+    findings by ``(rule, snippet, context, occurrence)`` so they survive
+    unrelated line drift *and* file moves (:mod:`repro.lint.sarif`).
     """
 
     rule: str
@@ -114,7 +114,7 @@ class LintContext:
     def context_of(self, line: int) -> str:
         """Nearest non-blank neighbour lines of ``line``.
 
-        This is the *content context* baseline fingerprints mix in: it
+        This is the *content context* SARIF fingerprints mix in: it
         pins a finding to its surroundings rather than its file path, so
         fingerprints survive file moves but not edits to the code around
         the finding.
@@ -203,8 +203,8 @@ class ProgramRule(ABC):
     :class:`repro.lint.callgraph.Program` built from the per-file
     communication IR (:mod:`repro.lint.ir`), so it can follow collective
     sequences and request lifetimes across function and module
-    boundaries.  Program rules share the suppression, baseline, and
-    ``--select`` machinery with file rules.
+    boundaries.  Program rules share the suppression and ``--select``
+    machinery with file rules.
     """
 
     name: str = ""

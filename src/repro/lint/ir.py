@@ -12,7 +12,8 @@ recording only the events the protocol checker cares about:
   arguments), so :mod:`repro.lint.callgraph` can stitch summaries
   together;
 * name binding events that matter for request/buffer tracking (aliases,
-  rebinding, ``x = None``) and in-place mutations;
+  rebinding, ``x = None``, names bound to a received buffer) and in-place
+  mutations;
 * control flow (if/loop/try, returns and raises) with each node's
   *rank-guard context* -- ``"all"`` (every rank executes this),
   ``"guarded"`` (under a rank-dependent test), or ``"divergent"``
@@ -37,6 +38,7 @@ from repro.lint.ops import (
     FINISH_OPS,
     INFLIGHT_OPS,
     MUTATOR_METHODS,
+    RECEIVING_OPS,
     attr_chain,
     base_name,
     call_method,
@@ -81,13 +83,20 @@ class _Node:
 class OpNode(_Node):
     """A comm-op call site.
 
-    ``kind`` is ``"collective"`` / ``"start"`` / ``"finish"``; ``op`` the
-    method name.  For starts, ``buffers`` holds the root names of the
-    buffer argument, ``binds`` the names the returned request is bound
-    to (possibly dotted ``self.X``), and ``escape`` how the request
+    ``kind`` is ``"collective"`` / ``"start"`` / ``"finish"`` / ``"recv"``;
+    ``op`` the method name.  For starts, ``buffers`` holds the root names
+    of the buffer argument, ``binds`` the names the returned request is
+    bound to (possibly dotted ``self.X``), and ``escape`` how the request
     leaves if unbound (``"return"``, ``"nested"``, or ``None`` for a
     plain discarded expression).  For finishes, ``request`` names the
     completed request (dotted for attributes).
+
+    A ``recv`` node follows the statement that binds ``binds`` to a
+    received buffer: the result of the receiving op ``op``
+    (``ops.RECEIVING_OPS``), or -- with ``op`` empty -- an item of a loop
+    over an expression mentioning ``buffers``, received if one of them
+    is.  A mutator called on the receiving call itself binds the
+    pseudo-name ``"op(...)"``.  Collective and request analyses skip it.
     """
 
     kind: str = ""
@@ -137,7 +146,10 @@ class ReturnNode(_Node):
 
 @dataclass
 class ExitNode(_Node):
-    """raise/break/continue: the path ends without a leak obligation."""
+    """raise/break/continue: the path ends without a leak obligation (a
+    ``break`` resumes after its loop)."""
+
+    brk: bool = False
 
 
 @dataclass
@@ -256,6 +268,15 @@ def _refinement(test: ast.expr) -> tuple | None:
             return (test.left.id, True)
         if isinstance(test.ops[0], ast.Is):
             return (test.left.id, False)
+    return None
+
+
+def _received_op(expr: ast.expr) -> str | None:
+    """The receiving op whose result ``expr`` is (or subscripts), if any."""
+    while isinstance(expr, (ast.Subscript, ast.Starred)):
+        expr = expr.value
+    if isinstance(expr, ast.Call) and call_method(expr) in RECEIVING_OPS:
+        return call_method(expr)
     return None
 
 
@@ -396,7 +417,8 @@ class _Extractor:
             elif isinstance(st, (ast.Raise, ast.Break, ast.Continue)):
                 if isinstance(st, ast.Raise) and st.exc is not None:
                     self._expr(out, st.exc, guard)
-                out.append(self._place(ExitNode(), st, guard))
+                node = ExitNode(brk=isinstance(st, ast.Break))
+                out.append(self._place(node, st, guard))
             elif isinstance(st, ast.If):
                 guard = self._if(out, st, guard)
             elif isinstance(st, ast.While):
@@ -415,6 +437,10 @@ class _Extractor:
                 if targets:
                     rebind = self._place(RebindNode(targets=targets), st, guard)
                     body.append(rebind)
+                    sources = tuple(
+                        n.id for n in ast.walk(st.iter) if isinstance(n, ast.Name)
+                    )
+                    self._recv(body, st.iter, targets, guard, sources)
                 body.extend(self._block(st.body, guard))
                 node = LoopNode(body=body, orelse=self._block(st.orelse, guard))
                 out.append(self._place(node, st, guard))
@@ -496,21 +522,35 @@ class _Extractor:
         binds = tuple(plain) + tuple(attrs)
         if self._is_tracked_call(value):
             self._emit_call(out, value, guard, binds=binds, escape=None)
-            return
-        self._expr(out, value, guard)
-        if not binds:
-            return
-        if isinstance(value, ast.Name):
-            for t in plain:
-                out.append(
-                    self._place(
-                        AliasNode(target=t, source=value.id), st, guard
-                    )
-                )
-        elif isinstance(value, ast.Constant) and value.value is None:
-            out.append(self._place(BindNoneNode(targets=binds), st, guard))
         else:
-            out.append(self._place(RebindNode(targets=binds), st, guard))
+            self._expr(out, value, guard)
+            if not binds:
+                return
+            if isinstance(value, ast.Name):
+                for t in plain:
+                    out.append(
+                        self._place(
+                            AliasNode(target=t, source=value.id), st, guard
+                        )
+                    )
+            elif isinstance(value, ast.Constant) and value.value is None:
+                out.append(self._place(BindNoneNode(targets=binds), st, guard))
+            else:
+                out.append(self._place(RebindNode(targets=binds), st, guard))
+        if plain:
+            self._recv(out, value, tuple(plain), guard, at=st)
+
+    def _recv(
+        self, out: list, value: ast.expr, targets: tuple, guard,
+        sources: tuple = (), at: ast.AST | None = None,
+    ) -> None:
+        """Emit the ``recv`` node of names bound from ``value``, if it is
+        (an item of) a received buffer -- see :class:`OpNode`."""
+        op = _received_op(value)
+        if op is None and not sources:
+            return
+        node = OpNode(kind="recv", op=op or "", binds=targets, buffers=sources)
+        out.append(self._place(node, at or value, guard))
 
     # -- expression scan --------------------------------------------------
     def _is_tracked_call(self, expr: ast.expr) -> bool:
@@ -644,7 +684,12 @@ class _Extractor:
                         )
                     )
             elif method in MUTATOR_METHODS:
-                name = base_name(sub.func.value)  # type: ignore[union-attr]
+                receiver = sub.func.value  # type: ignore[union-attr]
+                name = base_name(receiver)
+                op = _received_op(receiver)
+                if op is not None:  # comm.recv(0).sort()
+                    name = f"{op}(...)"
+                    self._recv(out, receiver, (name,), guard, at=sub)
                 if name:
                     out.append(
                         self._place(

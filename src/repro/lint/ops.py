@@ -30,9 +30,11 @@ COLLECTIVE_OPS = frozenset(
     {"barrier", "bcast", "gather", "allgather", "allreduce", "alltoall"}
 )
 
-#: Operations whose return value is a received (possibly shared) buffer.
+#: Operations whose return value is a received (possibly shared) buffer:
+#: ``Request.wait()`` returns the very list ``alltoall_finish`` does.
 RECEIVING_OPS = frozenset(
-    {"recv", "alltoall", "allgather", "gather", "bcast", "alltoall_finish"}
+    {"recv", "alltoall", "allgather", "gather", "bcast", "alltoall_finish",
+     "wait"}
 )
 
 #: Split-phase operations: they return a :class:`Request` that must be

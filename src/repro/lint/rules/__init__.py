@@ -6,9 +6,6 @@ registries (:func:`repro.lint.core.register` for file rules,
 
 File rules (one AST pass per file):
 
-``buffer-ownership`` (error)
-    buffers received from collectives/``recv`` may be shared read-only
-    views and must not be mutated in place.
 ``dtype-overflow`` (warning)
     Kronecker index arithmetic must stay int64; allocations in the index
     path need explicit dtypes.
@@ -41,13 +38,16 @@ once; see :mod:`repro.lint.ir` and :mod:`repro.lint.callgraph`):
     completes.
 ``protocol-inflight`` (error)
     the same, with the start inside a helper that returned the request.
+``buffer-ownership`` (error)
+    buffers received from collectives/``recv``/``wait()`` may be shared
+    read-only views and must not be mutated in place.
 """
 
-from repro.lint.rules.buffers import BufferOwnershipRule
 from repro.lint.rules.collectives import CollectiveSymmetryRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.dtypes import DtypeOverflowRule
 from repro.lint.rules.protocol import (
+    BufferOwnershipRule,
     InflightBufferRule,
     ProtocolDivergenceRule,
     ProtocolInflightRule,

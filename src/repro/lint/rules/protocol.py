@@ -1,6 +1,6 @@
 """SPMD protocol rules over the communication IR.
 
-Four rules over the :class:`repro.lint.callgraph.Program` built from the
+Five rules over the :class:`repro.lint.callgraph.Program` built from the
 communication IR:
 
 ``protocol-divergence``
@@ -30,20 +30,34 @@ communication IR:
     ``protocol-inflight`` when a helper started it on its parameter and
     returned the request.
 
-The last three run off a shared abstract interpretation of request states.
+``buffer-ownership``
+    A buffer *received* from the comm layer is mutated in place.  Received
+    entries may be shared, read-only views (the contract documented on
+    :meth:`repro.distributed.comm.Communicator.alltoall`): the thread
+    backend passes arrays by reference, the process backend maps them
+    read-only, so an in-place edit corrupts the sender's data on one
+    backend and raises on the other.  Names bound to a receiving op's
+    result -- directly, by unpacking, subscripting or iterating it, or
+    through an alias -- carry a *received* mark until rebound.
+
+The last four run off a shared abstract interpretation of request states.
 Each tracked request name holds a *possibility set* drawn from
-``{NONE, INFLIGHT, DONE}``; branches fork the environment, ``x is not
-None`` tests refine it, joins union it, and loop bodies iterate to a
-fixpoint.  A leak is reported only when ``INFLIGHT`` is still possible
-where an obligation ends -- so the canonical double-buffered pipeline
-(``pending = None``; finish-if-not-None; restart; drain after the loop)
-analyzes clean.
+``{NONE, INFLIGHT, DONE}``, and a name holding a received buffer carries
+its origin; branches fork the environment, ``x is not None`` tests refine
+it, joins union it, and loop bodies iterate to a fixpoint.  A leak is
+reported only when ``INFLIGHT`` is still possible where an obligation
+ends -- so the canonical double-buffered pipeline (``pending = None``;
+finish-if-not-None; restart; drain after the loop) analyzes clean -- and
+a received buffer is reported when one path into the mutation received
+it.
 
 Soundness caveats (see DESIGN.md): requests passed to unresolved calls
 are optimistically released; starts nested inside lambdas or
-comprehensions carry no obligation; ``raise``/``break``/``continue`` end
-a path without a leak check; attribute-stored requests are matched by
-attribute name program-wide, not per object.
+comprehensions carry no obligation; ``raise``/``continue`` end a path
+without a leak check (a ``break`` resumes after its loop);
+attribute-stored requests are matched by attribute name program-wide,
+not per object; a received buffer a helper returns is not tracked into
+the caller.
 """
 
 from __future__ import annotations
@@ -71,6 +85,7 @@ __all__ = [
     "ProtocolLeakRule",
     "InflightBufferRule",
     "ProtocolInflightRule",
+    "BufferOwnershipRule",
 ]
 
 NONE, INFLIGHT, DONE = "none", "inflight", "done"
@@ -79,20 +94,22 @@ _LOOP_CAP = 8  # fixpoint rounds before giving up on a loop body
 
 
 # --------------------------------------------------------------------- #
-# request-state interpretation (shared by leak + inflight rules)
+# abstract interpretation (shared by leak, inflight and ownership rules)
 # --------------------------------------------------------------------- #
 class _Cell:
-    """Abstract state of one request value; aliases share the cell."""
+    """Abstract state of one value; aliases share the cell."""
 
-    __slots__ = ("statuses", "origin", "buffers")
+    __slots__ = ("statuses", "origin", "buffers", "received")
 
-    def __init__(self, statuses, origin, buffers=frozenset()):
+    def __init__(self, statuses, origin, buffers=frozenset(), received=None):
         self.statuses = set(statuses)
         self.origin = origin  # originating OpNode/CallNode, for messages
         self.buffers = set(buffers)
+        #: (op, line) when the value may be a received buffer
+        self.received = received
 
     def copy(self) -> "_Cell":
-        return _Cell(self.statuses, self.origin, self.buffers)
+        return _Cell(self.statuses, self.origin, self.buffers, self.received)
 
 
 def _copy_env(env: dict) -> dict:
@@ -124,7 +141,8 @@ def _join_env(a: dict | None, b: dict | None) -> dict | None:
         else:
             origin = ca.origin if INFLIGHT in ca.statuses else cb.origin
             out[name] = _Cell(
-                ca.statuses | cb.statuses, origin, ca.buffers | cb.buffers
+                ca.statuses | cb.statuses, origin, ca.buffers | cb.buffers,
+                cb.received or ca.received,
             )
     return out
 
@@ -134,14 +152,18 @@ def _env_signature(env: dict | None):
         return None
     return tuple(
         sorted(
-            (name, tuple(sorted(c.statuses)), tuple(sorted(c.buffers)))
+            (
+                name, tuple(sorted(c.statuses)), tuple(sorted(c.buffers)),
+                c.received,
+            )
             for name, c in env.items()
         )
     )
 
 
 class _Interp:
-    """Interpret one function body, collecting leak/inflight findings."""
+    """Interpret one function body, collecting leak/inflight/ownership
+    findings."""
 
     def __init__(self, program: Program, mod: ModuleIR, fn: FuncIR) -> None:
         self.program = program
@@ -149,6 +171,8 @@ class _Interp:
         self.fn = fn
         #: (rule, node, message) keyed for dedupe across loop rounds
         self.findings: dict[tuple, tuple] = {}
+        #: environments at the ``break``s of the innermost loop
+        self._breaks: list = []
 
     # -- findings ---------------------------------------------------------
     def _flag(self, rule: str, node, message: str) -> None:
@@ -246,6 +270,8 @@ class _Interp:
             self._end_of_path(env, node, escaped=node.value_root)
             return None
         elif isinstance(node, ExitNode):
+            if node.brk:
+                self._breaks.append(env)
             return None
         elif isinstance(node, IfNode):
             return self._if(node, env)
@@ -284,6 +310,17 @@ class _Interp:
             for bind in node.binds:
                 if "." not in bind:
                     self._kill(env, node, (bind,))
+        elif node.kind == "recv":
+            received = (node.op, node.line) if node.op else next(
+                (env[n].received for n in node.buffers
+                 if n in env and env[n].received),
+                None,
+            )
+            if received is not None:
+                self._kill(env, node, node.binds)
+                cell = _Cell({NONE, DONE}, node, received=received)
+                for bind in node.binds:
+                    env[bind] = cell
 
     def _call(self, node: CallNode, env: dict) -> None:
         resolved = self.program.resolve(self.mod, self.fn, node.callee)
@@ -318,6 +355,16 @@ class _Interp:
             )
 
     def _mutate(self, node: MutateNode, env: dict) -> None:
+        cell = env.get(node.name)
+        if cell is not None and cell.received is not None:
+            op, line = cell.received
+            self._flag(
+                "buffer-ownership", node,
+                f"{node.how} '{node.name}', which holds a buffer received "
+                f"from {op}() at line {line}; received buffers may be "
+                f"shared read-only views -- copy before mutating "
+                f"(Communicator.alltoall contract)",
+            )
         seen: set[int] = set()
         for cell in env.values():
             if id(cell) in seen:
@@ -371,6 +418,7 @@ class _Interp:
 
     def _loop(self, node: LoopNode, env: dict) -> dict | None:
         state = env
+        outer, self._breaks = self._breaks, []
         for _ in range(_LOOP_CAP):
             out = self._block(node.body, _copy_env(state))
             joined = _join_env(state, out)
@@ -380,15 +428,24 @@ class _Interp:
                 state = joined
                 break
             state = joined
-        if state is None:
-            return None
-        return self._block(node.orelse, state)
+        breaks, self._breaks = self._breaks, outer
+        out = None if state is None else self._block(node.orelse, state)
+        for brk in breaks:
+            out = _join_env(out, brk)
+        return out
 
     def _try(self, node: TryNode, env: dict) -> dict | None:
-        body_out = self._block(node.body, _copy_env(env))
+        # A handler is entered from before any one body statement.
+        raised, body_out = env, _copy_env(env)
+        for i, child in enumerate(node.body):
+            if i:
+                raised = _join_env(raised, body_out)
+            body_out = self._node(child, body_out)
+            if body_out is None:
+                break
         outs = [body_out]
         for handler in node.handlers:
-            outs.append(self._block(handler, _copy_env(env)))
+            outs.append(self._block(handler, _copy_env(raised)))
         if body_out is not None:
             outs.append(self._block(node.orelse, _copy_env(body_out)))
             outs.pop(0)
@@ -403,8 +460,8 @@ class _Interp:
 
 
 def _interp_findings(program: Program) -> list[tuple]:
-    """``(rule, path, node, message)`` from the request-state
-    interpretation, run once per program and shared by the rules below."""
+    """``(rule, path, node, message)`` from the abstract interpretation,
+    run once per program and shared by the rules below."""
     if program.interp_findings is None:
         program.interp_findings = results = []
         for mod, fn in program.iter_functions():
@@ -507,4 +564,16 @@ class ProtocolInflightRule(_InterpRule):
     description = (
         "a buffer put in flight through a helper's nonblocking start "
         "is mutated before the returned request is completed"
+    )
+
+
+@register_program
+class BufferOwnershipRule(_InterpRule):
+    """Buffers received from the comm layer are never mutated in place."""
+
+    name = "buffer-ownership"
+    severity = "error"
+    description = (
+        "buffers received from recv/alltoall/allgather may be shared "
+        "read-only views; mutate only private copies"
     )

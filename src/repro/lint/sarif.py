@@ -1,24 +1,28 @@
 """Minimal SARIF 2.1.0 writer for CI code-scanning upload.
 
 Emits one run with the full rule catalogue (file and program rules) in
-``tool.driver.rules`` and one result per finding, carrying the baseline
-fingerprint under ``fingerprints`` so SARIF consumers track findings
-across moves the same way our own baseline does.  Output is fully
-deterministic -- findings are already sorted by the engine and the JSON
-is dumped with sorted keys -- so CI can assert byte-identical reports
-between cold- and warm-cache runs.
+``tool.driver.rules`` and one result per finding, carrying a
+content-addressed fingerprint under ``fingerprints`` --
+``sha1(rule :: stripped source line :: content context :: occurrence
+index)`` -- so SARIF consumers track a finding across unrelated line
+drift *and* file moves (``src/x.py`` -> ``src/pkg/x.py``), while editing
+the finding line or its immediate surroundings (or adding another
+identical violation) makes it new.  The path is deliberately not part of
+the fingerprint.  Output is fully deterministic -- findings are already
+sorted by the engine and the JSON is dumped with sorted keys.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from collections import defaultdict
 from pathlib import Path
 from typing import Iterable
 
-from repro.lint.baseline import fingerprints
 from repro.lint.core import Finding, all_program_rules, all_rules
 
-__all__ = ["to_sarif", "write_sarif"]
+__all__ = ["fingerprints", "to_sarif", "write_sarif"]
 
 _SARIF_VERSION = "2.1.0"
 _SARIF_SCHEMA = (
@@ -27,6 +31,26 @@ _SARIF_SCHEMA = (
 )
 
 _LEVELS = {"warning": "warning", "error": "error"}
+
+
+def fingerprints(findings: Iterable[Finding]) -> list[tuple[Finding, str]]:
+    """Pair each finding with its stable fingerprint, in position order.
+
+    Findings sharing ``(rule, snippet, context)`` are disambiguated by
+    their occurrence index in ``(path, line, col)`` order, so N identical
+    violations get N distinct fingerprints.
+    """
+    by_key: dict[tuple[str, str, str], list[Finding]] = defaultdict(list)
+    for f in findings:
+        by_key[(f.rule, f.snippet, f.context)].append(f)
+    out: list[tuple[Finding, str]] = []
+    for key, group in by_key.items():
+        group.sort(key=lambda f: (f.path, f.line, f.col))
+        for occurrence, f in enumerate(group):
+            raw = "::".join((*key, str(occurrence)))
+            out.append((f, hashlib.sha1(raw.encode("utf-8")).hexdigest()))
+    out.sort(key=lambda pair: (pair[0].path, pair[0].line, pair[0].col))
+    return out
 
 
 def _rule_catalogue() -> list[dict]:

@@ -15,8 +15,8 @@ sentinel (:mod:`repro.distributed.checked`), and the fault harness
 :mod:`~repro.telemetry.trace`
     a low-overhead span/event tracer with a bounded per-rank ring buffer.
 :mod:`~repro.telemetry.metrics`
-    counters / histograms per rank, merged across ranks at
-    finalize through the existing communicator collectives.
+    counters / histograms per rank, merged across ranks parent-side
+    from the snapshots every rank ships home.
 :mod:`~repro.telemetry.instrument`
     :class:`InstrumentedCommunicator` -- wraps any communicator so every
     collective is timed and sized automatically; composes *outside* the

@@ -4,9 +4,7 @@ A :class:`MetricsRegistry` lives on each rank and is dictionary-cheap to
 update: ``add`` (monotonic counter), ``observe`` (log2-bucketed
 histogram).  At finalize the registry is snapshotted into plain dicts --
 picklable, so snapshots ride the process backend's result queue -- and
-merged across ranks either parent-side (:func:`merge_snapshots`) or
-in-world through one ``allgather`` (:func:`aggregate_snapshot`), the
-"existing comm layer" path.
+merged across ranks parent-side (:func:`merge_snapshots`).
 
 Merge semantics: counters sum, histograms sum bucket-wise (identical
 fixed bucket layout everywhere).
@@ -25,7 +23,6 @@ from typing import Any
 __all__ = [
     "MetricsRegistry",
     "merge_snapshots",
-    "aggregate_snapshot",
     "HIST_BUCKETS",
 ]
 
@@ -146,15 +143,3 @@ def merge_snapshots(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
                     "max": h["max"],
                 }
     return {"counters": counters, "histograms": hists}
-
-
-def aggregate_snapshot(comm, snapshot: dict[str, Any]) -> dict[str, Any]:
-    """Merge this rank's snapshot with every peer's through the comm layer.
-
-    One ``allgather`` -- executed by every rank, so it is symmetric under
-    the collective-order sentinel.  Every rank returns the identical
-    world-aggregate dict.  ``comm`` is any
-    :class:`repro.distributed.comm.Communicator`-shaped object (duck
-    typed so this module never imports the distributed package).
-    """
-    return merge_snapshots(comm.allgather(snapshot))

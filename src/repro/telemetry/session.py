@@ -16,8 +16,8 @@ Three layers:
     telemetry=session)``.  The launcher wraps the rank function so each
     rank builds a sink, wraps its communicator in an
     :class:`~repro.telemetry.instrument.InstrumentedCommunicator`, runs
-    the program, aggregates metrics across ranks through the comm layer,
-    and ships a :class:`RankTrace` snapshot back with its result.
+    the program, and ships a :class:`RankTrace` snapshot back with its
+    result; the session merges the ranks' metrics parent-side.
 
 Degradation events
 ------------------
@@ -37,11 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.telemetry.clock import Clock, perf_clock
-from repro.telemetry.metrics import (
-    MetricsRegistry,
-    aggregate_snapshot,
-    merge_snapshots,
-)
+from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
 from repro.telemetry.trace import (
     DEFAULT_CAPACITY,
     NULL_SPAN,
@@ -66,15 +62,12 @@ class TelemetryConfig:
 
     ``clock`` must be a picklable callable (module-level function) or
     ``None`` for the perf-counter default -- the config crosses the fork
-    boundary to process-backend ranks.  ``aggregate=False`` skips the
-    finalize-time cross-rank allgather (for workloads where even one
-    extra collective matters).
+    boundary to process-backend ranks.
     """
 
     enabled: bool = True
     capacity: int = DEFAULT_CAPACITY
     clock: Clock | None = None
-    aggregate: bool = True
 
     def resolve_clock(self) -> Clock:
         return self.clock if self.clock is not None else perf_clock
@@ -88,8 +81,6 @@ class RankTrace:
     events: list[TraceEvent] = field(default_factory=list)
     dropped: int = 0
     metrics: dict[str, Any] = field(default_factory=dict)
-    #: World-aggregated metrics (identical on every rank when computed).
-    aggregated: dict[str, Any] | None = None
 
 
 # --------------------------------------------------------------------- #
@@ -218,29 +209,15 @@ class RankTelemetry:
                 self.metrics.add(f"sock.{name}", value)
 
     def finalize(self, comm=None) -> RankTrace:
-        """Snapshot this rank's telemetry; optionally world-aggregate.
-
-        When ``comm`` spans more than one rank and the config asks for
-        aggregation, one symmetric ``allgather`` merges every rank's
-        metrics so each snapshot carries the world view.
-        """
+        """Snapshot this rank's telemetry (no communication)."""
         if comm is not None:
             self.harvest_fault_counters(comm)
             self.harvest_sock_counters(comm)
-        snapshot = self.metrics.snapshot()
-        aggregated = None
-        if (
-            self.config.aggregate
-            and comm is not None
-            and comm.size > 1
-        ):
-            aggregated = aggregate_snapshot(comm, snapshot)
         return RankTrace(
             rank=self.rank,
             events=self.tracer.events(),
             dropped=self.tracer.dropped,
-            metrics=snapshot,
-            aggregated=aggregated,
+            metrics=self.metrics.snapshot(),
         )
 
 
@@ -309,9 +286,8 @@ class _TelemetryRankFn:
     in an :class:`~repro.telemetry.instrument.InstrumentedCommunicator`
     (outermost, above the sentinel and fault layers the launcher already
     applied), runs the program, and returns ``(result, RankTrace)`` for
-    :meth:`TelemetrySession.ingest` to unzip.  Finalize -- including the
-    optional cross-rank aggregation collective -- happens only on
-    success; a raising rank must not start new collectives.
+    :meth:`TelemetrySession.ingest` to unzip.  Finalize happens only on
+    success.
     """
 
     __slots__ = ("fn", "config")
@@ -387,15 +363,9 @@ class TelemetrySession:
 
     # ---- summaries -------------------------------------------------------
     def aggregated_metrics(self) -> dict[str, Any]:
-        """World-aggregate metrics of the last run.
-
-        Prefers the in-world aggregation (computed through the comm layer
-        at finalize); falls back to a parent-side merge when it was
-        skipped (single rank, ``aggregate=False``).
-        """
-        for snap in self.ranks:
-            if snap.aggregated is not None:
-                return snap.aggregated
+        """World-aggregate metrics of the last run: the merge of the
+        snapshots every rank shipped home (counters sum, histograms merge
+        bucket-wise)."""
         return merge_snapshots([snap.metrics for snap in self.ranks])
 
     def metrics_summary(self) -> dict[str, Any]:

@@ -305,11 +305,10 @@ def edge_uniform(
 
 
 class EdgeHasher:
-    """A reusable, seeded edge-hash stream.
+    """A seeded edge -> owner map (the ``edge_hash`` storage scheme).
 
-    Thin convenience wrapper binding ``seed`` and ``directed`` so callers in
-    the rejection-family and shuffle code paths do not thread them through
-    every call.
+    Binds ``seed`` and ``directed`` so the shuffle code path does not
+    thread them through every call; uniforms are :func:`edge_uniform`.
 
     Parameters
     ----------
@@ -324,10 +323,6 @@ class EdgeHasher:
     def __init__(self, seed: int = 0, *, directed: bool = False) -> None:
         self.seed = int(seed)
         self.directed = bool(directed)
-
-    def uniform(self, u: np.ndarray | int, v: np.ndarray | int) -> np.ndarray:
-        """Deterministic uniforms in ``[0, 1)`` for the edges ``(u, v)``."""
-        return edge_uniform(u, v, self.seed, directed=self.directed)
 
     def owner(
         self,

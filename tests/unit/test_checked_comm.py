@@ -12,8 +12,9 @@ from repro.distributed import (
 from repro.distributed.comm import RECV_TIMEOUT_ENV
 from repro.errors import CollectiveOrderError, CommunicatorError
 
-# Keep divergence tests fast: the sentinel gives up on absent peers quickly.
-FAST_SENTINEL = {"REPRO_SENTINEL_TIMEOUT": "2.0"}
+# Keep divergence tests fast: the sentinel gives up on absent peers after
+# half the recv timeout.
+FAST_SENTINEL = {"REPRO_RECV_TIMEOUT": "4.0"}
 
 
 @pytest.fixture
@@ -167,3 +168,65 @@ class TestRecvTimeoutEnv:
         assert "rank 1" in msg
         assert "rank 0" in msg
         assert "tag 7" in msg
+
+
+class TestOneTimeoutKnob:
+    def test_sentinel_waits_half_the_recv_timeout(self, monkeypatch):
+        monkeypatch.setenv(RECV_TIMEOUT_ENV, "0.4")
+
+        def fn(comm):
+            if comm.rank == 0:
+                # rank 1 is still in its recv when rank 0's sentinel gives up
+                comm.barrier()  # repro-lint: disable=collective-symmetry
+            else:
+                comm.recv(0)
+            return True
+
+        with pytest.raises(CommunicatorError) as exc_info:
+            spmd_run(fn, 2, checked=True)
+        msg = str(exc_info.value)
+        assert "sentinel timeout" in msg and "within 0.2s" in msg
+
+    def test_only_two_environment_variables_are_read(self):
+        """`src/` reads REPRO_RECV_TIMEOUT and REPRO_CHECK_COLLECTIVES and
+        nothing else: every `os.environ[...]`, `os.environ.get(...)` and
+        `os.getenv(...)` names one of them, through a string constant."""
+        import ast
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[2] / "src"
+        trees = [ast.parse(p.read_text()) for p in sorted(src.rglob("*.py"))]
+        constants = {
+            node.targets[0].id: node.value.value
+            for tree in trees
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+        }
+
+        def is_environ(node):
+            return isinstance(node, ast.Attribute) and node.attr == "environ"
+
+        read = set()
+        for tree in trees:
+            for node in ast.walk(tree):
+                key = None
+                if isinstance(node, ast.Subscript) and is_environ(node.value):
+                    key = node.slice
+                elif isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute
+                ) and (
+                    (node.func.attr == "get" and is_environ(node.func.value))
+                    or node.func.attr == "getenv"
+                ):
+                    key = node.args[0]
+                else:
+                    continue
+                if isinstance(key, ast.Name):
+                    read.add(constants.get(key.id, key.id))
+                else:
+                    read.add(ast.unparse(key).strip("'\""))
+        assert read == {"REPRO_RECV_TIMEOUT", "REPRO_CHECK_COLLECTIVES"}

@@ -90,11 +90,13 @@ class TestEdgeUniform:
 
 
 class TestEdgeHasher:
-    def test_uniform_matches_free_function(self):
-        h = EdgeHasher(seed=7)
+    def test_owner_is_hash_pair_mod_nparts(self):
         u = np.array([1, 2, 3])
         v = np.array([4, 5, 6])
-        assert np.array_equal(h.uniform(u, v), edge_uniform(u, v, seed=7))
+        for directed in (False, True):
+            h = EdgeHasher(seed=7, directed=directed)
+            want = hash_pair(u, v, 7, directed=directed) % np.uint64(5)
+            assert np.array_equal(h.owner(u, v, 5), want.astype(np.int64))
 
     def test_owner_range(self):
         h = EdgeHasher()

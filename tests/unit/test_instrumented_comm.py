@@ -17,6 +17,7 @@ from repro.telemetry import (
     RankTelemetry,
     TelemetryConfig,
     TelemetrySession,
+    merge_snapshots,
     payload_nbytes,
     telemetry_of,
 )
@@ -154,19 +155,15 @@ class TestSpmdIntegration:
 
         agg = session.aggregated_metrics()["counters"]
         assert agg["edges.generated"] == 10 + 20 + 30 + 40
-        # One user allgather per rank; the finalize-time aggregation
-        # allgather runs after the metrics snapshot, so it never counts
-        # itself.
+        # One user allgather per rank; finalize adds no collective.
         assert agg["comm.allgather.calls"] == 4
         # The user allgather alone ships 4 ranks x 64 bytes out.
         assert agg["comm.allgather.bytes_out"] >= 4 * 64
 
-        # Every rank carries the identical world view.
-        for trace in session.ranks:
-            assert trace.aggregated is not None
-            assert (
-                trace.aggregated["counters"]["edges.generated"] == 100
-            )
+        # The world view is the merge of what each rank shipped home.
+        assert [
+            t.metrics["counters"]["edges.generated"] for t in session.ranks
+        ] == [10, 20, 30, 40]
         # And every rank traced the user span.
         for trace in session.ranks:
             assert any(e.name == "work" for e in trace.events)
@@ -187,13 +184,13 @@ class TestSpmdIntegration:
         assert agg["faults.delayed"] == 1
         assert agg["edges.generated"] == 30
 
-    def test_aggregate_false_skips_world_merge(self):
-        session = TelemetrySession(TelemetryConfig(aggregate=False))
+    def test_aggregate_is_the_merge_of_rank_snapshots(self):
+        session = TelemetrySession()
         spmd_run(_allgather_rank_fn, 2, backend="thread", telemetry=session)
-        assert all(t.aggregated is None for t in session.ranks)
-        # Parent-side merge still works from the per-rank snapshots.
-        agg = session.aggregated_metrics()["counters"]
-        assert agg["edges.generated"] == 30
+        assert session.aggregated_metrics() == merge_snapshots(
+            [t.metrics for t in session.ranks]
+        )
+        assert session.aggregated_metrics()["counters"]["edges.generated"] == 30
 
     def test_no_telemetry_means_null_sink(self):
         # Without a session the rank fn sees NULL_TELEMETRY and the

@@ -1,4 +1,4 @@
-"""CLI, baseline, and repo-cleanliness tests for repro.lint."""
+"""CLI, SARIF fingerprint, and repo-cleanliness tests for repro.lint."""
 
 import json
 import textwrap
@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import analyze_paths, filter_baseline, load_baseline, write_baseline
+from repro.lint import analyze_paths
 from repro.lint.cli import main as lint_main
+from repro.lint.sarif import to_sarif
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -20,6 +21,15 @@ BAD_COMM = textwrap.dedent(
         data[0] = 99
     """
 )
+
+
+def sarif_fingerprints(root):
+    """``{(rule, fingerprint)}`` of the SARIF report of a tree."""
+    (run,) = to_sarif(analyze_paths([root]))["runs"]
+    return {
+        (r["ruleId"], r["fingerprints"]["reproLint/v2"])
+        for r in run["results"]
+    }
 
 
 @pytest.fixture
@@ -95,53 +105,45 @@ class TestJsonOutput:
         assert {"rule", "severity", "path", "line", "col", "message"} <= set(first)
 
 
-class TestBaseline:
-    def test_roundtrip_suppresses_known_findings(self, bad_tree, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        assert lint_main([str(bad_tree), "--write-baseline", str(baseline)]) == 0
-        capsys.readouterr()
-        # same findings now baselined -> clean
-        assert lint_main([str(bad_tree), "--baseline", str(baseline)]) == 0
-
-    def test_new_finding_not_masked(self, bad_tree, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        lint_main([str(bad_tree), "--write-baseline", str(baseline)])
-        capsys.readouterr()
-        extra = bad_tree / "distributed" / "new.py"
-        extra.write_text("def g(comm):\n    comm.recv(0).sort()\n")
-        findings = analyze_paths([bad_tree])
-        fresh = filter_baseline(findings, load_baseline(baseline))
-        assert {f.rule for f in fresh} == {"buffer-ownership"}
-        assert all("new.py" in f.path for f in fresh)
-
-    def test_line_drift_stays_baselined(self, bad_tree, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, analyze_paths([bad_tree]))
+class TestSarifFingerprints:
+    def test_line_drift_keeps_fingerprints(self, bad_tree):
+        before = sarif_fingerprints(bad_tree)
         bad = bad_tree / "distributed" / "bad.py"
         bad.write_text("# a new leading comment\n\n" + bad.read_text())
-        fresh = filter_baseline(
-            analyze_paths([bad_tree]), load_baseline(baseline)
-        )
-        assert fresh == []
+        assert sarif_fingerprints(bad_tree) == before
 
-    def test_duplicate_findings_counted(self, tmp_path):
+    def test_duplicate_findings_get_distinct_fingerprints(self, tmp_path):
         pkg = tmp_path / "distributed"
         pkg.mkdir()
         one = "def f(comm):\n    if comm.rank == 0:\n        comm.barrier()\n"
         (pkg / "dup.py").write_text(one)
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, analyze_paths([tmp_path]))
-        # a second identical violation in the same file is NOT baselined
+        before = sarif_fingerprints(tmp_path)
+        # a second identical violation gets a fingerprint of its own
         (pkg / "dup.py").write_text(
             one + "def g(comm):\n    if comm.rank == 0:\n        comm.barrier()\n"
         )
-        fresh = filter_baseline(analyze_paths([tmp_path]), load_baseline(baseline))
-        assert len(fresh) == 1
+        after = sarif_fingerprints(tmp_path)
+        assert len(after) == 2 and before < after
 
-    def test_bad_baseline_exit_2(self, bad_tree, tmp_path):
-        broken = tmp_path / "broken.json"
-        broken.write_text("{not json")
-        assert lint_main([str(bad_tree), "--baseline", str(broken)]) == 2
+    def test_moved_file_keeps_fingerprints(self, bad_tree):
+        before = sarif_fingerprints(bad_tree)
+        pkg = bad_tree / "distributed"
+        (pkg / "nested").mkdir()
+        (pkg / "bad.py").rename(pkg / "nested" / "bad.py")
+        assert sarif_fingerprints(bad_tree) == before
+
+    def test_editing_the_line_changes_fingerprint(self, bad_tree):
+        before = sarif_fingerprints(bad_tree)
+        bad = bad_tree / "distributed" / "bad.py"
+        bad.write_text(bad.read_text().replace("comm.barrier()", "comm.barrier()  ; pass"))
+        changed = sarif_fingerprints(bad_tree) - before
+        assert {rule for rule, _ in changed} == {"collective-symmetry"}
+
+    def test_baseline_flags_are_gone(self, bad_tree, tmp_path):
+        for flag in ("--baseline", "--write-baseline"):
+            with pytest.raises(SystemExit) as exc_info:
+                lint_main([str(bad_tree), flag, str(tmp_path / "b.json")])
+            assert exc_info.value.code == 2
 
 
 class TestSuppressionSpans:
@@ -179,42 +181,14 @@ class TestOverlappingPaths:
         assert [f.to_json() for f in twice] == [f.to_json() for f in once]
 
 
-class TestBaselineMoveStability:
-    def test_moved_file_stays_baselined(self, bad_tree, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, analyze_paths([bad_tree]))
-        pkg = bad_tree / "distributed"
-        (pkg / "nested").mkdir()
-        (pkg / "bad.py").rename(pkg / "nested" / "bad.py")
-        fresh = filter_baseline(
-            analyze_paths([bad_tree]), load_baseline(baseline)
-        )
-        assert fresh == []
-
-    def test_editing_the_line_surfaces_it(self, bad_tree, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        write_baseline(baseline, analyze_paths([bad_tree]))
-        bad = bad_tree / "distributed" / "bad.py"
-        bad.write_text(bad.read_text().replace("comm.barrier()", "comm.barrier()  ; pass"))
-        fresh = filter_baseline(
-            analyze_paths([bad_tree]), load_baseline(baseline)
-        )
-        assert any(f.rule == "collective-symmetry" for f in fresh)
-
-    def test_old_version_rejected(self, tmp_path):
-        stale = tmp_path / "v1.json"
-        stale.write_text(json.dumps({"version": 1, "findings": []}))
-        with pytest.raises(ValueError, match="regenerate"):
-            load_baseline(stale)
-
-
 class TestRepoIsClean:
-    def test_src_lints_clean_with_checked_in_baseline(self):
-        """The acceptance gate: `python -m repro.lint src` exits 0."""
-        findings = analyze_paths([REPO_ROOT / "src"])
-        baseline = load_baseline(REPO_ROOT / "lint-baseline.json")
-        fresh = filter_baseline(findings, baseline)
-        assert fresh == [], "\n".join(f.format_human() for f in fresh)
+    def test_repo_lints_clean(self):
+        """The acceptance gate: `repro-kron lint src benchmarks examples`
+        finds nothing an inline pragma does not suppress."""
+        findings = analyze_paths(
+            [REPO_ROOT / d for d in ("src", "benchmarks", "examples")]
+        )
+        assert findings == [], "\n".join(f.format_human() for f in findings)
 
 
 class TestKronSubcommand:

@@ -191,6 +191,83 @@ class TestBufferOwnership:
         )
         assert fs == []
 
+    def test_mutator_straight_on_receiving_call(self):
+        fs = findings_for(
+            """
+            def f(comm, out):
+                comm.recv(0).sort()
+                comm.alltoall(out)[1].fill(0)
+            """
+        )
+        assert [f.rule for f in fs] == ["buffer-ownership"] * 2
+        assert "'recv(...)'" in fs[0].message
+        assert "'alltoall(...)'" in fs[1].message
+
+    def test_wait_result_is_received(self):
+        fs = findings_for(
+            """
+            def f(comm, out):
+                req = comm.alltoall_start(out)
+                got = req.wait()
+                got[0] += 1
+            """
+        )
+        assert [f.rule for f in fs] == ["buffer-ownership"]
+        assert "wait() at line 4" in fs[0].message
+
+    def test_loop_over_wait_result_taints_target(self):
+        fs = findings_for(
+            """
+            def f(comm, out):
+                req = comm.alltoall_start(out)
+                for blk in req.wait():
+                    blk.sort()
+            """
+        )
+        assert [f.rule for f in fs] == ["buffer-ownership"]
+
+    def test_received_on_one_branch_only(self):
+        # the copy on the other arm does not make the received arm safe
+        fs = findings_for(
+            """
+            def f(comm, blocks):
+                if comm.rank:
+                    buf = comm.recv(0)
+                else:
+                    buf = blocks[0].copy()
+                buf[0] = 7
+            """
+        )
+        assert [f.rule for f in fs] == ["buffer-ownership"]
+        assert "recv() at line 4" in fs[0].message
+
+    def test_received_before_break_reaches_after_loop(self):
+        fs = findings_for(
+            """
+            def f(comm, n):
+                buf = None
+                for i in range(n):
+                    if i:
+                        buf = comm.recv(0)
+                        break
+                buf[0] = 1
+            """
+        )
+        assert [f.rule for f in fs] == ["buffer-ownership"]
+
+    def test_received_in_try_reaches_handler(self):
+        fs = findings_for(
+            """
+            def f(comm, parse):
+                try:
+                    buf = comm.recv(0)
+                    parse(buf)
+                except ValueError:
+                    buf.clear()
+            """
+        )
+        assert [f.rule for f in fs] == ["buffer-ownership"]
+
 
 class TestDtypeOverflow:
     def test_alloc_without_dtype_flagged(self):

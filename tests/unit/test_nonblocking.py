@@ -25,8 +25,9 @@ from repro.errors import CommunicatorError
 from repro.telemetry import TelemetrySession
 from repro.telemetry.clock import perf_clock
 
-# Keep divergence tests fast: the sentinel gives up on absent peers quickly.
-FAST_SENTINEL = {"REPRO_SENTINEL_TIMEOUT": "2.0"}
+# Keep divergence tests fast: the sentinel gives up on absent peers after
+# half the recv timeout.
+FAST_SENTINEL = {"REPRO_RECV_TIMEOUT": "4.0"}
 
 
 @pytest.fixture

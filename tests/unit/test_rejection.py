@@ -12,6 +12,7 @@ from repro.kronecker import (
     expected_vertex_triangles,
     kron_product,
 )
+from repro.util.hashing import edge_uniform
 
 
 @pytest.fixture
@@ -110,9 +111,9 @@ class TestTriangleStatistics:
         p2 = np.array([2, 3])
         p3 = np.array([4, 5])
         thr = fam.triangle_survival_threshold(p1, p2, p3)
-        h12 = fam.hasher.uniform(p1, p2)
-        h13 = fam.hasher.uniform(p1, p3)
-        h23 = fam.hasher.uniform(p2, p3)
+        h12 = edge_uniform(p1, p2, 11)
+        h13 = edge_uniform(p1, p3, 11)
+        h23 = edge_uniform(p2, p3, 11)
         assert np.array_equal(thr, np.max([h12, h13, h23], axis=0))
 
     def test_triangles_of_subgraph_survive_rule(self):

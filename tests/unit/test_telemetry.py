@@ -20,7 +20,6 @@ from repro.telemetry import (
     merge_snapshots,
     validate_chrome_trace,
 )
-from repro.telemetry.metrics import aggregate_snapshot
 from repro.telemetry.session import record_degradation
 from repro.telemetry.trace import NULL_SPAN
 
@@ -154,19 +153,6 @@ class TestMetrics:
     def test_merge_empty(self):
         merged = merge_snapshots([])
         assert merged == {"counters": {}, "histograms": {}}
-
-    def test_aggregate_snapshot_uses_comm_allgather(self):
-        class FakeComm:
-            size = 2
-
-            def allgather(self, snap):
-                other = {"counters": {"edges": 5}, "histograms": {}}
-                return [snap, other]
-
-        reg = MetricsRegistry()
-        reg.add("edges", 7)
-        merged = aggregate_snapshot(FakeComm(), reg.snapshot())
-        assert merged["counters"]["edges"] == 12
 
 
 class TestDegradationRouting:
