@@ -84,27 +84,28 @@ def test_bench_routed_expansion(benchmark, big_factor, kernel):
     """Generate-and-bucket a ~1M-edge product block: expand+argsort vs routed.
 
     ``legacy`` expands the outer product then argsort-buckets it;
-    ``routed`` emits each owner's slice directly from the factor structure.
+    ``routed`` writes each owner's slice directly from the factor structure,
+    a few broadcast adds over windows of source-sorted B.
     """
     a = big_factor.edges[:1024]
     b = big_factor.edges[:1024]
     n_c = big_factor.n * big_factor.n
 
-    if kernel == "legacy":
+    def legacy():
+        block = kron_edge_block(a, b, big_factor.n)
+        return bucket_edges(
+            block, NPARTS, scheme="source_block", n=n_c, method="argsort"
+        )
 
-        def run():
-            block = kron_edge_block(a, b, big_factor.n)
-            return bucket_edges(
-                block, NPARTS, scheme="source_block", n=n_c, method="argsort"
-            )
+    def routed():
+        return kron_edge_block_routed(a, b, big_factor.n, NPARTS, n_c)
 
-    else:
-
-        def run():
-            return kron_edge_block_routed(a, b, big_factor.n, NPARTS, n_c)
-
-    buckets = benchmark(run)
-    assert sum(len(blk) for blk in buckets) == 1024 * 1024
+    buckets = benchmark(legacy if kernel == "legacy" else routed)
+    # B's rows come sorted by source, so the routed slices are the stable
+    # argsort buckets of the dense block row for row.
+    assert np.all(np.diff(b[:, 0]) >= 0)
+    for got, want in zip(buckets, legacy(), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_bench_edge_hashing(benchmark):

@@ -146,11 +146,14 @@ def dense_chunk_count(ma: int, mb: int, chunk_size: int) -> int:
 # Under the ``source_block`` storage map the owner of a product edge depends
 # only on its source ``src = i * n_B + k`` (A-edge source ``i``, B-edge
 # source ``k``): owner boundaries are vertex ranges, so for a *fixed* A-edge
-# the owner is monotone in ``k``.  Sorting B's edge sources once (B is
+# the owner is monotone in ``k``.  Sorting B's edges by source once (B is
 # replicated and tiny; the sort is amortized across every expansion that
 # reuses the plan) turns per-pair owner assignment into ``nparts``
-# searchsorted boundaries per A-edge -- each owner's slice of the product is
-# then written directly, with no product-sized sort of any kind.
+# searchsorted boundaries per A-edge: each A-edge's partners in owner ``d``
+# are one *window* of sorted B.  Consecutive A-edges with the same window
+# form a run, and a run's share of the product is a dense outer product --
+# two broadcast adds straight into the owner's slice, with no product-sized
+# sort, gather or index temporary of any kind.
 
 
 @dataclass(frozen=True)
@@ -159,21 +162,20 @@ class RoutePlanB:
 
     Attributes
     ----------
-    order:
-        Stable argsort of B's edge sources (``(m_B,)`` int64).
-    src_sorted:
-        ``edges_b[order, 0]`` -- B-edge sources in ascending order.
+    rows:
+        B's edges stably sorted by source, ``(m_B, 2)`` int64 in column-major
+        order, so each endpoint column is contiguous for the searchsorted
+        and the broadcast adds.
     """
 
-    order: np.ndarray
-    src_sorted: np.ndarray
+    rows: np.ndarray
 
 
 def plan_route_b(edges_b: np.ndarray) -> RoutePlanB:
     """Build the per-factor routing plan (one small sort of ``m_B`` keys)."""
     edges_b = np.asarray(edges_b, dtype=np.int64).reshape(-1, 2)
     order = np.argsort(edges_b[:, 0], kind="stable")
-    return RoutePlanB(order, edges_b[order, 0])
+    return RoutePlanB(np.asfortranarray(edges_b[order]))
 
 
 def _routed_positions(
@@ -183,45 +185,47 @@ def _routed_positions(
 
     ``pos[t, d]`` is the first sorted-B position whose pair with A-edge ``t``
     lands in owner ``d`` or later: the pair ``(t, s)`` has product source
-    ``src_a[t] * n_b + src_sorted[s]``, owned by ``d`` iff that value falls
-    in ``[bounds[d], bounds[d+1])``.
+    ``src_a[t] * n_b + rows[s, 0]``, owned by ``d`` iff that value falls in
+    ``[bounds[d], bounds[d+1])``.
     """
     thresholds = bounds[None, :] - src_a[:, None] * np.int64(n_b)
-    pos = np.searchsorted(plan.src_sorted, thresholds.ravel(), side="left")
+    pos = np.searchsorted(plan.rows[:, 0], thresholds.ravel(), side="left")
     return pos.reshape(len(src_a), len(bounds))
 
 
 def _routed_bucket_rows(
-    edges_a: np.ndarray,
-    edges_b: np.ndarray,
-    plan: RoutePlanB,
-    pos: np.ndarray,
-    d: int,
-    n_b: int,
-    out: np.ndarray | None = None,
+    edges_a: np.ndarray, plan: RoutePlanB, pos: np.ndarray, d: int, n_b: int
 ) -> np.ndarray:
     """Materialize owner ``d``'s slice of the A-block x B product.
 
-    The slice is the concatenation, A-edge major, of each A-edge's run of
-    sorted-B partners ``pos[t, d] <= s < pos[t, d+1]``; the run members are
-    enumerated with the same repeat/arange gather the BFS kernel uses.
-    Writes into ``out`` when given (exact preallocation), else allocates.
+    The slice is the concatenation, A-edge major, of each A-edge's window
+    ``pos[t, d] <= s < pos[t, d+1]`` of sorted B.  The A-edges with a
+    non-empty window are split into maximal runs sharing one window; a run
+    is then a dense ``(run, window)`` outer product, written with one
+    broadcast add per endpoint into its view of the slice.  When owner
+    bounds fall on factor rows every window is all of B and each owner is
+    one run; only an A-source straddling a bound (at most ``nparts - 1``
+    per call) yields partial windows and further runs.
     """
-    lens = pos[:, d + 1] - pos[:, d]
-    total = int(lens.sum())
-    if out is None:
-        out = np.empty((total, 2), dtype=np.int64)
-    if total == 0:
-        return out
-    a_idx = np.repeat(np.arange(len(edges_a), dtype=np.int64), lens)
-    intra = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
+    sel = np.flatnonzero(pos[:, d + 1] > pos[:, d])
+    lo, hi = pos[sel, d], pos[sel, d + 1]
+    out = np.empty((int((hi - lo).sum()), 2), dtype=np.int64)
+    starts = np.flatnonzero(
+        (np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0)
     )
-    b_idx = plan.order[np.repeat(pos[:, d], lens) + intra]
-    np.multiply(edges_a[a_idx, 0], np.int64(n_b), out=out[:, 0])
-    out[:, 0] += edges_b[b_idx, 0]
-    np.multiply(edges_a[a_idx, 1], np.int64(n_b), out=out[:, 1])
-    out[:, 1] += edges_b[b_idx, 1]
+    fill = 0
+    for s, t in zip(starts, [*starts[1:], len(sel)]):
+        p0, p1 = lo[s], hi[s]
+        rows = edges_a[sel[s:t]]
+        size = (t - s) * (p1 - p0)
+        view = out[fill : fill + size].reshape(t - s, p1 - p0, 2)
+        for col in (0, 1):
+            np.add(
+                (rows[:, col] * np.int64(n_b))[:, None],
+                plan.rows[None, p0:p1, col],
+                out=view[:, :, col],
+            )
+        fill += size
     return out
 
 
@@ -247,18 +251,15 @@ def kron_edge_block_routed(
     """
     from repro.distributed.partition import vertex_block_bounds
 
-    ma, mb = len(edges_a), len(edges_b)
-    if ma == 0 or mb == 0:
+    if len(edges_a) == 0 or len(edges_b) == 0:
         return [np.empty((0, 2), dtype=np.int64) for _ in range(nparts)]
     edges_a = np.asarray(edges_a, dtype=np.int64).reshape(-1, 2)
-    edges_b = np.asarray(edges_b, dtype=np.int64).reshape(-1, 2)
     if plan is None:
         plan = plan_route_b(edges_b)
     bounds = vertex_block_bounds(n_c, nparts)
     pos = _routed_positions(edges_a[:, 0], plan, n_b, bounds)
     return [
-        _routed_bucket_rows(edges_a, edges_b, plan, pos, d, n_b)
-        for d in range(nparts)
+        _routed_bucket_rows(edges_a, plan, pos, d, n_b) for d in range(nparts)
     ]
 
 
@@ -271,40 +272,16 @@ def kron_routed_full(
 ) -> list[np.ndarray]:
     """Full routed product ``A (x) B``: exact-size per-owner arrays.
 
-    Equivalent to concatenating every chunk of
-    :func:`iter_kron_product_routed`, but each owner's total is computed
-    analytically up front so its array is allocated exactly once and filled
-    in place chunk by chunk -- no per-owner concatenation, no resize.
+    Row for row the concatenation of every chunk of
+    :func:`iter_kron_product_routed`: the routed block kernel over the
+    whole cell.  Each owner's slice is allocated once at its exact size
+    and written by run-wise broadcast adds, with nothing product-sized
+    besides it, so there is nothing for ``chunk_size`` to bound.  It is
+    accepted and ignored so that callers hand the batch and the streaming
+    kernel the same positional arguments, as the generator's ``_pieces``
+    and the ledger's layer pass (``benchmarks/ledger/gen.py``) both do.
     """
-    from repro.distributed.partition import vertex_block_bounds
-
-    ma, mb = el_a.m_directed, el_b.m_directed
-    if ma == 0 or mb == 0:
-        return [np.empty((0, 2), dtype=np.int64) for _ in range(nparts)]
-    plan = plan_route_b(el_b.edges)
-    bounds = vertex_block_bounds(n_c, nparts)
-    pos = _routed_positions(el_a.edges[:, 0], plan, n_b=el_b.n, bounds=bounds)
-    totals = (pos[:, 1:] - pos[:, :-1]).sum(axis=0)
-    outs = [np.empty((int(t), 2), dtype=np.int64) for t in totals]
-    fill = np.zeros(nparts, dtype=np.int64)
-    a_per_chunk = max(1, chunk_size // mb)
-    for a_start, a_stop in chunk_bounds(ma, a_per_chunk):
-        pos_c = pos[a_start:a_stop]
-        for d in range(nparts):
-            c = int((pos_c[:, d + 1] - pos_c[:, d]).sum())
-            if c == 0:
-                continue
-            _routed_bucket_rows(
-                el_a.edges[a_start:a_stop],
-                el_b.edges,
-                plan,
-                pos_c,
-                d,
-                el_b.n,
-                out=outs[d][fill[d] : fill[d] + c],
-            )
-            fill[d] += c
-    return outs
+    return kron_edge_block_routed(el_a.edges, el_b.edges, el_b.n, nparts, n_c)
 
 
 def iter_kron_product_routed(

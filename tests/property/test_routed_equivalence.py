@@ -9,8 +9,10 @@ pin *placement* -- every rank stores exactly the bucket the reference
 assigns it -- over the scheme x storage grid (process-backend cases run
 once per combination -- fork startup dominates -- with the shared-memory
 threshold forced down so the zero-copy path is actually exercised).
-Multiset equality of every plan with the serial product is
-``test_plan_oracle.py``'s job.
+The routed kernels are also pinned row for row against the repeat/arange
+gather they replaced (``gather_routed``), since stored row order is what
+shard digests depend on.  Multiset equality of every plan with the serial
+product is ``test_plan_oracle.py``'s job.
 """
 
 import numpy as np
@@ -20,10 +22,15 @@ from hypothesis import strategies as st
 
 import repro.distributed.mpcomm as mpcomm
 from repro.distributed import generate_distributed
+from repro.distributed.partition import vertex_block_bounds
 from repro.distributed.shuffle import bucket_edges
 from repro.graph import EdgeList, erdos_renyi
 from repro.kronecker import kron_product
-from repro.kronecker.product import kron_edge_block, kron_edge_block_routed
+from repro.kronecker.product import (
+    kron_edge_block,
+    kron_edge_block_routed,
+    kron_routed_full,
+)
 
 SCHEMES = ["1d", "1d-pipelined", "2d"]
 STORAGES = ["source_block", "edge_hash"]
@@ -85,6 +92,62 @@ class TestBucketingEquivalence:
             assert np.array_equal(
                 edge_key_sorted(lo, n_c), edge_key_sorted(ro, n_c)
             )
+
+
+def gather_routed(edges_a, edges_b, n_b, nparts, n_c):
+    """The routed kernel before run-wise broadcasts: every owner's slice
+    enumerated by one repeat/arange gather through B's stable source order."""
+    order = np.argsort(edges_b[:, 0], kind="stable")
+    bounds = vertex_block_bounds(n_c, nparts)
+    thresholds = bounds[None, :] - edges_a[:, :1] * np.int64(n_b)
+    pos = np.searchsorted(edges_b[order, 0], thresholds)
+    out = []
+    for d in range(nparts):
+        lens = pos[:, d + 1] - pos[:, d]
+        a_idx = np.repeat(np.arange(len(edges_a)), lens)
+        starts = np.repeat(np.cumsum(lens) - lens, lens)
+        intra = np.arange(lens.sum()) - starts
+        b_idx = order[np.repeat(pos[:, d], lens) + intra]
+        rows = edges_a[a_idx] * np.int64(n_b) + edges_b[b_idx]
+        out.append(rows.reshape(-1, 2))
+    return out
+
+
+@st.composite
+def unsorted_factor_rows(draw, max_n):
+    """An ``EdgeList`` whose rows come in arbitrary order, duplicates and
+    self loops allowed: the routed kernels must keep A's row order."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=n - 1),
+                st.integers(min_value=0, max_value=n - 1),
+            ),
+            max_size=30,
+        )
+    )
+    return EdgeList(np.array(rows, dtype=np.int64).reshape(-1, 2), n)
+
+
+@given(
+    a=unsorted_factor_rows(9),
+    b=unsorted_factor_rows(7),
+    nparts=st.integers(min_value=1, max_value=12),
+)
+@settings(max_examples=80, deadline=None)
+def test_broadcast_kernels_match_the_gather_row_for_row(a, b, nparts):
+    """Both routed kernels emit exactly the gather's rows in its order --
+    owner bounds on or between factor rows, more owners than vertices."""
+    n_c = a.n * b.n
+    want = gather_routed(a.edges, b.edges, b.n, nparts, n_c)
+    block = kron_edge_block_routed(a.edges, b.edges, b.n, nparts, n_c)
+    full = kron_routed_full(a, b, nparts, n_c)
+    assert len(block) == len(full) == nparts
+    for w, got_block, got_full in zip(want, block, full):
+        assert got_block.shape == got_full.shape == w.shape
+        assert np.array_equal(got_block, w)
+        assert np.array_equal(got_full, w)
 
 
 def legacy_shards(expect: EdgeList, nranks: int, storage: str) -> list:
