@@ -344,7 +344,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 host=args.host,
                 port=args.port,
                 cache_size=args.cache_size,
-                memo_size=args.memo_size,
                 allow_shutdown=not args.no_remote_shutdown,
             )
         )
@@ -809,8 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "bound port is printed as a REPRO_SERVE line)")
     sv.add_argument("--cache-size", type=int, default=512,
                     help="analytics cache entries (LRU beyond this)")
-    sv.add_argument("--memo-size", type=int, default=256,
-                    help="ground-truth factor-memo entries")
     sv.add_argument("--trace-out", default=None,
                     help="write the request trace (Chrome/Perfetto JSON) "
                          "here on shutdown")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 import queue
+import random
 import threading
 from abc import ABC, abstractmethod
 from typing import Any, Callable
@@ -42,6 +43,7 @@ __all__ = [
     "make_thread_world",
     "recv_timeout",
     "poll_interval",
+    "decorrelated_jitter",
 ]
 
 #: Default timeout (seconds) after which a blocked recv raises instead of
@@ -86,6 +88,28 @@ def poll_interval() -> float:
     timeout window.
     """
     return min(_POLL_MAX, max(_POLL_MIN, recv_timeout() / _POLLS_PER_TIMEOUT))
+
+
+def decorrelated_jitter(
+    prev: float,
+    base: float,
+    factor: float,
+    cap: float,
+    rng: random.Random,
+) -> float:
+    """Next backoff delay under decorrelated jitter.
+
+    The AWS-style scheme: uniform in ``[base, prev * factor]``, clamped to
+    ``cap``.  Retaining the exponential *envelope* (never above
+    ``min(cap, prev * factor)``) while randomizing within it keeps
+    simultaneously-failing ranks/hosts from re-dialing in lockstep --
+    synchronized retry storms are exactly what took down the network the
+    first time.  Deterministic given ``rng``; with ``base == prev == 0``
+    the sequence stays 0 (tests that disable backoff keep sleeping 0s).
+    The supervisor's retry loop and the socket transport's re-dial loop
+    both pace themselves with it.
+    """
+    return min(cap, rng.uniform(base, max(base, prev * factor)))
 
 
 class Request(ABC):

@@ -123,8 +123,9 @@ def _run_rank(
     worth a retry is judged here, on the live exception
     (:func:`~repro.errors.is_transient`), and the verdict ships in
     ``extra`` -- the same answer on every backend.  Inside one process
-    (no ``arena``) the exception itself rides along too and becomes the
-    ``__cause__`` of the :class:`RankFailedError`.  ``extra`` also carries
+    (no ``arena``) the exception itself rides along instead of its
+    traceback text and becomes the ``__cause__`` of the
+    :class:`RankFailedError`; the caller formats it.  ``extra`` also carries
     peer liveness when the failure has it (``RankDiedError`` from the
     socket heartbeat detector: last-heartbeat age and peer address).
     """
@@ -144,8 +145,13 @@ def _run_rank(
                 heartbeat_age_s=getattr(exc, "heartbeat_age_s", None),
                 address=exc.address,
             )
+        # In-process the caller formats the traceback: formatting calls
+        # ``ast.parse`` (3.11 caret anchors), which CPython 3.11 can fail
+        # with a SystemError when two threads parse at once -- and a rank
+        # thread may outlive its world.
+        tb = None if arena is None else traceback.format_exc()
         result_q.put(
-            (rank, False, (type(exc).__name__, traceback.format_exc(), extra),
+            (rank, False, (type(exc).__name__, tb, extra),
              exc if arena is None else None)
         )
         if not isinstance(exc, Exception):
@@ -278,6 +284,8 @@ def _run_world(
             reported.add(rank)
         else:
             original_type, tb, extra = payload
+            if tb is None:
+                tb = "".join(traceback.format_exception(cause))
             failure = RankFailedError(rank, original_type, tb, **extra)
             failure.__cause__ = cause
             break

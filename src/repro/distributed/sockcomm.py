@@ -70,6 +70,7 @@ from typing import Any, Callable, Sequence
 
 from repro.distributed.comm import (
     Communicator,
+    decorrelated_jitter,
     poll_interval,
     recv_timeout,
 )
@@ -782,10 +783,9 @@ class SocketCommunicator(Communicator):
                     )
                     break
                 time.sleep(pause)
-                # Decorrelated jitter keeps rank re-dials from synchronizing.
-                pause = min(
-                    poll_interval(),
-                    self._jitter.uniform(poll_interval() / 4.0, pause * 2.0),
+                poll = poll_interval()
+                pause = decorrelated_jitter(
+                    pause, poll / 4.0, 2.0, poll, self._jitter
                 )
         peer.healing = False
         if not self._closed and not peer.partitioned and reason:

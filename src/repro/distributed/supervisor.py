@@ -46,7 +46,7 @@ from repro.distributed.checkpoint import (
     generation_run_key,
     shard_key,
 )
-from repro.distributed.comm import RECV_TIMEOUT_ENV
+from repro.distributed.comm import RECV_TIMEOUT_ENV, decorrelated_jitter
 from repro.distributed.faults import FaultPlan, default_fault_matrix
 from repro.distributed.generator import (
     GenerationPlan,
@@ -90,26 +90,6 @@ class SupervisorReport:
     def record_failure(self, attempt: int, exc: BaseException) -> None:
         first_line = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
         self.failures.append(f"attempt {attempt}: {first_line}")
-
-
-def decorrelated_jitter(
-    prev: float,
-    base: float,
-    factor: float,
-    cap: float,
-    rng: random.Random,
-) -> float:
-    """Next backoff delay under decorrelated jitter.
-
-    The AWS-style scheme: uniform in ``[base, prev * factor]``, clamped to
-    ``cap``.  Retaining the exponential *envelope* (never above
-    ``min(cap, prev * factor)``) while randomizing within it keeps
-    simultaneously-failing ranks/hosts from re-dialing in lockstep --
-    synchronized retry storms are exactly what took down the network the
-    first time.  Deterministic given ``rng``; with ``base == prev == 0``
-    the sequence stays 0 (tests that disable backoff keep sleeping 0s).
-    """
-    return min(cap, rng.uniform(base, max(base, prev * factor)))
 
 
 def spmd_run_supervised(

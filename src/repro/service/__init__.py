@@ -12,9 +12,10 @@ product.  This package turns that into a server:
     content-addressed multi-tenant factor/graph registry;
 :mod:`repro.service.cache`
     LRU analytics cache keyed by ``(digest_A, digest_B, property,
-    params)`` with integrity digests;
+    params)`` with integrity digests -- the only cache: each answer is
+    computed once per server, from the factors alone;
 :mod:`repro.service.analytics`
-    the property table mapping names to memoized ground-truth formulas;
+    the property table mapping names to ground-truth formulas;
 :mod:`repro.service.server`
     the :class:`KronService` asyncio server (every request under a
     ``service.request`` telemetry span);

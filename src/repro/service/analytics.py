@@ -1,13 +1,14 @@
-"""The served analytics: property names -> memoized ground-truth formulas.
+"""The served analytics: property names -> ground-truth formulas.
 
 Each property is a pure function of the two factor edge lists plus
 JSON-encodable parameters, evaluated entirely from factor data (the
-product is never materialized).  Factor-level intermediates that several
-properties share -- triangle stats, degree vectors, eccentricity vectors,
-BFS hop rows -- are memoized by content address through
-:func:`repro.groundtruth.memoized_groundtruth`, so the expensive part of
-a cold analytics request is paid once per registered factor pair, not
-once per property.
+product is never materialized).  Each property computes its own
+factor-level intermediates (triangle stats, degree vectors, eccentricity
+vectors, BFS hop rows); none feeds another property, and only the two
+``triangles`` conventions read the same one.  So nothing below is
+memoized: the one cache is the server's
+:class:`~repro.service.AnalyticsCache` of finished answers, and each
+answer is computed once per server.
 
 Properties (the ``{property}`` path segment of
 ``POST /v1/tenants/{t}/graphs/{g}/analytics/{property}``):
@@ -38,52 +39,10 @@ import numpy as np
 
 from repro.errors import RequestError
 from repro.graph.csr import CSRGraph
-from repro.graph.edgelist import EdgeList
-from repro.groundtruth.memo import memoized_groundtruth
 from repro.kronecker.lazy import KroneckerGraph
 from repro.service.protocol import int_ids
 
 __all__ = ["PROPERTIES", "compute_property", "property_names"]
-
-
-# --------------------------------------------------------------------- #
-# memoized factor-level intermediates (content-addressed, shared)
-# --------------------------------------------------------------------- #
-@memoized_groundtruth
-def _factor_triangle_pair(a: EdgeList, b: EdgeList) -> tuple:
-    from repro.groundtruth.triangles import factor_triangle_stats
-
-    return (
-        factor_triangle_stats(a.without_self_loops()),
-        factor_triangle_stats(b.without_self_loops()),
-    )
-
-
-@memoized_groundtruth
-def _factor_degree_pair(a: EdgeList, b: EdgeList) -> tuple:
-    from repro.analytics.degree import degrees
-
-    return degrees(a), degrees(b)
-
-
-@memoized_groundtruth
-def _factor_eccentricity_pair(a: EdgeList, b: EdgeList) -> tuple:
-    from repro.analytics.eccentricity import exact_eccentricities
-
-    return (
-        exact_eccentricities(a).eccentricities,
-        exact_eccentricities(b).eccentricities,
-    )
-
-
-@memoized_groundtruth
-def _factor_hop_rows(a: EdgeList, b: EdgeList, *, i: int = 0, k: int = 0) -> tuple:
-    from repro.analytics.bfs import bfs_hops
-
-    return (
-        bfs_hops(CSRGraph.from_edgelist(a), i, selfloop_convention=True),
-        bfs_hops(CSRGraph.from_edgelist(b), k, selfloop_convention=True),
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -125,12 +84,14 @@ def _prop_summary(g: KroneckerGraph, params: dict) -> dict[str, Any]:
 
 def _prop_triangles(g: KroneckerGraph, params: dict) -> dict[str, Any]:
     from repro.groundtruth.triangles import (
+        factor_triangle_stats,
         global_triangles_full_loops,
         global_triangles_no_loops,
     )
 
     convention = params.get("convention", "no_loops")
-    sa, sb = _factor_triangle_pair(g.factor_a, g.factor_b)
+    sa = factor_triangle_stats(g.factor_a.without_self_loops())
+    sb = factor_triangle_stats(g.factor_b.without_self_loops())
     if convention == "no_loops":
         tau = global_triangles_no_loops(sa.global_tri, sb.global_tri)
     elif convention == "full_loops":
@@ -145,10 +106,10 @@ def _prop_triangles(g: KroneckerGraph, params: dict) -> dict[str, Any]:
 
 
 def _prop_degree_histogram(g: KroneckerGraph, params: dict) -> dict[str, Any]:
+    from repro.analytics.degree import degrees
     from repro.groundtruth.degrees import degree_histogram_product
 
-    d_a, d_b = _factor_degree_pair(g.factor_a, g.factor_b)
-    hist = degree_histogram_product(d_a, d_b)
+    hist = degree_histogram_product(degrees(g.factor_a), degrees(g.factor_b))
     return {"histogram": {str(k): v for k, v in sorted(hist.items())}}
 
 
@@ -168,10 +129,12 @@ def _require_full_loops(g: KroneckerGraph, prop: str) -> None:
 def _prop_eccentricity_histogram(
     g: KroneckerGraph, params: dict
 ) -> dict[str, Any]:
+    from repro.analytics.eccentricity import exact_eccentricities
     from repro.groundtruth.eccentricity import eccentricity_histogram_product
 
     _require_full_loops(g, "eccentricity_histogram")
-    ecc_a, ecc_b = _factor_eccentricity_pair(g.factor_a, g.factor_b)
+    ecc_a = exact_eccentricities(g.factor_a).eccentricities
+    ecc_b = exact_eccentricities(g.factor_b).eccentricities
     hist = eccentricity_histogram_product(ecc_a, ecc_b)
     return {
         "histogram": {str(k): v for k, v in sorted(hist.items())},
@@ -181,12 +144,18 @@ def _prop_eccentricity_histogram(
 
 
 def _prop_closeness(g: KroneckerGraph, params: dict) -> dict[str, Any]:
+    from repro.analytics.bfs import bfs_hops
     from repro.groundtruth.closeness import closeness_product_histogram
 
     _require_full_loops(g, "closeness")
     p = _int_param(params, "p", 0, g.n)
     i, k = divmod(p, g.n_b)
-    row_a, row_b = _factor_hop_rows(g.factor_a, g.factor_b, i=i, k=k)
+    row_a = bfs_hops(
+        CSRGraph.from_edgelist(g.factor_a), i, selfloop_convention=True
+    )
+    row_b = bfs_hops(
+        CSRGraph.from_edgelist(g.factor_b), k, selfloop_convention=True
+    )
     return {
         "p": p,
         "closeness": closeness_product_histogram(row_a, row_b),

@@ -11,9 +11,9 @@ same request recomputes and repairs.
 
 Computation is synchronous on the server's single event loop, so two
 requests for the same cold key can never overlap: the second one finds
-the first one's entry.  Counters (``service.cache.hit`` / ``.miss`` /
-``.eviction`` / ``.corruption``) land in whatever metrics registry the
-server attaches.
+the first one's entry.  Hits, misses, evictions and corruptions are
+counted once, on the cache itself; the server's ``/v1/metrics`` reports
+them.
 """
 
 from __future__ import annotations
@@ -50,17 +50,14 @@ class _Entry:
 class AnalyticsCache:
     """Bounded LRU of serialized analytics results.
 
-    ``metrics`` is anything with ``add(name, value=1)`` (e.g. a
-    :class:`~repro.telemetry.metrics.MetricsRegistry`); ``None`` disables
-    counter export but :attr:`hits` / :attr:`misses` attributes still
-    count locally so benchmarks can report hit rates without telemetry.
+    :attr:`hits`, :attr:`misses`, :attr:`evictions` and
+    :attr:`corruptions` count each event once.
     """
 
-    def __init__(self, maxsize: int = 512, metrics: Any | None = None) -> None:
+    def __init__(self, maxsize: int = 512) -> None:
         if maxsize < 1:
             raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
-        self.metrics = metrics
         self._entries: dict[tuple, _Entry] = {}
         self.hits = 0
         self.misses = 0
@@ -75,10 +72,6 @@ class AnalyticsCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.add(f"service.cache.{name}")
-
     def lookup(self, key: tuple) -> bytes | None:
         """Integrity-checked hit, or ``None`` on miss.
 
@@ -88,12 +81,10 @@ class AnalyticsCache:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            self._count("miss")
             return None
         if payload_digest(entry.payload) != entry.digest:
             del self._entries[key]
             self.corruptions += 1
-            self._count("corruption")
             digest_a, digest_b, prop, params = key
             raise CacheCorruptionError(
                 f"cached payload for {prop} on {digest_a}x{digest_b} failed "
@@ -106,7 +97,6 @@ class AnalyticsCache:
         del self._entries[key]
         self._entries[key] = entry
         self.hits += 1
-        self._count("hit")
         return entry.payload
 
     def insert(self, key: tuple, payload: bytes) -> None:
@@ -116,7 +106,6 @@ class AnalyticsCache:
             oldest = next(iter(self._entries))
             del self._entries[oldest]
             self.evictions += 1
-            self._count("eviction")
 
     def get_or_compute(
         self, key: tuple, compute: Callable[[], Any]

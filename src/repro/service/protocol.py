@@ -70,14 +70,23 @@ class HTTPRequest:
         """HTTP/1.1 default keep-alive unless ``Connection: close``."""
         return self.headers.get("connection", "").lower() != "close"
 
-    def json(self) -> Any:
-        """Decode the body as JSON (empty body -> ``{}``)."""
+    def json(self) -> dict:
+        """Decode the body as a JSON object (empty body -> ``{}``).
+
+        Every route's body is an object, so any other JSON value is
+        refused here, once, as a 400.
+        """
         if not self.body:
             return {}
         try:
-            return json.loads(self.body)
+            doc = json.loads(self.body)
         except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise RequestError(f"request body is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise RequestError(
+                f"request body must be a JSON object, not {type(doc).__name__}"
+            )
+        return doc
 
 
 def int_ids(value: Any, what: str, width: int = 1, **context: Any) -> np.ndarray:

@@ -14,7 +14,7 @@ digest_B``), so the analytics cache warms across tenants.
 parameter bundles -- follow the same pattern: the pool is content
 addressed by the spec digest (the same 64-bit digest the distributed
 run keys fold), visibility is per tenant, and served expected-property
-answers flow through the same :class:`~repro.service.cache.AnalyticsCache`
+answers flow through the same :class:`~repro.service.AnalyticsCache`
 with ``("skg", digest)`` standing in for the factor-pair address.
 
 Nothing here is async; the registry is plain data guarded by the event

@@ -5,10 +5,12 @@ cache, and a telemetry sink; ``asyncio.start_server`` feeds it
 keep-alive HTTP/1.1 connections.  Every request -- including failing
 ones -- runs under a ``service.request`` span and lands in the metrics
 registry (``service.requests``, per-status counters, a
-``service.latency_s`` histogram, cache hit/miss counters), so a served
-workload is observable with exactly the machinery the generation
-pipeline already uses: export the trace, validate it with
+``service.latency_s`` histogram), so a served workload is observable
+with exactly the machinery the generation pipeline already uses: export
+the trace, validate it with
 ``python -m repro.telemetry.validate --require-span service.request``.
+The analytics cache counts its own hits, misses and evictions;
+``GET /v1/metrics`` reports them under ``"cache"``.
 
 Request handling is single-threaded on the event loop: ground-truth
 formulas at serving scale are sub-millisecond, and the lazy
@@ -47,12 +49,12 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.errors import RequestError, ServiceError
-from repro.groundtruth.memo import configure_default_memo, default_memo
+from repro.groundtruth.memo import params_key
 from repro.kronecker.lazy import KroneckerGraph
 from repro.service.analytics import compute_property, property_names
 from repro.service.cache import AnalyticsCache, cache_key
@@ -87,7 +89,6 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0
     cache_size: int = 512
-    memo_size: int = 256
     max_body: int = MAX_BODY_BYTES
     #: Whether POST /v1/admin/shutdown is honored (CI and tests use it to
     #: stop a background server deterministically).
@@ -104,15 +105,7 @@ class KronService:
             self.config.telemetry or TelemetryConfig(), rank=0
         )
         self.registry = ServiceRegistry()
-        self.cache = AnalyticsCache(
-            maxsize=self.config.cache_size, metrics=self.telemetry
-        )
-        # Ground-truth factor intermediates share the process-default
-        # memo; size it for serving and wire its counters into this
-        # server's metrics.
-        configure_default_memo(
-            maxsize=self.config.memo_size, metrics=self.telemetry
-        )
+        self.cache = AnalyticsCache(maxsize=self.config.cache_size)
         self._clock = perf_clock
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = asyncio.Event()
@@ -300,7 +293,6 @@ class KronService:
         }
 
     async def _h_metrics(self, request: HTTPRequest) -> dict:
-        memo = default_memo()
         return {
             "metrics": self.telemetry.metrics.snapshot(),
             "cache": {
@@ -312,7 +304,6 @@ class KronService:
                 "corruptions": self.cache.corruptions,
                 "hit_rate": self.cache.hit_rate,
             },
-            "memo": memo.stats.to_dict(),
             "registry": {
                 "factors": self.registry.num_factors,
                 "graphs": self.registry.num_graphs,
@@ -447,26 +438,32 @@ class KronService:
     async def _h_analytics(
         self, request: HTTPRequest, tenant: str, gkey: str, prop: str
     ) -> bytes:
-        from repro.groundtruth.memo import params_key
-
         handle = self.registry.graph(tenant, gkey)
-        doc = request.json()
-        params = doc.get("params", {})
+        return self._cached_answer(
+            request, prop, span="service.analytics",
+            address=(handle.digest_a, handle.digest_b),
+            head=f'"graph":"{handle.key}"',
+            compute=lambda params: compute_property(prop, handle.graph, params),
+        )
+
+    def _cached_answer(
+        self, request: HTTPRequest, prop: str, *, span: str,
+        address: tuple[str, str], head: str, compute: Callable[[dict], Any],
+    ) -> bytes:
+        """``compute(params)`` cached under ``(*address, prop, params)``,
+        its bytes spliced after ``head`` without reserialization."""
+        params = request.json().get("params", {})
         if not isinstance(params, dict):
             raise RequestError("'params' must be an object", property=prop)
-        pkey = params_key(params)
-        key = cache_key(handle.digest_a, handle.digest_b, prop, pkey)
-        tel = self.telemetry
-        with tel.span("service.analytics", cat="service", property=prop):
+        key = cache_key(*address, prop, params_key(params))
+        with self.telemetry.span(span, cat="service", property=prop):
             payload, was_hit = self.cache.get_or_compute(
-                key, lambda: compute_property(prop, handle.graph, params)
+                key, lambda: compute(params)
             )
-        tel.add("service.analytics_queries")
-        head = (
-            f'{{"graph":"{handle.key}","property":"{prop}",'
-            f'"cached":{"true" if was_hit else "false"},"value":'
-        ).encode("utf-8")
-        return head + payload + b"}"
+        self.telemetry.add(f"{span}_queries")
+        hit = "true" if was_hit else "false"
+        prefix = f'{{{head},"property":"{prop}","cached":{hit},"value":'
+        return prefix.encode("utf-8") + payload + b"}"
 
     # ---- stochastic tier ------------------------------------------------
     async def _h_register_skg(self, request: HTTPRequest, tenant: str) -> dict:
@@ -486,37 +483,16 @@ class KronService:
     async def _h_skg_expected(
         self, request: HTTPRequest, tenant: str, digest: str, prop: str
     ) -> bytes:
-        """Served expected property, cached by ``("skg", digest)`` address.
-
-        Mirrors :meth:`_h_analytics`: the result is a pure function of
-        the content-addressed spec and the request params, so it shares
-        the analytics cache (integrity digests, LRU) with
-        the exact ground truth -- the spec digest occupies the
-        ``digest_b`` slot of the key with the literal ``"skg"`` marker
-        as ``digest_a``, which can never collide with a 16-hex factor
-        digest.
-        """
-        from repro.groundtruth.memo import params_key
-
+        """Served expected property, cached under ``("skg", digest)``: the
+        literal marker can never collide with a 16-hex factor digest."""
         handle = self.registry.skg(tenant, digest)
-        doc = request.json()
-        params = doc.get("params", {})
-        if not isinstance(params, dict):
-            raise RequestError("'params' must be an object", property=prop)
-        pkey = params_key(params)
-        key = cache_key("skg", handle.digest, prop, pkey)
-        tel = self.telemetry
-        with tel.span("service.skg_expected", cat="service", property=prop):
-            payload, was_hit = self.cache.get_or_compute(
-                key,
-                lambda: compute_expected_property(prop, handle.spec, params),
-            )
-        tel.add("service.skg_expected_queries")
-        head = (
-            f'{{"skg":"{handle.digest}","property":"{prop}",'
-            f'"cached":{"true" if was_hit else "false"},"value":'
-        ).encode("utf-8")
-        return head + payload + b"}"
+        return self._cached_answer(
+            request, prop, span="service.skg_expected",
+            address=("skg", handle.digest), head=f'"skg":"{handle.digest}"',
+            compute=lambda params: compute_expected_property(
+                prop, handle.spec, params
+            ),
+        )
 
 
 class _NoRoute(RequestError):

@@ -1,24 +1,9 @@
-"""Unit tests for content-addressed ground-truth memoization."""
+"""Unit tests for the content addresses of factors and parameters."""
 
 import numpy as np
-import pytest
 
-from repro.graph import EdgeList, clique, cycle
-from repro.groundtruth.memo import (
-    GroundTruthMemo,
-    configure_default_memo,
-    default_memo,
-    factor_digest,
-    memoized_groundtruth,
-    params_key,
-)
-
-
-@pytest.fixture(autouse=True)
-def fresh_default_memo():
-    """Tests mutate the process-default memo; restore it afterwards."""
-    yield
-    configure_default_memo(maxsize=256)
+from repro.graph import EdgeList, clique
+from repro.groundtruth.memo import factor_digest, params_key
 
 
 class TestFactorDigest:
@@ -67,110 +52,3 @@ class TestParamsKey:
 
     def test_distinct_values_distinct_keys(self):
         assert params_key({"p": 1}) != params_key({"p": 2})
-
-
-class TestGroundTruthMemo:
-    def test_hit_miss_counters(self):
-        memo = GroundTruthMemo(maxsize=4)
-        calls = []
-        for _ in range(3):
-            memo.get_or_compute(("k",), lambda: calls.append(1) or 42)
-        assert calls == [1]
-        assert memo.stats.misses == 1
-        assert memo.stats.hits == 2
-        assert memo.stats.hit_rate == pytest.approx(2 / 3)
-
-    def test_eviction_knob(self):
-        memo = GroundTruthMemo(maxsize=2)
-        for i in range(4):
-            memo.get_or_compute((i,), lambda i=i: i)
-        assert len(memo) == 2
-        assert memo.stats.evictions == 2
-        # Oldest fell out; recomputing is a miss.
-        memo.get_or_compute((0,), lambda: 0)
-        assert memo.stats.misses == 5
-
-    def test_lru_recency_on_hit(self):
-        memo = GroundTruthMemo(maxsize=2)
-        memo.get_or_compute(("a",), lambda: 1)
-        memo.get_or_compute(("b",), lambda: 2)
-        memo.get_or_compute(("a",), lambda: 1)  # refresh "a"
-        memo.get_or_compute(("c",), lambda: 3)  # evicts "b", not "a"
-        assert ("a",) in memo and ("b",) not in memo
-
-    def test_metrics_attachment(self):
-        class Reg:
-            def __init__(self):
-                self.counts = {}
-
-            def add(self, name, value=1):
-                self.counts[name] = self.counts.get(name, 0) + value
-
-        reg = Reg()
-        memo = GroundTruthMemo(maxsize=1, metrics=reg)
-        memo.get_or_compute(("a",), lambda: 1)
-        memo.get_or_compute(("a",), lambda: 1)
-        memo.get_or_compute(("b",), lambda: 2)
-        assert reg.counts == {
-            "gtmemo.miss": 2,
-            "gtmemo.hit": 1,
-            "gtmemo.eviction": 1,
-        }
-
-    def test_rejects_zero_maxsize(self):
-        with pytest.raises(ValueError):
-            GroundTruthMemo(maxsize=0)
-
-
-class TestMemoizedGroundtruth:
-    def test_bare_decorator_computes_once_per_content(self):
-        calls = []
-
-        @memoized_groundtruth(memo=GroundTruthMemo(maxsize=8))
-        def edge_product(a, b):
-            calls.append(1)
-            return a.m_directed * b.m_directed
-
-        k, c = clique(4), cycle(5)
-        expected = k.m_directed * c.m_directed
-        assert edge_product(k, c) == expected
-        # Equal-content but distinct EdgeList objects: still one compute.
-        assert edge_product(clique(4), cycle(5)) == expected
-        assert calls == [1]
-
-    def test_params_part_of_key(self):
-        @memoized_groundtruth(memo=GroundTruthMemo(maxsize=8))
-        def scaled(a, b, *, k=1):
-            return a.n * b.n * k
-
-        g, h = clique(3), cycle(4)
-        assert scaled(g, h, k=1) == 12
-        assert scaled(g, h, k=2) == 24
-        assert scaled.memo.stats.misses == 2
-
-    def test_default_memo_is_reconfigurable(self):
-        @memoized_groundtruth
-        def f(a, b):
-            return a.n + b.n
-
-        assert f.memo is None  # bound to the process default
-        configure_default_memo(maxsize=2)
-        g, h = clique(3), cycle(4)
-        f(g, h)
-        assert default_memo().stats.misses == 1
-        f(g, h)
-        assert default_memo().stats.hits == 1
-
-    def test_cache_key_matches_service_addressing(self):
-        @memoized_groundtruth
-        def f(a, b, *, p=0):
-            return 0
-
-        g, h = clique(3), cycle(4)
-        key = f.cache_key(g, h, p=3)
-        assert key == (
-            f.__wrapped__.__qualname__,
-            factor_digest(g),
-            factor_digest(h),
-            params_key({"p": 3}),
-        )

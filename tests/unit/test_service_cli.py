@@ -71,7 +71,6 @@ class TestParserDefaults:
         assert args.port == 0  # ephemeral by default
         assert args.host == "127.0.0.1"
         assert args.cache_size == 512
-        assert args.memo_size == 256
         assert not args.no_remote_shutdown
 
     def test_loadgen_defaults(self):

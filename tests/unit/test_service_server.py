@@ -101,6 +101,37 @@ class TestBasics:
 
         serve(go)
 
+    @pytest.mark.parametrize(
+        "route",
+        [
+            "factors",
+            "graphs",
+            "graphs/{g}/edges",
+            "graphs/{g}/degrees",
+            "graphs/{g}/neighbors",
+            "graphs/{g}/analytics/triangles",
+            "skg",
+            "skg/{s}/expected/edge_count",
+        ],
+    )
+    def test_non_object_json_body_is_400(self, route):
+        # Every POST route that reads a body (shutdown reads none) takes
+        # a JSON object; any other valid JSON value is refused up front.
+        async def go(service, client):
+            graph = (await register_default_graph(client))["graph"]
+            _, skg = await client.request(
+                "POST", "/v1/tenants/t/skg", {"seed_matrix": "polblogs"}
+            )
+            path = "/v1/tenants/t/" + route.format(g=graph, s=skg["skg"])
+            for body in ([1], 7, "x", [], 1.5, True):
+                status, doc = await client.request("POST", path, body)
+                assert (status, doc["error"]) == (400, "bad_request"), body
+                assert "JSON object" in doc["message"]
+            status, _ = await client.request("GET", "/healthz")
+            assert status == 200
+
+        serve(go)
+
 
 class TestRegistration:
     def test_register_factor_returns_digest(self):
@@ -476,9 +507,58 @@ class TestObservability:
             assert m["cache"]["maxsize"] == service.cache.maxsize
             assert m["registry"]["graphs"] == 1
             assert m["registry"]["tenants"] == ["t"]
-            assert "hits" in m["memo"]
 
         serve(go)
+
+    def test_two_servers_keep_their_own_cache_and_counters(self):
+        # Two servers in one process share no state: each counts only its
+        # own requests, and its cache honours its own size.
+        async def run():
+            small = KronService(ServiceConfig(port=0, cache_size=8))
+            other = KronService(ServiceConfig(port=0))
+            clients = []
+            for service in (small, other):
+                await service.start()
+                client = HTTPClient("127.0.0.1", service.bound_port)
+                await client.connect()
+                clients.append(client)
+            try:
+                graph = (await register_default_graph(clients[0]))["graph"]
+                for prop in ("triangles", "degree_histogram"):
+                    for _ in range(2):
+                        status, _ = await clients[0].request(
+                            "POST",
+                            f"/v1/tenants/t/graphs/{graph}/analytics/{prop}",
+                            {},
+                        )
+                        assert status == 200
+                return [
+                    (await c.request("GET", "/v1/metrics"))[1]
+                    for c in clients
+                ]
+            finally:
+                for client in clients:
+                    await client.aclose()
+                await small.aclose()
+                await other.aclose()
+
+        m_small, m_other = asyncio.run(run())
+        cache = m_small["cache"]
+        assert (cache["maxsize"], cache["misses"], cache["hits"]) == (8, 2, 2)
+        counters = m_small["metrics"]["counters"]
+        assert counters["service.analytics_queries"] == 4
+        assert m_other["cache"] == {
+            "size": 0,
+            "maxsize": 512,
+            "hits": 0,
+            "misses": 0,
+            "evictions": 0,
+            "corruptions": 0,
+            "hit_rate": 0.0,
+        }
+        assert m_other["metrics"]["counters"] == {}
+        assert m_other["registry"]["graphs"] == 0
+        assert "memo" not in m_small and "memo" not in m_other
 
     def test_requests_produce_spans(self):
         async def go(service, client):

@@ -482,3 +482,20 @@ class TestDecorrelatedJitter:
         a = decorrelated_jitter(0.4, 0.05, 3.0, 2.0, random.Random(1))
         b = decorrelated_jitter(0.4, 0.05, 3.0, 2.0, random.Random(2))
         assert a != b
+
+    @pytest.mark.parametrize("poll", [0.02, 0.15, 0.5])
+    def test_reproduces_the_socket_redial_pauses(self, poll):
+        # The socket transport's re-dial pauses start at poll/4 and follow
+        # min(poll, uniform(poll/4, 2 * pause)); the shared formula must
+        # draw exactly that sequence from the same generator.
+        import random
+
+        from repro.distributed import comm, supervisor
+
+        assert supervisor.decorrelated_jitter is comm.decorrelated_jitter
+        inline_rng, rng = random.Random(11), random.Random(11)
+        inline = pause = poll / 4.0
+        for _ in range(64):
+            inline = min(poll, inline_rng.uniform(poll / 4.0, inline * 2.0))
+            pause = comm.decorrelated_jitter(pause, poll / 4.0, 2.0, poll, rng)
+            assert pause == inline
