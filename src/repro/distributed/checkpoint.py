@@ -463,7 +463,7 @@ def elastic_pre_attempt(
         if manifest.family != family or manifest.nranks == nranks:
             continue
         reshard_run(store, manifest, new_key=run_key, new_ranks=nranks)
-        if telemetry is not None and telemetry.enabled:
+        if telemetry is not None:
             telemetry.record(
                 "supervisor.elastic_reshard", attempt=attempt, nranks=nranks
             )

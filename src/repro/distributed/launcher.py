@@ -11,16 +11,17 @@ Backends
     in the caller's thread.
 ``"process"``:
     one forked OS process per rank (``fn`` and its arguments must be
-    picklable).  When the platform has no ``fork`` start method the
-    launcher degrades to the thread backend with a structured
-    :class:`~repro.errors.DegradationWarning` instead of dying.
+    picklable).
 ``"socket"``:
     one forked OS process per rank over the TCP mesh of
     :mod:`repro.distributed.sockcomm`, bootstrapped through a rendezvous
     service -- the same backend that spans hosts (``rendezvous=`` plus a
-    per-host ``local_ranks=`` subset).  An unreachable external
-    rendezvous degrades to the process backend with a
-    :class:`~repro.errors.DegradationWarning`.
+    per-host ``local_ranks=`` subset).
+
+A launch runs the backend it was asked for or fails: a platform without
+the ``fork`` start method raises :class:`~repro.errors.CommunicatorError`
+naming the backend, and an unreachable rendezvous fails in each rank's
+connect like any other transient communicator failure.
 
 Every backend runs the same rank entry (:func:`_run_rank`: build the
 communicator, wrap it, run, ship the result) under the same collection
@@ -56,10 +57,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import queue
 import signal
-import socket
 import threading
 import traceback
-import warnings
 from functools import partial
 from typing import Any, Callable
 
@@ -71,17 +70,12 @@ from repro.distributed.comm import (
 from repro.distributed.mpcomm import Arena, ProcessCommunicator, make_process_pipes
 from repro.errors import (
     CommunicatorError,
-    DegradationWarning,
     RankDiedError,
     RankFailedError,
     is_transient,
 )
 from repro.telemetry.clock import monotonic
-from repro.telemetry.session import (
-    TelemetrySession,
-    _TelemetryRankFn,
-    record_degradation,
-)
+from repro.telemetry.session import TelemetrySession, _TelemetryRankFn
 
 __all__ = ["spmd_run"]
 
@@ -356,7 +350,7 @@ def spmd_run(
         Must be picklable for the process backend.
     telemetry:
         Optional :class:`~repro.telemetry.session.TelemetrySession`.  When
-        given (and enabled), every rank runs with per-rank tracing and
+        given, every rank runs with per-rank tracing and
         metrics: its communicator -- including any sentinel/fault wrappers
         -- is wrapped in an
         :class:`~repro.telemetry.instrument.InstrumentedCommunicator`
@@ -368,9 +362,8 @@ def spmd_run(
         Socket backend only: ``"host:port"`` of a running
         ``repro-kron serve-rendezvous``.  ``None`` starts a private
         in-process rendezvous for the duration of the run (single-host
-        socket worlds); an unreachable external rendezvous degrades the
-        launch to the process backend with a
-        :class:`~repro.errors.DegradationWarning`.
+        socket worlds).  An unreachable one fails every rank's connect
+        with a transient :class:`~repro.errors.CommunicatorError`.
     local_ranks:
         Socket backend only: the subset of ranks this invocation should
         launch (each host of a multi-host world runs its own share and
@@ -384,7 +377,7 @@ def spmd_run(
         raise CommunicatorError(
             "rendezvous/local_ranks apply to the socket backend only"
         )
-    traced = telemetry is not None and telemetry.enabled
+    traced = telemetry is not None
     run_fn: RankFn = _TelemetryRankFn(fn, telemetry.config) if traced else fn
     results = _dispatch(run_fn, nranks, args, backend, checked, wrap_comm,
                         rendezvous, local_ranks)
@@ -413,15 +406,11 @@ def _dispatch(
                 "it supports the thread backend only"
             )
         ctx = _fork_context()
-        if ctx is None:  # pragma: no cover - non-posix
-            reason = "fork start method unavailable on this platform"
-            record_degradation(f"{backend} backend", "thread backend", reason)
-            warnings.warn(
-                DegradationWarning(f"{backend} backend", "thread backend",
-                                   reason),
-                stacklevel=2,
+        if ctx is None:
+            raise CommunicatorError(
+                f"the {backend} backend needs the fork start method, which "
+                f"this platform does not have"
             )
-            backend, checked = "thread", False
     server = None
     if backend == "socket":
         from repro.distributed.sockcomm import (
@@ -436,25 +425,6 @@ def _dispatch(
             addr = server.address
         else:
             addr = parse_hostport(rendezvous)
-            try:
-                socket.create_connection(addr, timeout=recv_timeout()).close()
-            except OSError as exc:
-                if local_ranks is not None:
-                    # A partial world cannot fall back to a single-host
-                    # backend: the other hosts would wait forever.
-                    raise CommunicatorError(
-                        f"rendezvous at {rendezvous} unreachable ({exc}) and "
-                        f"local_ranks={local_ranks!r} rules out a single-host "
-                        f"fallback"
-                    ) from exc
-                reason = f"rendezvous at {rendezvous} unreachable: {exc}"
-                record_degradation("socket backend", "process backend", reason)
-                warnings.warn(
-                    DegradationWarning("socket backend", "process backend",
-                                       reason),
-                    stacklevel=2,
-                )
-                backend = "process"
     ranks = tuple(range(nranks)) if local_ranks is None else tuple(local_ranks)
     arena = None if ctx is None else Arena()
     if backend == "thread":

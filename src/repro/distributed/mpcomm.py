@@ -33,9 +33,12 @@ sender-side mapping means no page fault per 4 KB, and a full tmpfs is a
 catchable ``ENOSPC`` where a store through a mapping dies with ``SIGBUS``.
 On failure the partial file is unlinked and the rank falls back, with a
 :class:`~repro.errors.DegradationWarning`, to in-band buffers for the rest
-of its life -- slower, never fatal.  *Take* checks the descriptor (a bare
-name inside this arena, the promised size) before it maps, then unlinks; a
-message nobody took (a crashed peer) goes with the directory.
+of its life -- slower, never fatal.  A traced rank records the fallback
+on its own sink too (the one ``bind_telemetry`` attached); a rank's result
+is packed after its trace has shipped, so a fallback there only warns.
+*Take* checks the descriptor (a bare name inside this arena, the promised
+size) before it maps, then unlinks; a message nobody took (a crashed peer)
+goes with the directory.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from typing import Any, Iterable
 
 from repro.distributed.comm import Communicator, recv_timeout
 from repro.errors import CommunicatorError, DegradationWarning
-from repro.telemetry.session import record_degradation
+from repro.telemetry.session import NULL_TELEMETRY
 
 __all__ = ["Arena", "ProcessCommunicator", "make_process_pipes", "SHM_MIN_BYTES"]
 
@@ -80,6 +83,8 @@ class Arena:
         root = "/dev/shm" if os.path.isdir("/dev/shm") else None
         self.path = tempfile.mkdtemp(prefix="repro-world-", dir=root)
         self._degraded = False
+        #: Where a degradation is recorded (``ProcessCommunicator.bind_telemetry``).
+        self.telemetry = NULL_TELEMETRY
         # Forked ranks inherit this object; only the creating process may
         # remove the directory: when told to, or when the object goes.
         self.remove = weakref.finalize(self, _remove_tree, self.path, os.getpid())
@@ -104,7 +109,7 @@ class Arena:
             self._degraded = True
             rung = (f"zero-copy exchange (rank {rank})", "pickled queue messages",
                     f"arena write failed: {exc}")
-            record_degradation(*rung)
+            self.telemetry.degradation(*rung)
             warnings.warn(DegradationWarning(*rung), stacklevel=3)
             return None
         return os.path.basename(path)
@@ -195,6 +200,12 @@ class ProcessCommunicator(Communicator):
     @property
     def size(self) -> int:
         return self._size
+
+    def bind_telemetry(self, telemetry) -> None:
+        """Attach this rank's telemetry sink to its arena, where a fallback
+        to in-band buffers is recorded.  A forked rank holds its own copy of
+        the world's :class:`Arena`, so the sink is this rank's alone."""
+        self._pipes.arena.telemetry = telemetry
 
     # ---- point-to-point ------------------------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:

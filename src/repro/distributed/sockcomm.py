@@ -66,7 +66,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.distributed.comm import (
     Communicator,
@@ -938,27 +938,21 @@ class RendezvousServer:
 
 
 def make_socket_world(
-    size: int,
-    *,
-    wrap: Callable[[Communicator], Communicator] | None = None,
-    host: str = "127.0.0.1",
-) -> list[Communicator]:
+    size: int, *, host: str = "127.0.0.1"
+) -> list[SocketCommunicator]:
     """Create ``size`` socket communicators meshed over localhost.
 
     The in-process counterpart of the rendezvous bootstrap (all listeners
     are bound before any rank dials, exactly like a rendezvous round), for
-    conformance tests and single-host experiments; ``wrap`` interposes a
-    per-rank wrapper like :func:`~repro.distributed.comm.make_thread_world`.
+    conformance tests and single-host experiments.
     """
     if size < 1:
         raise CommunicatorError(f"world size must be >= 1, got {size}")
     listeners = [_make_listener(host) for _ in range(size)]
     roster = [sock.getsockname()[:2] for sock in listeners]
-    comms: list[Communicator] = [
+    comms = [
         SocketCommunicator(r, size, roster, listeners[r]) for r in range(size)
     ]
     for comm in comms:
         comm._await_mesh()
-    if wrap is not None:
-        comms = [wrap(c) for c in comms]
     return comms

@@ -171,7 +171,7 @@ def spmd_run_supervised(
             if report is not None:
                 report.record_failure(attempt, exc)
             retrying = is_transient(exc) and attempt + 1 < max_attempts
-            if telemetry is not None and telemetry.enabled:
+            if telemetry is not None:
                 telemetry.record(
                     "supervisor.retry" if retrying else "supervisor.giveup",
                     attempt=attempt + 1,
@@ -185,7 +185,7 @@ def spmd_run_supervised(
                 delay, backoff_base, _BACKOFF_FACTOR, _BACKOFF_MAX, rng
             )
             continue
-        if telemetry is not None and telemetry.enabled and attempt:
+        if telemetry is not None and attempt:
             telemetry.record("supervisor.recovered", attempts=attempt + 1)
         return results
     raise AssertionError("unreachable")  # pragma: no cover

@@ -14,7 +14,6 @@ from repro.kronecker.product import (
     iter_kron_product_routed,
 )
 from repro.kronecker.operators import (
-    SelfLoopRegime,
     kron_with_full_loops,
     undirected_edge_count_with_loops,
     require_no_self_loops,
@@ -51,7 +50,6 @@ __all__ = [
     "kron_edge_block_routed",
     "kron_routed_full",
     "iter_kron_product_routed",
-    "SelfLoopRegime",
     "kron_with_full_loops",
     "undirected_edge_count_with_loops",
     "require_no_self_loops",

@@ -2,40 +2,28 @@
 
 The paper's theorems each assume a specific self-loop regime:
 
-* ``NO_LOOPS`` -- ``A o I_A = O_A`` (Thm. 1/2, the no-loop triangle laws);
-* ``FULL_LOOPS`` -- ``A o I_A = I_A`` (the distance results of Section V and
+* no loops -- ``A o I_A = O_A`` (Thm. 1/2, the no-loop triangle laws);
+* full loops -- ``A o I_A = I_A`` (the distance results of Section V and
   the ``(A + I) (x) (B + I)`` triangle/community results of Cor. 1/2, Thm. 6).
 
-This module names those regimes, checks them, and provides the composite
-product ``(A + I_A) (x) (B + I_B)`` that most ground-truth formulas are
-stated against, together with exact edge-count accounting for each regime.
+This module checks those regimes and provides the composite product
+``(A + I_A) (x) (B + I_B)`` that most ground-truth formulas are stated
+against, together with its exact edge count.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 from repro.errors import AssumptionError
 from repro.graph.edgelist import EdgeList
 from repro.kronecker.product import kron_product
 
 __all__ = [
-    "SelfLoopRegime",
     "require_no_self_loops",
     "require_full_self_loops",
     "require_symmetric",
     "kron_with_full_loops",
-    "directed_edge_count_with_loops",
     "undirected_edge_count_with_loops",
 ]
-
-
-class SelfLoopRegime(Enum):
-    """Which self-loop hypothesis a formula assumes."""
-
-    NO_LOOPS = "no_loops"
-    FULL_LOOPS = "full_loops"
-    ANY = "any"
 
 
 def require_no_self_loops(el: EdgeList, name: str = "factor") -> None:
@@ -69,11 +57,6 @@ def kron_with_full_loops(el_a: EdgeList, el_b: EdgeList) -> EdgeList:
     self loops by construction (``gamma(i, i)`` diagonal).
     """
     return kron_product(el_a.with_full_self_loops(), el_b.with_full_self_loops())
-
-
-def directed_edge_count_with_loops(el: EdgeList) -> int:
-    """Directed row count of ``A + I_A`` without materializing it."""
-    return el.without_self_loops().m_directed + el.n
 
 
 def undirected_edge_count_with_loops(el_a: EdgeList, el_b: EdgeList) -> int:

@@ -143,7 +143,6 @@ class KronService:
             task.cancel()
         if self._connections:
             await asyncio.gather(*self._connections, return_exceptions=True)
-        self.telemetry.close()
 
     def trace_session(self) -> TelemetrySession:
         """A session holding this server's trace, ready to export."""

@@ -24,8 +24,9 @@ sentinel (:mod:`repro.distributed.checked`), and the fault harness
     (``Instrumented(Checked(Faulty(base)))``).
 :mod:`~repro.telemetry.session`
     the per-run :class:`TelemetrySession` handed to ``spmd_run`` /
-    ``spmd_run_supervised``, per-rank sinks, the null (zero-overhead)
-    telemetry, and structured degradation events.
+    ``spmd_run_supervised``, per-rank sinks (which also carry a rank's
+    structured degradation events), and the null (zero-overhead)
+    telemetry.
 :mod:`~repro.telemetry.export`
     Chrome trace-event / Perfetto JSON export, one lane per rank, plus
     the trace schema validator the CI smoke job runs.
@@ -49,7 +50,6 @@ from repro.telemetry.session import (
     RankTrace,
     TelemetryConfig,
     TelemetrySession,
-    record_degradation,
     telemetry_of,
 )
 from repro.telemetry.trace import TraceEvent, Tracer
@@ -71,7 +71,6 @@ __all__ = [
     "RankTrace",
     "NULL_TELEMETRY",
     "telemetry_of",
-    "record_degradation",
     "chrome_trace",
     "write_chrome_trace",
     "validate_chrome_trace",

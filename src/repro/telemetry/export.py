@@ -9,8 +9,8 @@ consumed by ``chrome://tracing``, Perfetto's legacy loader, and
   use ``tid = rank``, with ``thread_name`` metadata events labelling
   each lane ``rank 0`` .. ``rank N-1`` and ``thread_sort_index``
   pinning lane order to rank order;
-* **parent/supervisor events** (retries, degradations before launch) get
-  their own lane after the ranks, labelled ``supervisor``;
+* **parent/supervisor events** (retries, give-ups, recoveries, elastic
+  reshards) get their own lane after the ranks, labelled ``supervisor``;
 * timestamps are normalized to **microseconds since the earliest event**
   across all ranks -- ranks share a clock origin (CLOCK_MONOTONIC
   survives fork), so cross-rank alignment in the viewer is real, not
@@ -130,7 +130,7 @@ def write_chrome_trace(
 # schema validation (used by CI and tests; no third-party validator)
 # --------------------------------------------------------------------- #
 _REQUIRED = ("name", "ph", "pid", "tid", "ts")
-_KNOWN_PHASES = {"X", "i", "I", "M", "B", "E", "C"}
+_KNOWN_PHASES = frozenset({"X", "i", "I", "M", "B", "E", "C"})
 
 
 def validate_chrome_trace(obj: Any) -> list[str]:

@@ -21,29 +21,20 @@ Three layers:
 
 Degradation events
 ------------------
-Structured fallbacks (:class:`~repro.errors.DegradationWarning` sites)
-also call :func:`record_degradation`, which routes the event to the
-calling thread's active sink -- or, when the degradation happens before
-any rank exists (the launcher's process->thread fallback), parks it in a
-bounded pending buffer drained by the next sink to register.  Degraded
-runs are thereby visible in traces, not only as Python warnings.
+A rank that falls back to a slower path records it on its own sink
+(:meth:`RankTelemetry.degradation`: a ``degradation`` instant plus a
+counter), reached through the communicator's ``bind_telemetry`` hook --
+so a degraded run shows it in its own trace, and no other run does.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.telemetry.clock import Clock, perf_clock
 from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
-from repro.telemetry.trace import (
-    DEFAULT_CAPACITY,
-    NULL_SPAN,
-    TraceEvent,
-    Tracer,
-)
+from repro.telemetry.trace import NULL_SPAN, TraceEvent, Tracer
 
 __all__ = [
     "TelemetryConfig",
@@ -52,21 +43,18 @@ __all__ = [
     "TelemetrySession",
     "NULL_TELEMETRY",
     "telemetry_of",
-    "record_degradation",
 ]
 
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """What a telemetry session collects.
+    """A telemetry session's configuration: the clock its sinks read.
 
     ``clock`` must be a picklable callable (module-level function) or
     ``None`` for the perf-counter default -- the config crosses the fork
     boundary to process-backend ranks.
     """
 
-    enabled: bool = True
-    capacity: int = DEFAULT_CAPACITY
     clock: Clock | None = None
 
     def resolve_clock(self) -> Clock:
@@ -83,36 +71,6 @@ class RankTrace:
     metrics: dict[str, Any] = field(default_factory=dict)
 
 
-# --------------------------------------------------------------------- #
-# degradation event routing
-# --------------------------------------------------------------------- #
-_LOCAL = threading.local()
-_SINKS: list["RankTelemetry"] = []
-_SINKS_LOCK = threading.Lock()
-#: Degradations observed with no sink active (e.g. launcher fallback
-#: before ranks exist); bounded, drained by the next sink to register.
-_PENDING: deque[tuple[str, str, str]] = deque(maxlen=64)
-
-
-def record_degradation(component: str, fallback: str, reason: str) -> None:
-    """Record a structured degradation event into the active telemetry.
-
-    Called next to every ``warnings.warn(DegradationWarning(...))`` site.
-    Routing: the calling thread's sink if one is active (rank threads and
-    forked rank processes), else the process's first active sink, else
-    the pending buffer.  With telemetry disabled everywhere this is two
-    attribute reads and an append to a bounded deque.
-    """
-    sink = getattr(_LOCAL, "sink", None)
-    if sink is None:
-        with _SINKS_LOCK:
-            sink = _SINKS[0] if _SINKS else None
-    if sink is not None:
-        sink.degradation(component, fallback, reason)
-    else:
-        _PENDING.append((component, fallback, reason))
-
-
 class RankTelemetry:
     """One rank's live telemetry sink (tracer + metrics + clock)."""
 
@@ -120,15 +78,10 @@ class RankTelemetry:
         self.config = config
         self.rank = rank
         self.clock = config.resolve_clock()
-        self.tracer = Tracer(rank, self.clock, config.capacity)
+        self.tracer = Tracer(rank, self.clock)
         self.metrics = MetricsRegistry()
-        self._register()
 
     # ---- hot-path forwarding -------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        return True
-
     def span(self, name: str, cat: str = "phase", **args: Any):
         return self.tracer.span(name, cat, **args)
 
@@ -151,24 +104,6 @@ class RankTelemetry:
             reason=reason,
         )
         self.metrics.add("degradations")
-
-    # ---- lifecycle ------------------------------------------------------
-    def _register(self) -> None:
-        _LOCAL.sink = self
-        with _SINKS_LOCK:
-            _SINKS.append(self)
-            pending = list(_PENDING)
-            _PENDING.clear()
-        for component, fallback, reason in pending:
-            self.degradation(component, fallback, reason)
-
-    def close(self) -> None:
-        """Detach from the degradation routing (idempotent)."""
-        if getattr(_LOCAL, "sink", None) is self:
-            _LOCAL.sink = None
-        with _SINKS_LOCK:
-            if self in _SINKS:
-                _SINKS.remove(self)
 
     def harvest_fault_counters(self, comm) -> None:
         """Copy the fault layer's injection counters into the metrics.
@@ -232,8 +167,6 @@ class _NullTelemetry:
     __slots__ = ()
 
     rank = -1
-    enabled = False
-    config = TelemetryConfig(enabled=False)
 
     @staticmethod
     def clock() -> float:
@@ -252,9 +185,6 @@ class _NullTelemetry:
         return None
 
     def degradation(self, component: str, fallback: str, reason: str) -> None:
-        return None
-
-    def close(self) -> None:
         return None
 
     def finalize(self, comm=None) -> RankTrace:
@@ -301,17 +231,14 @@ class _TelemetryRankFn:
 
         tel = RankTelemetry(self.config, comm.rank)
         icomm = InstrumentedCommunicator(comm, tel)
-        # The socket backend emits its own spans (heartbeat ticks,
-        # reconnects) once a sink is attached; other backends have no
-        # bind hook and skip this.
+        # The forked backends record on the sink once it is attached: the
+        # socket transport its heartbeat and reconnect spans, the process
+        # transport its arena fallback.  Threads have no bind hook.
         bind = getattr(icomm, "bind_telemetry", None)
         if bind is not None:
             bind(tel)
-        try:
-            result = self.fn(icomm, *args)
-            return (result, tel.finalize(icomm))
-        finally:
-            tel.close()
+        result = self.fn(icomm, *args)
+        return (result, tel.finalize(icomm))
 
 
 class TelemetrySession:
@@ -320,7 +247,7 @@ class TelemetrySession:
     Pass to :func:`repro.distributed.launcher.spmd_run` (or the
     supervised variant) as ``telemetry=``; after a successful run,
     ``ranks`` holds one :class:`RankTrace` per rank and ``events`` any
-    parent-side instants (supervisor retries, pre-launch degradations).
+    parent-side instants (supervisor retries).
     A session may be reused across attempts/runs; ``ranks`` reflects the
     last successful run.
     """
@@ -330,10 +257,6 @@ class TelemetrySession:
         self.ranks: list[RankTrace] = []
         self.events: list[TraceEvent] = []
         self._clock = self.config.resolve_clock()
-
-    @property
-    def enabled(self) -> bool:
-        return self.config.enabled
 
     def record(self, name: str, cat: str = "supervisor", **args: Any) -> None:
         """Parent-side instant event (rendered on the supervisor lane)."""

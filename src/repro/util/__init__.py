@@ -1,4 +1,4 @@
-"""Shared low-level utilities: hashing, validation, chunking, timing."""
+"""Shared low-level utilities: hashing, validation, chunking."""
 
 from repro.util.hashing import (
     splitmix64,
@@ -12,8 +12,7 @@ from repro.util.validation import (
     check_probability,
     check_positive_int,
 )
-from repro.util.chunking import iter_chunks, chunk_bounds
-from repro.util.timer import Timer
+from repro.util.chunking import chunk_bounds
 
 __all__ = [
     "splitmix64",
@@ -24,7 +23,5 @@ __all__ = [
     "check_edge_array",
     "check_probability",
     "check_positive_int",
-    "iter_chunks",
     "chunk_bounds",
-    "Timer",
 ]

@@ -1,18 +1,14 @@
-"""Chunked iteration helpers.
+"""Chunk arithmetic.
 
 The Kronecker product of two edge lists has ``|E_A| * |E_B|`` edges; the
-generator never materializes that product in one allocation.  These helpers
-centralize the chunk arithmetic so the product code, the distributed
+generator never materializes that product in one allocation.  This helper
+centralizes the chunk arithmetic so the product code, the distributed
 generator, and the shuffle all slice identically.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-
-import numpy as np
-
-__all__ = ["chunk_bounds", "iter_chunks"]
+__all__ = ["chunk_bounds"]
 
 
 def chunk_bounds(total: int, chunk_size: int) -> list[tuple[int, int]]:
@@ -28,13 +24,3 @@ def chunk_bounds(total: int, chunk_size: int) -> list[tuple[int, int]]:
         raise ValueError(f"chunk_size must be > 0, got {chunk_size}")
     starts = range(0, total, chunk_size)
     return [(s, min(s + chunk_size, total)) for s in starts]
-
-
-def iter_chunks(arr: Sequence | np.ndarray, chunk_size: int) -> Iterator:
-    """Yield contiguous slices of ``arr`` of at most ``chunk_size`` rows.
-
-    Slices of numpy arrays are views (no copy), matching the
-    "be easy on the memory" guidance for numeric hot paths.
-    """
-    for start, stop in chunk_bounds(len(arr), chunk_size):
-        yield arr[start:stop]

@@ -9,6 +9,7 @@ calls.  No pytest-asyncio: tests are sync functions running one
 
 import asyncio
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -560,6 +561,42 @@ class TestObservability:
         assert m_other["registry"]["graphs"] == 0
         assert "memo" not in m_small and "memo" not in m_other
 
+    def test_launches_on_the_server_thread_stay_out_of_its_metrics(
+        self, monkeypatch
+    ):
+        # A failed launch and a degraded one, run on the thread the server
+        # lives on, belong to their own runs: neither reaches /v1/metrics.
+        from repro.distributed import spmd_run
+        from repro.errors import CommunicatorError, DegradationWarning
+        from tests.unit.test_supervisor import (
+            _exchange_then_return,
+            _fill_tmpfs_after,
+        )
+
+        monkeypatch.setenv("REPRO_RECV_TIMEOUT", "2")
+
+        async def go(service, client):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegradationWarning)
+                try:
+                    spmd_run(_exchange_then_return, 2, backend="socket",
+                             rendezvous="127.0.0.1:1")
+                except CommunicatorError:
+                    pass
+            _fill_tmpfs_after(monkeypatch, 1000)
+            out = spmd_run(_exchange_then_return, 2, backend="process")
+            monkeypatch.undo()
+            assert [degradations for _, degradations in out] == [1, 1]
+            status, m = await client.request("GET", "/v1/metrics")
+            assert status == 200
+            assert "degradations" not in m["metrics"]["counters"]
+            assert not [
+                e for e in service.telemetry.tracer.events()
+                if e.name == "degradation"
+            ]
+
+        serve(go)
+
     def test_requests_produce_spans(self):
         async def go(service, client):
             doc = await register_default_graph(client)
@@ -613,11 +650,8 @@ class TestShutdown:
         from repro.errors import ServiceError
 
         service = KronService(ServiceConfig(port=0))
-        try:
-            with pytest.raises(ServiceError):
-                service.bound_port
-        finally:
-            service.telemetry.close()  # never started; detach the sink
+        with pytest.raises(ServiceError):
+            service.bound_port
 
 
 class TestKeepAlive:

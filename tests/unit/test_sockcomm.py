@@ -14,6 +14,7 @@ import struct
 import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -32,8 +33,17 @@ from repro.distributed.sockcomm import (
     make_socket_world,
     parse_hostport,
 )
-from repro.errors import CommunicatorError, DegradationWarning, RankDiedError
-from repro.telemetry.session import RankTelemetry, TelemetryConfig
+from repro.errors import (
+    CommunicatorError,
+    DegradationWarning,
+    RankDiedError,
+    RankFailedError,
+)
+from repro.telemetry.session import (
+    RankTelemetry,
+    TelemetryConfig,
+    TelemetrySession,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -131,10 +141,7 @@ class TestSelfHealing:
         comm = FaultyCommunicator(world3[2], FaultPlan())
         comm.inject_disconnect(0)
         tel = RankTelemetry(TelemetryConfig(), rank=2)
-        try:
-            tel.harvest_sock_counters(comm)
-        finally:
-            tel.close()
+        tel.harvest_sock_counters(comm)
         counters = tel.metrics.snapshot()["counters"]
         assert counters["sock.reconnects"] == counters["sock.disconnects"] == 1
         assert not world3[2]._peers[0].healing
@@ -489,13 +496,40 @@ class TestSocketLauncher:
         assert results[(0, 1)] == [3, 0, None, None]
         assert results[(2, 3)] == [None, None, 1, 2]
 
-    def test_unreachable_rendezvous_degrades_to_process(self):
-        with pytest.warns(DegradationWarning, match="process backend"):
-            out = spmd_run(
-                _ring_pass, 2, backend="socket",
-                rendezvous="127.0.0.1:1",  # nothing listens here
-            )
-        assert out == [1, 0]
+    def test_unreachable_rendezvous_fails_transient(self, monkeypatch):
+        # No substitute backend: every rank's connect fails, the run
+        # raises a retryable error naming the address, and nothing warns.
+        monkeypatch.setenv(RECV_TIMEOUT_ENV, "2")
+        start = time.monotonic()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradationWarning)
+            with pytest.raises(RankFailedError) as err:
+                spmd_run(
+                    _ring_pass, 2, backend="socket",
+                    rendezvous="127.0.0.1:1",  # nothing listens here
+                )
+        assert time.monotonic() - start < 10
+        assert err.value.transient
+        assert "127.0.0.1:1" in str(err.value)
+
+    def test_failed_launch_leaves_nothing_for_the_next_run(self, monkeypatch):
+        # Whatever the untraced launch did, a later clean traced run
+        # reports its own ranks only: no degradation event, no counter.
+        monkeypatch.setenv(RECV_TIMEOUT_ENV, "2")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradationWarning)
+            try:
+                spmd_run(_ring_pass, 2, backend="socket",
+                         rendezvous="127.0.0.1:1")
+            except CommunicatorError:
+                pass
+        session = TelemetrySession()
+        assert spmd_run(_ring_pass, 2, telemetry=session) == [1, 0]
+        assert "degradations" not in session.aggregated_metrics()["counters"]
+        assert not [
+            e for snap in session.ranks for e in snap.events
+            if e.name == "degradation"
+        ]
 
     def test_rendezvous_rejected_on_other_backends(self):
         with pytest.raises(CommunicatorError):

@@ -42,6 +42,7 @@ from repro.errors import (
     RankFailedError,
 )
 from repro.graph.generators import clique, cycle
+from repro.telemetry import TelemetrySession
 from repro.util.hashing import edge_fingerprint
 
 
@@ -348,11 +349,12 @@ class TestLiveness:
 
 
 class TestDegradation:
-    def test_process_backend_falls_back_to_threads(self, monkeypatch):
+    @pytest.mark.parametrize("backend", ["process", "socket"])
+    def test_forked_backend_without_fork_raises(self, monkeypatch, backend):
+        # No substitute backend: the launch names what it could not run.
         monkeypatch.setattr(launcher, "_fork_context", lambda: None)
-        with pytest.warns(DegradationWarning, match="thread backend"):
-            out = spmd_run(allsum, 4, backend="process")
-        assert out == [10] * 4
+        with pytest.raises(CommunicatorError, match=f"the {backend} backend"):
+            spmd_run(allsum, 4, backend=backend)
 
     def test_shm_failure_falls_back_to_pickle(self, monkeypatch):
         _fill_tmpfs_after(monkeypatch, 100)
@@ -395,6 +397,32 @@ class TestDegradation:
             # Sockets never enter the arena before the result does.
             assert degradations == (1 if backend == "process" else 0)
         assert multiprocessing.active_children() == []
+
+    def test_traced_full_tmpfs_run_records_on_each_degraded_rank(
+        self, monkeypatch
+    ):
+        _fill_tmpfs_after(monkeypatch, 100)
+        monkeypatch.setattr(mpcomm, "SHM_MIN_BYTES", 8)
+        # A degradation outside the traced run, in this process first: it
+        # must not show up in the run's trace.
+        pipes = mpcomm.make_process_pipes(2)
+        with pytest.warns(DegradationWarning):
+            mpcomm.ProcessCommunicator(pipes, 0, 2).send(np.arange(64), 1)
+        pipes.arena.remove()
+        session = TelemetrySession()
+        out = spmd_run(
+            _exchange_then_return, 2, backend="process", telemetry=session
+        )
+        assert [degradations for _, degradations in out] == [1, 1]
+        for snap in session.ranks:
+            (event,) = [e for e in snap.events if e.name == "degradation"]
+            assert event.cat == "degradation"
+            assert event.args["component"] == (
+                f"zero-copy exchange (rank {snap.rank})"
+            )
+            assert event.args["fallback"] == "pickled queue messages"
+            assert "No space left" in event.args["reason"]
+            assert snap.metrics["counters"]["degradations"] == 1
 
 
 def _exchange_then_return(comm):

@@ -20,7 +20,6 @@ from repro.telemetry import (
     merge_snapshots,
     validate_chrome_trace,
 )
-from repro.telemetry.session import record_degradation
 from repro.telemetry.trace import NULL_SPAN
 
 
@@ -107,7 +106,6 @@ class TestNullPath:
         snap = NULL_TELEMETRY.finalize()
         assert snap.events == []
         assert snap.metrics == {}
-        assert not NULL_TELEMETRY.enabled
 
     def test_null_clock_reads_no_wallclock(self):
         assert NULL_TELEMETRY.clock() == 0.0
@@ -155,47 +153,6 @@ class TestMetrics:
         assert merged == {"counters": {}, "histograms": {}}
 
 
-class TestDegradationRouting:
-    @pytest.fixture(autouse=True)
-    def _drain_pending(self):
-        # Earlier suite tests may have recorded degradations with no sink
-        # active (that is the buffer's job); start each test empty.
-        from repro.telemetry.session import _PENDING
-
-        _PENDING.clear()
-        yield
-        _PENDING.clear()
-
-    def test_pending_drained_by_next_sink(self):
-        record_degradation("compX", "fallbackY", "reasonZ")
-        tel = RankTelemetry(TelemetryConfig(clock=FakeClock()), rank=0)
-        try:
-            events = tel.tracer.events()
-            assert any(
-                e.name == "degradation"
-                and e.args["component"] == "compX"
-                and e.args["fallback"] == "fallbackY"
-                for e in events
-            )
-            assert tel.metrics.counter("degradations") == 1
-        finally:
-            tel.close()
-
-    def test_active_sink_receives_directly(self):
-        tel = RankTelemetry(TelemetryConfig(clock=FakeClock()), rank=0)
-        try:
-            record_degradation("c", "f", "r")
-            assert tel.metrics.counter("degradations") == 1
-        finally:
-            tel.close()
-
-    def test_closed_sink_no_longer_receives(self):
-        tel = RankTelemetry(TelemetryConfig(clock=FakeClock()), rank=0)
-        tel.close()
-        record_degradation("after-close", "f", "r")
-        assert tel.metrics.counter("degradations") == 0
-
-
 class TestExport:
     def _session_with_two_ranks(self):
         config = TelemetryConfig(clock=FakeClock(start=100.0, tick=0.5))
@@ -206,7 +163,6 @@ class TestExport:
                 pass
             tel.add("edges", rank + 1)
             session.ranks.append(tel.finalize())
-            tel.close()
         return session
 
     def test_one_lane_per_rank(self):
@@ -282,7 +238,6 @@ class TestSessionSummaries:
             with tel.span("generate"):
                 pass
             session.ranks.append(tel.finalize())
-            tel.close()
         totals = session.span_totals()
         assert totals["generate"]["count"] == 3
         assert totals["generate"]["seconds"] == 3.0
@@ -293,7 +248,6 @@ class TestSessionSummaries:
         tel = RankTelemetry(config, 0)
         tel.add("edges", 4)
         session.ranks.append(tel.finalize())
-        tel.close()
         summary = session.metrics_summary()
         assert summary["nranks"] == 1
         assert summary["per_rank"]["0"]["counters"]["edges"] == 4

@@ -1,11 +1,10 @@
-"""Unit tests for repro.util.validation, chunking, and Timer."""
+"""Unit tests for repro.util.validation and chunking."""
 
 import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.util.chunking import chunk_bounds, iter_chunks
-from repro.util.timer import Timer
+from repro.util.chunking import chunk_bounds
 from repro.util.validation import (
     check_edge_array,
     check_positive_int,
@@ -76,29 +75,3 @@ class TestChunking:
             chunk_bounds(-1, 5)
         with pytest.raises(ValueError):
             chunk_bounds(5, 0)
-
-    def test_iter_chunks_views(self):
-        arr = np.arange(10)
-        chunks = list(iter_chunks(arr, 4))
-        assert [len(c) for c in chunks] == [4, 4, 2]
-        assert np.array_equal(np.concatenate(chunks), arr)
-        # slices of ndarrays share memory (no copies)
-        assert chunks[0].base is arr
-
-
-class TestTimer:
-    def test_accumulates(self):
-        t = Timer()
-        with t:
-            pass
-        with t:
-            pass
-        assert len(t.laps) == 2
-        assert t.elapsed == pytest.approx(sum(t.laps))
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0 and t.laps == []
