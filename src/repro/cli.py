@@ -666,10 +666,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_skg_args(
         g, default_k=None,
         model="'exact' emits every product edge; 'skg' samples a "
-              "stochastic Kronecker graph from a fitted seed matrix via "
-              "deterministic hash-thresholded acceptance",
+              "stochastic Kronecker graph from a fitted seed matrix with "
+              "a deterministic, hash-seeded sampler",
         seed_matrix="SKG seed-matrix name (see --list-seed-matrices)",
-        skg_seed="acceptance-hash seed (same seed -> same graph)",
+        skg_seed="sampler hash seed (same seed -> same graph)",
         skg_k="Kronecker exponent override (default: the seed matrix's "
               "fitted k)",
         noise_b="noisy-SKG amplitude (0 disables the correction)",
@@ -727,9 +727,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_skg_args(
         c, default_k=5,
         model="run the matrix over exact enumeration or the stochastic "
-              "(SKG) acceptance path",
+              "(SKG) sampler",
         seed_matrix="SKG seed-matrix name (with --model skg)",
-        skg_seed="SKG acceptance-hash seed",
+        skg_seed="SKG sampler hash seed",
         skg_k="SKG Kronecker exponent for chaos cells (small keeps the "
               "matrix fast)",
         noise_b="noisy-SKG amplitude",

@@ -4,7 +4,8 @@ One :class:`GenerationPlan` describes a run; one rank program,
 :func:`generate_rank`, executes it.  Each rank:
 
 1. takes its cells of the factor edge space (1-D: a shard of A with B
-   replicated; 2-D: the (A-part, B-part) grid cells of Remark 1);
+   replicated; 2-D: the (A-part, B-part) grid cells of Remark 1) -- or,
+   for an SKG plan, its range of sampler chunks;
 2. expands them round by round -- one round holding everything for the
    batch schemes, one bounded chunk per round for ``"1d-pipelined"``,
    mirroring the asynchronous chunked sends of the HavoqGT implementation;
@@ -14,8 +15,11 @@ One :class:`GenerationPlan` describes a run; one rank program,
 
 The loop is the same for every plan::
 
-    round source -> [SKG acceptor] -> per-owner buckets -> exchange -> store
-    `--------- per chunk, inside "generate" ----------'
+    round source -> per-owner buckets -> exchange -> store
+    `- per chunk, inside "generate" -'
+
+where the round source is either the product kernels over factor cells
+or the SKG sampler over chunk ranges.
 
 *Round source.*  Both storage maps arrive *pre-bucketed by owner*: a piece
 of a round is always one block per owner.  Under ``source_block`` the
@@ -32,18 +36,18 @@ depend on where the bucketing happens.  With nothing to exchange
 (``storage=None`` or a single rank) the rank is the sole owner and the
 round is kept whole, written chunk by chunk into one preallocated block.
 
-*Acceptor.*  The stochastic Kronecker tier (:mod:`repro.skg`) is the same
-program with ``plan.skg`` set: the factors enumerate the *candidate* space
-(all ordered vertex pairs, via
-:func:`repro.graph.generators.complete_with_loops`) and a deterministic
-hash-thresholded filter (:class:`repro.skg.sample.SKGAcceptor`) drops
-candidates inside the generate span.  Acceptance is a pure function of
-``(skg_seed, u, v)``, so the filtered output is bit-identical across
-backends, chunk sizes, retries, and elastic re-sharding -- the same
-invariants the exact model enjoys.  ``edges.generated`` counts *accepted*
-edges (what enters routing and storage, keeping trace reconciliation
-intact); the filter's own volume lands on ``skg.accepted`` /
-``skg.rejected``.
+*SKG source.*  The stochastic Kronecker tier (:mod:`repro.skg`) is the
+same program with ``plan.skg`` set and a different round source: the
+grass-hopping sampler (:class:`repro.skg.sample.SKGSampler`), whose work
+is proportional to the edges it emits, not to the ``4**k`` pairs.  The
+plan gives every rank a contiguous range of sampler chunks by expected
+rows, cut into rounds of at most ``chunk_size`` expected rows, so the
+round count is known before anything is sampled.  Each chunk's sample is
+a pure function of the spec, so the output is bit-identical across
+world sizes, schemes, storages, chunk sizes, backends, retries and
+elastic re-sharding -- the same invariants the exact model enjoys.
+Sampled blocks are routed like dense chunks (hashed or block-owned and
+counting-scattered); ``edges.generated`` counts the rows a rank sampled.
 
 :func:`generate_rank` is a plain module-level callable taking its
 :class:`Communicator` first, runnable under any backend via
@@ -94,7 +98,9 @@ _STORAGES = (None, "source_block", "edge_hash")
 _PIPELINES = ("sync", "async")
 _EMPTY = np.empty((0, 2), dtype=np.int64)
 
-Cells = list[tuple[EdgeList, EdgeList]]
+#: A rank's share: ``(A part, B part)`` factor cells, or for an SKG plan
+#: the ``(start, stop)`` sampler-chunk range of each round.
+Cells = list[tuple[EdgeList, EdgeList]] | list[tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -117,7 +123,8 @@ class GenerationPlan:
         ``None`` (keep where generated), ``"source_block"``, or
         ``"edge_hash"``.
     chunk_size:
-        Max product edges materialized at once per rank.
+        Max product edges materialized at once per rank (for SKG: expected
+        rows per sampled piece).
     pipeline:
         ``"sync"`` or ``"async"`` (see module docstring).  ``"async"``
         requires ``scheme="1d-pipelined"`` -- the batch schemes have a
@@ -173,11 +180,13 @@ class GenerationPlan:
             # Imported lazily: repro.skg depends on this module for its
             # distributed drivers, so a top-level import would be circular.
             from repro.skg.model import SKGSpec
+            from repro.skg.sample import check_sampler_bound
 
             if not isinstance(self.skg, SKGSpec):
                 raise PartitionError(
                     f"skg must be an SKGSpec, got {type(self.skg).__name__}"
                 )
+            check_sampler_bound(self.skg.k)
 
     @property
     def streams(self) -> bool:
@@ -234,16 +243,22 @@ class GenerationPlan:
         """Per-rank ``(A part, B part)`` cells under this plan's scheme.
 
         With an SKG spec the factors must enumerate exactly its candidate
-        space; anything else is rejected here, before any rank runs.
+        space (anything else is rejected here, before any rank runs) and
+        each rank gets its rounds' sampler-chunk ranges instead, which
+        depend on the spec, ``nranks`` and ``chunk_size`` only.
         """
         n_c = el_a.n * el_b.n
-        if self.skg is not None and self.skg.n != n_c:
-            raise PartitionError(
-                f"SKG spec covers 2**{self.skg.k} = {self.skg.n} vertices "
-                f"but the factor product has {n_c}; the factors must "
-                f"enumerate exactly the spec's candidate space (see "
-                f"repro.skg.distributed.skg_candidate_factors)"
-            )
+        if self.skg is not None:
+            if self.skg.n != n_c:
+                raise PartitionError(
+                    f"SKG spec covers 2**{self.skg.k} = {self.skg.n} vertices "
+                    f"but the factor product has {n_c}; the factors must "
+                    f"enumerate exactly the spec's candidate space (see "
+                    f"repro.skg.distributed.skg_candidate_factors)"
+                )
+            from repro.skg.sample import skg_sampler  # lazy: see __post_init__
+
+            return skg_sampler(self.skg).rounds(nranks, self.chunk_size)
         if self.scheme == "2d":
             return partition_edges_2d(el_a, el_b, nranks)
         return [[(part, el_b)] for part in partition_edges_1d(el_a, nranks)]
@@ -283,28 +298,25 @@ def _pieces(
     routed: bool,
     nparts: int,
     n_c: int,
-    acceptor,
     tel,
 ) -> Iterator[list[np.ndarray]]:
-    """Accepted pieces of this rank's cells, in generation order.
+    """Pieces of this rank's cells, in generation order.
 
     A piece is a list of ``nparts`` blocks, one per owner -- the shape the
     exchange takes.  Under ``routed`` the kernels emit it analytically;
-    otherwise each dense chunk is hashed and counting-scattered where it
-    is produced (the ``route`` span, which therefore nests inside the
-    caller's ``generate`` span), while that chunk is the only
-    product-sized thing alive.  Stable per-chunk scatters concatenated in
-    chunk order are row for row the stable scatter of the whole round.
-    With a single owner the dense chunk is the piece.
+    otherwise each dense chunk (or sampled SKG piece) is hashed and
+    counting-scattered where it is produced (the ``route`` span, which
+    therefore nests inside the caller's ``generate`` span), while that
+    chunk is the only product-sized thing alive.  Stable per-chunk
+    scatters concatenated in chunk order are row for row the stable
+    scatter of the whole round.  With a single owner the chunk is the
+    piece.
 
     Streaming plans make a round of every piece, batch plans of all of
     them -- which is why the routed batch kernel emits a whole cell as one
     exactly-sized piece while the dense one streams bounded chunks.
     """
     chunk = plan.chunk_size
-
-    def accept(block: np.ndarray) -> np.ndarray:
-        return block if acceptor is None else acceptor.filter_edges(block)
 
     def route(block: np.ndarray) -> list[np.ndarray]:
         if nparts == 1:
@@ -315,39 +327,50 @@ def _pieces(
                 method="scatter",
             )
 
+    if plan.skg is not None:
+        from repro.skg.sample import skg_sampler  # lazy: see GenerationPlan
+
+        sampler = skg_sampler(plan.skg)
+        for start, stop in cells:
+            yield route(sampler.sample(start, stop))
+        return
     for part_a, part_b in cells:
         if not routed:
             for block in iter_kron_product(part_a, part_b, chunk):
-                yield route(accept(block))
+                yield route(block)
         elif plan.streams:
-            for piece in iter_kron_product_routed(
+            yield from iter_kron_product_routed(
                 part_a, part_b, nparts, n_c, chunk
-            ):
-                yield [accept(block) for block in piece]
+            )
         else:
-            piece = kron_routed_full(part_a, part_b, nparts, n_c, chunk)
-            yield [accept(block) for block in piece]
+            yield kron_routed_full(part_a, part_b, nparts, n_c, chunk)
 
 
 def _collect(
-    pieces: Iterator[list[np.ndarray]], width: int, total: int | None
+    pieces: Iterator[list[np.ndarray]], width: int, capacity: int | None
 ) -> list[np.ndarray]:
     """Column-wise concatenation of ``pieces`` into ``width`` blocks.
 
-    ``total`` is the exact row count of a single-column round when it is
-    known up front (exact model, dense batch expansion, nothing
-    exchanged): the output is then allocated once and every piece written
-    into its slice, so peak memory is the output plus one chunk rather
-    than twice the output.
+    ``capacity`` bounds the row count of a single-column batch round
+    (nothing exchanged) when one is known up front: the exact count of a
+    dense expansion, or a sample's expected rows plus a wide margin.  The
+    output is then allocated once and every piece written into its slice,
+    so peak memory is the output plus one chunk rather than twice the
+    output; rows past the last one written are never touched, so an
+    over-estimate costs address space, not memory.  Pieces that would
+    overflow it (a sample far out in its tail) are stacked on after.
     """
-    if total is not None:
-        out = np.empty((total, 2), dtype=np.int64)
+    if capacity is not None:
+        out = np.empty((capacity, 2), dtype=np.int64)
         fill = 0
+        spill: list[np.ndarray] = []
         for (block,) in pieces:
+            if spill or fill + len(block) > capacity:
+                spill.append(block)
+                continue
             out[fill : fill + len(block)] = block
             fill += len(block)
-        assert fill == total
-        return [out]
+        return [_stack([out[:fill], *spill])]
     columns: list[list[np.ndarray]] = [[] for _ in range(width)]
     for piece in pieces:
         for column, block in zip(columns, piece):
@@ -389,35 +412,40 @@ def generate_rank(
     storage = plan.effective_storage
     exchanging = plan.exchanges and comm.size > 1
     nparts = comm.size if exchanging else 1
-    routed = exchanging and storage == "source_block"
-    n_c = my_cells[0][0].n * my_cells[0][1].n if my_cells else 0
-
-    acceptor = None
-    if plan.skg is not None:
-        from repro.skg.sample import SKGAcceptor  # lazy: see GenerationPlan
-
-        acceptor = SKGAcceptor(plan.skg)
-    pieces = _pieces(plan, my_cells, routed, nparts, n_c, acceptor, tel)
+    skg = plan.skg is not None
+    routed = exchanging and storage == "source_block" and not skg
+    if skg:
+        n_c = plan.skg.n
+    else:
+        n_c = my_cells[0][0].n * my_cells[0][1].n if my_cells else 0
+    pieces = _pieces(plan, my_cells, routed, nparts, n_c, tel)
 
     per_round = None
     rounds = 1
-    dense_total = None
+    capacity = None
     if plan.streams:
         per_round = 1
-        count = routed_chunk_count if routed else dense_chunk_count
-        rounds = sum(
-            count(a.m_directed, b.m_directed, plan.chunk_size)
-            for a, b in my_cells
-        )
+        if skg:
+            rounds = len(my_cells)
+        else:
+            count = routed_chunk_count if routed else dense_chunk_count
+            rounds = sum(
+                count(a.m_directed, b.m_directed, plan.chunk_size)
+                for a, b in my_cells
+            )
         if exchanging:
             rounds = comm.allreduce(rounds, max)
-    elif not exchanging and acceptor is None:
-        dense_total = sum(a.m_directed * b.m_directed for a, b in my_cells)
+    elif not exchanging and skg:
+        from repro.skg.sample import skg_sampler  # lazy: see GenerationPlan
+
+        capacity = skg_sampler(plan.skg).row_bound(my_cells)
+    elif not exchanging:
+        capacity = sum(a.m_directed * b.m_directed for a, b in my_cells)
 
     def produce(rnd: int) -> list[np.ndarray]:
-        """One round's per-owner buckets: generate, accept, bucket."""
+        """One round's per-owner buckets: generate, bucket."""
         with tel.span("generate", cat="phase", round=rnd):
-            blocks = _collect(islice(pieces, per_round), nparts, dense_total)
+            blocks = _collect(islice(pieces, per_round), nparts, capacity)
         if routed:
             # Routed blocks left the kernel already split by owner; the
             # trace shows that degenerate route phase on purpose.
@@ -457,9 +485,6 @@ def generate_rank(
     edges = _stack(stored)
     if plan.pipeline == "async":
         tel.add("exchange.overlap_s", overlap_s)
-    if acceptor is not None:
-        tel.add("skg.accepted", acceptor.accepted)
-        tel.add("skg.rejected", acceptor.rejected)
     tel.add("edges.generated", generated)
     tel.add("edges.stored", len(edges))
     return RankOutput(comm.rank, edges, generated)
@@ -515,7 +540,9 @@ def generate_distributed(
     scheme, storage, chunk_size, pipeline, wire, skg:
         The :class:`GenerationPlan` fields; inconsistent or unknown values
         raise :class:`~repro.errors.PartitionError`.  With ``skg`` the
-        factors must enumerate the spec's candidate space.
+        factors must enumerate the spec's candidate space
+        (:func:`repro.skg.distributed.skg_candidate_factors`); they name
+        its vertex set and run key, and the sampler does the rest.
     backend:
         Launcher backend (``"thread"``, ``"process"`` or ``"socket"``).
     runner:

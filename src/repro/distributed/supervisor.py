@@ -437,10 +437,10 @@ def run_chaos_matrix(
     wire-level repair the recovery took.
 
     ``skg`` (an :class:`repro.skg.model.SKGSpec`) runs every cell through
-    the stochastic acceptance filter: the fault-free reference and all
-    recovered cells then prove that seeded Bernoulli acceptance -- not
-    just exact enumeration -- survives crashes, drops, and checkpointed
-    retry bit-identically.
+    the stochastic tier's sampler: the fault-free reference and all
+    recovered cells then prove that hash-seeded grass-hopping -- not just
+    exact enumeration -- survives crashes, drops, and checkpointed retry
+    bit-identically.
     """
     from unittest import mock  # lazy: only the harness pins the environment
 

@@ -247,8 +247,9 @@ def complete_with_loops(n: int) -> EdgeList:
     """All ``n**2`` ordered pairs, self loops included.
 
     The Kronecker product of two such graphs enumerates every ordered
-    vertex pair of the product exactly once -- the candidate space the
-    stochastic tier (:mod:`repro.skg`) filters with its acceptance hash.
+    vertex pair of the product exactly once -- the candidate space of the
+    stochastic tier (:mod:`repro.skg`), which names an SKG run and feeds
+    its candidate filter.
     """
     n = check_positive_int(n, "n")
     i = np.repeat(np.arange(n, dtype=np.int64), n)

@@ -13,15 +13,15 @@ with probability
     P[u \\to v] = \\prod_{\\ell=0}^{k-1}
         \\theta[\\mathrm{bit}_\\ell(u), \\mathrm{bit}_\\ell(v)].
 
-Instead of drawing from a mutable RNG stream, acceptance is
-*hash-thresholded*: the uniform deciding edge ``(u, v)`` is a pure
-splitmix64 function of ``(skg_seed, u, v)`` (:mod:`repro.util.hashing`),
-so it composes with the paper's Def. 8 rejection machinery and is
-bit-identical across backends, retries, chunk sizes, and elastic resume.
-The distributed generator reuses the whole SPMD hot path: candidates are
-enumerated by the existing fused/pipelined product kernels and the
-acceptance filter runs inside the generate span
-(``generate_distributed(..., skg=spec)``).
+Sampling costs time proportional to the edges emitted, not to the
+``4**k`` pairs: pairs sharing one probability are sampled by geometric
+skips ("grass-hopping", :mod:`repro.skg.sample`).  Instead of a mutable
+RNG stream, every skip stream is a pure splitmix64 function of the spec
+(:mod:`repro.util.hashing`), so a sample is bit-identical across
+backends, world sizes, retries, chunk sizes, and elastic resume.  The
+distributed generator runs the sampler as the round source of its one
+rank program (``generate_distributed(..., skg=spec)``); routing,
+exchange, storage and the supervisor are the exact tier's.
 
 Modules
 -------
@@ -30,13 +30,13 @@ Modules
 :mod:`repro.skg.model`
     :class:`SKGSpec` and vectorized per-edge / per-block probabilities.
 :mod:`repro.skg.sample`
-    deterministic hash-thresholded Bernoulli acceptance.
+    the grass-hopping sampler, and the candidate-filter form of the law.
 :mod:`repro.skg.noisy`
     noisy-SKG per-level perturbation repairing degree oscillation.
 :mod:`repro.skg.expected`
     closed-form expected properties (the ``groundtruth`` analogue).
 :mod:`repro.skg.distributed`
-    candidate factors + drivers over the SPMD runtime.
+    drivers over the SPMD runtime (and the candidate-space factors).
 """
 
 from repro.skg.expected import (

@@ -1,16 +1,21 @@
 """SKG drivers over the SPMD runtime.
 
-The stochastic tier deliberately adds *no* new rank program: candidates
-are enumerated by the exact generator's own product kernels and filtered
-in place.  The enumeration trick is to pick factors whose Kronecker
-product is the complete candidate space -- two complete-with-self-loops
-graphs on ``2**ka`` and ``2**kb`` vertices (``ka + kb = k``) produce
-every ordered pair of ``2**k`` vertices exactly once, with the A-factor
-supplying the high address bits (matching the model's level-0-is-MSB
-convention).  Everything else -- partitioning, fused routing, pipelined
-async exchange, varint wire, supervised retry, checkpointed and elastic
-resume -- is the exact generator's machinery, reused verbatim through
+The stochastic tier runs the exact generator's one rank program with a
+different round source: the grass-hopping sampler
+(:class:`repro.skg.sample.SKGSampler`) over each rank's range of
+sampler chunks, in place of the product kernels over factor cells.
+Everything downstream -- routing, pipelined async exchange, varint wire,
+storage, supervised retry, checkpointed and elastic resume -- is the
+exact generator's machinery, reused verbatim through
 ``generate_distributed(..., skg=spec)``.
+
+The drivers still hand that entry point a factor pair whose Kronecker
+product is the complete candidate space -- two complete-with-self-loops
+graphs on ``2**ka`` and ``2**kb`` vertices (``ka + kb = k``) -- because
+it names the run: the vertex count and the factor digests of the run
+key.  Nothing enumerates it; code that wants the candidate pairs
+themselves (the candidate filter :class:`~repro.skg.sample.SKGAcceptor`)
+can expand it with the product kernels.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from repro.graph.edgelist import EdgeList
 from repro.graph.generators import complete_with_loops
 from repro.kronecker.product import DEFAULT_CHUNK
 from repro.skg.model import SKGSpec
+from repro.skg.sample import check_sampler_bound
 
 __all__ = [
     "skg_candidate_factors",
@@ -36,8 +42,10 @@ def skg_candidate_factors(k: int) -> tuple[EdgeList, EdgeList]:
     Splits the exponent near-evenly (``ka = k // 2``) so both factor
     edge lists stay around ``2**k`` rows -- the 1-D scheme shards the
     ``2**(2*ka)`` A-edges across ranks and replicates B, exactly the
-    paper's layout.
+    paper's layout.  Refuses ``k`` above the sampler's bound before
+    allocating anything (:func:`repro.skg.sample.check_sampler_bound`).
     """
+    check_sampler_bound(k)
     ka = k // 2
     kb = k - ka
     return complete_with_loops(1 << ka), complete_with_loops(1 << kb)
@@ -60,9 +68,9 @@ def generate_skg_distributed(
 
     Thin wrapper: builds the candidate factors for ``spec.k`` and calls
     :func:`repro.distributed.generator.generate_distributed` with
-    ``skg=spec``.  All scheme/storage/pipeline/wire combinations of
-    the exact generator are available and produce bit-identical edge
-    sets for a fixed spec.
+    ``skg=spec``, which samples instead of enumerating.  All
+    scheme/storage/pipeline/wire combinations of the exact generator are
+    available and produce bit-identical edge sets for a fixed spec.
     """
     el_a, el_b = skg_candidate_factors(spec.k)
     return generate_distributed(

@@ -14,7 +14,8 @@ Per-level matrices are materialized as a ``(k, 2, 2)`` float64 array:
 plain SKG broadcasts one ``theta``; noisy SKG (:mod:`repro.skg.noisy`)
 substitutes a deterministically perturbed matrix per level.  All
 probability evaluation below is vectorized over edge blocks -- the shape
-the distributed hot path hands the acceptance filter.
+the candidate filter (:func:`repro.skg.sample.skg_accept_mask`) works
+on; the sampler itself needs per-class products only.
 """
 
 from __future__ import annotations
@@ -145,16 +146,16 @@ class SKGSpec:
     k:
         Kronecker exponent; the graph has ``2**k`` vertices.
     skg_seed:
-        Seed of the hash-thresholded acceptance stream.
+        Seed of the sampler's hash streams (and of the candidate
+        filter's uniforms).
     noise_b:
         Noisy-SKG amplitude ``b`` (0 disables the correction).
     noise_seed:
         Seed of the deterministic per-level noise draws.
     directed:
-        If ``False`` (default) the pair ``{u, v}`` gets one canonical
-        uniform and ``theta`` must be symmetric (enforced by
-        symmetrizing at construction), so the output edge set is
-        symmetric.
+        If ``False`` (default) the pair ``{u, v}`` is one Bernoulli
+        trial and ``theta`` must be symmetric (enforced by symmetrizing
+        at construction), so the output edge set is symmetric.
     self_loops:
         If ``False`` (default) diagonal pairs are always rejected.
     """
@@ -245,7 +246,7 @@ class SKGSpec:
         (no decimal rounding ambiguity) and stable across platforms.
         """
         tokens = [
-            "skg-spec-v1",
+            "skg-spec-v2",
             self.name,
             *(float(x).hex() for x in self.theta),
             str(self.k),

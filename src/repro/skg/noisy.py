@@ -16,9 +16,10 @@ oscillation.
 The amplitude bound is *non-negativity* (:func:`max_noise`): perturbed
 entries may exceed 1 when the fitted ``t1`` is already near 1 (every
 library matrix has ``t1 = 0.9999``), exactly as in SPK, where the
-per-level matrices are proportions rather than probabilities.  The
-Bernoulli acceptance rule ``uniform < P`` saturates naturally -- a
-per-pair product above 1 accepts with probability 1 -- and such pairs
+per-level matrices are proportions rather than probabilities.  Both
+samplers saturate naturally -- the candidate rule ``uniform < P`` and
+the grass-hopping sampler's thinning keep a pair whose product is above
+1 with probability 1 -- and such pairs
 are confined to the handful of lowest-id (all-zero-bit) addresses, so
 the closed-form expectations in :mod:`repro.skg.expected`, which use
 the unclipped products, stay accurate to well within the tolerances the
@@ -26,8 +27,8 @@ property tests assert.
 
 To keep the determinism contract, ``mu_level`` is *not* drawn from a
 mutable RNG: it is a splitmix64 function of ``(noise_seed, level)``, so
-the per-level matrices -- and hence every acceptance decision -- are a
-pure function of the :class:`~repro.skg.model.SKGSpec`.
+the per-level matrices -- and hence every sample -- are a pure
+function of the :class:`~repro.skg.model.SKGSpec`.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ survive a threshold ``nu``.  We use the splitmix64 finalizer, a well-studied
 64-bit mixer with full avalanche, applied to a seed-dependent combination of
 the two endpoint ids.  The same hash is the ``edge_hash`` storage map
 (Remark 1's 2-D scheme only balances if the map is a hash), the SKG
-acceptance uniform, and the checkpoint digests, so it has to run at the
-speed of the generation kernel.
+sampler's skip streams, and the checkpoint digests, so it has to run at
+the speed of the generation kernel.
 
 *One kernel, in tiles.*  A pair hash is ~25 elementwise passes.  Written as
 whole-array expressions each pass allocates a product-sized temporary, and

@@ -211,6 +211,19 @@ class TestSample:
             got = skg_sample_edges(s, chunk_size=chunk)
             np.testing.assert_array_equal(got.edges, ref.edges)
 
+    def test_sample_independent_of_draw_budget(self, monkeypatch):
+        """A skip stream that runs out of draws continues where it
+        stopped: one draw per pass gives the same sample."""
+        import repro.skg.sample as skg_sample
+
+        s = spec(k=7, skg_seed=11)
+        sampler = skg_sample.SKGSampler(s)
+        ref = sampler.sample(0, sampler.items)
+        monkeypatch.setattr(
+            skg_sample, "_budget", lambda mean, cap: np.ones(len(cap), np.int64)
+        )
+        np.testing.assert_array_equal(sampler.sample(0, sampler.items), ref)
+
     def test_mask_pure_function_of_pair(self):
         s = spec(k=6, skg_seed=9)
         rng = np.random.default_rng(1)

@@ -5,7 +5,8 @@ skg_seed)`` names *one* graph, no matter how the candidate space is
 enumerated: every scheme x storage x pipeline x wire x
 backend combination, supervised retry under faults, and checkpointed
 elastic re-sharding must reproduce the serial oracle bit-for-bit.
-Also covers the run-key digest folding, telemetry counters, the
+Also covers the rank and round layout of the sampler, the plan's bound
+on ``k``, the run-key digest folding, telemetry counters, the
 ``--model skg`` CLI, and the service layer's SKG routes.
 """
 
@@ -24,14 +25,19 @@ from repro.distributed.faults import FaultPlan
 from repro.distributed.generator import GenerationPlan
 from repro.distributed.shuffle import bucket_edges
 from repro.distributed.supervisor import SupervisorReport, canonical_edges
-from repro.errors import ReproError
+from repro.errors import PartitionError, ReproError
 from repro.skg.distributed import (
     generate_skg_distributed,
     generate_skg_supervised,
     skg_candidate_factors,
 )
 from repro.skg.model import SKGSpec
-from repro.skg.sample import skg_sample_edges
+from repro.skg.sample import (
+    SKG_MAX_K,
+    SKGSampler,
+    skg_sample_edges,
+    skg_sampler,
+)
 from repro.telemetry import TelemetrySession
 
 SPEC = SKGSpec.from_library("polblogs", k=6, skg_seed=3)
@@ -98,14 +104,14 @@ class TestDistributedBitIdentity:
         el, _ = generate_skg_distributed(SPEC, 2, backend="process")
         check(el, oracle)
 
-    def test_acceptance_counters_cover_candidate_space(self):
+    def test_generated_counter_equals_rows(self):
         tel = TelemetrySession()
-        el, _ = generate_skg_distributed(SPEC, 3, telemetry=tel)
+        el, outputs = generate_skg_distributed(
+            SPEC, 3, storage="edge_hash", telemetry=tel
+        )
         counters = tel.aggregated_metrics().get("counters", {})
-        accepted = counters.get("skg.accepted", 0)
-        rejected = counters.get("skg.rejected", 0)
-        assert accepted == len(el.edges)
-        assert accepted + rejected == SPEC.n * SPEC.n
+        assert counters["edges.generated"] == len(el.edges) > 0
+        assert sum(o.generated for o in outputs) == len(el.edges)
 
     def test_noisy_spec_also_bit_identical(self):
         noisy = SKGSpec.from_library(
@@ -117,6 +123,67 @@ class TestDistributedBitIdentity:
         assert not np.array_equal(
             ref, canonical_edges(skg_sample_edges(SPEC).edges)
         )
+
+
+class TestSamplerLayout:
+    """Ranks get even shares, and rounds stay inside their bound."""
+
+    BALANCE_SPEC = SKGSpec.from_library("polblogs", k=11, skg_seed=5)
+
+    @pytest.mark.parametrize("ranks", [2, 4])
+    def test_generated_rows_balanced_at_k11(self, ranks):
+        _, outputs = generate_skg_distributed(
+            self.BALANCE_SPEC, ranks, storage="edge_hash"
+        )
+        rows = [o.generated for o in outputs]
+        assert max(rows) / np.mean(rows) <= 1.15, rows
+
+    def test_pipelined_rounds_stay_bounded(self):
+        spec, chunk = self.BALANCE_SPEC, 2000
+        sampler = skg_sampler(spec)
+        per_rank = GenerationPlan(
+            "1d-pipelined", skg=spec, chunk_size=chunk
+        ).partition(*skg_candidate_factors(spec.k), 3)
+        tel = TelemetrySession()
+        el, _ = generate_skg_distributed(
+            spec, 3, scheme="1d-pipelined", chunk_size=chunk, telemetry=tel
+        )
+        check(el, canonical_edges(skg_sample_edges(spec).edges))
+        rounds = max(len(r) for r in per_rank)
+        assert rounds > 3
+        for snap in tel.ranks:
+            spans = [e for e in snap.events if e.name == "generate"]
+            assert len(spans) == rounds
+        for start, stop in (r for ranges in per_rank for r in ranges):
+            expect = sampler.expected(start, stop)
+            assert expect <= chunk
+            # Undirected rows come in mirrored pairs: variance 2 * mean.
+            got = len(sampler.sample(start, stop))
+            assert got <= expect + 6.0 * np.sqrt(2.0 * expect) + 2.0
+
+    def test_rows_past_the_capacity_bound_still_land(self, oracle, monkeypatch):
+        """A batch round without exchange fills one block sized by the
+        sample's row bound; a sample past it is stacked on, not lost."""
+        monkeypatch.setattr(SKGSampler, "row_bound", lambda self, ranges: 5)
+        el, _ = generate_skg_distributed(SPEC, 2, chunk_size=16)
+        check(el, oracle)
+
+
+class TestSamplerBound:
+    def test_plan_rejects_k_above_the_bound(self):
+        big = SKGSpec.from_library("polblogs", k=SKG_MAX_K + 1)
+        assert SKG_MAX_K >= 22
+        with pytest.raises(PartitionError, match=f"k <= {SKG_MAX_K}"):
+            GenerationPlan(skg=big)
+        with pytest.raises(PartitionError, match="sampler's bound"):
+            generate_skg_distributed(big, 2)
+        GenerationPlan(skg=SKGSpec.from_library("polblogs", k=SKG_MAX_K))
+
+    def test_closed_form_queries_stay_valid_above_the_bound(self):
+        from repro.skg.expected import expected_edge_rows
+
+        big = SKGSpec.from_library("polblogs", k=40)
+        assert expected_edge_rows(big) > 1e15
 
 
 class TestRunKeys:
