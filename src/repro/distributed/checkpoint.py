@@ -10,11 +10,14 @@ output at scale).  A checkpoint of a shard *is* the stored shard, and
 every persisted run writes it through the one sink here
 (:class:`CheckpointedRankFn`).
 
-Each is one *uncompressed* ``.npz`` holding the edge array, its
-``generated`` count, and an order- and shape-sensitive 64-bit digest
-(:func:`repro.util.hashing.edges_digest`).  Reads re-derive the digest
-under one policy: a file that does not parse, lies about its sizes or
-fails its digest is *deleted* and the transient
+Each is one *uncompressed* ``.npz`` holding the edge array -- in the
+dtype the rank stored it in, the product's id dtype (``int32`` up to
+``2**31`` vertices, 8 bytes a row) -- its ``generated`` count, and an
+order- and shape-sensitive 64-bit digest
+(:func:`repro.util.hashing.edges_digest`), which reads values, so an
+``int32`` and an ``int64`` shard of the same rows share it.  Reads
+re-derive the digest under one policy: a file that does not parse, lies
+about its sizes or fails its digest is *deleted* and the transient
 :class:`~repro.errors.CheckpointCorruptionError` raised, so a retry
 regenerates exactly that shard.  A completed run is described by a
 :class:`RunManifest` persisted beside its shards, which is how anything
@@ -34,9 +37,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.distributed.generator import GenerationPlan
+from repro.distributed.generator import GenerationPlan, reassemble
 from repro.errors import CheckpointCorruptionError, CheckpointError
 from repro.graph.edgelist import EdgeList
+from repro.kronecker.product import id_dtype
 from repro.telemetry.session import telemetry_of
 from repro.util.hashing import (
     edge_fingerprint,
@@ -239,8 +243,14 @@ class CheckpointStore:
         *,
         resharded: bool = False,
     ) -> int:
-        """Persist a shard (atomically); returns its content digest."""
-        edges = np.ascontiguousarray(edges, dtype=np.int64).reshape(-1, 2)
+        """Persist a shard (atomically); returns its content digest.
+
+        Integer edges are written in their own dtype (a rank's id dtype);
+        anything else as ``int64``.
+        """
+        edges = np.ascontiguousarray(edges).reshape(-1, 2)
+        if edges.dtype.kind not in "iu":
+            edges = edges.astype(np.int64)
         digest = edges_digest(edges)
         _atomic_write(
             self._path(key),
@@ -259,8 +269,10 @@ class CheckpointStore:
         """Load and verify a shard; ``None`` when absent.
 
         The file must parse under :func:`_read_member` and its edges must
-        re-derive the recorded digest (an ``edges`` member of another real
-        dtype is cast to int64, not rejected: the digest then decides).
+        re-derive the recorded digest.  Integer ``edges`` come back in the
+        dtype they were stored in -- ``int32`` shards and the ``int64``
+        ones of earlier writers alike; a float member is cast to int64,
+        not rejected: the digest then decides.
         Torn write, bit rot or hostile file, the outcome is one: the file
         is *deleted* and the transient :class:`CheckpointCorruptionError`
         raised, so the retry finds no checkpoint and regenerates the shard.
@@ -272,10 +284,10 @@ class CheckpointStore:
             return None
         try:
             with zipfile.ZipFile(path) as zf:
-                edges = np.asarray(
-                    _read_member(zf, "edges", limit, scalar=False),
-                    dtype=np.int64,
-                ).reshape(-1, 2)
+                edges = _read_member(zf, "edges", limit, scalar=False)
+                if edges.dtype.kind == "f":
+                    edges = edges.astype(np.int64)
+                edges = edges.reshape(-1, 2)
                 generated = int(_read_member(zf, "generated", limit, scalar=True))
                 recorded = int(_read_member(zf, "digest", limit, scalar=True))
                 resharded = "resharded.npy" in zf.namelist() and bool(
@@ -360,7 +372,7 @@ class CheckpointStore:
         :class:`CheckpointCorruptionError`.  Holds the whole union: for
         verification and re-partitioning, not for paper-scale runs.
         """
-        blocks = [np.empty((0, 2), dtype=np.int64)]
+        blocks = []
         for rank, digest in enumerate(manifest.shard_digests):
             if digest is None:
                 continue
@@ -373,8 +385,8 @@ class CheckpointStore:
                     f"manifest's digest {digest:#018x} (rewritten after it)",
                 )
             blocks.append(shard.edges)
-        edges = np.vstack(blocks)
-        if (edge_fingerprint(edges), len(edges)) != (
+        union = reassemble(blocks, manifest.n)
+        if (edge_fingerprint(union.edges), union.m_directed) != (
             manifest.union_digest, manifest.edges_total
         ):
             raise self._stale(
@@ -383,7 +395,7 @@ class CheckpointStore:
                 f"consensus {manifest.union_digest:#018x} over "
                 f"{manifest.edges_total} rows",
             )
-        return EdgeList(edges, manifest.n)
+        return union
 
     def _stale(
         self, manifest: RunManifest, why: str
@@ -427,9 +439,10 @@ def reshard_run(
     except CheckpointCorruptionError as exc:
         raise CheckpointCorruptionError(f"elastic resume: {exc}") from exc
     owners = edge_owners(union, new_ranks, scheme=manifest.storage, n=manifest.n)
+    dtype = id_dtype(manifest.n)
     shards = []
     for rank in range(new_ranks):
-        block = union[owners == rank]
+        block = union[owners == rank].astype(dtype, copy=False)
         digest = store.put(shard_key(new_key, rank), block, resharded=True)
         shards.append((digest, edge_fingerprint(block), len(block)))
     new_manifest = RunManifest.from_shards(

@@ -13,6 +13,13 @@ One :class:`GenerationPlan` describes a run; one rank program,
    (:mod:`repro.distributed.shuffle`), so generation and storage placement
    stay decoupled.
 
+Every block a rank builds -- kernel output, bucket, received stack, the
+stored :class:`RankOutput` -- is in the product's id dtype
+(:func:`repro.kronecker.product.id_dtype` of ``n_C``): ``int32`` whenever
+``n_C <= 2**31``, so 8 bytes a row move through the kernel, the exchange,
+the return to the parent and the shard instead of 16.  Only the
+reassembled :class:`~repro.graph.edgelist.EdgeList` is ``int64``.
+
 The loop is the same for every plan::
 
     round source -> per-owner buckets -> exchange -> store
@@ -78,6 +85,7 @@ from repro.graph.edgelist import EdgeList
 from repro.kronecker.product import (
     DEFAULT_CHUNK,
     dense_chunk_count,
+    id_dtype,
     iter_kron_product,
     iter_kron_product_routed,
     kron_routed_full,
@@ -91,12 +99,12 @@ __all__ = [
     "generate_rank",
     "execute_plan",
     "generate_distributed",
+    "reassemble",
 ]
 
 _SCHEMES = ("1d", "1d-pipelined", "2d")
 _STORAGES = (None, "source_block", "edge_hash")
 _PIPELINES = ("sync", "async")
-_EMPTY = np.empty((0, 2), dtype=np.int64)
 
 #: A rank's share: ``(A part, B part)`` factor cells, or for an SKG plan
 #: the ``(start, stop)`` sampler-chunk range of each round.
@@ -274,7 +282,8 @@ class RankOutput:
         Producer rank.
     edges:
         The product edges this rank ends up *storing* (post-shuffle when a
-        storage scheme is active, otherwise its generated edges).
+        storage scheme is active, otherwise its generated edges), in the
+        product's id dtype -- also when there are none.
     generated:
         How many edges this rank generated (pre-shuffle), for load stats.
     """
@@ -284,12 +293,27 @@ class RankOutput:
     generated: int
 
 
-def _stack(blocks: list[np.ndarray]) -> np.ndarray:
-    """Vertical stack that skips empties and never copies a lone block."""
+def _stack(blocks: list[np.ndarray], dtype: np.dtype) -> np.ndarray:
+    """Vertical stack of ``dtype`` blocks that skips empties and never
+    copies a lone block."""
     blocks = [b for b in blocks if len(b)]
     if len(blocks) > 1:
         return np.vstack(blocks)
-    return blocks[0] if blocks else _EMPTY
+    return blocks[0] if blocks else np.empty((0, 2), dtype=dtype)
+
+
+def reassemble(blocks: list[np.ndarray], n: int) -> EdgeList:
+    """The ``int64`` edge list of ``n`` vertices holding ``blocks`` in order.
+
+    One preallocated ``int64`` array, each block cast-copied into its
+    slice: id-dtype blocks are widened in the one copy that stacks them.
+    """
+    edges = np.empty((sum(len(b) for b in blocks), 2), dtype=np.int64)
+    at = 0
+    for block in blocks:
+        edges[at : at + len(block)] = block
+        at += len(block)
+    return EdgeList(edges, n)
 
 
 def _pieces(
@@ -347,9 +371,12 @@ def _pieces(
 
 
 def _collect(
-    pieces: Iterator[list[np.ndarray]], width: int, capacity: int | None
+    pieces: Iterator[list[np.ndarray]],
+    width: int,
+    capacity: int | None,
+    dtype: np.dtype,
 ) -> list[np.ndarray]:
-    """Column-wise concatenation of ``pieces`` into ``width`` blocks.
+    """Column-wise concatenation of ``pieces`` into ``width`` ``dtype`` blocks.
 
     ``capacity`` bounds the row count of a single-column batch round
     (nothing exchanged) when one is known up front: the exact count of a
@@ -361,7 +388,7 @@ def _collect(
     overflow it (a sample far out in its tail) are stacked on after.
     """
     if capacity is not None:
-        out = np.empty((capacity, 2), dtype=np.int64)
+        out = np.empty((capacity, 2), dtype=dtype)
         fill = 0
         spill: list[np.ndarray] = []
         for (block,) in pieces:
@@ -370,12 +397,12 @@ def _collect(
                 continue
             out[fill : fill + len(block)] = block
             fill += len(block)
-        return [_stack([out[:fill], *spill])]
+        return [_stack([out[:fill], *spill], dtype)]
     columns: list[list[np.ndarray]] = [[] for _ in range(width)]
     for piece in pieces:
         for column, block in zip(columns, piece):
             column.append(block)
-    return [_stack(column) for column in columns]
+    return [_stack(column, dtype) for column in columns]
 
 
 def generate_rank(
@@ -417,7 +444,9 @@ def generate_rank(
     if skg:
         n_c = plan.skg.n
     else:
-        n_c = my_cells[0][0].n * my_cells[0][1].n if my_cells else 0
+        # From any rank's cells, so a rank with none agrees on the dtype.
+        n_c = next((a.n * b.n for share in cells for a, b in share), 0)
+    dtype = id_dtype(n_c)
     pieces = _pieces(plan, my_cells, routed, nparts, n_c, tel)
 
     per_round = None
@@ -445,7 +474,8 @@ def generate_rank(
     def produce(rnd: int) -> list[np.ndarray]:
         """One round's per-owner buckets: generate, bucket."""
         with tel.span("generate", cat="phase", round=rnd):
-            blocks = _collect(islice(pieces, per_round), nparts, capacity)
+            round_pieces = islice(pieces, per_round)
+            blocks = _collect(round_pieces, nparts, capacity, dtype)
         if routed:
             # Routed blocks left the kernel already split by owner; the
             # trace shows that degenerate route phase on purpose.
@@ -467,22 +497,22 @@ def generate_rank(
             # Everything since the issue was generation that hid the
             # in-flight exchange.
             overlap_s += tel.clock() - issued_at
-            stored.append(exchange_edges_finish(comm, pending))
+            stored.append(exchange_edges_finish(comm, pending, n_c))
         pending = exchange_edges_start(comm, outgoing, wire=plan.wire)
         issued_at = tel.clock()
         if plan.pipeline == "sync":
-            stored.append(exchange_edges_finish(comm, pending))
+            stored.append(exchange_edges_finish(comm, pending, n_c))
             pending = None
     if pending is not None:
         # Tail flush: no generation left to hide this wait, so it does
         # not count toward the overlap.
-        stored.append(exchange_edges_finish(comm, pending))
+        stored.append(exchange_edges_finish(comm, pending, n_c))
     if next(pieces, None) is not None:
         raise PartitionError(
             f"rank {comm.rank}: generation rounds underestimated -- "
             f"{rounds} round(s) left product chunks unsent"
         )
-    edges = _stack(stored)
+    edges = _stack(stored, dtype)
     if plan.pipeline == "async":
         tel.add("exchange.overlap_s", overlap_s)
     tel.add("edges.generated", generated)
@@ -510,8 +540,8 @@ def execute_plan(
     if telemetry is not None:
         run_kwargs["telemetry"] = telemetry
     outputs = runner(generate_rank, nranks, plan, cells, **run_kwargs)
-    edges = _stack([o.edges for o in outputs if o is not None])
-    return EdgeList(edges, el_a.n * el_b.n), outputs
+    stored = [o.edges for o in outputs if o is not None]
+    return reassemble(stored, el_a.n * el_b.n), outputs
 
 
 def generate_distributed(

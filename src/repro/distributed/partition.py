@@ -123,8 +123,10 @@ def owners_by_edge_hash(
     edge land on the same owner.  The body is
     :meth:`repro.util.hashing.EdgeHasher.owner`; callers get ``int64``
     owners, and only the counting scatter passes its narrow key ``dtype``.
+    The id columns are hashed in the dtype they come in (the tile load
+    casts by value), so ``int32`` and ``int64`` ids own alike.
     """
     if nparts < 1:
         raise PartitionError(f"nparts must be >= 1, got {nparts}")
-    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e = np.asarray(edges).reshape(-1, 2)
     return EdgeHasher(seed).owner(e[:, 0], e[:, 1], nparts, dtype)

@@ -4,7 +4,11 @@
 must then send it to the processor responsible for its storage as determined
 by some mapping scheme" (Section III).  The shuffle is deliberately
 independent of how edges were generated -- the modularity the paper calls
-out -- so both the 1-D and 2-D generators reuse it unchanged.
+out -- so both the 1-D and 2-D generators reuse it unchanged.  Blocks
+keep the dtype they were generated in -- the product's id dtype
+(:func:`repro.kronecker.product.id_dtype`), ``int32`` unless ``n_C``
+exceeds ``2**31`` -- through bucketing, the exchange and the stack a rank
+stores; nothing here widens a block.
 
 Two bucketing kernels are provided:
 
@@ -16,11 +20,12 @@ Two bucketing kernels are provided:
     argsort (see ``benchmarks/bench_kernels.py``).  The generator only
     ever uses this one, and under ``edge_hash`` it calls it once per dense
     chunk, where the chunk is produced: the hash map
-    (:meth:`repro.util.hashing.EdgeHasher.owner`, tile by tile) writes the
-    narrow sort key directly, so neither a product-sized ``int64`` owner
-    array nor a product-sized copy of the round exists on the routing
-    path.  A stable scatter per chunk, concatenated in chunk order, is row
-    for row the stable scatter of the whole round.
+    (:meth:`repro.util.hashing.EdgeHasher.owner`, tile by tile) reads the
+    id columns in their own dtype and writes the narrow sort key directly,
+    so neither a product-sized ``int64`` owner array nor a product-sized
+    copy of the round exists on the routing path.  A stable scatter per
+    chunk, concatenated in chunk order, is row for row the stable scatter
+    of the whole round.
 ``method="argsort"``:
     the stable comparison sort, kept as the kernel-level reference the
     property tests and ``bench_kernels.py`` compare the scatter against.
@@ -44,6 +49,7 @@ from repro.distributed.wire import (
     is_wire_block,
 )
 from repro.errors import CommunicatorError
+from repro.kronecker.product import id_dtype
 from repro.telemetry.session import telemetry_of
 
 __all__ = [
@@ -55,9 +61,9 @@ __all__ = [
     "WIRE_FORMATS",
 ]
 
-#: Valid values of the ``wire`` knob: ``"raw"`` ships int64 blocks as-is,
-#: ``"varint"`` sorts them and varint-encodes source runs and destination
-#: deltas (see :mod:`repro.distributed.wire`).
+#: Valid values of the ``wire`` knob: ``"raw"`` ships blocks as-is, in
+#: their id dtype; ``"varint"`` sorts them and varint-encodes source runs
+#: and destination deltas (see :mod:`repro.distributed.wire`).
 WIRE_FORMATS = ("raw", "varint")
 
 
@@ -79,19 +85,25 @@ def _owner_sort_dtype(nparts: int) -> np.dtype:
     return np.dtype(np.int32)
 
 
+#: One-element view of a whole ``(id, id)`` row, by id itemsize.
+_ROW_VIEW = {8: np.dtype(np.complex128), 4: np.dtype(np.int64)}
+
+
 def _gather_rows(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
     """``rows[order]`` for 2-D row arrays, via a single flat 1-D take.
 
-    Gathering an ``(m, 2)`` int64 array row-wise through a 16-byte-element
-    view is ~3x faster than the 2-D fancy index numpy would otherwise run.
+    Gathering an ``(m, 2)`` array row-wise through a view with one element
+    per row -- 16 bytes for ``int64`` ids, 8 for ``int32`` -- is ~3x faster
+    than the 2-D fancy index numpy would otherwise run.
     """
+    view = _ROW_VIEW.get(rows.itemsize)
     if (
-        rows.ndim == 2
+        view is not None
+        and rows.ndim == 2
         and rows.shape[1] == 2
-        and rows.itemsize == 8
         and rows.flags.c_contiguous
     ):
-        flat = rows.view(np.complex128).reshape(-1)
+        flat = rows.view(view).reshape(-1)
         return flat.take(order).view(rows.dtype).reshape(-1, 2)
     return rows[order]
 
@@ -163,9 +175,12 @@ def bucket_edges(
 
     See :func:`edge_owners` for the schemes and the module docstring for the
     two bucketing ``method``s.  Both methods return identical bucket
-    contents in identical row order.
+    contents in identical row order, in the dtype ``edges`` came in
+    (anything but integers is read as ``int64``).
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    edges = np.asarray(edges).reshape(-1, 2)
+    if edges.dtype.kind not in "iu":
+        edges = edges.astype(np.int64)
     key = _owner_sort_dtype(nparts) if method == "scatter" else np.int64
     owners = _owners(edges, nparts, scheme, n, seed, key)
     if method == "scatter":
@@ -185,8 +200,10 @@ def _encode_outgoing(
     """Apply the wire format to the buckets that travel (counting bytes).
 
     ``outgoing[rank]`` never leaves this rank -- every transport hands
-    it back by reference -- so it is passed through as the int64 block
-    it is, neither encoded nor counted.
+    it back by reference -- so it is passed through as the block it is,
+    in its id dtype, neither encoded nor counted.  ``exchange.bytes_raw``
+    counts what the encoded buckets would have been raw: their bytes in
+    their own dtype.
     """
     if wire == "raw":
         return outgoing
@@ -199,25 +216,30 @@ def _encode_outgoing(
             payload[dest] = None
             continue
         encoded = payload[dest] = encode_edges(blk)
-        raw_bytes += 16 * len(blk)
+        raw_bytes += np.asarray(blk).nbytes
         wire_bytes += encoded.nbytes
     tel.add("exchange.bytes_raw", raw_bytes)
     tel.add("exchange.bytes_wire", wire_bytes)
     return payload
 
 
-def _stack_received(incoming: list) -> np.ndarray:
-    """One fresh ``(m, 2)`` int64 block holding every received bucket.
+def _stack_received(incoming: list, dtype: np.dtype) -> np.ndarray:
+    """One fresh ``(m, 2)`` block of ``dtype`` holding every received bucket.
 
-    The block is sized once -- from the raw buckets' lengths and the
-    wire blocks' header counts, each bounded by the bytes that carry it
-    -- and every bucket is copied or decoded straight into its slice, in
-    source-rank order.  Received buffers are only read.  ``None`` and
-    zero-size entries are skipped.  A payload that is neither a wire
-    block nor interpretable as ``(m, 2)`` integer edges (odd element
-    count, non-numeric dtype) means a corrupted or misrouted message;
-    raise a diagnostic naming the problem instead of letting ``reshape``
-    throw a bare ``ValueError`` deep in the exchange.
+    ``dtype`` is the product's id dtype, fixed by the caller from ``n_C``
+    -- never by what arrived, so a rank that receives nothing stores the
+    same dtype as its peers.  The block is sized once -- from the raw
+    buckets' lengths and the wire blocks' header counts, each bounded by
+    the bytes that carry it -- and every bucket is copied or decoded
+    straight into its slice, in source-rank order.  Received buffers are
+    only read.  ``None`` and zero-size entries are skipped.  A payload
+    that is neither a wire block nor interpretable as ``(m, 2)`` integer
+    edges (odd element count, non-numeric dtype) means a corrupted or
+    misrouted message; raise a diagnostic naming the problem instead of
+    letting ``reshape`` throw a bare ``ValueError`` deep in the exchange.
+    So does a raw block whose ids ``dtype`` cannot hold exactly (an
+    ``int64`` block into an ``int32`` stack): assignment would wrap an
+    id above ``2**31 - 1`` silently.  Narrower blocks widen exactly.
     """
     blocks: list[tuple[np.ndarray, int, bool]] = []  # bucket, rows, encoded
     for blk in incoming:
@@ -237,8 +259,14 @@ def _stack_received(incoming: list) -> np.ndarray:
                 f"{blk.shape}: not interpretable as (m, 2) integer edges -- "
                 f"a corrupted or misrouted exchange message"
             )
+        if not np.can_cast(blk.dtype, dtype, "safe"):
+            raise CommunicatorError(
+                f"received a raw {blk.dtype} edge block for a {dtype} "
+                f"stack: {blk.dtype} ids do not fit {dtype}, the id dtype "
+                f"of this product -- a rank generating in another id dtype"
+            )
         blocks.append((blk.reshape(-1, 2), blk.size // 2, False))
-    stacked = np.empty((sum(m for _, m, _ in blocks), 2), dtype=np.int64)
+    stacked = np.empty((sum(m for _, m, _ in blocks), 2), dtype=dtype)
     at = 0
     for blk, m, encoded in blocks:
         if encoded:
@@ -255,7 +283,10 @@ def exchange_edges(
     """All-to-all exchange of per-destination edge buckets.
 
     ``outgoing[d]`` is the block this rank routes to rank ``d``; returns the
-    vertical stack of everything received (own bucket included).  Defensive
+    vertical stack of everything received (own bucket included), as
+    ``int64``: this form does not know the product's vertex count, so
+    raw blocks of any integer dtype that widens exactly are accepted (the
+    generator finishes with ``n=`` and stacks in the id dtype).  Defensive
     about what backends hand back: ``None`` entries and zero-size blocks of
     any shape are skipped, and received buffers are never mutated (the
     zero-copy process backend may return read-only shared views -- see
@@ -297,16 +328,21 @@ def exchange_edges_start(
         return comm.alltoall_start(payload)
 
 
-def exchange_edges_finish(comm: Communicator, request: Request) -> np.ndarray:
+def exchange_edges_finish(
+    comm: Communicator, request: Request, n: int | None = None
+) -> np.ndarray:
     """Complete a split-phase exchange; returns the stacked received edges.
 
-    Emits one ``exchange`` span and the ``edges.received`` counter per
-    exchange regardless of pipeline mode (the span covers the wait +
-    decode, with issue time under ``exchange.issue``).
+    The stack is in :func:`~repro.kronecker.product.id_dtype` of ``n``,
+    the product's vertex count (``int64`` when not given); a raw block
+    that dtype cannot hold is a :class:`CommunicatorError`.  Emits one
+    ``exchange`` span and the ``edges.received`` counter per exchange
+    regardless of pipeline mode (the span covers the wait + decode, with
+    issue time under ``exchange.issue``).
     """
     tel = telemetry_of(comm)
     with tel.span("exchange", cat="phase"):
         incoming = comm.alltoall_finish(request)
-        received = _stack_received(incoming)
+        received = _stack_received(incoming, id_dtype(n))
     tel.add("edges.received", len(received))
     return received

@@ -54,6 +54,7 @@ from repro.distributed.generator import (
     execute_plan,
     generate_distributed,
     generate_rank,
+    reassemble,
 )
 from repro.distributed.launcher import spmd_run
 from repro.errors import CommunicatorError, ReproError, is_transient
@@ -306,8 +307,8 @@ def generate_distributed_supervised(
         if digest is not None:
             shard = store.get(shard_key(manifest.run_key, rank))
             outputs[rank] = RankOutput(rank, shard.edges, shard.generated)
-    edges = np.concatenate([o.edges for o in outputs if o is not None])
-    return EdgeList(edges, manifest.n), outputs
+    stored = [o.edges for o in outputs if o is not None]
+    return reassemble(stored, manifest.n), outputs
 
 
 # --------------------------------------------------------------------- #

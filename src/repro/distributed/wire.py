@@ -1,9 +1,10 @@
 """Columnar run-length + delta varint wire format for edge blocks (``KWR2``).
 
-The exchange stage ships ``(m, 2)`` int64 edge blocks between ranks --
-16 bytes per edge regardless of how small the vertex ids are.  The
-paper's deployment compresses its edge streams before the wire; we do
-the same, one column at a time:
+The exchange stage ships ``(m, 2)`` edge blocks between ranks in the
+product's id dtype (:func:`repro.kronecker.product.id_dtype`) -- 8 bytes
+per edge under ``int32`` ids, 16 under ``int64``, regardless of how
+small the ids actually are.  The paper's deployment compresses its edge
+streams before the wire; we do the same, one column at a time:
 
 1. **Sort** the block lexicographically by ``(src, dst)``.  Sorting is
    free for correctness -- every consumer of exchanged edges treats a
@@ -44,7 +45,10 @@ endian)::
 
 All arithmetic is mod 2**64: deltas and the decoder's cumulative sums
 wrap identically, so any int64 input -- including the full boundary
-range -- roundtrips bit-exactly.
+range -- roundtrips bit-exactly.  Narrower integer blocks are encoded by
+value, so a block encodes to the same bytes whatever its id dtype; the
+decoder writes ``int64`` rows, or rows of a narrower ``out=`` after
+checking every decoded id fits it.
 
 Every header field and every run length is outside input to the
 decoder.  :func:`decode_edges` counts the terminator bytes of a section
@@ -189,7 +193,7 @@ def _varint_decode(data: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def encode_edges(edges: np.ndarray) -> np.ndarray:
-    """Encode an ``(m, 2)`` int64 edge block into a uint8 wire block.
+    """Encode an ``(m, 2)`` integer edge block into a uint8 wire block.
 
     The block is sorted by ``(src, dst)`` before encoding, so the encoded
     form preserves the edge *multiset* but not the row order -- the same
@@ -290,9 +294,13 @@ def decode_edges(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     """Decode a wire block back to an ``(m, 2)`` int64 edge array.
 
     Rows come back sorted by ``(src, dst)`` (the encoder's order).  With
-    ``out=`` (an ``(m, 2)`` int64 array or slice, ``m`` the block's edge
-    count) the rows are written there instead of into a fresh array; on
-    a :class:`~repro.errors.WireFormatError` its contents are undefined.
+    ``out=`` (an ``(m, 2)`` signed-integer array or slice, ``m`` the
+    block's edge count) the rows are written there instead of into a
+    fresh array; on a :class:`~repro.errors.WireFormatError` its contents
+    are undefined.  An ``out`` narrower than ``int64`` (the exchange's
+    ``int32`` id stack) is written only once every decoded id is known to
+    fit it: an id outside its range is a ``WireFormatError``, never a
+    silently wrapped value.
     """
     block = np.asarray(block)
     m, runs, source_bytes = _read_header(block)
@@ -302,10 +310,10 @@ def decode_edges(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     dest_ends = _count_values(dest, m, "destination")
     if out is None:
         out = np.empty((m, 2), dtype=np.int64)
-    elif out.shape != (m, 2) or out.dtype != np.int64:
+    elif out.shape != (m, 2) or out.dtype.kind != "i":
         raise ValueError(
             f"decode_edges: out= is {out.dtype}{out.shape}, block holds "
-            f"({m}, 2) int64 rows"
+            f"({m}, 2) signed-integer rows"
         )
     if m == 0:
         if runs:
@@ -324,12 +332,25 @@ def decode_edges(block: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
             f"source run lengths do not partition {m} edges into {runs} "
             f"non-empty runs"
         )
-    cols = out.view(np.uint64)
     sources = np.cumsum(_unzigzag(pairs[0::2]), dtype=np.uint64)
-    cols[:, 0] = np.repeat(sources, lengths.astype(np.int64))
-    np.cumsum(
-        _unzigzag(_varint_decode(dest, dest_ends)),
-        dtype=np.uint64,
-        out=cols[:, 1],
-    )
+    dests = _unzigzag(_varint_decode(dest, dest_ends))
+    if out.dtype.itemsize == 8:
+        cols = out.view(np.uint64)
+        cols[:, 0] = np.repeat(sources, lengths.astype(np.int64))
+        np.cumsum(dests, dtype=np.uint64, out=cols[:, 1])
+        return out
+    # A narrow out: every id, read as int64, must lie in [0, max].  Seen
+    # unsigned, a negative id is >= 2**63, so one max per column decides.
+    np.cumsum(dests, dtype=np.uint64, out=dests)
+    top = np.iinfo(out.dtype).max
+    for what, ids in (("source", sources), ("destination", dests)):
+        worst = int(ids.max())
+        if worst > top:
+            signed = worst - (1 << 64) if worst >> 63 else worst
+            raise WireFormatError(
+                f"{what} id {signed} does not fit the {out.dtype} out= "
+                f"(ids 0..{top})"
+            )
+    out[:, 0] = np.repeat(sources, lengths.astype(np.int64))
+    out[:, 1] = dests
     return out

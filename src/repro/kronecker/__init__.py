@@ -2,6 +2,7 @@
 
 from repro.kronecker.indexing import alpha, beta, gamma, split, combine_edges
 from repro.kronecker.product import (
+    id_dtype,
     kron_edge_block,
     kron_product,
     iter_kron_product,
@@ -40,6 +41,7 @@ __all__ = [
     "gamma",
     "split",
     "combine_edges",
+    "id_dtype",
     "kron_edge_block",
     "kron_product",
     "iter_kron_product",

@@ -173,7 +173,9 @@ class KroneckerGraph:
     # materialization
     # ------------------------------------------------------------------ #
     def iter_edges(self, chunk_size: int = DEFAULT_CHUNK) -> Iterator[np.ndarray]:
-        """Stream all product edges in chunks (see :func:`iter_kron_product`)."""
+        """Stream all product edges in chunks (see :func:`iter_kron_product`):
+        blocks in the product's id dtype, ``int32`` up to ``2**31``
+        vertices.  Every query and :meth:`to_edgelist` are ``int64``."""
         return iter_kron_product(self._el_a, self._el_b, chunk_size)
 
     def to_edgelist(self) -> EdgeList:

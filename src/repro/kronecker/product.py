@@ -15,6 +15,13 @@ because the product can be orders of magnitude larger than either factor --
 also expose a chunked streaming form that never materializes more than
 ``chunk_size`` product edges at once.  The distributed generator in
 :mod:`repro.distributed.generator` drives exactly these kernels per rank.
+
+*Id width.*  Every product id is below ``n_C``, so the kernels that know
+``n_C`` allocate their blocks -- and run their broadcast adds -- in
+:func:`id_dtype` of it: ``int32`` up to ``n_C = 2**31``, 8 bytes a row
+instead of 16, and ``int64`` only past that.  That function is the one
+place the width is chosen.  The serial :func:`kron_product` (an
+:class:`~repro.graph.edgelist.EdgeList`, always ``int64``) stays wide.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from repro.graph.edgelist import EdgeList
 from repro.util.chunking import chunk_bounds
 
 __all__ = [
+    "id_dtype",
     "kron_edge_block",
     "kron_product",
     "iter_kron_product",
@@ -46,6 +54,20 @@ __all__ = [
 DEFAULT_CHUNK = 1 << 20
 
 
+def id_dtype(n_c: int | None) -> np.dtype:
+    """The dtype of an ``n_c``-vertex product's vertex ids.
+
+    ``int32`` when every id ``0 .. n_c - 1`` fits (``n_c <= 2**31``),
+    ``int64`` otherwise -- and for ``None``, a product whose size the
+    caller does not know.  Derived from ``n_c`` alone, so it is no knob:
+    every rank of a run reaches the same answer, and the values of every
+    block (hence every digest) do not depend on it.
+    """
+    if n_c is not None and n_c <= 1 << 31:
+        return np.dtype(np.int32)
+    return np.dtype(np.int64)
+
+
 def product_size(el_a: EdgeList, el_b: EdgeList) -> tuple[int, int]:
     """Exact ``(n_C, directed-edge count)`` of ``A (x) B`` without generating it.
 
@@ -57,26 +79,30 @@ def product_size(el_a: EdgeList, el_b: EdgeList) -> tuple[int, int]:
 
 
 def kron_edge_block(
-    edges_a: np.ndarray, edges_b: np.ndarray, n_b: int
+    edges_a: np.ndarray, edges_b: np.ndarray, n_b: int, n_c: int | None = None
 ) -> np.ndarray:
     """Dense outer product of two directed edge blocks.
 
     Returns the ``(len(a) * len(b), 2)`` array of product edges, ordered with
-    the A-edge index varying slowest.  This is the innermost kernel; callers
-    control memory by bounding the block sizes.
+    the A-edge index varying slowest, in :func:`id_dtype` of the product's
+    vertex count ``n_c`` (``int64`` when it is not given).  This is the
+    innermost kernel; callers control memory by bounding the block sizes.
     """
     ma, mb = len(edges_a), len(edges_b)
-    out = np.empty((ma * mb, 2), dtype=np.int64)
+    dtype = id_dtype(n_c)
+    out = np.empty((ma * mb, 2), dtype=dtype)
     if ma == 0 or mb == 0:
         return out
     # gamma(i, k) = i * n_B + k (Def. 1) over every (A-edge, B-edge) pair:
     # one broadcast add per endpoint, written straight into its column of
     # the interleaved block -- no repeat/tile temporaries, no column_stack.
+    # Operands and sums are all below n_C, so the add is exact in ``dtype``.
     pairs = out.reshape(ma, mb, 2)
     for col in (0, 1):
+        base = (edges_a[:, col] * np.int64(n_b)).astype(dtype, copy=False)
         np.add(
-            (edges_a[:, col] * np.int64(n_b))[:, None],
-            edges_b[None, :, col],
+            base[:, None],
+            edges_b[None, :, col].astype(dtype, copy=False),
             out=pairs[:, :, col],
         )
     return out
@@ -108,16 +134,20 @@ def iter_kron_product(
     Yields
     ------
     numpy.ndarray
-        ``(c, 2)`` blocks of product edges, ``c <= chunk_size``.
+        ``(c, 2)`` blocks of product edges, ``c <= chunk_size``, in
+        :func:`id_dtype` of the product's vertex count.
     """
     mb = el_b.m_directed
     if mb == 0 or el_a.m_directed == 0:
         return
+    n_c = el_a.n * el_b.n
     # Choose how many A-edges to expand per chunk; at least one A-edge,
     # whose full B-expansion may exceed chunk_size -- then sub-chunk it.
     a_per_chunk = max(1, chunk_size // mb)
     for a_start, a_stop in chunk_bounds(el_a.m_directed, a_per_chunk):
-        block = kron_edge_block(el_a.edges[a_start:a_stop], el_b.edges, el_b.n)
+        block = kron_edge_block(
+            el_a.edges[a_start:a_stop], el_b.edges, el_b.n, n_c
+        )
         if len(block) <= chunk_size:
             yield block
         else:
@@ -163,19 +193,21 @@ class RoutePlanB:
     Attributes
     ----------
     rows:
-        B's edges stably sorted by source, ``(m_B, 2)`` int64 in column-major
+        B's edges stably sorted by source, ``(m_B, 2)`` in column-major
         order, so each endpoint column is contiguous for the searchsorted
-        and the broadcast adds.
+        and the broadcast adds.  Stored in the product's id dtype, which
+        is therefore the dtype of every slice the plan expands.
     """
 
     rows: np.ndarray
 
 
-def plan_route_b(edges_b: np.ndarray) -> RoutePlanB:
-    """Build the per-factor routing plan (one small sort of ``m_B`` keys)."""
+def plan_route_b(edges_b: np.ndarray, n_c: int | None = None) -> RoutePlanB:
+    """Build the per-factor routing plan (one small sort of ``m_B`` keys)
+    for a product of ``n_c`` vertices (:func:`id_dtype`)."""
     edges_b = np.asarray(edges_b, dtype=np.int64).reshape(-1, 2)
     order = np.argsort(edges_b[:, 0], kind="stable")
-    return RoutePlanB(np.asfortranarray(edges_b[order]))
+    return RoutePlanB(np.asfortranarray(edges_b[order], dtype=id_dtype(n_c)))
 
 
 def _routed_positions(
@@ -186,7 +218,8 @@ def _routed_positions(
     ``pos[t, d]`` is the first sorted-B position whose pair with A-edge ``t``
     lands in owner ``d`` or later: the pair ``(t, s)`` has product source
     ``src_a[t] * n_b + rows[s, 0]``, owned by ``d`` iff that value falls in
-    ``[bounds[d], bounds[d+1])``.
+    ``[bounds[d], bounds[d+1])``.  The thresholds stay ``int64``: they
+    may fall below 0 or past ``n_C``.
     """
     thresholds = bounds[None, :] - src_a[:, None] * np.int64(n_b)
     pos = np.searchsorted(plan.rows[:, 0], thresholds.ravel(), side="left")
@@ -205,11 +238,13 @@ def _routed_bucket_rows(
     broadcast add per endpoint into its view of the slice.  When owner
     bounds fall on factor rows every window is all of B and each owner is
     one run; only an A-source straddling a bound (at most ``nparts - 1``
-    per call) yields partial windows and further runs.
+    per call) yields partial windows and further runs.  The slice and its
+    adds are in the plan's id dtype: every operand and sum is below n_C.
     """
     sel = np.flatnonzero(pos[:, d + 1] > pos[:, d])
     lo, hi = pos[sel, d], pos[sel, d + 1]
-    out = np.empty((int((hi - lo).sum()), 2), dtype=np.int64)
+    dtype = plan.rows.dtype
+    out = np.empty((int((hi - lo).sum()), 2), dtype=dtype)
     starts = np.flatnonzero(
         (np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0)
     )
@@ -220,10 +255,9 @@ def _routed_bucket_rows(
         size = (t - s) * (p1 - p0)
         view = out[fill : fill + size].reshape(t - s, p1 - p0, 2)
         for col in (0, 1):
+            base = (rows[:, col] * np.int64(n_b)).astype(dtype, copy=False)
             np.add(
-                (rows[:, col] * np.int64(n_b))[:, None],
-                plan.rows[None, p0:p1, col],
-                out=view[:, :, col],
+                base[:, None], plan.rows[None, p0:p1, col], out=view[:, :, col]
             )
         fill += size
     return out
@@ -245,17 +279,19 @@ def kron_edge_block_routed(
     expansion, with block ``d`` holding exactly the pairs whose product
     source falls in owner ``d``'s vertex range.  Cost is
     O(output + len(a) * nparts); no product-sized sort is performed.
+    Blocks are in :func:`id_dtype` of ``n_c``.
 
-    Pass a precomputed ``plan`` (:func:`plan_route_b`) to amortize B's one
-    small sort across many expansions of the same replicated factor.
+    Pass a precomputed ``plan`` (:func:`plan_route_b` for the same
+    ``n_c``) to amortize B's one small sort across many expansions of the
+    same replicated factor.
     """
     from repro.distributed.partition import vertex_block_bounds
 
     if len(edges_a) == 0 or len(edges_b) == 0:
-        return [np.empty((0, 2), dtype=np.int64) for _ in range(nparts)]
+        return [np.empty((0, 2), dtype=id_dtype(n_c)) for _ in range(nparts)]
     edges_a = np.asarray(edges_a, dtype=np.int64).reshape(-1, 2)
     if plan is None:
-        plan = plan_route_b(edges_b)
+        plan = plan_route_b(edges_b, n_c)
     bounds = vertex_block_bounds(n_c, nparts)
     pos = _routed_positions(edges_a[:, 0], plan, n_b, bounds)
     return [
@@ -303,7 +339,7 @@ def iter_kron_product_routed(
     ma, mb = el_a.m_directed, el_b.m_directed
     if ma == 0 or mb == 0:
         return
-    plan = plan_route_b(el_b.edges)
+    plan = plan_route_b(el_b.edges, n_c)
     a_per_chunk = max(1, chunk_size // mb)
     for a_start, a_stop in chunk_bounds(ma, a_per_chunk):
         yield kron_edge_block_routed(

@@ -1,9 +1,14 @@
-"""dtype-overflow: Kronecker index arithmetic must stay in int64.
+"""dtype-overflow: Kronecker index arithmetic runs in the product's id dtype.
 
 The product vertex id is ``p = i * n_B + k`` (Section II-A's alpha map);
 for paper-scale factors ``p`` exceeds 2**31 long before it exceeds 2**63,
-so any narrow intermediate silently wraps.  Two checks, scoped to the
-index-carrying packages (``kronecker/`` and ``distributed/``):
+so a narrow intermediate chosen by hand silently wraps.  The one
+sanctioned narrow width is :func:`repro.kronecker.product.id_dtype`,
+derived from ``n_C``: ``int32`` only while every id fits, ``int64``
+past ``2**31`` vertices.  A dtype spelled ``id_dtype(...)``, or a name
+its scope binds to one, therefore counts as wide.  Two checks, scoped to
+the index-carrying packages (``kronecker/``, ``distributed/`` and
+``skg/``):
 
 * ``np.empty``/``np.zeros`` without an explicit ``dtype=`` -- the float64
   default is both wrong for indices and a waste of the exactness int64
@@ -30,10 +35,13 @@ _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _ALLOC_FUNCS = frozenset({"empty", "zeros"})
 _NUMPY_NAMES = frozenset({"np", "numpy"})
 
+#: The one function that derives the id width from the product size.
+_ID_DTYPE = "id_dtype"
+
 #: dtype spellings wide enough for product vertex ids.
 _WIDE_DTYPES = frozenset(
     {"int64", "intp", "uint64", "longlong", "ulonglong", "i8", "u8",
-     "<i8", "<u8", "int_", "int"}
+     "<i8", "<u8", "int_", "int", _ID_DTYPE}
 )
 
 
@@ -45,33 +53,47 @@ def _dtype_token(node: ast.expr) -> str | None:
     if chain:
         return chain[-1]
     if isinstance(node, ast.Call):
-        # np.dtype("int32") and friends: recurse into the argument.
         ch = attr_chain(node.func)
+        if ch and ch[-1] == _ID_DTYPE:
+            return _ID_DTYPE
+        # np.dtype("int32") and friends: recurse into the argument.
         if ch and ch[-1] == "dtype" and node.args:
             return _dtype_token(node.args[0])
     return None
 
 
-def _is_narrow_dtype(node: ast.expr) -> bool:
-    """True when the dtype expression names a type narrower than int64."""
+def _is_narrow_dtype(node: ast.expr, sanctioned: frozenset[str]) -> bool:
+    """True when the dtype expression names a type narrower than int64.
+
+    ``sanctioned`` holds the names the scope binds to ``id_dtype(...)``.
+    """
+    if isinstance(node, ast.Name) and node.id in sanctioned:
+        return False
     token = _dtype_token(node)
     if token is None:
-        return False  # unknown (a variable): give the benefit of the doubt
+        return False  # unknown expression: give the benefit of the doubt
     return token not in _WIDE_DTYPES
 
 
-def _narrow_binding(value: ast.expr) -> str | None:
+def _is_id_dtype_call(value: ast.expr) -> bool:
+    """Is ``value`` a call of the sanctioned ``id_dtype``?"""
+    return isinstance(value, ast.Call) and _dtype_token(value) == _ID_DTYPE
+
+
+def _narrow_binding(value: ast.expr, sanctioned: frozenset[str]) -> str | None:
     """If ``value`` provably produces a narrow array, describe how."""
     for call in ast.walk(value):
         if not isinstance(call, ast.Call):
             continue
         if isinstance(call.func, ast.Attribute) and call.func.attr == "astype":
-            if call.args and _is_narrow_dtype(call.args[0]):
+            if call.args and _is_narrow_dtype(call.args[0], sanctioned):
                 return f"astype({_dtype_token(call.args[0])})"
         chain = attr_chain(call.func)
         if chain and chain[0] in _NUMPY_NAMES:
             for kw in call.keywords:
-                if kw.arg == "dtype" and _is_narrow_dtype(kw.value):
+                if kw.arg != "dtype":
+                    continue
+                if _is_narrow_dtype(kw.value, sanctioned):
                     return f"{'.'.join(chain)}(dtype={_dtype_token(kw.value)})"
     return None
 
@@ -81,8 +103,9 @@ class DtypeOverflowRule(Rule):
     name = "dtype-overflow"
     severity = "warning"
     description = (
-        "Kronecker index arithmetic and allocations must be explicit int64; "
-        "narrow dtypes silently wrap at paper scale"
+        "Kronecker index arithmetic and allocations must be int64 or the "
+        "id dtype derived from n_C (id_dtype); other narrow dtypes "
+        "silently wrap at paper scale"
     )
     scope_dirs = ("kronecker", "distributed", "skg")
 
@@ -112,7 +135,7 @@ class DtypeOverflowRule(Rule):
                             node,
                             f"np.{chain[1]} without an explicit dtype "
                             f"defaults to float64; index buffers must be "
-                            f"allocated as int64",
+                            f"allocated as int64 or id_dtype(n_c)",
                         )
                     )
 
@@ -159,24 +182,30 @@ class DtypeOverflowRule(Rule):
                             f"index arithmetic 'a * b + c' involves "
                             f"'{sub.id}', bound narrow via {how} at line "
                             f"{line}; Kronecker indices overflow anything "
-                            f"below int64 at scale",
+                            f"below int64 at scale -- derive the width "
+                            f"with id_dtype(n_c) instead",
                         )
                     )
                     break  # one finding per expression
 
     @staticmethod
     def _collect_narrow_names(body: list[ast.stmt]) -> dict[str, tuple[str, int]]:
-        narrow: dict[str, tuple[str, int]] = {}
+        bindings = []
         for node in _walk_scope(body):
             if isinstance(node, ast.Assign):
-                targets = node.targets
-                value = node.value
+                bindings.append((node, node.targets, node.value))
             elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets = [node.target]
-                value = node.value
-            else:
-                continue
-            how = _narrow_binding(value)
+                bindings.append((node, [node.target], node.value))
+        sanctioned = frozenset(
+            target.id
+            for _node, targets, value in bindings
+            if _is_id_dtype_call(value)
+            for target in targets
+            if isinstance(target, ast.Name)
+        )
+        narrow: dict[str, tuple[str, int]] = {}
+        for node, targets, value in bindings:
+            how = _narrow_binding(value, sanctioned)
             for target in targets:
                 if isinstance(target, ast.Name):
                     if how is not None:

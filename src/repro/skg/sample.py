@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.edgelist import EdgeList
+from repro.kronecker.product import id_dtype
 from repro.skg.model import SKGSpec, edge_probabilities
 from repro.util.hashing import edge_uniform, hash_pair, splitmix64_int
 
@@ -442,7 +443,8 @@ class SKGSampler:
         return out
 
     def sample(self, start: int, stop: int) -> np.ndarray:
-        """The ``(m, 2)`` int64 edges of items ``[start, stop)``.
+        """The ``(m, 2)`` edges of items ``[start, stop)``, in the id dtype
+        of the spec's ``2**k`` vertices (:func:`id_dtype`).
 
         Hits come in item order; an undirected spec's mirrored rows follow
         them, in the same order.
@@ -466,11 +468,13 @@ class SKGSampler:
             )
             keep = coin * self._q[item] < p
             u, v = u[keep], v[keep]
-        if self.spec.directed:
-            return np.column_stack([u, v])
-        # Each off-diagonal hit stands for both directions.
-        off = u != v
-        return np.column_stack([np.r_[u, v[off]], np.r_[v, u[off]]])
+        if not self.spec.directed:
+            # Each off-diagonal hit stands for both directions.
+            off = u != v
+            u, v = np.r_[u, v[off]], np.r_[v, u[off]]
+        out = np.empty((len(u), 2), dtype=id_dtype(self.spec.n))
+        out[:, 0], out[:, 1] = u, v
+        return out
 
 
 @lru_cache(maxsize=8)

@@ -7,7 +7,8 @@ comparison: draw any :class:`GenerationPlan` the drivers accept, any world
 size, a chunk size that either splits single A-edge expansions or swallows
 the whole product, and the distributed output must be the reference as a
 multiset -- with every rank storing exactly the edges the storage map
-assigns it, and ``pipeline="async"`` storing byte for byte what
+assigns it, in the product's id dtype (``id_dtype(n_C)``, also when it
+stores nothing), and ``pipeline="async"`` storing byte for byte what
 ``"sync"`` stores.
 """
 
@@ -22,7 +23,7 @@ from repro.distributed import GenerationPlan, generate_distributed
 from repro.distributed.shuffle import edge_owners
 from repro.distributed.supervisor import canonical_edges
 from repro.graph import EdgeList, erdos_renyi
-from repro.kronecker import kron_product
+from repro.kronecker import id_dtype, kron_product
 from repro.skg.distributed import skg_candidate_factors
 from repro.skg.model import SKGSpec
 from repro.skg.sample import skg_sample_edges
@@ -78,6 +79,7 @@ def assert_matches_oracle(plan, got, outputs, reference: EdgeList):
     assert got == reference  # EdgeList equality is multiset equality
     assert sum(len(o.edges) for o in outputs) == reference.m_directed
     assert sum(o.generated for o in outputs) == reference.m_directed
+    assert {o.edges.dtype for o in outputs} == {id_dtype(reference.n)}
     if plan.exchanges:
         for out in outputs:
             owners = edge_owners(

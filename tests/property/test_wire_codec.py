@@ -12,7 +12,10 @@ The decoder's input is outside bytes: whatever is done to an encoded
 block -- bits flipped, bytes cut or appended, header fields and run
 lengths rewritten -- it must hand back a well-formed ``(m, 2)`` int64
 array or raise ``WireFormatError``, and never allocate more than a
-constant multiple of the bytes it was given.
+constant multiple of the bytes it was given.  The same holds when it
+decodes into an ``int32`` ``out=`` (the exchange's id stack): a
+well-formed block whose ids do not fit is a ``WireFormatError``, never a
+wrapped id.
 """
 
 import tracemalloc
@@ -147,13 +150,14 @@ def mutated_blocks(draw):
     return blk
 
 
-def decode_in_bounded_memory(blk):
-    """``decode_edges(blk)``, or ``None`` on ``WireFormatError``; any other
-    exception propagates.  Asserts the allocation bound on the way."""
+def decode_in_bounded_memory(blk, out=None):
+    """``decode_edges(blk, out)``, or ``None`` on ``WireFormatError``; any
+    other exception propagates.  Asserts the allocation bound on the way
+    (``out``, allocated by the caller, is not counted)."""
     tracemalloc.start()
     try:
         try:
-            got = decode_edges(blk)
+            got = decode_edges(blk, out)
         except WireFormatError:
             got = None
         _, peak = tracemalloc.get_traced_memory()
@@ -194,3 +198,39 @@ class TestHostileBlocks:
             )
         got = decode_in_bounded_memory(blk)
         assert (got is None) == (claimed != m)
+
+    @given(
+        m=st.integers(min_value=1, max_value=4000),
+        seed=st.integers(min_value=0, max_value=2**16),
+        column=st.sampled_from([0, 1]),
+        past=st.sampled_from([1 << 31, (1 << 31) + 1, 1 << 40, -1]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ids_past_a_narrow_out_are_a_typed_error(
+        self, m, seed, column, past
+    ):
+        # A well-formed KWR2 block, every id but one below 2**31: the
+        # int32 out= the exchange stacks into must refuse it rather than
+        # wrap the id, and an int64 out= decodes it exactly.
+        rng = np.random.default_rng(seed)
+        edges = rng.integers(0, 1 << 31, size=(m, 2), dtype=np.int64)
+        edges[rng.integers(m), column] = past
+        blk = encode_edges(edges)
+        narrow = np.empty((m, 2), dtype=np.int32)
+        assert decode_in_bounded_memory(blk, narrow) is None
+        wide = decode_in_bounded_memory(blk, np.empty((m, 2), dtype=np.int64))
+        np.testing.assert_array_equal(wide, lexsorted(edges))
+
+    @given(
+        m=st.integers(min_value=1, max_value=4000),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_ids_up_to_2_31_minus_1_fill_a_narrow_out(self, m, seed):
+        rng = np.random.default_rng(seed)
+        edges = rng.integers(0, 1 << 31, size=(m, 2), dtype=np.int64)
+        edges[0] = (1 << 31) - 1, 0
+        narrow = np.empty((m, 2), dtype=np.int32)
+        got = decode_in_bounded_memory(encode_edges(edges), narrow)
+        assert got is narrow
+        np.testing.assert_array_equal(got, lexsorted(edges))

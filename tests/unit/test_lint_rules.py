@@ -323,6 +323,42 @@ class TestDtypeOverflow:
         )
         assert fs == []
 
+    def test_id_dtype_is_the_sanctioned_width(self):
+        # The id dtype derived from n_C, spelled inline or through a name
+        # bound to it, may carry index arithmetic in kronecker/.
+        fs = findings_for(
+            """
+            import numpy as np
+            from repro.kronecker.product import id_dtype
+            def block(shape, n, nb):
+                out = np.empty(shape, dtype=id_dtype(n))
+                return out * nb + 1
+            def chunk(rows, n, nb):
+                dtype = id_dtype(n)
+                ids = np.zeros(rows, dtype=dtype)
+                base = rows.astype(dtype)
+                return ids * nb + base
+            """,
+            path="kronecker/mod.py",
+        )
+        assert fs == []
+
+    def test_hand_picked_narrow_width_still_flagged(self):
+        fs = findings_for(
+            """
+            import numpy as np
+            from repro.kronecker.product import id_dtype
+            def chunk(rows, n, nb):
+                dtype = id_dtype(n)
+                ids = np.empty(rows, dtype=dtype)
+                narrow = rows.astype(np.int32)
+                return narrow * nb + ids
+            """,
+            path="kronecker/mod.py",
+        )
+        assert [f.rule for f in fs] == ["dtype-overflow"]
+        assert "int32" in fs[0].message and "id_dtype" in fs[0].message
+
     def test_scoped_out_of_tree(self):
         # the rule only applies to kronecker/ and distributed/
         fs = findings_for(

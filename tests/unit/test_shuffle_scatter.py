@@ -16,9 +16,10 @@ from repro.distributed.shuffle import (
     bucket_edges,
     counting_scatter,
     exchange_edges,
+    exchange_edges_finish,
 )
 from repro.distributed.wire import encode_edges
-from repro.errors import PartitionError, WireFormatError
+from repro.errors import CommunicatorError, PartitionError, WireFormatError
 from repro.telemetry import TelemetrySession
 
 
@@ -182,6 +183,46 @@ class TestExchangeEdgesDefensive:
             exchange_edges(_FakeComm([blk]), [None])
 
 
+#: Vertex counts on either side of the int32 id bound.
+AT_BOUND, PAST_BOUND = 1 << 31, (1 << 31) + 1
+
+
+class TestReceivedStackIdDtype:
+    """The generator finishes each exchange with the product's ``n``; the
+    stack's dtype is ``id_dtype(n)``, whatever arrived."""
+
+    @pytest.mark.parametrize(
+        "n, want", [(AT_BOUND, np.int32), (PAST_BOUND, np.int64)]
+    )
+    def test_dtype_comes_from_n(self, n, want):
+        narrow = np.array([[6, 5], [(1 << 31) - 1, 0]], dtype=np.int32)
+        wire = encode_edges(np.array([[1, 2]], dtype=np.int64))
+        out = exchange_edges_finish(_FakeComm([narrow, None, wire]), None, n)
+        assert out.dtype == want
+        assert out.tolist() == [[6, 5], [(1 << 31) - 1, 0], [1, 2]]
+
+    @pytest.mark.parametrize(
+        "n, want", [(AT_BOUND, np.int32), (PAST_BOUND, np.int64)]
+    )
+    def test_a_rank_receiving_nothing_stacks_the_id_dtype(self, n, want):
+        comm = _FakeComm([None, np.empty((0, 2), dtype=np.int64)])
+        out = exchange_edges_finish(comm, None, n)
+        assert out.shape == (0, 2) and out.dtype == want
+
+    def test_wide_raw_block_into_a_narrow_stack_fails_closed(self):
+        # Assignment casting would wrap 2**31 to -2**31; never cast.
+        wide = np.array([[1, 1 << 31]], dtype=np.int64)
+        with pytest.raises(CommunicatorError, match="int64.*int32"):
+            exchange_edges_finish(_FakeComm([wide]), None, AT_BOUND)
+
+    def test_varint_ids_past_a_narrow_stack_are_a_wire_format_error(self):
+        blk = encode_edges(np.array([[1 << 31, 1]], dtype=np.int64))
+        with pytest.raises(WireFormatError, match="int32"):
+            exchange_edges_finish(_FakeComm([blk]), None, AT_BOUND)
+        out = exchange_edges_finish(_FakeComm([blk]), None, PAST_BOUND)
+        assert out.tolist() == [[1 << 31, 1]]
+
+
 class _EncodeSpy:
     """Counts ``encode_edges`` calls per calling thread.
 
@@ -245,6 +286,20 @@ class TestOwnBucketBypassesCodec:
         assert counters["exchange.bytes_wire"] == counters["comm.alltoall.bytes_out"]
         assert counters["comm.alltoall.bytes_out"] == counters["comm.alltoall.bytes_in"]
         assert 0 < counters["exchange.bytes_wire"] < counters["exchange.bytes_raw"]
+
+    def test_raw_bytes_are_the_buckets_own_bytes(self):
+        def rank_program(comm):
+            outgoing = [
+                _bucket(10 * comm.rank + dest).astype(np.int32)
+                for dest in range(comm.size)
+            ]
+            return exchange_edges(comm, outgoing, wire="varint")
+
+        session = TelemetrySession()
+        spmd_run(rank_program, 3, telemetry=session)
+        counters = session.aggregated_metrics()["counters"]
+        # 3 * 2 buckets of 5 int32 rows crossed: 8 bytes a row, not 16.
+        assert counters["exchange.bytes_raw"] == 3 * 2 * 5 * 8
 
     def test_nothing_crossing_counts_nothing(self):
         def rank_program(comm):
