@@ -11,6 +11,7 @@ from __future__ import annotations
 __all__ = [
     "ReproError",
     "GraphFormatError",
+    "VertexRangeError",
     "AssumptionError",
     "PartitionError",
     "CommunicatorError",
@@ -43,6 +44,10 @@ class GraphFormatError(ReproError):
     Raised for negative vertex ids, ragged arrays, out-of-range endpoints,
     or file parse failures.
     """
+
+
+class VertexRangeError(GraphFormatError):
+    """A query named a vertex id outside the graph's ``[0, n)``."""
 
 
 class AssumptionError(ReproError):

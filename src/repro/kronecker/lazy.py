@@ -15,12 +15,55 @@ from collections.abc import Iterator
 
 import numpy as np
 
+from repro.errors import VertexRangeError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.kronecker.indexing import gamma, split
 from repro.kronecker.product import DEFAULT_CHUNK, iter_kron_product, kron_product
 
 __all__ = ["KroneckerGraph"]
+
+
+class _FactorMembership:
+    """Batched ``A_ij`` lookups for one factor, from the smaller of two forms.
+
+    A packed adjacency bitmap -- ``ceil(n**2 / 8)`` bytes, one gather and a
+    shift per query -- when it is no larger than the factor's sorted
+    row-major ``int64`` edge keys (``8 m`` bytes, a binary search per
+    query), i.e. at density ``m / n**2 >= 1/64``; the keys otherwise.  The
+    choice follows from the factor alone, and membership never holds more
+    bytes than the keys would.
+    """
+
+    __slots__ = ("n", "bits", "keys")
+
+    def __init__(self, csr: CSRGraph) -> None:
+        self.n = csr.n
+        src = np.repeat(np.arange(csr.n, dtype=np.int64), np.diff(csr.indptr))
+        keys = src * np.int64(csr.n) + csr.indices
+        self.bits: np.ndarray | None = None
+        self.keys: np.ndarray | None = None
+        if (csr.n * csr.n + 7) // 8 <= keys.nbytes:
+            dense = np.zeros(csr.n * csr.n, dtype=bool)
+            dense[keys] = True
+            self.bits = np.packbits(dense, bitorder="little")
+        else:
+            self.keys = keys
+
+    @property
+    def nbytes(self) -> int:
+        return (self.bits if self.bits is not None else self.keys).nbytes
+
+    def __call__(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """``A[i, j]`` for aligned in-range index arrays, as bools."""
+        want = i * np.int64(self.n) + j
+        if self.bits is not None:
+            byte = self.bits.take(want >> 3)
+            return (byte >> (want & 7).astype(np.uint8)) & 1 == 1
+        pos = np.searchsorted(self.keys, want)
+        hit = pos < len(self.keys)
+        hit[hit] = self.keys[pos[hit]] == want[hit]
+        return hit
 
 
 class KroneckerGraph:
@@ -34,9 +77,15 @@ class KroneckerGraph:
 
     Notes
     -----
-    Memory is ``O(|E_A| + |E_B|)``; :meth:`has_edge` costs two binary
-    searches; :meth:`neighbors` costs the output size; :meth:`iter_edges`
-    streams the full product in bounded chunks.
+    Memory is ``O(|E_A| + |E_B|)``.  Batched membership (:meth:`has_edges`)
+    looks each factor up in a packed adjacency bitmap when that bitmap
+    (``n**2 / 8`` bytes) is no larger than the factor's sorted ``int64``
+    edge keys (``8 m`` bytes, density at least 1/64), and by binary search
+    in the keys otherwise -- never more bytes than the keys.
+    :meth:`has_edge` costs two binary searches in CSR rows; :meth:`neighbors`
+    costs the output size; :meth:`iter_edges` streams the full product in
+    bounded chunks.  Every query refuses a vertex id outside ``[0, n)``
+    with :class:`~repro.errors.VertexRangeError`.
     """
 
     def __init__(self, factor_a: EdgeList, factor_b: EdgeList) -> None:
@@ -48,19 +97,20 @@ class KroneckerGraph:
         self.n_b = factor_b.n
         self._loops_a = self.csr_a.self_loop_mask()
         self._loops_b = self.csr_b.self_loop_mask()
-        # Row-major edge keys per factor (src * n + dst over the sorted
-        # CSR) -- globally sorted, so *batched* membership is one
-        # searchsorted per factor.  Built lazily on the first batch query.
-        self._keys_a: np.ndarray | None = None
-        self._keys_b: np.ndarray | None = None
+        # Batched membership per factor, built on the first batch query.
+        self._member_a: _FactorMembership | None = None
+        self._member_b: _FactorMembership | None = None
 
-    @staticmethod
-    def _edge_keys(csr: CSRGraph) -> np.ndarray:
-        """Sorted row-major keys ``src * n + dst`` of all CSR edges."""
-        src = np.repeat(
-            np.arange(csr.n, dtype=np.int64), np.diff(csr.indptr)
-        )
-        return src * np.int64(csr.n) + csr.indices
+    def _out_of_range(self) -> VertexRangeError:
+        """The one refusal of an id outside ``[0, n)``: ``divmod`` would
+        alias it onto another vertex (``n`` onto row 1 of A, ``-1`` onto
+        ``n - 1``)."""
+        return VertexRangeError(f"vertex ids outside 0..{self.n - 1}")
+
+    def _check_ids(self, *ids: np.ndarray) -> None:
+        for v in ids:
+            if v.size and (v.min() < 0 or v.max() >= self.n):
+                raise self._out_of_range()
 
     # ------------------------------------------------------------------ #
     # global counts (O(1) after construction)
@@ -98,6 +148,8 @@ class KroneckerGraph:
 
     def has_edge(self, p: int, q: int) -> bool:
         """Edge membership: ``C_pq = A_{alpha(p),alpha(q)} B_{beta(p),beta(q)}``."""
+        if not (0 <= p < self.n and 0 <= q < self.n):
+            raise self._out_of_range()
         i, k = divmod(int(p), self.n_b)
         j, l = divmod(int(q), self.n_b)
         return self.csr_a.has_edge(i, j) and self.csr_b.has_edge(k, l)
@@ -105,30 +157,25 @@ class KroneckerGraph:
     def has_edges(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """Vectorized edge membership for aligned endpoint arrays.
 
-        ``C_pq = A_{alpha(p),alpha(q)} B_{beta(p),beta(q)}`` evaluated for
-        the whole batch with two binary searches over precomputed sorted
-        row-major factor edge keys -- ``O(log |E|)`` per pair, no Python
-        loop.  This is the serving hot path of :mod:`repro.service`.
+        ``C_pq = A_{alpha(p),alpha(q)} B_{beta(p),beta(q)}`` for the whole
+        batch, each factor looked up in its bitmap or its sorted keys (see
+        the class notes) -- no Python loop.  This is the serving hot path of
+        :mod:`repro.service`.
         """
         p = np.asarray(p, dtype=np.int64)
         q = np.asarray(q, dtype=np.int64)
-        if self._keys_a is None:
-            self._keys_a = self._edge_keys(self.csr_a)
-            self._keys_b = self._edge_keys(self.csr_b)
-        i, k = np.divmod(p, np.int64(self.n_b))
-        j, l = np.divmod(q, np.int64(self.n_b))
-        want_a = i * np.int64(self.n_a) + j
-        want_b = k * np.int64(self.n_b) + l
-        out = np.zeros(p.shape, dtype=bool)
-        pos_a = np.searchsorted(self._keys_a, want_a)
-        hit_a = pos_a < len(self._keys_a)
-        hit_a[hit_a] = self._keys_a[pos_a[hit_a]] == want_a[hit_a]
-        if not hit_a.any():
-            return out
-        pos_b = np.searchsorted(self._keys_b, want_b[hit_a])
-        hit_b = pos_b < len(self._keys_b)
-        hit_b[hit_b] = self._keys_b[pos_b[hit_b]] == want_b[hit_a][hit_b]
-        out[hit_a] = hit_b
+        self._check_ids(p, q)
+        if self._member_a is None:
+            self._member_a = _FactorMembership(self.csr_a)
+            self._member_b = _FactorMembership(self.csr_b)
+        n_b = np.int64(self.n_b)
+        i, j = p // n_b, q // n_b  # np.divmod is 3x slower than // and -
+        k, l = p - i * n_b, q - j * n_b
+        out = self._member_a(i, j)
+        if self._member_b.bits is not None:
+            out &= self._member_b(k, l)
+        elif out.any():  # binary searches: only where A hit
+            out[out] = self._member_b(k[out], l[out])
         return out
 
     def neighbors(self, p: int) -> np.ndarray:
@@ -137,6 +184,8 @@ class KroneckerGraph:
         The neighborhood is the Kronecker product of the factor
         neighborhoods: ``N_C(p) = { gamma(j, l) : j in N_A(i), l in N_B(k) }``.
         """
+        if not 0 <= p < self.n:
+            raise self._out_of_range()
         i, k = divmod(int(p), self.n_b)
         na = self.csr_a.neighbors(i)
         nb = self.csr_b.neighbors(k)
@@ -153,7 +202,9 @@ class KroneckerGraph:
         counts loops; the product has a loop at ``p`` iff both factors have
         loops at ``(i, k)``, and the paper's degree excludes it.
         """
-        i, k = self.split_vertex(np.asarray(p))
+        p = np.asarray(p, dtype=np.int64)
+        self._check_ids(p)
+        i, k = self.split_vertex(p)
         dtot = self.csr_a.degrees_total()[i] * self.csr_b.degrees_total()[k]
         return dtot - (self._loops_a[i] & self._loops_b[k]).astype(np.int64)
 

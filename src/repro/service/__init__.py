@@ -7,7 +7,9 @@ factors alone -- together a serving workload that never materializes the
 product.  This package turns that into a server:
 
 :mod:`repro.service.protocol`
-    hand-rolled HTTP/1.1 over ``asyncio`` streams (stdlib only);
+    hand-rolled HTTP/1.1 over ``asyncio`` streams (stdlib only), and the
+    id-batch boundary: canonical batch bodies read from their bytes into
+    ``int64`` arrays, replies rendered from result arrays;
 :mod:`repro.service.registry`
     content-addressed multi-tenant factor/graph registry;
 :mod:`repro.service.cache`

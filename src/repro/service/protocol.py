@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any
@@ -31,7 +32,10 @@ __all__ = [
     "render_response",
     "error_payload",
     "int_ids",
+    "id_batch",
+    "array_body",
     "status_of",
+    "MAX_BATCH",
     "MAX_BODY_BYTES",
     "STATUS_REASONS",
 ]
@@ -39,6 +43,10 @@ __all__ = [
 #: Default request-body ceiling (16 MiB): a registered factor of ~500k
 #: edges as JSON.  Oversized bodies get a 413 before any buffering.
 MAX_BODY_BYTES = 16 << 20
+
+#: Per-request batch ceiling (pairs / vertices); larger batches get a 400
+#: so one request can never monopolize the loop.
+MAX_BATCH = 1 << 16
 
 #: Header-section ceiling; a request line + headers larger than this is
 #: hostile or broken.
@@ -117,6 +125,176 @@ def int_ids(value: Any, what: str, width: int = 1, **context: Any) -> np.ndarray
             pass  # an integer past int64: no id is
     shape = "integers" if width == 1 else f"lists of {width} integers"
     raise RequestError(f"{what} must be a list of {shape} (int64)", **context)
+
+
+#: JSON's four whitespace bytes, the only ones allowed between tokens.
+_JSON_WS = b" \t\n\r"
+_DIGITS = b"0123456789"
+
+#: ``{"<key>":`` -- one key, spelled without escapes.
+_BATCH_HEAD = re.compile(rb'[ \t\n\r]*\{[ \t\n\r]*"([^"\\]*)"[ \t\n\r]*:[ \t\n\r]*')
+
+#: Longest id :func:`id_batch` reads: every 18-digit decimal is below 2**63.
+_MAX_ID_DIGITS = 18
+
+#: Bodies shorter than this go straight to ``json.loads`` + :func:`int_ids`:
+#: :func:`id_batch` is ~40 numpy calls whatever the body's size, and on short
+#: bodies the C JSON decoder wins.  Measured on a 2-core VM, compact bodies,
+#: medians of 15 interleaved rounds, id_batch vs ``json.loads`` + ``int_ids``:
+#: 16 ids (105 B) 57 vs 8 us; 64 pairs (877 B) 69 vs 35; 96 pairs (1.3 kB)
+#: 68 vs 49; 128 pairs (1.7 kB) 54 vs 65; 192 pairs (2.6 kB) 55 vs 87; 256
+#: pairs (3.4 kB) 64 vs 117; 4096 pairs (55 kB) 700 vs 1870.  Below the
+#: constant id_batch costs one length check.  A constant, not a parameter:
+#: no answer depends on it.
+_ID_BATCH_MIN_BYTES = 2048
+
+#: ``_WORD_MASK[l]`` keeps the last ``l`` bytes of a little-endian word.
+_WORD_MASK = np.array(
+    [0] + [(1 << 64) - (1 << (64 - 8 * n)) for n in range(1, 9)], dtype=np.uint64
+)
+
+
+def _decimal_runs(raw: bytes, ends: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """int64 value of every digit run ``raw[end - len:end]`` (``len`` 1..18).
+
+    Eight digits at a time: the 8 bytes before a run's end are loaded as one
+    little-endian word (a stride-1 ``uint64`` view over a padded copy), the
+    bytes before the run masked off, and the word folded to its value in
+    three multiply-shift rounds (pairs, quads, octets of digits).
+    """
+    pad = np.frombuffer(b"0" * 24 + raw, dtype=np.uint8)  # 3 words before 0
+    words = np.ndarray((len(pad) - 7,), dtype="<u8", buffer=pad, strides=(1,))
+    out = None
+    for chunk in range((int(lens.max()) + 7) // 8):
+        left = np.minimum(lens - 8 * chunk, 8)
+        if chunk:
+            np.maximum(left, 0, out=left)
+        word = words.take(ends + (16 - 8 * chunk))
+        word &= _WORD_MASK.take(left)
+        word &= np.uint64(0x0F0F0F0F0F0F0F0F)
+        word *= np.uint64(10 << 8 | 1)
+        word >>= np.uint64(8)
+        word &= np.uint64(0x00FF00FF00FF00FF)
+        word *= np.uint64(100 << 16 | 1)
+        word >>= np.uint64(16)
+        word &= np.uint64(0x0000FFFF0000FFFF)
+        word *= np.uint64(10000 << 32 | 1)
+        word >>= np.uint64(32)
+        value = word.view(np.int64)
+        if out is None:
+            out = value
+        else:
+            value *= np.int64(10 ** (8 * chunk))
+            out += value
+    return out
+
+
+def id_batch(body: bytes, field: str, width: int = 1) -> np.ndarray | None:
+    """The ids of a ``{"<field>": [v, ...]}`` (``width`` 1) or ``{"<field>":
+    [[u, v], ...]}`` request body, read from the bytes into int64 -- or
+    ``None``: the caller then decodes the body with ``json.loads`` and
+    :func:`int_ids`.
+
+    Only the canonical spelling of a batch of at most :data:`MAX_BATCH`
+    items is read: exactly one key, ids of 1 to 18 decimal digits without
+    leading zeros, JSON whitespace between tokens and nowhere else.
+    Anything else -- another key, a sign, a float, a 19-digit id, an escape
+    in the key, a trailing comma, a longer batch -- is declined, never
+    refused, so the general path stays the one owner of every other
+    spelling and of every error body.  Where this returns an array it
+    equals ``int_ids(json.loads(body)[field], ..., width)``.
+
+    A few whole-body passes, each a C loop: the body without its digits
+    must be exactly the separators of the canonical spelling, the digit
+    runs (from the digit mask's transitions) must sit one to a slot
+    between them, and :func:`_decimal_runs` folds them to values.  Memory
+    is a few copies of the body; nothing is sized by a batch over the
+    limit.
+    """
+    if len(body) < _ID_BATCH_MIN_BYTES:
+        return None
+    head = _BATCH_HEAD.match(body)
+    if head is None or head.group(1) != field.encode():
+        return None
+    tail = body.rstrip(_JSON_WS)
+    if tail[-1:] != b"}":
+        return None
+    raw = body[head.end():len(tail[:-1].rstrip(_JSON_WS))]
+    runs = None
+    text = np.frombuffer(raw, dtype=np.uint8)
+    if (text < 33).any():
+        # Whitespace goes; a run it split (``1 2``) would merge, so count
+        # the runs first.
+        digit = (text - 48) < 10
+        runs = np.count_nonzero(digit[1:] > digit[:-1]) + int(digit[:1].any())
+        raw = raw.translate(None, _JSON_WS)
+    if raw == b"[]":
+        return np.empty((0,) if width == 1 else (0, width), dtype=np.int64)
+    # Everything but the digits is exactly the canonical spelling's
+    # separators -- ``[a,b,c]`` for width 1, ``[[a,b],[c,d]]`` otherwise --
+    # for a batch the server answers: longer ones go to the general path,
+    # which refuses them, before anything here is sized by the body.
+    item, edge = (b"", 1) if width == 1 else (b"[" + b"," * (width - 1) + b"]", 2)
+    separators = raw.translate(None, _DIGITS)
+    items = (len(separators) - 1) // (len(item) + 1)
+    if not 0 < items <= MAX_BATCH or separators != (
+        b"[" + ((item + b",") * items)[:-1] + b"]"
+    ):
+        return None
+    # ... and one run of digits sits in each slot between them.
+    text = np.frombuffer(raw, dtype=np.uint8)
+    digit = (text - 48) < 10
+    if digit[0] or digit[-1]:
+        return None
+    bounds = np.flatnonzero(digit[1:] != digit[:-1])
+    bounds += 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    k = items * width
+    if len(ends) != k or (runs is not None and runs != k):
+        return None
+    gaps = starts[1:] - ends[:-1]
+    if width == 1:
+        spaced = np.count_nonzero(gaps != 1) == 0
+    else:
+        spaced = (gaps[width - 1::width] == 3).all() and (
+            np.count_nonzero(gaps == 1) == k - items
+        )
+    lens = ends - starts
+    if (
+        not spaced
+        or starts[0] != edge
+        or ends[-1] != len(text) - edge
+        or lens.max() > _MAX_ID_DIGITS
+        or ((text[1:-1] == 48) & (digit[2:] > digit[:-2])).any()  # leading 0
+    ):
+        return None
+    ids = _decimal_runs(raw, ends, lens)
+    return ids if width == 1 else ids.reshape(-1, width)
+
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+
+#: The rendered cells of ``False`` and ``True``, NUL-padded to one word.
+_BOOL_CELLS = np.frombuffer(b"false, \0true, \0\0", dtype="<u8")
+
+
+def array_body(key: str, values: np.ndarray) -> bytes:
+    """``json.dumps({key: values.tolist()}, sort_keys=True) + "\n"``, encoded,
+    rendered from a bool or non-negative integer array without a Python
+    object per element: one fixed-width cell per value, NUL-padded, the
+    NULs deleted in one pass."""
+    if values.dtype == np.bool_:
+        cells = _BOOL_CELLS.take(values.view(np.uint8))
+    else:
+        width = len(str(int(values.max()))) if values.size else 1
+        scale = _POW10[width - 1::-1]
+        column = values[:, None]
+        cells = np.empty((len(values), width + 2), dtype=np.uint8)
+        cells[:, :width] = column // scale % 10 + 48
+        cells[:, :width - 1][column < scale[:-1]] = 0  # leading zeros
+        cells[:, width:] = (44, 32)
+    text = cells.tobytes().translate(None, b"\0")
+    return b'{"%s": [%s]}\n' % (key.encode(), text[:-2])
 
 
 class _ProtocolViolation(RequestError):

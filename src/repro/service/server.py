@@ -15,9 +15,17 @@ The analytics cache counts its own hits, misses and evictions;
 Request handling is single-threaded on the event loop: ground-truth
 formulas at serving scale are sub-millisecond, and the lazy
 :class:`~repro.kronecker.lazy.KroneckerGraph` answers batched edge
-queries with two vectorized binary searches, so the loop stays
+queries with one vectorized lookup per factor, so the loop stays
 responsive without a thread pool (and registry/cache mutation needs no
 locks).
+
+Id batches (``edges``, ``degrees``, ``neighbors``) never become Python
+objects per id when spelled canonically: :func:`~repro.service.protocol.id_batch`
+reads them from the request bytes into an ``int64`` array, and
+``exists`` / ``degrees`` replies are rendered from the result array by
+:func:`~repro.service.protocol.array_body`.  Any other spelling is decoded
+by ``json.loads`` and :func:`~repro.service.protocol.int_ids`, which own
+every error body.
 
 API (all JSON)::
 
@@ -59,9 +67,12 @@ from repro.kronecker.lazy import KroneckerGraph
 from repro.service.analytics import compute_property, property_names
 from repro.service.cache import AnalyticsCache, cache_key
 from repro.service.protocol import (
+    MAX_BATCH,
     MAX_BODY_BYTES,
     HTTPRequest,
+    array_body,
     error_payload,
+    id_batch,
     int_ids,
     read_request,
     render_response,
@@ -76,10 +87,6 @@ from repro.telemetry.clock import perf_clock
 from repro.telemetry.session import RankTelemetry, TelemetryConfig, TelemetrySession
 
 __all__ = ["ServiceConfig", "KronService", "MAX_BATCH"]
-
-#: Per-request batch ceiling (pairs / vertices); larger batches get a 400
-#: so one request can never monopolize the loop.
-MAX_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -368,48 +375,51 @@ class KronService:
         return self.registry.graph(tenant, gkey).summary()
 
     def _graph_and_batch(
-        self, tenant: str, gkey: str, doc: dict, field: str, width: int
-    ) -> tuple[GraphHandle, np.ndarray]:
+        self, request: HTTPRequest, tenant: str, gkey: str, field: str, width: int
+    ) -> tuple[GraphHandle, np.ndarray, dict]:
+        """The named graph, the body's ``field`` ids (range-checked) and the
+        decoded body -- ``{}`` when :func:`id_batch` read the ids, since a
+        canonical batch body carries nothing else."""
+        ids = id_batch(request.body, field, width)  # at most MAX_BATCH
+        doc = {} if ids is not None else request.json()
         handle = self.registry.graph(tenant, gkey)
-        value = doc.get(field)
-        if not isinstance(value, list):
-            raise RequestError(f"body must carry a {field!r} list")
-        if len(value) > MAX_BATCH:
-            raise RequestError(
-                f"batch of {len(value)} exceeds the {MAX_BATCH} limit"
-            )
-        arr = int_ids(value, repr(field), width)
+        if ids is None:
+            value = doc.get(field)
+            if not isinstance(value, list):
+                raise RequestError(f"body must carry a {field!r} list")
+            if len(value) > MAX_BATCH:
+                raise RequestError(
+                    f"batch of {len(value)} exceeds the {MAX_BATCH} limit"
+                )
+            ids = int_ids(value, repr(field), width)
         n = handle.graph.n
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise RequestError(f"vertex ids outside 0..{n - 1}")
-        return handle, arr
+        return handle, ids, doc
 
     async def _h_edges(
         self, request: HTTPRequest, tenant: str, gkey: str
-    ) -> dict:
-        handle, pairs = self._graph_and_batch(
-            tenant, gkey, request.json(), "pairs", 2
-        )
+    ) -> bytes:
+        handle, pairs, _ = self._graph_and_batch(request, tenant, gkey, "pairs", 2)
         exists = handle.graph.has_edges(pairs[:, 0], pairs[:, 1])
         self.telemetry.add("service.edge_queries", len(pairs))
-        return {"exists": exists.tolist()}
+        return array_body("exists", exists)
 
     async def _h_degrees(
         self, request: HTTPRequest, tenant: str, gkey: str
-    ) -> dict:
-        handle, vertices = self._graph_and_batch(
-            tenant, gkey, request.json(), "vertices", 1
+    ) -> bytes:
+        handle, vertices, _ = self._graph_and_batch(
+            request, tenant, gkey, "vertices", 1
         )
         degrees = handle.graph.degree(vertices)
         self.telemetry.add("service.degree_queries", len(vertices))
-        return {"degrees": degrees.tolist()}
+        return array_body("degrees", degrees)
 
     async def _h_neighbors(
         self, request: HTTPRequest, tenant: str, gkey: str
     ) -> dict:
-        doc = request.json()
-        handle, vertices = self._graph_and_batch(
-            tenant, gkey, doc, "vertices", 1
+        handle, vertices, doc = self._graph_and_batch(
+            request, tenant, gkey, "vertices", 1
         )
         limit = doc.get("limit")
         if limit is not None and (

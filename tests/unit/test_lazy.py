@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.analytics import degrees as direct_degrees
+from repro.errors import VertexRangeError
 from repro.graph import CSRGraph, EdgeList, clique, cycle, erdos_renyi
 from repro.kronecker import KroneckerGraph, kron_product
+from repro.kronecker.lazy import _FactorMembership
 
 
 @pytest.fixture
@@ -100,3 +102,77 @@ class TestStorageClaim:
         factor_rows = lazy.factor_a.m_directed + lazy.factor_b.m_directed
         assert factor_rows**2 >= lazy.m_directed
         assert factor_rows < lazy.m_directed / 10
+
+
+def _sparse(n: int, m: int) -> EdgeList:
+    """``m`` directed non-loop edges on ``n`` vertices: density m / n**2."""
+    pairs = [(v, (v + 1) % n) for v in range(m)]
+    return EdgeList.from_pairs(pairs, n=n)
+
+
+# dense: n**2 / 8 <= 8 m (bitmap); sparse: density below 1/64 (sorted keys)
+_DENSE = clique(4).with_full_self_loops()  # n = 4, m = 16
+_DENSE_2 = cycle(5)  # n = 5, m = 10
+_SPARSE = _sparse(9, 1)  # 81 > 64
+_SPARSE_2 = _sparse(10, 1)  # 100 > 64
+
+
+class TestMembership:
+    @pytest.mark.parametrize(
+        "a, b, bitmaps",
+        [
+            (_DENSE, _DENSE_2, (True, True)),
+            (_DENSE, _SPARSE, (True, False)),
+            (_SPARSE, _DENSE, (False, True)),
+            (_SPARSE, _SPARSE_2, (False, False)),
+        ],
+        ids=["dense-dense", "dense-sparse", "sparse-dense", "sparse-sparse"],
+    )
+    def test_has_edges_is_has_edge_on_every_pair(self, a, b, bitmaps):
+        lazy = KroneckerGraph(a, b)
+        lazy.has_edges(np.array([0]), np.array([0]))
+        assert (lazy._member_a.bits is not None,
+                lazy._member_b.bits is not None) == bitmaps
+        ids = np.arange(lazy.n)
+        p, q = (x.ravel() for x in np.meshgrid(ids, ids))
+        want = [lazy.has_edge(int(s), int(t)) for s, t in zip(p, q)]
+        assert lazy.has_edges(p, q).tolist() == want
+        assert sum(want) == lazy.m_directed
+        # Out of range on either side: the batch and every scalar refuse.
+        for bad in (-1, lazy.n, lazy.n + lazy.n_b, -lazy.n):
+            for s, t in ((bad, 0), (0, bad), (bad, bad)):
+                with pytest.raises(VertexRangeError):
+                    lazy.has_edge(s, t)
+                with pytest.raises(VertexRangeError):
+                    lazy.has_edges(np.array([0, s]), np.array([0, t]))
+
+    @pytest.mark.parametrize(
+        "n, m", [(8, 0), (8, 1), (9, 1), (9, 2), (10, 1), (10, 2), (20, 6),
+                 (20, 7), (1, 0), (1, 1), (0, 0)],
+    )
+    def test_bitmap_exactly_when_no_larger_than_the_keys(self, n, m):
+        el = _sparse(n, m) if m < n or not m else EdgeList.from_pairs([(0, 0)], n=n)
+        member = _FactorMembership(CSRGraph.from_edgelist(el))
+        keys = 8 * el.m_directed
+        assert (member.bits is not None) == (n * n / 8 <= keys)
+        assert member.nbytes <= keys
+
+    def test_out_of_range_ids_do_not_alias(self):
+        # n = 4: q = 4 used to wrap into A's next row, -1 onto vertex 3.
+        a = EdgeList.from_pairs([(0, 0), (1, 0), (0, 1)], n=2)
+        b = EdgeList.from_pairs([(0, 0), (1, 1)], n=2)
+        lazy = KroneckerGraph(a, b)
+        assert not lazy.has_edges(np.array([0]), np.array([3]))[0]
+        for call in (
+            lambda: lazy.has_edges(np.array([0]), np.array([4])),
+            lambda: lazy.has_edge(0, 4),
+            lambda: lazy.degree(np.array([-1])),
+            lambda: lazy.degree(4),
+            lambda: lazy.neighbors(-1),
+            lambda: lazy.neighbors(4),
+        ):
+            with pytest.raises(VertexRangeError, match=r"outside 0\.\.3"):
+                call()
+        assert lazy.degree(np.array([], dtype=np.int64)).shape == (0,)
+        assert lazy.has_edges(np.array([], dtype=np.int64),
+                              np.array([], dtype=np.int64)).shape == (0,)

@@ -18,6 +18,7 @@ from repro.errors import (
 )
 from repro.service.protocol import (
     HTTPRequest,
+    array_body,
     error_payload,
     int_ids,
     read_request,
@@ -229,3 +230,22 @@ class TestIntIds:
         finally:
             tracemalloc.stop()
         assert peak < 16 << 20
+
+
+class TestArrayBody:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([], dtype=bool),
+            np.array([True]),
+            np.array([False, True, True, False, False]),
+            np.array([], dtype=np.int64),
+            np.array([0]),
+            np.array([7, 0, 10, 99, 100, 441, 1, 2**62, 10**18 - 1]),
+            np.arange(1000, dtype=np.int32),
+        ],
+    )
+    def test_bytes_are_json_dumps(self, values):
+        key = "exists" if values.dtype == bool else "degrees"
+        want = json.dumps({key: values.tolist()}, sort_keys=True) + "\n"
+        assert array_body(key, values) == want.encode()

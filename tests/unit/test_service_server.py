@@ -21,6 +21,7 @@ from repro.service.loadgen import (
     DEFAULT_FACTOR_B,
     HTTPClient,
 )
+from repro.service.protocol import HTTPRequest, id_batch
 from repro.service.server import MAX_BATCH, KronService, ServiceConfig
 
 
@@ -332,6 +333,31 @@ class TestQueries:
             )
             assert status == 400
             assert err["error"] == "bad_request"
+
+        serve(go)
+
+    @pytest.mark.parametrize("leaf, field", [("edges", "pairs"), ("degrees", "vertices")])
+    @pytest.mark.parametrize("bad", [20, 99, -1])
+    def test_out_of_range_400_is_pinned_on_both_read_paths(self, leaf, field, bad):
+        # A short body is decoded by json.loads + int_ids, a long canonical
+        # one read by id_batch: the refusal is the same bytes either way.
+        want = (
+            b"HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n"
+            b"Content-Length: 64\r\nConnection: keep-alive\r\n\r\n"
+            b'{"error": "bad_request", "message": "vertex ids outside 0..19"}\n'
+        )
+
+        async def go(service, client):
+            graph = (await register_default_graph(client))["graph"]
+            path = f"/v1/tenants/t/graphs/{graph}/{leaf}"
+            for count in (1, 1200):
+                ids = [[1, 2]] * count if field == "pairs" else [3] * count
+                ids.append([0, bad] if field == "pairs" else bad)
+                body = json.dumps({field: ids}, separators=(",", ":")).encode()
+                assert (id_batch(body, field, 2 if field == "pairs" else 1)
+                        is None) == (count == 1 or bad < 0)
+                reply = await service._dispatch(HTTPRequest("POST", path, {}, body))
+                assert reply == want
 
         serve(go)
 
