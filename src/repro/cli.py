@@ -95,6 +95,21 @@ def _prepare(el: EdgeList, args: argparse.Namespace) -> EdgeList:
 # --------------------------------------------------------------------- #
 # subcommands
 # --------------------------------------------------------------------- #
+def _factor_pair(args: argparse.Namespace):
+    """The factor files as a :class:`KronPair`; without them the built-in
+    K4 (x) C5 pair, small but routing edges across every rank pair."""
+    from repro.distributed.generator import KronPair
+
+    if args.factor_a and args.factor_b:
+        a = _prepare(load_factor(args.factor_a), args)
+        b = _prepare(load_factor(args.factor_b), args)
+    else:
+        from repro.graph.generators import clique, cycle
+
+        a, b = clique(4), cycle(5)
+    return KronPair(a, b)
+
+
 def _print_seed_matrices() -> None:
     """The fitted SKG seed-matrix library as a table."""
     from repro.skg import list_seed_matrices
@@ -108,9 +123,18 @@ def _print_seed_matrices() -> None:
 
 
 def _skg_spec_from_args(args: argparse.Namespace):
-    """Build the SKGSpec the generate/chaos flags describe."""
+    """Build the SKGSpec the generate/chaos flags describe.
+
+    The spec is the whole source: factor files next to ``--model skg``
+    are refused, not ignored.
+    """
     from repro.skg import SKGSpec
 
+    if args.factor_a or args.factor_b:
+        raise ReproError(
+            "--model skg samples the seed matrix's 2**k vertices; "
+            "do not pass factor files"
+        )
     return SKGSpec.from_library(
         args.seed_matrix,
         k=args.skg_k,
@@ -131,26 +155,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise ReproError("--out is required (unless --list-seed-matrices)")
     spec = None
     if args.model == "skg":
-        if args.factor_a or args.factor_b:
-            raise ReproError(
-                "--model skg enumerates its own candidate factors; "
-                "do not pass factor files"
-            )
-        from repro.skg import expected_edge_rows, skg_candidate_factors
+        from repro.skg import expected_edge_rows
 
-        spec = _skg_spec_from_args(args)
-        a, b = skg_candidate_factors(spec.k)
+        source = spec = _skg_spec_from_args(args)
     else:
         if not (args.factor_a and args.factor_b):
             raise ReproError("model 'exact' requires two factor files")
-        a = _prepare(load_factor(args.factor_a), args)
-        b = _prepare(load_factor(args.factor_b), args)
+        source = _factor_pair(args)
     manifest = generate_to_directory(
-        a, b, args.out, args.ranks, scheme=args.scheme,
+        source, args.out, args.ranks, scheme=args.scheme,
         backend=args.backend, chunk_size=args.chunk_size,
         rendezvous=args.rendezvous,
         local_ranks=_parse_rank_set(args.local_ranks, args.ranks),
-        skg=spec,
     )
     shards = sum(d is not None for d in manifest.shard_digests)
     print(
@@ -257,34 +273,23 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     from repro.distributed.supervisor import run_chaos_matrix
 
-    spec = None
     if args.model == "skg":
-        from repro.skg import skg_candidate_factors
-
-        spec = _skg_spec_from_args(args)
-        a, b = skg_candidate_factors(spec.k)
-    elif args.factor_a and args.factor_b:
-        a = _prepare(load_factor(args.factor_a), args)
-        b = _prepare(load_factor(args.factor_b), args)
+        source = _skg_spec_from_args(args)
     else:
-        from repro.graph.generators import clique, cycle
-
-        a, b = clique(4), cycle(5)
+        source = _factor_pair(args)
     plans = []
     if args.plan_set in ("default", "both"):
         plans += default_fault_matrix(seed=args.seed, nranks=args.ranks)
     if args.plan_set in ("socket", "both"):
         plans += socket_fault_matrix(seed=args.seed, nranks=args.ranks)
     report = run_chaos_matrix(
-        a,
-        b,
+        source,
         args.ranks,
         plans=plans,
         backends=tuple(args.backends.split(",")),
         scheme=args.scheme,
         pipeline=args.pipeline,
         wire=args.wire,
-        skg=spec,
         recv_timeout_s=args.timeout,
         max_attempts=args.max_attempts,
         checkpoint_root=args.checkpoint_root,
@@ -476,13 +481,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.distributed.supervisor import generate_to_directory
     from repro.telemetry import TelemetrySession
 
-    if args.factor_a and args.factor_b:
-        a = _prepare(load_factor(args.factor_a), args)
-        b = _prepare(load_factor(args.factor_b), args)
-    else:
-        from repro.graph.generators import clique, cycle
-
-        a, b = clique(4), cycle(5)
+    source = _factor_pair(args)
     session = TelemetrySession()
     with contextlib.ExitStack() as stack:
         checkpoint_dir = args.checkpoint_dir
@@ -491,8 +490,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 tempfile.TemporaryDirectory(prefix="repro-trace-ckpt-")
             )
         manifest = generate_to_directory(
-            a,
-            b,
+            source,
             checkpoint_dir,
             args.ranks,
             scheme=args.scheme,
@@ -506,7 +504,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         )
     session.write_chrome_trace(args.out)
 
-    expected = a.m_directed * b.m_directed
+    expected = source.a.m_directed * source.b.m_directed
     summary = session.metrics_summary()
     counters = summary["aggregate"]["counters"]
     generated = int(counters.get("edges.generated", 0))

@@ -34,7 +34,6 @@ from repro.distributed.supervisor import (
     ChaosReport,
     SupervisorReport,
     decorrelated_jitter,
-    generate_distributed_supervised,
     generate_to_directory,
     run_chaos_matrix,
     spmd_run_supervised,
@@ -57,7 +56,9 @@ from repro.distributed.wire import decode_edges, encode_edges, is_wire_block
 from repro.distributed.netsim import NetworkModel, ThrottledCommunicator
 from repro.distributed.generator import (
     GenerationPlan,
+    KronPair,
     RankOutput,
+    Source,
     generate_rank,
     generate_distributed,
 )
@@ -110,7 +111,6 @@ __all__ = [
     "ChaosReport",
     "decorrelated_jitter",
     "spmd_run_supervised",
-    "generate_distributed_supervised",
     "run_chaos_matrix",
     "partition_edges_1d",
     "partition_edges_2d",
@@ -128,6 +128,8 @@ __all__ = [
     "NetworkModel",
     "ThrottledCommunicator",
     "GenerationPlan",
+    "KronPair",
+    "Source",
     "RankOutput",
     "generate_rank",
     "generate_distributed",

@@ -69,37 +69,31 @@ def shard_key(run_key: str, rank: int) -> str:
     return f"{run_key}.rank{rank:05d}"
 
 
-def generation_run_key(
-    el_a: EdgeList, el_b: EdgeList, nranks: int | str, plan: GenerationPlan
-) -> str:
+def generation_run_key(plan: GenerationPlan, nranks: int | str) -> str:
     """Content-addressed signature of one generation configuration.
 
-    Folds the factor edge digests, the world size and
-    :meth:`GenerationPlan.token` -- every field of the plan, the SKG spec
-    as its digest -- so a resumed run can never consume checkpoints
-    written under a different configuration.  ``wire`` matters because the
-    varint codec re-sorts each exchanged block (shard row order changes);
-    ``pipeline`` is in there even though sync and async are bit-identical:
-    run keys identify configurations, not equivalence classes.
+    Folds the source's key (a factor pair's two edge digests, or an SKG
+    spec's digest), the world size and :meth:`GenerationPlan.token` --
+    every axis of the plan -- so a resumed run can never consume
+    checkpoints written under a different configuration.  ``wire``
+    matters because the varint codec re-sorts each exchanged block (shard
+    row order changes); ``pipeline`` is in there even though sync and
+    async are bit-identical: run keys identify configurations, not
+    equivalence classes.
     """
-    return (
-        f"gen-{edges_digest(el_a.edges):016x}-{edges_digest(el_b.edges):016x}"
-        f"-r{nranks}-{plan.token()}"
-    )
+    return f"gen-{plan.source.key()}-r{nranks}-{plan.token()}"
 
 
-def generation_family_key(
-    el_a: EdgeList, el_b: EdgeList, plan: GenerationPlan
-) -> str:
+def generation_family_key(plan: GenerationPlan) -> str:
     """The rank-count-independent part of :func:`generation_run_key`.
 
     Two run keys with the same family describe the same edge set sharded
     at different world sizes -- the elastic-resume compatibility class.
-    Everything that changes *contents* stays in -- including the SKG spec
-    digest, since a stochastic run's edge set is a function of the spec;
-    only the rank count (which changes *placement*) is wildcarded.
+    Everything that changes *contents* stays in -- the source's key
+    included; only the rank count (which changes *placement*) is
+    wildcarded.
     """
-    return generation_run_key(el_a, el_b, "*", plan)
+    return generation_run_key(plan, "*")
 
 
 @dataclass(frozen=True)
@@ -219,8 +213,8 @@ class CheckpointStore:
     """Directory of digest-verified shard files and their run manifests.
 
     Keys are arbitrary strings (sanitized into filenames); generation keys
-    shards by a run signature that folds in the factor digests and every
-    generation parameter, so a resumed run can never consume shards from a
+    shards by a run signature that folds in the source's key and every
+    plan axis, so a resumed run can never consume shards from a
     differently-configured one.
     """
 

@@ -1,13 +1,16 @@
-"""Distributed nonstochastic Kronecker generation (Section III).
+"""Distributed Kronecker generation (Section III).
 
 One :class:`GenerationPlan` describes a run; one rank program,
-:func:`generate_rank`, executes it.  Each rank:
+:func:`generate_rank`, executes it.  The plan's *source* is what is
+generated: a :class:`KronPair` of factors (the paper's exact model) or an
+``SKGSpec`` of the stochastic tier, read only through :class:`Source`.
+Each rank:
 
-1. takes its cells of the factor edge space (1-D: a shard of A with B
-   replicated; 2-D: the (A-part, B-part) grid cells of Remark 1) -- or,
-   for an SKG plan, its range of sampler chunks;
+1. takes its cells of the source -- for a factor pair, the (A part,
+   B part) cells of the 1-D scheme (a shard of A with B replicated) or of
+   the 2-D grid (Remark 1); for a spec, its range of sampler chunks;
 2. expands them round by round -- one round holding everything for the
-   batch schemes, one bounded chunk per round for ``"1d-pipelined"``,
+   batch schemes, one bounded piece per round for ``"1d-pipelined"``,
    mirroring the asynchronous chunked sends of the HavoqGT implementation;
 3. optionally routes each round to its storage owners
    (:mod:`repro.distributed.shuffle`), so generation and storage placement
@@ -23,12 +26,9 @@ reassembled :class:`~repro.graph.edgelist.EdgeList` is ``int64``.
 The loop is the same for every plan::
 
     round source -> per-owner buckets -> exchange -> store
-    `- per chunk, inside "generate" -'
+    `- per piece, inside "generate" -'
 
-where the round source is either the product kernels over factor cells
-or the SKG sampler over chunk ranges.
-
-*Round source.*  Both storage maps arrive *pre-bucketed by owner*: a piece
+*Factor pairs.*  Both storage maps arrive *pre-bucketed by owner*: a piece
 of a round is always one block per owner.  Under ``source_block`` the
 routed kernels of :mod:`repro.kronecker.product` compute the owner
 analytically from the product index structure, so no product-sized sort
@@ -43,31 +43,28 @@ depend on where the bucketing happens.  With nothing to exchange
 (``storage=None`` or a single rank) the rank is the sole owner and the
 round is kept whole, written chunk by chunk into one preallocated block.
 
-*SKG source.*  The stochastic Kronecker tier (:mod:`repro.skg`) is the
-same program with ``plan.skg`` set and a different round source: the
-grass-hopping sampler (:class:`repro.skg.sample.SKGSampler`), whose work
-is proportional to the edges it emits, not to the ``4**k`` pairs.  The
-plan gives every rank a contiguous range of sampler chunks by expected
-rows, cut into rounds of at most ``chunk_size`` expected rows, so the
-round count is known before anything is sampled.  Each chunk's sample is
-a pure function of the spec, so the output is bit-identical across
-world sizes, schemes, storages, chunk sizes, backends, retries and
-elastic re-sharding -- the same invariants the exact model enjoys.
-Sampled blocks are routed like dense chunks (hashed or block-owned and
-counting-scattered); ``edges.generated`` counts the rows a rank sampled.
+*Specs.*  An SKG spec's pieces are samples of ranges of sampler chunks
+(work proportional to the edges emitted, not to the ``4**k`` pairs),
+routed like dense chunks; a rank's ranges are fixed by the spec,
+``nranks`` and ``chunk_size``, so the round count is known before
+anything is sampled and the output is bit-identical across world sizes,
+schemes, storages, chunk sizes, backends, retries and elastic
+re-sharding -- the same invariants the exact model enjoys.
 
 :func:`generate_rank` is a plain module-level callable taking its
 :class:`Communicator` first, runnable under any backend via
-:func:`repro.distributed.launcher.spmd_run`.  The convenience driver
-(:func:`generate_distributed`) wires partitioning + launch + reassembly
-and is what the examples, tests, and benches call.
+:func:`repro.distributed.launcher.spmd_run`.  :func:`execute_plan` wires
+partitioning + launch + reassembly for any plan; :func:`generate_distributed`
+is its factor-pair driver (``generate_skg_distributed`` is the spec's) and
+what the examples, tests, and benches call.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import islice
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -92,8 +89,11 @@ from repro.kronecker.product import (
     routed_chunk_count,
 )
 from repro.telemetry.session import telemetry_of
+from repro.util.hashing import edges_digest
 
 __all__ = [
+    "Source",
+    "KronPair",
     "GenerationPlan",
     "RankOutput",
     "generate_rank",
@@ -106,21 +106,113 @@ _SCHEMES = ("1d", "1d-pipelined", "2d")
 _STORAGES = (None, "source_block", "edge_hash")
 _PIPELINES = ("sync", "async")
 
-#: A rank's share: ``(A part, B part)`` factor cells, or for an SKG plan
-#: the ``(start, stop)`` sampler-chunk range of each round.
-Cells = list[tuple[EdgeList, EdgeList]] | list[tuple[int, int]]
+
+@runtime_checkable
+class Source(Protocol):
+    """What the rank program reads of a run's source.
+
+    ``cells`` are one rank's share from :meth:`partition`, opaque to all
+    but the source that made them; a *piece* is a list of ``nparts``
+    per-owner blocks in the product's id dtype (``nparts == 1``: the rank
+    keeps what it generates).
+    """
+
+    n: int  # vertices of the generated graph
+
+    def key(self) -> str:
+        """This source's part of a run key: a content digest."""
+
+    def partition(self, plan: GenerationPlan, nranks: int) -> list:
+        """Every rank's cells under ``plan``."""
+
+    def pieces(self, plan, cells, nparts, tel) -> Iterator[list[np.ndarray]]:
+        """The pieces of ``cells``, in generation order."""
+
+    def round_count(self, plan, cells, nparts) -> int:
+        """How many pieces :meth:`pieces` yields for ``cells``."""
+
+    def row_bound(self, cells) -> int:
+        """Rows the pieces of ``cells`` hold, or almost surely stay under."""
+
+
+@dataclass(frozen=True, eq=False)
+class KronPair:
+    """The exact model's source: the factors of ``C = A (x) B``."""
+
+    a: EdgeList
+    b: EdgeList
+
+    @property
+    def n(self) -> int:
+        return self.a.n * self.b.n
+
+    def key(self) -> str:
+        """The two factor edge digests."""
+        a, b = edges_digest(self.a.edges), edges_digest(self.b.edges)
+        return f"{a:016x}-{b:016x}"
+
+    def partition(
+        self, plan: GenerationPlan, nranks: int
+    ) -> list[list[tuple[EdgeList, EdgeList]]]:
+        """Per-rank ``(A part, B part)`` cells under the plan's scheme."""
+        if plan.scheme == "2d":
+            return partition_edges_2d(self.a, self.b, nranks)
+        return [[(a, self.b)] for a in partition_edges_1d(self.a, nranks)]
+
+    @staticmethod
+    def _routed(plan: GenerationPlan, nparts: int) -> bool:
+        """Do the routed kernels split each piece by owner analytically?"""
+        return nparts > 1 and plan.effective_storage == "source_block"
+
+    def pieces(self, plan, cells, nparts, tel) -> Iterator[list[np.ndarray]]:
+        """Dense chunks routed where they are produced, or routed kernel
+        output.
+
+        Streaming plans make a round of every piece, batch plans of all of
+        them -- which is why the routed batch kernel emits a whole cell as
+        one exactly-sized piece while the dense one streams bounded chunks.
+        """
+        chunk = plan.chunk_size
+        routed = self._routed(plan, nparts)
+        for part_a, part_b in cells:
+            if not routed:
+                for block in iter_kron_product(part_a, part_b, chunk):
+                    yield plan.route(block, nparts, tel)
+                continue
+            args = (part_a, part_b, nparts, self.n, chunk)
+            if plan.streams:
+                kernel = iter_kron_product_routed(*args)
+            else:
+                kernel = [kron_routed_full(*args)]
+            for piece in kernel:
+                # The blocks left the kernel already split by owner; the
+                # trace shows that degenerate route phase on purpose.
+                with tel.span("route", cat="phase", method="fused"):
+                    pass
+                yield piece
+
+    def round_count(self, plan, cells, nparts) -> int:
+        routed = self._routed(plan, nparts)
+        count = routed_chunk_count if routed else dense_chunk_count
+        chunk = plan.chunk_size
+        return sum(count(a.m_directed, b.m_directed, chunk) for a, b in cells)
+
+    def row_bound(self, cells) -> int:
+        """The exact row count of the cells' expansion."""
+        return sum(a.m_directed * b.m_directed for a, b in cells)
 
 
 @dataclass(frozen=True)
 class GenerationPlan:
     """Everything that decides *what a rank program does*, validated once.
 
-    The fields are exactly the axes that affect shard contents or row
-    order, so :meth:`token` -- built by iterating the fields, never by
-    listing them -- is what checkpoint run keys are made of: an axis added
-    here is in the key by construction.  ``backend``, the launcher and the
-    telemetry session are deliberately not part of the plan; they change
-    how ranks are run, not what they compute.
+    The axes are exactly the fields that affect shard contents or row
+    order besides the source, so :meth:`token` -- built by iterating the
+    fields, never by listing them -- is what checkpoint run keys are made
+    of, next to the source's own key: an axis added here is in the key by
+    construction.  ``backend``, the launcher and the telemetry session are
+    deliberately not part of the plan; they change how ranks are run, not
+    what they compute.
 
     Attributes
     ----------
@@ -139,9 +231,9 @@ class GenerationPlan:
         single exchange with nothing to overlap.
     wire:
         ``"raw"`` or ``"varint"`` (:mod:`repro.distributed.wire`).
-    skg:
-        ``None`` for the exact generator, or the
-        :class:`repro.skg.model.SKGSpec` to sample.
+    source:
+        What is generated (keyword only): a :class:`KronPair` or an
+        ``SKGSpec``.
     """
 
     scheme: str = "1d"
@@ -149,7 +241,7 @@ class GenerationPlan:
     chunk_size: int = DEFAULT_CHUNK
     pipeline: str = "sync"
     wire: str = "raw"
-    skg: object | None = None
+    source: Source = field(kw_only=True)
 
     def __post_init__(self) -> None:
         if self.scheme not in _SCHEMES:
@@ -184,17 +276,11 @@ class GenerationPlan:
                 f"{self.scheme!r} performs a single batch exchange with "
                 f"nothing to overlap)"
             )
-        if self.skg is not None:
-            # Imported lazily: repro.skg depends on this module for its
-            # distributed drivers, so a top-level import would be circular.
-            from repro.skg.model import SKGSpec
-            from repro.skg.sample import check_sampler_bound
-
-            if not isinstance(self.skg, SKGSpec):
-                raise PartitionError(
-                    f"skg must be an SKGSpec, got {type(self.skg).__name__}"
-                )
-            check_sampler_bound(self.skg.k)
+        if not isinstance(self.source, Source):
+            raise PartitionError(
+                f"source must be a KronPair or an SKGSpec, got "
+                f"{type(self.source).__name__}"
+            )
 
     @property
     def streams(self) -> bool:
@@ -229,47 +315,37 @@ class GenerationPlan:
         return "collective" if self.exchanges else "independent"
 
     def token(self) -> str:
-        """Canonical ``field=value`` token of every field, in field order.
+        """Canonical ``field=value`` token of every axis, in field order.
 
-        Two plans share a token iff they are equal.  The SKG spec appears
-        as its digest (seed matrix, ``skg_seed``, noise parameters); an
-        exact plan carries no SKG token at all.
+        Two plans of one source share a token iff they are equal; the
+        source is in a run key through its own :meth:`Source.key`.
         """
-        parts = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "skg":
-                if value is None:
-                    continue
-                value = f"{value.digest():016x}"
-            parts.append(f"{f.name}={value}")
-        return "-".join(parts)
+        return "-".join(
+            f"{f.name}={getattr(self, f.name)}"
+            for f in fields(self)
+            if f.name != "source"
+        )
 
-    def partition(
-        self, el_a: EdgeList, el_b: EdgeList, nranks: int
-    ) -> list[Cells]:
-        """Per-rank ``(A part, B part)`` cells under this plan's scheme.
+    def partition(self, nranks: int) -> list:
+        """Every rank's cells of the source under this plan."""
+        return self.source.partition(self, nranks)
 
-        With an SKG spec the factors must enumerate exactly its candidate
-        space (anything else is rejected here, before any rank runs) and
-        each rank gets its rounds' sampler-chunk ranges instead, which
-        depend on the spec, ``nranks`` and ``chunk_size`` only.
+    def route(self, block: np.ndarray, nparts: int, tel) -> list[np.ndarray]:
+        """``block`` split into its ``nparts`` owners' blocks.
+
+        Hashed or block-owned per the storage map and counting-scattered
+        -- a stable scatter, so per-chunk scatters concatenated in chunk
+        order are row for row the scatter of the whole round.  The
+        ``route`` span nests in the caller's ``generate`` span.  A single
+        owner takes the block as it is.
         """
-        n_c = el_a.n * el_b.n
-        if self.skg is not None:
-            if self.skg.n != n_c:
-                raise PartitionError(
-                    f"SKG spec covers 2**{self.skg.k} = {self.skg.n} vertices "
-                    f"but the factor product has {n_c}; the factors must "
-                    f"enumerate exactly the spec's candidate space (see "
-                    f"repro.skg.distributed.skg_candidate_factors)"
-                )
-            from repro.skg.sample import skg_sampler  # lazy: see __post_init__
-
-            return skg_sampler(self.skg).rounds(nranks, self.chunk_size)
-        if self.scheme == "2d":
-            return partition_edges_2d(el_a, el_b, nranks)
-        return [[(part, el_b)] for part in partition_edges_1d(el_a, nranks)]
+        if nparts == 1:
+            return [block]
+        with tel.span("route", cat="phase", method="scatter"):
+            return bucket_edges(
+                block, nparts, scheme=self.effective_storage,
+                n=self.source.n, method="scatter",
+            )
 
 
 @dataclass(frozen=True)
@@ -316,60 +392,6 @@ def reassemble(blocks: list[np.ndarray], n: int) -> EdgeList:
     return EdgeList(edges, n)
 
 
-def _pieces(
-    plan: GenerationPlan,
-    cells: Cells,
-    routed: bool,
-    nparts: int,
-    n_c: int,
-    tel,
-) -> Iterator[list[np.ndarray]]:
-    """Pieces of this rank's cells, in generation order.
-
-    A piece is a list of ``nparts`` blocks, one per owner -- the shape the
-    exchange takes.  Under ``routed`` the kernels emit it analytically;
-    otherwise each dense chunk (or sampled SKG piece) is hashed and
-    counting-scattered where it is produced (the ``route`` span, which
-    therefore nests inside the caller's ``generate`` span), while that
-    chunk is the only product-sized thing alive.  Stable per-chunk
-    scatters concatenated in chunk order are row for row the stable
-    scatter of the whole round.  With a single owner the chunk is the
-    piece.
-
-    Streaming plans make a round of every piece, batch plans of all of
-    them -- which is why the routed batch kernel emits a whole cell as one
-    exactly-sized piece while the dense one streams bounded chunks.
-    """
-    chunk = plan.chunk_size
-
-    def route(block: np.ndarray) -> list[np.ndarray]:
-        if nparts == 1:
-            return [block]
-        with tel.span("route", cat="phase", method="scatter"):
-            return bucket_edges(
-                block, nparts, scheme=plan.effective_storage, n=n_c,
-                method="scatter",
-            )
-
-    if plan.skg is not None:
-        from repro.skg.sample import skg_sampler  # lazy: see GenerationPlan
-
-        sampler = skg_sampler(plan.skg)
-        for start, stop in cells:
-            yield route(sampler.sample(start, stop))
-        return
-    for part_a, part_b in cells:
-        if not routed:
-            for block in iter_kron_product(part_a, part_b, chunk):
-                yield route(block)
-        elif plan.streams:
-            yield from iter_kron_product_routed(
-                part_a, part_b, nparts, n_c, chunk
-            )
-        else:
-            yield kron_routed_full(part_a, part_b, nparts, n_c, chunk)
-
-
 def _collect(
     pieces: Iterator[list[np.ndarray]],
     width: int,
@@ -406,13 +428,14 @@ def _collect(
 
 
 def generate_rank(
-    comm: Communicator, plan: GenerationPlan, cells: list[Cells]
+    comm: Communicator, plan: GenerationPlan, cells: list
 ) -> RankOutput:
     """The rank program: generate ``cells[comm.rank]`` and store per ``plan``.
 
-    ``cells`` is the full per-rank assignment (replicated, tiny -- it holds
-    views of the factor edge arrays) and each rank picks its own, matching
-    the paper's file-per-rank read without I/O in the hot path.
+    ``cells`` is the full per-rank assignment (``plan.partition``:
+    replicated, tiny -- views of the factor edge arrays, or sampler-chunk
+    ranges) and each rank picks its own, matching the paper's
+    file-per-rank read without I/O in the hot path.
 
     A batch plan is one round; a streaming plan is one round per chunk,
     with the round count fixed up front by an allreduce over per-rank chunk
@@ -435,53 +458,28 @@ def generate_rank(
     that does not exchange, or a single rank, performs **no** collective.
     """
     tel = telemetry_of(comm)
+    source = plan.source
     my_cells = cells[comm.rank]
-    storage = plan.effective_storage
     exchanging = plan.exchanges and comm.size > 1
     nparts = comm.size if exchanging else 1
-    skg = plan.skg is not None
-    routed = exchanging and storage == "source_block" and not skg
-    if skg:
-        n_c = plan.skg.n
-    else:
-        # From any rank's cells, so a rank with none agrees on the dtype.
-        n_c = next((a.n * b.n for share in cells for a, b in share), 0)
-    dtype = id_dtype(n_c)
-    pieces = _pieces(plan, my_cells, routed, nparts, n_c, tel)
+    dtype = id_dtype(source.n)
+    pieces = source.pieces(plan, my_cells, nparts, tel)
 
     per_round = None
     rounds = 1
     capacity = None
     if plan.streams:
         per_round = 1
-        if skg:
-            rounds = len(my_cells)
-        else:
-            count = routed_chunk_count if routed else dense_chunk_count
-            rounds = sum(
-                count(a.m_directed, b.m_directed, plan.chunk_size)
-                for a, b in my_cells
-            )
+        rounds = source.round_count(plan, my_cells, nparts)
         if exchanging:
             rounds = comm.allreduce(rounds, max)
-    elif not exchanging and skg:
-        from repro.skg.sample import skg_sampler  # lazy: see GenerationPlan
-
-        capacity = skg_sampler(plan.skg).row_bound(my_cells)
     elif not exchanging:
-        capacity = sum(a.m_directed * b.m_directed for a, b in my_cells)
+        capacity = source.row_bound(my_cells)
 
     def produce(rnd: int) -> list[np.ndarray]:
-        """One round's per-owner buckets: generate, bucket."""
+        """One round's per-owner buckets."""
         with tel.span("generate", cat="phase", round=rnd):
-            round_pieces = islice(pieces, per_round)
-            blocks = _collect(round_pieces, nparts, capacity, dtype)
-        if routed:
-            # Routed blocks left the kernel already split by owner; the
-            # trace shows that degenerate route phase on purpose.
-            with tel.span("route", cat="phase", method="fused"):
-                pass
-        return blocks
+            return _collect(islice(pieces, per_round), nparts, capacity, dtype)
 
     stored: list[np.ndarray] = []
     generated = 0
@@ -497,20 +495,20 @@ def generate_rank(
             # Everything since the issue was generation that hid the
             # in-flight exchange.
             overlap_s += tel.clock() - issued_at
-            stored.append(exchange_edges_finish(comm, pending, n_c))
+            stored.append(exchange_edges_finish(comm, pending, source.n))
         pending = exchange_edges_start(comm, outgoing, wire=plan.wire)
         issued_at = tel.clock()
         if plan.pipeline == "sync":
-            stored.append(exchange_edges_finish(comm, pending, n_c))
+            stored.append(exchange_edges_finish(comm, pending, source.n))
             pending = None
     if pending is not None:
         # Tail flush: no generation left to hide this wait, so it does
         # not count toward the overlap.
-        stored.append(exchange_edges_finish(comm, pending, n_c))
+        stored.append(exchange_edges_finish(comm, pending, source.n))
     if next(pieces, None) is not None:
         raise PartitionError(
             f"rank {comm.rank}: generation rounds underestimated -- "
-            f"{rounds} round(s) left product chunks unsent"
+            f"{rounds} round(s) left pieces unsent"
         )
     edges = _stack(stored, dtype)
     if plan.pipeline == "async":
@@ -522,8 +520,6 @@ def generate_rank(
 
 def execute_plan(
     plan: GenerationPlan,
-    el_a: EdgeList,
-    el_b: EdgeList,
     nranks: int,
     *,
     backend: str = "thread",
@@ -532,16 +528,17 @@ def execute_plan(
 ) -> tuple[EdgeList, list[RankOutput]]:
     """Partition, launch :func:`generate_rank` under ``plan``, reassemble.
 
-    ``runner`` is called as ``runner(generate_rank, nranks, plan, cells,
-    backend=..., [telemetry=...])``; see :func:`generate_distributed`.
+    The in-memory run of any source.  ``runner`` is called as
+    ``runner(generate_rank, nranks, plan, cells, backend=...,
+    [telemetry=...])``; see :func:`generate_distributed`.
     """
-    cells = plan.partition(el_a, el_b, nranks)
+    cells = plan.partition(nranks)
     run_kwargs = {"backend": backend}
     if telemetry is not None:
         run_kwargs["telemetry"] = telemetry
     outputs = runner(generate_rank, nranks, plan, cells, **run_kwargs)
     stored = [o.edges for o in outputs if o is not None]
-    return reassemble(stored, el_a.n * el_b.n), outputs
+    return reassemble(stored, plan.source.n), outputs
 
 
 def generate_distributed(
@@ -555,7 +552,6 @@ def generate_distributed(
     chunk_size: int = DEFAULT_CHUNK,
     pipeline: str = "sync",
     wire: str = "raw",
-    skg=None,
     runner=spmd_run,
     telemetry=None,
 ) -> tuple[EdgeList, list[RankOutput]]:
@@ -567,12 +563,9 @@ def generate_distributed(
         Factor edge lists.
     nranks:
         World size.
-    scheme, storage, chunk_size, pipeline, wire, skg:
-        The :class:`GenerationPlan` fields; inconsistent or unknown values
-        raise :class:`~repro.errors.PartitionError`.  With ``skg`` the
-        factors must enumerate the spec's candidate space
-        (:func:`repro.skg.distributed.skg_candidate_factors`); they name
-        its vertex set and run key, and the sampler does the rest.
+    scheme, storage, chunk_size, pipeline, wire:
+        The :class:`GenerationPlan` axes; inconsistent or unknown values
+        raise :class:`~repro.errors.PartitionError`.
     backend:
         Launcher backend (``"thread"``, ``"process"`` or ``"socket"``).
     runner:
@@ -592,8 +585,10 @@ def generate_distributed(
         The reassembled product (row order may differ from the serial
         product; contents are identical as multisets) and per-rank outputs.
     """
-    plan = GenerationPlan(scheme, storage, chunk_size, pipeline, wire, skg)
+    source = KronPair(el_a, el_b)
+    plan = GenerationPlan(
+        scheme, storage, chunk_size, pipeline, wire, source=source
+    )
     return execute_plan(
-        plan, el_a, el_b, nranks,
-        backend=backend, runner=runner, telemetry=telemetry,
+        plan, nranks, backend=backend, runner=runner, telemetry=telemetry
     )

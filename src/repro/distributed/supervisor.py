@@ -13,17 +13,21 @@ the bare launcher deliberately lacks:
   plan to its attempt number, so probabilistic faults reroll and scheduled
   faults disarm once ``fault_attempts`` is exhausted.
 
-One driver wires it to the generator (:func:`_supervised_run`):
-:func:`generate_distributed_supervised` is its retry-only in-memory run,
-:func:`generate_to_directory` its *persisted* run -- every rank writes its
+There is one driver per job, each taking the run's source -- a
+:class:`~repro.distributed.generator.KronPair` or an ``SKGSpec`` -- the
+same way.  In memory, retry alone is the generator's own driver with this
+launcher as its ``runner`` (``generate_distributed(...,
+runner=functools.partial(spmd_run_supervised, ...))``).
+:func:`generate_to_directory` is the *persisted* run: every rank writes its
 shard through the one sink
 (:class:`~repro.distributed.checkpoint.CheckpointedRankFn`), a retry
 re-executes only missing or damaged shards, and a shard that *is*
 re-executed (because peers need its collective traffic) is verified
-bit-for-bit against the recorded digest.  :func:`run_chaos_matrix` drives
-a seeded fault matrix end-to-end, asserting every plan recovers to output
-bit-identical (canonical edge order) to the fault-free run -- the
-``repro-kron chaos`` subcommand.
+bit-for-bit against the recorded digest;
+:meth:`~repro.distributed.checkpoint.CheckpointStore.load_run` reads it
+back.  :func:`run_chaos_matrix` drives a seeded fault matrix end-to-end,
+asserting every plan recovers to output bit-identical (canonical edge
+order) to the fault-free run -- the ``repro-kron chaos`` subcommand.
 """
 
 from __future__ import annotations
@@ -44,21 +48,18 @@ from repro.distributed.checkpoint import (
     elastic_pre_attempt,
     generation_family_key,
     generation_run_key,
-    shard_key,
 )
 from repro.distributed.comm import RECV_TIMEOUT_ENV, decorrelated_jitter
 from repro.distributed.faults import FaultPlan, default_fault_matrix
 from repro.distributed.generator import (
     GenerationPlan,
-    RankOutput,
+    Source,
     execute_plan,
-    generate_distributed,
     generate_rank,
-    reassemble,
 )
 from repro.distributed.launcher import spmd_run
 from repro.errors import CommunicatorError, ReproError, is_transient
-from repro.graph.edgelist import EdgeList, canonical_order
+from repro.graph.edgelist import canonical_order
 from repro.kronecker.product import DEFAULT_CHUNK
 from repro.telemetry.clock import monotonic
 from repro.telemetry.session import TelemetrySession
@@ -68,7 +69,6 @@ __all__ = [
     "spmd_run_supervised",
     "decorrelated_jitter",
     "generate_to_directory",
-    "generate_distributed_supervised",
     "ChaosOutcome",
     "ChaosReport",
     "run_chaos_matrix",
@@ -192,11 +192,10 @@ def spmd_run_supervised(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _supervised_run(
-    el_a: EdgeList,
-    el_b: EdgeList,
+def generate_to_directory(
+    source: Source,
+    directory: str | os.PathLike,
     nranks: int,
-    directory: str | os.PathLike | None,
     *,
     scheme: str = "1d",
     storage: str | None = None,
@@ -204,24 +203,22 @@ def _supervised_run(
     chunk_size: int = DEFAULT_CHUNK,
     pipeline: str = "sync",
     wire: str = "raw",
-    skg=None,
     telemetry=None,
     **retry,
-) -> RunManifest | tuple[EdgeList, list[RankOutput]]:
-    """The one supervised generation driver; its keywords, declared once.
+) -> RunManifest:
+    """Generate ``source`` across ranks into one shard file per rank.
 
-    ``scheme`` ... ``skg`` are the :class:`GenerationPlan` fields and
-    ``retry`` takes :func:`spmd_run_supervised`'s ``fault_plan``,
+    The persisted, supervised run -- what ``repro-kron generate`` and
+    ``trace`` run.  ``scheme`` ... ``wire`` are the :class:`GenerationPlan`
+    axes and ``retry`` takes :func:`spmd_run_supervised`'s ``fault_plan``,
     ``max_attempts``, ``report``, ``rendezvous`` and ``local_ranks``.
 
-    ``directory=None`` is the retry-only in-memory run: the supervised
-    launcher as :func:`execute_plan`'s runner.  With a ``directory`` the
-    run is *persisted*: each rank leaves its shard in the store through
-    :class:`CheckpointedRankFn`, under a run key folded from the factor
-    digests and the plan, and reports O(1) scalars; the parent folds them
-    into the :class:`RunManifest` it persists and returns -- it hashes
-    nothing and never holds an edge.  A retry, or a later call with the
-    same configuration, re-executes only missing or damaged shards
+    Each rank leaves its shard in the store through
+    :class:`CheckpointedRankFn`, under a run key folded from the source's
+    key and the plan, and reports O(1) scalars; the parent folds them into
+    the :class:`RunManifest` it persists and returns -- it hashes nothing
+    and never holds an edge.  A retry, or a later call with the same
+    configuration, re-executes only missing or damaged shards
     (``plan.shard_mode``).  Before each attempt of an exchanging plan
     :func:`elastic_pre_attempt` re-partitions a same-family manifest
     written at another rank count, so the resumed run restores every shard
@@ -230,17 +227,19 @@ def _supervised_run(
     *partition* put them) and are not eligible.  A partial world's
     manifest covers the shards written on this host only and is not
     persisted: no host can vouch for the whole run.
+
+    ``CheckpointStore(directory).load_run(manifest)`` reassembles the
+    product, every shard digest-checked, for verification at test scale.
+    A rank holds its shard whole before writing it (``.npz`` is not
+    appendable), so peak memory per rank is ``|E_C| / R`` edges while
+    ``chunk_size`` bounds the kernel's temporaries.
     """
-    plan = GenerationPlan(scheme, storage, chunk_size, pipeline, wire, skg)
-    launch = functools.partial(spmd_run_supervised, **retry)
-    if directory is None:
-        return execute_plan(
-            plan, el_a, el_b, nranks,
-            backend=backend, runner=launch, telemetry=telemetry,
-        )
-    cells = plan.partition(el_a, el_b, nranks)
-    run_key = generation_run_key(el_a, el_b, nranks, plan)
-    family = generation_family_key(el_a, el_b, plan)
+    plan = GenerationPlan(
+        scheme, storage, chunk_size, pipeline, wire, source=source
+    )
+    cells = plan.partition(nranks)
+    run_key = generation_run_key(plan, nranks)
+    family = generation_family_key(plan)
     sink = CheckpointedRankFn(generate_rank, directory, run_key, plan.shard_mode)
     pre_attempt = None
     if plan.exchanges:
@@ -248,67 +247,17 @@ def _supervised_run(
             elastic_pre_attempt, sink.store, run_key, family, nranks, telemetry
         )
     # O(1) scalars per rank; ranks launched on other hosts report None.
-    shards = launch(
+    shards = spmd_run_supervised(
         sink, nranks, plan, cells,
         backend=backend, telemetry=telemetry, pre_attempt=pre_attempt,
+        **retry,
     )
     manifest = RunManifest.from_shards(
-        run_key, family, el_a.n * el_b.n, plan.effective_storage, shards
+        run_key, family, source.n, plan.effective_storage, shards
     )
     if None not in shards:
         sink.store.put_manifest(manifest)
     return manifest
-
-
-def generate_to_directory(
-    el_a: EdgeList,
-    el_b: EdgeList,
-    directory: str | os.PathLike,
-    nranks: int,
-    **supervised,
-) -> RunManifest:
-    """Generate ``A (x) B`` across ranks into one shard file per rank.
-
-    The persisted run of :func:`_supervised_run`, whose keywords
-    ``supervised`` takes -- what ``repro-kron generate`` and ``trace``
-    run.  ``CheckpointStore(directory).load_run(manifest)`` reassembles
-    the product, every shard digest-checked, for verification at test
-    scale.  A rank holds its shard whole before writing it (``.npz`` is
-    not appendable), so peak memory per rank is ``|E_C| / R`` edges while
-    ``chunk_size`` bounds the kernel's temporaries.
-    """
-    return _supervised_run(el_a, el_b, nranks, directory, **supervised)
-
-
-def generate_distributed_supervised(
-    el_a: EdgeList,
-    el_b: EdgeList,
-    nranks: int,
-    *,
-    checkpoint_dir: str | os.PathLike | None = None,
-    **supervised,
-) -> tuple[EdgeList, list[RankOutput]]:
-    """:func:`generate_distributed` under the supervised launcher.
-
-    Same contract as the unsupervised driver; ``supervised`` takes the
-    keywords of :func:`_supervised_run`.  With a ``checkpoint_dir`` this
-    is :func:`generate_to_directory` plus a read of what it stored, every
-    shard verified by :meth:`CheckpointStore.get` (ranks launched on
-    other hosts stay ``None``).
-    """
-    if checkpoint_dir is None:
-        return _supervised_run(el_a, el_b, nranks, None, **supervised)
-    manifest = generate_to_directory(
-        el_a, el_b, checkpoint_dir, nranks, **supervised
-    )
-    store = CheckpointStore(checkpoint_dir)
-    outputs: list[RankOutput | None] = [None] * nranks
-    for rank, digest in enumerate(manifest.shard_digests):
-        if digest is not None:
-            shard = store.get(shard_key(manifest.run_key, rank))
-            outputs[rank] = RankOutput(rank, shard.edges, shard.generated)
-    stored = [o.edges for o in outputs if o is not None]
-    return reassemble(stored, manifest.n), outputs
 
 
 # --------------------------------------------------------------------- #
@@ -404,8 +353,7 @@ def _sock_repair_counts(tel) -> dict[str, int]:
 
 
 def run_chaos_matrix(
-    el_a: EdgeList,
-    el_b: EdgeList,
+    source: Source,
     nranks: int = 4,
     *,
     plans: list[FaultPlan] | None = None,
@@ -417,15 +365,16 @@ def run_chaos_matrix(
     rendezvous: str | None = None,
     **generation,
 ) -> ChaosReport:
-    """Drive every fault plan against supervised generation.
+    """Drive every fault plan against supervised generation of ``source``.
 
-    For each plan x backend cell, run
-    :func:`generate_distributed_supervised` under the plan and compare the
-    recovered product -- in canonical edge order -- bit-for-bit against
-    the fault-free reference.  ``recv_timeout_s`` pins
+    For each plan x backend cell, run the source under the supervised
+    launcher -- in memory, or through :func:`generate_to_directory` and
+    :meth:`CheckpointStore.load_run` when ``checkpoint_root`` is given --
+    and compare the recovered product, in canonical edge order,
+    bit-for-bit against the fault-free reference.  ``recv_timeout_s`` pins
     ``REPRO_RECV_TIMEOUT`` for the duration so dropped-message timeouts
     resolve in seconds, not minutes.  ``generation`` takes the
-    :class:`GenerationPlan` fields (``storage`` defaults to
+    :class:`GenerationPlan` axes (``storage`` defaults to
     ``"source_block"`` here): ``pipeline``/``wire`` select the async
     double-buffered loop and the varint wire format
     (``scheme="1d-pipelined"`` required for ``pipeline="async"``), so the
@@ -437,20 +386,18 @@ def run_chaos_matrix(
     so the JSON report shows not just that a cell recovered but how much
     wire-level repair the recovery took.
 
-    ``skg`` (an :class:`repro.skg.model.SKGSpec`) runs every cell through
-    the stochastic tier's sampler: the fault-free reference and all
-    recovered cells then prove that hash-seeded grass-hopping -- not just
-    exact enumeration -- survives crashes, drops, and checkpointed retry
-    bit-identically.
+    An SKG spec as the source runs every cell through the stochastic
+    tier's sampler: the fault-free reference and all recovered cells then
+    prove that hash-seeded grass-hopping -- not just exact enumeration --
+    survives crashes, drops, and checkpointed retry bit-identically.
     """
     from unittest import mock  # lazy: only the harness pins the environment
 
     if plans is None:
         plans = default_fault_matrix(seed=seed, nranks=nranks)
     generation.setdefault("storage", "source_block")
-    el, _ = generate_distributed(
-        el_a, el_b, nranks, backend="thread", **generation
-    )
+    generation_plan = GenerationPlan(**generation, source=source)
+    el, _ = execute_plan(generation_plan, nranks)
     reference = canonical_edges(el.edges)
     report = ChaosReport()
     pinned = {RECV_TIMEOUT_ENV: str(recv_timeout_s)}
@@ -458,11 +405,12 @@ def run_chaos_matrix(
         for i, plan in enumerate(plans):
             for backend in backends:
                 sup = SupervisorReport()
-                checkpoint_dir = (
-                    Path(checkpoint_root) / f"{i:02d}-{plan.label()}-{backend}"
-                    if checkpoint_root is not None
-                    else None
-                )
+                retry = {
+                    "fault_plan": plan,
+                    "max_attempts": max_attempts,
+                    "report": sup,
+                    "rendezvous": rendezvous if backend == "socket" else None,
+                }
                 # Socket cells get their own telemetry session purely to
                 # harvest sock.* counters; thread/process cells stay
                 # un-instrumented so their comm-op indices (and therefore
@@ -472,16 +420,24 @@ def run_chaos_matrix(
                 error = ""
                 t0 = monotonic()
                 try:
-                    el, _ = generate_distributed_supervised(
-                        el_a, el_b, nranks, backend=backend,
-                        fault_plan=plan, max_attempts=max_attempts,
-                        checkpoint_dir=checkpoint_dir, report=sup,
-                        telemetry=tel,
-                        rendezvous=(
-                            rendezvous if backend == "socket" else None
-                        ),
-                        **generation,
-                    )
+                    if checkpoint_root is None:
+                        el, _ = execute_plan(
+                            generation_plan, nranks, backend=backend,
+                            runner=functools.partial(
+                                spmd_run_supervised, **retry
+                            ),
+                            telemetry=tel,
+                        )
+                    else:
+                        directory = (
+                            Path(checkpoint_root)
+                            / f"{i:02d}-{plan.label()}-{backend}"
+                        )
+                        manifest = generate_to_directory(
+                            source, directory, nranks, backend=backend,
+                            telemetry=tel, **generation, **retry,
+                        )
+                        el = CheckpointStore(directory).load_run(manifest)
                 except ReproError as exc:
                     error = str(exc).splitlines()[0]
                 else:

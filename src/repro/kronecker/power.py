@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from repro.errors import GraphFormatError
+from repro.errors import GraphFormatError, VertexRangeError
 from repro.graph.csr import CSRGraph
 from repro.graph.edgelist import EdgeList
 from repro.kronecker.product import DEFAULT_CHUNK, iter_kron_product, kron_product
@@ -83,7 +83,10 @@ class KroneckerPowerGraph:
 
     Generalizes :class:`~repro.kronecker.lazy.KroneckerGraph`: storage is
     the sum of factor sizes while the product has the *product* of factor
-    edge counts -- the compression ratio grows with every factor.
+    edge counts -- the compression ratio grows with every factor.  Like it,
+    every local query refuses a vertex id outside ``[0, n)`` with
+    :class:`~repro.errors.VertexRangeError`: the mixed-radix split would
+    alias it onto another vertex (``-1`` onto ``n - 1``).
     """
 
     def __init__(self, factors: Sequence[EdgeList]) -> None:
@@ -133,8 +136,14 @@ class KroneckerPowerGraph:
         """Product ids from per-factor coordinates."""
         return multi_combine(coords, self.sizes)
 
+    def _check_ids(self, *ids: np.ndarray | int) -> None:
+        for v in map(np.asarray, ids):
+            if v.size and (v.min() < 0 or v.max() >= self.n):
+                raise VertexRangeError(f"vertex ids outside 0..{self.n - 1}")
+
     def has_edge(self, p: int, q: int) -> bool:
         """``C_pq = prod_i (A_i)_{c_i(p), c_i(q)}``."""
+        self._check_ids(p, q)
         cp = self.split_vertex(int(p))
         cq = self.split_vertex(int(q))
         return all(
@@ -144,6 +153,7 @@ class KroneckerPowerGraph:
 
     def degree(self, p: np.ndarray | int) -> np.ndarray:
         """Non-loop degree of product vertices (vectorized over ``p``)."""
+        self._check_ids(p)
         coords = self.split_vertex(np.asarray(p))
         dtot = np.ones_like(np.asarray(p, dtype=np.int64))
         loop = np.ones_like(dtot, dtype=bool)

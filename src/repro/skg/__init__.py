@@ -19,16 +19,17 @@ skips ("grass-hopping", :mod:`repro.skg.sample`).  Instead of a mutable
 RNG stream, every skip stream is a pure splitmix64 function of the spec
 (:mod:`repro.util.hashing`), so a sample is bit-identical across
 backends, world sizes, retries, chunk sizes, and elastic resume.  The
-distributed generator runs the sampler as the round source of its one
-rank program (``generate_distributed(..., skg=spec)``); routing,
-exchange, storage and the supervisor are the exact tier's.
+distributed generator takes a spec as its source, in place of a factor
+pair, and runs the sampler as the round source of its one rank program;
+routing, exchange, storage and the supervisor are the exact tier's.
 
 Modules
 -------
 :mod:`repro.skg.seeds`
     fitted 2x2 seed-matrix library (facebook, polblogs, ...) + validation.
 :mod:`repro.skg.model`
-    :class:`SKGSpec` and vectorized per-edge / per-block probabilities.
+    :class:`SKGSpec` (also a generation source) and vectorized per-edge /
+    per-block probabilities.
 :mod:`repro.skg.sample`
     the grass-hopping sampler, and the candidate-filter form of the law.
 :mod:`repro.skg.noisy`
@@ -36,7 +37,8 @@ Modules
 :mod:`repro.skg.expected`
     closed-form expected properties (the ``groundtruth`` analogue).
 :mod:`repro.skg.distributed`
-    drivers over the SPMD runtime (and the candidate-space factors).
+    the in-memory driver over the SPMD runtime (and the candidate-space
+    factors the performance ledger still imports).
 """
 
 from repro.skg.expected import (
@@ -62,7 +64,6 @@ from repro.skg.seeds import (
 )
 from repro.skg.distributed import (
     generate_skg_distributed,
-    generate_skg_supervised,
     skg_candidate_factors,
 )
 
@@ -91,5 +92,4 @@ __all__ = [
     "expected_triangles",
     "skg_candidate_factors",
     "generate_skg_distributed",
-    "generate_skg_supervised",
 ]

@@ -262,6 +262,35 @@ class SKGSpec:
         """``P[u -> v]`` for this spec's (possibly noisy) level matrices."""
         return edge_probabilities(self.level_matrices(), u, v)
 
+    # A spec is a generation source (``repro.distributed.generator.Source``):
+    # its cells are sampler-chunk ranges, one per round.
+    def key(self) -> str:
+        """Run-key part: the spec digest alone."""
+        return f"skg-{self.digest():016x}"
+
+    def sampler(self):
+        """This spec's :class:`~repro.skg.sample.SKGSampler`, built once per
+        process; refuses ``k`` above the sampler's bound before allocating."""
+        from repro.skg.sample import skg_sampler  # sample imports this module
+
+        return skg_sampler(self)
+
+    def partition(self, plan, nranks: int) -> list[list[tuple[int, int]]]:
+        """Per rank, its rounds' ``(start, stop)`` sampler-chunk ranges."""
+        return self.sampler().rounds(nranks, plan.chunk_size)
+
+    def pieces(self, plan, cells, nparts: int, tel):
+        """Each round's sample, routed like a dense chunk."""
+        sampler = self.sampler()
+        for start, stop in cells:
+            yield plan.route(sampler.sample(start, stop), nparts, tel)
+
+    def round_count(self, plan, cells, nparts: int) -> int:
+        return len(cells)
+
+    def row_bound(self, cells) -> int:
+        return self.sampler().row_bound(cells)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         noisy = f", noise_b={self.noise_b}" if self.noise_b else ""
         return (

@@ -40,12 +40,16 @@ coin of the pair falls below ``p(u, v) / q``: exact Bernoulli
 *Ranks and rounds.*  :meth:`SKGSampler.rounds` hands each rank a
 contiguous range of chunks by expected rows and cuts it into rounds of at
 most ``chunk_size`` expected rows (a single chunk when one alone exceeds
-it), so the round count is known before anything is sampled.
+it), so the round count is known before anything is sampled.  These
+rounds are what a spec hands the distributed generator as its source
+(:class:`~repro.skg.model.SKGSpec` ``.partition`` / ``.pieces`` /
+``.row_bound``).
 
 :func:`skg_accept_mask` / :class:`SKGAcceptor` keep the candidate form of
 the same law -- ``edge_uniform(u, v, skg_seed) < P[u -> v]`` over an
 enumerated block -- for code that already holds candidate pairs (Def. 8
-style hash thresholds); the generator no longer enumerates candidates.
+style hash thresholds); the generator no longer enumerates candidates, and
+the performance ledger's candidate re-enactment is their last user.
 """
 
 from __future__ import annotations
@@ -92,8 +96,8 @@ _COIN_SALT = 0xC01F_5EED_7A1E_D5A1
 def check_sampler_bound(k: int) -> None:
     """Raise :class:`~repro.errors.PartitionError` above :data:`SKG_MAX_K`.
 
-    Generation fails closed here -- before candidate factors or tables
-    are allocated -- while closed-form ``expected_*`` queries of the spec
+    Generation fails closed here -- the sampler checks before it builds
+    its tables -- while closed-form ``expected_*`` queries of the spec
     stay valid at any ``k``.
     """
     if k > SKG_MAX_K:

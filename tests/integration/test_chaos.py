@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.distributed.faults import default_fault_matrix
+from repro.distributed.generator import KronPair
 from repro.distributed.supervisor import run_chaos_matrix
 from repro.graph.generators import clique, cycle
 
@@ -24,7 +25,7 @@ class TestChaosMatrix:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = run_chaos_matrix(
-                clique(4), cycle(5), 4,
+                KronPair(clique(4), cycle(5)), 4,
                 plans=plans,
                 recv_timeout_s=2.0,
                 checkpoint_root=tmp_path,
@@ -49,11 +50,9 @@ class TestSkgChaos:
         in CI; this in-process cut proves the stochastic model composes
         with fault recovery exactly like the exact model.
         """
-        from repro.skg.distributed import skg_candidate_factors
         from repro.skg.model import SKGSpec
 
         spec = SKGSpec.from_library("polblogs", k=6, skg_seed=3)
-        a, b = skg_candidate_factors(spec.k)
         plans = [
             p for p in default_fault_matrix(seed=0, nranks=4)
             if p.name.startswith(("crash", "drop"))
@@ -62,10 +61,9 @@ class TestSkgChaos:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             report = run_chaos_matrix(
-                a, b, 4,
+                spec, 4,
                 plans=plans,
                 backends=("thread",),
-                skg=spec,
                 recv_timeout_s=2.0,
                 checkpoint_root=tmp_path,
             )

@@ -9,18 +9,21 @@ backend).  This is the recovery analogue of the routed-equivalence
 property: fault injection plus retry is a no-op on the result.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributed import generate_distributed
+from repro.distributed import CheckpointStore, KronPair, generate_distributed
 from repro.distributed.faults import FaultPlan, default_fault_matrix
 from repro.distributed.shuffle import bucket_edges
 from repro.distributed.supervisor import (
     SupervisorReport,
     canonical_edges,
-    generate_distributed_supervised,
+    generate_to_directory,
+    spmd_run_supervised,
 )
 from repro.graph import erdos_renyi
 from repro.graph.generators import clique, cycle
@@ -70,9 +73,9 @@ class TestRecoveryIsBitExact:
     def test_thread_backend(self, factors, plan):
         a, b = factors
         ref, _ = generate_distributed(a, b, NRANKS, storage="source_block")
-        el, _ = generate_distributed_supervised(
+        el, _ = generate_distributed(
             a, b, NRANKS, storage="source_block",
-            fault_plan=plan, max_attempts=4,
+            runner=partial(spmd_run_supervised, fault_plan=plan, max_attempts=4),
         )
         np.testing.assert_array_equal(
             canonical_edges(el.edges), canonical_edges(ref.edges)
@@ -84,10 +87,11 @@ class TestRecoveryIsBitExact:
         a, b = factors
         ref, _ = generate_distributed(a, b, NRANKS, storage="source_block")
         ckpt = tmp_path_factory.mktemp("ckpt")
-        el, _ = generate_distributed_supervised(
-            a, b, NRANKS, storage="source_block", fault_plan=plan,
-            max_attempts=4, checkpoint_dir=ckpt,
+        manifest = generate_to_directory(
+            KronPair(a, b), ckpt, NRANKS, storage="source_block",
+            fault_plan=plan, max_attempts=4,
         )
+        el = CheckpointStore(ckpt).load_run(manifest)
         np.testing.assert_array_equal(
             canonical_edges(el.edges), canonical_edges(ref.edges)
         )
@@ -112,9 +116,12 @@ class TestRecoveryIsBitExact:
                 method="argsort",
             )
         rep = SupervisorReport()
-        _, outputs = generate_distributed_supervised(
-            a, b, NRANKS, storage="source_block",
-            backend="process", fault_plan=plan, max_attempts=4, report=rep,
+        _, outputs = generate_distributed(
+            a, b, NRANKS, storage="source_block", backend="process",
+            runner=partial(
+                spmd_run_supervised, fault_plan=plan, max_attempts=4,
+                report=rep,
+            ),
         )
         for out, want in zip(outputs, shards):
             np.testing.assert_array_equal(
@@ -128,9 +135,9 @@ class TestRecoveryIsBitExact:
         reports = []
         for _ in range(2):
             rep = SupervisorReport()
-            generate_distributed_supervised(
+            generate_distributed(
                 a, b, NRANKS, storage="source_block",
-                fault_plan=plan, report=rep,
+                runner=partial(spmd_run_supervised, fault_plan=plan, report=rep),
             )
             reports.append((rep.attempts, tuple(rep.failures)))
         assert reports[0] == reports[1]

@@ -12,10 +12,10 @@ import repro.distributed.supervisor as supervisor
 from repro.cli import build_parser, load_factor, main
 from repro.distributed.checkpoint import CheckpointStore, shard_key
 from repro.distributed.faults import default_fault_matrix
+from repro.distributed.generator import KronPair
 from repro.distributed.sockcomm import RendezvousServer
 from repro.distributed.supervisor import (
     SupervisorReport,
-    generate_distributed_supervised,
     generate_to_directory,
 )
 from repro.errors import (
@@ -75,7 +75,8 @@ class TestOutOfCore:
     )
     def test_shards_reassemble_to_product(self, tmp_path, factor_files, plan):
         a, b, _, _ = factor_files
-        manifest = generate_to_directory(a, b, tmp_path / "shards", 3, **plan)
+        pair = KronPair(a, b)
+        manifest = generate_to_directory(pair, tmp_path / "shards", 3, **plan)
         store = CheckpointStore(tmp_path / "shards")
         assert store.load_run(manifest) == kron_product(a, b)
         assert manifest.edges_total == a.m_directed * b.m_directed
@@ -83,8 +84,8 @@ class TestOutOfCore:
         assert store.get_manifest(manifest.run_key) == manifest
 
     def test_one_shard_per_rank(self, tmp_path, factor_files):
-        a, b, _, _ = factor_files
-        manifest = generate_to_directory(a, b, tmp_path / "s", 5)
+        pair = KronPair(*factor_files[:2])
+        manifest = generate_to_directory(pair, tmp_path / "s", 5)
         store = CheckpointStore(tmp_path / "s")
         assert manifest.nranks == len(manifest.shard_digests) == 5
         assert all(
@@ -94,8 +95,9 @@ class TestOutOfCore:
 
     def test_process_backend(self, tmp_path, factor_files):
         a, b, _, _ = factor_files
+        pair = KronPair(a, b)
         manifest = generate_to_directory(
-            a, b, tmp_path / "s", 2, backend="process"
+            pair, tmp_path / "s", 2, backend="process"
         )
         assert CheckpointStore(tmp_path / "s").load_run(manifest) == (
             kron_product(a, b)
@@ -103,17 +105,18 @@ class TestOutOfCore:
 
     def test_small_chunks(self, tmp_path, factor_files):
         a, b, _, _ = factor_files
+        pair = KronPair(a, b)
         manifest = generate_to_directory(
-            a, b, tmp_path / "s", 2, chunk_size=13
+            pair, tmp_path / "s", 2, chunk_size=13
         )
         assert CheckpointStore(tmp_path / "s").load_run(manifest) == (
             kron_product(a, b)
         )
 
     def test_bad_scheme(self, tmp_path, factor_files):
-        a, b, _, _ = factor_files
+        pair = KronPair(*factor_files[:2])
         with pytest.raises(PartitionError):
-            generate_to_directory(a, b, tmp_path / "s", 2, scheme="np")
+            generate_to_directory(pair, tmp_path / "s", 2, scheme="np")
 
     def test_directory_reused_at_another_rank_count(
         self, tmp_path, factor_files
@@ -122,8 +125,9 @@ class TestOutOfCore:
         # pattern: a 4-rank run's leftovers cannot leak into the 2-rank
         # run that follows it into the same directory.
         a, b, _, _ = factor_files
-        four = generate_to_directory(a, b, tmp_path, 4)
-        two = generate_to_directory(a, b, tmp_path, 2)
+        pair = KronPair(a, b)
+        four = generate_to_directory(pair, tmp_path, 4)
+        two = generate_to_directory(pair, tmp_path, 2)
         store = CheckpointStore(tmp_path)
         assert len(store.keys()) == 6
         assert store.load_run(two) == kron_product(a, b)
@@ -137,7 +141,8 @@ class TestOutOfCore:
         self, tmp_path, factor_files, monkeypatch, backend
     ):
         a, b, _, _ = factor_files
-        first = generate_to_directory(a, b, tmp_path, 3, backend=backend)
+        pair = KronPair(a, b)
+        first = generate_to_directory(pair, tmp_path, 3, backend=backend)
         store = CheckpointStore(tmp_path)
         paths = [store._path(shard_key(first.run_key, r)) for r in range(3)]
         written = [p.stat().st_mtime_ns for p in paths]
@@ -146,12 +151,13 @@ class TestOutOfCore:
             raise AssertionError("generate_rank entered on a resumed run")
 
         monkeypatch.setattr(supervisor, "generate_rank", no_generation)
-        assert generate_to_directory(a, b, tmp_path, 3, backend=backend) == first
+        assert generate_to_directory(pair, tmp_path, 3, backend=backend) == first
         assert [p.stat().st_mtime_ns for p in paths] == written
 
     def test_damaged_shard_regenerates_alone(self, tmp_path, factor_files):
         a, b, _, _ = factor_files
-        manifest = generate_to_directory(a, b, tmp_path, 3)
+        pair = KronPair(a, b)
+        manifest = generate_to_directory(pair, tmp_path, 3)
         store = CheckpointStore(tmp_path)
         paths = [store._path(shard_key(manifest.run_key, r)) for r in range(3)]
         _flip_a_byte(paths[1])
@@ -161,7 +167,7 @@ class TestOutOfCore:
         assert not paths[1].exists(), "damaged shard must be discarded"
         # ... and running again rewrites that shard only.
         kept = [paths[r].stat().st_mtime_ns for r in (0, 2)]
-        assert generate_to_directory(a, b, tmp_path, 3) == manifest
+        assert generate_to_directory(pair, tmp_path, 3) == manifest
         assert [paths[r].stat().st_mtime_ns for r in (0, 2)] == kept
         assert store.load_run(manifest) == kron_product(a, b)
 
@@ -170,13 +176,14 @@ class TestOutOfCore:
         # error; the driver retries, and the retry regenerates that shard
         # alone -- no second invocation needed.
         a, b, _, _ = factor_files
-        manifest = generate_to_directory(a, b, tmp_path, 3)
+        pair = KronPair(a, b)
+        manifest = generate_to_directory(pair, tmp_path, 3)
         store = CheckpointStore(tmp_path)
         paths = [store._path(shard_key(manifest.run_key, r)) for r in range(3)]
         written = [p.stat().st_mtime_ns for p in paths]
         _flip_a_byte(paths[1])
         rep = SupervisorReport()
-        assert generate_to_directory(a, b, tmp_path, 3, report=rep) == manifest
+        assert generate_to_directory(pair, tmp_path, 3, report=rep) == manifest
         assert rep.attempts == 2
         assert any("CheckpointCorruptionError" in f for f in rep.failures)
         now = [p.stat().st_mtime_ns for p in paths]
@@ -188,11 +195,12 @@ class TestOutOfCore:
         self, tmp_path, factor_files, backend
     ):
         a, b, _, _ = factor_files
+        pair = KronPair(a, b)
         plan = default_fault_matrix(seed=0, nranks=3)[1]
         assert plan.label() == "crash-r1-op3"
         rep = SupervisorReport()
         manifest = generate_to_directory(
-            a, b, tmp_path, 3, storage="source_block", backend=backend,
+            pair, tmp_path, 3, storage="source_block", backend=backend,
             fault_plan=plan, report=rep,
         )
         assert rep.attempts == 2  # the crash really fired
@@ -204,13 +212,14 @@ class TestOutOfCore:
         self, tmp_path, factor_files, monkeypatch
     ):
         a, b, _, _ = factor_files
-        four = generate_to_directory(a, b, tmp_path, 4, storage="source_block")
+        pair = KronPair(a, b)
+        four = generate_to_directory(pair, tmp_path, 4, storage="source_block")
 
         def no_generation(*_args):
             raise AssertionError("generate_rank entered on an elastic resume")
 
         monkeypatch.setattr(supervisor, "generate_rank", no_generation)
-        two = generate_to_directory(a, b, tmp_path, 2, storage="source_block")
+        two = generate_to_directory(pair, tmp_path, 2, storage="source_block")
         assert two.nranks == 2 and two.family == four.family
         assert (two.union_digest, two.edges_total) == (
             four.union_digest, four.edges_total
@@ -224,6 +233,7 @@ class TestOutOfCore:
         # Ranks hand the parent O(1) scalars, digests included; the only
         # arrays the parent ever hashes are the two factors (run key).
         a, b, _, _ = factor_files
+        pair = KronPair(a, b)
         parent = (os.getpid(), threading.main_thread())
         factor_rows = max(a.m_directed, b.m_directed)
         launched = []
@@ -248,7 +258,7 @@ class TestOutOfCore:
                 checkpoint, name, guarded(getattr(checkpoint, name))
             )
         manifest = generate_to_directory(
-            a, b, tmp_path, 3, storage="source_block", backend=backend
+            pair, tmp_path, 3, storage="source_block", backend=backend
         )
         (results,) = launched
         assert all(
@@ -261,9 +271,9 @@ class TestOutOfCore:
     def test_manifest_digests_are_the_shard_files(
         self, tmp_path, factor_files
     ):
-        a, b, _, _ = factor_files
+        pair = KronPair(*factor_files[:2])
         manifest = generate_to_directory(
-            a, b, tmp_path, 3, storage="edge_hash"
+            pair, tmp_path, 3, storage="edge_hash"
         )
         store = CheckpointStore(tmp_path)
         recorded = [
@@ -276,15 +286,15 @@ class TestOutOfCore:
         # A supervised run that never exchanges used to leave shards and
         # no manifest; now it is the run `generate` makes.
         a, b, _, _ = factor_files
-        el, outputs = generate_distributed_supervised(
-            a, b, 3, checkpoint_dir=tmp_path
-        )
-        manifest = _only_manifest(tmp_path)
+        pair = KronPair(a, b)
+        manifest = generate_to_directory(pair, tmp_path, 3)
+        assert _only_manifest(tmp_path) == manifest
         assert (manifest.storage, manifest.nranks) == (None, 3)
-        assert manifest.edges_total == el.m_directed == sum(
-            len(o.edges) for o in outputs
+        el = CheckpointStore(tmp_path).load_run(manifest)
+        assert manifest.edges_total == el.m_directed == (
+            a.m_directed * b.m_directed
         )
-        assert manifest == generate_to_directory(a, b, tmp_path, 3)
+        assert manifest == generate_to_directory(pair, tmp_path, 3)
 
     def test_local_ranks_cover_this_hosts_shards_only(
         self, tmp_path, factor_files
@@ -294,12 +304,13 @@ class TestOutOfCore:
         # shards written there, nothing is persisted on a partial world's
         # behalf, and the two fingerprints add up to the whole run's.
         a, b, _, _ = factor_files
-        whole = generate_to_directory(a, b, tmp_path / "whole", 4, scheme="1d")
+        pair = KronPair(a, b)
+        whole = generate_to_directory(pair, tmp_path / "whole", 4, scheme="1d")
         hosts = {}
 
         def launch(ranks, addr):
             hosts[ranks] = generate_to_directory(
-                a, b, tmp_path / f"host{ranks[0]}", 4, scheme="1d",
+                pair, tmp_path / f"host{ranks[0]}", 4, scheme="1d",
                 backend="socket", rendezvous=addr, local_ranks=ranks,
             )
 

@@ -23,11 +23,15 @@ from repro.distributed.checkpoint import (
     reshard_run,
     shard_key,
 )
-from repro.distributed.generator import GenerationPlan, generate_distributed
+from repro.distributed.generator import (
+    GenerationPlan,
+    KronPair,
+    generate_distributed,
+)
 from repro.distributed.supervisor import (
     SupervisorReport,
     canonical_edges,
-    generate_distributed_supervised,
+    generate_to_directory,
 )
 from repro.errors import (
     CheckpointCorruptionError,
@@ -39,7 +43,7 @@ from repro.telemetry import TelemetrySession
 from repro.util.hashing import edge_fingerprint
 
 #: The plan ``_supervised`` runs under (everything else at its default).
-PLAN = GenerationPlan(storage="source_block")
+PLAN = GenerationPlan(storage="source_block", source=KronPair(clique(3), cycle(4)))
 
 
 @pytest.fixture
@@ -48,10 +52,11 @@ def factors():
 
 
 def _supervised(factors, nranks, tmp_path, **kw):
-    a, b = factors
-    return generate_distributed_supervised(
-        a, b, nranks, storage="source_block", checkpoint_dir=tmp_path, **kw
+    """The persisted run read back: ``(product, manifest)``."""
+    manifest = generate_to_directory(
+        KronPair(*factors), tmp_path, nranks, storage="source_block", **kw
     )
+    return CheckpointStore(tmp_path).load_run(manifest), manifest
 
 
 class TestElasticResume:
@@ -61,24 +66,24 @@ class TestElasticResume:
     ):
         el_ref, _ = _supervised(factors, r_from, tmp_path)
         tel = TelemetrySession()
-        el, outputs = _supervised(factors, r_to, tmp_path, telemetry=tel)
+        el, manifest = _supervised(factors, r_to, tmp_path, telemetry=tel)
         np.testing.assert_array_equal(
             canonical_edges(el.edges), canonical_edges(el_ref.edges)
         )
         # Everything came out of resharded checkpoints: zero generation.
-        assert len(outputs) == r_to
-        assert all(o.generated == 0 for o in outputs)
+        assert manifest.nranks == r_to
         counters = tel.aggregated_metrics().get("counters", {})
+        assert counters.get("edges.generated", 0) == 0
         assert counters.get("edges.restored", 0) == len(el.edges)
 
     def test_reshard_run_direct_round_trip(self, factors, tmp_path):
         a, b = factors
         _supervised(factors, 4, tmp_path)
         store = CheckpointStore(tmp_path)
-        family = generation_family_key(a, b, PLAN)
+        family = generation_family_key(PLAN)
         manifests = [m for m in store.manifests() if m.family == family]
         assert len(manifests) == 1 and manifests[0].nranks == 4
-        new_key = generation_run_key(a, b, 2, PLAN)
+        new_key = generation_run_key(PLAN, 2)
         resharded = reshard_run(
             store, manifests[0], new_key=new_key, new_ranks=2
         )
@@ -101,8 +106,9 @@ class TestElasticResume:
     ):
         # No prior run at all: elastic hook is a no-op, generation runs.
         tel = TelemetrySession()
-        el, outputs = _supervised(factors, 3, tmp_path, telemetry=tel)
-        assert sum(o.generated for o in outputs) == len(el.edges)
+        el, _ = _supervised(factors, 3, tmp_path, telemetry=tel)
+        counters = tel.aggregated_metrics().get("counters", {})
+        assert counters.get("edges.generated", 0) == len(el.edges)
 
 
 class TestCheckpointCorruption:
@@ -141,7 +147,7 @@ class TestCheckpointCorruption:
         a, b = factors
         el_ref, _ = _supervised(factors, 3, tmp_path)
         store = CheckpointStore(tmp_path)
-        run_key = generation_run_key(a, b, 3, PLAN)
+        run_key = generation_run_key(PLAN, 3)
         path = store._path(f"{run_key}.rank00001")
         assert path.exists()
         path.write_bytes(path.read_bytes()[:-32])
@@ -159,7 +165,7 @@ class TestCheckpointCorruption:
         a, b = factors
         _supervised(factors, 3, tmp_path)
         store = CheckpointStore(tmp_path)
-        run_key = generation_run_key(a, b, 3, PLAN)
+        run_key = generation_run_key(PLAN, 3)
         manifest = store.get_manifest(run_key)
         assert manifest is not None
         # Rewrite one shard after the manifest: digests no longer agree.
@@ -179,7 +185,7 @@ class TestCheckpointCorruption:
         el_ref, _ = generate_distributed(a, b, 2, storage="source_block")
         _supervised(factors, 3, tmp_path)
         store = CheckpointStore(tmp_path)
-        run_key = generation_run_key(a, b, 3, PLAN)
+        run_key = generation_run_key(PLAN, 3)
         store.put(
             f"{run_key}.rank00002", np.array([[9, 9]], dtype=np.int64)
         )
@@ -195,7 +201,7 @@ class TestCheckpointCorruption:
         a, b = factors
         _supervised(factors, 3, tmp_path)
         store = CheckpointStore(tmp_path)
-        run_key = generation_run_key(a, b, 3, PLAN)
+        run_key = generation_run_key(PLAN, 3)
         manifest = store.get_manifest(run_key)
         forged = dataclasses.replace(
             manifest, union_digest=manifest.union_digest ^ 1

@@ -14,6 +14,7 @@ import pytest
 import repro.distributed.generator as generator
 from repro.distributed import (
     GenerationPlan,
+    KronPair,
     RankOutput,
     bucket_edges,
     exchange_edges,
@@ -30,20 +31,25 @@ from repro.errors import PartitionError, RankFailedError
 from repro.graph import EdgeList
 from repro.graph.generators import clique, cycle
 from repro.kronecker import kron_product
-from repro.skg.distributed import generate_skg_distributed
+from repro.skg.distributed import (
+    generate_skg_distributed,
+    skg_candidate_factors,
+)
 from repro.skg.model import SKGSpec
+from repro.skg.sample import SKGAcceptor, skg_sample_edges
 
 SPEC = SKGSpec.from_library("polblogs", k=6, skg_seed=3)
+PAIR = KronPair(clique(3), cycle(4))
 
 #: One alternative value per plan field, valid next to BASE's others.
-BASE = GenerationPlan(scheme="1d-pipelined", storage="source_block")
+BASE = GenerationPlan(scheme="1d-pipelined", storage="source_block", source=PAIR)
 ALTERNATIVES = {
     "scheme": "1d",
     "storage": "edge_hash",
     "chunk_size": 12345,
     "pipeline": "async",
     "wire": "varint",
-    "skg": SPEC,
+    "source": SPEC,
 }
 
 
@@ -58,12 +64,13 @@ class TestValidation:
             ({"wire": "zstd"}, "unknown wire format 'zstd'; use one of"),
             ({"pipeline": "async"}, "requires scheme='1d-pipelined'"),
             ({"scheme": "2d", "pipeline": "async"}, "nothing to overlap"),
-            ({"skg": "polblogs"}, "must be an SKGSpec, got str"),
+            ({"source": "polblogs"},
+             "must be a KronPair or an SKGSpec, got str"),
         ],
     )
     def test_rejected_once_with_partition_error(self, kwargs, match):
         with pytest.raises(PartitionError, match=match):
-            GenerationPlan(**kwargs)
+            GenerationPlan(**{"source": PAIR, **kwargs})
 
     @pytest.mark.parametrize("chunk_size", [0, -1, 1.5, True, "64", None])
     @pytest.mark.parametrize(
@@ -78,7 +85,7 @@ class TestValidation:
         with pytest.raises(
             PartitionError, match="chunk_size must be an int >= 1, got"
         ):
-            GenerationPlan(chunk_size=chunk_size, **shape)
+            GenerationPlan(chunk_size=chunk_size, **shape, source=PAIR)
 
     def test_bad_chunk_size_never_reaches_a_rank(self, capsys):
         """Rejected where the plan is built: no world is spawned (so a
@@ -96,7 +103,7 @@ class TestValidation:
                     a, b, 2, storage="edge_hash", chunk_size=chunk_size,
                     runner=runner,
                 )
-        assert GenerationPlan(chunk_size=1).chunk_size == 1
+        assert GenerationPlan(chunk_size=1, source=PAIR).chunk_size == 1
         assert main(["trace", "--chunk-size", "0", "--out", "unused.json"]) == 2
         assert "chunk_size must be an int >= 1, got 0" in capsys.readouterr().err
 
@@ -104,12 +111,12 @@ class TestValidation:
         a, b = clique(3), cycle(4)
         with pytest.raises(PartitionError, match="unknown scheme"):
             generate_distributed(a, b, 2, scheme="3d")
-        with pytest.raises(PartitionError, match="candidate space"):
-            generate_distributed(a, b, 2, skg=SPEC)
+        with pytest.raises(PartitionError, match="unknown scheme"):
+            generate_skg_distributed(SPEC, 2, scheme="3d")
 
     def test_removed_axes_are_gone(self):
         a, b = clique(3), cycle(4)
-        for removed in ("routing", "model"):
+        for removed in ("routing", "model", "skg"):
             with pytest.raises(TypeError):
                 generate_distributed(a, b, 2, **{removed: "x"})
 
@@ -129,7 +136,7 @@ class TestDerivedAnswers:
     def test_storage_exchange_and_shard_mode(
         self, scheme, storage, effective, mode
     ):
-        plan = GenerationPlan(scheme, storage)
+        plan = GenerationPlan(scheme, storage, source=PAIR)
         assert plan.effective_storage == effective
         assert plan.exchanges == (effective is not None)
         assert plan.shard_mode == mode
@@ -156,8 +163,8 @@ class TestRankProgram:
     @pytest.mark.parametrize("scheme", ["1d", "2d"])
     def test_no_storage_means_no_collective(self, scheme):
         a, b = clique(4), cycle(5)
-        plan = GenerationPlan(scheme)
-        cells = plan.partition(a, b, 3)
+        plan = GenerationPlan(scheme, source=KronPair(a, b))
+        cells = plan.partition(3)
         blocks = [
             generate_rank(_NoComm(rank), plan, cells).edges
             for rank in range(3)
@@ -193,45 +200,73 @@ class TestRunKeysByConstruction:
 
     @pytest.mark.parametrize("field", sorted(ALTERNATIVES))
     def test_every_field_changes_run_and_family_key(self, field):
-        a, b = clique(3), cycle(4)
         other = dataclasses.replace(BASE, **{field: ALTERNATIVES[field]})
         assert other != BASE
-        assert generation_run_key(a, b, 4, other) != generation_run_key(
-            a, b, 4, BASE
-        )
-        assert generation_family_key(a, b, other) != generation_family_key(
-            a, b, BASE
-        )
+        assert generation_run_key(other, 4) != generation_run_key(BASE, 4)
+        assert generation_family_key(other) != generation_family_key(BASE)
 
     def test_nranks_changes_run_key_but_not_family(self):
-        a, b = clique(3), cycle(4)
-        assert generation_run_key(a, b, 4, BASE) != generation_run_key(
-            a, b, 2, BASE
-        )
-        family = generation_family_key(a, b, BASE)
+        assert generation_run_key(BASE, 4) != generation_run_key(BASE, 2)
+        family = generation_family_key(BASE)
         for nranks in (2, 4):
-            key = generation_run_key(a, b, nranks, BASE)
+            key = generation_run_key(BASE, nranks)
             assert key.replace(f"-r{nranks}-", "-r*-") == family
 
     def test_factors_change_the_key(self):
-        assert generation_run_key(
-            clique(3), cycle(4), 4, BASE
-        ) != generation_run_key(clique(3), cycle(5), 4, BASE)
+        other = dataclasses.replace(BASE, source=KronPair(clique(3), cycle(5)))
+        assert generation_run_key(BASE, 4) != generation_run_key(other, 4)
 
     def test_skg_seed_separates_keys_and_exact_has_no_skg_token(self):
-        a, b = clique(3), cycle(4)
         specs = [
             SKGSpec.from_library("polblogs", k=6, skg_seed=seed)
             for seed in range(4)
         ]
         keys = {
-            generation_run_key(a, b, 4, dataclasses.replace(BASE, skg=s))
+            generation_run_key(dataclasses.replace(BASE, source=s), 4)
             for s in specs
         }
         assert len(keys) == len(specs)
         assert "skg" not in BASE.token()
-        assert "skg" not in generation_run_key(a, b, 4, BASE)
-        assert "skg" not in generation_family_key(a, b, BASE)
+        assert "skg" not in generation_run_key(BASE, 4)
+        assert "skg" not in generation_family_key(BASE)
+
+    def test_skg_keys_fold_the_spec_alone(self):
+        """An SKG key is the spec, the world size and the plan axes: equal
+        specs built apart share it, and no factor digest is in it."""
+        plan = dataclasses.replace(BASE, source=SPEC)
+        twin = dataclasses.replace(
+            BASE, source=SKGSpec.from_library("polblogs", k=6, skg_seed=3)
+        )
+        assert generation_run_key(plan, 4) == generation_run_key(twin, 4) == (
+            f"gen-skg-{SPEC.digest():016x}-r4-{BASE.token()}"
+        )
+
+    @pytest.mark.parametrize(
+        "plan,run_key",
+        [
+            (
+                GenerationPlan("1d", "source_block", source=PAIR),
+                "gen-cba76e0e13324faf-ec8858c752a1e5b0-r2-scheme=1d-"
+                "storage=source_block-chunk_size=1048576-pipeline=sync-"
+                "wire=raw",
+            ),
+            (
+                GenerationPlan(
+                    "1d-pipelined", "edge_hash", pipeline="async",
+                    wire="varint", source=PAIR,
+                ),
+                "gen-cba76e0e13324faf-ec8858c752a1e5b0-r2-"
+                "scheme=1d-pipelined-storage=edge_hash-chunk_size=1048576-"
+                "pipeline=async-wire=varint",
+            ),
+        ],
+        ids=["1d-source_block", "1d-pipelined-async-varint-edge_hash"],
+    )
+    def test_exact_keys_are_pinned(self, plan, run_key):
+        """Literal ``clique(3) (x) cycle(4)`` keys written before a factor
+        pair became a source: old exact checkpoints keep resuming."""
+        assert generation_run_key(plan, 2) == run_key
+        assert generation_family_key(plan) == run_key.replace("-r2-", "-r*-")
 
 
 class TestLedgerDriverSurface:
@@ -290,3 +325,24 @@ class TestLedgerDriverSurface:
         exchange = inspect.signature(exchange_edges).parameters
         assert list(exchange) == ["comm", "outgoing", "wire"]
         assert exchange["wire"].kind is inspect.Parameter.KEYWORD_ONLY
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_skg_candidate_factors_cover_every_pair(self, k):
+        """The ledger re-enacts the candidate filter over this pair's
+        product: it must stay the complete ``4**k``-pair candidate space."""
+        a, b = skg_candidate_factors(k)
+        product = kron_product(a, b)
+        assert product.n == 1 << k
+        assert product.m_directed == 4**k
+        rows = product.edges[:, 0] * product.n + product.edges[:, 1]
+        assert len(np.unique(rows)) == 4**k
+
+    def test_skg_acceptor_and_oracle_exist(self):
+        spec = SKGSpec.from_library("polblogs", k=4, skg_seed=1)
+        acceptor = SKGAcceptor(spec)
+        candidates = kron_product(*skg_candidate_factors(spec.k)).edges
+        kept = acceptor.filter_edges(candidates)
+        assert acceptor.accepted == len(kept)
+        assert acceptor.accepted + acceptor.rejected == 4**spec.k
+        assert isinstance(skg_sample_edges(spec), EdgeList)
+

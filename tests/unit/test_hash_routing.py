@@ -15,6 +15,7 @@ import pytest
 
 from repro.distributed import (
     GenerationPlan,
+    KronPair,
     bucket_edges,
     edges_digest,
     generate_distributed,
@@ -22,7 +23,7 @@ from repro.distributed import (
 from repro.graph import EdgeList
 from repro.graph.generators import clique, cycle, erdos_renyi
 from repro.kronecker.product import iter_kron_product, kron_product
-from repro.skg.distributed import generate_skg_distributed, skg_candidate_factors
+from repro.skg.distributed import generate_skg_distributed
 from repro.skg.model import SKGSpec
 from repro.skg.sample import skg_sampler
 from repro.telemetry import TelemetrySession
@@ -37,7 +38,7 @@ def _stack(blocks):
     return np.vstack([_EMPTY, *blocks])
 
 
-def expected_stored(a, b, nranks, scheme, chunk, spec=None):
+def expected_stored(source, nranks, scheme, chunk):
     """Per-rank stored blocks, spelled the whole-product way.
 
     One round holds everything a rank generates (its cells in order, the
@@ -47,13 +48,12 @@ def expected_stored(a, b, nranks, scheme, chunk, spec=None):
     ``bucket_edges`` and rank ``d`` stores, round after round, bucket
     ``d`` of ranks ``0..P-1`` in that order.
     """
-    plan = GenerationPlan(scheme, "edge_hash", chunk, skg=spec)
-    n_c = a.n * b.n
+    plan = GenerationPlan(scheme, "edge_hash", chunk, source=source)
 
     per_rank_rounds = []
-    for cells in plan.partition(a, b, nranks):
-        if spec is not None:
-            sampler = skg_sampler(spec)
+    for cells in plan.partition(nranks):
+        if isinstance(source, SKGSpec):
+            sampler = skg_sampler(source)
             blocks = [sampler.sample(start, stop) for start, stop in cells]
         elif plan.streams:
             blocks = [
@@ -71,7 +71,7 @@ def expected_stored(a, b, nranks, scheme, chunk, spec=None):
         for rounds in per_rank_rounds:
             if rnd < len(rounds):
                 buckets = bucket_edges(
-                    rounds[rnd], nranks, scheme="edge_hash", n=n_c
+                    rounds[rnd], nranks, scheme="edge_hash", n=source.n
                 )
                 for d in range(nranks):
                     stored[d].append(buckets[d])
@@ -92,7 +92,9 @@ class TestRowOrderIsPinned:
             self.A, self.B, nranks,
             scheme=scheme, storage="edge_hash", chunk_size=chunk,
         )
-        expect = expected_stored(self.A, self.B, nranks, scheme, chunk)
+        expect = expected_stored(
+            KronPair(self.A, self.B), nranks, scheme, chunk
+        )
         for out, rows in zip(outs, expect):
             assert np.array_equal(out.edges, rows), (out.rank, scheme, chunk)
 
@@ -100,13 +102,15 @@ class TestRowOrderIsPinned:
     @pytest.mark.parametrize("chunk", [1, 7, "m_b-1", "m_b", 1 << 20])
     @pytest.mark.parametrize("nranks", [1, 2, 3, 5])
     def test_skg(self, scheme, chunk, nranks):
-        a, b = skg_candidate_factors(SMALL_SPEC.k)
         if isinstance(chunk, str):
-            chunk = b.m_directed - (chunk == "m_b-1")
+            # The row count of the spec's old stand-in factor B,
+            # complete with loops on 2**(k - k // 2) vertices.
+            m_b = 4 ** (SMALL_SPEC.k - SMALL_SPEC.k // 2)
+            chunk = m_b - (chunk == "m_b-1")
         _, outs = generate_skg_distributed(
             SMALL_SPEC, nranks, scheme=scheme, storage="edge_hash", chunk_size=chunk,
         )
-        expect = expected_stored(a, b, nranks, scheme, chunk, SMALL_SPEC)
+        expect = expected_stored(SMALL_SPEC, nranks, scheme, chunk)
         assert sum(len(rows) for rows in expect) > 0
         for out, rows in zip(outs, expect):
             assert np.array_equal(out.edges, rows), (out.rank, scheme, chunk)
@@ -158,8 +162,8 @@ class TestRouteSpans:
             a, b, 2, scheme="2d", storage="edge_hash", chunk_size=chunk,
             telemetry=session,
         )
-        plan = GenerationPlan("2d", "edge_hash", chunk)
-        for snap, cells in zip(session.ranks, plan.partition(a, b, 2)):
+        plan = GenerationPlan("2d", "edge_hash", chunk, source=KronPair(a, b))
+        for snap, cells in zip(session.ranks, plan.partition(2)):
             spans = [e for e in snap.events if e.ph == "X"]
             routes = [e for e in spans if e.name == "route"]
             (generate,) = [e for e in spans if e.name == "generate"]

@@ -23,7 +23,11 @@ from repro.distributed.checkpoint import (
     generation_run_key,
     shard_key,
 )
-from repro.distributed.generator import GenerationPlan, generate_distributed
+from repro.distributed.generator import (
+    GenerationPlan,
+    KronPair,
+    generate_distributed,
+)
 from repro.distributed.supervisor import canonical_edges, generate_to_directory
 from repro.graph import EdgeList, erdos_renyi
 from repro.graph.generators import clique, cycle
@@ -154,7 +158,7 @@ class TestCheckpointCompatibility:
 
         def generate():
             return generate_to_directory(
-                a, b, tmp_path, 3, storage="source_block"
+                KronPair(a, b), tmp_path, 3, storage="source_block"
             )
 
         def mtimes():
@@ -168,7 +172,7 @@ class TestCheckpointCompatibility:
         again = generate()
         assert again == first  # same run key, shard digests, union
         assert again.run_key == generation_run_key(
-            a, b, 3, GenerationPlan(storage="source_block")
+            GenerationPlan(storage="source_block", source=KronPair(a, b)), 3
         )
         # Resumed, not regenerated: no shard was rewritten.
         assert mtimes() == before
@@ -183,18 +187,18 @@ class TestCheckpointCompatibility:
         store = CheckpointStore(tmp_path / "mixed")
         fresh = CheckpointStore(tmp_path / "fresh")
         source = generate_to_directory(
-            a, b, store.directory, 4, storage="source_block"
+            KronPair(a, b), store.directory, 4, storage="source_block"
         )
         for rank in (0, 2):
             _rewrite_as_int64(store, shard_key(source.run_key, rank))
         widths = {s.edges.dtype for s in _shards(store, source)}
         assert widths == {np.dtype(np.int32), np.dtype(np.int64)}
         resumed = generate_to_directory(
-            a, b, store.directory, 2, storage="source_block"
+            KronPair(a, b), store.directory, 2, storage="source_block"
         )
         # The same 2-rank run written from scratch, shard for shard.
         direct = generate_to_directory(
-            a, b, fresh.directory, 2, storage="source_block"
+            KronPair(a, b), fresh.directory, 2, storage="source_block"
         )
         assert (
             resumed.union_digest == direct.union_digest == source.union_digest
@@ -212,7 +216,8 @@ class TestCheckpointCompatibility:
         # The shape of the ledger's 1-D workloads: 3.9e6 product edges.
         a, b = erdos_renyi(100, 0.2, seed=1), erdos_renyi(100, 0.2, seed=2)
         manifest = generate_to_directory(
-            a, b, tmp_path, 2, storage="source_block", backend="process"
+            KronPair(a, b), tmp_path, 2, storage="source_block",
+            backend="process",
         )
         store = CheckpointStore(tmp_path)
         narrow_bytes = wide_bytes = 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.distributed import GenerationPlan, generate_distributed
+from repro.distributed import GenerationPlan, KronPair, generate_distributed
 from repro.distributed.checkpoint import generation_run_key
 from repro.errors import PartitionError
 from repro.graph import cycle, erdos_renyi
@@ -150,11 +150,13 @@ class TestAsyncPipeline:
             )
 
     def test_run_key_distinguishes_pipeline_and_wire(self, factors):
-        a, b = factors
         keys = {
             generation_run_key(
-                a, b, 4,
-                GenerationPlan("1d-pipelined", pipeline=p, wire=w),
+                GenerationPlan(
+                    "1d-pipelined", pipeline=p, wire=w,
+                    source=KronPair(*factors),
+                ),
+                4,
             )
             for p in ("sync", "async")
             for w in ("raw", "varint")

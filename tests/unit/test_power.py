@@ -13,7 +13,7 @@ from repro.analytics import (
     vertex_triangles,
 )
 from repro.analytics.communities import community_stats
-from repro.errors import GraphFormatError
+from repro.errors import GraphFormatError, VertexRangeError
 from repro.graph import CSRGraph, EdgeList, clique, cycle, erdos_renyi, path
 from repro.groundtruth.power import (
     closeness_many_histogram,
@@ -118,6 +118,21 @@ class TestLazyPowerGraph:
         assert np.array_equal(kg.degrees(), degrees(dense))
         ps = np.arange(dense.n)
         assert np.array_equal(kg.degree(ps), degrees(dense))
+
+    @pytest.mark.parametrize("bad", [-1, 12])
+    def test_out_of_range_ids_are_refused(self, bad):
+        """``clique(3) (x) cycle(4)`` has n = 12: ``-1`` used to alias
+        onto vertex 11 (degree 4) and ``12`` to raise a bare IndexError."""
+        kg = KroneckerPowerGraph([clique(3), cycle(4)])
+        assert kg.n == 12 and int(kg.degree(11)) == 4
+        with pytest.raises(VertexRangeError, match="outside 0..11"):
+            kg.degree(bad)
+        with pytest.raises(VertexRangeError):
+            kg.degree(np.array([0, bad]))
+        with pytest.raises(VertexRangeError):
+            kg.has_edge(bad, 0)
+        with pytest.raises(VertexRangeError):
+            kg.has_edge(0, bad)
 
     def test_self_loop_count(self):
         factors = [cycle(3).with_full_self_loops(), path(3).with_full_self_loops()]

@@ -22,13 +22,18 @@ from repro.distributed.checkpoint import (
     generation_run_key,
 )
 from repro.distributed.faults import FaultPlan
-from repro.distributed.generator import GenerationPlan
+from repro.distributed.generator import GenerationPlan, KronPair
 from repro.distributed.shuffle import bucket_edges
-from repro.distributed.supervisor import SupervisorReport, canonical_edges
+from repro.distributed.supervisor import (
+    SupervisorReport,
+    canonical_edges,
+    generate_to_directory,
+    run_chaos_matrix,
+)
 from repro.errors import PartitionError, ReproError
+from repro.graph.generators import clique, cycle
 from repro.skg.distributed import (
     generate_skg_distributed,
-    generate_skg_supervised,
     skg_candidate_factors,
 )
 from repro.skg.model import SKGSpec
@@ -142,8 +147,8 @@ class TestSamplerLayout:
         spec, chunk = self.BALANCE_SPEC, 2000
         sampler = skg_sampler(spec)
         per_rank = GenerationPlan(
-            "1d-pipelined", skg=spec, chunk_size=chunk
-        ).partition(*skg_candidate_factors(spec.k), 3)
+            "1d-pipelined", chunk_size=chunk, source=spec
+        ).partition(3)
         tel = TelemetrySession()
         el, _ = generate_skg_distributed(
             spec, 3, scheme="1d-pipelined", chunk_size=chunk, telemetry=tel
@@ -170,14 +175,19 @@ class TestSamplerLayout:
 
 
 class TestSamplerBound:
-    def test_plan_rejects_k_above_the_bound(self):
+    def test_plan_rejects_k_above_the_bound(self, tmp_path):
+        """Refused when the plan is partitioned, before the sampler
+        allocates anything and before any rank or shard exists."""
         big = SKGSpec.from_library("polblogs", k=SKG_MAX_K + 1)
         assert SKG_MAX_K >= 22
         with pytest.raises(PartitionError, match=f"k <= {SKG_MAX_K}"):
-            GenerationPlan(skg=big)
+            GenerationPlan(source=big).partition(2)
         with pytest.raises(PartitionError, match="sampler's bound"):
             generate_skg_distributed(big, 2)
-        GenerationPlan(skg=SKGSpec.from_library("polblogs", k=SKG_MAX_K))
+        with pytest.raises(PartitionError, match="sampler's bound"):
+            generate_to_directory(big, tmp_path, 2)
+        assert not any(tmp_path.iterdir())
+        GenerationPlan(source=SKGSpec.from_library("polblogs", k=SKG_MAX_K))
 
     def test_closed_form_queries_stay_valid_above_the_bound(self):
         from repro.skg.expected import expected_edge_rows
@@ -188,71 +198,141 @@ class TestSamplerBound:
 
 class TestRunKeys:
     def test_digest_folds_into_run_and_family_keys(self):
-        a, b = skg_candidate_factors(SPEC.k)
-        exact = GenerationPlan(storage="source_block")
+        exact = GenerationPlan(
+            storage="source_block", source=KronPair(clique(3), cycle(4))
+        )
         keys = {
-            generation_run_key(a, b, 4, plan)
+            generation_run_key(plan, 4)
             for plan in (
                 exact,
-                GenerationPlan(storage="source_block", skg=SPEC),
+                GenerationPlan(storage="source_block", source=SPEC),
                 GenerationPlan(
                     storage="source_block",
-                    skg=SKGSpec.from_library("polblogs", k=6, skg_seed=4),
+                    source=SKGSpec.from_library("polblogs", k=6, skg_seed=4),
                 ),
             )
         }
         assert len(keys) == 3
-        skg = GenerationPlan(storage="source_block", skg=SPEC)
-        assert f"{SPEC.digest():016x}" in generation_run_key(a, b, 4, skg)
-        assert f"{SPEC.digest():016x}" in generation_family_key(a, b, skg)
-        assert "skg" not in generation_run_key(a, b, 4, exact)
+        skg = GenerationPlan(storage="source_block", source=SPEC)
+        assert f"{SPEC.digest():016x}" in generation_run_key(skg, 4)
+        assert f"{SPEC.digest():016x}" in generation_family_key(skg)
+        assert "skg" not in generation_run_key(exact, 4)
 
     def test_skg_model_requires_spec(self):
-        with pytest.raises(ReproError, match="must be an SKGSpec"):
-            GenerationPlan(skg="polblogs")
+        with pytest.raises(ReproError, match="must be a KronPair or an SKGSpec"):
+            GenerationPlan(source="polblogs")
+
+
+def persisted(spec, nranks, directory, **kwargs):
+    """``generate_to_directory`` of ``spec``, read back whole, plus its
+    aggregated telemetry counters."""
+    tel = TelemetrySession()
+    manifest = generate_to_directory(
+        spec, directory, nranks, telemetry=tel, **kwargs
+    )
+    el = CheckpointStore(directory).load_run(manifest)
+    return el, tel.aggregated_metrics().get("counters", {})
 
 
 class TestSupervisedAndElastic:
     def test_crash_retry_recovers_bit_identical(self, oracle, tmp_path):
         rep = SupervisorReport()
-        el, _ = generate_skg_supervised(
-            SPEC, 3, storage="edge_hash",
+        el, _ = persisted(
+            SPEC, 3, tmp_path, storage="edge_hash",
             fault_plan=FaultPlan(name="crash", crash_rank=1, crash_at=0),
-            checkpoint_dir=tmp_path,
             report=rep,
         )
         check(el, oracle)
         assert rep.attempts >= 2
 
     def test_elastic_reshard_4_to_2(self, oracle, tmp_path):
-        el_ref, _ = generate_skg_supervised(
-            SPEC, 4, storage="source_block", checkpoint_dir=tmp_path
-        )
+        el_ref, _ = persisted(SPEC, 4, tmp_path, storage="source_block")
         check(el_ref, oracle)
-        tel = TelemetrySession()
-        el, outputs = generate_skg_supervised(
-            SPEC, 2, storage="source_block", checkpoint_dir=tmp_path,
-            telemetry=tel,
-        )
+        el, counters = persisted(SPEC, 2, tmp_path, storage="source_block")
         check(el, oracle)
-        assert len(outputs) == 2
-        assert all(o.generated == 0 for o in outputs), \
+        assert len(CheckpointStore(tmp_path).manifests()) == 2
+        assert counters.get("edges.generated", 0) == 0, \
             "resumed shards must not regenerate"
-        counters = tel.aggregated_metrics().get("counters", {})
         assert counters.get("edges.restored", 0) == len(el.edges)
 
     def test_different_spec_never_consumes_foreign_checkpoints(
         self, tmp_path
     ):
-        generate_skg_supervised(
-            SPEC, 4, storage="source_block", checkpoint_dir=tmp_path
-        )
+        persisted(SPEC, 4, tmp_path, storage="source_block")
         other = SKGSpec.from_library("polblogs", k=6, skg_seed=99)
-        el, outputs = generate_skg_supervised(
-            other, 4, storage="source_block", checkpoint_dir=tmp_path
-        )
-        assert sum(o.generated for o in outputs) == len(el.edges), \
+        el, counters = persisted(other, 4, tmp_path, storage="source_block")
+        assert counters.get("edges.generated", 0) == len(el.edges), \
             "a different spec digest must regenerate, not resume"
+
+
+class TestNoFactorPair:
+    """An SKG run names its vertex set and run key by the spec alone: with
+    every binding of the stand-in factor builders made to raise, each
+    driver still runs and stores exactly the serial oracle."""
+
+    SMALL = SKGSpec.from_library("polblogs", k=5, skg_seed=2)
+
+    @pytest.fixture(autouse=True)
+    def no_factor_builders(self, monkeypatch):
+        import sys
+
+        def boom(*args, **kwargs):
+            raise AssertionError("an SKG run built a factor pair")
+
+        for name in ("skg_candidate_factors", "complete_with_loops"):
+            for module in list(sys.modules.values()):
+                if callable(getattr(module, name, None)):
+                    monkeypatch.setattr(module, name, boom)
+
+    @pytest.fixture
+    def small_oracle(self):
+        return canonical_edges(skg_sample_edges(self.SMALL).edges)
+
+    @staticmethod
+    def stored(directory):
+        store = CheckpointStore(directory)
+        (manifest,) = store.manifests()
+        return canonical_edges(store.load_run(manifest).edges)
+
+    def test_in_memory(self, small_oracle):
+        el, _ = generate_skg_distributed(self.SMALL, 2)
+        check(el, small_oracle)
+
+    def test_persisted(self, small_oracle, tmp_path):
+        generate_to_directory(self.SMALL, tmp_path, 2)
+        np.testing.assert_array_equal(self.stored(tmp_path), small_oracle)
+
+    def test_chaos_harness(self, small_oracle, tmp_path):
+        report = run_chaos_matrix(
+            self.SMALL, 2, backends=("thread",), checkpoint_root=tmp_path,
+            plans=[FaultPlan(name="crash", crash_rank=1, crash_at=0)],
+        )
+        assert report.all_recovered, report.to_text()
+        (cell,) = tmp_path.iterdir()
+        np.testing.assert_array_equal(self.stored(cell), small_oracle)
+
+    def test_cli_generate(self, small_oracle, tmp_path):
+        assert main([
+            "generate", "--model", "skg", "--seed-matrix", "polblogs",
+            "--skg-k", "5", "--skg-seed", "2", "--ranks", "2",
+            "--out", str(tmp_path),
+        ]) == 0
+        np.testing.assert_array_equal(self.stored(tmp_path), small_oracle)
+
+    def test_cli_chaos(self, small_oracle, tmp_path, monkeypatch):
+        import repro.distributed.faults as faults
+
+        monkeypatch.setattr(
+            faults, "default_fault_matrix",
+            lambda **_: [FaultPlan(name="crash", crash_rank=0, crash_at=0)],
+        )
+        assert main([
+            "chaos", "--model", "skg", "--seed-matrix", "polblogs",
+            "--skg-k", "5", "--skg-seed", "2", "--ranks", "2",
+            "--backends", "thread", "--checkpoint-root", str(tmp_path),
+        ]) == 0
+        (cell,) = tmp_path.iterdir()
+        np.testing.assert_array_equal(self.stored(cell), small_oracle)
 
 
 class TestCli:
@@ -279,14 +359,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "polblogs" in out and "facebook" in out
 
-    def test_skg_rejects_positional_factors(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command", [["generate", "--out", "s"], ["chaos"]],
+        ids=["generate", "chaos"],
+    )
+    def test_skg_rejects_positional_factors(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        """Both subcommands refuse factor files next to ``--model skg``,
+        with one message, before reading them or running anything."""
+        monkeypatch.chdir(tmp_path)
         # The CLI turns ReproError into exit code 2 + stderr message.
         code = main([
-            "generate", "a.txt", "b.txt", "--model", "skg",
-            "--out", str(tmp_path / "s"),
+            *command, "a.txt", "b.txt", "--model", "skg",
+            "--seed-matrix", "polblogs", "--skg-k", "4",
         ])
         assert code == 2
-        assert "candidate factors" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: --model skg samples the seed matrix's 2**k " \
+            "vertices; do not pass factor files" in err
+        assert not (tmp_path / "s").exists()
 
 
 class TestServiceSkgRoutes:

@@ -25,13 +25,14 @@ from repro.distributed.checkpoint import (
 from repro.distributed.faults import FaultPlan
 from repro.distributed.generator import (
     GenerationPlan,
+    KronPair,
     RankOutput,
     generate_distributed,
 )
 from repro.distributed.supervisor import (
     SupervisorReport,
     canonical_edges,
-    generate_distributed_supervised,
+    generate_to_directory,
     spmd_run_supervised,
 )
 from repro.errors import (
@@ -288,11 +289,13 @@ class TestCheckpointing:
             spmd_run_supervised(allsum, 2, shard_mode="independent")
 
     def test_run_key_separates_configurations(self):
-        a, b = clique(3), cycle(4)
-        plan = GenerationPlan(storage="source_block", chunk_size=100)
-        k1 = generation_run_key(a, b, 4, plan)
-        k2 = generation_run_key(a, b, 4, replace(plan, storage="edge_hash"))
-        k3 = generation_run_key(a, b, 2, plan)
+        plan = GenerationPlan(
+            storage="source_block", chunk_size=100,
+            source=KronPair(clique(3), cycle(4)),
+        )
+        k1 = generation_run_key(plan, 4)
+        k2 = generation_run_key(replace(plan, storage="edge_hash"), 4)
+        k3 = generation_run_key(plan, 2)
         assert len({k1, k2, k3}) == 3
 
 
@@ -302,23 +305,20 @@ class TestSupervisedGeneration:
         ref, _ = generate_distributed(a, b, 4, storage="source_block")
         plan = FaultPlan(seed=9, crash_rank=2, crash_at=1)
         rep = SupervisorReport()
-        el, _ = generate_distributed_supervised(
-            a, b, 4, storage="source_block", checkpoint_dir=tmp_path,
+        manifest = generate_to_directory(
+            KronPair(a, b), tmp_path, 4, storage="source_block",
             fault_plan=plan, report=rep,
         )
+        el = CheckpointStore(tmp_path).load_run(manifest)
         np.testing.assert_array_equal(
             canonical_edges(el.edges), canonical_edges(ref.edges)
         )
         assert rep.attempts == 2
 
     def test_fresh_rerun_reuses_checkpoints(self, tmp_path):
-        a, b = clique(3), cycle(4)
-        el1, _ = generate_distributed_supervised(
-            a, b, 4, checkpoint_dir=tmp_path
-        )
-        el2, _ = generate_distributed_supervised(
-            a, b, 4, checkpoint_dir=tmp_path
-        )
+        source, store = KronPair(clique(3), cycle(4)), CheckpointStore(tmp_path)
+        el1 = store.load_run(generate_to_directory(source, tmp_path, 4))
+        el2 = store.load_run(generate_to_directory(source, tmp_path, 4))
         np.testing.assert_array_equal(el1.edges, el2.edges)
         assert len(CheckpointStore(tmp_path).keys()) == 4
 
