@@ -1,9 +1,9 @@
 """Kernel microbenchmarks: the hot paths behind every experiment.
 
 Tracks the throughput of the library's innermost vectorized kernels --
-edge-block expansion, edge hashing, BFS, dedup normalization, streaming
-validation -- so regressions in the foundations show up before they distort
-the experiment-level benches.
+edge-block expansion, edge hashing, BFS, dedup normalization -- so
+regressions in the foundations show up before they distort the
+experiments' per-section seconds (``python -m repro.experiments.runner``).
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ from repro.kronecker.product import (
     kron_edge_block_routed,
 )
 from repro.util.hashing import edge_uniform
-from repro.validation.streaming import StreamingValidator
 
 #: World size used by the bucketing/routing microbenches.
 NPARTS = 8
@@ -150,16 +149,3 @@ def test_bench_dedup_normalization(benchmark, big_factor):
     el = benchmark(c.deduplicate)
     assert el.m_directed <= c.m_directed
 
-
-def test_bench_streaming_validation(benchmark, big_factor):
-    """Streaming-validator consumption rate."""
-    small = big_factor.induced_subgraph(np.arange(100))
-    chunks = list(iter_kron_product(small, small, 1 << 15))
-
-    def validate():
-        sv = StreamingValidator(small, small)
-        for blk in chunks:
-            sv.consume(blk)
-        return sv.passed
-
-    assert benchmark(validate)

@@ -25,7 +25,8 @@ See the subpackages:
 * :mod:`repro.groundtruth` -- the paper's Kronecker formulas
 * :mod:`repro.analytics` -- trusted direct algorithms (validation side)
 * :mod:`repro.distributed` -- communicators, partitioning, distributed generation
-* :mod:`repro.validation` -- formula-vs-direct harness
+* :mod:`repro.validation` -- the formula-vs-direct harness: one table of
+  Kronecker laws, the Section-I table among them
 * :mod:`repro.experiments` -- paper tables & figures (E1-E8)
 """
 
@@ -43,7 +44,7 @@ from repro.kronecker.lazy import KroneckerGraph
 from repro.kronecker.product import kron_product
 from repro.kronecker.operators import kron_with_full_loops
 from repro.distributed.generator import generate_distributed
-from repro.validation.harness import validate_product, validate_algorithm
+from repro.validation import validate_product, validate_algorithm
 
 __version__ = "1.0.0"
 

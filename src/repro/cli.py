@@ -8,8 +8,7 @@ Kronecker graph", plus ground-truth and validation commands::
     repro-kron generate    --model skg --seed-matrix facebook --out shards/
     repro-kron generate    --list-seed-matrices    # fitted SKG seed library
     repro-kron groundtruth A.txt B.txt            # stats table from factors
-    repro-kron validate    A.txt B.txt            # formula-vs-direct checks
-    repro-kron scaling-table A.txt B.txt          # the Section-I table
+    repro-kron validate    A.txt B.txt            # formula-vs-direct law table
     repro-kron experiments                        # full E1-E8 + ablations
     repro-kron lint src benchmarks examples       # SPMD static analysis
     repro-kron chaos --ranks 4 --seed 0           # seeded fault-injection matrix
@@ -222,26 +221,15 @@ def cmd_groundtruth(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    """Run the formula-vs-direct harness; exit 1 on any failure."""
+    """Run the formula-vs-direct harness; exit 1 on any failed row."""
     from repro.validation import validate_product
 
     a = _prepare(load_factor(args.factor_a), args).without_self_loops()
     b = _prepare(load_factor(args.factor_b), args).without_self_loops()
-    checks = args.checks.split(",") if args.checks else None
-    report = validate_product(a, b, checks=checks)
+    rows = args.checks.split(",") if args.checks else None
+    report = validate_product(a, b, rows=rows)
     print(report.to_text())
     return 0 if report.passed else 1
-
-
-def cmd_scaling_table(args: argparse.Namespace) -> int:
-    """Evaluate the Section-I scaling-law table on the two factors."""
-    from repro.groundtruth import evaluate_scaling_laws
-
-    a = _prepare(load_factor(args.factor_a), args).without_self_loops()
-    b = _prepare(load_factor(args.factor_b), args).without_self_loops()
-    report = evaluate_scaling_laws(a, b)
-    print(report.to_text())
-    return 0 if report.all_hold else 1
 
 
 def cmd_experiments(args: argparse.Namespace) -> int:
@@ -688,12 +676,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate", help="formula-vs-direct validation")
     _add_factor_args(v)
     v.add_argument("--checks", default=None,
-                   help="comma-separated subset of checks")
+                   help="comma-separated rows of repro.validation.ROWS "
+                        "(default: all)")
     v.set_defaults(func=cmd_validate)
-
-    s = sub.add_parser("scaling-table", help="Section-I scaling-law table")
-    _add_factor_args(s)
-    s.set_defaults(func=cmd_scaling_table)
 
     e = sub.add_parser("experiments", help="run E1-E8 + ablations")
     e.add_argument("--full", action="store_true",

@@ -1,12 +1,14 @@
 """Run every experiment and render an EXPERIMENTS-style report.
 
 ``run_all()`` executes E1-E8 at laptop scale and returns their result
-objects; ``render_report(results)`` produces the markdown recorded in
-EXPERIMENTS.md.  ``python -m repro.experiments.runner`` prints the report.
+objects with each one's wall seconds; ``render_report(results)`` produces
+the markdown recorded in EXPERIMENTS.md, one section per experiment headed
+by its seconds.  ``python -m repro.experiments.runner`` prints the report.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from repro.experiments.ablation_artifacts import run_ablation_artifacts
@@ -26,7 +28,8 @@ __all__ = ["ExperimentResults", "run_all", "render_report"]
 
 @dataclass
 class ExperimentResults:
-    """Bundle of all experiment outputs, keyed by DESIGN.md experiment id."""
+    """Bundle of all experiment outputs, keyed by DESIGN.md experiment id,
+    plus each experiment's wall seconds under the same keys."""
 
     e1_scaling_laws: object
     e2_gnutella_table: object
@@ -39,10 +42,11 @@ class ExperimentResults:
     a1_exploit: object
     a2_artifacts: object
     s1_skg_validation: object
+    seconds: dict[str, float]
 
 
 def run_all(*, fast: bool = True, seed: int = 20190814) -> ExperimentResults:
-    """Execute every experiment.
+    """Execute every experiment, timing each.
 
     ``fast=True`` uses the scaled-down defaults suited to CI; ``fast=False``
     grows the factors toward paper scale (minutes of runtime, ~GBs of RAM).
@@ -51,44 +55,59 @@ def run_all(*, fast: bool = True, seed: int = 20190814) -> ExperimentResults:
     fig2_block = 24 if fast else 120
     tri_sizes = (20, 40, 80) if fast else (40, 80, 160)
     closeness_sizes = (60, 120, 240) if fast else (120, 240, 480, 960)
-    return ExperimentResults(
-        e1_scaling_laws=run_table_scaling_laws(seed=seed),
-        e2_gnutella_table=run_table_gnutella(factor_n=400 if fast else 1200, seed=seed),
-        e3_fig1=run_fig1(factor_n=fig1_n, seed=seed),
-        e4_fig2=run_fig2(block_size=fig2_block, seed=seed),
-        e5_remark1=run_remark1(seed=seed),
-        e6_closeness=run_closeness_methods(closeness_sizes, seed=seed),
-        e7_triangles=run_sublinear_triangles(tri_sizes, seed=seed),
-        e8_rejection=run_rejection_family(seed=seed),
-        a1_exploit=run_ablation_exploit(factor_n=20 if fast else 40, seed=seed),
-        a2_artifacts=run_ablation_artifacts(
+    jobs = {
+        "e1_scaling_laws": lambda: run_table_scaling_laws(seed=seed),
+        "e2_gnutella_table": lambda: run_table_gnutella(
+            factor_n=400 if fast else 1200, seed=seed
+        ),
+        "e3_fig1": lambda: run_fig1(factor_n=fig1_n, seed=seed),
+        "e4_fig2": lambda: run_fig2(block_size=fig2_block, seed=seed),
+        "e5_remark1": lambda: run_remark1(seed=seed),
+        "e6_closeness": lambda: run_closeness_methods(closeness_sizes, seed=seed),
+        "e7_triangles": lambda: run_sublinear_triangles(tri_sizes, seed=seed),
+        "e8_rejection": lambda: run_rejection_family(seed=seed),
+        "a1_exploit": lambda: run_ablation_exploit(
+            factor_n=20 if fast else 40, seed=seed
+        ),
+        "a2_artifacts": lambda: run_ablation_artifacts(
             factor_n=80 if fast else 240, seed=seed
         ),
-        s1_skg_validation=run_skg_validation(
+        "s1_skg_validation": lambda: run_skg_validation(
             num_seeds=3 if fast else 8, seed=seed
         ),
-    )
+    }
+    out: dict[str, object] = {}
+    seconds: dict[str, float] = {}
+    for key, job in jobs.items():
+        start = time.perf_counter()
+        out[key] = job()
+        seconds[key] = time.perf_counter() - start
+    return ExperimentResults(**out, seconds=seconds)
 
 
 def render_report(results: ExperimentResults) -> str:
-    """Markdown report with one section per experiment."""
+    """Markdown report with one section per experiment, each headed by its
+    wall seconds."""
     sections = [
-        ("E1 - Section I scaling-law table", results.e1_scaling_laws),
-        ("E2 - Section III/V sizes table + SEQUOIA projection", results.e2_gnutella_table),
-        ("E3 - Fig. 1 eccentricity distributions", results.e3_fig1),
-        ("E4 - Fig. 2 community densities + Section VI-A table", results.e4_fig2),
-        ("E5 - Remark 1 scaling (1-D vs 2-D)", results.e5_remark1),
-        ("E6 - Section V-B closeness methods", results.e6_closeness),
-        ("E7 - Section IV sublinear triangle ground truth", results.e7_triangles),
-        ("E8 - Def. 8 rejection families", results.e8_rejection),
-        ("A1 - structure-exploit ablation (Section IV-C)", results.a1_exploit),
-        ("A2 - degree-artifact ablation (Section IV-C)", results.a2_artifacts),
+        ("E1 - Section I scaling-law table", "e1_scaling_laws"),
+        ("E2 - Section III/V sizes table + SEQUOIA projection", "e2_gnutella_table"),
+        ("E3 - Fig. 1 eccentricity distributions", "e3_fig1"),
+        ("E4 - Fig. 2 community densities + Section VI-A table", "e4_fig2"),
+        ("E5 - Remark 1 scaling (1-D vs 2-D)", "e5_remark1"),
+        ("E6 - Section V-B closeness methods", "e6_closeness"),
+        ("E7 - Section IV sublinear triangle ground truth", "e7_triangles"),
+        ("E8 - Def. 8 rejection families", "e8_rejection"),
+        ("A1 - structure-exploit ablation (Section IV-C)", "a1_exploit"),
+        ("A2 - degree-artifact ablation (Section IV-C)", "a2_artifacts"),
         ("S1 - stochastic-tier validation (DESIGN.md section 13)",
-         results.s1_skg_validation),
+         "s1_skg_validation"),
     ]
     parts = []
-    for title, obj in sections:
-        parts.append(f"## {title}\n\n```\n{obj.to_text()}\n```")
+    for title, key in sections:
+        text = getattr(results, key).to_text()
+        parts.append(
+            f"## {title} ({results.seconds[key]:.2f} s)\n\n```\n{text}\n```"
+        )
     return "\n\n".join(parts)
 
 

@@ -1,9 +1,9 @@
 """Experiment E1: the Section-I scaling-law table over a factor family.
 
-Evaluates :func:`repro.groundtruth.scaling_laws.evaluate_scaling_laws` on a
-battery of factor pairs spanning the structural regimes the individual
-theorems assume (dense, sparse, triangle-rich, triangle-free, block-
-structured), and aggregates the outcome: the paper's table should hold --
+Runs the :data:`repro.validation.PAPER_TABLE` rows of the formula-vs-direct
+harness on a battery of factor pairs spanning the structural regimes the
+individual theorems assume (dense, sparse, triangle-rich, triangle-free,
+block-structured), and aggregates the outcome: the paper's table should hold --
 every exact row exactly, every bound row as an inequality -- on all of them.
 """
 
@@ -18,7 +18,7 @@ from repro.graph.generators import (
     erdos_renyi,
     stochastic_block_model,
 )
-from repro.groundtruth.scaling_laws import ScalingLawReport, evaluate_scaling_laws
+from repro.validation import PAPER_TABLE, ValidationReport, validate_product
 
 __all__ = ["ScalingLawSweep", "run_table_scaling_laws", "default_factor_pairs"]
 
@@ -43,20 +43,20 @@ def default_factor_pairs(seed: int = 20190814):
 
 @dataclass
 class ScalingLawSweep:
-    """Per-pair reports for the E1 bench."""
+    """Per-pair reports of experiment E1."""
 
-    reports: list[tuple[str, ScalingLawReport]] = field(default_factory=list)
+    reports: list[tuple[str, ValidationReport]] = field(default_factory=list)
 
     @property
     def all_hold(self) -> bool:
         """``True`` iff every law held on every factor pair."""
-        return all(rep.all_hold for _n, rep in self.reports)
+        return all(rep.passed for _n, rep in self.reports)
 
     def to_text(self) -> str:
         """Concatenated tables, one per factor pair."""
         chunks = []
         for name, rep in self.reports:
-            status = "ALL HOLD" if rep.all_hold else f"FAILURES: {rep.failures()}"
+            status = "ALL HOLD" if rep.passed else "FAILURES"
             chunks.append(f"== {name} [{status}] ==\n{rep.to_text()}")
         return "\n\n".join(chunks)
 
@@ -66,5 +66,5 @@ def run_table_scaling_laws(pairs=None, seed: int = 20190814) -> ScalingLawSweep:
     pairs = pairs if pairs is not None else default_factor_pairs(seed)
     sweep = ScalingLawSweep()
     for name, a, b in pairs:
-        sweep.reports.append((name, evaluate_scaling_laws(a, b)))
+        sweep.reports.append((name, validate_product(a, b, rows=PAPER_TABLE)))
     return sweep

@@ -70,9 +70,13 @@ def edge_count_no_loops(m_a: int, m_b: int) -> int:
 def edge_count_full_loops(m_a: int, n_a: int, m_b: int, n_b: int) -> int:
     """Undirected non-loop edges of ``(A+I) (x) (B+I)``.
 
-    ``m_C = 2 m_A m_B + m_A n_B + n_A m_B`` -- see
-    :func:`repro.kronecker.operators.undirected_edge_count_with_loops` for
-    the derivation.
+    ``m_A``, ``m_B`` count the loop-free factors' undirected edges.  The
+    product's directed rows number ``(2 m_A + n_A)(2 m_B + n_B)``, of which
+    exactly ``n_A n_B`` are the product's self loops; halving the rest gives
+
+    .. math::
+
+        m_C = 2 m_A m_B + m_A n_B + n_A m_B.
     """
     return 2 * int(m_a) * int(m_b) + int(m_a) * int(n_b) + int(n_a) * int(m_b)
 

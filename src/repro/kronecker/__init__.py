@@ -16,7 +16,6 @@ from repro.kronecker.product import (
 )
 from repro.kronecker.operators import (
     kron_with_full_loops,
-    undirected_edge_count_with_loops,
     require_no_self_loops,
     require_full_self_loops,
     require_symmetric,
@@ -53,7 +52,6 @@ __all__ = [
     "kron_routed_full",
     "iter_kron_product_routed",
     "kron_with_full_loops",
-    "undirected_edge_count_with_loops",
     "require_no_self_loops",
     "require_full_self_loops",
     "require_symmetric",

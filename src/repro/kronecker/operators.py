@@ -22,7 +22,6 @@ __all__ = [
     "require_full_self_loops",
     "require_symmetric",
     "kron_with_full_loops",
-    "undirected_edge_count_with_loops",
 ]
 
 
@@ -58,22 +57,3 @@ def kron_with_full_loops(el_a: EdgeList, el_b: EdgeList) -> EdgeList:
     """
     return kron_product(el_a.with_full_self_loops(), el_b.with_full_self_loops())
 
-
-def undirected_edge_count_with_loops(el_a: EdgeList, el_b: EdgeList) -> int:
-    """Exact non-loop undirected edge count of ``(A+I) (x) (B+I)``.
-
-    Derivation: the product's directed rows number
-    ``(2 m_A + n_A)(2 m_B + n_B)``, of which exactly ``n_A n_B`` are the
-    product's self loops; halving the rest gives
-
-    .. math::
-
-        m_C = 2 m_A m_B + m_A n_B + n_A m_B.
-
-    Both inputs are interpreted as loop-free undirected factors
-    (loops stripped before counting).
-    """
-    a = el_a.without_self_loops()
-    b = el_b.without_self_loops()
-    m_a, m_b = a.num_undirected_edges, b.num_undirected_edges
-    return 2 * m_a * m_b + m_a * el_b.n + el_a.n * m_b

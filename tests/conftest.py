@@ -74,3 +74,17 @@ def random_connected_factor(n: int, seed: int):
         if g.n and is_connected(g):
             return g
     return clique(n)
+
+
+def drop_one_edge(build):
+    """A product builder that drops the first non-loop undirected edge of
+    ``build``'s output: a wrong product for the validation harness."""
+    from repro.graph import EdgeList
+
+    def wrong(el_a, el_b):
+        c = build(el_a, el_b)
+        u, v = next((u, v) for u, v in c.edges if u != v)
+        hit = ((c.src == u) & (c.dst == v)) | ((c.src == v) & (c.dst == u))
+        return EdgeList(c.edges[~hit], c.n)
+
+    return wrong

@@ -2,7 +2,10 @@
 
 import pytest
 
+import re
+
 from repro.experiments import render_report, run_all
+from repro.validation import PAPER_TABLE
 
 
 @pytest.fixture(scope="module")
@@ -42,3 +45,19 @@ class TestRunAll:
         report = render_report(results)
         assert "Cor. 4 exact at every vertex: True" in report
         assert "Thm. 6 exact at all 1089 product communities: True" in report
+
+    def test_e1_renders_the_paper_table_in_order(self, results):
+        for _name, rep in results.e1_scaling_laws.reports:
+            assert [r.name for r in rep.results] == list(PAPER_TABLE)
+        text = results.e1_scaling_laws.to_text()
+        for chunk in text.split("\n\n"):
+            rendered = re.findall(r"^\[(?:PASS|FAIL)\] (\w+)", chunk, re.M)
+            assert rendered == list(PAPER_TABLE)
+
+    def test_report_heads_each_section_with_its_seconds(self, results):
+        report = render_report(results)
+        headings = re.findall(r"^## .* \((\d+\.\d\d) s\)$", report, re.M)
+        assert len(headings) == 11
+        assert set(results.seconds) == {
+            name for name in vars(results) if name != "seconds"
+        }

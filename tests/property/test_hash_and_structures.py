@@ -51,7 +51,7 @@ edge_arrays = st.lists(
 
 
 class TestFingerprintProperties:
-    """The union identity run manifests and the streaming validator share."""
+    """The union identity run manifests rely on."""
 
     @given(edges=edge_arrays, seed=st.integers(0, 2**31))
     def test_permutation_invariant(self, edges, seed):

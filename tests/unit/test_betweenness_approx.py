@@ -142,3 +142,20 @@ class TestGroundTruthScoring:
         # upper-bound estimator scored against exact formula ground truth
         assert np.all(estimate >= truth)
         assert np.mean(estimate - truth) < 1.0
+
+    def test_sampled_closeness_on_product_scored_by_thm4(self):
+        from repro.analytics import hop_matrix
+        from repro.groundtruth import closeness_product_histogram
+        from repro.kronecker import kron_product
+
+        a = random_connected_factor(20, seed=843).with_full_self_loops()
+        c = kron_product(a, a)
+        h_a = hop_matrix(a)
+        estimate = approx_closeness_sampling(c, num_samples=64, seed=2)
+        picks = np.random.default_rng(3).choice(c.n, size=10, replace=False)
+        errs = []
+        for p in picks:
+            i, k = divmod(int(p), a.n)
+            truth = closeness_product_histogram(h_a[i], h_a[k])
+            errs.append(abs(estimate[p] - truth) / truth)
+        assert np.median(errs) < 0.2

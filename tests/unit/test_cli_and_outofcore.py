@@ -371,13 +371,37 @@ class TestCli:
 
     def test_validate_command_passes(self, factor_files, capsys):
         _, _, pa, pb = factor_files
-        assert main(["validate", pa, pb, "--checks", "sizes,degrees"]) == 0
+        assert main(["validate", pa, pb, "--checks", "vertices,degrees"]) == 0
         assert "2/2 checks passed" in capsys.readouterr().out
 
     def test_scaling_table_command(self, factor_files, capsys):
+        """The Section-I table is the PAPER_TABLE row selection."""
+        from repro.validation import PAPER_TABLE
+
         _, _, pa, pb = factor_files
-        assert main(["scaling-table", pa, pb]) == 0
-        assert "Vertex eccentricity" in capsys.readouterr().out
+        assert main(["validate", pa, pb, "--checks", ",".join(PAPER_TABLE)]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] eccentricity: exact match" in out
+        assert "12/12 checks passed" in out
+
+    def test_validate_exits_1_on_a_wrong_product(self, factor_files, capsys):
+        from unittest import mock
+
+        from repro.kronecker import kron_with_full_loops
+        from tests.conftest import drop_one_edge
+
+        _, _, pa, pb = factor_files
+        with mock.patch("repro.validation.kron_with_full_loops",
+                        drop_one_edge(kron_with_full_loops)):
+            assert main(["validate", pa, pb]) == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] sizes_full_loops" in out
+        assert main(["validate", pa, pb]) == 0
+
+    def test_validate_unknown_row_exits_2(self, factor_files, capsys):
+        _, _, pa, pb = factor_files
+        assert main(["validate", pa, pb, "--checks", "sizes"]) == 2
+        assert "unknown rows: ['sizes']" in capsys.readouterr().err
 
     def test_generate_command(self, factor_files, tmp_path, capsys):
         a, b, pa, pb = factor_files

@@ -76,6 +76,14 @@ class TestScalingLawsSweep:
         assert sweep.all_hold, sweep.to_text()
         assert len(sweep.reports) == 5
 
+    def test_every_row_holds_on_the_battery(self):
+        from repro.experiments.table_scaling_laws import default_factor_pairs
+        from repro.validation import validate_product
+
+        for name, a, b in default_factor_pairs():
+            report = validate_product(a, b)
+            assert report.passed, f"{name}\n{report.to_text()}"
+
 
 class TestRemark1:
     def test_runs_and_diverges(self):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import AssumptionError
 from repro.graph import EdgeList, clique, cycle, erdos_renyi, path
+from repro.groundtruth import edge_count_full_loops
 from repro.kronecker import (
     iter_kron_product,
     kron_edge_block,
@@ -15,7 +16,6 @@ from repro.kronecker import (
     require_full_self_loops,
     require_no_self_loops,
     require_symmetric,
-    undirected_edge_count_with_loops,
 )
 
 
@@ -122,8 +122,10 @@ class TestOperators:
         a = k4.with_full_self_loops()
         assert kron_with_full_loops(a, c5) == kron_with_full_loops(k4, c5)
 
-    def test_undirected_edge_count_with_loops(self, er_a, er_b):
-        law = undirected_edge_count_with_loops(er_a, er_b)
+    def test_full_loop_edge_count_law(self, er_a, er_b):
+        law = edge_count_full_loops(
+            er_a.num_undirected_edges, er_a.n, er_b.num_undirected_edges, er_b.n
+        )
         c = kron_with_full_loops(er_a, er_b)
         assert law == c.num_undirected_edges
 
