@@ -7,10 +7,8 @@ analytics, which assume connectivity.
 The primary implementation hands the adjacency to
 ``scipy.sparse.csgraph.connected_components`` (a C traversal, no per-edge
 Python work) and deterministically relabels components in order of their
-smallest vertex id.  A pure-numpy min-label propagation with pointer
-jumping backs it up where scipy is unavailable; both replace the former
-per-edge Python union-find loop, which dominated preprocessing on anything
-larger than a toy factor.
+smallest vertex id.  It replaces the former per-edge Python union-find
+loop, which dominated preprocessing on anything larger than a toy factor.
 """
 
 from __future__ import annotations
@@ -40,42 +38,19 @@ def _relabel_by_min_vertex(raw: np.ndarray) -> np.ndarray:
     return remap[inverse]
 
 
-def _components_label_propagation(el: EdgeList) -> np.ndarray:
-    """Min-label propagation with pointer jumping (scipy-free fallback).
-
-    Each round pulls the smallest label across every edge (both directions)
-    and then pointer-jumps, so the round count is logarithmic in component
-    diameter rather than linear.
-    """
-    n = el.n
-    labels = np.arange(n, dtype=np.int64)
-    src, dst = el.src, el.dst
-    while True:
-        prev = labels
-        labels = labels.copy()
-        np.minimum.at(labels, src, prev[dst])
-        np.minimum.at(labels, dst, prev[src])
-        labels = labels[labels]  # pointer jumping
-        if np.array_equal(labels, prev):
-            break
-    return labels
-
-
 def connected_components(el: EdgeList) -> np.ndarray:
     """Label vertices by connected component (undirected semantics).
 
     Returns a length-``n`` int64 array of labels in ``0..k-1``; labels are
     assigned in order of each component's smallest vertex id, so results
-    are deterministic (and independent of which backend computed them).
+    are deterministic.
     """
     n = el.n
     if n == 0:
         return np.empty(0, dtype=np.int64)
-    try:
-        from scipy import sparse
-        from scipy.sparse.csgraph import connected_components as _cc
-    except ImportError:  # pragma: no cover - scipy is a baked-in dep
-        return _relabel_by_min_vertex(_components_label_propagation(el))
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components as _cc
+
     adj = sparse.csr_matrix(
         (np.ones(el.m_directed, dtype=np.int8), (el.src, el.dst)),
         shape=(n, n),

@@ -7,12 +7,12 @@ Kronecker graph", plus ground-truth and validation commands::
     repro-kron generate    A.txt B.txt --out shards/ --ranks 8 --scheme 2d
     repro-kron generate    --model skg --seed-matrix facebook --out shards/
     repro-kron generate    --list-seed-matrices    # fitted SKG seed library
+    repro-kron generate    --out shards/ --trace trace.json  # traced (Perfetto)
     repro-kron groundtruth A.txt B.txt            # stats table from factors
     repro-kron validate    A.txt B.txt            # formula-vs-direct law table
     repro-kron experiments                        # full E1-E8 + ablations
     repro-kron lint src benchmarks examples       # SPMD static analysis
     repro-kron chaos --ranks 4 --seed 0           # seeded fault-injection matrix
-    repro-kron trace --ranks 8 --out trace.json   # traced generation (Perfetto)
     repro-kron serve-rendezvous --port 9310       # roster server for --backend socket
     repro-kron serve --port 0                     # ground-truth query server
     repro-kron loadgen --target auto              # seeded saturation client
@@ -94,21 +94,6 @@ def _prepare(el: EdgeList, args: argparse.Namespace) -> EdgeList:
 # --------------------------------------------------------------------- #
 # subcommands
 # --------------------------------------------------------------------- #
-def _factor_pair(args: argparse.Namespace):
-    """The factor files as a :class:`KronPair`; without them the built-in
-    K4 (x) C5 pair, small but routing edges across every rank pair."""
-    from repro.distributed.generator import KronPair
-
-    if args.factor_a and args.factor_b:
-        a = _prepare(load_factor(args.factor_a), args)
-        b = _prepare(load_factor(args.factor_b), args)
-    else:
-        from repro.graph.generators import clique, cycle
-
-        a, b = clique(4), cycle(5)
-    return KronPair(a, b)
-
-
 def _print_seed_matrices() -> None:
     """The fitted SKG seed-matrix library as a table."""
     from repro.skg import list_seed_matrices
@@ -121,30 +106,52 @@ def _print_seed_matrices() -> None:
               f"{sm.source_m:>10}  [{t}]")
 
 
-def _skg_spec_from_args(args: argparse.Namespace):
-    """Build the SKGSpec the generate/chaos flags describe.
+def _source(args: argparse.Namespace):
+    """The run's source the generate/chaos flags describe.
 
-    The spec is the whole source: factor files next to ``--model skg``
-    are refused, not ignored.
+    ``--model skg`` builds an ``SKGSpec``, which is the whole source;
+    otherwise the two factor files form a :class:`KronPair`, or without
+    them the built-in K4 (x) C5 pair, small but routing edges across every
+    rank pair.  Factor files next to ``--model skg``, and a lone factor
+    file, are refused, not ignored.
     """
-    from repro.skg import SKGSpec
+    from repro.distributed.generator import KronPair
 
+    if args.model == "skg":
+        from repro.skg import SKGSpec
+
+        if args.factor_a or args.factor_b:
+            raise ReproError(
+                "--model skg samples the seed matrix's 2**k vertices; "
+                "do not pass factor files"
+            )
+        return SKGSpec.from_library(
+            args.seed_matrix,
+            k=args.skg_k,
+            skg_seed=args.skg_seed,
+            noise_b=args.noise_b,
+            noise_seed=args.noise_seed,
+        )
+    if args.factor_a and args.factor_b:
+        a = _prepare(load_factor(args.factor_a), args)
+        b = _prepare(load_factor(args.factor_b), args)
+        return KronPair(a, b)
     if args.factor_a or args.factor_b:
         raise ReproError(
-            "--model skg samples the seed matrix's 2**k vertices; "
-            "do not pass factor files"
+            "pass two factor files, or none for the built-in K4 (x) C5"
         )
-    return SKGSpec.from_library(
-        args.seed_matrix,
-        k=args.skg_k,
-        skg_seed=args.skg_seed,
-        noise_b=args.noise_b,
-        noise_seed=args.noise_seed,
-    )
+    from repro.graph.generators import clique, cycle
+
+    return KronPair(clique(4), cycle(5))
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    """Distributed generation to shard files (exact or SKG model)."""
+    """Distributed generation to shard files (exact or SKG model).
+
+    With ``--trace PATH`` the run carries a telemetry session, and the
+    command exits 1 unless its edge counters reconcile (see
+    :func:`_write_trace`).
+    """
     from repro.distributed.supervisor import generate_to_directory
 
     if args.list_seed_matrices:
@@ -152,19 +159,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
         return 0
     if args.out is None:
         raise ReproError("--out is required (unless --list-seed-matrices)")
-    spec = None
-    if args.model == "skg":
-        from repro.skg import expected_edge_rows
+    source = _source(args)
+    session = None
+    if args.trace is not None:
+        from repro.telemetry import TelemetrySession
 
-        source = spec = _skg_spec_from_args(args)
-    else:
-        if not (args.factor_a and args.factor_b):
-            raise ReproError("model 'exact' requires two factor files")
-        source = _factor_pair(args)
+        session = TelemetrySession()
     manifest = generate_to_directory(
         source, args.out, args.ranks, scheme=args.scheme,
-        backend=args.backend, chunk_size=args.chunk_size,
-        rendezvous=args.rendezvous,
+        storage=args.storage, chunk_size=args.chunk_size,
+        pipeline=args.pipeline, wire=args.wire, backend=args.backend,
+        telemetry=session, rendezvous=args.rendezvous,
         local_ranks=_parse_rank_set(args.local_ranks, args.ranks),
     )
     shards = sum(d is not None for d in manifest.shard_digests)
@@ -173,7 +178,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
         f"({manifest.n} vertices) into {shards} shards "
         f"under {args.out}"
     )
-    if spec is not None:
+    if args.model == "skg":
+        from repro.skg import expected_edge_rows
+
+        spec = source
         print(
             f"REPRO_SKG name={spec.name} k={spec.k} "
             f"skg_seed={spec.skg_seed} noise_b={spec.noise_b} "
@@ -183,7 +191,82 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"digest={spec.digest():016x}",
             flush=True,
         )
-    return 0
+    if session is None:
+        return 0
+    return _write_trace(args, session, source, manifest)
+
+
+def _write_trace(args: argparse.Namespace, session, source, manifest) -> int:
+    """Write ``--trace``'s Chrome trace and metrics summary; 0 iff the
+    cross-rank edge counters reconcile.
+
+    A whole exact-model world is held to ``|E_A||E_B|``; an SKG run or a
+    partial world (``--local-ranks``) to its manifest's ``edges_total``.
+    Each rank is one lane of the trace, its phases (``generate``,
+    ``route``, ``exchange``, ``checkpoint``) spans in it.
+    """
+    import json
+
+    session.write_chrome_trace(args.trace)
+    whole = args.local_ranks is None
+    if whole and args.model == "exact":
+        expected = source.a.m_directed * source.b.m_directed
+    else:
+        expected = manifest.edges_total
+    summary = session.metrics_summary()
+    counters = summary["aggregate"]["counters"]
+    generated = int(counters.get("edges.generated", 0))
+    restored = int(counters.get("edges.restored", 0))
+    stored = int(counters.get("edges.stored", 0))
+    # Checkpoint-resumed shards are restored, not regenerated; either way
+    # every edge must be accounted for exactly once.  A partial world's
+    # ranks generate edges that ranks on other hosts store, so only what
+    # it stored is held to its manifest.
+    exact = stored == expected == manifest.edges_total and (
+        not whole or generated + restored == expected
+    )
+    workload = {
+        k: getattr(args, k) for k in (
+            "factor_a", "factor_b", "ranks", "scheme", "storage",
+            "pipeline", "wire", "backend",
+        )
+    }
+    if args.model == "exact":
+        workload["factor_a"] = args.factor_a or "builtin:K4"
+        workload["factor_b"] = args.factor_b or "builtin:C5"
+    summary = {
+        "workload": workload,
+        "expected_edges": expected,
+        "edge_counts_exact": exact,
+        "span_totals": session.span_totals(),
+        **summary,
+    }
+    trace = Path(args.trace)
+    metrics_out = trace.with_name(trace.stem + "-metrics.json")
+    with open(metrics_out, "w", encoding="utf-8") as fh:
+        json.dump(summary, fh, indent=2)
+
+    nevents = sum(len(snap.events) for snap in session.ranks)
+    print(f"trace: {args.trace} ({nevents} events, one lane per rank "
+          f"x {len(session.ranks)} ranks; load in chrome://tracing "
+          f"or https://ui.perfetto.dev)")
+    print(f"metrics: {metrics_out}")
+    status = "exact" if exact else "MISMATCH"
+    print(f"edges: generated {generated}, restored {restored}, "
+          f"stored {stored}, expected |E(A(x)B)| {expected} -- {status}")
+    alltoall = int(counters.get("comm.alltoall.bytes_out", 0))
+    print(f"bytes shuffled (alltoall, all ranks): {alltoall}")
+    wire_bytes = int(counters.get("exchange.bytes_wire", 0))
+    if wire_bytes:
+        raw_bytes = int(counters.get("exchange.bytes_raw", 0))
+        ratio = raw_bytes / wire_bytes
+        print(f"wire format {args.wire}: {raw_bytes} raw -> "
+              f"{wire_bytes} encoded bytes ({ratio:.2f}x)")
+    overlap = counters.get("exchange.overlap_s", 0.0)
+    if args.pipeline == "async":
+        print(f"exchange overlap (generation hiding in-flight exchange, "
+              f"all ranks): {overlap:.4f}s")
+    return 0 if exact else 1
 
 
 def cmd_groundtruth(args: argparse.Namespace) -> int:
@@ -261,10 +344,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     from repro.distributed.supervisor import run_chaos_matrix
 
-    if args.model == "skg":
-        source = _skg_spec_from_args(args)
-    else:
-        source = _factor_pair(args)
+    source = _source(args)
     plans = []
     if args.plan_set in ("default", "both"):
         plans += default_fault_matrix(seed=args.seed, nranks=args.ranks)
@@ -449,107 +529,6 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return 1 if report["errors"] else 0
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Run one traced supervised generation; write trace + metrics JSON.
-
-    With no factor files, the built-in K4 (x) C5 pair keeps the run small
-    while still exercising every rank pair.  The run is the persisted one
-    ``generate`` makes (``generate_to_directory``, into a temporary
-    directory unless ``--checkpoint-dir`` pins it) with a telemetry
-    session attached, so the trace contains all four phase span kinds:
-    ``generate``, ``route``, ``exchange``, ``checkpoint``.  Exits
-    non-zero if the run's manifest or the cross-rank aggregated edge
-    counters do not sum to the exact product edge count -- the trace
-    doubles as an end-to-end consistency check.
-    """
-    import contextlib
-    import json
-    import tempfile
-
-    from repro.distributed.supervisor import generate_to_directory
-    from repro.telemetry import TelemetrySession
-
-    source = _factor_pair(args)
-    session = TelemetrySession()
-    with contextlib.ExitStack() as stack:
-        checkpoint_dir = args.checkpoint_dir
-        if checkpoint_dir is None:
-            checkpoint_dir = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-trace-ckpt-")
-            )
-        manifest = generate_to_directory(
-            source,
-            checkpoint_dir,
-            args.ranks,
-            scheme=args.scheme,
-            storage=args.storage,
-            backend=args.backend,
-            chunk_size=args.chunk_size,
-            pipeline=args.pipeline,
-            wire=args.wire,
-            telemetry=session,
-            rendezvous=args.rendezvous,
-        )
-    session.write_chrome_trace(args.out)
-
-    expected = source.a.m_directed * source.b.m_directed
-    summary = session.metrics_summary()
-    counters = summary["aggregate"]["counters"]
-    generated = int(counters.get("edges.generated", 0))
-    restored = int(counters.get("edges.restored", 0))
-    stored = int(counters.get("edges.stored", 0))
-    # Checkpoint-resumed shards are restored, not regenerated; either way
-    # every product edge must be accounted for exactly once.
-    exact = (
-        generated + restored == expected == manifest.edges_total
-        and stored == expected
-    )
-    summary = {
-        "workload": {
-            "factor_a": args.factor_a or "builtin:K4",
-            "factor_b": args.factor_b or "builtin:C5",
-            "ranks": args.ranks,
-            "scheme": args.scheme,
-            "storage": args.storage,
-            "pipeline": args.pipeline,
-            "wire": args.wire,
-            "backend": args.backend,
-        },
-        "expected_edges": expected,
-        "edge_counts_exact": exact,
-        "span_totals": session.span_totals(),
-        **summary,
-    }
-    metrics_out = args.metrics_out
-    if metrics_out is None:
-        out = Path(args.out)
-        metrics_out = out.with_name(out.stem + "-metrics.json")
-    with open(metrics_out, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-
-    nevents = sum(len(snap.events) for snap in session.ranks)
-    print(f"trace: {args.out} ({nevents} events, one lane per rank "
-          f"x {len(session.ranks)} ranks; load in chrome://tracing "
-          f"or https://ui.perfetto.dev)")
-    print(f"metrics: {metrics_out}")
-    status = "exact" if exact else "MISMATCH"
-    print(f"edges: generated {generated}, restored {restored}, "
-          f"stored {stored}, expected |E(A(x)B)| {expected} -- {status}")
-    alltoall = int(counters.get("comm.alltoall.bytes_out", 0))
-    print(f"bytes shuffled (alltoall, all ranks): {alltoall}")
-    wire_bytes = int(counters.get("exchange.bytes_wire", 0))
-    if wire_bytes:
-        raw_bytes = int(counters.get("exchange.bytes_raw", 0))
-        ratio = raw_bytes / wire_bytes if wire_bytes else 0.0
-        print(f"wire format {args.wire}: {raw_bytes} raw -> "
-              f"{wire_bytes} encoded bytes ({ratio:.2f}x)")
-    overlap = counters.get("exchange.overlap_s", 0.0)
-    if args.pipeline == "async":
-        print(f"exchange overlap (generation hiding in-flight exchange, "
-              f"all ranks): {overlap:.4f}s")
-    return 0 if exact else 1
-
-
 # --------------------------------------------------------------------- #
 # parser
 # --------------------------------------------------------------------- #
@@ -581,26 +560,34 @@ def _add_factor_args(
     )
 
 
-def _add_skg_args(
-    p: argparse.ArgumentParser, default_k: int | None, **help: str
-) -> None:
-    """``--model`` and the five SKG flags; ``help`` is keyed by dest."""
+def _add_skg_args(p: argparse.ArgumentParser, default_k: int | None) -> None:
+    """``--model`` and the five SKG flags."""
     p.add_argument("--model", choices=("exact", "skg"), default="exact",
-                   help=help["model"])
+                   help="'exact' emits every product edge; 'skg' samples a "
+                        "stochastic Kronecker graph from a fitted seed "
+                        "matrix with a deterministic, hash-seeded sampler")
     p.add_argument("--seed-matrix", default="facebook",
-                   help=help["seed_matrix"])
-    p.add_argument("--skg-seed", type=int, default=0, help=help["skg_seed"])
+                   help="SKG seed-matrix name (see generate "
+                        "--list-seed-matrices)")
+    p.add_argument("--skg-seed", type=int, default=0,
+                   help="sampler hash seed (same seed -> same graph)")
+    fitted = "the seed matrix's fitted k"
     p.add_argument("--skg-k", type=int, default=default_k,
-                   help=help["skg_k"])
+                   help=f"Kronecker exponent (default: {default_k or fitted})")
     p.add_argument("--noise-b", type=float, default=0.0,
-                   help=help["noise_b"])
+                   help="noisy-SKG amplitude (0 disables the correction)")
     p.add_argument("--noise-seed", type=int, default=0,
-                   help=help["noise_seed"])
+                   help="per-level noise seed for noisy SKG")
 
 
 #: The generation-plan and launcher flags, declared once.
 _PLAN_FLAGS: dict[str, dict] = {
     "--scheme": dict(choices=("1d", "1d-pipelined", "2d"), default="1d"),
+    "--storage": dict(
+        choices=("source_block", "edge_hash"), default=None,
+        help="where each edge is stored (default: on the rank that "
+             "generates it)",
+    ),
     "--pipeline": dict(
         choices=("sync", "async"), default="sync",
         help="exchange pipeline (async needs --scheme 1d-pipelined)",
@@ -644,29 +631,25 @@ def build_parser() -> argparse.ArgumentParser:
              "shard files",
     )
     _add_factor_args(
-        g, optional="factor {f} file (.txt/.npz/.mtx); omit with --model skg"
+        g, optional="factor {f} file (.txt/.npz/.mtx; default: built-in "
+                    "{builtin}); omit with --model skg",
     )
     g.add_argument("--out", default=None, help="output shard directory")
     g.add_argument("--ranks", type=int, default=4, help="world size")
-    _add_plan_args(g, "--scheme", choices=("1d", "2d"), default="2d")
-    _add_skg_args(
-        g, default_k=None,
-        model="'exact' emits every product edge; 'skg' samples a "
-              "stochastic Kronecker graph from a fitted seed matrix with "
-              "a deterministic, hash-seeded sampler",
-        seed_matrix="SKG seed-matrix name (see --list-seed-matrices)",
-        skg_seed="sampler hash seed (same seed -> same graph)",
-        skg_k="Kronecker exponent override (default: the seed matrix's "
-              "fitted k)",
-        noise_b="noisy-SKG amplitude (0 disables the correction)",
-        noise_seed="per-level noise seed for noisy SKG",
-    )
+    _add_plan_args(g, "--scheme", default="2d")
+    _add_plan_args(g, "--storage", "--pipeline", "--wire")
+    _add_skg_args(g, default_k=None)
     g.add_argument("--list-seed-matrices", action="store_true",
                    help="print the fitted seed-matrix library and exit")
     _add_plan_args(g, "--backend", "--chunk-size", "--rendezvous")
     g.add_argument("--local-ranks", default=None,
                    help="ranks this host launches, e.g. '0-3' or '0,2,5' "
                         "(socket backend multi-host worlds; default: all)")
+    g.add_argument("--trace", default=None, metavar="PATH",
+                   help="attach a telemetry session: write the "
+                        "Chrome/Perfetto trace JSON here and the metrics "
+                        "summary to <PATH stem>-metrics.json; exit 1 "
+                        "unless the edge counters reconcile")
     g.set_defaults(func=cmd_generate)
 
     t = sub.add_parser("groundtruth", help="print product ground truth")
@@ -707,17 +690,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated launcher backends to exercise")
     _add_plan_args(c, "--scheme", help="generation scheme under test")
     _add_plan_args(c, "--pipeline", "--wire")
-    _add_skg_args(
-        c, default_k=5,
-        model="run the matrix over exact enumeration or the stochastic "
-              "(SKG) sampler",
-        seed_matrix="SKG seed-matrix name (with --model skg)",
-        skg_seed="SKG sampler hash seed",
-        skg_k="SKG Kronecker exponent for chaos cells (small keeps the "
-              "matrix fast)",
-        noise_b="noisy-SKG amplitude",
-        noise_seed="noisy-SKG per-level noise seed",
-    )
+    _add_skg_args(c, default_k=5)
     c.add_argument("--timeout", type=float, default=2.0,
                    help="recv timeout (s) pinned for the run; bounds how "
                         "long a dropped message stalls before retry")
@@ -741,33 +714,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "reconnect/replay counts) instead of the text "
                         "table")
     c.set_defaults(func=cmd_chaos)
-
-    tr = sub.add_parser(
-        "trace",
-        help="run one traced generation; write Chrome/Perfetto trace "
-             "JSON and a per-rank metrics summary",
-    )
-    _add_factor_args(
-        tr, optional="factor {f} file (default: built-in {builtin})",
-        loops_note="",
-    )
-    tr.add_argument("--ranks", type=int, default=8, help="world size")
-    _add_plan_args(tr, "--scheme")
-    tr.add_argument("--storage", choices=("source_block", "edge_hash"),
-                    default="source_block")
-    _add_plan_args(
-        tr, "--pipeline", "--wire", "--backend", "--rendezvous",
-        "--chunk-size",
-    )
-    tr.add_argument("--out", default="trace.json",
-                    help="trace-event JSON output path")
-    tr.add_argument("--metrics-out", default=None,
-                    help="metrics summary JSON path "
-                         "(default: <out stem>-metrics.json)")
-    tr.add_argument("--checkpoint-dir", default=None,
-                    help="shard checkpoint directory (default: a "
-                         "temporary directory, discarded after the run)")
-    tr.set_defaults(func=cmd_trace)
 
     rz = sub.add_parser(
         "serve-rendezvous",

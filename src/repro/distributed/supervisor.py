@@ -208,8 +208,8 @@ def generate_to_directory(
 ) -> RunManifest:
     """Generate ``source`` across ranks into one shard file per rank.
 
-    The persisted, supervised run -- what ``repro-kron generate`` and
-    ``trace`` run.  ``scheme`` ... ``wire`` are the :class:`GenerationPlan`
+    The persisted, supervised run -- what ``repro-kron generate`` runs,
+    traced or not.  ``scheme`` ... ``wire`` are the :class:`GenerationPlan`
     axes and ``retry`` takes :func:`spmd_run_supervised`'s ``fault_plan``,
     ``max_attempts``, ``report``, ``rendezvous`` and ``local_ranks``.
 

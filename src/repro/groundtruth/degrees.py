@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import AssumptionError
-from repro.graph.edgelist import EdgeList
 
 __all__ = [
     "degrees_no_loops",
@@ -30,15 +29,7 @@ __all__ = [
     "edge_count_full_loops",
     "vertex_count",
     "degree_histogram_product",
-    "factor_degrees",
 ]
-
-
-def factor_degrees(el: EdgeList) -> np.ndarray:
-    """Non-loop degree vector of a factor (convenience re-export)."""
-    from repro.analytics.degree import degrees
-
-    return degrees(el)
 
 
 def vertex_count(n_a: int, n_b: int) -> int:

@@ -3,7 +3,7 @@
 Exit status 0 when every given trace file parses as JSON and passes
 :func:`repro.telemetry.export.validate_chrome_trace`; 1 otherwise, with
 one problem per line on stderr.  The CI smoke job runs this against the
-traces produced by ``repro-kron trace`` on both backends.
+traces produced by ``repro-kron generate --trace`` on every backend.
 
 Flags:
 
@@ -68,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry.validate",
         description="Validate Chrome trace-event JSON produced by "
-        "repro-kron trace.",
+        "repro-kron generate --trace.",
     )
     parser.add_argument("traces", nargs="+", help="trace JSON file(s)")
     parser.add_argument(

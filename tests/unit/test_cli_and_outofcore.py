@@ -427,6 +427,67 @@ class TestCli:
         store = CheckpointStore(out_dir)
         assert store.load_run(_only_manifest(out_dir)) == expect
 
+    def test_generate_plan_flags_are_the_plan_fields(self):
+        """Every axis of a :class:`GenerationPlan` but its source is a
+        ``generate`` flag, named after the field."""
+        import argparse
+        import dataclasses
+
+        from repro.distributed.generator import GenerationPlan
+
+        parser = build_parser()
+        (sub,) = (
+            a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        dests = {a.dest for a in sub.choices["generate"]._actions}
+        axes = {f.name for f in dataclasses.fields(GenerationPlan)}
+        assert dests & axes == axes - {"source"}
+
+    def test_trace_is_not_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main("trace --ranks 2".split())
+        assert exc.value.code == 2
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
+
+    def test_default_generate_keeps_its_run_key(self, tmp_path, capsys):
+        """A default ``generate`` (2-D, no storage map) of K4 (x) C5 writes
+        the run key and shards it always has, with the factors given as
+        files or taken built in."""
+        from repro.graph.generators import clique, cycle
+
+        key = (
+            "gen-03da869d245c05c1-9869895316310cd8-r4-scheme=2d-"
+            "storage=None-chunk_size=1048576-pipeline=sync-wire=raw"
+        )
+        digests = (
+            5369133746391014404, 1415945281870883051,
+            16213009466665081703, 7724741100771468258,
+        )
+        write_text(clique(4), tmp_path / "a.txt")
+        write_text(cycle(5), tmp_path / "b.txt")
+        files = [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+        for out, factors in (("files", files), ("builtin", [])):
+            code = main(["generate", *factors, "--out", str(tmp_path / out)])
+            assert code == 0
+            (manifest,) = CheckpointStore(tmp_path / out).manifests()
+            assert manifest.run_key == key
+            assert manifest.shard_digests == digests
+
+    @pytest.mark.parametrize("command", ["generate", "chaos"])
+    def test_lone_factor_file_is_refused(
+        self, factor_files, tmp_path, capsys, monkeypatch, command
+    ):
+        """One factor file is an error, not a silent K4 (x) C5 run."""
+        _, _, pa, _ = factor_files
+        monkeypatch.chdir(tmp_path)
+        extra = ["--out", "s"] if command == "generate" else ["--ranks", "2"]
+        assert main([command, pa, *extra]) == 2
+        assert "pass two factor files, or none for the built-in K4 (x) C5" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "s").exists()
+
     def test_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "nope.mtx"
         bad.write_text("garbage\n")

@@ -87,7 +87,7 @@ class TestValidation:
         ):
             GenerationPlan(chunk_size=chunk_size, **shape, source=PAIR)
 
-    def test_bad_chunk_size_never_reaches_a_rank(self, capsys):
+    def test_bad_chunk_size_never_reaches_a_rank(self, tmp_path, capsys):
         """Rejected where the plan is built: no world is spawned (so a
         supervised runner has nothing to retry) and the CLI exits 2."""
         from repro.cli import main
@@ -104,8 +104,13 @@ class TestValidation:
                     runner=runner,
                 )
         assert GenerationPlan(chunk_size=1, source=PAIR).chunk_size == 1
-        assert main(["trace", "--chunk-size", "0", "--out", "unused.json"]) == 2
+        out = tmp_path / "unused"
+        assert main([
+            "generate", "--chunk-size", "0", "--out", str(out),
+            "--trace", str(tmp_path / "unused.json"),
+        ]) == 2
         assert "chunk_size must be an int >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_drivers_validate_through_the_plan(self):
         a, b = clique(3), cycle(4)
