@@ -90,6 +90,7 @@ from repro.kronecker.product import (
 )
 from repro.telemetry.session import telemetry_of
 from repro.util.hashing import edges_digest
+from repro.util.validation import check_id_block
 
 __all__ = [
     "Source",
@@ -381,15 +382,20 @@ def _stack(blocks: list[np.ndarray], dtype: np.dtype) -> np.ndarray:
 def reassemble(blocks: list[np.ndarray], n: int) -> EdgeList:
     """The ``int64`` edge list of ``n`` vertices holding ``blocks`` in order.
 
-    One preallocated ``int64`` array, each block cast-copied into its
-    slice: id-dtype blocks are widened in the one copy that stacks them.
+    Each block is range-checked in its own (id) dtype, then cast-copied into
+    its slice of one preallocated ``int64`` array: the widening happens in
+    the one copy that stacks the blocks, and the wide copy is never scanned
+    again.  An id outside ``[0, n)`` in any block raises
+    :class:`~repro.errors.GraphFormatError`.
     """
+    for block in blocks:
+        check_id_block(block, n)
     edges = np.empty((sum(len(b) for b in blocks), 2), dtype=np.int64)
     at = 0
     for block in blocks:
         edges[at : at + len(block)] = block
         at += len(block)
-    return EdgeList(edges, n)
+    return EdgeList.from_checked(edges, n)
 
 
 def _collect(

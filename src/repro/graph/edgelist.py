@@ -112,6 +112,16 @@ class EdgeList:
         object.__setattr__(self, "edges", arr)
         object.__setattr__(self, "n", n)
 
+    @classmethod
+    def from_checked(cls, edges: np.ndarray, n: int) -> "EdgeList":
+        """Wrap a C-contiguous ``(m, 2)`` ``int64`` array whose ids the caller
+        has already checked lie in ``[0, n)`` (:func:`~repro.util.validation.check_id_block`),
+        without scanning it again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "edges", edges)
+        object.__setattr__(out, "n", int(n))
+        return out
+
     # ------------------------------------------------------------------ #
     # basic accessors
     # ------------------------------------------------------------------ #

@@ -178,11 +178,14 @@ class KroneckerGraph:
             out[out] = self._member_b(k[out], l[out])
         return out
 
-    def neighbors(self, p: int) -> np.ndarray:
-        """Sorted neighbor ids of ``p`` in C (computed, not stored).
+    def neighbors(self, p: int, limit: int | None = None) -> np.ndarray:
+        """Sorted neighbor ids of ``p`` in C (computed, not stored); with
+        ``limit``, only the first ``limit`` of them.
 
         The neighborhood is the Kronecker product of the factor
         neighborhoods: ``N_C(p) = { gamma(j, l) : j in N_A(i), l in N_B(k) }``.
+        A limit expands only the rows of ``N_A(i)`` it reaches, so a hub's
+        first few neighbours cost a few ids, not its whole row.
         """
         if not 0 <= p < self.n:
             raise self._out_of_range()
@@ -191,22 +194,32 @@ class KroneckerGraph:
         nb = self.csr_b.neighbors(k)
         if len(na) == 0 or len(nb) == 0:
             return np.empty(0, dtype=np.int64)
+        if limit is not None:
+            na = na[: -(-limit // len(nb))]
         # outer sum of (na * n_b) and nb; rows already sorted => result sorted
         out = (na[:, None] * np.int64(self.n_b) + nb[None, :]).ravel()
-        return out
+        return out if limit is None else out[:limit]
+
+    def degree_total(self, p: int | np.ndarray) -> np.ndarray:
+        """Row lengths of product vertices, self loops included (vectorized):
+        ``dtot_A(i) * dtot_B(k)``, the length of :meth:`neighbors`."""
+        p = np.asarray(p, dtype=np.int64)
+        self._check_ids(p)
+        i, k = self.split_vertex(p)
+        ptr_a, ptr_b = self.csr_a.indptr, self.csr_b.indptr
+        return (ptr_a.take(i + 1) - ptr_a.take(i)) * (ptr_b.take(k + 1) - ptr_b.take(k))
 
     def degree(self, p: int | np.ndarray) -> np.ndarray:
         """Non-loop degree of product vertices (vectorized).
 
-        Row ``p`` of C has ``dtot_A(i) * dtot_B(k)`` entries where ``dtot``
-        counts loops; the product has a loop at ``p`` iff both factors have
-        loops at ``(i, k)``, and the paper's degree excludes it.
+        Row ``p`` of C has ``dtot_A(i) * dtot_B(k)`` entries
+        (:meth:`degree_total`); the product has a loop at ``p`` iff both
+        factors have loops at ``(i, k)``, and the paper's degree excludes it.
         """
         p = np.asarray(p, dtype=np.int64)
-        self._check_ids(p)
+        total = self.degree_total(p)
         i, k = self.split_vertex(p)
-        dtot = self.csr_a.degrees_total()[i] * self.csr_b.degrees_total()[k]
-        return dtot - (self._loops_a[i] & self._loops_b[k]).astype(np.int64)
+        return total - (self._loops_a[i] & self._loops_b[k])
 
     def degrees(self) -> np.ndarray:
         """Non-loop degree of **every** product vertex (length ``n_C``).

@@ -34,9 +34,12 @@ __all__ = [
     "int_ids",
     "id_batch",
     "array_body",
+    "int_text",
+    "neighborhoods_body",
     "status_of",
     "MAX_BATCH",
     "MAX_BODY_BYTES",
+    "MAX_REPLY_IDS",
     "STATUS_REASONS",
 ]
 
@@ -47,6 +50,12 @@ MAX_BODY_BYTES = 16 << 20
 #: Per-request batch ceiling (pairs / vertices); larger batches get a 400
 #: so one request can never monopolize the loop.
 MAX_BATCH = 1 << 16
+
+#: Per-reply ceiling on neighbour ids (``sum(min(degree_total, limit))``
+#: over a ``neighbors`` batch); a larger reply gets a 400 suggesting
+#: ``limit`` before anything is expanded.  4Mi ids is ~32 MiB as ``int64``
+#: and a reply body of tens of MiB.
+MAX_REPLY_IDS = 1 << 22
 
 #: Header-section ceiling; a request line + headers larger than this is
 #: hostile or broken.
@@ -272,7 +281,53 @@ def id_batch(body: bytes, field: str, width: int = 1) -> np.ndarray | None:
     return ids if width == 1 else ids.reshape(-1, width)
 
 
-_POW10 = 10 ** np.arange(19, dtype=np.int64)
+#: The 4-byte little-endian cell of a 4-digit limb ``v``: ``_CELLS[v]`` is
+#: ``v`` as the leading limb, unpadded and NUL-filled on the left (``42`` ->
+#: ``"\\0\\042"``; 0, a limb above the leading one, renders as nothing);
+#: ``_CELLS[v + 10**4]`` is ``v`` below it, zero-padded (``"0042"``).
+#: ``_LAST_CELLS`` differs in one cell: a lone last limb 0 is the value 0.
+_CELLS = np.frombuffer(
+    b"".join(b"%4d" % v for v in range(10**4)).replace(b" ", b"\0")
+    + "".join(f"{v:04d}" for v in range(10**4)).encode(),
+    dtype="<u4",
+).copy()
+_LAST_CELLS = _CELLS.copy()
+_CELLS[0] = 0
+#: The separator ``", "``, NUL-padded to one cell.
+_SEP_CELL = np.frombuffer(b", \0\0", dtype="<u4")[0]
+
+
+def int_text(values: np.ndarray) -> bytes:
+    """``(", ".join(map(str, values)) + ", ").encode()`` of a non-negative
+    integer array (exact up to ``2**63 - 1``), without a Python object per
+    element.
+
+    One row of 4-byte cells per value: one per 4-digit limb, most
+    significant first, then the separator.  Limbs come off the low end,
+    one divide per limb, and each is looked up in :data:`_CELLS` --
+    zero-padded where a higher limb is non-zero, unpadded where it is the
+    leading one, nothing above that.  The padding NULs are deleted in one
+    ``translate``.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if not values.size:
+        return b""
+    limbs = (len(str(int(values.max()))) + 3) // 4
+    cells = np.empty((len(values), limbs + 1), dtype="<u4")
+    cells[:, limbs] = _SEP_CELL
+    rest = values
+    for col in range(limbs - 1, -1, -1):
+        if col:
+            above = rest // 10**4
+            index = rest - above * 10**4
+            np.add(index, 10**4, out=index, where=above > 0)
+            rest = above
+        else:  # the top limb: nothing above it
+            index = rest
+        table = _LAST_CELLS if col == limbs - 1 else _CELLS
+        cells[:, col] = table.take(index)
+    return cells.tobytes().translate(None, b"\0")
+
 
 #: The rendered cells of ``False`` and ``True``, NUL-padded to one word.
 _BOOL_CELLS = np.frombuffer(b"false, \0true, \0\0", dtype="<u8")
@@ -281,20 +336,47 @@ _BOOL_CELLS = np.frombuffer(b"false, \0true, \0\0", dtype="<u8")
 def array_body(key: str, values: np.ndarray) -> bytes:
     """``json.dumps({key: values.tolist()}, sort_keys=True) + "\n"``, encoded,
     rendered from a bool or non-negative integer array without a Python
-    object per element: one fixed-width cell per value, NUL-padded, the
-    NULs deleted in one pass."""
+    object per element: bools as one NUL-padded word each, integers by
+    :func:`int_text`."""
     if values.dtype == np.bool_:
         cells = _BOOL_CELLS.take(values.view(np.uint8))
+        text = cells.tobytes().translate(None, b"\0")
     else:
-        width = len(str(int(values.max()))) if values.size else 1
-        scale = _POW10[width - 1::-1]
-        column = values[:, None]
-        cells = np.empty((len(values), width + 2), dtype=np.uint8)
-        cells[:, :width] = column // scale % 10 + 48
-        cells[:, :width - 1][column < scale[:-1]] = 0  # leading zeros
-        cells[:, width:] = (44, 32)
-    text = cells.tobytes().translate(None, b"\0")
+        text = int_text(values)
     return b'{"%s": [%s]}\n' % (key.encode(), text[:-2])
+
+
+def neighborhoods_body(
+    vertices: np.ndarray, totals: np.ndarray, counts: np.ndarray, ids: np.ndarray
+) -> bytes:
+    """The ``neighbors`` reply, rendered from arrays: ``json.dumps({
+    "neighborhoods": [{"degree_total": t, "neighbors": [...], "p": p,
+    "truncated": c < t}, ...]}, sort_keys=True) + "\n"``, encoded, where
+    ``p, t, c`` run over ``vertices, totals, counts``.
+
+    ``ids`` holds the first ``counts[v]`` neighbours of each ``vertices[v]``
+    back to back.  They are rendered in one :func:`int_text` pass and the
+    text is cut into per-vertex segments at its separators; each vertex
+    then costs one small ``bytes %`` header, not a Python int per id.
+    """
+    text = int_text(ids)
+    # offsets[j]: where id j's text starts (offsets[-1]: past the end).
+    offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+    offsets[1:] = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == 44)
+    offsets[1:] += 2
+    ends = np.cumsum(counts)
+    starts = offsets.take(ends - counts)
+    stops = offsets.take(ends) - 2  # drops the last id's separator
+    np.maximum(stops, starts, out=stops)  # an empty segment slices to b""
+    items = [
+        b'{"degree_total": %d, "neighbors": [%s], "p": %d, "truncated": %s}'
+        % (t, text[a:z], p, b"true" if c < t else b"false")
+        for p, t, c, a, z in zip(
+            vertices.tolist(), totals.tolist(), counts.tolist(),
+            starts.tolist(), stops.tolist(),
+        )
+    ]
+    return b'{"neighborhoods": [%s]}\n' % b", ".join(items)
 
 
 class _ProtocolViolation(RequestError):

@@ -21,11 +21,13 @@ locks).
 
 Id batches (``edges``, ``degrees``, ``neighbors``) never become Python
 objects per id when spelled canonically: :func:`~repro.service.protocol.id_batch`
-reads them from the request bytes into an ``int64`` array, and
-``exists`` / ``degrees`` replies are rendered from the result array by
-:func:`~repro.service.protocol.array_body`.  Any other spelling is decoded
-by ``json.loads`` and :func:`~repro.service.protocol.int_ids`, which own
-every error body.
+reads them from the request bytes into an ``int64`` array, and every
+reply is rendered from arrays: ``exists`` / ``degrees`` by
+:func:`~repro.service.protocol.array_body`, neighbourhoods by
+:func:`~repro.service.protocol.neighborhoods_body`, each integer through
+the one kernel :func:`~repro.service.protocol.int_text`.  Any other
+spelling is decoded by ``json.loads`` and
+:func:`~repro.service.protocol.int_ids`, which own every error body.
 
 API (all JSON)::
 
@@ -69,11 +71,13 @@ from repro.service.cache import AnalyticsCache, cache_key
 from repro.service.protocol import (
     MAX_BATCH,
     MAX_BODY_BYTES,
+    MAX_REPLY_IDS,
     HTTPRequest,
     array_body,
     error_payload,
     id_batch,
     int_ids,
+    neighborhoods_body,
     read_request,
     render_response,
     status_of,
@@ -417,7 +421,7 @@ class KronService:
 
     async def _h_neighbors(
         self, request: HTTPRequest, tenant: str, gkey: str
-    ) -> dict:
+    ) -> bytes:
         handle, vertices, doc = self._graph_and_batch(
             request, tenant, gkey, "vertices", 1
         )
@@ -426,23 +430,29 @@ class KronService:
             not isinstance(limit, int) or isinstance(limit, bool) or limit < 0
         ):
             raise RequestError("'limit' must be a non-negative integer")
-        out: list[dict[str, Any]] = []
-        for p in vertices.tolist():
-            nbrs = handle.graph.neighbors(p)
-            total = int(len(nbrs))
-            truncated = limit is not None and total > limit
-            if truncated:
-                nbrs = nbrs[:limit]
-            out.append(
-                {
-                    "p": p,
-                    "neighbors": nbrs.tolist(),
-                    "degree_total": total,
-                    "truncated": truncated,
-                }
+        graph = handle.graph
+        # The reply is sized from the factor degree vectors before any id
+        # is expanded, and only the ids it carries are.
+        totals = graph.degree_total(vertices)
+        counts = totals
+        if limit is not None and totals.size:
+            # Clamped first: a limit past every total truncates nothing,
+            # and one past int64 must not reach numpy.
+            counts = np.minimum(totals, min(limit, int(totals.max())))
+        size = int(counts.sum())
+        if size > MAX_REPLY_IDS:
+            raise RequestError(
+                f"reply of {size} neighbour ids exceeds the {MAX_REPLY_IDS} "
+                f"limit; pass a smaller 'limit' or fewer vertices"
             )
+        ids = np.empty(size, dtype=np.int64)
+        at = 0
+        for p, c in zip(vertices.tolist(), counts.tolist()):
+            if c:
+                ids[at : at + c] = graph.neighbors(p, c)
+                at += c
         self.telemetry.add("service.neighbor_queries", len(vertices))
-        return {"neighborhoods": out}
+        return neighborhoods_body(vertices, totals, counts, ids)
 
     async def _h_analytics(
         self, request: HTTPRequest, tenant: str, gkey: str, prop: str

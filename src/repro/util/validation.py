@@ -14,6 +14,7 @@ from repro.errors import GraphFormatError
 
 __all__ = [
     "check_square_ids",
+    "check_id_block",
     "check_edge_array",
     "check_probability",
     "check_positive_int",
@@ -64,3 +65,21 @@ def check_square_ids(edges: np.ndarray, n: int, name: str = "edges") -> None:
         raise GraphFormatError(
             f"{name} references vertex {int(edges.max())} but graph has n={n}"
         )
+
+
+def check_id_block(edges: np.ndarray, n: int, name: str = "edges") -> None:
+    """Check an ``(m, 2)`` integer block holds only ids in ``[0, n)``.
+
+    Scans the block in its own dtype -- an ``int32`` block reads half the
+    bytes of its ``int64`` widening -- with the messages of
+    :func:`check_edge_array` and :func:`check_square_ids`.
+    """
+    if not edges.size:
+        return
+    if edges.ndim != 2 or edges.shape[1] != 2:
+        raise GraphFormatError(f"{name} must have shape (m, 2), got {edges.shape}")
+    if not np.issubdtype(edges.dtype, np.integer):
+        raise GraphFormatError(f"{name} must hold integer ids, not {edges.dtype}")
+    if edges.min() < 0:
+        raise GraphFormatError(f"{name} contains negative vertex ids")
+    check_square_ids(edges, n, name)

@@ -122,28 +122,49 @@ class TestQueryEquivalence:
         with_server(go)
 
     @settings(max_examples=20, deadline=None)
-    @given(a=edge_lists(), b=edge_lists())
-    def test_degrees_and_neighbors_bit_identical(self, a, b):
+    @given(
+        a=edge_lists(),
+        b=edge_lists(),
+        picks=st.lists(st.integers(0, 10**6), max_size=12),
+        limit=st.one_of(st.none(), st.integers(0, 6), st.just(10**30)),
+    )
+    def test_degrees_and_neighbors_bit_identical(self, a, b, picks, limit):
+        """Reply bytes equal ``json.dumps(sort_keys=True) + "\\n"`` of the
+        direct answer's dict form: all vertices, then random ones (repeats
+        included) under a drawn ``limit``."""
         direct = KroneckerGraph(a, b)
         vertices = list(range(direct.n))
+        picked = [p % direct.n for p in picks]
+
+        def want(doc):
+            return (json.dumps(doc, sort_keys=True) + "\n").encode()
+
+        def hoods(vs, limit):
+            out = []
+            for p in vs:
+                nbrs = direct.neighbors(p)
+                cut = limit is not None and len(nbrs) > limit
+                out.append({"p": p, "neighbors": nbrs[:limit].tolist() if cut
+                            else nbrs.tolist(), "degree_total": len(nbrs),
+                            "truncated": cut})
+            return {"neighborhoods": out}
 
         async def go(service, client):
             doc = await register(client, a, b)
             base = f"/v1/tenants/t/graphs/{doc['graph']}"
-            _, res = await client.request(
-                "POST", f"{base}/degrees", {"vertices": vertices}
-            )
-            assert res["degrees"] == direct.degree(
-                np.asarray(vertices, dtype=np.int64)
-            ).tolist()
-            _, res = await client.request(
-                "POST", f"{base}/neighbors", {"vertices": vertices}
-            )
-            for item in res["neighborhoods"]:
-                assert item["neighbors"] == direct.neighbors(
-                    item["p"]
-                ).tolist()
-                assert not item["truncated"]
+            for leaf, body, expected in (
+                ("degrees", {"vertices": vertices}, {"degrees": direct.degree(
+                    np.asarray(vertices, dtype=np.int64)).tolist()}),
+                ("neighbors", {"vertices": vertices}, hoods(vertices, None)),
+                ("neighbors", {"vertices": picked, "limit": limit},
+                 hoods(picked, limit)),
+            ):
+                reply = await service._dispatch(HTTPRequest(
+                    "POST", f"{base}/{leaf}", {}, json.dumps(body).encode()
+                ))
+                head, _, raw = reply.partition(b"\r\n\r\n")
+                assert head.startswith(b"HTTP/1.1 200 OK\r\n"), leaf
+                assert raw == want(expected), leaf
 
         with_server(go)
 

@@ -14,6 +14,7 @@ with ``int32`` ones.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from repro.distributed.generator import (
     GenerationPlan,
     KronPair,
     generate_distributed,
+    reassemble,
 )
 from repro.distributed.supervisor import canonical_edges, generate_to_directory
+from repro.errors import GraphFormatError
 from repro.graph import EdgeList, erdos_renyi
 from repro.graph.generators import clique, cycle
 from repro.kronecker import id_dtype, kron_product
@@ -230,3 +233,58 @@ class TestCheckpointCompatibility:
             assert edges_digest(store.get(key).edges) == shard.digest
         assert manifest.edges_total > 3_000_000
         assert narrow_bytes <= 0.55 * wide_bytes
+
+
+# --------------------------------------------------------------------- #
+# reassembly range-checks each block in its own width
+# --------------------------------------------------------------------- #
+class TestReassembleRangeCheck:
+    """``reassemble`` checks ids block by block before widening and then
+    wraps the ``int64`` copy unscanned: a forged id must still raise."""
+
+    N = 12
+
+    def _blocks(self, dtype, forged=None):
+        good = np.array([[0, 1], [11, 3], [5, 5]], dtype=dtype)
+        blocks = [good, np.empty((0, 2), dtype=dtype), good[::-1].copy()]
+        if forged is not None:
+            bad = good.copy()
+            bad[1, 1] = forged
+            blocks.insert(2, bad)
+        return blocks
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_in_range_blocks_reassemble_to_int64(self, dtype):
+        got = reassemble(self._blocks(dtype), self.N)
+        assert got.edges.dtype == np.int64 and got.edges.flags.c_contiguous
+        assert got.n == self.N
+        assert got == EdgeList(np.vstack(self._blocks(np.int64)), self.N)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("forged", [-1, N, np.iinfo(np.int32).min])
+    def test_forged_id_in_any_block_raises(self, dtype, forged):
+        with pytest.raises(GraphFormatError):
+            reassemble(self._blocks(dtype, forged), self.N)
+
+    def test_forged_int64_id_past_int32(self):
+        blocks = self._blocks(np.int64, 1 << 40)
+        with pytest.raises(GraphFormatError, match=str(1 << 40)):
+            reassemble(blocks, self.N)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_load_run_refuses_a_forged_shard_it_can_verify(self, tmp_path, dtype):
+        # Shard and manifest digests rewritten to agree: only the range
+        # check stands between the forged id and the reassembled union.
+        a, b = clique(3), cycle(4)
+        manifest = generate_to_directory(
+            KronPair(a, b), tmp_path, 2, storage="source_block"
+        )
+        store = CheckpointStore(tmp_path)
+        key = shard_key(manifest.run_key, 1)
+        edges = store.get(key).edges.astype(dtype)
+        edges[-1, 0] = manifest.n
+        digests = list(manifest.shard_digests)
+        digests[1] = store.put(key, edges)
+        store.put_manifest(replace(manifest, shard_digests=tuple(digests)))
+        with pytest.raises(GraphFormatError, match=f"n={manifest.n}"):
+            store.load_run(store.get_manifest(manifest.run_key))

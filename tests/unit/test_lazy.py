@@ -52,10 +52,17 @@ class TestLocalQueries:
     def test_neighbors_sorted_and_correct(self, lazy_and_dense):
         lazy, dense = lazy_and_dense
         csr = CSRGraph.from_edgelist(dense)
+        assert np.array_equal(
+            lazy.degree_total(np.arange(dense.n)), csr.degrees_total()
+        )
         for p in range(dense.n):
             got = lazy.neighbors(p)
             assert np.array_equal(got, np.sort(got))
             assert np.array_equal(got, csr.neighbors(p))
+            # A limit is the prefix, whatever row of A it ends in.
+            for limit in {0, 1, len(got) // 2, len(got) - 1, len(got), len(got) + 3}:
+                if limit >= 0:
+                    assert np.array_equal(lazy.neighbors(p, limit), got[:limit])
 
     def test_degree_vectorized(self, lazy_and_dense):
         lazy, dense = lazy_and_dense

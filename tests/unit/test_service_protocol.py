@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     AssumptionError,
@@ -21,6 +23,8 @@ from repro.service.protocol import (
     array_body,
     error_payload,
     int_ids,
+    int_text,
+    neighborhoods_body,
     read_request,
     render_response,
     status_of,
@@ -243,9 +247,95 @@ class TestArrayBody:
             np.array([0]),
             np.array([7, 0, 10, 99, 100, 441, 1, 2**62, 10**18 - 1]),
             np.arange(1000, dtype=np.int32),
+            np.array([9999, 10**4, 0, 10**8 - 1, 10**8, 10**16, 2**63 - 1]),
+            np.array([0, 0, 0]),
         ],
     )
     def test_bytes_are_json_dumps(self, values):
         key = "exists" if values.dtype == bool else "degrees"
         want = json.dumps({key: values.tolist()}, sort_keys=True) + "\n"
         assert array_body(key, values) == want.encode()
+
+
+#: Every limb boundary of the 4-digit cells, and the int64 ceiling.
+LIMB_EDGES = [0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**16, 2**63 - 1]
+
+
+def join_text(values) -> bytes:
+    return (", ".join(map(str, values)) + ", ").encode() if len(values) else b""
+
+
+class TestIntText:
+    @pytest.mark.parametrize("value", LIMB_EDGES)
+    def test_limb_edges_alone_and_beside_zero(self, value):
+        for values in ([value], [value, 0], [0, value], [value, 1, value]):
+            assert int_text(np.array(values, dtype=np.int64)) == join_text(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.sampled_from(LIMB_EDGES),
+                st.integers(0, 2**63 - 1),
+                st.integers(0, 99999),
+                st.integers(1, 18).flatmap(
+                    lambda w: st.integers(10 ** (w - 1), 10**w - 1)
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    def test_equals_str_join(self, values):
+        assert int_text(np.array(values, dtype=np.int64)) == join_text(values)
+
+    def test_narrow_dtypes(self):
+        values = np.array([0, 7, 2**31 - 1], dtype=np.int32)
+        assert int_text(values) == join_text(values.tolist())
+        assert int_text(np.array([255, 0], dtype=np.uint8)) == b"255, 0, "
+
+
+def dict_form(vertices, totals, counts, ids):
+    """The reply as a list of dicts through ``json.dumps``: the reference."""
+    out, at = [], 0
+    for p, t, c in zip(vertices, totals, counts):
+        out.append({"p": p, "neighbors": ids[at : at + c], "degree_total": t,
+                    "truncated": c < t})
+        at += c
+    return (json.dumps({"neighborhoods": out}, sort_keys=True) + "\n").encode()
+
+
+class TestNeighborhoodsBody:
+    @pytest.mark.parametrize(
+        "vertices, totals, counts, ids",
+        [
+            ([], [], [], []),
+            ([5], [0], [0], []),  # an empty neighbourhood
+            ([5, 6, 5], [0, 0, 0], [0, 0, 0], []),
+            ([0, 1, 2], [0, 2, 0], [0, 2, 0], [10**4, 9999]),  # empties around
+            ([3, 3], [4, 4], [4, 1], [0, 3, 9, 10, 0]),  # repeated, truncated
+            ([7], [5], [0], []),  # limit 0
+            ([2**40], [2], [2], [2**63 - 1, 0]),
+        ],
+    )
+    def test_bytes_are_json_dumps(self, vertices, totals, counts, ids):
+        arrays = [np.array(x, dtype=np.int64) for x in (vertices, totals, counts, ids)]
+        assert neighborhoods_body(*arrays) == dict_form(vertices, totals, counts, ids)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 10**9),
+                st.lists(st.integers(0, 10**12), max_size=8),
+                st.integers(0, 3),
+            ),
+            max_size=12,
+        )
+    )
+    def test_random_batches(self, rows):
+        vertices = [p for p, _, _ in rows]
+        totals = [len(ids) + extra for _, ids, extra in rows]
+        counts = [len(ids) for _, ids, _ in rows]
+        ids = [i for _, row, _ in rows for i in row]
+        arrays = [np.array(x, dtype=np.int64) for x in (vertices, totals, counts, ids)]
+        assert neighborhoods_body(*arrays) == dict_form(vertices, totals, counts, ids)

@@ -9,19 +9,21 @@ calls.  No pytest-asyncio: tests are sync functions running one
 
 import asyncio
 import json
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.graph import clique, cycle
+from repro.graph import EdgeList, clique, cycle, star
 from repro.kronecker.lazy import KroneckerGraph
 from repro.service.loadgen import (
     DEFAULT_FACTOR_A,
     DEFAULT_FACTOR_B,
     HTTPClient,
 )
-from repro.service.protocol import HTTPRequest, id_batch
+from repro.service.protocol import MAX_REPLY_IDS, HTTPRequest, id_batch
 from repro.service.server import MAX_BATCH, KronService, ServiceConfig
 
 
@@ -400,6 +402,130 @@ class TestQueries:
             assert status == 400
 
         serve(go)
+
+
+def dispatch(service, a, b, leaf, doc):
+    """``(status line, body)`` of one in-process request to ``a (x) b``."""
+    reg = service.registry
+    handle = reg.register_graph("t", reg.register_factor(a), reg.register_factor(b))
+    request = HTTPRequest(
+        "POST", f"/v1/tenants/t/graphs/{handle.key}/{leaf}", {},
+        json.dumps(doc).encode(),
+    )
+    head, _, body = asyncio.run(service._dispatch(request)).partition(b"\r\n\r\n")
+    return head.split(b"\r\n")[0], body
+
+
+def dict_reply(graph, vertices, limit):
+    """The reference reply: one dict per vertex through ``json.dumps``."""
+    out = []
+    for p in vertices:
+        nbrs = graph.neighbors(p)
+        truncated = limit is not None and len(nbrs) > limit
+        out.append({
+            "p": p,
+            "neighbors": (nbrs[:limit] if truncated else nbrs).tolist(),
+            "degree_total": len(nbrs),
+            "truncated": truncated,
+        })
+    return (json.dumps({"neighborhoods": out}, sort_keys=True) + "\n").encode()
+
+
+class TestNeighborReplies:
+    # A: vertex 3 isolated, loops at 0 and 2; B: loops everywhere but 1.
+    A = EdgeList(np.array([[0, 0], [0, 1], [1, 0], [1, 2], [2, 1], [2, 2]]), 4)
+    B = EdgeList(np.array([[0, 0], [0, 1], [1, 0], [2, 2], [1, 2], [2, 1]]), 3)
+
+    @pytest.mark.parametrize("limit", [None, 0, 1, 2, 4, 100, 10**30])
+    @pytest.mark.parametrize(
+        "vertices",
+        [[], [9], [0, 6, 0, 9, 11, 0], list(range(12)) * 2],  # 9..11: empty rows
+    )
+    def test_bytes_are_json_dumps_of_the_dict_form(self, vertices, limit):
+        doc = {"vertices": vertices}
+        if limit is not None:
+            doc["limit"] = limit
+        status, body = dispatch(KronService(), self.A, self.B, "neighbors", doc)
+        assert status == b"HTTP/1.1 200 OK"
+        assert body == dict_reply(KroneckerGraph(self.A, self.B), vertices, limit)
+
+    def test_over_the_bound_is_refused_before_expanding(self):
+        # K9 with loops squared: 81 ids a vertex, 5.3e6 > MAX_REPLY_IDS over
+        # a full batch -- 42 MB of int64 ids were they expanded.
+        k9 = clique(9).with_full_self_loops()
+        vertices = (np.arange(MAX_BATCH) % 81).tolist()
+        assert 81 * MAX_BATCH > MAX_REPLY_IDS
+        service = KronService()
+        tracemalloc.start()
+        try:
+            with mock.patch.object(
+                KroneckerGraph, "neighbors", side_effect=AssertionError("expanded")
+            ):
+                status, body = dispatch(
+                    service, k9, k9, "neighbors", {"vertices": vertices}
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == b"HTTP/1.1 400 Bad Request"
+        err = json.loads(body)
+        assert err["error"] == "bad_request"
+        assert str(MAX_REPLY_IDS) in err["message"] and "'limit'" in err["message"]
+        assert peak < 16 << 20, peak
+
+    def test_exactly_at_the_bound_is_served(self):
+        # K8 with loops squared: 64 ids a vertex, 64 * MAX_BATCH == the bound.
+        k8 = clique(8).with_full_self_loops()
+        assert 64 * MAX_BATCH == MAX_REPLY_IDS
+        vertices = (np.arange(MAX_BATCH) % 64).tolist()
+        status, body = dispatch(
+            KronService(), k8, k8, "neighbors", {"vertices": vertices}
+        )
+        assert status == b"HTTP/1.1 200 OK"
+        hoods = json.loads(body)["neighborhoods"]
+        assert len(hoods) == MAX_BATCH
+        assert sum(len(h["neighbors"]) for h in hoods) == MAX_REPLY_IDS
+        assert hoods[-1] == {
+            "p": 63, "neighbors": list(range(64)), "degree_total": 64,
+            "truncated": False,
+        }
+
+    @pytest.mark.parametrize(
+        "vertices, limit, bound, status",
+        [
+            ([5, 5], 32, 64, b"200"),  # 64 ids, at the bound
+            ([5, 5], 33, 64, b"400"),
+            ([5], None, 64, b"200"),
+            ([5], None, 63, b"400"),  # one id over
+            ([5], 63, 63, b"200"),
+        ],
+    )
+    def test_the_bound_counts_limited_ids(self, vertices, limit, bound, status):
+        # K8 with loops squared: rows of 64 ids, cut by limit.
+        k8 = clique(8).with_full_self_loops()
+        doc = {"vertices": vertices, "limit": limit}
+        with mock.patch("repro.service.server.MAX_REPLY_IDS", bound):
+            line, _ = dispatch(KronService(), k8, k8, "neighbors", doc)
+        assert line.split(b" ")[1] == status
+
+    def test_hub_with_a_limit_expands_only_the_limit(self):
+        # Hub (0, 0) of star(3000) squared: a 9e6-id row, 72 MB expanded.
+        s = star(3000)
+        service = KronService()
+        tracemalloc.start()
+        try:
+            status, body = dispatch(
+                service, s, s, "neighbors", {"vertices": [0], "limit": 3}
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert status == b"HTTP/1.1 200 OK"
+        assert json.loads(body) == {"neighborhoods": [{
+            "p": 0, "neighbors": [3001, 3002, 3003], "degree_total": 2999**2,
+            "truncated": True,
+        }]}
+        assert peak < 8 << 20, peak
 
 
 class TestAnalytics:
