@@ -532,6 +532,17 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------- #
 # parser
 # --------------------------------------------------------------------- #
+def _at_least_one(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_factor_args(
     p: argparse.ArgumentParser,
     optional: str | None = None,
@@ -735,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--port", type=int, default=0,
                     help="port to listen on (0 picks a free port; the "
                          "bound port is printed as a REPRO_SERVE line)")
-    sv.add_argument("--cache-size", type=int, default=512,
+    sv.add_argument("--cache-size", type=_at_least_one, default=512,
                     help="analytics cache entries (LRU beyond this)")
     sv.add_argument("--trace-out", default=None,
                     help="write the request trace (Chrome/Perfetto JSON) "
@@ -782,12 +793,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A library error or an operating-system one (a missing factor file, a
+    busy or refused port) is one ``error:`` line on stderr and exit 2.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,6 @@ __all__ = [
     "RequestError",
     "TenantNotFoundError",
     "GraphNotFoundError",
-    "CacheCorruptionError",
     "ExperimentError",
     "ReproWarning",
     "DegradationWarning",
@@ -272,19 +271,6 @@ class GraphNotFoundError(ServiceError):
 
     http_status = 404
     code = "graph_not_found"
-
-
-class CacheCorruptionError(ServiceError):
-    """A cached analytics payload failed its integrity digest on read.
-
-    The analytics cache stores a content digest next to every payload;
-    a mismatch means the entry was damaged in place.  The cache evicts
-    the damaged entry before raising, so a *retry* of the same request
-    recomputes from ground truth and repairs the cache.
-    """
-
-    http_status = 500
-    code = "cache_corruption"
 
 
 class ExperimentError(ReproError):

@@ -6,7 +6,6 @@ from repro.kronecker.product import (
     kron_edge_block,
     kron_product,
     iter_kron_product,
-    kron_power,
     product_size,
     RoutePlanB,
     plan_route_b,
@@ -44,7 +43,6 @@ __all__ = [
     "kron_edge_block",
     "kron_product",
     "iter_kron_product",
-    "kron_power",
     "product_size",
     "RoutePlanB",
     "plan_route_b",

@@ -40,7 +40,6 @@ __all__ = [
     "kron_product",
     "iter_kron_product",
     "dense_chunk_count",
-    "kron_power",
     "product_size",
     "RoutePlanB",
     "plan_route_b",
@@ -353,17 +352,3 @@ def routed_chunk_count(ma: int, mb: int, chunk_size: int) -> int:
         return 0
     return -(-ma // max(1, chunk_size // mb))
 
-
-def kron_power(el: EdgeList, k: int) -> EdgeList:
-    """Iterated product ``A (x) A (x) ... (x) A`` (``k`` factors).
-
-    ``k = 1`` returns the input unchanged.  Mirrors the repeated-squaring
-    usage of Kronecker benchmarks (the paper's ``C = A (x) A`` experiments
-    are ``k = 2``).
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    out = el
-    for _ in range(k - 1):
-        out = kron_product(out, el)
-    return out

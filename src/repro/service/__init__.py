@@ -13,9 +13,9 @@ product.  This package turns that into a server:
 :mod:`repro.service.registry`
     content-addressed multi-tenant factor/graph registry;
 :mod:`repro.service.cache`
-    LRU analytics cache keyed by ``(digest_A, digest_B, property,
-    params)`` with integrity digests -- the only cache: each answer is
-    computed once per server, from the factors alone;
+    LRU analytics cache of canonical JSON answer bytes keyed by
+    ``(digest_A, digest_B, property, params)`` -- the only cache: each
+    answer is computed once per server, from the factors alone;
 :mod:`repro.service.analytics`
     the property table mapping names to ground-truth formulas;
 :mod:`repro.service.server`

@@ -2,18 +2,15 @@
 
 Cache keys are ``(digest_A, digest_B, property, params_key)`` -- the
 content address of the *answer*, since every ground-truth property is a
-pure function of the factors and parameters.  Entries store the result
-pre-serialized as canonical JSON bytes plus an integrity digest
-(:func:`repro.util.hashing.mix_tokens` of the payload); every hit
-re-derives the digest, and a mismatch evicts the damaged entry and
-raises :class:`~repro.errors.CacheCorruptionError` -- a retry of the
-same request recomputes and repairs.
+pure function of the factors and parameters.  Entries are the result
+pre-serialized as canonical JSON bytes, stored once and served as they
+were stored: a hit is a dict lookup, a recency move and a counter
+increment, whatever the payload's size.
 
 Computation is synchronous on the server's single event loop, so two
 requests for the same cold key can never overlap: the second one finds
-the first one's entry.  Hits, misses, evictions and corruptions are
-counted once, on the cache itself; the server's ``/v1/metrics`` reports
-them.
+the first one's entry.  Hits, misses and evictions are counted once, on
+the cache itself; the server's ``/v1/metrics`` reports them.
 """
 
 from __future__ import annotations
@@ -21,10 +18,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable
 
-from repro.errors import CacheCorruptionError
-from repro.util.hashing import mix_tokens
-
-__all__ = ["AnalyticsCache", "cache_key", "payload_digest"]
+__all__ = ["AnalyticsCache", "cache_key"]
 
 
 def cache_key(
@@ -34,35 +28,21 @@ def cache_key(
     return (digest_a, digest_b, property_name, params_key)
 
 
-def payload_digest(payload: bytes) -> int:
-    """Integrity digest of a serialized result payload."""
-    return mix_tokens([payload.decode("utf-8")], seed=len(payload))
-
-
-class _Entry:
-    __slots__ = ("payload", "digest")
-
-    def __init__(self, payload: bytes, digest: int) -> None:
-        self.payload = payload
-        self.digest = digest
-
-
 class AnalyticsCache:
     """Bounded LRU of serialized analytics results.
 
-    :attr:`hits`, :attr:`misses`, :attr:`evictions` and
-    :attr:`corruptions` count each event once.
+    :attr:`hits`, :attr:`misses` and :attr:`evictions` count each event
+    once.
     """
 
     def __init__(self, maxsize: int = 512) -> None:
         if maxsize < 1:
             raise ValueError(f"cache maxsize must be >= 1, got {maxsize}")
         self.maxsize = int(maxsize)
-        self._entries: dict[tuple, _Entry] = {}
+        self._entries: dict[tuple, bytes] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.corruptions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -73,38 +53,21 @@ class AnalyticsCache:
         return self.hits / total if total else 0.0
 
     def lookup(self, key: tuple) -> bytes | None:
-        """Integrity-checked hit, or ``None`` on miss.
-
-        Raises :class:`CacheCorruptionError` (after evicting the entry)
-        when the stored payload no longer matches its recorded digest.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
+        """The stored payload (now the most recent entry), or ``None``."""
+        payload = self._entries.pop(key, None)
+        if payload is None:
             self.misses += 1
             return None
-        if payload_digest(entry.payload) != entry.digest:
-            del self._entries[key]
-            self.corruptions += 1
-            digest_a, digest_b, prop, params = key
-            raise CacheCorruptionError(
-                f"cached payload for {prop} on {digest_a}x{digest_b} failed "
-                f"its integrity digest; entry evicted, retry recomputes",
-                digest=f"{digest_a}x{digest_b}",
-                property=prop,
-                params=json.loads(params) if params else None,
-            )
         # Re-insert to mark recency (dict preserves insertion order).
-        del self._entries[key]
-        self._entries[key] = entry
+        self._entries[key] = payload
         self.hits += 1
-        return entry.payload
+        return payload
 
     def insert(self, key: tuple, payload: bytes) -> None:
         """Store a serialized result, evicting LRU entries past maxsize."""
-        self._entries[key] = _Entry(payload, payload_digest(payload))
+        self._entries[key] = payload
         while len(self._entries) > self.maxsize:
-            oldest = next(iter(self._entries))
-            del self._entries[oldest]
+            del self._entries[next(iter(self._entries))]
             self.evictions += 1
 
     def get_or_compute(

@@ -70,7 +70,6 @@ from repro.service.analytics import compute_property, property_names
 from repro.service.cache import AnalyticsCache, cache_key
 from repro.service.protocol import (
     MAX_BATCH,
-    MAX_BODY_BYTES,
     MAX_REPLY_IDS,
     HTTPRequest,
     array_body,
@@ -100,11 +99,9 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 0
     cache_size: int = 512
-    max_body: int = MAX_BODY_BYTES
     #: Whether POST /v1/admin/shutdown is honored (CI and tests use it to
     #: stop a background server deterministically).
     allow_shutdown: bool = True
-    telemetry: TelemetryConfig | None = None
 
 
 class KronService:
@@ -112,9 +109,7 @@ class KronService:
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
-        self.telemetry = RankTelemetry(
-            self.config.telemetry or TelemetryConfig(), rank=0
-        )
+        self.telemetry = RankTelemetry(TelemetryConfig(), rank=0)
         self.registry = ServiceRegistry()
         self.cache = AnalyticsCache(maxsize=self.config.cache_size)
         self._clock = perf_clock
@@ -171,7 +166,7 @@ class KronService:
         try:
             while True:
                 try:
-                    request = await read_request(reader, self.config.max_body)
+                    request = await read_request(reader)
                 except RequestError as exc:
                     # Unparseable request: answer if possible, then close.
                     writer.write(
@@ -311,7 +306,6 @@ class KronService:
                 "hits": self.cache.hits,
                 "misses": self.cache.misses,
                 "evictions": self.cache.evictions,
-                "corruptions": self.cache.corruptions,
                 "hit_rate": self.cache.hit_rate,
             },
             "registry": {

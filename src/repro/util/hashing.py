@@ -190,7 +190,8 @@ def splitmix64_int(x: int) -> int:
     Bit-identical to :func:`splitmix64` on the same input -- the reference
     the array kernel is pinned against -- and used where a cheap
     deterministic 64-bit mix of small Python integers is needed (e.g. the
-    lint cache's schema tags) without paying array overhead.
+    load generator's request stream, the SKG noise seeds) without paying
+    array overhead.
     """
     z = (x + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -202,8 +203,9 @@ def mix_tokens(tokens: "list[str] | tuple[str, ...]", seed: int = 0) -> int:
     """Order-sensitive 64-bit digest of a token sequence.
 
     Chains :func:`splitmix64_int` over the UTF-8 bytes of each token --
-    a deterministic, dependency-free fingerprint for cache keys and
-    schema tags.
+    a deterministic, dependency-free fingerprint of a few short tokens
+    (:meth:`repro.skg.model.SKGSpec.digest`); a pure-Python loop per
+    byte, so not for bulk payloads.
     """
     h = splitmix64_int(seed)
     for token in tokens:

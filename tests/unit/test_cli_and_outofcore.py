@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import socket
 import threading
 
 import numpy as np
@@ -494,6 +495,44 @@ class TestCli:
         code = main(["groundtruth", str(bad), str(bad)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["validate", "{missing}", "{missing}"],
+                         id="validate-missing-factor"),
+            pytest.param(["groundtruth", "{missing}", "{missing}"],
+                         id="groundtruth-missing-factor"),
+            pytest.param(["serve", "--port", "{port}"], id="serve-busy-port"),
+            pytest.param(["serve-rendezvous", "--host", "127.0.0.1",
+                          "--port", "{port}"], id="rendezvous-busy-port"),
+            pytest.param(["loadgen", "--target", "127.0.0.1:{port}",
+                          "--requests", "1"], id="loadgen-refused-port"),
+            pytest.param(["serve", "--cache-size", "0"],
+                         id="serve-cache-size-0"),
+        ],
+    )
+    def test_operator_errors_are_one_line_and_exit_2(
+        self, argv, tmp_path, capsys
+    ):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            # Listening makes the port busy for a server; a bound socket
+            # that does not listen refuses a client's dial.
+            if argv[0] != "loadgen":
+                held.listen()
+            fill = dict(missing=str(tmp_path / "missing.txt"),
+                        port=held.getsockname()[1])
+            try:
+                code = main([a.format(**fill) for a in argv])
+            except SystemExit as exc:  # argparse refusals
+                code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "Traceback" not in err
+        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+        if "--cache-size" in argv:
+            assert "--cache-size" in line
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):

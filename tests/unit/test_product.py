@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.errors import AssumptionError
+from repro.errors import AssumptionError, GraphFormatError
 from repro.graph import EdgeList, clique, cycle, erdos_renyi, path
 from repro.groundtruth import edge_count_full_loops
 from repro.kronecker import (
     iter_kron_product,
     kron_edge_block,
-    kron_power,
     kron_product,
+    kron_product_many,
     kron_with_full_loops,
     product_size,
     require_full_self_loops,
@@ -97,20 +97,22 @@ class TestIterKronProduct:
 
 
 class TestKronPower:
+    """Self-powers ``A (x) ... (x) A`` are ``kron_product_many([A] * k)``."""
+
     def test_power_one_identity(self, c5):
-        assert kron_power(c5, 1) == c5
+        assert kron_product_many([c5]) == c5
 
     def test_power_two_equals_product(self, c5):
-        assert kron_power(c5, 2) == kron_product(c5, c5)
+        assert kron_product_many([c5] * 2) == kron_product(c5, c5)
 
     def test_power_three_size(self):
         p = path(2)
-        c = kron_power(p, 3)
+        c = kron_product_many([p] * 3)
         assert c.n == 8 and c.m_directed == p.m_directed**3
 
     def test_bad_power(self, c5):
-        with pytest.raises(ValueError):
-            kron_power(c5, 0)
+        with pytest.raises(GraphFormatError):
+            kron_product_many([c5] * 0)
 
 
 class TestOperators:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.errors import (
     AssumptionError,
-    CacheCorruptionError,
     GraphNotFoundError,
     ReproError,
     RequestError,
@@ -149,7 +148,6 @@ class TestErrorMapping:
             (RequestError("x"), 400, "bad_request"),
             (TenantNotFoundError("t"), 404, "tenant_not_found"),
             (GraphNotFoundError("x"), 404, "graph_not_found"),
-            (CacheCorruptionError("x"), 500, "cache_corruption"),
         ],
     )
     def test_service_errors(self, exc, status, code):
@@ -172,7 +170,7 @@ class TestErrorMapping:
         assert error_payload(exc)["error"] == "internal"
 
     def test_structured_context_in_body(self):
-        exc = CacheCorruptionError(
+        exc = ServiceError(
             "bad entry", digest="aXb", property="triangles", params={"k": 1}
         )
         doc = error_payload(exc)

@@ -4,14 +4,14 @@ import json
 
 import pytest
 
+import repro.util.hashing
 from repro.errors import (
-    CacheCorruptionError,
     GraphNotFoundError,
     RequestError,
     TenantNotFoundError,
 )
 from repro.graph import clique, cycle
-from repro.service.cache import AnalyticsCache, cache_key, payload_digest
+from repro.service.cache import AnalyticsCache, cache_key
 from repro.service.registry import ServiceRegistry, digest_hex
 
 
@@ -110,25 +110,21 @@ class TestAnalyticsCache:
         assert len(cache) == 2
         assert cache.evictions == 2
 
-    def test_corruption_detected_and_evicted(self):
+    def test_hit_serves_stored_bytes_without_hashing(self, monkeypatch):
+        """A hit returns the stored object itself: no per-hit hashing."""
+
+        def refuse(x):
+            raise AssertionError("the cache hashed a payload")
+
+        monkeypatch.setattr(repro.util.hashing, "splitmix64_int", refuse)
         cache = AnalyticsCache(maxsize=4)
         key = cache_key("aaaa", "bbbb", "triangles", '{"k":1}')
-
-        cache.get_or_compute(key, lambda: {"tau": 6})
-        cache._entries[key].payload = b'{"tau": 666}'  # bit-rot
-        with pytest.raises(CacheCorruptionError) as exc_info:
-            cache.lookup(key)
-        assert exc_info.value.property == "triangles"
-        assert exc_info.value.digest == "aaaaxbbbb"
-        assert exc_info.value.params == {"k": 1}
-        assert key not in cache._entries  # damaged entry evicted
-        # The retry recomputes and repairs.
-        payload, was_hit = cache.get_or_compute(key, lambda: {"tau": 6})
-        assert not was_hit and json.loads(payload) == {"tau": 6}
-        assert cache.corruptions == 1
-
-    def test_payload_digest_sensitivity(self):
-        assert payload_digest(b'{"a":1}') != payload_digest(b'{"a":2}')
+        stored, was_hit = cache.get_or_compute(key, lambda: {"tau": 6})
+        assert not was_hit and json.loads(stored) == {"tau": 6}
+        served, was_hit = cache.get_or_compute(key, lambda: {"tau": 666})
+        assert was_hit and served is stored
+        assert cache.lookup(key) is stored
+        assert (cache.hits, cache.misses) == (2, 1)
 
     def test_rejects_zero_maxsize(self):
         with pytest.raises(ValueError):

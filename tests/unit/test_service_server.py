@@ -8,6 +8,7 @@ calls.  No pytest-asyncio: tests are sync functions running one
 """
 
 import asyncio
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -706,7 +707,6 @@ class TestObservability:
             "hits": 0,
             "misses": 0,
             "evictions": 0,
-            "corruptions": 0,
             "hit_rate": 0.0,
         }
         assert m_other["metrics"]["counters"] == {}
@@ -774,6 +774,14 @@ class TestObservability:
             assert counters["service.status.404"] == 1
 
         serve(go)
+
+
+class TestConfig:
+    def test_fields_are_the_values_callers_set(self):
+        # The body bound is protocol.MAX_BODY_BYTES and the telemetry
+        # config the default; neither is a setting of the server.
+        names = {f.name for f in dataclasses.fields(ServiceConfig)}
+        assert names == {"host", "port", "cache_size", "allow_shutdown"}
 
 
 class TestShutdown:
