@@ -453,12 +453,17 @@ def _loadgen_target(args: argparse.Namespace) -> tuple[str, int]:
     from repro.service.loadgen import parse_serve_line
 
     if args.target != "auto":
-        host, sep, port = args.target.rpartition(":")
-        if not sep:
+        host, _sep, port = args.target.rpartition(":")
+        try:
+            number = int(port)
+        except ValueError:
+            number = 0
+        if not (host and 0 < number <= 65535):
             raise ReproError(
-                f"--target must be host:port or 'auto', got {args.target!r}"
+                f"--target must be host:port with a port in 1..65535, or "
+                f"'auto', got {args.target!r}"
             )
-        return host, int(port)
+        return host, number
     if args.serve_output:
         deadline = time.monotonic() + args.wait_s
         while True:
@@ -540,6 +545,19 @@ def _at_least_one(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type: a TCP port number, 0..65535 (0 picks a free port)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be a port number in 0..65535, got {text!r}"
+        )
     return value
 
 
@@ -733,7 +751,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rz.add_argument("--host", default="0.0.0.0",
                     help="interface to bind (default: all)")
-    rz.add_argument("--port", type=int, default=9310,
+    rz.add_argument("--port", type=_port, default=9310,
                     help="port to listen on (0 picks a free port)")
     rz.set_defaults(func=cmd_serve_rendezvous)
 
@@ -743,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument("--host", default="127.0.0.1",
                     help="interface to bind (default: loopback)")
-    sv.add_argument("--port", type=int, default=0,
+    sv.add_argument("--port", type=_port, default=0,
                     help="port to listen on (0 picks a free port; the "
                          "bound port is printed as a REPRO_SERVE line)")
     sv.add_argument("--cache-size", type=_at_least_one, default=512,

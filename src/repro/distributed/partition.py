@@ -114,19 +114,16 @@ def vertex_block_bounds(n: int, nparts: int) -> np.ndarray:
     return -(-(d * np.int64(n)) // np.int64(nparts))
 
 
-def owners_by_edge_hash(
-    edges: np.ndarray, nparts: int, seed: int = 0, dtype=np.int64
-) -> np.ndarray:
+def owners_by_edge_hash(edges: np.ndarray, nparts: int, seed: int = 0) -> np.ndarray:
     """Hash map: edge ``(u, v)`` is owned by ``hash(u, v) % nparts``.
 
     Symmetric (direction-independent) so both directions of an undirected
     edge land on the same owner.  The body is
-    :meth:`repro.util.hashing.EdgeHasher.owner`; callers get ``int64``
-    owners, and only the counting scatter passes its narrow key ``dtype``.
-    The id columns are hashed in the dtype they come in (the tile load
-    casts by value), so ``int32`` and ``int64`` ids own alike.
+    :meth:`repro.util.hashing.EdgeHasher.owner`, in ``int64``.  The id
+    columns are hashed in the dtype they come in (the tile load casts by
+    value), so ``int32`` and ``int64`` ids own alike.
     """
     if nparts < 1:
         raise PartitionError(f"nparts must be >= 1, got {nparts}")
     e = np.asarray(edges).reshape(-1, 2)
-    return EdgeHasher(seed).owner(e[:, 0], e[:, 1], nparts, dtype)
+    return EdgeHasher(seed).owner(e[:, 0], e[:, 1], nparts)

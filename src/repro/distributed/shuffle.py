@@ -13,19 +13,35 @@ stores; nothing here widens a block.
 Two bucketing kernels are provided:
 
 ``method="scatter"`` (default):
-    a counting-sort scatter.  Owner ids are bounded by the world size, so
-    they fit a narrow integer dtype and numpy's stable small-integer sort is
-    a radix/counting sort -- O(m + nparts) instead of the O(m log m)
-    comparison argsort.  On a 1M-edge block with 8 owners this is ~3x the
-    argsort (see ``benchmarks/bench_kernels.py``).  The generator only
-    ever uses this one, and under ``edge_hash`` it calls it once per dense
-    chunk, where the chunk is produced: the hash map
-    (:meth:`repro.util.hashing.EdgeHasher.owner`, tile by tile) reads the
-    id columns in their own dtype and writes the narrow sort key directly,
-    so neither a product-sized ``int64`` owner array nor a product-sized
-    copy of the round exists on the routing path.  A stable scatter per
-    chunk, concatenated in chunk order, is row for row the stable scatter
-    of the whole round.
+    a counting scatter, one tile of the hash kernel at a time
+    (:data:`repro.util.hashing._TILE`, 2^15 rows).  Pass 1 takes each
+    tile's owners -- under ``edge_hash`` straight from the hash kernel
+    (:meth:`repro.util.hashing.EdgeHasher.owner_tiles`) -- packs each
+    with its tile-local row index into one key, ``owner << 15 | index``,
+    and sorts the tile's keys while they are in cache.  The keys are
+    distinct, so the sort is stable whatever numpy runs, and the sorted
+    keys are the tile's order (low bits) and its owner runs
+    (``searchsorted`` of each owner's first key), whose sums over tiles
+    are the owner bounds.  Pass 2 gathers each owner's run of each tile
+    straight into that owner's slice of one exact-size backing array
+    (runs that land back to back in one ``take``: a block of one tile is
+    one gather).  Per-tile stable scatters concatenated in tile order
+    are the stable scatter of the whole block, and per-chunk ones
+    concatenated in chunk order that of the whole round, so no row
+    moves.  Nothing
+    product-sized is made but the sorted keys (2 bytes a row for up to
+    two owners, 4 up to 2^17) and the backing array: no ``int64`` owner
+    array, whole-block argsort, ``order`` array or gathered copy.  On
+    the two chunks of one rank's share of the ledger's ``gen_hash_2d``
+    (1.73e6 ``int32`` rows, 2 owners) this is ~0.88x the same scatter
+    with a radix argsort of 1-byte owners per tile, and in a traced
+    two-rank run the ``route`` span fell ~30 % against the whole-block
+    form (EXPERIMENTS.md L14).  A block shorter than a tile makes a few
+    more numpy calls than the whole-block form did, which the thread
+    backend pays for in GIL hand-offs (``gen_skg_hash``: ~2 % of its
+    kernel).  Pass 2 takes one Python step per
+    (tile, owner) pair: nothing at the world sizes that run here,
+    ~0.45 s for 70,000 owners over 1e5 rows (argsort: ~0.17 s).
 ``method="argsort"``:
     the stable comparison sort, kept as the kernel-level reference the
     property tests and ``bench_kernels.py`` compare the scatter against.
@@ -48,9 +64,11 @@ from repro.distributed.wire import (
     encode_edges,
     is_wire_block,
 )
-from repro.errors import CommunicatorError
+from repro.errors import CommunicatorError, PartitionError
 from repro.kronecker.product import id_dtype
 from repro.telemetry.session import telemetry_of
+from repro.util import hashing
+from repro.util.hashing import EdgeHasher
 
 __all__ = [
     "counting_scatter",
@@ -74,57 +92,101 @@ def _check_wire(wire: str) -> None:
         )
 
 
-def _owner_sort_dtype(nparts: int) -> np.dtype:
-    """Narrowest unsigned dtype holding owner ids, to hit numpy's radix sort."""
-    if nparts <= 1 << 8:
-        return np.dtype(np.uint8)
-    if nparts <= 1 << 16:
-        return np.dtype(np.uint16)
-    # numpy's radix sort covers 1- and 2-byte ints; wider worlds fall back
-    # to a comparison sort on int32, still cheaper than int64 keys.
-    return np.dtype(np.int32)
-
-
 #: One-element view of a whole ``(id, id)`` row, by id itemsize.
-_ROW_VIEW = {8: np.dtype(np.complex128), 4: np.dtype(np.int64)}
+_ROW_VIEW = {
+    1: np.dtype(np.uint16),
+    2: np.dtype(np.uint32),
+    4: np.dtype(np.int64),
+    8: np.dtype(np.complex128),
+}
 
 
-def _gather_rows(rows: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``rows[order]`` for 2-D row arrays, via a single flat 1-D take.
+def _tile_scatter(rows: np.ndarray, owner_tiles, nparts: int) -> list[np.ndarray]:
+    """Stable scatter of ``rows`` by owner, one cache-resident tile at a time.
 
-    Gathering an ``(m, 2)`` array row-wise through a view with one element
-    per row -- 16 bytes for ``int64`` ids, 8 for ``int32`` -- is ~3x faster
-    than the 2-D fancy index numpy would otherwise run.
+    ``owner_tiles`` yields ``(start, stop, owners)`` covering the rows in
+    order.  Pass 1 packs each tile's owners with their tile-local row
+    index into one composite key, ``owner << shift | index``, and sorts
+    the tile's keys while they are in cache: the keys are distinct, so
+    any sort is stable, and the sorted keys carry both the tile's order
+    (the low bits) and its owner runs (``searchsorted`` of each owner's
+    first key).  The runs summed over tiles are the owner bounds.  Pass 2
+    gathers each owner's run of each tile straight into that owner's
+    slice of one exact-size backing array, at the exclusive scan of the
+    counts plus what earlier tiles put there.  Per-tile stable scatters
+    concatenated in tile order are the stable scatter of the whole block,
+    so the row order is that of ``method="argsort"``.  Rows are gathered
+    through a view with one element per row (~3x faster than a 2-D fancy
+    index).
     """
-    view = _ROW_VIEW.get(rows.itemsize)
-    if (
-        view is not None
-        and rows.ndim == 2
-        and rows.shape[1] == 2
-        and rows.flags.c_contiguous
-    ):
-        flat = rows.view(view).reshape(-1)
-        return flat.take(order).view(rows.dtype).reshape(-1, 2)
-    return rows[order]
+    m = len(rows)
+    shift = (hashing._TILE - 1).bit_length()
+    low = (1 << shift) - 1
+    # The narrowest unsigned type that holds every key: numpy sorts it
+    # fastest (uint16 for two owners: ~130 us a tile against ~170 for
+    # uint32 and 150-380 for the radix argsort of 1-byte owners).
+    key = np.min_scalar_type((nparts - 1) << shift | low)
+    index = np.arange(min(m, hashing._TILE), dtype=key)
+    first = np.arange(1, nparts, dtype=key) << key.type(shift)  # of owner d
+    sorted_keys = np.empty(m, dtype=key)
+    bounds = np.zeros(nparts + 1, dtype=np.int64)
+    tiles = []
+    for start, stop, owners in owner_tiles:
+        tile = sorted_keys[start:stop]
+        np.copyto(tile, owners, casting="unsafe")
+        tile <<= key.type(shift)
+        tile |= index[: stop - start]
+        tile.sort()
+        # Rows of this tile owned below d, summed: the start of owner d.
+        bounds[1:-1] += np.searchsorted(tile, first)
+        tiles.append((start, stop))
+    bounds[-1] = m
+    rows = np.ascontiguousarray(rows)
+    backing = np.empty((m, 2), dtype=rows.dtype)
+    view = _ROW_VIEW[rows.itemsize]
+    src, dst = rows.view(view).reshape(-1), backing.view(view).reshape(-1)
+    cursor = bounds[:-1].tolist()
+    for start, stop in tiles:
+        tile = sorted_keys[start:stop]
+        order = tile & key.type(low)
+        runs = [0, *np.searchsorted(tile, first).tolist(), stop - start]
+        # Owner d's run [a, b) goes to cursor[d] on: one take per stretch
+        # of runs that land back to back (a block of one tile is one).
+        takes = []
+        for d in range(nparts):
+            a, b = runs[d], runs[d + 1]
+            if a < b:
+                if takes and takes[-1][2] + a - takes[-1][0] == cursor[d]:
+                    takes[-1][1] = b
+                else:
+                    takes.append([a, b, cursor[d]])
+                cursor[d] += b - a
+        for a, b, at in takes:
+            np.take(
+                src[start:stop], order[a:b], out=dst[at : at + b - a],
+                mode="wrap",
+            )
+    return [backing[bounds[d] : bounds[d + 1]] for d in range(nparts)]
+
+
+def _array_tiles(owners: np.ndarray):
+    """``(start, stop, owners[start:stop])`` over ``_TILE``-row tiles."""
+    for start in range(0, len(owners), hashing._TILE):
+        stop = min(start + hashing._TILE, len(owners))
+        yield start, stop, owners[start:stop]
 
 
 def counting_scatter(
     rows: np.ndarray, owners: np.ndarray, nparts: int
 ) -> list[np.ndarray]:
-    """Split ``rows`` into ``nparts`` buckets by ``owners`` without a
-    comparison sort.
+    """Split ``rows`` into ``nparts`` buckets by ``owners``, tile by tile.
 
     Stable (rows keep their relative order inside each bucket), so the
-    output is row-for-row identical to the legacy stable-argsort split.
+    output is row-for-row identical to the stable-argsort split.
     Returned buckets are views into one backing array -- treat them as
     read-only, like buffers received from :meth:`Communicator.alltoall`.
     """
-    keys = owners.astype(_owner_sort_dtype(nparts), copy=False)
-    order = np.argsort(keys, kind="stable")
-    sorted_rows = _gather_rows(rows, order)
-    counts = np.bincount(owners, minlength=nparts)
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    return [sorted_rows[bounds[d] : bounds[d + 1]] for d in range(nparts)]
+    return _tile_scatter(rows, _array_tiles(owners), nparts)
 
 
 def edge_owners(
@@ -147,18 +209,12 @@ def edge_owners(
         owner is ``hash(u, v) % nparts`` -- load-balanced, direction
         independent.
     """
-    return _owners(edges, nparts, scheme, n, seed, np.int64)
-
-
-def _owners(edges, nparts, scheme, n, seed, dtype) -> np.ndarray:
-    """:func:`edge_owners` in ``dtype``: the hash map writes the scatter's
-    narrow key directly instead of an ``int64`` array to narrow later."""
     if scheme == "source_block":
         if n is None:
             raise ValueError("source_block scheme requires the vertex count n")
         return owners_by_vertex_block(edges[:, 0], n, nparts)
     if scheme == "edge_hash":
-        return owners_by_edge_hash(edges, nparts, seed, dtype)
+        return owners_by_edge_hash(edges, nparts, seed)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -178,20 +234,25 @@ def bucket_edges(
     contents in identical row order, in the dtype ``edges`` came in
     (anything but integers is read as ``int64``).
     """
+    if method not in ("scatter", "argsort"):
+        raise ValueError(f"unknown bucketing method {method!r}")
     edges = np.asarray(edges).reshape(-1, 2)
     if edges.dtype.kind not in "iu":
         edges = edges.astype(np.int64)
-    key = _owner_sort_dtype(nparts) if method == "scatter" else np.int64
-    owners = _owners(edges, nparts, scheme, n, seed, key)
+    if method == "scatter" and scheme == "edge_hash":
+        if nparts < 1:
+            raise PartitionError(f"nparts must be >= 1, got {nparts}")
+        hasher = EdgeHasher(seed)
+        tiles = hasher.owner_tiles(edges[:, 0], edges[:, 1], nparts)
+        return _tile_scatter(edges, tiles, nparts)
+    owners = edge_owners(edges, nparts, scheme=scheme, n=n, seed=seed)
     if method == "scatter":
         return counting_scatter(edges, owners, nparts)
-    if method == "argsort":
-        order = np.argsort(owners, kind="stable")
-        sorted_edges = edges[order]
-        counts = np.bincount(owners, minlength=nparts)
-        splits = np.cumsum(counts)[:-1]
-        return np.split(sorted_edges, splits)
-    raise ValueError(f"unknown bucketing method {method!r}")
+    order = np.argsort(owners, kind="stable")
+    sorted_edges = edges[order]
+    counts = np.bincount(owners, minlength=nparts)
+    splits = np.cumsum(counts)[:-1]
+    return np.split(sorted_edges, splits)
 
 
 def _encode_outgoing(

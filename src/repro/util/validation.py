@@ -70,8 +70,12 @@ def check_square_ids(edges: np.ndarray, n: int, name: str = "edges") -> None:
 def check_id_block(edges: np.ndarray, n: int, name: str = "edges") -> None:
     """Check an ``(m, 2)`` integer block holds only ids in ``[0, n)``.
 
-    Scans the block in its own dtype -- an ``int32`` block reads half the
-    bytes of its ``int64`` widening -- with the messages of
+    One scan, in the block's own width -- an ``int32`` block reads half
+    the bytes of its ``int64`` widening.  The block is read as the
+    unsigned type of that width, where a negative id reads as ``2**31``
+    or more (``2**63`` for ``int64``), so one ``max()`` below both ``n``
+    and that bound is the whole check.  Only a failing block is scanned
+    again, for ``min()``, to raise the messages of
     :func:`check_edge_array` and :func:`check_square_ids`.
     """
     if not edges.size:
@@ -80,6 +84,9 @@ def check_id_block(edges: np.ndarray, n: int, name: str = "edges") -> None:
         raise GraphFormatError(f"{name} must have shape (m, 2), got {edges.shape}")
     if not np.issubdtype(edges.dtype, np.integer):
         raise GraphFormatError(f"{name} must hold integer ids, not {edges.dtype}")
+    unsigned = edges.view(edges.dtype.str.replace("i", "u"))
+    if int(unsigned.max()) < min(n, int(np.iinfo(edges.dtype).max) + 1):
+        return
     if edges.min() < 0:
         raise GraphFormatError(f"{name} contains negative vertex ids")
     check_square_ids(edges, n, name)

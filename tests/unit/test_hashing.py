@@ -117,6 +117,18 @@ class TestEdgeHasher:
         h = EdgeHasher()
         assert h.owner(3, 9, 5) == h.owner(9, 3, 5)
 
+    @pytest.mark.parametrize("nparts", [1, 2, 3, 1 << 16, (1 << 32) + 15])
+    def test_owner_is_the_uint64_remainder_for_any_world(self, nparts):
+        # h - (h // P) * P is the remainder bit for bit, across tile edges
+        # and for worlds past 2**32.
+        rng = np.random.default_rng(nparts % 1000)
+        u = rng.integers(0, 2**62, 2 * hashing._TILE + 5)
+        v = rng.integers(0, 2**62, 2 * hashing._TILE + 5)
+        want = hash_pair(u, v, 3) % np.uint64(nparts)
+        got = EdgeHasher(seed=3).owner(u, v, nparts)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want.astype(np.int64))
+
 
 # --------------------------------------------------------------------- #
 # golden vectors: the values, not only their symmetries

@@ -36,6 +36,7 @@ from repro.graph import EdgeList, erdos_renyi
 from repro.graph.generators import clique, cycle
 from repro.kronecker import id_dtype, kron_product
 from repro.util.hashing import edge_fingerprint, edges_digest
+from repro.util.validation import check_id_block
 
 
 @pytest.mark.parametrize(
@@ -288,3 +289,37 @@ class TestReassembleRangeCheck:
         store.put_manifest(replace(manifest, shard_digests=tuple(digests)))
         with pytest.raises(GraphFormatError, match=f"n={manifest.n}"):
             store.load_run(store.get_manifest(manifest.run_key))
+
+
+class TestCheckIdBlockMessages:
+    """One unsigned ``max()`` scan decides; ``min()`` only picks the message."""
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_negative_id(self, dtype):
+        block = np.array([[0, 1], [-1, 3]], dtype=dtype)
+        with pytest.raises(GraphFormatError, match="negative vertex ids"):
+            check_id_block(block, 12)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_id_equal_to_n(self, dtype):
+        block = np.array([[0, 12], [11, 3]], dtype=dtype)
+        with pytest.raises(
+            GraphFormatError, match="references vertex 12 but graph has n=12"
+        ):
+            check_id_block(block, 12)
+
+    def test_int32_block_at_n_2_31(self):
+        n = 1 << 31
+        top = np.iinfo(np.int32).max
+        check_id_block(np.array([[0, top], [top, 1]], dtype=np.int32), n)
+        for forged in (-1, np.iinfo(np.int32).min):
+            block = np.array([[0, top], [forged, 1]], dtype=np.int32)
+            with pytest.raises(GraphFormatError, match="negative vertex ids"):
+                check_id_block(block, n)
+
+    def test_int32_block_under_a_wider_n_still_refuses_negatives(self):
+        # Past 2**32, every unsigned reading of an int32 is below n.
+        block = np.array([[0, 5], [-1, 1]], dtype=np.int32)
+        with pytest.raises(GraphFormatError, match="negative vertex ids"):
+            check_id_block(block, 1 << 33)
+        check_id_block(np.abs(block), 1 << 33)
