@@ -264,7 +264,8 @@ def _encode_outgoing(
     it back by reference -- so it is passed through as the block it is,
     in its id dtype, neither encoded nor counted.  ``exchange.bytes_raw``
     counts what the encoded buckets would have been raw: their bytes in
-    their own dtype.
+    their own dtype.  Each encoding is one ``wire.encode`` span, with the
+    bucket's rows and raw bytes as args.
     """
     if wire == "raw":
         return outgoing
@@ -273,18 +274,20 @@ def _encode_outgoing(
     for dest, blk in enumerate(outgoing):
         if dest == rank:
             continue
-        if blk is None or np.asarray(blk).size == 0:
+        blk = None if blk is None else np.asarray(blk)
+        if blk is None or blk.size == 0:
             payload[dest] = None
             continue
-        encoded = payload[dest] = encode_edges(blk)
-        raw_bytes += np.asarray(blk).nbytes
+        with tel.span("wire.encode", rows=len(blk), bytes=blk.nbytes):
+            encoded = payload[dest] = encode_edges(blk)
+        raw_bytes += blk.nbytes
         wire_bytes += encoded.nbytes
     tel.add("exchange.bytes_raw", raw_bytes)
     tel.add("exchange.bytes_wire", wire_bytes)
     return payload
 
 
-def _stack_received(incoming: list, dtype: np.dtype) -> np.ndarray:
+def _stack_received(incoming: list, dtype: np.dtype, tel) -> np.ndarray:
     """One fresh ``(m, 2)`` block of ``dtype`` holding every received bucket.
 
     ``dtype`` is the product's id dtype, fixed by the caller from ``n_C``
@@ -292,8 +295,10 @@ def _stack_received(incoming: list, dtype: np.dtype) -> np.ndarray:
     same dtype as its peers.  The block is sized once -- from the raw
     buckets' lengths and the wire blocks' header counts, each bounded by
     the bytes that carry it -- and every bucket is copied or decoded
-    straight into its slice, in source-rank order.  Received buffers are
-    only read.  ``None`` and zero-size entries are skipped.  A payload
+    straight into its slice, in source-rank order, each decoding one
+    ``wire.decode`` span on ``tel`` (the block's rows and wire bytes as
+    args).  Received buffers are only read.  ``None`` and zero-size
+    entries are skipped.  A payload
     that is neither a wire block nor interpretable as ``(m, 2)`` integer
     edges (odd element count, non-numeric dtype) means a corrupted or
     misrouted message; raise a diagnostic naming the problem instead of
@@ -331,7 +336,8 @@ def _stack_received(incoming: list, dtype: np.dtype) -> np.ndarray:
     at = 0
     for blk, m, encoded in blocks:
         if encoded:
-            decode_edges(blk, out=stacked[at : at + m])
+            with tel.span("wire.decode", rows=m, bytes=blk.nbytes):
+                decode_edges(blk, out=stacked[at : at + m])
         else:
             stacked[at : at + m] = blk
         at += m
@@ -404,6 +410,6 @@ def exchange_edges_finish(
     tel = telemetry_of(comm)
     with tel.span("exchange", cat="phase"):
         incoming = comm.alltoall_finish(request)
-        received = _stack_received(incoming, id_dtype(n))
+        received = _stack_received(incoming, id_dtype(n), tel)
     tel.add("edges.received", len(received))
     return received

@@ -3,10 +3,14 @@
 ``decode(encode(block))`` must equal the lexsorted input bit-exactly for
 *any* ``(m, 2)`` int64 block -- including adversarial values at the
 int64 boundaries, where the delta arithmetic wraps mod 2**64, and ids
-just past 2**32, where the encoder falls off its packed-key sort fast
-path onto the lexsort fallback.  Re-encoding a decoded block must also
-reproduce the identical byte stream (the format is canonical), and
+whose span no longer fits a 64-bit key, where the encoder sorts with
+``lexsort`` instead of one packed key.  Re-encoding a decoded block must
+also reproduce the identical byte stream (the format is canonical), and
 blocks with realistically small ids must actually compress.
+
+The bytes themselves are pinned too: :func:`kwr2_reference`, a scalar
+encoder written from the layout alone, must agree with
+:func:`encode_edges` byte for byte on blocks of every integer dtype.
 
 The decoder's input is outside bytes: whatever is done to an encoded
 block -- bits flipped, bytes cut or appended, header fields and run
@@ -18,6 +22,8 @@ well-formed block whose ids do not fit is a ``WireFormatError``, never a
 wrapped id.
 """
 
+import itertools
+import struct
 import tracemalloc
 
 import numpy as np
@@ -51,6 +57,80 @@ def lexsorted(edges):
     if not edges.size:
         return edges
     return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+
+def _leb128(value):
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return out
+
+
+def _zigzag(delta):
+    """64-bit zigzag code of a difference of two int64 ids, mod 2**64."""
+    delta = (delta + 2**63) % 2**64 - 2**63
+    return ((delta << 1) ^ (delta >> 63)) % 2**64
+
+
+def kwr2_reference(edges):
+    """KWR2 bytes of an integer block, one scalar at a time."""
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    rows = [(int(s), int(d)) for s, d in edges[order]]
+    source, dest = bytearray(), bytearray()
+    prev_src = prev_dst = runs = 0
+    for src, run in itertools.groupby(rows, key=lambda row: row[0]):
+        run = list(run)
+        source += _leb128(_zigzag(src - prev_src)) + _leb128(len(run))
+        prev_src, runs = src, runs + 1
+        for _, dst in run:
+            dest += _leb128(_zigzag(dst - prev_dst))
+            prev_dst = dst
+    header = b"KWR2" + struct.pack("<QQQ", len(rows), runs, len(source))
+    return header + source + dest
+
+
+ID_DTYPES = [
+    np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+    ">i4", ">u8",  # ids are read by value, whatever the byte order
+]
+
+
+@st.composite
+def typed_blocks(draw):
+    """A block of one integer dtype, ids hugging that dtype's ends and
+    2**31 / 2**63 where it holds them (uint64 up to 2**63 - 1: the wire
+    carries signed ids)."""
+    dtype = np.dtype(draw(st.sampled_from(ID_DTYPES)))
+    info = np.iinfo(dtype)
+    lo, hi = int(info.min), min(int(info.max), INT64_MAX)
+    near = [lo, lo + 1, -1, 0, 1, 2**31 - 1, 2**31, 2**63 - 1, hi - 1, hi]
+    ids = st.one_of(
+        st.sampled_from([v for v in near if lo <= v <= hi]),
+        st.integers(min_value=lo, max_value=hi),
+    )
+    return draw(
+        hnp.arrays(
+            dtype=dtype,
+            shape=st.tuples(st.integers(min_value=0, max_value=64), st.just(2)),
+            elements=ids,
+        )
+    )
+
+
+class TestCodecBytes:
+    @given(edges=typed_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_are_the_reference_encoders(self, edges):
+        assert encode_edges(edges).tobytes() == kwr2_reference(edges)
+
+    @given(edges=typed_blocks())
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_do_not_depend_on_the_id_dtype(self, edges):
+        wide = encode_edges(edges.astype(np.int64))
+        np.testing.assert_array_equal(encode_edges(edges), wide)
 
 
 class TestCodecRoundtrip:

@@ -1,5 +1,7 @@
 """Unit tests for the KWR2 wire format (repro.distributed.wire)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.distributed.wire import (
 from repro.errors import CommunicatorError, WireFormatError
 from repro.graph.edgelist import EdgeList
 from repro.kronecker.product import DEFAULT_CHUNK, iter_kron_product_routed
+from tests.property.test_wire_codec import kwr2_reference
 
 #: magic + uint64 edge count, run count, source-section bytes.
 HEADER = 28
@@ -71,7 +74,7 @@ class TestRoundtrip:
         assert np.array_equal(roundtrip(e), e)
 
     def test_int64_boundaries_via_lexsort_fallback(self):
-        # Values outside [0, 2**32) take the lexsort path; deltas wrap
+        # Ids spanning more than 2**32 take the lexsort path; deltas wrap
         # mod 2**64 and must still roundtrip bit-exactly.
         e = np.array(
             [
@@ -85,9 +88,11 @@ class TestRoundtrip:
         assert np.array_equal(roundtrip(e), lexsorted(e))
 
     def test_just_past_packed_key_range(self):
-        # 2**32 is the first id that cannot ride the packed uint64 sort.
-        e = np.array([[2**32, 5], [4, 2**40 + 1]], dtype=np.int64)
-        assert np.array_equal(roundtrip(e), lexsorted(e))
+        # An id span of 2**32 is the first whose pair key needs more than
+        # 64 bits: the lexsort path, at its boundary and well past it.
+        for rows in ([[2**32, 5], [0, 2**32 - 1]], [[2**32, 5], [4, 2**40 + 1]]):
+            e = np.array(rows, dtype=np.int64)
+            assert np.array_equal(roundtrip(e), lexsorted(e))
 
     @pytest.mark.parametrize("hi", [2, 128, 1 << 14, 1 << 21, 1 << 31])
     def test_random_blocks_all_varint_widths(self, hi):
@@ -310,3 +315,193 @@ class TestMalformed:
         # Supervised retry treats CommunicatorError as transient; a
         # corrupt block must ride the same path.
         assert issubclass(WireFormatError, CommunicatorError)
+
+
+def ledger_buckets():
+    """The routed buckets of one chunk of the ledger's seed-1 factors."""
+    a, b = uniform_graph(100, 990, 1), uniform_graph(100, 990, 2)
+    a = EdgeList(np.random.default_rng(1).permutation(a.edges), a.n)
+    return next(iter_kron_product_routed(a, b, 2, a.n * b.n, DEFAULT_CHUNK))
+
+
+def assert_encodes_like_the_reference(edges):
+    blk = encode_edges(edges)
+    assert blk.tobytes() == kwr2_reference(edges)
+    assert np.array_equal(decode_edges(blk), lexsorted(edges))
+    return blk
+
+
+class TestPinnedBytes:
+    # sha256 of encode_edges on each bucket, as the KWR2 encoder before
+    # the lane rewrite emitted them: the wire between versions is pinned.
+    PINNED = [
+        "4b78085f9f7584298256e868bcefaf52ed0410476a23eae8583389e1bfc39d6e",
+        "cc6fad334b2c2655645eae9b82a7116627d6ef996ef0651705989ffdf7bb961d",
+    ]
+
+    def test_ledger_buckets_encode_to_the_pinned_bytes(self):
+        buckets = ledger_buckets()
+        assert [b.dtype for b in buckets] == [np.int32, np.int32]
+        for bucket, digest in zip(buckets, self.PINNED):
+            for dtype in (np.int32, np.int64):
+                blk = encode_edges(bucket.astype(dtype))
+                assert hashlib.sha256(blk.tobytes()).hexdigest() == digest
+
+    def test_ledger_buckets_decode_into_an_int32_stack(self):
+        for bucket in ledger_buckets():
+            out = np.empty(bucket.shape, dtype=np.int32)
+            decode_edges(encode_edges(bucket), out=out)
+            assert np.array_equal(out, lexsorted(bucket))
+
+
+class TestFailClosed:
+    @pytest.mark.parametrize(
+        "block",
+        [
+            np.array([[1.7, 2.2]]),
+            np.array([["1", "2"]]),
+            np.array([[True, False]]),
+            np.array([[1, 2]], dtype=object),
+        ],
+        ids=["float", "str", "bool", "object"],
+    )
+    def test_non_integer_blocks_are_refused(self, block):
+        with pytest.raises(WireFormatError, match="integer ids"):
+            encode_edges(block)
+
+    def test_list_of_floats_is_refused(self):
+        with pytest.raises(WireFormatError):
+            encode_edges([[1.7, 2.2]])
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_unsigned_ids_past_int64_are_refused(self, column):
+        e = np.array([[1, 2], [3, 4]], dtype=np.uint64)
+        e[1, column] = 2**63
+        with pytest.raises(WireFormatError, match="signed 64-bit"):
+            encode_edges(e)
+
+    def test_largest_unsigned_id_the_wire_carries(self):
+        e = np.array([[2**63 - 1, 0], [5, 2**63 - 1]], dtype=np.uint64)
+        blk = assert_encodes_like_the_reference(e)
+        assert decode_edges(blk).tolist() == [[5, 2**63 - 1], [2**63 - 1, 0]]
+
+
+def codes_block(code):
+    """Two rows whose second destination code is exactly ``code``.
+
+    Even codes are the delta ``code / 2``; odd ones the delta
+    ``-(code + 1) / 2``, reached by dropping at a new source.
+    """
+    if code % 2 == 0:
+        return np.array([[0, 0], [0, code // 2]], dtype=np.int64)
+    return np.array([[0, (code + 1) // 2], [1, 0]], dtype=np.int64)
+
+
+def varint_len(value):
+    return max(1, -(-value.bit_length() // 7))
+
+
+class TestLanes:
+    @pytest.mark.parametrize("base", [0, -(2**31), 2**40])
+    @pytest.mark.parametrize(
+        "span", [2**16 - 1, 2**16, 2**32 - 1, 2**32], ids=lambda s: f"span{s}"
+    )
+    def test_key_width_boundaries(self, base, span):
+        # Ids span 2**16 - 1 exactly fill a 32-bit key, 2**16 is one past
+        # it; 2**32 - 1 fills a 64-bit key and 2**32 needs the lexsort.
+        rng = np.random.default_rng(span)
+        e = rng.integers(0, span, size=(300, 2), dtype=np.int64, endpoint=True)
+        e[0] = 0, span
+        e[1] = span, 0
+        assert_encodes_like_the_reference(e + base)
+
+    def test_int32_block_at_the_top_of_its_range(self):
+        e = np.array([[0, 2**31 - 1], [2**31 - 1, 0], [7, 2**31 - 1]],
+                     dtype=np.int32)
+        blk = assert_encodes_like_the_reference(e)
+        out = np.empty((3, 2), dtype=np.int32)
+        assert np.array_equal(decode_edges(blk, out=out), lexsorted(e))
+
+    def test_int64_block_one_past_int32(self):
+        e = np.array([[0, 2**31], [1, 0]], dtype=np.int64)
+        blk = assert_encodes_like_the_reference(e)
+        with pytest.raises(WireFormatError, match="destination id 2147483648"):
+            decode_edges(blk, out=np.empty((2, 2), dtype=np.int32))
+
+    @pytest.mark.parametrize(
+        "code",
+        [0x7F, 0x80, 2**14 - 1, 2**14, 2**21, 2**28, 2**35],
+        ids=hex,
+    )
+    def test_codes_at_every_byte_boundary(self, code):
+        e = codes_block(code)
+        blk = assert_encodes_like_the_reference(e)
+        # The last varint of the block is the code itself.
+        n = varint_len(code)
+        leb = [(code >> 7 * i) & 0x7F | (0x80 if i < n - 1 else 0) for i in range(n)]
+        assert blk[-n:].tolist() == leb
+        assert blk[-n - 1] < 0x80
+        for dtype in (np.int32, np.int64):
+            if e.max() <= np.iinfo(dtype).max:
+                out = np.empty((2, 2), dtype=dtype)
+                assert np.array_equal(decode_edges(blk, out=out), e)
+
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_ten_byte_varints(self, column):
+        # A step of 2**62 is the code 2**63, ten bytes, in either column.
+        e = np.zeros((2, 2), dtype=np.int64)
+        e[1, column] = 2**62
+        blk = assert_encodes_like_the_reference(e)
+        ten = [0x80] * 9 + [0x01]
+        assert ten in [
+            blk[i : i + 10].tolist() for i in range(HEADER, blk.size - 9)
+        ]
+
+    def test_every_value_takes_more_than_one_byte(self):
+        # Source 1000 (code 2000), a run of 200, destinations from 100 in
+        # steps of 200 (codes 200 then 400): no one-byte value anywhere.
+        e = np.column_stack(
+            [np.full(200, 1000), 100 + 200 * np.arange(200)]
+        ).astype(np.int32)
+        blk = assert_encodes_like_the_reference(e)
+        assert blk.size == HEADER + 2 * 2 + 2 * 200
+        out = np.empty((200, 2), dtype=np.int32)
+        assert np.array_equal(decode_edges(blk, out=out), e)
+
+    def test_steps_wider_than_a_narrow_out_take_the_exact_sum(self):
+        # Five-byte codes (steps of 2**30) into an int32 out: the exact
+        # sum decodes ids that fit, and refuses one that wraps to 5.
+        fits = np.array([[0, 0], [0, 2**30], [1, 0]], dtype=np.int64)
+        blk = assert_encodes_like_the_reference(fits)
+        out = np.empty((3, 2), dtype=np.int32)
+        assert np.array_equal(decode_edges(blk, out=out), fits)
+        wraps = np.array([[0, 0], [0, 2**32 + 5]], dtype=np.int64)
+        blk = assert_encodes_like_the_reference(wraps)
+        with pytest.raises(WireFormatError, match="4294967301"):
+            decode_edges(blk, out=np.empty((2, 2), dtype=np.int32))
+
+    def test_narrow_steps_climbing_past_int32_are_refused(self):
+        # Four-byte codes (steps of 2**26) summed in int32 lanes: the id
+        # that leaves the range wraps negative and the sign check sees it.
+        dst = np.arange(40, dtype=np.int64) << 26
+        e = np.column_stack([np.zeros(40, dtype=np.int64), dst])
+        blk = assert_encodes_like_the_reference(e)
+        with pytest.raises(WireFormatError, match="destination id"):
+            decode_edges(blk, out=np.empty((40, 2), dtype=np.int32))
+        assert np.array_equal(decode_edges(blk), e)
+
+    @pytest.mark.parametrize(
+        "row, what",
+        [
+            ([0, -1], "destination id -1"),
+            ([-1, 0], "source id -1"),
+            ([0, 2**31], "destination id 2147483648"),
+            ([2**31, 0], "source id 2147483648"),
+            ([0, -(2**40)], "destination id -1099511627776"),
+        ],
+    )
+    def test_ids_outside_int32_are_refused(self, row, what):
+        e = np.array([[0, 0], row], dtype=np.int64)
+        blk = assert_encodes_like_the_reference(e)
+        with pytest.raises(WireFormatError, match=what):
+            decode_edges(blk, out=np.empty((2, 2), dtype=np.int32))
