@@ -27,6 +27,9 @@ import argparse
 import sys
 from pathlib import Path
 
+from repro.distributed.generator import PIPELINES, SCHEMES, STORAGES
+from repro.distributed.launcher import BACKENDS
+from repro.distributed.shuffle import WIRE_FORMATS
 from repro.errors import GraphFormatError, ReproError
 from repro.graph.edgelist import EdgeList
 from repro.kronecker.product import DEFAULT_CHUNK
@@ -354,7 +357,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         source,
         args.ranks,
         plans=plans,
-        backends=tuple(args.backends.split(",")),
+        backends=args.backends,
         scheme=args.scheme,
         pipeline=args.pipeline,
         wire=args.wire,
@@ -548,6 +551,17 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _backends(text: str) -> tuple[str, ...]:
+    """argparse type: comma-separated launcher backends."""
+    backends = tuple(text.split(","))
+    unknown = [b for b in backends if b not in BACKENDS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown backend {unknown[0]!r}; use {', '.join(BACKENDS)}"
+        )
+    return backends
+
+
 def _port(text: str) -> int:
     """argparse type: a TCP port number, 0..65535 (0 picks a free port)."""
     try:
@@ -611,23 +625,21 @@ def _add_skg_args(p: argparse.ArgumentParser, default_k: int | None) -> None:
 
 #: The generation-plan and launcher flags, declared once.
 _PLAN_FLAGS: dict[str, dict] = {
-    "--scheme": dict(choices=("1d", "1d-pipelined", "2d"), default="1d"),
+    "--scheme": dict(choices=SCHEMES, default="1d"),
     "--storage": dict(
-        choices=("source_block", "edge_hash"), default=None,
+        choices=[s for s in STORAGES if s is not None], default=None,
         help="where each edge is stored (default: on the rank that "
              "generates it)",
     ),
     "--pipeline": dict(
-        choices=("sync", "async"), default="sync",
+        choices=PIPELINES, default="sync",
         help="exchange pipeline (async needs --scheme 1d-pipelined)",
     ),
     "--wire": dict(
-        choices=("raw", "varint"), default="raw",
+        choices=WIRE_FORMATS, default="raw",
         help="edge wire format for every exchange",
     ),
-    "--backend": dict(
-        choices=("thread", "process", "socket"), default="thread"
-    ),
+    "--backend": dict(choices=BACKENDS, default="thread"),
     "--rendezvous": dict(
         default=None,
         help="host:port of a running serve-rendezvous (socket backend; "
@@ -715,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--ranks", type=int, default=4, help="world size")
     c.add_argument("--seed", type=int, default=0, help="fault-matrix seed")
-    c.add_argument("--backends", default="thread,process",
+    c.add_argument("--backends", type=_backends, default="thread,process",
                    help="comma-separated launcher backends to exercise")
     _add_plan_args(c, "--scheme", help="generation scheme under test")
     _add_plan_args(c, "--pipeline", "--wire")

@@ -6,12 +6,13 @@ generated: a :class:`KronPair` of factors (the paper's exact model) or an
 ``SKGSpec`` of the stochastic tier, read only through :class:`Source`.
 Each rank:
 
-1. takes its cells of the source -- for a factor pair, the (A part,
-   B part) cells of the 1-D scheme (a shard of A with B replicated) or of
-   the 2-D grid (Remark 1); for a spec, its range of sampler chunks;
+1. takes its cells of the source, one per piece -- for a factor pair, the
+   blocks of the (A part, B part) cells of the 1-D scheme (a shard of A
+   with B replicated) or of the 2-D grid (Remark 1); for a spec, ranges
+   of sampler chunks -- fixed before anything is generated;
 2. expands them round by round -- one round holding everything for the
-   batch schemes, one bounded piece per round for ``"1d-pipelined"``,
-   mirroring the asynchronous chunked sends of the HavoqGT implementation;
+   batch schemes, one cell per round for ``"1d-pipelined"``, mirroring
+   the asynchronous chunked sends of the HavoqGT implementation;
 3. optionally routes each round to its storage owners
    (:mod:`repro.distributed.shuffle`), so generation and storage placement
    stay decoupled.
@@ -30,7 +31,7 @@ The loop is the same for every plan::
 
 *Factor pairs.*  Both storage maps arrive *pre-bucketed by owner*: a piece
 of a round is always one block per owner.  Under ``source_block`` the
-routed kernels of :mod:`repro.kronecker.product` compute the owner
+routed kernel of :mod:`repro.kronecker.product` computes the owner
 analytically from the product index structure, so no product-sized sort
 or scatter happens at all.  Under ``edge_hash`` every dense chunk is
 hashed (:mod:`repro.util.hashing`, one cache-resident tile at a time) and
@@ -45,10 +46,8 @@ round is kept whole, written chunk by chunk into one preallocated block.
 
 *Specs.*  An SKG spec's pieces are samples of ranges of sampler chunks
 (work proportional to the edges emitted, not to the ``4**k`` pairs),
-routed like dense chunks; a rank's ranges are fixed by the spec,
-``nranks`` and ``chunk_size``, so the round count is known before
-anything is sampled and the output is bit-identical across world sizes,
-schemes, storages, chunk sizes, backends, retries and elastic
+routed like dense chunks; the output is bit-identical across world
+sizes, schemes, storages, chunk sizes, backends, retries and elastic
 re-sharding -- the same invariants the exact model enjoys.
 
 :func:`generate_rank` is a plain module-level callable taking its
@@ -81,18 +80,20 @@ from repro.errors import PartitionError
 from repro.graph.edgelist import EdgeList
 from repro.kronecker.product import (
     DEFAULT_CHUNK,
-    dense_chunk_count,
     id_dtype,
-    iter_kron_product,
-    iter_kron_product_routed,
-    kron_routed_full,
-    routed_chunk_count,
+    kron_edge_block,
+    kron_edge_block_routed,
+    kron_rounds,
+    plan_route_b,
 )
 from repro.telemetry.session import telemetry_of
 from repro.util.hashing import edges_digest
 from repro.util.validation import check_id_block
 
 __all__ = [
+    "SCHEMES",
+    "STORAGES",
+    "PIPELINES",
     "Source",
     "KronPair",
     "GenerationPlan",
@@ -103,19 +104,20 @@ __all__ = [
     "reassemble",
 ]
 
-_SCHEMES = ("1d", "1d-pipelined", "2d")
-_STORAGES = (None, "source_block", "edge_hash")
-_PIPELINES = ("sync", "async")
+#: The legal values of the plan's axes (``wire``: ``WIRE_FORMATS``).
+SCHEMES = ("1d", "1d-pipelined", "2d")
+STORAGES = (None, "source_block", "edge_hash")
+PIPELINES = ("sync", "async")
 
 
 @runtime_checkable
 class Source(Protocol):
     """What the rank program reads of a run's source.
 
-    ``cells`` are one rank's share from :meth:`partition`, opaque to all
-    but the source that made them; a *piece* is a list of ``nparts``
-    per-owner blocks in the product's id dtype (``nparts == 1``: the rank
-    keeps what it generates).
+    ``cells`` are one rank's share from :meth:`partition`, one per piece,
+    opaque to all but the source that made them; a *piece* is a list of
+    ``nparts`` per-owner blocks in the product's id dtype (``nparts ==
+    1``: the rank keeps what it generates).
     """
 
     n: int  # vertices of the generated graph
@@ -127,10 +129,7 @@ class Source(Protocol):
         """Every rank's cells under ``plan``."""
 
     def pieces(self, plan, cells, nparts, tel) -> Iterator[list[np.ndarray]]:
-        """The pieces of ``cells``, in generation order."""
-
-    def round_count(self, plan, cells, nparts) -> int:
-        """How many pieces :meth:`pieces` yields for ``cells``."""
+        """The piece of each cell, in generation order."""
 
     def row_bound(self, cells) -> int:
         """Rows the pieces of ``cells`` hold, or almost surely stay under."""
@@ -154,53 +153,56 @@ class KronPair:
 
     def partition(
         self, plan: GenerationPlan, nranks: int
-    ) -> list[list[tuple[EdgeList, EdgeList]]]:
-        """Per-rank ``(A part, B part)`` cells under the plan's scheme."""
+    ) -> list[list[tuple[EdgeList, EdgeList, tuple[int, int, int, int]]]]:
+        """Per rank, ``(A part, B part, block)``: the :func:`kron_rounds`
+        blocks of its scheme's (A part, B part) cells.  A batch routed cell
+        is one block: the routed kernel writes exact-size owner slices."""
         if plan.scheme == "2d":
-            return partition_edges_2d(self.a, self.b, nranks)
-        return [[(a, self.b)] for a in partition_edges_1d(self.a, nranks)]
+            parts = partition_edges_2d(self.a, self.b, nranks)
+        else:
+            parts = [[(a, self.b)] for a in partition_edges_1d(self.a, nranks)]
+        routed = self._routed(plan, nranks)
+
+        def blocks(a: EdgeList, b: EdgeList) -> list[tuple[int, int, int, int]]:
+            ma, mb = a.m_directed, b.m_directed
+            chunk = ma * mb if routed and not plan.streams else plan.chunk_size
+            return kron_rounds(ma, mb, chunk, split_b=not routed)
+
+        return [
+            [(a, b, blk) for a, b in cells for blk in blocks(a, b)] for cells in parts
+        ]
 
     @staticmethod
     def _routed(plan: GenerationPlan, nparts: int) -> bool:
-        """Do the routed kernels split each piece by owner analytically?"""
+        """Does the routed kernel split each piece by owner analytically?"""
         return nparts > 1 and plan.effective_storage == "source_block"
 
     def pieces(self, plan, cells, nparts, tel) -> Iterator[list[np.ndarray]]:
-        """Dense chunks routed where they are produced, or routed kernel
-        output.
-
-        Streaming plans make a round of every piece, batch plans of all of
-        them -- which is why the routed batch kernel emits a whole cell as
-        one exactly-sized piece while the dense one streams bounded chunks.
-        """
-        chunk = plan.chunk_size
+        """Each cell's block, expanded by the routed kernel or densely and
+        routed where it is produced."""
         routed = self._routed(plan, nparts)
-        for part_a, part_b in cells:
+        route_b = None
+        for part_a, part_b, (a0, a1, b0, b1) in cells:
+            edges_a = part_a.edges[a0:a1]
             if not routed:
-                for block in iter_kron_product(part_a, part_b, chunk):
-                    yield plan.route(block, nparts, tel)
+                block = kron_edge_block(edges_a, part_b.edges[b0:b1], part_b.n, self.n)
+                yield plan.route(block, nparts, tel)
                 continue
-            args = (part_a, part_b, nparts, self.n, chunk)
-            if plan.streams:
-                kernel = iter_kron_product_routed(*args)
-            else:
-                kernel = [kron_routed_full(*args)]
-            for piece in kernel:
-                # The blocks left the kernel already split by owner; the
-                # trace shows that degenerate route phase on purpose.
-                with tel.span("route", cat="phase", method="fused"):
-                    pass
-                yield piece
-
-    def round_count(self, plan, cells, nparts) -> int:
-        routed = self._routed(plan, nparts)
-        count = routed_chunk_count if routed else dense_chunk_count
-        chunk = plan.chunk_size
-        return sum(count(a.m_directed, b.m_directed, chunk) for a, b in cells)
+            if route_b is None or route_b[0] is not part_b:
+                # B's one small sort, shared by the cells that expand it.
+                route_b = part_b, plan_route_b(part_b.edges, self.n)
+            piece = kron_edge_block_routed(
+                edges_a, part_b.edges, part_b.n, nparts, self.n, route_b[1]
+            )
+            # The blocks left the kernel already split by owner; the
+            # trace shows that degenerate route phase on purpose.
+            with tel.span("route", cat="phase", method="fused"):
+                pass
+            yield piece
 
     def row_bound(self, cells) -> int:
         """The exact row count of the cells' expansion."""
-        return sum(a.m_directed * b.m_directed for a, b in cells)
+        return sum((a1 - a0) * (b1 - b0) for _, _, (a0, a1, b0, b1) in cells)
 
 
 @dataclass(frozen=True)
@@ -245,12 +247,12 @@ class GenerationPlan:
     source: Source = field(kw_only=True)
 
     def __post_init__(self) -> None:
-        if self.scheme not in _SCHEMES:
+        if self.scheme not in SCHEMES:
             raise PartitionError(
                 f"unknown scheme {self.scheme!r}; use '1d', '1d-pipelined', "
                 f"or '2d'"
             )
-        if self.storage not in _STORAGES:
+        if self.storage not in STORAGES:
             raise PartitionError(
                 f"unknown storage {self.storage!r}; use None, "
                 f"'source_block', or 'edge_hash'"
@@ -263,7 +265,7 @@ class GenerationPlan:
             raise PartitionError(
                 f"chunk_size must be an int >= 1, got {self.chunk_size!r}"
             )
-        if self.pipeline not in _PIPELINES:
+        if self.pipeline not in PIPELINES:
             raise PartitionError(
                 f"unknown pipeline {self.pipeline!r}; use 'sync' or 'async'"
             )
@@ -443,9 +445,9 @@ def generate_rank(
     ranges) and each rank picks its own, matching the paper's
     file-per-rank read without I/O in the hot path.
 
-    A batch plan is one round; a streaming plan is one round per chunk,
-    with the round count fixed up front by an allreduce over per-rank chunk
-    counts (ranks that exhaust their chunks early join the remaining
+    A batch plan is one round; a streaming plan is one round per cell,
+    with the round count fixed up front by an allreduce over per-rank cell
+    counts (ranks that exhaust their cells early join the remaining
     exchanges with empty buckets).  Resident memory of a streaming rank is
     therefore one or two chunks plus its stored share, against the batch
     schemes' full generated volume.
@@ -476,7 +478,7 @@ def generate_rank(
     capacity = None
     if plan.streams:
         per_round = 1
-        rounds = source.round_count(plan, my_cells, nparts)
+        rounds = len(my_cells)
         if exchanging:
             rounds = comm.allreduce(rounds, max)
     elif not exchanging:
@@ -511,11 +513,6 @@ def generate_rank(
         # Tail flush: no generation left to hide this wait, so it does
         # not count toward the overlap.
         stored.append(exchange_edges_finish(comm, pending, source.n))
-    if next(pieces, None) is not None:
-        raise PartitionError(
-            f"rank {comm.rank}: generation rounds underestimated -- "
-            f"{rounds} round(s) left pieces unsent"
-        )
     edges = _stack(stored, dtype)
     if plan.pipeline == "async":
         tel.add("exchange.overlap_s", overlap_s)

@@ -18,10 +18,10 @@ Backends
     service -- the same backend that spans hosts (``rendezvous=`` plus a
     per-host ``local_ranks=`` subset).
 
-A launch runs the backend it was asked for or fails: a platform without
-the ``fork`` start method raises :class:`~repro.errors.CommunicatorError`
-naming the backend, and an unreachable rendezvous fails in each rank's
-connect like any other transient communicator failure.
+A launch runs the backend it was asked for or fails: options that make
+it impossible (say, ``fork``-less platforms) raise a non-transient
+:class:`~repro.errors.ReproError` before any rank starts, and an
+unreachable rendezvous fails in each rank's connect, transiently.
 
 Every backend runs the same rank entry (:func:`_run_rank`: build the
 communicator, wrap it, run, ship the result) under the same collection
@@ -72,12 +72,15 @@ from repro.errors import (
     CommunicatorError,
     RankDiedError,
     RankFailedError,
+    ReproError,
     is_transient,
 )
 from repro.telemetry.clock import monotonic
 from repro.telemetry.session import TelemetrySession, _TelemetryRankFn
 
-__all__ = ["spmd_run"]
+__all__ = ["spmd_run", "BACKENDS"]
+
+BACKENDS = ("thread", "process", "socket")
 
 RankFn = Callable[..., Any]
 CommWrapper = Callable[[Any], Any]
@@ -362,8 +365,10 @@ def spmd_run(
         Socket backend only: ``"host:port"`` of a running
         ``repro-kron serve-rendezvous``.  ``None`` starts a private
         in-process rendezvous for the duration of the run (single-host
-        socket worlds).  An unreachable one fails every rank's connect
-        with a transient :class:`~repro.errors.CommunicatorError`.
+        socket worlds).  Ranks advertise the local address of their
+        connection to it, so every host must name it as the others do.
+        An unreachable one fails every rank's connect with a transient
+        :class:`~repro.errors.CommunicatorError`.
     local_ranks:
         Socket backend only: the subset of ranks this invocation should
         launch (each host of a multi-host world runs its own share and
@@ -371,10 +376,10 @@ def spmd_run(
         elsewhere are ``None``.  Default: all ranks.
     """
     if nranks < 1:
-        raise CommunicatorError(f"nranks must be >= 1, got {nranks}")
+        raise ReproError(f"nranks must be >= 1, got {nranks}")
     if backend != "socket" and (rendezvous is not None
                                 or local_ranks is not None):
-        raise CommunicatorError(
+        raise ReproError(
             "rendezvous/local_ranks apply to the socket backend only"
         )
     traced = telemetry is not None
@@ -396,18 +401,18 @@ def _dispatch(
     rendezvous: str | None = None,
     local_ranks: tuple[int, ...] | None = None,
 ) -> list[Any]:
-    if backend not in ("thread", "process", "socket"):
-        raise CommunicatorError(f"unknown backend {backend!r}")
+    if backend not in BACKENDS:
+        raise ReproError(f"unknown backend {backend!r}; use one of {BACKENDS}")
     ctx = None
     if backend != "thread":
         if checked:
-            raise CommunicatorError(
+            raise ReproError(
                 "checked collective mode needs in-process shared state; "
                 "it supports the thread backend only"
             )
         ctx = _fork_context()
         if ctx is None:
-            raise CommunicatorError(
+            raise ReproError(
                 f"the {backend} backend needs the fork start method, which "
                 f"this platform does not have"
             )

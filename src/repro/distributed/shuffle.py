@@ -195,7 +195,6 @@ def edge_owners(
     *,
     scheme: str = "source_block",
     n: int | None = None,
-    seed: int = 0,
 ) -> np.ndarray:
     """Owner rank of each edge row under a storage scheme.
 
@@ -207,14 +206,14 @@ def edge_owners(
         layout: each rank stores the rows of its vertex range.
     ``"edge_hash"``:
         owner is ``hash(u, v) % nparts`` -- load-balanced, direction
-        independent.
+        independent.  The seed is 0: no run key could record another.
     """
     if scheme == "source_block":
         if n is None:
             raise ValueError("source_block scheme requires the vertex count n")
         return owners_by_vertex_block(edges[:, 0], n, nparts)
     if scheme == "edge_hash":
-        return owners_by_edge_hash(edges, nparts, seed)
+        return owners_by_edge_hash(edges, nparts)
     raise ValueError(f"unknown scheme {scheme!r}")
 
 
@@ -224,7 +223,6 @@ def bucket_edges(
     *,
     scheme: str = "source_block",
     n: int | None = None,
-    seed: int = 0,
     method: str = "scatter",
 ) -> list[np.ndarray]:
     """Split an edge block into per-owner buckets.
@@ -242,10 +240,9 @@ def bucket_edges(
     if method == "scatter" and scheme == "edge_hash":
         if nparts < 1:
             raise PartitionError(f"nparts must be >= 1, got {nparts}")
-        hasher = EdgeHasher(seed)
-        tiles = hasher.owner_tiles(edges[:, 0], edges[:, 1], nparts)
+        tiles = EdgeHasher().owner_tiles(edges[:, 0], edges[:, 1], nparts)
         return _tile_scatter(edges, tiles, nparts)
-    owners = edge_owners(edges, nparts, scheme=scheme, n=n, seed=seed)
+    owners = edge_owners(edges, nparts, scheme=scheme, n=n)
     if method == "scatter":
         return counting_scatter(edges, owners, nparts)
     order = np.argsort(owners, kind="stable")

@@ -74,7 +74,7 @@ from repro.distributed.comm import (
     poll_interval,
     recv_timeout,
 )
-from repro.errors import CommunicatorError, RankDiedError
+from repro.errors import CommunicatorError, RankDiedError, ReproError
 from repro.telemetry.clock import monotonic
 from repro.telemetry.session import NULL_TELEMETRY
 
@@ -114,16 +114,17 @@ _MAX_REGISTRATION_BYTES = 4096
 
 
 def parse_hostport(spec: str) -> tuple[str, int]:
-    """Parse ``"host:port"`` (the ``--rendezvous`` flag format)."""
+    """Parse ``"host:port"`` (the ``--rendezvous`` flag format); a
+    malformed one is a non-transient :class:`~repro.errors.ReproError`."""
     host, sep, port = spec.rpartition(":")
     if not sep or not host:
-        raise CommunicatorError(
+        raise ReproError(
             f"rendezvous address {spec!r} is not of the form host:port"
         )
     try:
         return host, int(port)
     except ValueError as exc:
-        raise CommunicatorError(
+        raise ReproError(
             f"rendezvous address {spec!r} has a non-numeric port"
         ) from exc
 
@@ -338,28 +339,25 @@ class SocketCommunicator(Communicator):
         rendezvous: str | tuple[str, int],
         rank: int,
         size: int,
-        *,
-        host: str = "127.0.0.1",
     ) -> "SocketCommunicator":
         """Bootstrap via a rendezvous service: register, get the roster.
 
-        Each rank binds an ephemeral listener, registers
-        ``(rank, host, port)`` with the rendezvous server, and blocks
-        until the server has seen all ``size`` ranks and broadcast the
-        roster.  ``host`` is the address this rank advertises to peers
-        (the interface other hosts can reach it on).
+        Each rank dials the rendezvous server, binds an ephemeral listener
+        on that connection's local address (the interface peers reach it
+        on; loopback for a local server), registers ``(rank, host,
+        port)``, and blocks until the server has broadcast the roster.
         """
         addr = (
             parse_hostport(rendezvous)
             if isinstance(rendezvous, str)
             else tuple(rendezvous)
         )
-        listener = _make_listener(host)
-        registration = {"size": size, "rank": rank, "host": host,
-                        "port": listener.getsockname()[1]}
+        listener = None
         try:
             with socket.create_connection(addr, timeout=recv_timeout()) as sock:
-                _send_json(sock, registration)
+                listener = _make_listener(sock.getsockname()[0])
+                host, port = listener.getsockname()[:2]
+                _send_json(sock, dict(size=size, rank=rank, host=host, port=port))
                 reply = _recv_json(sock, _MAX_REGISTRATION_BYTES * size)
             if not (
                 isinstance(reply, list)
@@ -368,7 +366,8 @@ class SocketCommunicator(Communicator):
             ):
                 raise CommunicatorError(f"no roster in the reply {reply!r}")
         except (OSError, CommunicatorError) as exc:
-            listener.close()
+            if listener is not None:
+                listener.close()
             raise CommunicatorError(
                 f"rank {rank}: rendezvous round at {addr[0]}:{addr[1]} "
                 f"failed: {exc}"

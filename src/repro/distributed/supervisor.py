@@ -58,7 +58,7 @@ from repro.distributed.generator import (
     generate_rank,
 )
 from repro.distributed.launcher import spmd_run
-from repro.errors import CommunicatorError, ReproError, is_transient
+from repro.errors import ReproError, is_transient
 from repro.graph.edgelist import canonical_order
 from repro.kronecker.product import DEFAULT_CHUNK
 from repro.telemetry.clock import monotonic
@@ -147,7 +147,7 @@ def spmd_run_supervised(
         checkpoints) is retried like any launch failure.
     """
     if max_attempts < 1:
-        raise CommunicatorError(f"max_attempts must be >= 1, got {max_attempts}")
+        raise ReproError(f"max_attempts must be >= 1, got {max_attempts}")
     if local_ranks is not None:
         max_attempts = 1
     rng = random.Random()

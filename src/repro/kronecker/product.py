@@ -12,9 +12,12 @@ so ``|E_C| = |E_A| \\cdot |E_B|`` directed edges.  Generation is therefore an
 outer product over edge rows; we vectorize it as one broadcast add per
 endpoint and --
 because the product can be orders of magnitude larger than either factor --
-also expose a chunked streaming form that never materializes more than
-``chunk_size`` product edges at once.  The distributed generator in
-:mod:`repro.distributed.generator` drives exactly these kernels per rank.
+also expose chunked streaming forms that never materialize more than
+``chunk_size`` product edges at once.  One function, :func:`kron_rounds`,
+lays the outer product out in blocks; the streaming iterators expand its
+blocks, and the distributed generator in
+:mod:`repro.distributed.generator` hands the same blocks to each rank as
+its rounds.
 
 *Id width.*  Every product id is below ``n_C``, so the kernels that know
 ``n_C`` allocate their blocks -- and run their broadcast adds -- in
@@ -38,15 +41,14 @@ __all__ = [
     "id_dtype",
     "kron_edge_block",
     "kron_product",
+    "kron_rounds",
     "iter_kron_product",
-    "dense_chunk_count",
     "product_size",
     "RoutePlanB",
     "plan_route_b",
     "kron_edge_block_routed",
     "kron_routed_full",
     "iter_kron_product_routed",
-    "routed_chunk_count",
 ]
 
 #: Default number of product edges materialized per streamed chunk.
@@ -118,6 +120,27 @@ def kron_product(el_a: EdgeList, el_b: EdgeList) -> EdgeList:
     return EdgeList(edges, el_a.n * el_b.n)
 
 
+def kron_rounds(
+    ma: int, mb: int, chunk_size: int, *, split_b: bool
+) -> list[tuple[int, int, int, int]]:
+    """The ``(a0, a1, b0, b1)`` blocks, A-edges ``a0:a1`` by B-edges
+    ``b0:b1``, that tile an ``ma x mb`` outer product in generation order.
+
+    Each holds ``max(1, chunk_size // mb)`` whole A-edges.  When one
+    A-edge's expansion alone exceeds ``chunk_size``, B is cut into ranges
+    of ``chunk_size`` edges if ``split_b``, else (the routed kernel, which
+    buckets whole B) taken whole.  The one chunking decision for a factor
+    pair: the iterators below and the generator's rounds are its blocks.
+    """
+    if ma == 0 or mb == 0:
+        return []
+    if split_b and chunk_size < mb:
+        b_ranges = list(chunk_bounds(mb, chunk_size))
+        return [(a, a + 1, b0, b1) for a in range(ma) for b0, b1 in b_ranges]
+    a_per_block = max(1, chunk_size // mb)
+    return [(a0, a1, 0, mb) for a0, a1 in chunk_bounds(ma, a_per_block)]
+
+
 def iter_kron_product(
     el_a: EdgeList,
     el_b: EdgeList,
@@ -125,10 +148,10 @@ def iter_kron_product(
 ) -> Iterator[np.ndarray]:
     """Stream ``C = A (x) B`` in chunks of at most ``chunk_size`` edges.
 
-    Chunking follows the natural generation order (A-edge major): each yield
-    is a contiguous range of the conceptual outer-product enumeration, so
+    Each yield is one :func:`kron_rounds` block, expanded, so
     concatenating all chunks equals :func:`kron_product`.  B is held whole
-    (the paper replicates B on every processor); A rows are sliced.
+    (the paper replicates B on every processor) and sliced only when one
+    A-edge's expansion exceeds ``chunk_size``.
 
     Yields
     ------
@@ -136,36 +159,9 @@ def iter_kron_product(
         ``(c, 2)`` blocks of product edges, ``c <= chunk_size``, in
         :func:`id_dtype` of the product's vertex count.
     """
-    mb = el_b.m_directed
-    if mb == 0 or el_a.m_directed == 0:
-        return
-    n_c = el_a.n * el_b.n
-    # Choose how many A-edges to expand per chunk; at least one A-edge,
-    # whose full B-expansion may exceed chunk_size -- then sub-chunk it.
-    a_per_chunk = max(1, chunk_size // mb)
-    for a_start, a_stop in chunk_bounds(el_a.m_directed, a_per_chunk):
-        block = kron_edge_block(
-            el_a.edges[a_start:a_stop], el_b.edges, el_b.n, n_c
-        )
-        if len(block) <= chunk_size:
-            yield block
-        else:
-            for s, t in chunk_bounds(len(block), chunk_size):
-                yield block[s:t]
-
-
-def dense_chunk_count(ma: int, mb: int, chunk_size: int) -> int:
-    """Number of chunks :func:`iter_kron_product` emits for ``ma x mb``.
-
-    Mirrors the iterator's chunking decision (whole A-edges per chunk when
-    they fit, sub-chunks of one A-edge's expansion when ``mb > chunk_size``)
-    so the streaming generator can agree on a round count up front.
-    """
-    if ma == 0 or mb == 0:
-        return 0
-    if chunk_size >= mb:
-        return -(-ma // (chunk_size // mb))
-    return ma * -(-mb // chunk_size)
+    ma, mb, n_c = el_a.m_directed, el_b.m_directed, el_a.n * el_b.n
+    for a0, a1, b0, b1 in kron_rounds(ma, mb, chunk_size, split_b=True):
+        yield kron_edge_block(el_a.edges[a0:a1], el_b.edges[b0:b1], el_b.n, n_c)
 
 
 # --------------------------------------------------------------------- #
@@ -309,12 +305,11 @@ def kron_routed_full(
 
     Row for row the concatenation of every chunk of
     :func:`iter_kron_product_routed`: the routed block kernel over the
-    whole cell.  Each owner's slice is allocated once at its exact size
-    and written by run-wise broadcast adds, with nothing product-sized
-    besides it, so there is nothing for ``chunk_size`` to bound.  It is
-    accepted and ignored so that callers hand the batch and the streaming
-    kernel the same positional arguments, as the generator's ``_pieces``
-    and the ledger's layer pass (``benchmarks/ledger/gen.py``) both do.
+    one block ``(0, m_A, 0, m_B)``.  Each owner's slice is allocated once
+    at its exact size, with nothing product-sized besides it, so
+    ``chunk_size`` bounds nothing; it is accepted and ignored so that the
+    ledger's layer pass (``benchmarks/ledger/gen.py``) can hand the batch
+    and the streaming kernel the same positional arguments.
     """
     return kron_edge_block_routed(el_a.edges, el_b.edges, el_b.n, nparts, n_c)
 
@@ -326,29 +321,14 @@ def iter_kron_product_routed(
     n_c: int,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> Iterator[list[np.ndarray]]:
-    """Stream the routed product: one per-owner bucket list per A-chunk.
+    """Stream the routed product: one per-owner bucket list per block.
 
-    Each yield covers ``max(1, chunk_size // m_B)`` A-edges' full expansion,
-    split by owner; chunks therefore hold at most ``max(chunk_size, m_B)``
-    edges (a single A-edge's expansion is never split, unlike
-    :func:`iter_kron_product`, because routing operates on whole B).  The
-    pipelined generator exchanges each yield immediately -- the paper's
-    send-as-you-generate shape with the bucketing cost fused away.
+    The blocks are :func:`kron_rounds`'s with whole B, so chunks hold at
+    most ``max(chunk_size, m_B)`` edges.
     """
-    ma, mb = el_a.m_directed, el_b.m_directed
-    if ma == 0 or mb == 0:
-        return
-    plan = plan_route_b(el_b.edges, n_c)
-    a_per_chunk = max(1, chunk_size // mb)
-    for a_start, a_stop in chunk_bounds(ma, a_per_chunk):
+    blocks = kron_rounds(el_a.m_directed, el_b.m_directed, chunk_size, split_b=False)
+    plan = plan_route_b(el_b.edges, n_c) if blocks else None
+    for a0, a1, _, _ in blocks:
         yield kron_edge_block_routed(
-            el_a.edges[a_start:a_stop], el_b.edges, el_b.n, nparts, n_c, plan
+            el_a.edges[a0:a1], el_b.edges, el_b.n, nparts, n_c, plan
         )
-
-
-def routed_chunk_count(ma: int, mb: int, chunk_size: int) -> int:
-    """Number of chunks :func:`iter_kron_product_routed` emits."""
-    if ma == 0 or mb == 0:
-        return 0
-    return -(-ma // max(1, chunk_size // mb))
-

@@ -263,7 +263,7 @@ class SKGSpec:
         return edge_probabilities(self.level_matrices(), u, v)
 
     # A spec is a generation source (``repro.distributed.generator.Source``):
-    # its cells are sampler-chunk ranges, one per round.
+    # its cells are sampler-chunk ranges, one per piece.
     def key(self) -> str:
         """Run-key part: the spec digest alone."""
         return f"skg-{self.digest():016x}"
@@ -284,9 +284,6 @@ class SKGSpec:
         sampler = self.sampler()
         for start, stop in cells:
             yield plan.route(sampler.sample(start, stop), nparts, tel)
-
-    def round_count(self, plan, cells, nparts: int) -> int:
-        return len(cells)
 
     def row_bound(self, cells) -> int:
         return self.sampler().row_bound(cells)

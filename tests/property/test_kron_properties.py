@@ -143,9 +143,10 @@ class TestProductAlgebra:
         )
 
 
-# ---- chunk counts ----------------------------------------------------- #
-class TestChunkCounts:
-    """The count formulas sit beside the iterators they must match."""
+# ---- round layout ---------------------------------------------------- #
+class TestRounds:
+    """The iterators expand exactly the ``kron_rounds`` blocks, checked
+    against the serial product rather than a second copy of the layout."""
 
     @given(
         a=edge_lists(max_n=5, max_m=9),
@@ -153,21 +154,44 @@ class TestChunkCounts:
         delta=st.sampled_from([-3, -1, 0, 1, 4, 1000]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_counts_match_iterators(self, a, b, delta):
+    def test_iterators_expand_the_layout(self, a, b, delta):
+        from repro.distributed.partition import vertex_block_bounds
         from repro.kronecker.product import (
-            dense_chunk_count,
             iter_kron_product,
             iter_kron_product_routed,
-            routed_chunk_count,
+            kron_rounds,
         )
 
         # chunk_size below, at and above m_B (and empty factors).
         chunk = max(1, b.m_directed + delta)
         ma, mb = a.m_directed, b.m_directed
+        n_c, nparts = a.n * b.n, 3
+        # Row a * m_B + b of the serial product pairs A-edge a, B-edge b.
+        rows = kron_product(a, b).edges.reshape(ma, mb, 2)
+        index = np.arange(ma * mb).reshape(ma, mb)
+        bounds = vertex_block_bounds(n_c, nparts)
+        for split_b, limit in ((True, chunk), (False, max(chunk, mb))):
+            blocks = kron_rounds(ma, mb, chunk, split_b=split_b)
+            # The blocks tile ma x mb in generation order.
+            tiled = [index[a0:a1, b0:b1].ravel() for a0, a1, b0, b1 in blocks]
+            assert np.array_equal(
+                np.concatenate([np.arange(0), *tiled]), np.arange(ma * mb)
+            )
+            assert all(0 < len(t) <= limit for t in tiled)
+            if not split_b:
+                assert all((b0, b1) == (0, mb) for _, _, b0, b1 in blocks)
         dense = list(iter_kron_product(a, b, chunk))
-        assert len(dense) == dense_chunk_count(ma, mb, chunk)
-        assert all(0 < len(block) <= chunk for block in dense)
-        routed = list(iter_kron_product_routed(a, b, 3, a.n * b.n, chunk))
-        assert len(routed) == routed_chunk_count(ma, mb, chunk)
-        assert sum(len(block) for block in dense) == ma * mb
-        assert sum(len(blk) for piece in routed for blk in piece) == ma * mb
+        dense_blocks = kron_rounds(ma, mb, chunk, split_b=True)
+        assert len(dense) == len(dense_blocks)
+        for got, (a0, a1, b0, b1) in zip(dense, dense_blocks):
+            assert np.array_equal(got, rows[a0:a1, b0:b1].reshape(-1, 2))
+        routed = list(iter_kron_product_routed(a, b, nparts, n_c, chunk))
+        routed_blocks = kron_rounds(ma, mb, chunk, split_b=False)
+        assert len(routed) == len(routed_blocks)
+        for piece, (a0, a1, _, _) in zip(routed, routed_blocks):
+            want = rows[a0:a1].reshape(-1, 2)
+            got = np.concatenate(piece)
+            assert sorted(map(tuple, got)) == sorted(map(tuple, want))
+            for d, bucket in enumerate(piece):
+                src = bucket[:, 0]
+                assert ((bounds[d] <= src) & (src < bounds[d + 1])).all()

@@ -10,7 +10,7 @@ from repro.distributed import (
     spmd_run,
 )
 from repro.distributed.comm import RECV_TIMEOUT_ENV
-from repro.errors import CollectiveOrderError, CommunicatorError
+from repro.errors import CollectiveOrderError, CommunicatorError, ReproError
 
 # Keep divergence tests fast: the sentinel gives up on absent peers after
 # half the recv timeout.
@@ -121,7 +121,7 @@ class TestWiring:
         assert not any(isinstance(c, CheckedCommunicator) for c in comms)
 
     def test_process_backend_rejects_checked(self):
-        with pytest.raises(CommunicatorError, match="thread backend"):
+        with pytest.raises(ReproError, match="thread backend"):
             spmd_run(lambda c: None, 2, backend="process", checked=True)
 
     def test_p2p_not_fingerprinted(self):

@@ -523,6 +523,8 @@ class TestCli:
                          id="loadgen-empty-port"),
             pytest.param(["loadgen", "--target", ":1"], "--target",
                          id="loadgen-empty-host"),
+            pytest.param(["chaos", "--backends", "thread,bogus", "--ranks",
+                          "2"], "--backends", id="chaos-unknown-backend"),
         ],
     )
     def test_operator_errors_are_one_line_and_exit_2(

@@ -13,7 +13,7 @@ from repro.distributed import (
     make_thread_world,
     spmd_run,
 )
-from repro.errors import CommunicatorError, RankFailedError
+from repro.errors import CommunicatorError, RankFailedError, ReproError
 
 
 class TestInline:
@@ -176,7 +176,7 @@ class TestLauncher:
     def test_unknown_backend(self):
         # "inline" was a backend once; a lone rank is backend="thread" now.
         for backend in ("smoke-signals", "inline"):
-            with pytest.raises(CommunicatorError, match="unknown backend"):
+            with pytest.raises(ReproError, match="unknown backend"):
                 spmd_run(lambda c: None, 1, backend=backend)
 
     def test_single_rank_runs_on_the_calling_thread(self):
@@ -206,7 +206,7 @@ class TestLauncher:
         ] == []
 
     def test_bad_nranks(self):
-        with pytest.raises(CommunicatorError):
+        with pytest.raises(ReproError):
             spmd_run(lambda c: None, 0)
 
     def test_extra_args_forwarded(self):

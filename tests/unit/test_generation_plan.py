@@ -11,7 +11,6 @@ import inspect
 import numpy as np
 import pytest
 
-import repro.distributed.generator as generator
 from repro.distributed import (
     GenerationPlan,
     KronPair,
@@ -27,10 +26,12 @@ from repro.distributed.checkpoint import (
     generation_run_key,
 )
 from repro.distributed.comm import Communicator
-from repro.errors import PartitionError, RankFailedError
+from repro.distributed.supervisor import generate_to_directory
+from repro.errors import PartitionError
 from repro.graph import EdgeList
 from repro.graph.generators import clique, cycle
 from repro.kronecker import kron_product
+from repro.kronecker.product import DEFAULT_CHUNK
 from repro.skg.distributed import (
     generate_skg_distributed,
     skg_candidate_factors,
@@ -177,25 +178,105 @@ class TestRankProgram:
         got = np.vstack([blk for blk in blocks if len(blk)])
         assert EdgeList(got, a.n * b.n) == kron_product(a, b)
 
-    @pytest.mark.parametrize(
-        "storage,count",
-        [("source_block", "routed_chunk_count"),
-         ("edge_hash", "dense_chunk_count")],
-    )
-    def test_round_count_mismatch_is_partition_error(
-        self, monkeypatch, storage, count
-    ):
-        real = getattr(generator, count)
-        monkeypatch.setattr(
-            generator, count, lambda ma, mb, c: real(ma, mb, c) - 1
+
+#: Shard digests of ``PAIR`` on 3 ranks per (scheme, storage, chunk size),
+#: recorded before one function laid out every factor-pair round.  Chunk
+#: sizes around ``m_B = 8``: one product edge a round, 7 = ``m_B - 1`` (B
+#: split on the dense path, whole on the routed one), ``m_B`` and the
+#: default.  Every plan stores the union ``UNION`` of 48 rows.
+PINNED_SHARDS = {
+    ("1d", "edge_hash", 1): (
+        0x9B97CC2C929DE1EA, 0xED9DABD4E452AA3D, 0xED74366377323BA7,
+    ),
+    ("1d", "edge_hash", 7): (
+        0x9B97CC2C929DE1EA, 0xED9DABD4E452AA3D, 0xED74366377323BA7,
+    ),
+    ("1d", "edge_hash", 8): (
+        0x9B97CC2C929DE1EA, 0xED9DABD4E452AA3D, 0xED74366377323BA7,
+    ),
+    ("1d", "edge_hash", DEFAULT_CHUNK): (
+        0x9B97CC2C929DE1EA, 0xED9DABD4E452AA3D, 0xED74366377323BA7,
+    ),
+    ("1d", "source_block", 1): (
+        0xBDB8CE606CFA0587, 0x4CFA526DA54D5D1C, 0x93715582C0A6BCFC,
+    ),
+    ("1d", "source_block", 7): (
+        0xBDB8CE606CFA0587, 0x4CFA526DA54D5D1C, 0x93715582C0A6BCFC,
+    ),
+    ("1d", "source_block", 8): (
+        0xBDB8CE606CFA0587, 0x4CFA526DA54D5D1C, 0x93715582C0A6BCFC,
+    ),
+    ("1d", "source_block", DEFAULT_CHUNK): (
+        0xBDB8CE606CFA0587, 0x4CFA526DA54D5D1C, 0x93715582C0A6BCFC,
+    ),
+    ("2d", "edge_hash", 1): (
+        0x735DE450CB3C99BB, 0x74F389179E09D632, 0x2A18A5EEA7FB51CC,
+    ),
+    ("2d", "edge_hash", 7): (
+        0x735DE450CB3C99BB, 0x74F389179E09D632, 0x2A18A5EEA7FB51CC,
+    ),
+    ("2d", "edge_hash", 8): (
+        0x735DE450CB3C99BB, 0x74F389179E09D632, 0x2A18A5EEA7FB51CC,
+    ),
+    ("2d", "edge_hash", DEFAULT_CHUNK): (
+        0x735DE450CB3C99BB, 0x74F389179E09D632, 0x2A18A5EEA7FB51CC,
+    ),
+    ("2d", "source_block", 1): (
+        0x1BF25FB32384307D, 0x1B66A3970B8CE55F, 0x56130B791876FAD3,
+    ),
+    ("2d", "source_block", 7): (
+        0x1BF25FB32384307D, 0x1B66A3970B8CE55F, 0x56130B791876FAD3,
+    ),
+    ("2d", "source_block", 8): (
+        0x1BF25FB32384307D, 0x1B66A3970B8CE55F, 0x56130B791876FAD3,
+    ),
+    ("2d", "source_block", DEFAULT_CHUNK): (
+        0x1BF25FB32384307D, 0x1B66A3970B8CE55F, 0x56130B791876FAD3,
+    ),
+    ("1d-pipelined", "edge_hash", 1): (
+        0x3E72C2D1A7BD1197, 0xCB5834DF7662351F, 0x6386BB8E18539CCE,
+    ),
+    ("1d-pipelined", "edge_hash", 7): (
+        0x995E6D55DFB26DD6, 0xF2D6FCCF983EA0C7, 0xF4E7A6941695020B,
+    ),
+    ("1d-pipelined", "edge_hash", 8): (
+        0xA06B3FDA37E1EC36, 0xF2D6FCCF983EA0C7, 0x5A8AA7CDA41C2CAA,
+    ),
+    ("1d-pipelined", "edge_hash", DEFAULT_CHUNK): (
+        0x9B97CC2C929DE1EA, 0xED9DABD4E452AA3D, 0xED74366377323BA7,
+    ),
+    ("1d-pipelined", "source_block", 1): (
+        0xBDB8CE606CFA0587, 0x4CFA526DA54D5D1C, 0x93715582C0A6BCFC,
+    ),
+    ("1d-pipelined", "source_block", 7): (
+        0xBDB8CE606CFA0587, 0x4CFA526DA54D5D1C, 0x93715582C0A6BCFC,
+    ),
+    ("1d-pipelined", "source_block", 8): (
+        0xBDB8CE606CFA0587, 0x4CFA526DA54D5D1C, 0x93715582C0A6BCFC,
+    ),
+    ("1d-pipelined", "source_block", DEFAULT_CHUNK): (
+        0xBDB8CE606CFA0587, 0x4CFA526DA54D5D1C, 0x93715582C0A6BCFC,
+    ),
+}
+UNION = 0x3FA603F595693F05
+
+
+class TestPinnedShards:
+    """The stored shards and run keys do not depend on how the rounds are
+    laid out in code: literal values, not a second copy of the layout."""
+
+    @pytest.mark.parametrize("scheme,storage,chunk", list(PINNED_SHARDS))
+    def test_shards_and_keys_are_pinned(self, scheme, storage, chunk, tmp_path):
+        manifest = generate_to_directory(
+            PAIR, tmp_path, 3, scheme=scheme, storage=storage,
+            chunk_size=chunk,
         )
-        with pytest.raises(RankFailedError) as info:
-            generate_distributed(
-                clique(4), cycle(5), 2, scheme="1d-pipelined",
-                storage=storage, chunk_size=7,
-            )
-        assert isinstance(info.value.__cause__, PartitionError)
-        assert "rounds underestimated" in str(info.value)
+        assert manifest.run_key == (
+            f"gen-cba76e0e13324faf-ec8858c752a1e5b0-r3-scheme={scheme}-"
+            f"storage={storage}-chunk_size={chunk}-pipeline=sync-wire=raw"
+        )
+        assert manifest.shard_digests == PINNED_SHARDS[scheme, storage, chunk]
+        assert (manifest.union_digest, manifest.edges_total) == (UNION, 48)
 
 
 class TestRunKeysByConstruction:

@@ -20,6 +20,7 @@ from repro.distributed import (
     edges_digest,
     generate_distributed,
 )
+from repro.distributed.partition import partition_edges_1d, partition_edges_2d
 from repro.graph import EdgeList
 from repro.graph.generators import clique, cycle, erdos_renyi
 from repro.kronecker.product import iter_kron_product, kron_product
@@ -38,6 +39,13 @@ def _stack(blocks):
     return np.vstack([_EMPTY, *blocks])
 
 
+def factor_cells(pair, scheme, nranks):
+    """Per rank, the ``(A part, B part)`` cells of ``scheme``."""
+    if scheme == "2d":
+        return partition_edges_2d(pair.a, pair.b, nranks)
+    return [[(a, pair.b)] for a in partition_edges_1d(pair.a, nranks)]
+
+
 def expected_stored(source, nranks, scheme, chunk):
     """Per-rank stored blocks, spelled the whole-product way.
 
@@ -51,19 +59,22 @@ def expected_stored(source, nranks, scheme, chunk):
     plan = GenerationPlan(scheme, "edge_hash", chunk, source=source)
 
     per_rank_rounds = []
-    for cells in plan.partition(nranks):
-        if isinstance(source, SKGSpec):
-            sampler = skg_sampler(source)
+    if isinstance(source, SKGSpec):
+        sampler = skg_sampler(source)
+        for cells in plan.partition(nranks):
             blocks = [sampler.sample(start, stop) for start, stop in cells]
-        elif plan.streams:
-            blocks = [
-                block
-                for part_a, part_b in cells
-                for block in iter_kron_product(part_a, part_b, chunk)
-            ]
-        else:
-            blocks = [kron_product(pa, pb).edges for pa, pb in cells]
-        per_rank_rounds.append(blocks if plan.streams else [_stack(blocks)])
+            per_rank_rounds.append(blocks if plan.streams else [_stack(blocks)])
+    else:
+        for cells in factor_cells(source, scheme, nranks):
+            if plan.streams:
+                blocks = [
+                    block
+                    for part_a, part_b in cells
+                    for block in iter_kron_product(part_a, part_b, chunk)
+                ]
+            else:
+                blocks = [kron_product(pa, pb).edges for pa, pb in cells]
+            per_rank_rounds.append(blocks if plan.streams else [_stack(blocks)])
     if nranks == 1:
         return [_stack(per_rank_rounds[0])]
     stored = [[] for _ in range(nranks)]
@@ -162,8 +173,8 @@ class TestRouteSpans:
             a, b, 2, scheme="2d", storage="edge_hash", chunk_size=chunk,
             telemetry=session,
         )
-        plan = GenerationPlan("2d", "edge_hash", chunk, source=KronPair(a, b))
-        for snap, cells in zip(session.ranks, plan.partition(2)):
+        cells_2d = factor_cells(KronPair(a, b), "2d", 2)
+        for snap, cells in zip(session.ranks, cells_2d):
             spans = [e for e in snap.events if e.ph == "X"]
             routes = [e for e in spans if e.name == "route"]
             (generate,) = [e for e in spans if e.name == "generate"]

@@ -38,6 +38,8 @@ from repro.errors import (
     DegradationWarning,
     RankDiedError,
     RankFailedError,
+    ReproError,
+    is_transient,
 )
 from repro.telemetry.session import (
     RankTelemetry,
@@ -70,8 +72,10 @@ class TestParseHostport:
 
     @pytest.mark.parametrize("bad", ["nohost", ":123", "h:notaport"])
     def test_rejects_malformed(self, bad):
-        with pytest.raises(CommunicatorError):
+        # A misconfiguration: no retry would make it parse.
+        with pytest.raises(ReproError) as err:
             parse_hostport(bad)
+        assert not is_transient(err.value)
 
 
 class TestSocketWorldConformance:
@@ -461,7 +465,47 @@ def _ring_pass(comm):
     return comm.recv((comm.rank - 1) % comm.size, tag=1)
 
 
+def _roster_hosts(comm):
+    """The hosts this rank listens on and dials its peers at."""
+    hosts = {peer.addr[0] for peer in comm._peers.values()}
+    return sorted(hosts | {comm._listener.getsockname()[0]})
+
+
+def _non_loopback_address():
+    """An IPv4 address of a local non-loopback interface, or ``None``."""
+    try:
+        import fcntl
+
+        names = [name for _, name in socket.if_nameindex()]
+    except (ImportError, OSError):
+        return None
+    for name in names:
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+            try:
+                packed = fcntl.ioctl(  # SIOCGIFADDR: the interface's address
+                    probe.fileno(), 0x8915, struct.pack("256s", name[:15].encode())
+                )
+            except OSError:
+                continue
+        address = socket.inet_ntoa(packed[20:24])
+        if not address.startswith("127."):
+            return address
+    return None
+
+
 class TestSocketLauncher:
+    def test_roster_carries_an_address_peers_can_reach(self):
+        # A rank advertises the address its route to the rendezvous
+        # leaves by, not loopback: a peer on another host dials that.
+        host = _non_loopback_address()
+        if host is None:
+            pytest.skip("no non-loopback IPv4 interface on this host")
+        with RendezvousServer(host) as server:
+            addr = "%s:%d" % server.address
+            assert spmd_run(
+                _roster_hosts, 2, backend="socket", rendezvous=addr
+            ) == [[host], [host]]
+
     def test_ranks_identify(self):
         assert spmd_run(_echo_rank, 3, backend="socket") == [0, 1, 2]
 
@@ -532,6 +576,6 @@ class TestSocketLauncher:
         ]
 
     def test_rendezvous_rejected_on_other_backends(self):
-        with pytest.raises(CommunicatorError):
+        with pytest.raises(ReproError):
             spmd_run(_echo_rank, 2, backend="thread",
                      rendezvous="127.0.0.1:9310")

@@ -41,6 +41,8 @@ from repro.errors import (
     DegradationWarning,
     RankDiedError,
     RankFailedError,
+    ReproError,
+    is_transient,
 )
 from repro.graph.generators import clique, cycle
 from repro.telemetry import TelemetrySession
@@ -169,8 +171,52 @@ class TestRetry:
         assert multiprocessing.active_children() == []
 
     def test_max_attempts_validated(self):
-        with pytest.raises(CommunicatorError):
+        with pytest.raises(ReproError) as err:
             spmd_run_supervised(allsum, 2, max_attempts=0)
+        assert not is_transient(err.value)
+
+
+class TestMisconfigurationIsRefusedOnce:
+    """A launch the options make impossible fails the same way every time:
+    one attempt, a non-transient error, no backoff."""
+
+    @pytest.mark.parametrize(
+        "nranks,launch,match",
+        [
+            (2, dict(backend="bogus"), "unknown backend 'bogus'"),
+            (2, dict(backend="thread", rendezvous="127.0.0.1:1"),
+             "socket backend only"),
+            (2, dict(backend="process", local_ranks=(0,)),
+             "socket backend only"),
+            (2, dict(backend="process", checked=True), "thread backend"),
+            (0, dict(backend="thread"), "nranks must be >= 1"),
+            (2, dict(backend="socket", rendezvous="nohost"), "host:port"),
+            (2, dict(backend="socket", rendezvous="h:notaport"),
+             "non-numeric port"),
+        ],
+        ids=["unknown-backend", "rendezvous-off-socket",
+             "local-ranks-off-socket", "checked-off-thread", "no-ranks",
+             "rendezvous-no-port", "rendezvous-bad-port"],
+    )
+    def test_one_attempt(self, nranks, launch, match):
+        rep = SupervisorReport()
+        with pytest.raises(ReproError, match=match) as err:
+            spmd_run_supervised(
+                allsum, nranks, max_attempts=3, report=rep, **launch
+            )
+        assert rep.attempts == 1
+        assert not is_transient(err.value)
+
+    @pytest.mark.parametrize("backend", ["process", "socket"])
+    def test_missing_fork_is_one_attempt(self, monkeypatch, backend):
+        monkeypatch.setattr(launcher, "_fork_context", lambda: None)
+        rep = SupervisorReport()
+        with pytest.raises(ReproError, match=f"the {backend} backend") as err:
+            spmd_run_supervised(
+                allsum, 2, backend=backend, max_attempts=3, report=rep
+            )
+        assert rep.attempts == 1
+        assert not is_transient(err.value)
 
 
 def make_output(comm):
@@ -353,7 +399,7 @@ class TestDegradation:
     def test_forked_backend_without_fork_raises(self, monkeypatch, backend):
         # No substitute backend: the launch names what it could not run.
         monkeypatch.setattr(launcher, "_fork_context", lambda: None)
-        with pytest.raises(CommunicatorError, match=f"the {backend} backend"):
+        with pytest.raises(ReproError, match=f"the {backend} backend"):
             spmd_run(allsum, 4, backend=backend)
 
     def test_shm_failure_falls_back_to_pickle(self, monkeypatch):
