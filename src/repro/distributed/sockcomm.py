@@ -29,7 +29,7 @@ registration ``{"size", "rank", "host", "port"}`` in, the roster or
 bytes never become anything but JSON there.  DATA payloads are another
 matter (see above) and peers are identified by the world token alone, so
 the mesh must run on a network whose members are trusted; authenticated
-DATA frames are ROADMAP item 4.
+DATA frames are ROADMAP item 13.
 
 Self-healing
 ------------
@@ -66,7 +66,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.distributed.comm import (
     Communicator,
@@ -151,6 +151,19 @@ def _make_listener(host: str) -> socket.socket:
     sock.bind((host, 0))
     sock.listen(_BACKLOG)
     return sock
+
+
+def _shut(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it.  close() alone wakes no thread
+    blocked in ``accept()`` or ``recv()`` on it; shutdown() does."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # never connected, or already shut down
+        pass
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover - close is best-effort
+        pass
 
 
 def _read_exact(sock: socket.socket, n: int) -> bytes:
@@ -308,7 +321,14 @@ class SocketCommunicator(Communicator):
         self._rank = rank
         self._size = size
         self._listener = listener
-        self._closed = False
+        #: Set by :meth:`close`; every background loop exits on it.
+        self._closed = threading.Event()
+        #: Accept, reader, heal and heartbeat threads, joined by close().
+        self._threads: list[threading.Thread] = []
+        self._threads_lock = threading.Lock()
+        #: The accepted connection whose HELLO the accept loop is reading;
+        #: close() shuts it so a silent client cannot hold the loop.
+        self._handshaking: socket.socket | None = None
         self._peers: dict[int, _Peer] = {
             r: _Peer(r, tuple(roster[r])) for r in range(size) if r != rank
         }
@@ -320,17 +340,11 @@ class SocketCommunicator(Communicator):
         # Decorrelates reconnect backoff across ranks without reading the
         # wall clock (determinism lint); exact values are uncritical.
         self._jitter = random.Random((rank << 16) ^ size)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"sock-accept-{rank}", daemon=True
-        )
-        self._accept_thread.start()
+        self._spawn(self._accept_loop, f"sock-accept-{rank}")
         # Deterministic direction: this rank dials every lower rank.
         for r in range(rank):
             self._dial(self._peers[r])
-        self._heartbeat_thread = threading.Thread(
-            target=self._heartbeat_loop, name=f"sock-hb-{rank}", daemon=True
-        )
-        self._heartbeat_thread.start()
+        self._spawn(self._heartbeat_loop, f"sock-hb-{rank}")
 
     # ---- bootstrap -------------------------------------------------------
     @classmethod
@@ -469,21 +483,26 @@ class SocketCommunicator(Communicator):
                 )
 
     def close(self) -> None:
-        """Tear down sockets and background threads (idempotent)."""
-        self._closed = True
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - close is best-effort
-            pass
+        """Shut down the listener and every peer socket, then join the
+        threads that served them (idempotent): once this returns, nothing
+        this communicator started is still running."""
+        self._closed.set()
+        _shut(self._listener)
         for peer in self._peers.values():
             with peer.state_lock:
                 sock, peer.sock = peer.sock, None
                 peer.connected.clear()
             if sock is not None:
-                try:
-                    sock.close()
-                except OSError:  # pragma: no cover
-                    pass
+                _shut(sock)
+        with self._threads_lock:
+            threads = list(self._threads)
+            conn, self._handshaking = self._handshaking, None
+        if conn is not None:
+            _shut(conn)
+        deadline = monotonic() + recv_timeout()
+        for thread in threads:
+            if thread is not threading.current_thread():
+                thread.join(timeout=max(0.0, deadline - monotonic()))
 
     # ---- fault-injection hooks ------------------------------------------
     def _fault_peer(self, peer_rank: int | None) -> _Peer:
@@ -526,7 +545,11 @@ class SocketCommunicator(Communicator):
         its heal thread still dials."""
         deadline = monotonic() + _RECONNECT_FRACTION * recv_timeout()
         for peer in self._peers.values():
-            while peer.healing and not self._closed and monotonic() < deadline:
+            while (
+                peer.healing
+                and not self._closed.is_set()
+                and monotonic() < deadline
+            ):
                 time.sleep(poll_interval() / 4.0)
 
     def inject_partition(self, peer_rank: int | None = None) -> None:
@@ -548,6 +571,17 @@ class SocketCommunicator(Communicator):
             peer.send_delay_s = float(seconds)
 
     # ---- internals -------------------------------------------------------
+    def _spawn(
+        self, target: Callable[..., None], name: str, *args: Any
+    ) -> None:
+        thread = threading.Thread(
+            target=target, args=args, name=name, daemon=True
+        )
+        with self._threads_lock:
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
+        thread.start()
+
     def _box(self, source: int, tag: int) -> queue.Queue:
         with self._boxes_lock:
             return self._boxes.setdefault((source, tag), queue.Queue())
@@ -608,10 +642,7 @@ class SocketCommunicator(Communicator):
                 old, peer.sock = peer.sock, None
                 replayable = [f for s, f in peer.replay if s > peer.acked]
             if old is not None:
-                try:
-                    old.close()
-                except OSError:  # pragma: no cover
-                    pass
+                _shut(old)
             try:
                 for frame in replayable:
                     sock.sendall(frame)
@@ -623,6 +654,10 @@ class SocketCommunicator(Communicator):
                 raise
             self.sock_counters.replayed += len(replayable)
             with peer.state_lock:
+                if self._closed.is_set():
+                    # close() has already been through this peer.
+                    _shut(sock)
+                    return
                 peer.sock = sock
                 peer.disconnected_at = None
                 peer.last_heartbeat = monotonic()
@@ -630,12 +665,8 @@ class SocketCommunicator(Communicator):
                 peer.dead_reason = ""
                 peer.connected.set()
                 peer.joined.set()
-        threading.Thread(
-            target=self._reader,
-            args=(peer, sock),
-            name=f"sock-r{self._rank}-from{peer.rank}",
-            daemon=True,
-        ).start()
+        self._spawn(self._reader, f"sock-r{self._rank}-from{peer.rank}",
+                    peer, sock)
 
     def _dial(self, peer: _Peer) -> None:
         """Bootstrap dial (lower-rank peer); retries inside one timeout."""
@@ -658,11 +689,16 @@ class SocketCommunicator(Communicator):
                 time.sleep(poll_interval() / 4.0)
 
     def _accept_loop(self) -> None:
-        while not self._closed:
+        while not self._closed.is_set():
             try:
                 conn, _ = self._listener.accept()
             except OSError:
                 return  # listener closed
+            with self._threads_lock:
+                if self._closed.is_set():
+                    _shut(conn)
+                    return
+                self._handshaking = conn
             try:
                 conn.settimeout(recv_timeout())
                 # Header only: nothing on an unauthenticated connection
@@ -671,6 +707,9 @@ class SocketCommunicator(Communicator):
             except (OSError, ConnectionError, CommunicatorError):
                 conn.close()
                 continue
+            finally:
+                with self._threads_lock:
+                    self._handshaking = None
             peer = self._peers.get(src)
             if (
                 kind != _K_HELLO
@@ -688,7 +727,7 @@ class SocketCommunicator(Communicator):
     def _reader(self, peer: _Peer, sock: socket.socket) -> None:
         counters = self.sock_counters
         try:
-            while not self._closed:
+            while not self._closed.is_set():
                 kind, _src, tag, seq, payload = _read_frame(sock)
                 if kind == _K_DATA:
                     counters.frames_received += 1
@@ -722,27 +761,20 @@ class SocketCommunicator(Communicator):
             peer.connected.clear()
             peer.disconnected_at = monotonic()
             if (
-                not self._closed
+                not self._closed.is_set()
                 and not peer.healing
                 and not peer.partitioned
                 and peer.rank < self._rank
             ):
                 peer.healing = True
                 spawn = True
-        try:
-            sock.close()
-        except OSError:  # pragma: no cover
-            pass
-        if self._closed:
+        _shut(sock)
+        if self._closed.is_set():
             return
         self.sock_counters.disconnects += 1
         if spawn:
-            threading.Thread(
-                target=self._reconnect,
-                args=(peer,),
-                name=f"sock-heal-{self._rank}-to{peer.rank}",
-                daemon=True,
-            ).start()
+            self._spawn(self._reconnect,
+                        f"sock-heal-{self._rank}-to{peer.rank}", peer)
 
     def _reconnect(self, peer: _Peer) -> None:
         """Bounded retry/backoff re-dial; replay happens in ``_install``."""
@@ -753,7 +785,7 @@ class SocketCommunicator(Communicator):
         reason = ""
         with self._telemetry.span("sock.reconnect", cat="sock",
                                   peer=peer.rank):
-            while not self._closed and not peer.partitioned:
+            while not self._closed.is_set() and not peer.partitioned:
                 try:
                     sock = socket.create_connection(
                         peer.addr, timeout=poll_interval() * 4.0
@@ -781,13 +813,13 @@ class SocketCommunicator(Communicator):
                         f"reconnect budget exhausted after {budget:.2f}s"
                     )
                     break
-                time.sleep(pause)
+                self._closed.wait(pause)
                 poll = poll_interval()
                 pause = decorrelated_jitter(
                     pause, poll / 4.0, 2.0, poll, self._jitter
                 )
         peer.healing = False
-        if not self._closed and not peer.partitioned and reason:
+        if not self._closed.is_set() and not peer.partitioned and reason:
             self._declare_dead(peer, reason)
 
     def _heartbeat_tick(self) -> None:
@@ -811,9 +843,9 @@ class SocketCommunicator(Communicator):
                         self._conn_broken(peer, sock)
 
     def _heartbeat_loop(self) -> None:
-        while not self._closed:
+        while not self._closed.is_set():
             self._heartbeat_tick()
-            time.sleep(poll_interval())
+            self._closed.wait(poll_interval())
 
 
 class RendezvousServer:
@@ -850,16 +882,7 @@ class RendezvousServer:
 
     def stop(self) -> None:
         self._closed = True
-        try:
-            # close() alone leaves the accept thread blocked in accept()
-            # for good; shutdown() wakes it so it can see the flag.
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:  # already closed
-            pass
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
+        _shut(self._listener)
         with self._cond:
             self._cond.notify_all()
         if self._thread is not None:

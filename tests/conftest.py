@@ -2,9 +2,19 @@
 
 from __future__ import annotations
 
+import glob
+import multiprocessing
+import os
+import tempfile
+import threading
+import time
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.distributed.comm import poll_interval
+from repro.distributed.mpcomm import Arena
 from repro.graph import (
     clique,
     cycle,
@@ -14,6 +24,61 @@ from repro.graph import (
     star,
     stochastic_block_model,
 )
+
+
+def arenas() -> set[str]:
+    """The world arenas (``repro-world-*`` directories) that exist now."""
+    root = "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
+    return set(glob.glob(os.path.join(root, "repro-world-*")))
+
+
+#: Every world arena this pytest process has created.  The module guard
+#: counts only these: another run on the same host makes arenas under the
+#: same prefix, and a CLI subprocess's arenas are checked from the shell.
+_OUR_ARENAS: set[str] = set()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def record_arenas():
+    """Record the path of every :class:`Arena` made in this process."""
+    init = Arena.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        _OUR_ARENAS.add(self.path)
+
+    with mock.patch.object(Arena, "__init__", recording):
+        yield
+
+
+def _leftovers(threads, children, worlds) -> list:
+    """The socket or rendezvous threads, child processes and arenas alive
+    now that were not alive at the snapshot ``(threads, children, worlds)``.
+
+    Thread-backend ``rank-*`` threads are not counted: a failed run's
+    surviving ranks wind down on their own timeouts by design."""
+    return [
+        *(t.name for t in threading.enumerate()
+          if t.name.startswith(("sock-", "rendezvous-")) and t not in threads),
+        *(f"pid {p.pid}" for p in multiprocessing.active_children()
+          if p not in children),
+        *sorted(p for p in _OUR_ARENAS - worlds if os.path.exists(p)),
+    ]
+
+
+@pytest.fixture(scope="module", autouse=True)
+def nothing_outlives_the_module(record_arenas):
+    """Fail a module that leaves a thread, a process or an arena it started
+    alive 2 x ``poll_interval()`` after its last test."""
+    before = (
+        set(threading.enumerate()), set(multiprocessing.active_children()),
+        set(_OUR_ARENAS),
+    )
+    yield
+    deadline = time.monotonic() + 2 * poll_interval()
+    while (left := _leftovers(*before)) and time.monotonic() < deadline:
+        time.sleep(poll_interval() / 10)
+    assert not left, f"still alive after the module: {left}"
 
 
 @pytest.fixture

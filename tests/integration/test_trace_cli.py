@@ -6,6 +6,7 @@ through their real entry points.
 import dataclasses
 import json
 import multiprocessing
+import re
 import threading
 import tracemalloc
 
@@ -32,6 +33,16 @@ def run_trace(tmp_path, *extra):
     return rc, out, metrics
 
 
+def printed_expected(stdout):
+    """The exact |E(A(x)B)| a traced ``generate`` printed."""
+    found = re.search(r"expected \|E\(A\(x\)B\)\| (\d+) -- exact", stdout)
+    return int(found.group(1))
+
+
+def spans(*names):
+    return [arg for name in names for arg in ("--require-span", name)]
+
+
 class TestTraceCommand:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_default_workload_produces_valid_trace(
@@ -43,6 +54,10 @@ class TestTraceCommand:
         assert rc == 0
         stdout = capsys.readouterr().out
         assert "exact" in stdout and "MISMATCH" not in stdout
+        # The manifest left in the output directory accounts for exactly
+        # the edge count the command printed.
+        (manifest,) = CheckpointStore(tmp_path / "shards").manifests()
+        assert manifest.edges_total == printed_expected(stdout)
 
         trace = json.loads(out.read_text())
         assert validate_chrome_trace(trace) == []
@@ -74,6 +89,45 @@ class TestTraceCommand:
             for r in summary["per_rank"].values()
         )
         assert per_rank == 120
+
+    def test_hash_routed_run_routes_every_edge(self, tmp_path, capsys):
+        """Every dense chunk is bucketed where it is produced: the route
+        spans sit in the trace and every generated edge was routed."""
+        rc, out, metrics = run_trace(
+            tmp_path, "--ranks", "4", "--backend", "process",
+            "--scheme", "2d", "--storage", "edge_hash",
+        )
+        assert rc == 0
+        expected = printed_expected(capsys.readouterr().out)
+        assert validate_main([
+            str(out), "--require-lanes", "4",
+            *spans("generate", "route", "exchange"),
+        ]) == 0
+        counters = json.loads(metrics.read_text())["aggregate"]["counters"]
+        assert counters["edges.routed"] == counters["edges.generated"] == expected
+
+    def test_varint_run_counts_the_bytes_that_crossed(self, tmp_path, capsys):
+        """Under ``edge_hash`` edges cross between ranks, so the codec runs,
+        and the byte counters count what crossed."""
+        rc, out, metrics = run_trace(
+            tmp_path, "--ranks", "4", "--backend", "thread",
+            "--scheme", "1d-pipelined", "--pipeline", "async",
+            "--wire", "varint", "--storage", "edge_hash",
+        )
+        assert rc == 0
+        assert validate_main([
+            str(out), "--require-lanes", "4",
+            *spans("generate", "exchange", "comm.wait", "checkpoint",
+                   "wire.encode", "wire.decode"),
+        ]) == 0
+        counters = json.loads(metrics.read_text())["aggregate"]["counters"]
+        raw, wire, sent = (
+            counters.get(name, 0)
+            for name in ("exchange.bytes_raw", "exchange.bytes_wire",
+                         "comm.alltoall.bytes_out")
+        )
+        assert wire == sent > 0, (wire, sent)
+        assert raw > wire, (raw, wire)
 
     def test_checkpoint_resume_records_hits(self, tmp_path, capsys):
         rc1, _, metrics = run_trace(tmp_path, "--ranks", "4")

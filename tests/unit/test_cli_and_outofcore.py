@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+import re
 import socket
 import threading
 
@@ -24,7 +25,7 @@ from repro.errors import (
     GraphFormatError,
     PartitionError,
 )
-from repro.graph import EdgeList, erdos_renyi
+from repro.graph import EdgeList, clique, erdos_renyi
 from repro.graph.io import write_npz, write_text
 from repro.graph.mmio import write_matrix_market
 from repro.kronecker import kron_product
@@ -227,6 +228,40 @@ class TestOutOfCore:
         )
         assert CheckpointStore(tmp_path).load_run(two) == kron_product(a, b)
 
+    def test_socket_skg_run_resumes_then_heals(self, tmp_path, capsys):
+        """The headline command twice into one directory: the second run
+        verifies every shard and rewrites none.  After bit rot one more run
+        heals it in one invocation.  Each time the manifest reassembles,
+        digest-checked, to the edge count the command printed."""
+        out = tmp_path / "shards"
+        argv = [
+            "generate", "--model", "skg", "--seed-matrix", "polblogs",
+            "--skg-k", "6", "--skg-seed", "3", "--out", str(out),
+            "--ranks", "4", "--backend", "socket",
+        ]
+
+        def generate():
+            assert main(argv) == 0
+            printed = re.search(
+                r"^REPRO_SKG .* edges=(\d+) ", capsys.readouterr().out, re.M
+            )
+            store = CheckpointStore(out)
+            (manifest,) = store.manifests()
+            return int(printed.group(1)), store.load_run(manifest), manifest
+
+        def listing():
+            return [(p.name, p.stat().st_size, p.stat().st_mtime_ns)
+                    for p in sorted(out.glob("*.npz"))]
+
+        printed, _, _ = generate()
+        first = listing()
+        _, el, manifest = generate()
+        assert listing() == first
+        assert el.m_directed == manifest.edges_total == printed
+        _flip_a_byte(out / first[0][0])
+        printed, el, _ = generate()
+        assert el.m_directed == printed
+
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_parent_holds_no_edges_and_hashes_none(
         self, tmp_path, factor_files, monkeypatch, backend
@@ -374,6 +409,15 @@ class TestCli:
         _, _, pa, pb = factor_files
         assert main(["validate", pa, pb, "--checks", "vertices,degrees"]) == 0
         assert "2/2 checks passed" in capsys.readouterr().out
+
+    def test_validate_passes_every_row_on_two_connected_factors(
+        self, tmp_path, capsys
+    ):
+        a, b = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
+        write_text(clique(4), a)
+        write_text(erdos_renyi(9, 0.5, seed=3), b)
+        assert main(["validate", a, b]) == 0
+        assert "-- 21/21 checks passed" in capsys.readouterr().out.splitlines()
 
     def test_scaling_table_command(self, factor_files, capsys):
         """The Section-I table is the PAPER_TABLE row selection."""

@@ -11,6 +11,7 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.distributed import (
     GenerationPlan,
     KronPair,
@@ -22,6 +23,7 @@ from repro.distributed import (
     spmd_run,
 )
 from repro.distributed.checkpoint import (
+    CheckpointStore,
     generation_family_key,
     generation_run_key,
 )
@@ -260,6 +262,21 @@ PINNED_SHARDS = {
 }
 UNION = 0x3FA603F595693F05
 
+#: Shard digests of ``repro-kron generate``'s built-in K4 (x) C5 on 3
+#: process ranks, per (plan flags, ``--chunk-size``): one row a round, B
+#: split on the dense path (m_B = 10), and the default.  Every run stores
+#: the union ``(0x4061A26C73CEC456, 120)``.
+CLI_ASYNC = "1d-pipelined --pipeline async --storage source_block"
+CLI_HASH = "2d --storage edge_hash"
+CLI_SHARDS = {
+    (CLI_ASYNC, "1"): [0x4153CFCD359AD4D6, 0xCBF048684D4B5835, 0xF76DD227FF795D34],
+    (CLI_ASYNC, "7"): [0x4153CFCD359AD4D6, 0xCBF048684D4B5835, 0xF76DD227FF795D34],
+    (CLI_ASYNC, None): [0xDC00681B4E701F32, 0x42E84AE28C384270, 0x33670D7F29A5A992],
+    (CLI_HASH, "1"): [0x1123898186C8C36F, 0x24EDA0F5F2A6D342, 0xA8BC7B215DB35285],
+    (CLI_HASH, "7"): [0x1123898186C8C36F, 0x24EDA0F5F2A6D342, 0xA8BC7B215DB35285],
+    (CLI_HASH, None): [0x1123898186C8C36F, 0x24EDA0F5F2A6D342, 0xA8BC7B215DB35285],
+}
+
 
 class TestPinnedShards:
     """The stored shards and run keys do not depend on how the rounds are
@@ -277,6 +294,23 @@ class TestPinnedShards:
         )
         assert manifest.shard_digests == PINNED_SHARDS[scheme, storage, chunk]
         assert (manifest.union_digest, manifest.edges_total) == (UNION, 48)
+
+    @pytest.mark.parametrize(
+        "plan,chunk", list(CLI_SHARDS),
+        ids=[f"{p.split()[0]}-{p.split()[-1]}-{c or 'default'}"
+             for p, c in CLI_SHARDS],
+    )
+    def test_process_runs_of_the_cli_are_pinned(self, plan, chunk, tmp_path):
+        argv = ["generate", "--ranks", "3", "--backend", "process",
+                "--scheme", *plan.split(), "--out", str(tmp_path)]
+        if chunk is not None:
+            argv += ["--chunk-size", chunk]
+        assert main(argv) == 0
+        (manifest,) = CheckpointStore(tmp_path).manifests()
+        assert list(manifest.shard_digests) == CLI_SHARDS[plan, chunk]
+        assert (manifest.union_digest, manifest.edges_total) == (
+            0x4061A26C73CEC456, 120
+        )
 
 
 class TestRunKeysByConstruction:

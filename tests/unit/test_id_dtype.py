@@ -19,6 +19,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.cli import load_factor, main
 from repro.distributed.checkpoint import (
     CheckpointStore,
     generation_run_key,
@@ -128,6 +129,34 @@ def test_a_rank_that_stores_nothing_still_stores_the_id_dtype(
     )
     assert [len(o.edges) for o in outputs][1:3] == [0, 0]
     assert {o.edges.dtype for o in outputs} == {id_dtype(references[pair].n)}
+
+
+@pytest.mark.parametrize(
+    "a, b, want",
+    [
+        pytest.param(erdos_renyi(30, 0.2, seed=1), erdos_renyi(30, 0.2, seed=2),
+                     np.int32, id="int32"),
+        pytest.param(*PAIRS["past_bound"], np.int64, id="int64-past-2^31"),
+    ],
+)
+def test_generate_writes_shards_in_the_id_dtype(tmp_path, a, b, want):
+    """``repro-kron generate`` on two factor files and 2 process ranks:
+    both shards hold the product's id dtype and reassemble to it."""
+    files = [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+    for path, el in zip(files, (a, b)):
+        np.savetxt(path, el.edges, fmt="%d", header=f"n={el.n}")
+    out = tmp_path / "out"
+    argv = ["generate", *files, "--ranks", "2", "--backend", "process",
+            "--out", str(out)]
+    assert main(argv) == 0
+    shards = sorted(out.glob("*.npz"))
+    assert len(shards) == 2, shards
+    for shard in shards:
+        with np.load(shard) as members:
+            assert members["edges"].dtype == want, shard
+    store = CheckpointStore(out)
+    (manifest,) = store.manifests()
+    assert store.load_run(manifest) == kron_product(*map(load_factor, files))
 
 
 # --------------------------------------------------------------------- #

@@ -1,11 +1,9 @@
 """The launcher's arena: big results come back mapped, nothing is left behind."""
 
 import gc
-import glob
 import multiprocessing
 import os
 import signal
-import tempfile
 import time
 from multiprocessing import resource_tracker
 
@@ -16,13 +14,9 @@ import repro.distributed.mpcomm as mpcomm
 from repro.distributed import spmd_run
 from repro.distributed.generator import RankOutput
 from repro.errors import RankDiedError, RankFailedError
+from tests.conftest import arenas
 
 FORKED = ["process", "socket"]
-
-
-def _worlds() -> set[str]:
-    root = "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
-    return set(glob.glob(os.path.join(root, "repro-world-*")))
 
 
 def _block(rank: int, rows: int) -> np.ndarray:
@@ -61,7 +55,7 @@ def test_results_equal_thread_backend(program, backend):
     expected = spmd_run(program, 2)
     got = spmd_run(program, 2, backend=backend)
     gc.collect()  # the arena is gone; the mappings must not be
-    assert _worlds() == set()
+    assert arenas() == set()
     for want, have in zip(expected, got):
         assert type(have) is type(want)
         if isinstance(want, RankOutput):
@@ -113,7 +107,7 @@ def _assert_nothing_left():
     The arena uses no ``multiprocessing.shared_memory`` at all, so no
     process of a run ever starts one.
     """
-    assert _worlds() == set()
+    assert arenas() == set()
     assert multiprocessing.active_children() == []
     assert resource_tracker._resource_tracker._pid is None  # noqa: SLF001
 
@@ -143,7 +137,7 @@ def test_nothing_left_after_sigkill_between_put_and_take(monkeypatch, tmp_path):
 def test_hand_built_world_cleans_up_after_itself():
     pipes = mpcomm.make_process_pipes(1)
     path = pipes.arena.path
-    assert path in _worlds()
+    assert path in arenas()
     del pipes
     gc.collect()
     assert not os.path.exists(path)

@@ -17,12 +17,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.graph import EdgeList, clique, cycle, star
+from repro.graph import EdgeList, clique, cycle, erdos_renyi, star
 from repro.kronecker.lazy import KroneckerGraph
+from repro.service.analytics import compute_property, property_names
 from repro.service.loadgen import (
     DEFAULT_FACTOR_A,
     DEFAULT_FACTOR_B,
     HTTPClient,
+    LoadGenConfig,
+    run_loadgen,
 )
 from repro.service.protocol import MAX_REPLY_IDS, HTTPRequest, id_batch
 from repro.service.server import MAX_BATCH, KronService, ServiceConfig
@@ -406,12 +409,13 @@ class TestQueries:
 
 
 def dispatch(service, a, b, leaf, doc):
-    """``(status line, body)`` of one in-process request to ``a (x) b``."""
+    """``(status line, body)`` of one in-process request to ``a (x) b``;
+    ``doc`` goes as its JSON, or as it is when it is already bytes."""
     reg = service.registry
     handle = reg.register_graph("t", reg.register_factor(a), reg.register_factor(b))
     request = HTTPRequest(
         "POST", f"/v1/tenants/t/graphs/{handle.key}/{leaf}", {},
-        json.dumps(doc).encode(),
+        doc if isinstance(doc, bytes) else json.dumps(doc).encode(),
     )
     head, _, body = asyncio.run(service._dispatch(request)).partition(b"\r\n\r\n")
     return head.split(b"\r\n")[0], body
@@ -432,6 +436,73 @@ def dict_reply(graph, vertices, limit):
     return (json.dumps({"neighborhoods": out}, sort_keys=True) + "\n").encode()
 
 
+class TestIdBatchSpellings:
+    """Id batches are read two ways: canonical bodies by the array fast
+    path (``protocol.id_batch``), everything else by ``json.loads`` +
+    ``int_ids``.  Neither may answer what the other would not."""
+
+    A, B = erdos_renyi(60, 0.2, seed=1), erdos_renyi(50, 0.3, seed=2)
+    PAIRS = np.random.default_rng(7).integers(60 * 50, size=(4096, 2))
+
+    @pytest.mark.parametrize(
+        "spelling", [dict(separators=(",", ":")), {}, dict(indent=2)],
+        ids=["compact", "spaced", "indent=2"],
+    )
+    def test_one_batch_in_any_spelling_gets_one_reply(self, spelling):
+        body = json.dumps({"pairs": self.PAIRS.tolist()}, **spelling).encode()
+        graph = KroneckerGraph(self.A, self.B)
+        exists = graph.has_edges(self.PAIRS[:, 0], self.PAIRS[:, 1])
+        want = json.dumps({"exists": exists.tolist()}, sort_keys=True) + "\n"
+        assert dispatch(KronService(), self.A, self.B, "edges", body) == (
+            b"HTTP/1.1 200 OK", want.encode()
+        )
+
+    @pytest.mark.parametrize(
+        "prefix",
+        [
+            b"[[1 2,3],",                     # whitespace joining digits
+            b"[[01,2],",                      # leading zero
+            b"[[1234567890123456789,2],",     # 19 digits
+            b"[[12345678901234567890,2],",    # past int64
+            b"[[1,2],,",                      # empty element
+            b"[[-1,2],",                      # negative
+            b"[[1.0,2],",                     # float
+            b"[[true,2],",                    # bool
+            b"[[1,2,3],",                     # ragged
+            b"[[1,[2]],",                     # nested
+            b'[["1","2"],',                   # strings
+        ],
+    )
+    def test_hostile_batch_gets_the_general_paths_400(self, prefix):
+        # The defect near the start of a 4096-pair body, long enough for
+        # the fast path to try it, gets the 400 the general path gives it
+        # in a short body, which that path always decodes.
+        tail = json.dumps(self.PAIRS.tolist(), separators=(",", ":"))[1:]
+        service = KronService()
+        long_reply, short_reply = (
+            dispatch(service, self.A, self.B, "edges", b'{"pairs": ' + body)
+            for body in (prefix + tail.encode() + b"}", prefix + b"[0,0]]}")
+        )
+        assert long_reply[0] == b"HTTP/1.1 400 Bad Request", long_reply
+        assert long_reply == short_reply
+
+    @pytest.mark.parametrize(
+        "key, extra", [("pa irs", []), ("pairs", [[0, 1.5]]),
+                       ("pairs", [[0, 60 * 50]])],
+        ids=["misspelled-key", "float-id", "id-out-of-range"],
+    )
+    def test_wrong_shape_gets_one_400_in_any_spelling(self, key, extra):
+        doc = {key: self.PAIRS.tolist() + extra}
+        service = KronService()
+        compact, pretty = (
+            dispatch(service, self.A, self.B, "edges",
+                     json.dumps(doc, **spelling).encode())
+            for spelling in (dict(separators=(",", ":")), dict(indent=2))
+        )
+        assert compact[0] == b"HTTP/1.1 400 Bad Request", compact
+        assert compact == pretty
+
+
 class TestNeighborReplies:
     # A: vertex 3 isolated, loops at 0 and 2; B: loops everywhere but 1.
     A = EdgeList(np.array([[0, 0], [0, 1], [1, 0], [1, 2], [2, 1], [2, 2]]), 4)
@@ -449,6 +520,24 @@ class TestNeighborReplies:
         status, body = dispatch(KronService(), self.A, self.B, "neighbors", doc)
         assert status == b"HTTP/1.1 200 OK"
         assert body == dict_reply(KroneckerGraph(self.A, self.B), vertices, limit)
+
+    @pytest.mark.parametrize("limit", [None, 0, 1, 7, 10**6])
+    def test_random_batches_are_json_dumps_of_the_dict_form(self, limit):
+        # Loops on A only: B's isolated vertices give empty rows, and ids
+        # run past 10**4 (two 4-digit limbs).
+        a = erdos_renyi(120, 0.2, seed=3).with_full_self_loops()
+        b = erdos_renyi(90, 0.05, seed=4)
+        graph, service = KroneckerGraph(a, b), KronService()
+        rng = np.random.default_rng(11)
+        for size in (1, 16, 300):
+            vertices = rng.integers(graph.n, size=size).tolist()
+            vertices += vertices[: size // 4]  # repeats
+            doc = {"vertices": vertices}
+            if limit is not None:
+                doc["limit"] = limit
+            status, body = dispatch(service, a, b, "neighbors", doc)
+            assert status == b"HTTP/1.1 200 OK", body[:200]
+            assert body == dict_reply(graph, vertices, limit), size
 
     def test_over_the_bound_is_refused_before_expanding(self):
         # K9 with loops squared: 81 ids a vertex, 5.3e6 > MAX_REPLY_IDS over
@@ -473,6 +562,12 @@ class TestNeighborReplies:
         assert err["error"] == "bad_request"
         assert str(MAX_REPLY_IDS) in err["message"] and "'limit'" in err["message"]
         assert peak < 16 << 20, peak
+        # The same batch under a limit is served.
+        status, body = dispatch(
+            service, k9, k9, "neighbors", {"vertices": vertices, "limit": 8}
+        )
+        assert status == b"HTTP/1.1 200 OK"
+        assert body.count(b'"truncated": true') == MAX_BATCH
 
     def test_exactly_at_the_bound_is_served(self):
         # K8 with loops squared: 64 ids a vertex, 64 * MAX_BATCH == the bound.
@@ -570,6 +665,46 @@ class TestAnalytics:
             assert res["value"]["global_triangles"] == int(expected)
 
         serve(go)
+
+    def test_every_answer_is_computed_once_and_served_as_computed(self):
+        # Every served property, both triangle conventions: the second
+        # request for each comes from the cache, and both carry the value
+        # the direct graph computes.
+        analytics = (
+            ("summary", {}),
+            ("triangles", {"convention": "no_loops"}),
+            ("triangles", {"convention": "full_loops"}),
+            ("degree_histogram", {}),
+            ("eccentricity_histogram", {}),
+            ("closeness", {"p": 0}),
+            ("community", {"set_a": [0, 1], "set_b": [0, 1, 2]}),
+        )
+        assert {p for p, _ in analytics} == set(property_names())
+        a = erdos_renyi(30, 0.3, seed=5).with_full_self_loops()
+        b = erdos_renyi(25, 0.35, seed=6).with_full_self_loops()
+        graph = KroneckerGraph(a, b)
+
+        async def go(service, client):
+            status, doc = await client.request("POST", "/v1/tenants/ci/graphs", {
+                "a": {"edges": a.edges.tolist(), "n": a.n},
+                "b": {"edges": b.edges.tolist(), "n": b.n}})
+            assert status == 200, doc
+            for prop, params in analytics:
+                want = json.loads(json.dumps(compute_property(prop, graph, params)))
+                path = f"/v1/tenants/ci/graphs/{doc['graph']}/analytics/{prop}"
+                replies = [await client.request("POST", path, {"params": params})
+                           for _ in range(2)]
+                assert [(s, r["cached"]) for s, r in replies] == [
+                    (200, False), (200, True)], prop
+                assert all(r["value"] == want for _, r in replies), prop
+            status, metrics = await client.request("GET", "/v1/metrics")
+            assert status == 200
+            return metrics["cache"]
+
+        cache = serve(go)
+        assert sorted(cache) == sorted(
+            ["size", "maxsize", "hits", "misses", "evictions", "hit_rate"]), cache
+        assert (cache["misses"], cache["hits"]) == (7, 7), cache
 
     def test_params_distinguish_cache_entries(self):
         async def go(service, client):
@@ -748,6 +883,24 @@ class TestObservability:
             ]
 
         serve(go)
+
+    def test_default_loadgen_run_is_answered_from_the_cache(self):
+        """loadgen's default workload gets no error response, and each of
+        the 7 analytics answers it rotates is computed at most once: the
+        cache is the only tier."""
+
+        async def go(service, client):
+            return await run_loadgen(LoadGenConfig(port=service.bound_port))
+
+        report = serve(go)
+        assert report["errors"] == 0, f"{report['errors']} error responses"
+        cache = report["server"]["cache"]
+        assert cache["hit_rate"] > 0.90, cache
+        counters = report["server"]["metrics"]["counters"]
+        assert counters.get("service.errors", 0) == 0, counters
+        assert cache["misses"] <= 7, cache
+        assert cache["evictions"] == 0, cache
+        assert "memo" not in report["server"], sorted(report["server"])
 
     def test_requests_produce_spans(self):
         async def go(service, client):

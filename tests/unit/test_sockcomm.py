@@ -56,7 +56,8 @@ def _fast_timeouts(monkeypatch):
 
 def _close_world(comms):
     for c in comms:
-        c.close()
+        if c is not None:  # a rank that never booted
+            c.close()
 
 
 @pytest.fixture
@@ -117,6 +118,41 @@ class TestSocketWorldConformance:
     def test_send_to_self_rejected(self, world3):
         with pytest.raises(CommunicatorError):
             world3[0].send("x", 0)
+
+
+def _sock_threads() -> set[threading.Thread]:
+    return {t for t in threading.enumerate() if t.name.startswith("sock-")}
+
+
+class TestClose:
+    def test_a_closed_world_has_stopped_its_threads(self):
+        before = _sock_threads()
+        comms = make_socket_world(3)
+        try:
+            comms[0].send("round", 1)
+            assert comms[1].recv(0) == "round"
+            assert _sock_threads() - before  # accept, reader, heartbeat
+        finally:
+            _close_world(comms)
+        assert _sock_threads() - before == set()
+
+    def test_a_silent_client_does_not_hold_close(self, monkeypatch):
+        # A listener stalled on the silent connection would hold close()
+        # for this long.
+        monkeypatch.setenv(RECV_TIMEOUT_ENV, "30")
+        comms = make_socket_world(2)
+        silent = socket.create_connection(comms[0]._listener.getsockname())
+        try:
+            deadline = time.monotonic() + 5
+            while comms[0]._handshaking is None:  # noqa: SLF001
+                assert time.monotonic() < deadline, "connection not accepted"
+                time.sleep(0.01)
+            t0 = time.monotonic()
+            _close_world(comms)
+            assert time.monotonic() - t0 < 5
+        finally:
+            silent.close()
+            _close_world(comms)  # idempotent
 
 
 class TestSelfHealing:
@@ -222,13 +258,15 @@ class TestRendezvous:
                     threading.Thread(target=boot, args=(r,))
                     for r in range(2)
                 ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=10)
-                comms[0].send("round", 1)
-                assert comms[1].recv(0) == "round"
-                _close_world(comms)
+                try:
+                    for t in threads:
+                        t.start()
+                    for t in threads:
+                        t.join(timeout=10)
+                    comms[0].send("round", 1)
+                    assert comms[1].recv(0) == "round"
+                finally:
+                    _close_world(comms)
 
     def test_size_disagreement_rejected(self):
         with RendezvousServer() as server:
@@ -338,7 +376,7 @@ class TestHostileLengthPrefix:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-                _close_world([c for c in comms if c is not None])
+                _close_world(comms)
         assert time.monotonic() - t0 < 10
         assert peak < len(self.JUNK) // 4
 

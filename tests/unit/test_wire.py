@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.distributed import generate_distributed
 from repro.distributed.wire import (
     WIRE_MAGIC,
     decode_edges,
@@ -14,6 +15,8 @@ from repro.distributed.wire import (
 from repro.errors import CommunicatorError, WireFormatError
 from repro.graph.edgelist import EdgeList
 from repro.kronecker.product import DEFAULT_CHUNK, iter_kron_product_routed
+from repro.telemetry import TelemetrySession
+from repro.util.hashing import edge_fingerprint
 from tests.property.test_wire_codec import kwr2_reference
 
 #: magic + uint64 edge count, run count, source-section bytes.
@@ -317,10 +320,15 @@ class TestMalformed:
         assert issubclass(WireFormatError, CommunicatorError)
 
 
+def ledger_factors():
+    """The ledger's 100-vertex, 990-edge factors (seed 1, A in arrival order)."""
+    a, b = uniform_graph(100, 990, 1), uniform_graph(100, 990, 2)
+    return EdgeList(np.random.default_rng(1).permutation(a.edges), a.n), b
+
+
 def ledger_buckets():
     """The routed buckets of one chunk of the ledger's seed-1 factors."""
-    a, b = uniform_graph(100, 990, 1), uniform_graph(100, 990, 2)
-    a = EdgeList(np.random.default_rng(1).permutation(a.edges), a.n)
+    a, b = ledger_factors()
     return next(iter_kron_product_routed(a, b, 2, a.n * b.n, DEFAULT_CHUNK))
 
 
@@ -346,6 +354,26 @@ class TestPinnedBytes:
             for dtype in (np.int32, np.int64):
                 blk = encode_edges(bucket.astype(dtype))
                 assert hashlib.sha256(blk.tobytes()).hexdigest() == digest
+
+    def test_ledger_run_puts_the_pinned_byte_total_on_the_wire(self):
+        """Both wires on two process ranks store one multiset, and the
+        varint run's encoded buckets total the 2,160,042 bytes KWR2 has
+        always put on the wire for these factors."""
+        a, b = ledger_factors()
+        digest, counters = {}, {}
+        for wire in ("raw", "varint"):
+            session = TelemetrySession()
+            product, _ = generate_distributed(
+                a, b, 2, scheme="1d-pipelined", pipeline="async", wire=wire,
+                backend="process", telemetry=session,
+            )
+            digest[wire] = edge_fingerprint(product.edges)
+            counters[wire] = session.aggregated_metrics()["counters"]
+        assert digest["raw"] == digest["varint"], digest
+        varint = counters["varint"]
+        wire_bytes = varint["exchange.bytes_wire"]
+        assert wire_bytes == varint["comm.alltoall.bytes_out"], varint
+        assert wire_bytes == 2160042, wire_bytes
 
     def test_ledger_buckets_decode_into_an_int32_stack(self):
         for bucket in ledger_buckets():
