@@ -20,9 +20,12 @@ Enabling it
 -----------
 * ``make_thread_world(size, checked=True)`` -- explicit;
 * environment variable ``REPRO_CHECK_COLLECTIVES=1`` -- picked up by
-  ``make_thread_world`` and therefore by ``spmd_run(backend="thread")``,
-  so any test run can be re-executed under the sentinel without code
-  changes.
+  ``make_thread_world`` and therefore by ``spmd_run(backend="thread")``.
+  The test suite sets it (``tests/conftest.py``), so every thread world
+  tier-1 builds runs checked: of the seeded protocol bugs in
+  ``tests/fixtures/mutants``, the sentinel is the fastest to catch a
+  collective skipped on a data-dependent branch and a round count the
+  ranks never agreed (EXPERIMENTS.md L17).
 
 The sentinel serializes ranks at each collective boundary (that is the
 point: it makes the ordering observable), so it is a debugging mode, not

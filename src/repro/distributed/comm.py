@@ -124,9 +124,8 @@ class Request(ABC):
     -------------------
     The buffer passed to ``alltoall_start`` is **owned by the runtime
     until the request completes**: mutating it before ``wait()`` races
-    the (possibly zero-copy) delivery.  ``repro.lint``'s
-    ``inflight-buffer`` rule flags such mutations statically.  Requests
-    on the same ``(peer, tag)`` channel must be waited in issue order;
+    the (possibly zero-copy) delivery.  Requests on the same
+    ``(peer, tag)`` channel must be waited in issue order;
     the generator keeps at most one exchange in flight, which trivially
     satisfies this.
     """
@@ -363,6 +362,10 @@ class DelegatingCommunicator(Communicator):
         self._inner.barrier()
 
 
+#: The message :meth:`_ThreadWorld.abort` leaves in every mailbox.
+_ABORTED = object()
+
+
 class _ThreadWorld:
     """Shared state for one thread-backed world: mailboxes + barrier."""
 
@@ -374,10 +377,31 @@ class _ThreadWorld:
         ]
         self.locks = [threading.Lock() for _ in range(size)]
         self.barrier = threading.Barrier(size)
+        self.aborted = False
 
     def box(self, dest: int, source: int, tag: int) -> queue.Queue:
         with self.locks[dest]:
-            return self.mailboxes[dest].setdefault((source, tag), queue.Queue())
+            box = self.mailboxes[dest].get((source, tag))
+            if box is None:
+                box = self.mailboxes[dest][(source, tag)] = queue.Queue()
+                if self.aborted:
+                    box.put(_ABORTED)
+            return box
+
+    def abort(self) -> None:
+        """Fail every rank's blocked and future ``recv`` and ``barrier``.
+
+        The launcher calls this when one rank failed: threads cannot be
+        stopped, but each survivor blocked on the world now raises
+        :class:`~repro.errors.CommunicatorError` and unwinds at once
+        instead of waiting out its own recv timeout.
+        """
+        self.aborted = True
+        self.barrier.abort()
+        for lock, boxes in zip(self.locks, self.mailboxes):
+            with lock:
+                for box in boxes.values():
+                    box.put(_ABORTED)
 
 
 class ThreadCommunicator(Communicator):
@@ -402,10 +426,9 @@ class ThreadCommunicator(Communicator):
     def recv(self, source: int, tag: int = 0) -> Any:
         self._check_peer(source, "recv")
         timeout = recv_timeout()
+        box = self._world.box(self._rank, source, tag)
         try:
-            return self._world.box(self._rank, source, tag).get(
-                timeout=timeout
-            )
+            obj = box.get(timeout=timeout)
         except queue.Empty as exc:
             raise CommunicatorError(
                 f"rank {self._rank} timed out after {timeout:g}s waiting to "
@@ -413,12 +436,29 @@ class ThreadCommunicator(Communicator):
                 f"sent or died -- run under REPRO_CHECK_COLLECTIVES=1 to "
                 f"diagnose collective-order divergence"
             ) from exc
+        if obj is _ABORTED:
+            box.put(_ABORTED)  # every later recv on this box fails too
+            raise CommunicatorError(
+                f"rank {self._rank} stopped waiting to receive from rank "
+                f"{source} (tag {tag}): another rank failed and the world "
+                f"was aborted"
+            )
+        return obj
+
+    def abort(self) -> None:
+        """Abort this rank's whole world (see :meth:`_ThreadWorld.abort`)."""
+        self._world.abort()
 
     def barrier(self) -> None:
         timeout = recv_timeout()
         try:
             self._world.barrier.wait(timeout=timeout)
         except threading.BrokenBarrierError as exc:
+            if self._world.aborted:
+                raise CommunicatorError(
+                    f"rank {self._rank} left the barrier: another rank "
+                    f"failed and the world was aborted"
+                ) from exc
             raise CommunicatorError(
                 f"rank {self._rank} timed out after {timeout:g}s in barrier "
                 f"(size {self.size}); some rank never arrived -- run under "

@@ -16,12 +16,6 @@ Fault taxonomy
 ``delay``
     sleep before a communication op (scaled by a deterministic uniform).
     Tolerated in-run: the op still completes.
-``duplicate``
-    the same message is delivered twice.  Tolerated in-run: when duplicate
-    injection is armed, every payload travels in a sequence-numbered
-    envelope and the receiving side drops already-seen sequence numbers
-    (the TCP move).  On the process backend an enveloped block crosses
-    through the arena like a bare one, once per delivered copy.
 ``drop``
     a send silently vanishes.  Not recoverable in-run: the receiver times
     out (:func:`repro.distributed.comm.recv_timeout`) and the supervised
@@ -34,7 +28,7 @@ Fault taxonomy
 Faults are *armed* only while ``attempt < plan.fault_attempts``
 (default 1), so a whole-run retry under the same plan is guaranteed to
 converge: attempt 0 suffers the faults, attempt 1 runs clean.  Plans for
-in-run-tolerated faults (delay, duplicate) may set ``fault_attempts``
+in-run-tolerated faults (delay) may set ``fault_attempts``
 high to prove tolerance without any retry.
 
 Composition: the launcher applies fault wrapping *beneath* the
@@ -64,15 +58,12 @@ __all__ = [
     "disarm",
 ]
 
-# Sub-seed offsets so drop/dup/delay decisions draw independent streams.
+# Sub-seed offsets so drop/delay decisions draw independent streams.
 _KIND_DROP = 0x10001
-_KIND_DUP = 0x20002
 _KIND_DELAY = 0x30003
 _KIND_DELAY_AMOUNT = 0x40004
 _KIND_DISCONNECT = 0x50005
 _KIND_PARTITION = 0x60006
-
-_ENV_TAG = "__fault_envelope__"
 
 
 @dataclass(frozen=True)
@@ -82,8 +73,8 @@ class FaultPlan:
     Probabilistic rates (``*_prob``) draw per-op uniforms from the seeded
     hash stream; targeted schedules (``*_at``, tuples of
     ``(rank, op_index)`` pairs) fire unconditionally, which is what the
-    chaos matrix uses to guarantee coverage.  A ``drop_at``/``dup_at``
-    entry fires once, at the first *send* whose op index is at or past the
+    chaos matrix uses to guarantee coverage.  A ``drop_at`` entry fires
+    once, at the first *send* whose op index is at or past the
     scheduled one -- sends interleave with recvs and barriers in
     workload-dependent order, and "at or after op N" keeps the entry from
     silently missing when op N happens to be a recv.  ``delay_at`` matches
@@ -98,11 +89,9 @@ class FaultPlan:
     seed: int = 0
     name: str = ""
     drop_prob: float = 0.0
-    dup_prob: float = 0.0
     delay_prob: float = 0.0
     delay_s: float = 0.0
     drop_at: tuple[tuple[int, int], ...] = ()
-    dup_at: tuple[tuple[int, int], ...] = ()
     delay_at: tuple[tuple[int, int], ...] = ()
     crash_rank: int | None = None
     crash_at: int = 0
@@ -132,8 +121,6 @@ class FaultPlan:
         kinds = []
         if self.drop_prob or self.drop_at:
             kinds.append("drop")
-        if self.dup_prob or self.dup_at:
-            kinds.append("dup")
         if self.delay_prob or self.delay_at:
             kinds.append("delay")
         if self.crash_rank is not None:
@@ -168,9 +155,7 @@ class FaultCounters:
 
     ops: int = 0
     dropped: int = 0
-    duplicated: int = 0
     delayed: int = 0
-    deduplicated: int = 0
     crashes: int = 0
     disconnects: int = 0
     partitions: int = 0
@@ -187,7 +172,7 @@ class FaultyCommunicator(DelegatingCommunicator):
 
     The split-phase ``alltoall_start``/``alltoall_finish`` is likewise
     inherited: the base issues sends through :meth:`send` (so
-    drops/dups/delays/crashes fire while the phase is in flight) and
+    drops/delays/crashes fire while the phase is in flight) and
     defers receives into the returned request, whose ``wait()`` runs
     through :meth:`recv` -- injected faults hit the split-phase exchange
     with no extra plumbing here.
@@ -204,11 +189,6 @@ class FaultyCommunicator(DelegatingCommunicator):
         self._plan = plan
         self._attempt = int(attempt)
         self._armed = self._attempt < plan.fault_attempts
-        # Duplicates need receiver-side dedup, hence seq-numbered envelopes;
-        # other fault kinds leave payloads untouched.
-        self._envelope = bool(plan.dup_prob > 0 or plan.dup_at)
-        self._send_seq: dict[tuple[int, int], int] = {}
-        self._seen: dict[tuple[int, int], set[int]] = {}
         self._fired: set[tuple[int, tuple[int, int]]] = set()
         self.counters = FaultCounters()
         if self._armed and plan.slow_rank == inner.rank and plan.slow_s > 0:
@@ -302,35 +282,11 @@ class FaultyCommunicator(DelegatingCommunicator):
         ):
             self.counters.dropped += 1
             return
-        payload = obj
-        if self._envelope:
-            key = (dest, tag)
-            seq = self._send_seq.get(key, 0)
-            self._send_seq[key] = seq + 1
-            payload = (_ENV_TAG, seq, obj)
-        self._inner.send(payload, dest, tag)
-        if self._armed and self._send_fault(
-            self._plan.dup_at, self._plan.dup_prob, _KIND_DUP, op
-        ):
-            self.counters.duplicated += 1
-            self._inner.send(payload, dest, tag)
+        self._inner.send(obj, dest, tag)
 
     def recv(self, source: int, tag: int = 0) -> Any:
         self._next_op()
-        while True:
-            obj = self._inner.recv(source, tag)
-            if not (
-                isinstance(obj, tuple) and len(obj) == 3 and obj[0] == _ENV_TAG
-            ):
-                return obj
-            _, seq, payload = obj
-            seen = self._seen.setdefault((source, tag), set())
-            if seq in seen:
-                # Duplicate delivery: discard and wait for the next message.
-                self.counters.deduplicated += 1
-                continue
-            seen.add(seq)
-            return payload
+        return self._inner.recv(source, tag)
 
     def barrier(self) -> None:
         self._next_op()
@@ -340,14 +296,14 @@ class FaultyCommunicator(DelegatingCommunicator):
 def default_fault_matrix(
     seed: int = 0, nranks: int = 4
 ) -> list[FaultPlan]:
-    """The seeded chaos matrix: >= 12 plans covering every fault kind.
+    """The seeded chaos matrix: 9 plans covering every fault kind.
 
     Targeted faults (fixed ``(rank, op)`` schedules) guarantee each kind
     actually fires on small worlds; the probabilistic plans exercise the
     attempt-reseeded retry path.  Crash/drop plans arm faults on the first
-    attempt only, so supervised retry converges deterministically;
-    duplicate/delay plans stay armed on every attempt because the runtime
-    tolerates them without a retry.
+    attempt only, so supervised retry converges deterministically; delay
+    plans stay armed on every attempt because the runtime tolerates them
+    without a retry.
     """
     last = max(0, nranks - 1)
     tolerated = {"fault_attempts": 1 << 20}
@@ -369,15 +325,9 @@ def default_fault_matrix(
         FaultPlan(seed=seed + 8, name="delay-r1-heavy",
                   delay_at=tuple((min(1, last), op) for op in range(4)),
                   delay_s=0.05, **tolerated),
-        # -- duplicates: in-run tolerated via envelope dedup --------------
-        FaultPlan(seed=seed + 9, name="dup-all", dup_prob=1.0, **tolerated),
-        FaultPlan(seed=seed + 10, name="dup-r0-early",
-                  dup_at=tuple((0, op) for op in range(3)), **tolerated),
-        # -- compound plans ----------------------------------------------
+        # -- compound plan -----------------------------------------------
         FaultPlan(seed=seed + 11, name="drop+delay", drop_at=((0, 2),),
                   delay_prob=0.5, delay_s=0.01),
-        FaultPlan(seed=seed + 12, name="dup+crash", dup_prob=1.0,
-                  crash_rank=min(1, last), crash_at=4),
     ]
     return plans
 
@@ -419,9 +369,6 @@ def socket_fault_matrix(
         # -- slow peer: heartbeats keep it alive despite throttled sends --
         FaultPlan(seed=seed + 105, name="sock-slow-r0", slow_rank=0,
                   slow_s=0.02, **tolerated),
-        # -- compound: disconnect under duplicate pressure ----------------
-        FaultPlan(seed=seed + 106, name="sock-disc+dup",
-                  disconnect_at=((0, 0),), dup_prob=1.0, **tolerated),
     ]
     return plans
 

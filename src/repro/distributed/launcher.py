@@ -211,7 +211,9 @@ def _run_world(
     runs on the caller's.  ``ranks`` are the ranks this launch owns (a
     subset for a multi-host socket launch); the returned list always has
     ``nranks`` slots and ranks launched elsewhere stay ``None``.  No child
-    outlives this function: whoever is alive past the reap window is killed.
+    outlives this function: whoever is alive past the reap window is killed,
+    and after a failure a thread world is aborted (its blocked ranks raise
+    and unwind) and its threads joined inside the same window.
     """
     threads = ctx is None
     result_q = queue.Queue() if threads else ctx.Queue()
@@ -288,25 +290,22 @@ def _run_world(
             break
 
     reap_by = monotonic() + _REAP_FACTOR * recv_timeout()
-    if threads:
-        # Threads cannot be stopped.  After a failure the survivors are
-        # daemonic and unwind on their own recv/barrier timeouts (their
-        # world is discarded), so fail fast; after success every rank has
-        # reported and only its cleanup is left to wait for.
-        if failure is None:
-            for child in children.values():
-                child.join(timeout=max(0.0, reap_by - monotonic()))
-    else:
-        if failure is not None:
+    if failure is not None and children:
+        if threads:
+            # Threads cannot be stopped, but their world can fail every
+            # recv and barrier they block on.  The world is built before
+            # the launch, so any rank's communicator reaches it.
+            build_comm(ranks[0]).abort()
+        else:
             for child in children.values():
                 child.terminate()
-        for child in children.values():
-            child.join(timeout=max(0.0, reap_by - monotonic()))
-            if child.is_alive():
-                # Ignored SIGTERM, or a clean result followed by a hung
-                # exit: past the reap window nothing is left to wait for.
-                child.kill()
-                child.join()
+    for child in children.values():
+        child.join(timeout=max(0.0, reap_by - monotonic()))
+        if not threads and child.is_alive():
+            # Ignored SIGTERM, or a clean result followed by a hung
+            # exit: past the reap window nothing is left to wait for.
+            child.kill()
+            child.join()
     if failure is not None:
         raise failure
     if not threads:  # after the reap: a bad descriptor leaves no child behind

@@ -22,8 +22,8 @@ arrays, wherever they sit in the object) cross through the world's
 whoever builds it -- when together they reach ``SHM_MIN_BYTES``, and ride the
 queue beside the pickle when they do not.  The message's own shape
 ``(head, name, sizes | buffers)`` says which; no payload is ever inspected,
-so a block crosses the same way bare or wrapped (in a timestamp tuple, a
-fault envelope, a list), and any picklable object arrives as it was sent.
+so a block crosses the same way bare or wrapped (in a timestamp tuple or a
+list), and any picklable object arrives as it was sent.
 Arrays a rank receives through the arena are read-only views of a mapping
 that lives as long as an array references it; callers that need to mutate
 must copy.  In-band arrays arrive writable.

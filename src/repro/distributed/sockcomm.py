@@ -37,12 +37,11 @@ Connection direction is deterministic -- for a pair ``(i, j)`` with
 ``i < j``, rank ``j`` dials rank ``i`` -- so exactly one side owns
 re-dialing after a break.  Every un-acknowledged DATA frame stays in a
 per-peer replay buffer; on reconnect the dialer replays the tail and the
-receiver drops frames whose ``seq`` it has already delivered (the same
-dedup-by-sequence move the fault envelope of
-:mod:`repro.distributed.faults` uses).  A transient socket error is
-therefore invisible to the rank program.  A peer that cannot be reached
-again inside the reconnect budget -- or whose process vanished, which
-shows up as a refused connection -- is *declared dead*, and every
+receiver drops frames whose ``seq`` it has already delivered.  A
+transient socket error is therefore invisible to the rank program.  A
+peer that cannot be reached again inside the reconnect budget -- or
+whose process vanished, which shows up as a refused connection -- is
+*declared dead*, and every
 subsequent ``send``/``recv`` touching it raises
 :class:`~repro.errors.RankDiedError` carrying the last-heartbeat age and
 the peer's address, well before the full recv timeout.

@@ -6,14 +6,12 @@ invariants the Python runtime cannot enforce:
 * every rank must execute the **same collective sequence** -- a
   ``barrier`` reachable only under ``if comm.rank == 0`` deadlocks the
   world (Section III's asynchronous generation);
+* every nonblocking request must be **completed** on every path;
 * buffers received from ``recv``/``alltoall``/``allgather`` may be
   **shared, read-only views** and must never be mutated in place (the
   contract of :meth:`repro.distributed.comm.Communicator.alltoall`);
-* Kronecker index arithmetic (``i * n_B + k``) must stay in **int64**,
-  and allocations feeding it need explicit dtypes;
-* ground-truth output must be **deterministic**: no unordered ``set``
-  iteration feeding edges, no process-global ``np.random`` state, no
-  time-derived seeds.
+* every distributed wait derives from **one timeout knob**, and
+  distributed code reads time only from the **injected clocks**.
 
 This package makes those invariants machine-checked: an AST-based rule
 framework (:mod:`repro.lint.core`) with per-file rule families
@@ -44,12 +42,7 @@ from repro.lint.core import (
     resolve_selection,
 )
 from repro.lint.engine import analyze_paths, lint_source
-from repro.lint.rules import (
-    BufferOwnershipRule,
-    CollectiveSymmetryRule,
-    DeterminismRule,
-    DtypeOverflowRule,
-)
+from repro.lint.rules import BufferOwnershipRule, CollectiveSymmetryRule
 
 __all__ = [
     "Finding",
@@ -66,6 +59,4 @@ __all__ = [
     "analyze_paths",
     "CollectiveSymmetryRule",
     "BufferOwnershipRule",
-    "DtypeOverflowRule",
-    "DeterminismRule",
 ]

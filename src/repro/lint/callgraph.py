@@ -4,19 +4,11 @@ Builds a :class:`Program` from the per-module communication IR
 (:mod:`repro.lint.ir`) and computes, by fixpoint iteration over the call
 graph, a :class:`Summary` for every function:
 
-``has_collective``
-    calling this function executes a collective on some path
-    (transitively through callees), with a representative site for
-    diagnostics;
 ``returns_request``
     the function may return an in-flight request to its caller;
 ``finishes_params``
     positional parameters the function may complete (``wait`` /
     ``alltoall_finish`` on the parameter, directly or through a callee);
-``starts_on_params``
-    parameters whose buffer is put in flight by a nonblocking start
-    whose request escapes to the caller -- the caller's argument is
-    owned by the runtime until the returned request completes;
 ``returns_params``
     parameters that may be returned unchanged (alias-through helpers
     such as an encoder that passes raw payloads straight through).
@@ -50,11 +42,8 @@ __all__ = ["Summary", "Program", "flatten"]
 class Summary:
     """Abstract communication behaviour of one function."""
 
-    has_collective: bool = False
-    collective_site: tuple = ()  # (op, path, line) of a representative site
     returns_request: bool = False
     finishes_params: frozenset = frozenset()
-    starts_on_params: frozenset = frozenset()
     returns_params: frozenset = frozenset()
 
 
@@ -193,12 +182,8 @@ class Program:
             p: frozenset({i}) for i, p in enumerate(fn.params)
         }
         request_names: set[str] = set()
-        started: dict[str, frozenset] = {}  # request name -> param buffers
-        has_collective = False
-        site: tuple = ()
         returns_request = False
         finishes: set[int] = set()
-        starts_on: set[int] = set()
         returns: set[int] = set()
 
         def params_of(names) -> frozenset:
@@ -209,19 +194,12 @@ class Program:
 
         for node in flatten(fn.body):
             if isinstance(node, OpNode):
-                if node.kind == "collective":
-                    if not has_collective:
-                        has_collective = True
-                        site = (node.op, mod.path, node.line)
-                elif node.kind == "start":
-                    buffer_params = params_of(node.buffers)
+                if node.kind == "start":
                     if node.escape == "return":
                         returns_request = True
-                        starts_on |= buffer_params
                     for bind in node.binds:
                         if "." not in bind:
                             request_names.add(bind)
-                            started[bind] = buffer_params
                 elif node.kind == "finish":
                     if node.request and "." not in node.request:
                         finishes |= alias.get(node.request, frozenset())
@@ -233,17 +211,11 @@ class Program:
                 summary = self.summaries.get(
                     (cmod.module, callee.qualname), _EMPTY
                 )
-                if summary.has_collective and not has_collective:
-                    has_collective = True
-                    site = summary.collective_site
-                arg_buffers: frozenset = frozenset()
                 for i, roots in enumerate(node.argroots):
                     callee_param = i + offset
                     hit = params_of(roots)
                     if callee_param in summary.finishes_params:
                         finishes |= hit
-                    if callee_param in summary.starts_on_params:
-                        arg_buffers |= hit
                     if callee_param in summary.returns_params:
                         for bind in node.binds:
                             if "." not in bind:
@@ -253,11 +225,9 @@ class Program:
                 if summary.returns_request:
                     if node.escape == "return":
                         returns_request = True
-                        starts_on |= arg_buffers
                     for bind in node.binds:
                         if "." not in bind:
                             request_names.add(bind)
-                            started[bind] = arg_buffers
             elif isinstance(node, ReturnNode):
                 root = node.value_root
                 if root is None:
@@ -265,21 +235,14 @@ class Program:
                 returns |= alias.get(root, frozenset())
                 if root in request_names:
                     returns_request = True
-                    starts_on |= started.get(root, frozenset())
             elif isinstance(node, AliasNode):
                 alias[node.target] = alias.get(
                     node.target, frozenset()
                 ) | alias.get(node.source, frozenset())
                 if node.source in request_names:
                     request_names.add(node.target)
-                    started[node.target] = started.get(
-                        node.source, frozenset()
-                    )
         return Summary(
-            has_collective=has_collective,
-            collective_site=site,
             returns_request=returns_request,
             finishes_params=frozenset(finishes),
-            starts_on_params=frozenset(starts_on),
             returns_params=frozenset(returns),
         )

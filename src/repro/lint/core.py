@@ -14,7 +14,7 @@ Findings can be silenced in source with trailing comments::
 
 and file-wide (anywhere in the file, conventionally near the top)::
 
-    # repro-lint: disable-file=dtype-overflow
+    # repro-lint: disable-file=wall-clock
 
 Multiple rule names are comma-separated.  Suppression is applied centrally
 by :mod:`repro.lint.engine` after the rules run, so rules never need to
@@ -23,9 +23,9 @@ know about it.
 Scoping
 -------
 A rule may declare ``scope_dirs``: it then only fires on files whose path
-contains one of those directory components (the dtype and determinism
-families only apply to the Kronecker index/ground-truth code, per the
-invariants they encode).
+contains one of those directory components (the timeout and clock rules
+only apply to the distributed and serving code, per the invariants they
+encode).
 """
 
 from __future__ import annotations

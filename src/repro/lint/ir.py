@@ -6,8 +6,8 @@ reads one representation.  This module extracts, per file, a small
 recording only the events the protocol checker cares about:
 
 * comm-op call sites (collectives, nonblocking starts, waits/finishes)
-  with the buffer expressions they capture and where their result goes
-  (bound to a local, returned, stored on ``self``, discarded);
+  and where their result goes (bound to a local, returned, stored on
+  ``self``, discarded);
 * calls to other functions (with the root names of positional
   arguments), so :mod:`repro.lint.callgraph` can stitch summaries
   together;
@@ -84,9 +84,9 @@ class OpNode(_Node):
     """A comm-op call site.
 
     ``kind`` is ``"collective"`` / ``"start"`` / ``"finish"`` / ``"recv"``;
-    ``op`` the method name.  For starts, ``buffers`` holds the root names
-    of the buffer argument, ``binds`` the names the returned request is
-    bound to (possibly dotted ``self.X``), and ``escape`` how the request
+    ``op`` the method name.  For starts, ``binds`` holds the names the
+    returned request is bound to (possibly dotted ``self.X``), and
+    ``escape`` how the request
     leaves if unbound (``"return"``, ``"nested"``, or ``None`` for a
     plain discarded expression).  For finishes, ``request`` names the
     completed request (dotted for attributes).
@@ -593,13 +593,9 @@ class _Extractor:
             )
             return
         if method in INFLIGHT_OPS:
-            buffers = _roots(call.args[0]) if call.args else ()
             out.append(
                 self._place(
-                    OpNode(
-                        kind="start", op=method, buffers=buffers,
-                        binds=binds, escape=escape,
-                    ),
+                    OpNode(kind="start", op=method, binds=binds, escape=escape),
                     call, guard,
                 )
             )
@@ -657,14 +653,9 @@ class _Extractor:
                     )
                 )
             elif method in INFLIGHT_OPS:
-                buffers = _roots(sub.args[0]) if sub.args else ()
                 out.append(
                     self._place(
-                        OpNode(
-                            kind="start", op=method, buffers=buffers,
-                            escape=escape,
-                        ),
-                        sub, guard,
+                        OpNode(kind="start", op=method, escape=escape), sub, guard
                     )
                 )
             elif method in FINISH_OPS:

@@ -1,10 +1,9 @@
 """Shared comm-op tables and AST helpers for every lint layer.
 
-This is a *leaf* module with no package side effects: the file rules and
-the whole-program layers (:mod:`repro.lint.ir`,
-:mod:`repro.lint.callgraph`) all import it directly -- the IR extractor
-importing the rule package instead would be circular
-(rules -> protocol -> callgraph -> ir -> rules).
+This is a *leaf* module with no package side effects: the communication
+IR (:mod:`repro.lint.ir`) imports it directly -- importing the rule
+package instead would be circular (rules -> protocol -> callgraph -> ir
+-> rules).
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "call_method",
     "contains_rank_ref",
     "target_names",
-    "walk_scope",
 ]
 
 #: The collective operations of :class:`repro.distributed.comm.Communicator`.
@@ -113,18 +111,3 @@ def target_names(target: ast.expr) -> list[str]:
     if isinstance(target, ast.Starred):
         return target_names(target.value)
     return []
-
-
-def walk_scope(body: list[ast.stmt]):
-    """Walk a statement list without descending into nested scopes.
-
-    Yields every node of the given block, including the ``FunctionDef``/
-    ``ClassDef`` statements themselves but nothing inside them -- the
-    scoped analogue of :func:`ast.walk` for name-binding analyses.
-    """
-    pending: list[ast.AST] = list(body)
-    while pending:
-        node = pending.pop()
-        yield node
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            pending.extend(ast.iter_child_nodes(node))

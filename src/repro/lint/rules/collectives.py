@@ -18,8 +18,9 @@ its rank-guard context, so a collective is flagged when that context is
 identity -- or (b) ``"divergent"`` -- it follows a rank-guarded statement
 that exits the enclosing block asymmetrically (one branch
 returns/raises/breaks, the other does not).  A *call* in such a context
-that reaches a collective down its call chain is ``protocol-divergence``
-(:mod:`repro.lint.rules.protocol`).  Point-to-point ``send``/``recv`` are
+that reaches a collective down its call chain is not flagged: the
+collective-order sentinel (:mod:`repro.distributed.checked`) names both
+call sites when it runs.  Point-to-point ``send``/``recv`` are
 intentionally exempt -- rank-dependent p2p is the normal SPMD idiom (and
 is how the collectives themselves are implemented in
 :mod:`repro.distributed.comm`).

@@ -1,15 +1,7 @@
 """SPMD protocol rules over the communication IR.
 
-Five rules over the :class:`repro.lint.callgraph.Program` built from the
+Two rules over the :class:`repro.lint.callgraph.Program` built from the
 communication IR:
-
-``protocol-divergence``
-    A rank-guarded (or rank-divergent) *call* reaches a collective
-    somewhere down the call chain -- ``if rank == 0: checkpoint(comm)``
-    where ``checkpoint`` gathers.  The guarded collective in the same
-    function body is ``collective-symmetry``
-    (:mod:`repro.lint.rules.collectives`), read off the same guard
-    context.
 
 ``protocol-leak``
     A nonblocking start whose request is never completed on some path:
@@ -17,18 +9,6 @@ communication IR:
     exit, or stored on an attribute that no function ever waits on.
     Requests that escape to the caller (returned) are the caller's
     obligation and tracked there via function summaries.
-
-``inflight-buffer`` / ``protocol-inflight``
-    A buffer is mutated while the request that put it in flight may
-    still be incomplete.  ``alltoall_start`` hands the passed buffers to
-    the runtime until the returned request is waited on (the contract
-    documented on :class:`repro.distributed.comm.Request`): the thread
-    backend passes them by reference to the receiver and a deferred-send
-    backend may not have serialized them yet, so an in-place edit races
-    the delivery.  It is one check with two names:
-    ``inflight-buffer`` when the start is in the mutating function,
-    ``protocol-inflight`` when a helper started it on its parameter and
-    returned the request.
 
 ``buffer-ownership``
     A buffer *received* from the comm layer is mutated in place.  Received
@@ -40,7 +20,7 @@ communication IR:
     result -- directly, by unpacking, subscripting or iterating it, or
     through an alias -- carry a *received* mark until rebound.
 
-The last four run off a shared abstract interpretation of request states.
+Both run off one abstract interpretation of request states.
 Each tracked request name holds a *possibility set* drawn from
 ``{NONE, INFLIGHT, DONE}``, and a name holding a received buffer carries
 its origin; branches fork the environment, ``x is not None`` tests refine
@@ -62,7 +42,7 @@ the caller.
 
 from __future__ import annotations
 
-from repro.lint.callgraph import Program, Summary, flatten
+from repro.lint.callgraph import Program, Summary
 from repro.lint.core import ProgramRule, register_program
 from repro.lint.ir import (
     AliasNode,
@@ -80,13 +60,7 @@ from repro.lint.ir import (
     TryNode,
 )
 
-__all__ = [
-    "ProtocolDivergenceRule",
-    "ProtocolLeakRule",
-    "InflightBufferRule",
-    "ProtocolInflightRule",
-    "BufferOwnershipRule",
-]
+__all__ = ["ProtocolLeakRule", "BufferOwnershipRule"]
 
 NONE, INFLIGHT, DONE = "none", "inflight", "done"
 
@@ -94,22 +68,21 @@ _LOOP_CAP = 8  # fixpoint rounds before giving up on a loop body
 
 
 # --------------------------------------------------------------------- #
-# abstract interpretation (shared by leak, inflight and ownership rules)
+# abstract interpretation (shared by the leak and ownership rules)
 # --------------------------------------------------------------------- #
 class _Cell:
     """Abstract state of one value; aliases share the cell."""
 
-    __slots__ = ("statuses", "origin", "buffers", "received")
+    __slots__ = ("statuses", "origin", "received")
 
-    def __init__(self, statuses, origin, buffers=frozenset(), received=None):
+    def __init__(self, statuses, origin, received=None):
         self.statuses = set(statuses)
         self.origin = origin  # originating OpNode/CallNode, for messages
-        self.buffers = set(buffers)
         #: (op, line) when the value may be a received buffer
         self.received = received
 
     def copy(self) -> "_Cell":
-        return _Cell(self.statuses, self.origin, self.buffers, self.received)
+        return _Cell(self.statuses, self.origin, self.received)
 
 
 def _copy_env(env: dict) -> dict:
@@ -141,8 +114,7 @@ def _join_env(a: dict | None, b: dict | None) -> dict | None:
         else:
             origin = ca.origin if INFLIGHT in ca.statuses else cb.origin
             out[name] = _Cell(
-                ca.statuses | cb.statuses, origin, ca.buffers | cb.buffers,
-                cb.received or ca.received,
+                ca.statuses | cb.statuses, origin, cb.received or ca.received
             )
     return out
 
@@ -152,17 +124,14 @@ def _env_signature(env: dict | None):
         return None
     return tuple(
         sorted(
-            (
-                name, tuple(sorted(c.statuses)), tuple(sorted(c.buffers)),
-                c.received,
-            )
+            (name, tuple(sorted(c.statuses)), c.received)
             for name, c in env.items()
         )
     )
 
 
 class _Interp:
-    """Interpret one function body, collecting leak/inflight/ownership
+    """Interpret one function body, collecting leak and ownership
     findings."""
 
     def __init__(self, program: Program, mod: ModuleIR, fn: FuncIR) -> None:
@@ -189,12 +158,6 @@ class _Interp:
         self._flag("protocol-leak", node, f"{label} {why}")
 
     # -- environment operations -------------------------------------------
-    def _clear_buffer(self, env: dict, name: str) -> None:
-        """A rebind of ``name`` detaches it from any in-flight buffer:
-        mutations now act on a different object."""
-        for cell in env.values():
-            cell.buffers.discard(name)
-
     def _kill(self, env: dict, node, names) -> None:
         """Rebinding names: any still-in-flight request they held leaks."""
         for name in names:
@@ -206,13 +169,11 @@ class _Interp:
                     node, cell.origin,
                     f"is rebound at '{name}' while still in flight",
                 )
-            self._clear_buffer(env, name)
 
     def _release(self, env: dict, name: str) -> None:
         cell = env.get(name)
         if cell is not None:
             cell.statuses = {DONE}
-            cell.buffers.clear()
 
     def _end_of_path(self, env: dict, node, *, escaped: str | None = None) -> None:
         """A return (or fall-off-the-end): every tracked request that may
@@ -252,11 +213,6 @@ class _Interp:
                 self._kill(env, node, (node.target,))
                 if cell is not None:
                     env[node.target] = cell
-                for other in env.values():
-                    # Aliasing an in-flight buffer: mutating either name
-                    # now mutates the frozen payload.
-                    if node.source in other.buffers:
-                        other.buffers.add(node.target)
         elif isinstance(node, BindNoneNode):
             self._kill(env, node, node.targets)
             for name in node.targets:
@@ -302,7 +258,7 @@ class _Interp:
                         )
                 else:
                     self._kill(env, node, (bind,))
-                    env[bind] = _Cell({INFLIGHT}, node, node.buffers)
+                    env[bind] = _Cell({INFLIGHT}, node)
         elif node.kind == "finish":
             request = node.request
             if request and "." not in request:
@@ -329,7 +285,6 @@ class _Interp:
         if resolved is not None:
             cmod, callee, offset = resolved
             summary = self.program.summary_of(cmod, callee)
-        arg_buffers: set[str] = set()
         for i, roots in enumerate(node.argroots):
             for root in roots:
                 cell = env.get(root)
@@ -338,12 +293,10 @@ class _Interp:
                         # Unresolved callees are optimistically assumed
                         # to complete any request handed to them.
                         self._release(env, root)
-                if resolved is not None and (i + offset) in summary.starts_on_params:
-                    arg_buffers.add(root)
         if node.binds:
             self._kill(env, node, node.binds)
             if summary.returns_request:
-                cell = _Cell({INFLIGHT}, node, frozenset(arg_buffers))
+                cell = _Cell({INFLIGHT}, node)
                 for bind in node.binds:
                     if "." not in bind:
                         env[bind] = cell
@@ -365,25 +318,6 @@ class _Interp:
                 f"shared read-only views -- copy before mutating "
                 f"(Communicator.alltoall contract)",
             )
-        seen: set[int] = set()
-        for cell in env.values():
-            if id(cell) in seen:
-                continue
-            seen.add(id(cell))
-            if INFLIGHT in cell.statuses and node.name in cell.buffers:
-                origin = cell.origin
-                if isinstance(origin, OpNode):
-                    rule, via = "inflight-buffer", origin.op
-                else:
-                    rule, via = "protocol-inflight", ".".join(origin.callee)
-                self._flag(
-                    rule, node,
-                    f"{node.how} '{node.name}' while it is in flight: the "
-                    f"request started at line {origin.line} by '{via}' has "
-                    f"not been completed -- the runtime owns the buffer "
-                    f"until then; wait()/alltoall_finish() first or send "
-                    f"a copy (Request contract)",
-                )
 
     def _if(self, node: IfNode, env: dict) -> dict | None:
         then_env = _copy_env(env)
@@ -406,7 +340,6 @@ class _Interp:
             if cell is not None:
                 if NONE in cell.statuses:
                     cell.statuses = {NONE}
-                    cell.buffers.clear()
                 else:
                     if sense:
                         else_dead = True
@@ -485,49 +418,6 @@ class _InterpRule(ProgramRule):
 # rules
 # --------------------------------------------------------------------- #
 @register_program
-class ProtocolDivergenceRule(ProgramRule):
-    """Rank-guarded call chains must not reach collectives."""
-
-    name = "protocol-divergence"
-    severity = "error"
-    description = (
-        "a call executed only by some ranks reaches a collective "
-        "operation down its call chain; the excluded ranks never enter "
-        "it and every rank inside blocks forever"
-    )
-
-    def check(self, program: Program):
-        for mod, fn in program.iter_functions():
-            for node in flatten(fn.body):
-                if not isinstance(node, CallNode) or node.guard == "all":
-                    continue
-                resolved = program.resolve(mod, fn, node.callee)
-                if resolved is None:
-                    continue
-                cmod, callee, _ = resolved
-                summary = program.summary_of(cmod, callee)
-                if not summary.has_collective:
-                    continue
-                op, site_path, site_line = summary.collective_site or (
-                    "?", cmod.path, callee.line,
-                )
-                if node.guard == "guarded":
-                    how = f"is rank-guarded (guard at line {node.guard_line})"
-                else:
-                    how = (
-                        f"runs after a rank-dependent early exit "
-                        f"(line {node.guard_line})"
-                    )
-                yield self.finding(
-                    mod.path, node,
-                    f"call to '{'.'.join(node.callee)}' {how} but "
-                    f"executes collective '{op}' "
-                    f"({site_path}:{site_line}); ranks outside the "
-                    f"guard never reach it -- possible deadlock",
-                )
-
-
-@register_program
 class ProtocolLeakRule(_InterpRule):
     """Every nonblocking start must be completed on every path."""
 
@@ -537,33 +427,6 @@ class ProtocolLeakRule(_InterpRule):
         "a nonblocking request is discarded, rebound, or still in "
         "flight at function exit on some path, so the transfer is "
         "never completed"
-    )
-
-
-@register_program
-class InflightBufferRule(_InterpRule):
-    """Buffers handed to ``alltoall_start`` stay frozen until the
-    request completes."""
-
-    name = "inflight-buffer"
-    severity = "error"
-    description = (
-        "buffers passed to alltoall_start stay owned by the runtime "
-        "until the request is waited on; mutate only after wait()/"
-        "alltoall_finish()"
-    )
-
-
-@register_program
-class ProtocolInflightRule(_InterpRule):
-    """Buffers handed to a helper-started request stay frozen until
-    the request completes."""
-
-    name = "protocol-inflight"
-    severity = "error"
-    description = (
-        "a buffer put in flight through a helper's nonblocking start "
-        "is mutated before the returned request is completed"
     )
 
 

@@ -115,8 +115,8 @@ class RankTelemetry:
         fc = getattr(comm, "counters", None)
         if fc is None:
             return
-        for name in ("dropped", "duplicated", "delayed", "deduplicated",
-                     "crashes", "disconnects", "partitions"):
+        for name in ("dropped", "delayed", "crashes", "disconnects",
+                     "partitions"):
             value = getattr(fc, name, 0)
             if value:
                 self.metrics.add(f"faults.{name}", value)

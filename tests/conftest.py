@@ -13,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from repro.distributed.checked import CHECK_ENV
 from repro.distributed.comm import poll_interval
 from repro.distributed.mpcomm import Arena
 from repro.graph import (
@@ -24,6 +25,13 @@ from repro.graph import (
     star,
     stochastic_block_model,
 )
+
+
+# The suite runs every thread world under the collective-order sentinel:
+# a divergent collective sequence fails in seconds, naming both call
+# sites, instead of hanging until a recv timeout (EXPERIMENTS.md L17).
+# Set the variable to 0 to run without it.
+os.environ.setdefault(CHECK_ENV, "1")
 
 
 def arenas() -> set[str]:
@@ -52,14 +60,13 @@ def record_arenas():
 
 
 def _leftovers(threads, children, worlds) -> list:
-    """The socket or rendezvous threads, child processes and arenas alive
-    now that were not alive at the snapshot ``(threads, children, worlds)``.
-
-    Thread-backend ``rank-*`` threads are not counted: a failed run's
-    surviving ranks wind down on their own timeouts by design."""
+    """The rank, socket or rendezvous threads, child processes and arenas
+    alive now that were not alive at the snapshot ``(threads, children,
+    worlds)``."""
     return [
         *(t.name for t in threading.enumerate()
-          if t.name.startswith(("sock-", "rendezvous-")) and t not in threads),
+          if t.name.startswith(("rank-", "sock-", "rendezvous-"))
+          and t not in threads),
         *(f"pid {p.pid}" for p in multiprocessing.active_children()
           if p not in children),
         *sorted(p for p in _OUR_ARENAS - worlds if os.path.exists(p)),

@@ -1,7 +1,6 @@
 """GOOD: the buffer is mutated only after its request completes.
 
-Identical to the bad cross-function fixture except the append happens
-after ``end_exchange``.  Expected: no findings.
+The append happens after ``end_exchange``.  Expected: no findings.
 """
 
 from proto_helpers import begin_exchange, end_exchange

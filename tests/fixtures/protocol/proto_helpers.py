@@ -1,11 +1,6 @@
 """Shared helpers imported by the cross-module protocol fixtures."""
 
 
-def sync_counts(comm, counts):
-    """Every rank must enter this together: it allreduces."""
-    return comm.allreduce(counts)
-
-
 def begin_exchange(comm, outgoing):
     """Split-phase start: the caller owns the returned request."""
     return comm.alltoall_start(outgoing)

@@ -13,6 +13,7 @@ from repro.distributed import (
     make_thread_world,
     spmd_run,
 )
+from repro.distributed.comm import poll_interval
 from repro.errors import CommunicatorError, RankFailedError, ReproError
 
 
@@ -204,6 +205,27 @@ class TestLauncher:
             for t in threading.enumerate()
             if t.name.startswith(("sock-", "rendezvous-"))
         ] == []
+
+    def test_failed_thread_run_leaves_no_rank_thread(self):
+        """Rank 0 fails while rank 1 waits in a recv and rank 2 in a
+        barrier: the launcher aborts the world, so neither waits out its
+        recv timeout."""
+        def fn(comm):
+            if comm.rank == 0:
+                raise ValueError("boom on rank 0")
+            if comm.rank == 1:
+                return comm.recv(0)
+            comm.barrier()
+
+        def ranks():
+            return [t for t in threading.enumerate()
+                    if t.name.startswith("rank-")]
+
+        before = ranks()
+        with pytest.raises(RankFailedError, match="rank 0"):
+            spmd_run(fn, 3)
+        time.sleep(2 * poll_interval())
+        assert [t.name for t in ranks() if t not in before] == []
 
     def test_bad_nranks(self):
         with pytest.raises(ReproError):

@@ -89,9 +89,10 @@ class TestComposition:
         assert stack.size == 1
 
     def test_fault_counters_harvested_into_metrics(self):
-        # dup_at (0, 0): rank 0's first send duplicates, the receiver
-        # dedups; harvest through the outermost wrappers must see both.
-        plan = FaultPlan(dup_at=((0, 0),))
+        # drop_at (0, 0): rank 0's first send vanishes; delay_at (1, 0):
+        # rank 1's first op sleeps (0 s).  Harvest through the outermost
+        # wrappers must see both.
+        plan = FaultPlan(drop_at=((0, 0),), delay_at=((1, 0),))
 
         tel = _sink()
         comms = make_thread_world(2)
@@ -102,16 +103,13 @@ class TestComposition:
             FaultyCommunicator(comms[1], plan), tel
         )
         sender.send(b"x", dest=1)
-        assert receiver.recv(source=0) == b"x"
-        # The duplicate is still queued; the next recv dedups it
-        # before delivering the second message.
         sender.send(b"y", dest=1)
         assert receiver.recv(source=0) == b"y"
         tel.harvest_fault_counters(sender)
         tel.harvest_fault_counters(receiver)
         snap = tel.metrics.snapshot()
-        assert snap["counters"]["faults.duplicated"] == 1
-        assert snap["counters"]["faults.deduplicated"] == 1
+        assert snap["counters"]["faults.dropped"] == 1
+        assert snap["counters"]["faults.delayed"] == 1
 
     def test_harvest_without_fault_layer_is_noop(self):
         tel = _sink()

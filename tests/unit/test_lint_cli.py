@@ -59,14 +59,13 @@ class TestExitCodes:
         assert lint_main([str(tmp_path), "--select", "protocol-typo"]) == 2
         err = capsys.readouterr().err
         assert "protocol-typo" in err
-        assert "protocol-divergence" in err
+        assert "protocol-leak" in err
 
     def test_select_program_rule_only(self, bad_tree, capsys):
-        # The file-rule findings in bad_tree are excluded by the select;
-        # the guarded barrier is intra-function, so no program finding
-        # either -> clean.
+        # bad_tree's guarded barrier and mutated receive are excluded by
+        # the select, and it starts no request -> clean.
         assert lint_main(
-            [str(bad_tree), "--select", "protocol-divergence"]
+            [str(bad_tree), "--select", "protocol-leak"]
         ) == 0
 
     def test_list_rules(self, capsys):
@@ -75,11 +74,9 @@ class TestExitCodes:
         for rule in (
             "collective-symmetry",
             "buffer-ownership",
-            "dtype-overflow",
-            "determinism",
-            "protocol-divergence",
             "protocol-leak",
-            "protocol-inflight",
+            "timeout-literal",
+            "wall-clock",
         ):
             assert rule in out
 

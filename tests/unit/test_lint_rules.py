@@ -269,211 +269,6 @@ class TestBufferOwnership:
         assert [f.rule for f in fs] == ["buffer-ownership"]
 
 
-class TestDtypeOverflow:
-    def test_alloc_without_dtype_flagged(self):
-        fs = findings_for(
-            """
-            import numpy as np
-            buf = np.empty(10)
-            """,
-            path="kronecker/mod.py",
-        )
-        assert [f.rule for f in fs] == ["dtype-overflow"]
-
-    def test_zeros_without_dtype_flagged(self):
-        fs = findings_for(
-            "import numpy as np\nz = np.zeros(4)\n",
-            path="distributed/mod.py",
-        )
-        assert [f.rule for f in fs] == ["dtype-overflow"]
-
-    def test_explicit_dtype_clean(self):
-        fs = findings_for(
-            """
-            import numpy as np
-            a = np.empty(10, dtype=np.int64)
-            b = np.zeros(4, dtype="float64")
-            """,
-            path="kronecker/mod.py",
-        )
-        assert fs == []
-
-    def test_narrow_index_arithmetic_flagged(self):
-        fs = findings_for(
-            """
-            import numpy as np
-            def alpha(n, nb):
-                i = np.arange(n).astype(np.int32)
-                return i * nb + 3
-            """,
-            path="kronecker/indexing.py",
-        )
-        assert [f.rule for f in fs] == ["dtype-overflow"]
-        assert "int32" in fs[0].message
-
-    def test_int64_index_arithmetic_clean(self):
-        fs = findings_for(
-            """
-            import numpy as np
-            def alpha(n, nb):
-                i = np.arange(n, dtype=np.int64)
-                return i * nb + 3
-            """,
-            path="kronecker/indexing.py",
-        )
-        assert fs == []
-
-    def test_id_dtype_is_the_sanctioned_width(self):
-        # The id dtype derived from n_C, spelled inline or through a name
-        # bound to it, may carry index arithmetic in kronecker/.
-        fs = findings_for(
-            """
-            import numpy as np
-            from repro.kronecker.product import id_dtype
-            def block(shape, n, nb):
-                out = np.empty(shape, dtype=id_dtype(n))
-                return out * nb + 1
-            def chunk(rows, n, nb):
-                dtype = id_dtype(n)
-                ids = np.zeros(rows, dtype=dtype)
-                base = rows.astype(dtype)
-                return ids * nb + base
-            """,
-            path="kronecker/mod.py",
-        )
-        assert fs == []
-
-    def test_hand_picked_narrow_width_still_flagged(self):
-        fs = findings_for(
-            """
-            import numpy as np
-            from repro.kronecker.product import id_dtype
-            def chunk(rows, n, nb):
-                dtype = id_dtype(n)
-                ids = np.empty(rows, dtype=dtype)
-                narrow = rows.astype(np.int32)
-                return narrow * nb + ids
-            """,
-            path="kronecker/mod.py",
-        )
-        assert [f.rule for f in fs] == ["dtype-overflow"]
-        assert "int32" in fs[0].message and "id_dtype" in fs[0].message
-
-    def test_scoped_out_of_tree(self):
-        # the rule only applies to kronecker/ and distributed/
-        fs = findings_for(
-            "import numpy as np\nbuf = np.empty(10)\n",
-            path="groundtruth/mod.py",
-        )
-        assert fs == []
-
-    def test_scope_is_per_function(self):
-        # one function's wide rebinding must not mask another's narrow i
-        fs = findings_for(
-            """
-            import numpy as np
-            def bad(n):
-                i = np.arange(n).astype(np.int32)
-                return i * n + 1
-            def good(n):
-                i = np.arange(n, dtype=np.int64)
-                return i * n + 1
-            """,
-            path="kronecker/mod.py",
-        )
-        assert [f.rule for f in fs] == ["dtype-overflow"]
-        assert fs[0].line == 5
-
-
-class TestDeterminism:
-    def test_legacy_np_random_flagged(self):
-        fs = findings_for(
-            "import numpy as np\nv = np.random.rand(5)\n",
-            path="groundtruth/mod.py",
-        )
-        assert [f.rule for f in fs] == ["determinism"]
-        assert "default_rng" in fs[0].message
-
-    def test_unseeded_default_rng_flagged(self):
-        fs = findings_for(
-            "import numpy as np\nrng = np.random.default_rng()\n",
-            path="kronecker/mod.py",
-        )
-        assert [f.rule for f in fs] == ["determinism"]
-
-    def test_seeded_default_rng_clean(self):
-        fs = findings_for(
-            "import numpy as np\nrng = np.random.default_rng(42)\n",
-            path="kronecker/mod.py",
-        )
-        assert fs == []
-
-    def test_set_iteration_flagged(self):
-        fs = findings_for(
-            """
-            def edges():
-                seen = {1, 2, 3}
-                out = []
-                for v in seen:
-                    out.append(v)
-                return out
-            """,
-            path="groundtruth/mod.py",
-        )
-        assert [f.rule for f in fs] == ["determinism"]
-
-    def test_list_of_set_flagged(self):
-        fs = findings_for(
-            "def f(xs):\n    return list(set(xs))\n",
-            path="groundtruth/mod.py",
-        )
-        assert [f.rule for f in fs] == ["determinism"]
-
-    def test_sorted_set_clean(self):
-        fs = findings_for(
-            """
-            def f(xs):
-                out = []
-                for v in sorted(set(xs)):
-                    out.append(v)
-                return out
-            """,
-            path="groundtruth/mod.py",
-        )
-        assert fs == []
-
-    def test_time_seed_flagged(self):
-        fs = findings_for(
-            """
-            import time
-            import numpy as np
-            def f():
-                return np.random.default_rng(int(time.time()))
-            """,
-            path="kronecker/mod.py",
-        )
-        assert [f.rule for f in fs] == ["determinism"]
-        assert "clock" in fs[0].message
-
-    def test_seed_kwarg_from_clock_flagged(self):
-        fs = findings_for(
-            """
-            import time
-            def f(make):
-                return make(seed=time.time_ns())
-            """,
-            path="groundtruth/mod.py",
-        )
-        assert [f.rule for f in fs] == ["determinism"]
-
-    def test_scoped_out_of_tree(self):
-        fs = findings_for(
-            "import numpy as np\nv = np.random.rand(5)\n",
-            path="distributed/mod.py",
-        )
-        assert fs == []
-
-
 class TestFramework:
     def test_line_suppression(self):
         fs = findings_for(
@@ -511,7 +306,7 @@ class TestFramework:
             """
             def f(comm):
                 if comm.rank == 0:
-                    comm.barrier()  # repro-lint: disable=dtype-overflow
+                    comm.barrier()  # repro-lint: disable=wall-clock
             """
         )
         assert [f.rule for f in fs] == ["collective-symmetry"]
@@ -527,14 +322,14 @@ class TestFramework:
 
     def test_rule_selection(self):
         src = """
-        import numpy as np
+        import time
         def f(comm):
             if comm.rank == 0:
                 comm.barrier()
-        buf = np.empty(3)
+        t = time.time()
         """
-        only = findings_for(src, select=["dtype-overflow"])
-        assert {f.rule for f in only} == {"dtype-overflow"}
+        only = findings_for(src, select=["wall-clock"])
+        assert {f.rule for f in only} == {"wall-clock"}
 
 
 class TestTimeoutLiteral:
@@ -709,115 +504,3 @@ class TestWallClock:
 
         src = Path(__file__).resolve().parents[2] / "src" / "repro"
         assert analyze_paths([src / "distributed"], select=["wall-clock"]) == []
-
-
-class TestInflightBuffer:
-    def test_mutation_before_wait_flagged(self):
-        fs = findings_for(
-            """
-            def f(comm, buf):
-                req = comm.alltoall_start(buf)
-                buf.fill(0)
-                req.wait()
-            """
-        )
-        assert [f.rule for f in fs] == ["inflight-buffer"]
-        assert fs[0].severity == "error"
-        assert "alltoall_start" in fs[0].message
-        assert fs[0].line == 4
-
-    def test_item_assignment_into_inflight_exchange_flagged(self):
-        fs = findings_for(
-            """
-            def f(comm, outgoing):
-                req = comm.alltoall_start(outgoing)
-                outgoing[0] = None
-                return comm.alltoall_finish(req)
-            """
-        )
-        assert [f.rule for f in fs] == ["inflight-buffer"]
-        assert "alltoall_start" in fs[0].message
-        assert fs[0].line == 4
-
-    def test_augassign_on_inflight_buffer_flagged(self):
-        fs = findings_for(
-            """
-            def f(comm, buf):
-                req = comm.alltoall_start(buf)
-                buf += 1
-                req.wait()
-            """
-        )
-        assert [f.rule for f in fs] == ["inflight-buffer"]
-        assert fs[0].line == 4
-
-    def test_wait_releases_buffer(self):
-        fs = findings_for(
-            """
-            def f(comm, buf):
-                req = comm.alltoall_start(buf)
-                req.wait()
-                buf.fill(0)
-            """
-        )
-        assert fs == []
-
-    def test_alltoall_finish_releases_buffers(self):
-        fs = findings_for(
-            """
-            def f(comm, outgoing):
-                req = comm.alltoall_start(outgoing)
-                received = comm.alltoall_finish(req)
-                outgoing[0] = None
-                return received
-            """
-        )
-        assert [f.rule for f in fs] == []
-
-    def test_rebinding_clears_taint(self):
-        fs = findings_for(
-            """
-            def f(comm, buf):
-                req = comm.alltoall_start(buf)
-                buf = [0]
-                buf.append(1)
-                req.wait()
-            """
-        )
-        assert fs == []
-
-    def test_inline_start_finish_is_clean(self):
-        fs = findings_for(
-            """
-            def f(comm, outgoing):
-                received = comm.alltoall_finish(comm.alltoall_start(outgoing))
-                outgoing[0] = None
-                return received
-            """
-        )
-        assert fs == []
-
-    def test_mutation_through_alias_flagged(self):
-        fs = findings_for(
-            """
-            def f(comm, buf):
-                req = comm.alltoall_start(buf)
-                alias = buf
-                alias.fill(0)
-                req.wait()
-            """
-        )
-        assert [(f.rule, f.line) for f in fs] == [("inflight-buffer", 5)]
-
-    def test_wait_on_one_branch_only_still_in_flight(self):
-        fs = findings_for(
-            """
-            def f(comm, buf, eager):
-                req = comm.alltoall_start(buf)
-                if eager:
-                    req.wait()
-                buf.fill(0)
-                req.wait()
-            """
-        )
-        assert [(f.rule, f.line) for f in fs] == [("inflight-buffer", 6)]

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import repro.distributed.mpcomm as mpcomm
 from repro.distributed import spmd_run
-from repro.distributed.faults import FaultPlan
 from repro.distributed.netsim import NetworkModel, ThrottledCommunicator
 from repro.distributed.shuffle import exchange_edges
 from repro.errors import CommunicatorError
@@ -113,21 +112,18 @@ def _arrived(got, rank):
     "wrap",
     [
         partial(ThrottledCommunicator, model=NetworkModel(bandwidth=1e12)),
-        FaultPlan(dup_prob=1.0, fault_attempts=99).binder(),
     ],
-    ids=["throttled", "duplicated"],
+    ids=["throttled"],
 )
 def test_wrapped_block_still_rides_the_arena(put_spy, wrap):
-    """A timestamp or a fault envelope around the block is part of the
-    pickle head; the block itself still crosses as an arena file."""
+    """A timestamp around the block is part of the pickle head; the block
+    itself still crosses as an arena file."""
     def fn(comm):
         if comm.rank == 0:
             comm.send(_payload(0), 1, tag=3)
             comm.send(None, 1, tag=3)
             return put_spy, _arena_files(comm)
         got = comm.recv(0, tag=3)
-        # Under the duplicate plan this recv first takes and drops the
-        # block's second copy, so its file is gone too.
         assert comm.recv(0, tag=3) is None
         return _arrived(got, 0), _arena_files(comm)
 

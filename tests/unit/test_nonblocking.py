@@ -114,7 +114,7 @@ WORLDS = {
     "checked": lambda: {"checked": True},
     "faulty": lambda: {
         "wrap_comm": FaultPlan(
-            seed=7, dup_prob=1.0, fault_attempts=9
+            seed=7, delay_prob=1.0, fault_attempts=9
         ).binder(0)
     },
     "instrumented": lambda: {"telemetry": TelemetrySession()},

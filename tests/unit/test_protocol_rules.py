@@ -25,7 +25,7 @@ FIXTURES = REPO_ROOT / "tests" / "fixtures" / "protocol"
 def fixture_findings():
     return analyze_paths(
         [FIXTURES],
-        select=["protocol-divergence", "protocol-leak", "protocol-inflight"],
+        select=["collective-symmetry", "protocol-leak", "buffer-ownership"],
     )
 
 
@@ -39,15 +39,10 @@ class TestBadFixtures:
     @pytest.mark.parametrize(
         "fixture, expected",
         [
-            ("bad_guarded_helper_collective.py", ["protocol-divergence"]),
-            ("bad_early_exit_helper.py", ["protocol-divergence"]),
-            ("bad_cross_module_divergence.py", ["protocol-divergence"]),
             ("bad_discarded_start.py", ["protocol-leak", "protocol-leak"]),
             ("bad_unfinished_path.py", ["protocol-leak"]),
             ("bad_rebound_request.py", ["protocol-leak"]),
             ("bad_attr_request.py", ["protocol-leak"]),
-            ("bad_cross_function_inflight.py", ["protocol-inflight"]),
-            ("bad_aliased_inflight.py", ["protocol-inflight"]),
         ],
     )
     def test_detected(self, fixture_findings, fixture, expected):
@@ -55,25 +50,6 @@ class TestBadFixtures:
 
     def test_all_errors(self, fixture_findings):
         assert all(f.severity == "error" for f in fixture_findings)
-
-    def test_cross_module_message_names_remote_site(self, fixture_findings):
-        (finding,) = [
-            f
-            for f in fixture_findings
-            if f.path.endswith("bad_cross_module_divergence.py")
-        ]
-        assert "sync_counts" in finding.message
-        assert "allreduce" in finding.message
-        assert "proto_helpers.py" in finding.message
-
-    def test_inflight_message_names_start_line(self, fixture_findings):
-        (finding,) = [
-            f
-            for f in fixture_findings
-            if f.path.endswith("bad_cross_function_inflight.py")
-        ]
-        assert "outgoing" in finding.message
-        assert "started at line" in finding.message
 
 
 class TestGoodFixtures:
@@ -94,29 +70,27 @@ class TestSuppression:
 
     def test_pragma_silences_program_finding(self, tmp_path):
         (tmp_path / "helper.py").write_text(
-            "def sync(comm):\n    comm.barrier()\n"
+            "def begin(comm, x):\n    return comm.alltoall_start(x)\n"
         )
         (tmp_path / "caller.py").write_text(
-            "from helper import sync\n\n"
-            "def run(comm):\n"
-            "    if comm.rank == 0:\n"
-            "        sync(comm)  # repro-lint: disable=protocol-divergence\n"
+            "from helper import begin\n\n"
+            "def run(comm, x):\n"
+            "    begin(comm, x)  # repro-lint: disable=protocol-leak\n"
         )
-        findings = analyze_paths([tmp_path], select=["protocol-divergence"])
+        findings = analyze_paths([tmp_path], select=["protocol-leak"])
         assert findings == []
 
     def test_without_pragma_it_fires(self, tmp_path):
         (tmp_path / "helper.py").write_text(
-            "def sync(comm):\n    comm.barrier()\n"
+            "def begin(comm, x):\n    return comm.alltoall_start(x)\n"
         )
         (tmp_path / "caller.py").write_text(
-            "from helper import sync\n\n"
-            "def run(comm):\n"
-            "    if comm.rank == 0:\n"
-            "        sync(comm)\n"
+            "from helper import begin\n\n"
+            "def run(comm, x):\n"
+            "    begin(comm, x)\n"
         )
-        findings = analyze_paths([tmp_path], select=["protocol-divergence"])
-        assert [f.rule for f in findings] == ["protocol-divergence"]
+        findings = analyze_paths([tmp_path], select=["protocol-leak"])
+        assert [f.rule for f in findings] == ["protocol-leak"]
 
 
 class TestSelection:
@@ -133,7 +107,7 @@ class TestSelection:
             resolve_selection(["protocol-typo"])
         message = str(err.value)
         assert "protocol-typo" in message
-        assert "protocol-divergence" in message
+        assert "protocol-leak" in message
         assert "collective-symmetry" in message
 
 
@@ -160,9 +134,6 @@ class TestIrAndSummaries:
         program = Program([mod])
         start = program.summaries[("repro.distributed.shuffle", "exchange_edges_start")]
         assert start.returns_request
-        # Param 1 is ``outgoing``: its buffer rides the returned request,
-        # threaded through the wire encoder's raw pass-through.
-        assert 1 in start.starts_on_params
         finish = program.summaries[
             ("repro.distributed.shuffle", "exchange_edges_finish")
         ]
@@ -172,8 +143,6 @@ class TestIrAndSummaries:
     def test_pipelined_generator_is_clean(self):
         findings = analyze_paths(
             [REPO_ROOT / "src" / "repro" / "distributed"],
-            select=[
-                "protocol-divergence", "protocol-leak", "protocol-inflight",
-            ],
+            select=["collective-symmetry", "protocol-leak", "buffer-ownership"],
         )
         assert findings == []
