@@ -336,27 +336,20 @@ def cmd_lint(args: argparse.Namespace) -> int:
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run the seeded fault-injection matrix; exit 0 iff every cell recovers.
 
-    With no factor files, a small built-in pair (K4 (x) C5) keeps the run
-    fast enough for CI while still routing edges across every rank pair.
-    ``--plan-set socket`` swaps in the TCP fault plans (disconnects,
-    partitions, slow peers); pair it with ``--backends socket``.
+    Every cell is the persisted run ``generate`` executes, under one fault
+    plan, read back and compared with the serial product of the factors
+    (or the SKG spec).  With no factor files, a small built-in pair
+    (K4 (x) C5) keeps the run fast enough for CI while still routing edges
+    across every rank pair.  Socket cells run the TCP fault plans
+    (disconnects, a partition, a slow peer), the other backends the
+    generic matrix.
     """
-    from repro.distributed.faults import (
-        default_fault_matrix,
-        socket_fault_matrix,
-    )
     from repro.distributed.supervisor import run_chaos_matrix
 
-    source = _source(args)
-    plans = []
-    if args.plan_set in ("default", "both"):
-        plans += default_fault_matrix(seed=args.seed, nranks=args.ranks)
-    if args.plan_set in ("socket", "both"):
-        plans += socket_fault_matrix(seed=args.seed, nranks=args.ranks)
     report = run_chaos_matrix(
-        source,
+        _source(args),
         args.ranks,
-        plans=plans,
+        seed=args.seed,
         backends=args.backends,
         scheme=args.scheme,
         pipeline=args.pipeline,
@@ -719,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser(
         "chaos",
-        help="seeded fault-injection matrix over the supervised launcher",
+        help="seeded fault-injection matrix of persisted runs, checked "
+             "against the serial product",
     )
     _add_factor_args(
         c, optional="factor {f} file (default: built-in {builtin})",
@@ -738,12 +732,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--max-attempts", type=int, default=4,
                    help="supervised retry budget per cell")
     c.add_argument("--checkpoint-root", default=None,
-                   help="directory for per-cell shard checkpoints "
-                        "(default: no checkpointing)")
-    c.add_argument("--plan-set", choices=("default", "socket", "both"),
-                   default="default",
-                   help="fault-plan family: the generic matrix, the TCP "
-                        "disconnect/partition/slow-peer plans, or both")
+                   help="directory for the cells' persisted runs "
+                        "(default: a temporary directory, removed "
+                        "afterwards)")
     _add_plan_args(
         c, "--rendezvous",
         help="host:port of a running serve-rendezvous for socket cells "

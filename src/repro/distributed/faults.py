@@ -39,7 +39,7 @@ so injected faults flow through checked collectives like real ones.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -55,7 +55,6 @@ __all__ = [
     "PlanBinder",
     "default_fault_matrix",
     "socket_fault_matrix",
-    "disarm",
 ]
 
 # Sub-seed offsets so drop/delay decisions draw independent streams.
@@ -371,8 +370,3 @@ def socket_fault_matrix(
                   slow_s=0.02, **tolerated),
     ]
     return plans
-
-
-def disarm(plan: FaultPlan) -> FaultPlan:
-    """A copy of ``plan`` that injects nothing (for A/B reference runs)."""
-    return replace(plan, fault_attempts=0)

@@ -25,22 +25,26 @@ re-executes only missing or damaged shards, and a shard that *is*
 re-executed (because peers need its collective traffic) is verified
 bit-for-bit against the recorded digest;
 :meth:`~repro.distributed.checkpoint.CheckpointStore.load_run` reads it
-back.  :func:`run_chaos_matrix` drives a seeded fault matrix end-to-end,
-asserting every plan recovers to output bit-identical (canonical edge
-order) to the fault-free run -- the ``repro-kron chaos`` subcommand.
+back.  :func:`run_chaos_matrix` drives a seeded fault matrix through that
+persisted run, asserting every cell recovers to output bit-identical
+(canonical edge order) to the source's serial product -- the
+``repro-kron chaos`` subcommand.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import random
+import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro.distributed import faults
 from repro.distributed.checkpoint import (
     CheckpointedRankFn,
     CheckpointStore,
@@ -50,17 +54,17 @@ from repro.distributed.checkpoint import (
     generation_run_key,
 )
 from repro.distributed.comm import RECV_TIMEOUT_ENV, decorrelated_jitter
-from repro.distributed.faults import FaultPlan, default_fault_matrix
+from repro.distributed.faults import FaultPlan
 from repro.distributed.generator import (
     GenerationPlan,
+    KronPair,
     Source,
-    execute_plan,
     generate_rank,
 )
 from repro.distributed.launcher import spmd_run
 from repro.errors import ReproError, is_transient
 from repro.graph.edgelist import canonical_order
-from repro.kronecker.product import DEFAULT_CHUNK
+from repro.kronecker.product import DEFAULT_CHUNK, kron_product
 from repro.telemetry.clock import monotonic
 from repro.telemetry.session import TelemetrySession
 
@@ -359,99 +363,101 @@ def run_chaos_matrix(
     plans: list[FaultPlan] | None = None,
     seed: int = 0,
     backends: tuple[str, ...] = ("thread", "process"),
-    recv_timeout_s: float | None = 2.0,
+    recv_timeout_s: float = 2.0,
     max_attempts: int = 4,
     checkpoint_root: str | os.PathLike | None = None,
     rendezvous: str | None = None,
     **generation,
 ) -> ChaosReport:
-    """Drive every fault plan against supervised generation of ``source``.
+    """Drive every fault plan against the persisted run of ``source``.
 
-    For each plan x backend cell, run the source under the supervised
-    launcher -- in memory, or through :func:`generate_to_directory` and
-    :meth:`CheckpointStore.load_run` when ``checkpoint_root`` is given --
-    and compare the recovered product, in canonical edge order,
-    bit-for-bit against the fault-free reference.  ``recv_timeout_s`` pins
-    ``REPRO_RECV_TIMEOUT`` for the duration so dropped-message timeouts
-    resolve in seconds, not minutes.  ``generation`` takes the
-    :class:`GenerationPlan` axes (``storage`` defaults to
-    ``"source_block"`` here): ``pipeline``/``wire`` select the async
-    double-buffered loop and the varint wire format
+    Each plan x backend cell is the run ``repro-kron generate`` executes:
+    :func:`generate_to_directory` under the plan, into the cell's own
+    directory under ``checkpoint_root`` (``None``: a temporary directory,
+    removed afterwards), read back through :meth:`CheckpointStore.load_run`
+    and compared, in canonical edge order, bit-for-bit with the source's
+    serial product -- ``kron_product`` of a :class:`KronPair`,
+    ``skg_sample_edges`` of an SKG spec -- computed once.  A recovered
+    cell is the right answer, not just the fault-free run's answer.
+
+    ``plans`` defaults per backend: socket cells run
+    :func:`~repro.distributed.faults.socket_fault_matrix`, the others
+    :func:`~repro.distributed.faults.default_fault_matrix`, seeded by
+    ``seed``.  ``recv_timeout_s`` pins ``REPRO_RECV_TIMEOUT`` for the
+    duration so dropped-message timeouts resolve in seconds, not minutes.
+    ``generation`` takes the :class:`GenerationPlan` axes (``storage``
+    defaults to ``"source_block"`` here): ``pipeline``/``wire`` select the
+    async double-buffered loop and the varint wire format
     (``scheme="1d-pipelined"`` required for ``pipeline="async"``), so the
-    matrix can prove fault recovery with a round in flight too.
-
-    A ``"socket"`` entry in ``backends`` runs those cells over the TCP
-    backend with a per-cell telemetry session, and the outcome carries the
-    reconnect/replay counts the connection-healing machinery reported --
-    so the JSON report shows not just that a cell recovered but how much
-    wire-level repair the recovery took.
-
-    An SKG spec as the source runs every cell through the stochastic
-    tier's sampler: the fault-free reference and all recovered cells then
-    prove that hash-seeded grass-hopping -- not just exact enumeration --
-    survives crashes, drops, and checkpointed retry bit-identically.
+    matrix can prove fault recovery with a round in flight too.  A socket
+    cell's outcome carries the reconnect/replay counts the
+    connection-healing machinery reported.
     """
     from unittest import mock  # lazy: only the harness pins the environment
 
-    if plans is None:
-        plans = default_fault_matrix(seed=seed, nranks=nranks)
     generation.setdefault("storage", "source_block")
-    generation_plan = GenerationPlan(**generation, source=source)
-    el, _ = execute_plan(generation_plan, nranks)
-    reference = canonical_edges(el.edges)
+    GenerationPlan(**generation, source=source)  # refuse a bad axis up front
+    if isinstance(source, KronPair):
+        product = kron_product(source.a, source.b)
+    else:
+        from repro.skg.sample import skg_sample_edges  # repro.skg imports us
+
+        product = skg_sample_edges(source)
+    reference = canonical_edges(product.edges)
+
+    def matrix(backend: str) -> list[FaultPlan]:
+        if plans is not None:
+            return plans
+        # Read at call time, so a patched matrix is the one that runs.
+        if backend == "socket":
+            return faults.socket_fault_matrix(seed=seed, nranks=nranks)
+        return faults.default_fault_matrix(seed=seed, nranks=nranks)
+
+    # Plan-major, each plan's backends in the order given.
+    cells = sorted(
+        ((i, plan, backend) for backend in backends
+         for i, plan in enumerate(matrix(backend))),
+        key=lambda cell: cell[0],
+    )
     report = ChaosReport()
     pinned = {RECV_TIMEOUT_ENV: str(recv_timeout_s)}
-    with mock.patch.dict(os.environ, {} if recv_timeout_s is None else pinned):
-        for i, plan in enumerate(plans):
-            for backend in backends:
-                sup = SupervisorReport()
-                retry = {
-                    "fault_plan": plan,
-                    "max_attempts": max_attempts,
-                    "report": sup,
-                    "rendezvous": rendezvous if backend == "socket" else None,
-                }
-                # Socket cells get their own telemetry session purely to
-                # harvest sock.* counters; thread/process cells stay
-                # un-instrumented so their comm-op indices (and therefore
-                # the targeted fault schedules) are unchanged.
-                tel = TelemetrySession() if backend == "socket" else None
-                recovered = identical = False
-                error = ""
-                t0 = monotonic()
-                try:
-                    if checkpoint_root is None:
-                        el, _ = execute_plan(
-                            generation_plan, nranks, backend=backend,
-                            runner=functools.partial(
-                                spmd_run_supervised, **retry
-                            ),
-                            telemetry=tel,
-                        )
-                    else:
-                        directory = (
-                            Path(checkpoint_root)
-                            / f"{i:02d}-{plan.label()}-{backend}"
-                        )
-                        manifest = generate_to_directory(
-                            source, directory, nranks, backend=backend,
-                            telemetry=tel, **generation, **retry,
-                        )
-                        el = CheckpointStore(directory).load_run(manifest)
-                except ReproError as exc:
-                    error = str(exc).splitlines()[0]
-                else:
-                    recovered = True
-                    identical = np.array_equal(
-                        canonical_edges(el.edges), reference
-                    )
-                report.outcomes.append(
-                    ChaosOutcome(
-                        plan=plan.label(), backend=backend,
-                        recovered=recovered, identical=identical,
-                        attempts=sup.attempts, error=error,
-                        elapsed_s=monotonic() - t0,
-                        **_sock_repair_counts(tel),
-                    )
+    scratch = (
+        tempfile.TemporaryDirectory(prefix="repro-chaos-")
+        if checkpoint_root is None else contextlib.nullcontext(checkpoint_root)
+    )
+    with mock.patch.dict(os.environ, pinned), scratch as root:
+        for i, plan, backend in cells:
+            sup = SupervisorReport()
+            # Socket cells get their own telemetry session purely to
+            # harvest sock.* counters; thread/process cells stay
+            # un-instrumented so their comm-op indices (and therefore
+            # the targeted fault schedules) are unchanged.
+            tel = TelemetrySession() if backend == "socket" else None
+            directory = Path(root) / f"{i:02d}-{plan.label()}-{backend}"
+            recovered = identical = False
+            error = ""
+            t0 = monotonic()
+            try:
+                manifest = generate_to_directory(
+                    source, directory, nranks, backend=backend,
+                    telemetry=tel, fault_plan=plan, max_attempts=max_attempts,
+                    report=sup,
+                    rendezvous=rendezvous if backend == "socket" else None,
+                    **generation,
                 )
+                el = CheckpointStore(directory).load_run(manifest)
+            except ReproError as exc:
+                error = str(exc).splitlines()[0]
+            else:
+                recovered = True
+                identical = np.array_equal(canonical_edges(el.edges), reference)
+            report.outcomes.append(
+                ChaosOutcome(
+                    plan=plan.label(), backend=backend,
+                    recovered=recovered, identical=identical,
+                    attempts=sup.attempts, error=error,
+                    elapsed_s=monotonic() - t0,
+                    **_sock_repair_counts(tel),
+                )
+            )
     return report

@@ -2,10 +2,12 @@
 
 This is the `repro-kron chaos` CI job run in-process: every plan of the
 default matrix (crash / drop / delay, targeted and probabilistic) against
-both launcher backends, under a ~2s recv timeout.  Every cell must recover
-to output bit-identical to the fault-free reference.
+both launcher backends, under a ~2s recv timeout.  Every cell is a
+persisted run and must recover to output bit-identical to the serial
+product.
 """
 
+import tempfile
 import warnings
 
 import pytest
@@ -72,7 +74,10 @@ class TestSkgChaos:
 
 
 class TestChaosCli:
-    def test_trimmed_cli_run(self, capsys):
+    def test_trimmed_cli_run(self, capsys, tmp_path, monkeypatch):
+        # No --checkpoint-root: the cells persist into a temporary
+        # directory, which is gone when the command returns.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = main(
@@ -88,3 +93,4 @@ class TestChaosCli:
         assert code == 0
         assert "cells recovered" in out
         assert "FAILED" not in out
+        assert not any(tmp_path.iterdir())

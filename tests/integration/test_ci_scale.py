@@ -63,7 +63,7 @@ def test_socket_chaos_heals_every_disconnect(round_, capsys):
     lost it) fails here."""
     assert main([
         "chaos", "--ranks", "4", "--seed", "0", "--timeout", "5",
-        "--backends", "socket", "--plan-set", "socket", "--json",
+        "--backends", "socket", "--json",
     ]) == 0
     cells = json.loads(capsys.readouterr().out)["cells"]
     assert cells, "socket chaos produced no cells"

@@ -2,11 +2,12 @@
 
 For any seeded fault plan drawn from the chaos family, a supervised
 generation run on random small factors must converge to output
-bit-identical (canonical edge order) to the fault-free run -- on the
-thread backend, with explicit seeded process-backend
-cases (fork startup dominates, so hypothesis drives only the in-process
-backend).  This is the recovery analogue of the routed-equivalence
-property: fault injection plus retry is a no-op on the result.
+bit-identical (canonical edge order) to the serial product
+``kron_product(a, b)`` -- on the thread backend, in memory and persisted,
+with explicit seeded process-backend cases (fork startup dominates, so
+hypothesis drives only the in-process backend) that compare each rank's
+shard with its placement.  Fault injection plus retry is a no-op on the
+result, and the result is the right one.
 """
 
 from functools import partial
@@ -70,20 +71,18 @@ class TestRecoveryIsBitExact:
     @settings(max_examples=20, deadline=None)
     def test_thread_backend(self, factors, plan):
         a, b = factors
-        ref, _ = generate_distributed(a, b, NRANKS, storage="source_block")
         el, _ = generate_distributed(
             a, b, NRANKS, storage="source_block",
             runner=partial(spmd_run_supervised, fault_plan=plan, max_attempts=4),
         )
         np.testing.assert_array_equal(
-            canonical_edges(el.edges), canonical_edges(ref.edges)
+            canonical_edges(el.edges), canonical_edges(kron_product(a, b).edges)
         )
 
     @given(factors=factor_pair(), plan=fault_plan())
     @settings(max_examples=10, deadline=None)
     def test_checkpointed_resume(self, factors, plan, tmp_path_factory):
         a, b = factors
-        ref, _ = generate_distributed(a, b, NRANKS, storage="source_block")
         ckpt = tmp_path_factory.mktemp("ckpt")
         manifest = generate_to_directory(
             KronPair(a, b), ckpt, NRANKS, storage="source_block",
@@ -91,7 +90,7 @@ class TestRecoveryIsBitExact:
         )
         el = CheckpointStore(ckpt).load_run(manifest)
         np.testing.assert_array_equal(
-            canonical_edges(el.edges), canonical_edges(ref.edges)
+            canonical_edges(el.edges), canonical_edges(kron_product(a, b).edges)
         )
 
     @pytest.mark.parametrize("reference", ["fused", "legacy"])

@@ -39,6 +39,7 @@ from repro.errors import (
     is_transient,
 )
 from repro.graph.generators import clique, cycle
+from repro.kronecker import kron_product
 from repro.telemetry import TelemetrySession
 from repro.util.hashing import edge_fingerprint
 
@@ -100,6 +101,20 @@ class TestElasticResume:
             canonical_edges(np.vstack(blocks)),
             canonical_edges(store.load_run(manifests[0]).edges),
         )
+
+    def test_resume_reads_only_its_own_family(self, factors, tmp_path):
+        """A manifest of another factor pair with the same vertex count
+        sits in the directory: the run at a new rank count generates its
+        own product instead of resharding the stranger's edges."""
+        _supervised(factors, 4, tmp_path)
+        other = factors[::-1]  # C4 (x) K3: 12 vertices, another edge set
+        tel = TelemetrySession()
+        el, _ = _supervised(other, 2, tmp_path, telemetry=tel)
+        np.testing.assert_array_equal(
+            canonical_edges(el.edges),
+            canonical_edges(kron_product(*other).edges),
+        )
+        assert "supervisor.elastic_reshard" not in {e.name for e in tel.events}
 
     def test_fresh_rank_count_without_manifest_regenerates(
         self, factors, tmp_path

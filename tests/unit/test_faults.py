@@ -7,7 +7,6 @@ from repro.distributed.faults import (
     FaultPlan,
     FaultyCommunicator,
     default_fault_matrix,
-    disarm,
 )
 from repro.errors import (
     CollectiveOrderError,
@@ -85,10 +84,6 @@ class TestCrash:
     def test_disarmed_on_later_attempt(self):
         plan = FaultPlan(seed=1, crash_rank=1, crash_at=0)
         assert run_with_plan(ring, 4, plan, attempt=1) == RING_4
-
-    def test_disarm_helper(self):
-        plan = disarm(FaultPlan(seed=1, crash_rank=0, crash_at=0))
-        assert run_with_plan(ring, 4, plan) == RING_4
 
 
 class TestDrop:
