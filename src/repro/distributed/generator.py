@@ -44,6 +44,19 @@ depend on where the bucketing happens.  With nothing to exchange
 (``storage=None`` or a single rank) the rank is the sole owner and the
 round is kept whole, written chunk by chunk into one preallocated block.
 
+*One output per rank.*  Under ``source_block`` with more than one rank a
+factor pair counts its rows before generating any
+(:meth:`KronPair.owned_rows`: two searchsorted thresholds per A-edge for
+a rank's own owner window, over every sender's replicated cells; no
+collective), so each rank allocates its stored output once, round-major,
+then by source rank.  The routed kernel writes the rank's own rows
+straight into their slot, and every received raw or ``KWR2`` block is
+copied or decoded straight into its own after its row count is checked
+against the prediction; remote buckets are fresh; the own slice is never
+sent.  Rounds whose counts are known only once generated (edge hash,
+SKG) land in a fresh stack each, stacked at the end -- through the same
+round loop and the same landing function.
+
 *Specs.*  An SKG spec's pieces are samples of ranges of sampler chunks
 (work proportional to the edges emitted, not to the ``4**k`` pairs),
 routed like dense chunks; the output is bit-identical across world
@@ -72,6 +85,7 @@ from repro.distributed.launcher import spmd_run
 from repro.distributed.partition import partition_edges_1d, partition_edges_2d
 from repro.distributed.shuffle import (
     WIRE_FORMATS,
+    Slots,
     bucket_edges,
     exchange_edges_finish,
     exchange_edges_start,
@@ -80,11 +94,13 @@ from repro.errors import PartitionError
 from repro.graph.edgelist import EdgeList
 from repro.kronecker.product import (
     DEFAULT_CHUNK,
+    RoutePlanB,
     id_dtype,
     kron_edge_block,
     kron_edge_block_routed,
     kron_rounds,
     plan_route_b,
+    routed_owner_counts,
 )
 from repro.telemetry.session import telemetry_of
 from repro.util.hashing import edges_digest
@@ -128,8 +144,21 @@ class Source(Protocol):
     def partition(self, plan: GenerationPlan, nranks: int) -> list:
         """Every rank's cells under ``plan``."""
 
-    def pieces(self, plan, cells, nparts, tel) -> Iterator[list[np.ndarray]]:
-        """The piece of each cell, in generation order."""
+    def pieces(
+        self, plan, cells, nparts, tel, out=None
+    ) -> Iterator[list[np.ndarray]]:
+        """The piece of each cell, in generation order.
+
+        ``out`` (only given when :meth:`owned_rows` counts the pieces)
+        maps a cell's index to where its piece is written: per owner, an
+        array of exactly that owner's rows.  It is read when the cell is
+        expanded.
+        """
+
+    def owned_rows(self, plan, cells, nparts, owners: range) -> np.ndarray | None:
+        """``(len(cells), len(owners))`` rows of each cell's piece that
+        each of ``owners`` stores, or ``None`` when they are not known
+        before the pieces are made."""
 
     def row_bound(self, cells) -> int:
         """Rows the pieces of ``cells`` hold, or almost surely stay under."""
@@ -177,12 +206,15 @@ class KronPair:
         """Does the routed kernel split each piece by owner analytically?"""
         return nparts > 1 and plan.effective_storage == "source_block"
 
-    def pieces(self, plan, cells, nparts, tel) -> Iterator[list[np.ndarray]]:
-        """Each cell's block, expanded by the routed kernel or densely and
-        routed where it is produced."""
+    def pieces(
+        self, plan, cells, nparts, tel, out=None
+    ) -> Iterator[list[np.ndarray]]:
+        """Each cell's block, expanded by the routed kernel (into
+        ``out[i]`` for cell ``i`` when given) or densely and routed where
+        it is produced."""
         routed = self._routed(plan, nparts)
         route_b = None
-        for part_a, part_b, (a0, a1, b0, b1) in cells:
+        for i, (part_a, part_b, (a0, a1, b0, b1)) in enumerate(cells):
             edges_a = part_a.edges[a0:a1]
             if not routed:
                 block = kron_edge_block(edges_a, part_b.edges[b0:b1], part_b.n, self.n)
@@ -192,7 +224,8 @@ class KronPair:
                 # B's one small sort, shared by the cells that expand it.
                 route_b = part_b, plan_route_b(part_b.edges, self.n)
             piece = kron_edge_block_routed(
-                edges_a, part_b.edges, part_b.n, nparts, self.n, route_b[1]
+                edges_a, part_b.edges, part_b.n, nparts, self.n, route_b[1],
+                None if out is None else out[i],
             )
             # The blocks left the kernel already split by owner; the
             # trace shows that degenerate route phase on purpose.
@@ -203,6 +236,34 @@ class KronPair:
     def row_bound(self, cells) -> int:
         """The exact row count of the cells' expansion."""
         return sum((a1 - a0) * (b1 - b0) for _, _, (a0, a1, b0, b1) in cells)
+
+    def owned_rows(self, plan, cells, nparts, owners: range) -> np.ndarray | None:
+        """Exactly the rows the routed kernel will put in each of
+        ``owners`` for each cell (``None`` unless it routes the pieces).
+
+        Per distinct (A part, B part) pair, B's sources are sorted once
+        and each A-edge's rows per owner counted by searchsorted
+        thresholds (:func:`routed_owner_counts`); a cell's count is then a
+        difference of running sums over its A-edges.
+        """
+        if not self._routed(plan, nparts):
+            return None
+        counts = np.empty((len(cells), len(owners)), dtype=np.int64)
+        route_b: dict[int, RoutePlanB] = {}
+        running: dict[tuple[int, int], np.ndarray] = {}
+        for i, (part_a, part_b, (a0, a1, _, _)) in enumerate(cells):
+            pair = id(part_a), id(part_b)
+            if pair not in running:
+                if id(part_b) not in route_b:
+                    route_b[id(part_b)] = plan_route_b(part_b.edges, self.n)
+                per_edge = routed_owner_counts(
+                    part_a.edges, part_b.n, self.n, nparts, owners,
+                    route_b[id(part_b)],
+                )
+                running[pair] = np.zeros((len(per_edge) + 1, len(owners)), np.int64)
+                np.cumsum(per_edge, axis=0, out=running[pair][1:])
+            counts[i] = running[pair][a1] - running[pair][a0]
+        return counts
 
 
 @dataclass(frozen=True)
@@ -435,6 +496,87 @@ def _collect(
     return [_stack(column, dtype) for column in columns]
 
 
+class _Layout:
+    """A rank's stored output, allocated once, and where each round's rows go.
+
+    Built when the source counts its pieces ahead (:meth:`Source.owned_rows`):
+    ``recv[rnd, s]`` is the rows sender ``s`` sends this rank in round
+    ``rnd`` -- every rank derives it locally from the replicated cells,
+    with no collective -- and ``send[i, d]`` the rows this rank's cell
+    ``i`` puts in owner ``d``.  The output is laid out round-major, then
+    by source rank: the order the exchanges deliver the rows in.  Cell
+    ``i`` is in round ``i`` when the plan streams, in round 0 otherwise.
+    """
+
+    def __init__(
+        self, recv: np.ndarray, send: np.ndarray, rank: int, streams: bool,
+        dtype: np.dtype,
+    ) -> None:
+        self.recv, self.send, self.rank, self.streams = recv, send, rank, streams
+        # Slot (rnd, s) starts at starts[rnd, s] and holds recv[rnd, s] rows.
+        self.starts = np.cumsum(recv).reshape(recv.shape) - recv
+        self.out = np.empty((int(recv.sum()), 2), dtype=dtype)
+        #: Per cell of the open round, where its piece is written.
+        self.dests: dict[int, list[np.ndarray]] = {}
+
+    @classmethod
+    def of(
+        cls, plan: GenerationPlan, cells: list, rank: int, rounds: int,
+        dtype: np.dtype,
+    ) -> _Layout | None:
+        """``rank``'s layout, or ``None`` if its rows are not known ahead."""
+        source, nparts = plan.source, len(cells)
+        send = source.owned_rows(plan, cells[rank], nparts, range(nparts))
+        if send is None:
+            return None
+        flat = [cell for sender in cells for cell in sender]
+        owned = source.owned_rows(plan, flat, nparts, range(rank, rank + 1))[:, 0]
+        recv = np.zeros((rounds, nparts), dtype=np.int64)
+        at = 0
+        for s, sender in enumerate(cells):
+            counts = owned[at : at + len(sender)]
+            at += len(sender)
+            if plan.streams:
+                recv[: len(counts), s] = counts
+            else:
+                recv[0, s] = counts.sum()
+        return cls(recv, send, rank, plan.streams, dtype)
+
+    def slots(self, rnd: int) -> Slots:
+        """Round ``rnd``'s region of the output, one slot per sender."""
+        lo = self.starts[rnd, 0]
+        return Slots(self.out[lo : lo + self.recv[rnd].sum()], self.recv[rnd], rnd)
+
+    def open(self, rnd: int) -> list[np.ndarray]:
+        """Round ``rnd``'s per-owner buckets, each exactly its size.
+
+        The own bucket is this rank's slot of the output, so its rows are
+        written once; the buckets bound for other ranks are fresh, so
+        they stay the runtime's while in flight.  Each of the round's
+        cells gets its share of them in :attr:`dests`.
+        """
+        if self.streams:
+            mine = range(rnd, min(rnd + 1, len(self.send)))
+        else:
+            mine = range(len(self.send))
+        sizes = self.send[mine.start : mine.stop].sum(axis=0)
+        lo = self.starts[rnd, self.rank]
+        outgoing = [
+            self.out[lo : lo + rows] if d == self.rank
+            else np.empty((rows, 2), dtype=self.out.dtype)
+            for d, rows in enumerate(sizes)
+        ]
+        cursor = np.zeros(len(sizes), dtype=np.int64)
+        self.dests.clear()
+        for i in mine:
+            self.dests[i] = [
+                bucket[at : at + rows]
+                for bucket, at, rows in zip(outgoing, cursor, self.send[i])
+            ]
+            cursor += self.send[i]
+        return outgoing
+
+
 def generate_rank(
     comm: Communicator, plan: GenerationPlan, cells: list
 ) -> RankOutput:
@@ -452,6 +594,16 @@ def generate_rank(
     therefore one or two chunks plus its stored share, against the batch
     schemes' full generated volume.
 
+    When the source counts its rows ahead (a factor pair under
+    ``source_block``: :meth:`Source.owned_rows`), the rank's stored output
+    is allocated once, at the exact row count of every (round, sender)
+    pair, laid out round-major, then by source rank (:class:`_Layout`).
+    The routed kernel writes the rank's own rows straight into their slot,
+    and every received raw or wire block is copied or decoded straight
+    into its own, after its row count is checked against the prediction.
+    Otherwise (edge hash, SKG) each round lands in a fresh stack and the
+    stacks are stacked at the end.  Both go through the one loop below.
+
     Every round's exchange is issued split-phase
     (:func:`exchange_edges_start`).  Under ``pipeline="sync"`` it is
     finished at once; under ``"async"`` only after the *next* round has
@@ -461,9 +613,10 @@ def generate_rank(
     most one request is in flight, which keeps the per-channel FIFO
     contract trivially satisfied, and the in-flight buckets are owned by
     the runtime until finished (Request contract), which holds because
-    every round builds fresh arrays.  The same blocks arrive in the same
-    order, so the stored output is bit-identical between the two.  A plan
-    that does not exchange, or a single rank, performs **no** collective.
+    remote buckets are fresh; the own slice is never sent.  The same
+    blocks arrive in the same order, so the stored output is
+    bit-identical between the two.  A plan that does not exchange, or a
+    single rank, performs **no** collective.
     """
     tel = telemetry_of(comm)
     source = plan.source
@@ -471,7 +624,6 @@ def generate_rank(
     exchanging = plan.exchanges and comm.size > 1
     nparts = comm.size if exchanging else 1
     dtype = id_dtype(source.n)
-    pieces = source.pieces(plan, my_cells, nparts, tel)
 
     per_round = None
     rounds = 1
@@ -483,11 +635,25 @@ def generate_rank(
             rounds = comm.allreduce(rounds, max)
     elif not exchanging:
         capacity = source.row_bound(my_cells)
+    layout = None
+    if exchanging:
+        layout = _Layout.of(plan, cells, comm.rank, rounds, dtype)
+    dests = None if layout is None else layout.dests
+    pieces = source.pieces(plan, my_cells, nparts, tel, dests)
 
     def produce(rnd: int) -> list[np.ndarray]:
         """One round's per-owner buckets."""
         with tel.span("generate", cat="phase", round=rnd):
-            return _collect(islice(pieces, per_round), nparts, capacity, dtype)
+            if layout is None:
+                return _collect(islice(pieces, per_round), nparts, capacity, dtype)
+            outgoing = layout.open(rnd)
+            for _ in islice(pieces, per_round):
+                pass  # each piece is written into its share of outgoing
+            return outgoing
+
+    def slots(rnd: int) -> Slots | None:
+        """Where round ``rnd`` lands: its slots, or a fresh stack."""
+        return None if layout is None else layout.slots(rnd)
 
     stored: list[np.ndarray] = []
     generated = 0
@@ -503,17 +669,23 @@ def generate_rank(
             # Everything since the issue was generation that hid the
             # in-flight exchange.
             overlap_s += tel.clock() - issued_at
-            stored.append(exchange_edges_finish(comm, pending, source.n))
+            stored.append(
+                exchange_edges_finish(comm, pending, source.n, slots(rnd - 1))
+            )
         pending = exchange_edges_start(comm, outgoing, wire=plan.wire)
         issued_at = tel.clock()
         if plan.pipeline == "sync":
-            stored.append(exchange_edges_finish(comm, pending, source.n))
+            stored.append(
+                exchange_edges_finish(comm, pending, source.n, slots(rnd))
+            )
             pending = None
     if pending is not None:
         # Tail flush: no generation left to hide this wait, so it does
         # not count toward the overlap.
-        stored.append(exchange_edges_finish(comm, pending, source.n))
-    edges = _stack(stored, dtype)
+        stored.append(
+            exchange_edges_finish(comm, pending, source.n, slots(rounds - 1))
+        )
+    edges = _stack(stored, dtype) if layout is None else layout.out
     if plan.pipeline == "async":
         tel.add("exchange.overlap_s", overlap_s)
     tel.add("edges.generated", generated)

@@ -7,8 +7,8 @@ independent of how edges were generated -- the modularity the paper calls
 out -- so both the 1-D and 2-D generators reuse it unchanged.  Blocks
 keep the dtype they were generated in -- the product's id dtype
 (:func:`repro.kronecker.product.id_dtype`), ``int32`` unless ``n_C``
-exceeds ``2**31`` -- through bucketing, the exchange and the stack a rank
-stores; nothing here widens a block.
+exceeds ``2**31`` -- through bucketing, the exchange and the output a
+rank stores; nothing here widens a block.
 
 Two bucketing kernels are provided:
 
@@ -48,11 +48,17 @@ Two bucketing kernels are provided:
 
 The exchange itself is split-phase (:func:`exchange_edges_start` /
 :func:`exchange_edges_finish`, what the generator drives);
-:func:`exchange_edges` is the pair finished at once.  The ``wire`` check
+:func:`exchange_edges` is the pair finished at once.  What arrives lands
+through one function, :func:`_land`: into a fresh stack sized from the
+blocks, or -- when the generator knows every sender's row count ahead
+(:class:`Slots`) -- into the rank's output, each block's count checked
+before anything is written.  The ``wire`` check
 guards these public entry points independently of the plan's.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -284,61 +290,111 @@ def _encode_outgoing(
     return payload
 
 
-def _stack_received(incoming: list, dtype: np.dtype, tel) -> np.ndarray:
-    """One fresh ``(m, 2)`` block of ``dtype`` holding every received bucket.
+class Slots(NamedTuple):
+    """Where one exchange's rows land when their counts are known ahead.
 
-    ``dtype`` is the product's id dtype, fixed by the caller from ``n_C``
-    -- never by what arrived, so a rank that receives nothing stores the
-    same dtype as its peers.  The block is sized once -- from the raw
-    buckets' lengths and the wire blocks' header counts, each bounded by
-    the bytes that carry it -- and every bucket is copied or decoded
-    straight into its slice, in source-rank order, each decoding one
-    ``wire.decode`` span on ``tel`` (the block's rows and wire bytes as
-    args).  Received buffers are only read.  ``None`` and zero-size
-    entries are skipped.  A payload
-    that is neither a wire block nor interpretable as ``(m, 2)`` integer
-    edges (odd element count, non-numeric dtype) means a corrupted or
-    misrouted message; raise a diagnostic naming the problem instead of
-    letting ``reshape`` throw a bare ``ValueError`` deep in the exchange.
-    So does a raw block whose ids ``dtype`` cannot hold exactly (an
-    ``int64`` block into an ``int32`` stack): assignment would wrap an
-    id above ``2**31 - 1`` silently.  Narrower blocks widen exactly.
+    ``out`` is the exchange's region of the rank's stored output, one
+    slice per source rank in rank order; ``counts[s]`` is the rows rank
+    ``s`` must send; ``rnd`` is the round, named in errors.
     """
-    blocks: list[tuple[np.ndarray, int, bool]] = []  # bucket, rows, encoded
+
+    out: np.ndarray
+    counts: np.ndarray
+    rnd: int
+
+
+def _received_blocks(
+    incoming: list, dtype: np.dtype
+) -> list[tuple[np.ndarray | None, int, bool]]:
+    """``(block, rows, encoded)`` of each source rank's received bucket.
+
+    A raw block's rows are its element count halved, a wire block's its
+    header count, bounded by the bytes that carry it; ``None`` and
+    zero-size entries are ``(None, 0, False)``.  A payload that is neither
+    a wire block nor interpretable as ``(m, 2)`` integer edges (odd
+    element count, non-numeric dtype) means a corrupted or misrouted
+    message; raise a diagnostic naming the problem instead of letting
+    ``reshape`` throw a bare ``ValueError`` deep in the exchange.  So does
+    a raw block whose ids ``dtype`` cannot hold exactly (an ``int64``
+    block into an ``int32`` output): assignment would wrap an id above
+    ``2**31 - 1`` silently.  Narrower blocks widen exactly.
+    """
+    blocks: list[tuple[np.ndarray | None, int, bool]] = []
     for blk in incoming:
-        if blk is None:
-            continue
-        blk = np.asarray(blk)
-        if blk.size == 0:
-            continue
-        if is_wire_block(blk):
+        blk = None if blk is None else np.asarray(blk)
+        if blk is None or blk.size == 0:
+            blocks.append((None, 0, False))
+        elif is_wire_block(blk):
             # The magic check precedes the shape validation: an encoded
             # uint8 stream may well have odd length.
             blocks.append((blk, _edge_count(blk), True))
-            continue
-        if blk.dtype.kind not in "biu" or blk.size % 2:
+        elif blk.dtype.kind not in "biu" or blk.size % 2:
             raise CommunicatorError(
                 f"received edge block with dtype {blk.dtype} and shape "
                 f"{blk.shape}: not interpretable as (m, 2) integer edges -- "
                 f"a corrupted or misrouted exchange message"
             )
-        if not np.can_cast(blk.dtype, dtype, "safe"):
+        elif not np.can_cast(blk.dtype, dtype, "safe"):
             raise CommunicatorError(
                 f"received a raw {blk.dtype} edge block for a {dtype} "
                 f"stack: {blk.dtype} ids do not fit {dtype}, the id dtype "
                 f"of this product -- a rank generating in another id dtype"
             )
-        blocks.append((blk.reshape(-1, 2), blk.size // 2, False))
-    stacked = np.empty((sum(m for _, m, _ in blocks), 2), dtype=dtype)
+        else:
+            blocks.append((blk.reshape(-1, 2), blk.size // 2, False))
+    return blocks
+
+
+def _land(blocks: list, out: np.ndarray, tel) -> np.ndarray:
+    """Copy or decode each of ``blocks`` (:func:`_received_blocks`) into
+    its slice of ``out``, back to back in source-rank order; returns ``out``.
+
+    Each decoding is one ``wire.decode`` span on ``tel`` (the block's rows
+    and wire bytes as args).  Received buffers are only read.  A block
+    that already is its slice -- the own bucket, which every transport
+    hands back by reference, when it was generated in place -- is left
+    where it is.
+    """
     at = 0
     for blk, m, encoded in blocks:
+        dst = out[at : at + m]
         if encoded:
             with tel.span("wire.decode", rows=m, bytes=blk.nbytes):
-                decode_edges(blk, out=stacked[at : at + m])
-        else:
-            stacked[at : at + m] = blk
+                decode_edges(blk, out=dst)
+        elif m and blk.ctypes.data != dst.ctypes.data:
+            dst[...] = blk
         at += m
-    return stacked
+    return out
+
+
+def _stack_received(incoming: list, dtype: np.dtype, tel) -> np.ndarray:
+    """One fresh ``(m, 2)`` block of ``dtype`` holding every received bucket.
+
+    ``dtype`` is the product's id dtype, fixed by the caller from ``n_C``
+    -- never by what arrived, so a rank that receives nothing stores the
+    same dtype as its peers.  The block is sized once from the buckets'
+    row counts and every bucket is landed straight into its slice.
+    """
+    blocks = _received_blocks(incoming, dtype)
+    return _land(blocks, np.empty((sum(m for _, m, _ in blocks), 2), dtype), tel)
+
+
+def _land_in_slots(incoming: list, slots: Slots, tel) -> np.ndarray:
+    """Land every received bucket in its slot of ``slots.out``.
+
+    Every bucket's row count is checked against ``slots.counts`` before
+    anything is written: a block of the wrong size raises
+    :class:`CommunicatorError` naming the round, the sender and both
+    counts.
+    """
+    blocks = _received_blocks(incoming, slots.out.dtype)
+    for sender, ((_, m, _), expected) in enumerate(zip(blocks, slots.counts)):
+        if m != expected:
+            raise CommunicatorError(
+                f"round {slots.rnd}: sender {sender} sent {m} rows, "
+                f"expected {int(expected)} -- a block of the wrong size"
+            )
+    return _land(blocks, slots.out, tel)
 
 
 def exchange_edges(
@@ -393,20 +449,28 @@ def exchange_edges_start(
 
 
 def exchange_edges_finish(
-    comm: Communicator, request: Request, n: int | None = None
+    comm: Communicator,
+    request: Request,
+    n: int | None = None,
+    slots: Slots | None = None,
 ) -> np.ndarray:
-    """Complete a split-phase exchange; returns the stacked received edges.
+    """Complete a split-phase exchange; returns the received edges.
 
-    The stack is in :func:`~repro.kronecker.product.id_dtype` of ``n``,
-    the product's vertex count (``int64`` when not given); a raw block
-    that dtype cannot hold is a :class:`CommunicatorError`.  Emits one
-    ``exchange`` span and the ``edges.received`` counter per exchange
-    regardless of pipeline mode (the span covers the wait + decode, with
-    issue time under ``exchange.issue``).
+    Without ``slots`` they are one fresh stack in
+    :func:`~repro.kronecker.product.id_dtype` of ``n``, the product's
+    vertex count (``int64`` when not given); with them, ``slots.out``,
+    each sender's rows landed in its slot once its count checked out.  A
+    raw block that dtype cannot hold is a :class:`CommunicatorError`.
+    Emits one ``exchange`` span and the ``edges.received`` counter per
+    exchange regardless of pipeline mode (the span covers the wait +
+    decode, with issue time under ``exchange.issue``).
     """
     tel = telemetry_of(comm)
     with tel.span("exchange", cat="phase"):
         incoming = comm.alltoall_finish(request)
-        received = _stack_received(incoming, id_dtype(n), tel)
+        if slots is None:
+            received = _stack_received(incoming, id_dtype(n), tel)
+        else:
+            received = _land_in_slots(incoming, slots, tel)
     tel.add("edges.received", len(received))
     return received

@@ -312,8 +312,12 @@ class ChaosReport:
         return all(o.ok for o in self.outcomes)
 
     def to_text(self) -> str:
+        """One row per cell.  The plan and backend columns fit their
+        longest label plus a space (at least 16 and 9 characters)."""
+        plan_w = max([15, *(len(o.plan) for o in self.outcomes)]) + 1
+        backend_w = max([8, *(len(o.backend) for o in self.outcomes)]) + 1
         lines = [
-            f"{'plan':<16}{'backend':<9}"
+            f"{'plan':<{plan_w}}{'backend':<{backend_w}}"
             f"{'attempts':>9}{'elapsed':>9}  status"
         ]
         for o in self.outcomes:
@@ -324,7 +328,7 @@ class ChaosReport:
             else:
                 status = f"FAILED: {o.error}"
             lines.append(
-                f"{o.plan:<16}{o.backend:<9}"
+                f"{o.plan:<{plan_w}}{o.backend:<{backend_w}}"
                 f"{o.attempts:>9}{o.elapsed_s:>8.2f}s  {status}"
             )
         good = sum(o.ok for o in self.outcomes)

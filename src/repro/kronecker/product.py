@@ -47,6 +47,7 @@ __all__ = [
     "RoutePlanB",
     "plan_route_b",
     "kron_edge_block_routed",
+    "routed_owner_counts",
     "kron_routed_full",
     "iter_kron_product_routed",
 ]
@@ -221,8 +222,37 @@ def _routed_positions(
     return pos.reshape(len(src_a), len(bounds))
 
 
+def routed_owner_counts(
+    edges_a: np.ndarray,
+    n_b: int,
+    n_c: int,
+    nparts: int,
+    owners: range,
+    plan: RoutePlanB,
+) -> np.ndarray:
+    """Rows each A-edge's routed expansion against all of B puts in each of
+    ``owners`` (of ``nparts`` over the ``n_c``-vertex product).
+
+    The ``(len(edges_a), len(owners))`` ``int64`` counts that
+    :func:`kron_edge_block_routed` will produce, without producing them:
+    ``len(owners) + 1`` searchsorted thresholds per A-edge into ``plan``'s
+    sorted B sources (two for one owner), no product-sized array.
+    """
+    from repro.distributed.partition import vertex_block_bounds
+
+    edges_a = np.asarray(edges_a, dtype=np.int64).reshape(-1, 2)
+    bounds = vertex_block_bounds(n_c, nparts)[owners.start : owners.stop + 1]
+    pos = _routed_positions(edges_a[:, 0], plan, n_b, bounds)
+    return np.diff(pos, axis=1)
+
+
 def _routed_bucket_rows(
-    edges_a: np.ndarray, plan: RoutePlanB, pos: np.ndarray, d: int, n_b: int
+    edges_a: np.ndarray,
+    plan: RoutePlanB,
+    pos: np.ndarray,
+    d: int,
+    n_b: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Materialize owner ``d``'s slice of the A-block x B product.
 
@@ -235,11 +265,20 @@ def _routed_bucket_rows(
     one run; only an A-source straddling a bound (at most ``nparts - 1``
     per call) yields partial windows and further runs.  The slice and its
     adds are in the plan's id dtype: every operand and sum is below n_C.
+    With ``out=`` (an array or slice of exactly the slice's shape, in that
+    dtype) the rows are written there instead of into a fresh array.
     """
     sel = np.flatnonzero(pos[:, d + 1] > pos[:, d])
     lo, hi = pos[sel, d], pos[sel, d + 1]
     dtype = plan.rows.dtype
-    out = np.empty((int((hi - lo).sum()), 2), dtype=dtype)
+    shape = (int((hi - lo).sum()), 2)
+    if out is None:
+        out = np.empty(shape, dtype=dtype)
+    elif out.shape != shape or out.dtype != dtype:
+        raise ValueError(
+            f"out= is {out.dtype}{out.shape}, owner {d}'s slice is "
+            f"{dtype}{shape}"
+        )
     starts = np.flatnonzero(
         (np.diff(lo, prepend=-1) != 0) | (np.diff(hi, prepend=-1) != 0)
     )
@@ -265,6 +304,7 @@ def kron_edge_block_routed(
     nparts: int,
     n_c: int,
     plan: RoutePlanB | None = None,
+    out: list[np.ndarray | None] | None = None,
 ) -> list[np.ndarray]:
     """Outer product of two edge blocks, emitted pre-bucketed by owner.
 
@@ -278,19 +318,26 @@ def kron_edge_block_routed(
 
     Pass a precomputed ``plan`` (:func:`plan_route_b` for the same
     ``n_c``) to amortize B's one small sort across many expansions of the
-    same replicated factor.
+    same replicated factor.  ``out[d]``, when given and not ``None``, is
+    where owner ``d``'s block is written (exactly its size, see
+    :func:`_routed_bucket_rows`); the others are fresh arrays.
     """
     from repro.distributed.partition import vertex_block_bounds
 
+    out = [None] * nparts if out is None else out
     if len(edges_a) == 0 or len(edges_b) == 0:
-        return [np.empty((0, 2), dtype=id_dtype(n_c)) for _ in range(nparts)]
+        return [
+            np.empty((0, 2), dtype=id_dtype(n_c)) if dest is None else dest
+            for dest in out
+        ]
     edges_a = np.asarray(edges_a, dtype=np.int64).reshape(-1, 2)
     if plan is None:
         plan = plan_route_b(edges_b, n_c)
     bounds = vertex_block_bounds(n_c, nparts)
     pos = _routed_positions(edges_a[:, 0], plan, n_b, bounds)
     return [
-        _routed_bucket_rows(edges_a, plan, pos, d, n_b) for d in range(nparts)
+        _routed_bucket_rows(edges_a, plan, pos, d, n_b, dest)
+        for d, dest in enumerate(out)
     ]
 
 

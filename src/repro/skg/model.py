@@ -279,14 +279,19 @@ class SKGSpec:
         """Per rank, its rounds' ``(start, stop)`` sampler-chunk ranges."""
         return self.sampler().rounds(nranks, plan.chunk_size)
 
-    def pieces(self, plan, cells, nparts: int, tel):
-        """Each round's sample, routed like a dense chunk."""
+    def pieces(self, plan, cells, nparts: int, tel, out=None):
+        """Each round's sample, routed like a dense chunk (``out`` is never
+        given: :meth:`owned_rows` counts nothing ahead)."""
         sampler = self.sampler()
         for start, stop in cells:
             yield plan.route(sampler.sample(start, stop), nparts, tel)
 
     def row_bound(self, cells) -> int:
         return self.sampler().row_bound(cells)
+
+    def owned_rows(self, plan, cells, nparts: int, owners: range) -> None:
+        """A sample's size is known only once it is drawn."""
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         noisy = f", noise_b={self.noise_b}" if self.noise_b else ""

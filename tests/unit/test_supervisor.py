@@ -30,6 +30,8 @@ from repro.distributed.generator import (
     generate_distributed,
 )
 from repro.distributed.supervisor import (
+    ChaosOutcome,
+    ChaosReport,
     SupervisorReport,
     canonical_edges,
     generate_to_directory,
@@ -343,6 +345,29 @@ class TestCheckpointing:
         k2 = generation_run_key(replace(plan, storage="edge_hash"), 4)
         k3 = generation_run_key(plan, 2)
         assert len({k1, k2, k3}) == 3
+
+
+class TestChaosReportText:
+    def test_long_labels_keep_the_columns_aligned(self):
+        outcomes = [
+            ChaosOutcome("sock-partition-r1", "socket", True, True, 2, elapsed_s=1.6),
+            ChaosOutcome("crash-r1", "process", True, False, 1),
+            ChaosOutcome("drop-r0-many-frames", "thread", False, False, 3, "boom"),
+        ]
+        report = ChaosReport(outcomes)
+        header, *rows, total = report.to_text().splitlines()
+        at = header.index("backend")
+        assert [row[at:].split()[0] for row in rows] == [
+            "socket", "process", "thread"
+        ]
+        assert all(row[at - 1] == " " for row in rows)
+        assert total == "1/3 cells recovered"
+
+    def test_short_labels_keep_the_old_widths(self):
+        report = ChaosReport([ChaosOutcome("crash-r1", "thread", True, True, 1)])
+        header, row, _ = report.to_text().splitlines()
+        assert header.index("backend") == 16
+        assert row.startswith(f"{'crash-r1':<16}{'thread':<9}")
 
 
 class TestSupervisedGeneration:
